@@ -28,7 +28,6 @@ from .semiring import (
     E,
     MaxPlusMatrix,
     canonical,
-    configure_parallelism,
     is_eps,
     oplus,
     otimes,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from . import render as render_mod
 from . import spectral as spectral_mod
 from . import trajectory as traj_mod
 from .errors import ConfigError, TropicalError, VerificationError
-from .semiring import configure_parallelism, scalar_from_json, unit_vector, vec_scale
+from .semiring import scalar_from_json, unit_vector, vec_scale
 
 log = logging.getLogger("tropical_ca")
 
@@ -221,6 +222,11 @@ def load_experiment(args) -> Experiment:
                 x0 = tuple(scalar_from_json(v, mode) for v in blk)
             except ValueError as exc:
                 raise ConfigError(f"x0: {exc}") from exc
+            for i, v in enumerate(x0):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(
+                        f"x0[{i + 1}]: start times must be finite, got {blk[i]!r}"
+                    )
         else:
             raise ConfigError("x0: must be \"unit\" or a list of scalars")
 
@@ -455,12 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--mode", choices=MODES, help="arithmetic mode override")
         p.add_argument("--seed", type=int, help="seed override for generated networks")
-        p.add_argument(
-            "--parallel",
-            type=int,
-            metavar="WORKERS",
-            help="enable deterministic parallel matrix rows",
-        )
 
     common(sub.add_parser("analyze", help="spectral summary of the timing matrix"))
     common(sub.add_parser("simulate", help="trajectory and periodic regime"))
@@ -491,8 +491,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.parallel:
-        configure_parallelism(args.parallel)
     try:
         exp = load_experiment(args)
         if args.command == "analyze":
@@ -517,8 +515,6 @@ def main(argv=None) -> int:
     except TropicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        configure_parallelism(None)
     return 0
 
 

@@ -16,12 +16,13 @@ Operations that depend on exact equality refuse float entries and raise
 Matrices are dense, immutable and row-major.  ``A @ B`` is the max-plus
 product, ``A + B`` the entry-wise max, ``A.star()`` the Kleene star
 ``E ⊕ A ⊕ A² ⊕ …`` truncated exactly at length n-1 (valid because the star
-only exists when no circuit has positive weight).
+only exists when no circuit has positive weight).  ``A.apply(x)`` and
+``A.finite_rows()`` walk only the finite entries of each row, so iterating
+a sparse matrix costs O(arcs) per step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -48,8 +49,9 @@ def is_eps(x: Scalar) -> bool:
 
 def canonical(x: Scalar) -> Scalar:
     """Collapse integral Fractions to plain ints so equal values hash equal
-    and serialize identically."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    and serialize identically.  (An exact type test: ``isinstance`` against
+    the ABC-registered Fraction costs ten times more, on every entry.)"""
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -95,18 +97,6 @@ def neg(x: Scalar) -> Scalar:
     return canonical(-x)
 
 
-# Worker count for the optional parallel row path of the matrix product.
-# None means sequential.  Results are bit-identical either way: rows are
-# computed independently and assembled in order.
-_PARALLEL_WORKERS: int | None = None
-
-
-def configure_parallelism(workers: int | None) -> None:
-    """Enable (workers >= 2) or disable (None/0/1) parallel row products."""
-    global _PARALLEL_WORKERS
-    _PARALLEL_WORKERS = workers if workers and workers >= 2 else None
-
-
 def _product_row(row: Sequence[Scalar], cols: Sequence[Sequence[Scalar]]) -> tuple:
     out = []
     for col in cols:
@@ -123,7 +113,7 @@ def _product_row(row: Sequence[Scalar], cols: Sequence[Sequence[Scalar]]) -> tup
 class MaxPlusMatrix:
     """Immutable dense matrix over the max-plus semiring."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_finite_rows")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         grid = tuple(tuple(canonical(v) for v in row) for row in entries)
@@ -135,6 +125,7 @@ class MaxPlusMatrix:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_finite_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MaxPlusMatrix is immutable")
@@ -213,23 +204,38 @@ class MaxPlusMatrix:
                     f"{other.rows}x{other.cols}"
                 )
             cols = tuple(zip(*other.entries))
-            if _PARALLEL_WORKERS:
-                with ThreadPoolExecutor(max_workers=_PARALLEL_WORKERS) as pool:
-                    rows = list(
-                        pool.map(lambda r: _product_row(r, cols), self.entries)
-                    )
-            else:
-                rows = [_product_row(r, cols) for r in self.entries]
-            return MaxPlusMatrix(rows)
+            return MaxPlusMatrix([_product_row(r, cols) for r in self.entries])
         return self.apply(other)
 
+    def finite_rows(self) -> tuple:
+        """Per row i, the ``(j, A[i, j])`` pairs with a finite entry, in
+        ascending j: the arcs into node i.  Computed once, on first use."""
+        rows = self._finite_rows
+        if rows is None:
+            rows = tuple(
+                tuple((j, w) for j, w in enumerate(row) if w != EPS)
+                for row in self.entries
+            )
+            object.__setattr__(self, "_finite_rows", rows)
+        return rows
+
     def apply(self, vec: Sequence[Scalar]) -> Vector:
-        """Matrix-vector product A ⊗ x."""
+        """Matrix-vector product A ⊗ x, over the finite entries only."""
         if len(vec) != self.cols:
             raise DimensionError(
                 f"matrix has {self.cols} columns but vector has {len(vec)} entries"
             )
-        return _product_row_vec(self.entries, tuple(vec))
+        out = []
+        for row in self.finite_rows():
+            best = EPS
+            for j, a in row:
+                b = vec[j]
+                if b != EPS:
+                    s = a + b
+                    if s > best:
+                        best = s
+            out.append(canonical(best))
+        return tuple(out)
 
     def scale(self, alpha: Scalar) -> "MaxPlusMatrix":
         """Scalar product alpha ⊗ A: alpha added to every finite entry."""
@@ -318,19 +324,6 @@ class MaxPlusMatrix:
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimensionError("matrix literal shape does not match rows/cols")
         return cls([[scalar_from_json(v, mode) for v in row] for row in entries])
-
-
-def _product_row_vec(rows, vec):
-    out = []
-    for row in rows:
-        best = EPS
-        for a, b in zip(row, vec):
-            if a != EPS and b != EPS:
-                s = a + b
-                if s > best:
-                    best = s
-        out.append(canonical(best))
-    return tuple(out)
 
 
 # -- vectors ---------------------------------------------------------------

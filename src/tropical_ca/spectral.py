@@ -7,11 +7,33 @@ eigenvalue of an irreducible matrix is the maximum circuit mean
     lambda = max over elementary circuits c of weight(c) / length(c)
 
 computed here with Karp's dynamic program on each strongly connected
-component (exact rational arithmetic in integer/rational mode).  The
-critical graph collects the nodes and arcs of the circuits attaining that
-maximum; its structure fixes the cyclicity sigma (the eventual period of
-the matrix power sequence) and a generating set of eigenvectors, both read
-off the Kleene star of the normalized matrix (-lambda) ⊗ A.
+component, O(n·m) for n nodes and m arcs (exact rational arithmetic in
+integer/rational mode).
+
+Everything else is read off the normalized graph of (-lambda) ⊗ A, whose
+arc weights w - lambda leave its heaviest circuits at weight zero and no
+circuit positive:
+
+* One Bellman-Ford from node 0 gives the longest-path weights v, a finite
+  potential with v_j + w <= v_i on every normalized arc j -> i.
+* An arc is tight when equality holds.  Around a circuit the potential
+  differences cancel, so a circuit weighs zero iff all its arcs are tight.
+  The critical graph (nodes and arcs of the circuits of mean lambda) is
+  therefore the tight arcs whose two ends share a strongly connected
+  component of the tight subgraph.
+* The cyclicity sigma is the lcm, over the maximal strongly connected
+  subgraphs of the critical graph, of the gcd of their circuit lengths.
+* One eigenvector per such subgraph is the column of the Kleene star of the
+  normalized matrix at its smallest node: the longest-path weights from
+  that node, one more Bellman-Ford.
+
+Each Bellman-Ford costs O(n·m) at worst and no n×n product is formed.  In
+the exact modes the weights are scaled by the common denominator of lambda
+and the entries, so the searches run on Python ints and divide once at the
+end.  A value that still improves in round n would mean a positive circuit
+and raises KleeneStarDivergenceError; in float mode only an improvement
+above ``tol`` counts, since rounding can leave a normalized circuit an ulp
+above zero.
 """
 
 from __future__ import annotations
@@ -24,6 +46,7 @@ from typing import Sequence
 from .errors import (
     CapExceededError,
     DimensionError,
+    KleeneStarDivergenceError,
     NoCircuitError,
     ReducibleMatrixError,
 )
@@ -35,11 +58,9 @@ from .semiring import (
     canonical,
     is_eps,
     is_finite,
-    neg,
     oplus,
     otimes,
     scalar_to_json,
-    vec_scale,
 )
 
 
@@ -64,12 +85,9 @@ class PrecedenceGraph:
 def build_graph(matrix: MaxPlusMatrix) -> PrecedenceGraph:
     if not matrix.is_square():
         raise DimensionError("precedence graph of a non-square matrix")
-    arcs = []
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            w = matrix[i, j]
-            if is_finite(w):
-                arcs.append((j, i, w))
+    arcs = [
+        (j, i, w) for i, row in enumerate(matrix.finite_rows()) for (j, w) in row
+    ]
     arcs.sort(key=lambda a: (a[0], a[1]))
     return PrecedenceGraph(matrix.rows, tuple(arcs))
 
@@ -216,7 +234,10 @@ def max_cycle_mean(matrix: MaxPlusMatrix) -> Scalar:
     raises NoCircuitError on an acyclic graph.
     """
     graph = build_graph(matrix)
-    dec = scc_decompose(graph)
+    return _graph_cycle_mean(graph, scc_decompose(graph))
+
+
+def _graph_cycle_mean(graph: PrecedenceGraph, dec: SccDecomposition) -> Scalar:
     best = None
     for comp in dec.components:
         comp_set = set(comp)
@@ -251,48 +272,6 @@ class CriticalGraph:
         return tuple(c for c in dec.components if set(c) <= critical)
 
 
-def _is_zero(x: Scalar, tol: float | None) -> bool:
-    if is_eps(x):
-        return False
-    if isinstance(x, float) and tol is not None:
-        return abs(x) <= tol
-    return x == 0
-
-
-def _normalized_closure(matrix: MaxPlusMatrix):
-    """(lambda, Ahat, Ahat*, Ahat+) for an irreducible matrix, where
-    Ahat = (-lambda) ⊗ A has maximum circuit mean zero."""
-    if not matrix.is_square():
-        raise DimensionError("spectral analysis of a non-square matrix")
-    if not is_irreducible(matrix):
-        raise ReducibleMatrixError(
-            "matrix is reducible (precedence graph not strongly connected); "
-            "this library only analyzes irreducible matrices"
-        )
-    lam = max_cycle_mean(matrix)
-    ahat = matrix.scale(neg(lam))
-    star = ahat.star()
-    plus = ahat @ star
-    return lam, ahat, star, plus
-
-
-def critical_graph(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> CriticalGraph:
-    """Critical nodes i satisfy [Ahat+]_ii = 0 (they lie on a zero-weight
-    circuit of the normalized graph); arc j -> i is critical when
-    ahat_ij ⊗ [Ahat*]_ji = 0 (the arc closes such a circuit)."""
-    lam, ahat, star, plus = _normalized_closure(matrix)
-    n = matrix.rows
-    nodes = tuple(i for i in range(n) if _is_zero(plus[i, i], tol))
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            w = ahat[i, j]
-            if is_finite(w) and _is_zero(otimes(w, star[j, i]), tol):
-                arcs.append((j, i))
-    arcs.sort()
-    return CriticalGraph(n, nodes, tuple(arcs), lam)
-
-
 def _component_cyclicity(comp: tuple, arcs: list) -> int:
     """gcd of the circuit lengths of one strongly connected component.
 
@@ -323,16 +302,15 @@ def _component_cyclicity(comp: tuple, arcs: list) -> int:
     return g if g > 0 else 1
 
 
+def critical_graph(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> CriticalGraph:
+    """Nodes and arcs on the circuits of maximum mean (see :func:`analyze`)."""
+    return analyze(matrix, tol).critical
+
+
 def cyclicity(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> int:
     """sigma(A): lcm over the maximal strongly connected subgraphs of the
     critical graph of the gcd of their circuit lengths."""
-    crit = critical_graph(matrix, tol)
-    sigma = 1
-    for comp in crit.mscs():
-        comp_set = set(comp)
-        arcs = [a for a in crit.arcs if a[0] in comp_set and a[1] in comp_set]
-        sigma = math.lcm(sigma, _component_cyclicity(comp, arcs))
-    return sigma
+    return analyze(matrix, tol).sigma
 
 
 def eigenvectors(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> list:
@@ -340,13 +318,7 @@ def eigenvectors(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> list:
     critical graph: the column of (Ahat)* at the smallest node of the
     subgraph.  Columns at nodes of the same subgraph are scalar multiples
     of each other, so one representative spans the same set."""
-    lam, ahat, star, plus = _normalized_closure(matrix)
-    crit = critical_graph(matrix, tol)
-    basis = []
-    for comp in crit.mscs():
-        rep = comp[0]
-        basis.append(star.column(rep))
-    return basis
+    return list(analyze(matrix, tol).eigenbasis)
 
 
 def eigenspace_membership(
@@ -396,27 +368,100 @@ class SpectralSummary:
         }
 
 
+def _normalized_successors(graph: PrecedenceGraph, lam: Scalar):
+    """(succ, scale): succ[j] lists (i, w) for the arcs j -> i of the
+    normalized graph, ascending in i.
+
+    In the exact modes w = scale·(A[i, j] - lambda) with ``scale`` the least
+    common denominator of lambda and the entries, so every w is an int.
+    With any float around, w = A[i, j] - lambda and ``scale`` is None.
+    """
+    succ = [[] for _ in range(graph.node_count)]
+    weights = [w for (_j, _i, w) in graph.arcs]
+    if any(isinstance(w, float) for w in [lam, *weights]):
+        for (j, i, w) in graph.arcs:
+            succ[j].append((i, w - lam))
+        return succ, None
+    scale = math.lcm(*(Fraction(w).denominator for w in [lam, *weights]))
+    shift = int(lam * scale)
+    for (j, i, w) in graph.arcs:
+        succ[j].append((i, int(w * scale) - shift))
+    return succ, scale
+
+
+def _longest_paths(succ: list, source: int, slack) -> list:
+    """Longest-path weights from ``source`` (EPS where unreachable).
+
+    Bellman-Ford in rounds, each relaxing only the arcs out of the nodes
+    improved in the round before.  After round k every value is at least
+    the best walk of at most k arcs, so without a positive circuit nothing
+    improves after round n - 1.  Round n is the circuit test: an
+    improvement above ``slack`` there raises KleeneStarDivergenceError.
+    """
+    n = len(succ)
+    dist = [EPS] * n
+    dist[source] = E
+    frontier = (source,)
+    for _ in range(n - 1):
+        improved = {}
+        for j in frontier:
+            dj = dist[j]
+            for i, w in succ[j]:
+                cand = dj + w
+                if cand > dist[i]:
+                    dist[i] = cand
+                    improved[i] = None
+        if not improved:
+            return dist
+        frontier = improved
+    for j in frontier:
+        for i, w in succ[j]:
+            if dist[j] + w > dist[i] + slack:
+                raise KleeneStarDivergenceError(
+                    "Kleene star diverges: the graph has a positive-weight circuit"
+                )
+    return dist
+
+
 def analyze(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> SpectralSummary:
     """Single pass producing eigenvalue, cyclicity, critical graph and the
-    eigenvector basis of an irreducible matrix."""
-    lam, ahat, star, plus = _normalized_closure(matrix)
+    eigenvector basis of an irreducible matrix (algorithm in the module
+    docstring).  ``tol`` is the float-mode slack for zero tests; exact
+    entries are compared exactly."""
+    if not matrix.is_square():
+        raise DimensionError("spectral analysis of a non-square matrix")
+    graph = build_graph(matrix)
+    dec = scc_decompose(graph)
+    if len(dec.components) != 1:
+        raise ReducibleMatrixError(
+            "matrix is reducible (precedence graph not strongly connected); "
+            "this library only analyzes irreducible matrices"
+        )
+    lam = _graph_cycle_mean(graph, dec)
     n = matrix.rows
-    nodes = tuple(i for i in range(n) if _is_zero(plus[i, i], tol))
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            w = ahat[i, j]
-            if is_finite(w) and _is_zero(otimes(w, star[j, i]), tol):
-                arcs.append((j, i))
-    arcs.sort()
-    crit = CriticalGraph(n, nodes, tuple(arcs), lam)
+    succ, scale = _normalized_successors(graph, lam)
+    slack = tol if scale is None and tol is not None else 0
+    v = _longest_paths(succ, 0, slack)
+    tight = tuple(
+        (j, i, E)
+        for j in range(n)
+        for (i, w) in succ[j]
+        if abs(v[i] - v[j] - w) <= slack
+    )
+    comp_of = scc_decompose(PrecedenceGraph(n, tight)).component_of
+    arcs = tuple((j, i) for (j, i, _w) in tight if comp_of[j] == comp_of[i])
+    nodes = tuple(sorted({x for arc in arcs for x in arc}))
+    crit = CriticalGraph(n, nodes, arcs, lam)
     sigma = 1
     basis = []
     for comp in crit.mscs():
         comp_set = set(comp)
-        comp_arcs = [a for a in crit.arcs if a[0] in comp_set and a[1] in comp_set]
+        comp_arcs = [a for a in arcs if a[0] in comp_set and a[1] in comp_set]
         sigma = math.lcm(sigma, _component_cyclicity(comp, comp_arcs))
-        basis.append(star.column(comp[0]))
+        column = _longest_paths(succ, comp[0], slack)
+        if scale is not None:
+            column = [canonical(Fraction(x, scale)) for x in column]
+        basis.append(tuple(column))
     return SpectralSummary(lam, sigma, crit, tuple(basis))
 
 

@@ -139,7 +139,7 @@ def detect_regime(
     refused because the detection relies on hash equality.
     """
     P = traj.matrix
-    require_exact((v for row in P.entries for v in row), "regime detection")
+    require_exact((w for row in P.finite_rows() for (_j, w) in row), "regime detection")
     require_exact(traj.states[0], "regime detection")
     lam = spectral.eigenvalue
     cap = default_cap(traj.size, spectral.sigma) if k_cap is None else k_cap
@@ -204,7 +204,7 @@ def per_node_estimates(traj: Trajectory, k: int | None = None) -> tuple:
 
 
 def verify_regime(report: RegimeReport, P: MaxPlusMatrix) -> bool:
-    """Re-check every regime invariant by direct multiplication.
+    """Re-check every regime invariant by direct matrix-vector products.
 
     True iff rho >= 1, rho divides sigma(P), mu equals rho times the
     eigenvalue of P, consecutive contours map into each other under P, and
@@ -229,9 +229,12 @@ def verify_regime(report: RegimeReport, P: MaxPlusMatrix) -> bool:
         nxt = report.contours[(m + 1) % rho]
         if P.apply(c) != vec_scale(lam, nxt):
             return False
-    p_rho = P.power(rho)
+    # Each contour is an eigenvector of P^⊗rho: apply P rho times.
     for c in report.contours:
-        if p_rho.apply(c) != vec_scale(report.mu, c):
+        x = c
+        for _ in range(rho):
+            x = P.apply(x)
+        if x != vec_scale(report.mu, c):
             return False
     return True
 

@@ -1,10 +1,14 @@
 """End-to-end command line runs against the bundled example configs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tropical_ca
 from tropical_ca.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -299,6 +303,65 @@ def test_float_mode_refuses_regime_detection(tmp_path, capsys):
     assert "float" in err or "exact" in err
 
 
+def test_float_mode_analyze_matches_rational(tmp_path, capsys):
+    # lambda = 11/3 is not dyadic: the float normalized circuit rounds to an
+    # ulp above zero, which must not count as a positive circuit.
+    network = {
+        "N": 3,
+        "topology": {"arcs": [[1, 2], [2, 3], [3, 1]]},
+        "xi": [1, 1, 1],
+        "tau": [[1, 2, 3], [2, 3, 0], [3, 1, 5]],
+    }
+    cfg = write_config(tmp_path, {"mode": "float", "network": network})
+    docs = {}
+    for mode in ("float", "rational"):
+        out = tmp_path / mode
+        code, stdout, _ = run(
+            capsys, "analyze", "--config", cfg, "--mode", mode, "--out", str(out)
+        )
+        assert code == 0
+        assert "sigma = 3, 3 critical nodes" in stdout
+        docs[mode] = json.loads((out / "spectral.json").read_text())
+    fl, ex = docs["float"], docs["rational"]
+    assert ex["lambda"] == {"num": 11, "den": 3}
+    assert abs(fl["lambda"] - 11 / 3) <= 1e-9
+    for key in ("sigma", "critical_nodes", "critical_arcs"):
+        assert fl[key] == ex[key]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_eps_in_x0_is_a_config_error(tmp_path, command):
+    cfg = write_config(
+        tmp_path,
+        {
+            "network": {
+                "N": 3,
+                "topology": {"regular": {"n": 3}},
+                "seed": 1,
+                "xi_range": [1, 5],
+                "tau_range": [1, 5],
+            },
+            "rule": {"eca": 150},
+            "s0": "010",
+            "x0": ["eps", 0, 0],
+            "k_max": 5,
+        },
+    )
+    src = Path(tropical_ca.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropical_ca.cli", command,
+         "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "x0[1]" in proc.stderr
+
+
 def test_bad_s0_length(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -339,18 +402,6 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     ta, tb = tree(a), tree(b)
     assert ta.keys() == tb.keys() and len(ta) == 13
     assert ta == tb
-
-
-def test_parallel_matches_serial(tmp_path, capsys):
-    serial, par = tmp_path / "serial", tmp_path / "par"
-    for cmd in ("analyze", "simulate"):
-        code, _, _ = run(capsys, cmd, "--config", RING10, "--out", str(serial))
-        assert code == 0
-        code, _, _ = run(
-            capsys, cmd, "--config", RING10, "--out", str(par), "--parallel", "2"
-        )
-        assert code == 0
-    assert tree(serial) == tree(par)
 
 
 def test_out_directory_from_config(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,6 @@ from tropical_ca.semiring import (
     EPS,
     MaxPlusMatrix,
     canonical,
-    configure_parallelism,
     format_scalar,
     is_eps,
     is_exact,
@@ -143,20 +142,6 @@ def test_mat_mul_dimension_mismatch():
         mat((1, 2)) @ mat((1, 2))
     with pytest.raises(DimensionError):
         mat((1, 2)).apply((1, 2, 3))
-
-
-def test_parallel_product_bit_identical():
-    import random
-
-    rng = random.Random(11)
-    a = MaxPlusMatrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
-    b = MaxPlusMatrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
-    seq = a @ b
-    try:
-        configure_parallelism(4)
-        assert (a @ b) == seq
-    finally:
-        configure_parallelism(None)
 
 
 # -- powers --------------------------------------------------------------------

@@ -27,7 +27,10 @@ from tropical_ca.spectral import (
 )
 
 from oracles import (
+    NEG_INF,
     critical_parts,
+    grid_identity,
+    grid_mul,
     max_circuit_mean,
     random_irreducible_grid,
     scc_partition,
@@ -216,14 +219,66 @@ def test_critical_uniform_ring_is_everything():
     assert set(crit.nodes) == nodes and set(crit.arcs) == arcs
 
 
+def star_column(grid, lam, r):
+    """Column r of the Kleene star of the lambda-normalized grid, longhand:
+    the entry-wise max of its powers 0..n-1."""
+    n = len(grid)
+    hat = [[w if w == NEG_INF else w - lam for w in row] for row in grid]
+    column = [NEG_INF] * n
+    term = grid_identity(n)
+    for _ in range(n):
+        column = [max(c, row[r]) for c, row in zip(column, term)]
+        term = grid_mul(term, hat)
+    return column
+
+
 def test_critical_against_oracle_random():
     rng = random.Random(31)
-    for trial in range(40):
+    non_integer = 0
+    for trial in range(70):
         n = 2 + trial % 6
         grid = random_irreducible_grid(rng, n)
-        crit = critical_graph(MaxPlusMatrix(grid))
+        if trial >= 40:
+            # Rational entries over a common denominator.
+            d = rng.randint(2, 5)
+            grid = [
+                [w if w == NEG_INF else Fraction(w, d) for w in row] for row in grid
+            ]
+        A = MaxPlusMatrix(grid)
+        crit = critical_graph(A)
         nodes, arcs = critical_parts(grid)
         assert set(crit.nodes) == nodes and set(crit.arcs) == arcs
+        lam = max_circuit_mean(grid)
+        non_integer += lam.denominator > 1
+        summary = analyze(A)
+        assert summary.eigenvalue == lam
+        mscs = summary.critical.mscs()
+        assert len(summary.eigenbasis) == len(mscs)
+        for comp, vec in zip(mscs, summary.eigenbasis):
+            assert list(vec) == star_column(grid, lam, comp[0])
+    assert non_integer >= 20
+
+
+def test_float_mode_agrees_with_exact_random():
+    # Thirds are not dyadic: float rounding can leave a normalized circuit
+    # an ulp above zero, which must not count as a positive circuit.
+    rng = random.Random(67)
+    for trial in range(120):
+        n = 1 + trial % 8
+        grid = random_irreducible_grid(rng, n)
+        ex = analyze(MaxPlusMatrix(
+            [[w if w == NEG_INF else Fraction(w, 3) for w in row] for row in grid]
+        ))
+        fl = analyze(MaxPlusMatrix(
+            [[w if w == NEG_INF else w / 3 for w in row] for row in grid]
+        ))
+        assert abs(fl.eigenvalue - ex.eigenvalue) <= 1e-9
+        assert fl.sigma == ex.sigma
+        assert fl.critical.nodes == ex.critical.nodes
+        assert fl.critical.arcs == ex.critical.arcs
+        assert len(fl.eigenbasis) == len(ex.eigenbasis)
+        for u, v in zip(fl.eigenbasis, ex.eigenbasis):
+            assert all(abs(a - b) <= 1e-9 for a, b in zip(u, v))
 
 
 def test_critical_reducible_refused():

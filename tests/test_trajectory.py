@@ -342,3 +342,26 @@ def test_trajectory_csv_without_lambda(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "x_1", "x_2", "x_3", "x_4"]
+
+
+# -- sparse timing path ------------------------------------------------------------
+
+
+def test_timing_path_forms_no_matrix_product(monkeypatch):
+    """P, its spectrum, the trajectory and the regime checks all work from
+    P's finite entries: no dense max-plus product is ever formed."""
+    products = []
+
+    def refuse(self, other):
+        products.append(other)
+        raise AssertionError("dense max-plus product on the timing path")
+
+    spec = regular_ring(24, 3)
+    params = random_parameters(spec, 5, (1, 30), (1, 10))
+    monkeypatch.setattr(MaxPlusMatrix, "__matmul__", refuse)
+    P = build_p(spec, params).matrix
+    summary = analyze(P)
+    traj = iterate(P, unit_vector(24), 40)
+    report = detect_regime(traj, summary)
+    assert verify_regime(report, P)
+    assert products == []
