@@ -53,7 +53,6 @@ from .spectral import (
 )
 from .network import (
     NetworkSpec,
-    TimingDependencyMatrix,
     TimingParameters,
     build_p,
     explicit_network,

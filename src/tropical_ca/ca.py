@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .errors import NetworkError, RuleError, StateUndefinedError
 from .network import NetworkSpec, TimingParameters, build_p, validate_timing
-from .semiring import MaxPlusMatrix, Scalar
+from .semiring import Scalar
 from .trajectory import Trajectory, iterate
 
 State = tuple  # tuple of 0/1 ints, cell 0 first
@@ -265,7 +265,9 @@ class AsyncRun:
 
     trajectory.states[k] are the k-th update times x(k); states[k] is the
     configuration computed at that contour.  Cell i holds states[k][i] in
-    memory over [x_i(k), x_i(k+1)).
+    memory over [x_i(k), x_i(k+1)), so construction checks that every
+    cell's update times strictly increase, and that the rule fits the
+    network.
     """
 
     rule: CARule
@@ -273,6 +275,18 @@ class AsyncRun:
     params: TimingParameters
     trajectory: Trajectory
     states: tuple
+
+    def __post_init__(self):
+        _check_rule_fits(self.rule, self.spec)
+        for i in range(self.spec.size):
+            times = self.update_times(i)
+            for k in range(self.k_max):
+                if not times[k] < times[k + 1]:
+                    raise NetworkError(
+                        f"update times of cell {i + 1} are not strictly increasing "
+                        f"at cycle {k}; memory semantics need a self-loop on every "
+                        "cell (tau_ii present) and positive xi"
+                    )
 
     @property
     def k_max(self) -> int:
@@ -310,20 +324,9 @@ def async_run(
     """Timed run: max-plus trajectory for the update times, synchronous
     map for the contour states (the two agree cycle for cycle; see
     verify_bijection for the independent check)."""
-    _check_rule_fits(rule, spec)
     if len(s0) != spec.size:
         raise RuleError(f"s0 has {len(s0)} cells, network has {spec.size}")
-    P = build_p(spec, params).matrix
-    traj = iterate(P, x0, k_max)
-    for i in range(spec.size):
-        times = [x[i] for x in traj.states]
-        for k in range(k_max):
-            if not times[k] < times[k + 1]:
-                raise NetworkError(
-                    f"update times of cell {i + 1} are not strictly increasing "
-                    f"at cycle {k}; memory semantics need a self-loop on every "
-                    "cell (tau_ii present) and positive xi"
-                )
+    traj = iterate(build_p(spec, params), x0, k_max)
     states = [tuple(s0)]
     for _ in range(k_max):
         states.append(sync_step(rule, spec, states[-1]))

@@ -1,29 +1,18 @@
 """Command line interface.
 
-Commands consume one JSON experiment configuration and write their outputs
-into a target directory.  A configuration fully determines every output
-byte: rerunning a command with the same config produces an identical tree.
+Commands consume one JSON experiment configuration, whose schema README.md
+describes under "Configuration", and write their outputs into a target
+directory.  A configuration fully determines every output byte: rerunning
+a command with the same config produces an identical tree.
+
+Every command is a selection of output files over one set of stages
+(:class:`Stages`).  A stage is computed on first use, at most once per
+command, and requires only the config fields it reads; each output file
+has exactly one writer (:data:`WRITERS`).
 
 Exit codes: 0 success, 1 a verification found a violated invariant,
 2 usage or configuration error.  The environment variable TROPICAL_CA_LOG
 sets the log level (DEBUG, INFO, WARNING, ...).
-
-Configuration schema (all indices 1-based, as in the file formats):
-
-    {
-      "mode": "int" | "rational" | "float",      default "int"
-      "network": {"file": "net.json"}
-                 | {"N": 10, "topology": {"regular": {"n": 3}}
-                            | {"arcs": [[j, i], ...]},
-                    "xi": [...], "tau": [[j, i, value], ...]}
-                 | {"N": 10, "topology": {...}, "seed": 42,
-                    "xi_range": [1, 30], "tau_range": [1, 10]},
-      "rule": {"eca": 150} | "parity",
-      "s0": "0000100000",
-      "x0": "unit" | [scalar, ...],
-      "k_max": 100,
-      "out": "output-directory"                  optional, --out overrides
-    }
 """
 
 from __future__ import annotations
@@ -35,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from ._version import __version__
@@ -43,8 +33,8 @@ from . import network as net_mod
 from . import render as render_mod
 from . import spectral as spectral_mod
 from . import trajectory as traj_mod
-from .errors import ConfigError, TropicalError, VerificationError
-from .semiring import scalar_from_json, unit_vector, vec_scale
+from .errors import ConfigError, NetworkError, TropicalError, VerificationError
+from .semiring import MaxPlusMatrix, scalar_from_json, unit_vector, vec_scale
 
 log = logging.getLogger("tropical_ca")
 
@@ -64,11 +54,14 @@ class Experiment:
     k_max: int | None
     out: Path
     seed: int | None
-    raw: dict
 
     def require(self, *fields):
         for f in fields:
             if getattr(self, f) is None:
+                if f == "params":
+                    raise ConfigError(
+                        "this command needs network timings (xi/tau or a seed)"
+                    )
                 raise ConfigError(f"this command needs the config field '{f}'")
 
     def metadata(self) -> dict:
@@ -85,6 +78,8 @@ class Experiment:
 
 
 def _parse_network(block, mode, seed_override, base_dir: Path):
+    """(spec, params, seed) of the config's network block; params is None
+    when the block gives no timings."""
     if not isinstance(block, dict):
         raise ConfigError("network: must be an object")
     if "file" in block:
@@ -98,64 +93,25 @@ def _parse_network(block, mode, seed_override, base_dir: Path):
         except FileNotFoundError:
             raise ConfigError(f"network.file: {path} does not exist") from None
 
-    size = block.get("N")
-    if not isinstance(size, int) or size < 1:
-        raise ConfigError("network.N: must be a positive integer")
-    topo = block.get("topology")
-    if not isinstance(topo, dict):
-        raise ConfigError("network.topology: must be an object")
-    if "regular" in topo:
-        n = topo["regular"].get("n") if isinstance(topo["regular"], dict) else None
-        if not isinstance(n, int):
-            raise ConfigError("network.topology.regular.n: must be an integer")
-        spec = net_mod.regular_ring(size, n)
-    elif "arcs" in topo:
-        try:
-            spec = net_mod.explicit_network(
-                size, [(j - 1, i - 1) for (j, i) in topo["arcs"]]
-            )
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "network.topology.arcs: must be a list of [j, i] pairs"
-            ) from None
-    else:
-        raise ConfigError("network.topology: needs 'regular' or 'arcs'")
-
     has_explicit = "xi" in block or "tau" in block or "tau_matrix" in block
     has_generator = "seed" in block or seed_override is not None
     if has_explicit and has_generator:
         raise ConfigError("network: give either explicit xi/tau or a seed, not both")
     if has_explicit:
-        if seed_override is not None:
-            raise ConfigError("--seed only applies to generated networks")
-        body = dict(block)
-        body.pop("seed", None)
-        try:
-            spec2, params = net_mod.network_from_json_dict(body, mode)
-        except TropicalError as exc:
-            raise ConfigError(f"network: {exc}") from exc
-        return spec2, params, None
-    if has_generator:
-        seed = seed_override if seed_override is not None else block.get("seed")
-        if not isinstance(seed, int):
-            raise ConfigError("network.seed: must be an integer")
-        xi_range = block.get("xi_range")
-        tau_range = block.get("tau_range")
-        for name, rng in (("xi_range", xi_range), ("tau_range", tau_range)):
-            if (
-                not isinstance(rng, (list, tuple))
-                or len(rng) != 2
-                or not all(isinstance(v, int) for v in rng)
-            ):
-                raise ConfigError(f"network.{name}: must be [lo, hi] integers")
-        try:
-            params = net_mod.random_parameters(
-                spec, seed, tuple(xi_range), tuple(tau_range)
-            )
-        except TropicalError as exc:
-            raise ConfigError(f"network: {exc}") from exc
-        return spec, params, seed
-    return spec, None, None
+        return (*net_mod.network_from_json_dict(block, mode), None)
+    spec = net_mod._spec_from_json_dict(block)
+    if not has_generator:
+        return spec, None, None
+    seed = seed_override if seed_override is not None else block.get("seed")
+    if not isinstance(seed, int):
+        raise ConfigError("network.seed: must be an integer")
+    ranges = []
+    for name in ("xi_range", "tau_range"):
+        rng = block.get(name)
+        if not isinstance(rng, list) or len(rng) != 2:
+            raise ConfigError(f"network.{name}: must be [lo, hi] integers")
+        ranges.append(tuple(rng))
+    return spec, net_mod.random_parameters(spec, seed, *ranges), seed
 
 
 def load_experiment(args) -> Experiment:
@@ -176,9 +132,12 @@ def load_experiment(args) -> Experiment:
 
     if "network" not in raw:
         raise ConfigError("config needs a 'network' block")
-    spec, params, seed = _parse_network(
-        raw["network"], mode, args.seed, path.parent
-    )
+    try:
+        spec, params, seed = _parse_network(
+            raw["network"], mode, args.seed, path.parent
+        )
+    except NetworkError as exc:
+        raise ConfigError(f"network: {exc}") from exc
 
     rule = None
     if "rule" in raw:
@@ -237,41 +196,189 @@ def load_experiment(args) -> Experiment:
         k_max = raw["k_max"]
 
     out = Path(args.out) if args.out else Path(raw.get("out", "out"))
-    return Experiment(mode, spec, params, rule, s0, x0, k_max, out, seed, raw)
+    return Experiment(mode, spec, params, rule, s0, x0, k_max, out, seed)
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, encoding="utf-8")
+    (out_dir / name).write_text(text, encoding="utf-8", newline="")
     log.info("wrote %s", out_dir / name)
 
 
-def _write_json(out_dir: Path, name: str, obj) -> None:
-    _write(out_dir, name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+class Stages:
+    """The quantities of one experiment, each computed on first use.
+
+    ``fault_cell`` (0-based) makes the event simulation fire that cell
+    early, the negative control of ``verify``.
+    """
+
+    def __init__(self, exp: Experiment, fault_cell: int | None = None):
+        self.exp = exp
+        self.fault_cell = fault_cell
+        self.plotspec = render_mod.PlotSpec().with_metadata(exp.metadata())
+
+    def compute(self, *stages: str) -> None:
+        """Run the named stages now, so that one that fails leaves no
+        file behind."""
+        for name in stages:
+            getattr(self, name)
+
+    def write(self, *names: str) -> None:
+        for name in names:
+            _write(self.exp.out, name, WRITERS[name](self))
+
+    @cached_property
+    def p(self) -> MaxPlusMatrix:
+        self.exp.require("params")
+        return net_mod.build_p(self.exp.spec, self.exp.params)
+
+    @cached_property
+    def summary(self) -> spectral_mod.SpectralSummary:
+        return spectral_mod.analyze(self.p)
+
+    @cached_property
+    def graph(self) -> spectral_mod.PrecedenceGraph:
+        return spectral_mod.build_graph(self.p)
+
+    @cached_property
+    def trajectory(self) -> traj_mod.Trajectory:
+        self.exp.require("x0", "k_max")
+        return traj_mod.iterate(self.p, self.exp.x0, self.exp.k_max)
+
+    @cached_property
+    def regime(self) -> traj_mod.RegimeReport:
+        return traj_mod.detect_regime(self.trajectory, self.summary)
+
+    @cached_property
+    def orbit(self) -> ca_mod.SyncOrbit:
+        exp = self.exp
+        exp.require("rule", "s0", "k_max")
+        return ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, 1 << exp.spec.size)
+
+    @cached_property
+    def sync_states(self) -> tuple:
+        """s(0..k_max): folded out of the orbit when the command traced
+        it (only ``ca`` does, as that search may take 2^N steps), else
+        stepped k_max times from s0."""
+        exp = self.exp
+        exp.require("rule", "s0", "k_max")
+        if "orbit" in vars(self):
+            return tuple(self.orbit.state(k) for k in range(exp.k_max + 1))
+        states = [exp.s0]
+        for _ in range(exp.k_max):
+            states.append(ca_mod.sync_step(exp.rule, exp.spec, states[-1]))
+        return tuple(states)
+
+    @cached_property
+    def run(self) -> ca_mod.AsyncRun:
+        """The async run: the trajectory's update times carrying the
+        synchronous states, cycle for cycle."""
+        exp = self.exp
+        exp.require("rule", "s0", "k_max", "x0", "params")
+        return ca_mod.AsyncRun(
+            exp.rule, exp.spec, exp.params, self.trajectory, self.sync_states
+        )
+
+    @cached_property
+    def events(self) -> tuple:
+        """(times, states) of the event-level simulation."""
+        exp = self.exp
+        exp.require("rule", "s0", "x0", "k_max", "params")
+        return ca_mod.event_simulation(
+            exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max,
+            self.fault_cell,
+        )
+
+    @cached_property
+    def bijection(self) -> bool:
+        """The event-level states equal the synchronous ones at every cycle."""
+        return list(self.events[1]) == list(self.sync_states)
+
+    @cached_property
+    def checks(self) -> dict:
+        return {
+            "bijection": self.bijection,
+            "event_times_match_matrix":
+                list(self.trajectory.states) == list(self.events[0]),
+            "regime": traj_mod.verify_regime(self.regime, self.p),
+            "eigen_equation": all(
+                self.p.apply(v) == vec_scale(self.summary.eigenvalue, v)
+                for v in self.summary.eigenbasis
+            ),
+        }
+
+    @cached_property
+    def stg(self) -> ca_mod.StateTransitionGraph:
+        self.exp.require("rule")
+        return ca_mod.build_stg(self.exp.rule, self.exp.spec)
+
+    @cached_property
+    def census(self) -> dict:
+        return ca_mod.attractor_census(self.stg)
 
 
-def _plotspec(exp: Experiment) -> render_mod.PlotSpec:
-    return render_mod.PlotSpec().with_metadata(exp.metadata())
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _build_p(exp: Experiment):
-    exp.require("params")
-    try:
-        return net_mod.build_p(exp.spec, exp.params).matrix
-    except TropicalError as exc:
-        raise ConfigError(f"network timing: {exc}") from exc
+# File name -> text of that file, from the stages.
+WRITERS = {
+    "spectral.json": lambda st: _json(st.summary.to_json_dict()),
+    "critical_graph.dot": lambda st: render_mod.critical_graph_dot(
+        st.graph, st.summary.critical, st.plotspec
+    ),
+    "trajectory.csv": lambda st: traj_mod._csv_text(
+        st.trajectory, st.summary.eigenvalue
+    ),
+    "regime.json": lambda st: _json(st.regime.to_json_dict()),
+    "contour_plot.svg": lambda st: render_mod.contour_plot(st.trajectory, st.plotspec),
+    "sync_orbit.json": lambda st: _json(
+        {
+            "entry_time": st.orbit.entry_time,
+            "period": st.orbit.period,
+            "periodic_states": [
+                ca_mod.state_to_string(s) for s in st.orbit.periodic_states()
+            ],
+        }
+    ),
+    "spacetime_sync.svg": lambda st: render_mod.spacetime_sync(
+        st.sync_states, st.plotspec
+    ),
+    "spacetime_sync.pgm": lambda st: render_mod.spacetime_sync_pixmap(
+        st.sync_states, st.plotspec
+    ),
+    "async_contours.svg": lambda st: render_mod.contour_plot(
+        st.run.trajectory, st.plotspec, st.run.states
+    ),
+    "spacetime_async_contours.svg": lambda st: render_mod.spacetime_async(
+        st.run, st.plotspec, stage="contours"
+    ),
+    "spacetime_async.svg": lambda st: render_mod.spacetime_async(st.run, st.plotspec),
+    "spacetime_async.pgm": lambda st: render_mod.spacetime_async_pixmap(
+        st.run, st.plotspec
+    ),
+    "event_dag.dot": lambda st: render_mod.event_dag_dot(
+        st.run, 0, min(3, st.exp.k_max), st.plotspec
+    ),
+    "attractor_census.json": lambda st: _json(st.census),
+    "stg.dot": lambda st: render_mod.stg_dot(st.stg, st.plotspec),
+    "verification.json": lambda st: _json(
+        {"checks": st.checks, "all_passed": all(st.checks.values())}
+    ),
+}
+
+SYNC_PLOTS = ("spacetime_sync.svg", "spacetime_sync.pgm")
+ASYNC_PLOTS = (
+    "async_contours.svg",
+    "spacetime_async_contours.svg",
+    "spacetime_async.svg",
+    "spacetime_async.pgm",
+)
 
 
-def cmd_analyze(exp: Experiment) -> int:
-    P = _build_p(exp)
-    summary = spectral_mod.analyze(P)
-    _write_json(exp.out, "spectral.json", summary.to_json_dict())
-    graph = spectral_mod.build_graph(P)
-    _write(
-        exp.out,
-        "critical_graph.dot",
-        render_mod.critical_graph_dot(graph, summary.critical, _plotspec(exp)),
-    )
+def cmd_analyze(st: Stages) -> int:
+    st.write("spectral.json", "critical_graph.dot")
+    summary = st.summary
     print(
         f"lambda = {summary.eigenvalue}, sigma = {summary.sigma}, "
         f"{len(summary.critical.nodes)} critical nodes"
@@ -279,17 +386,9 @@ def cmd_analyze(exp: Experiment) -> int:
     return 0
 
 
-def cmd_simulate(exp: Experiment) -> int:
-    exp.require("x0", "k_max")
-    P = _build_p(exp)
-    summary = spectral_mod.analyze(P)
-    traj = traj_mod.iterate(P, exp.x0, exp.k_max)
-    report = traj_mod.detect_regime(traj, summary)
-    traj_mod.write_trajectory_csv(
-        traj, _prepare(exp.out) / "trajectory.csv", summary.eigenvalue
-    )
-    _write_json(exp.out, "regime.json", report.to_json_dict())
-    _write(exp.out, "contour_plot.svg", render_mod.contour_plot(traj, _plotspec(exp)))
+def cmd_simulate(st: Stages) -> int:
+    report = st.regime  # first, so that a failed regime search writes no file
+    st.write("trajectory.csv", "regime.json", "contour_plot.svg")
     print(
         f"k_star = {report.k_star}, rho = {report.rho}, mu = {report.mu}, "
         f"cycletime = {traj_mod.cycletime(report)}"
@@ -297,154 +396,48 @@ def cmd_simulate(exp: Experiment) -> int:
     return 0
 
 
-def _prepare(out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def cmd_ca(exp: Experiment, schedule: str) -> int:
-    exp.require("rule", "s0", "k_max")
-    ps = _plotspec(exp)
-    code = 0
+def cmd_ca(st: Stages, schedule: str) -> int:
     if schedule in ("sync", "both"):
-        orbit = ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, 1 << exp.spec.size)
-        states = [orbit.state(k) for k in range(exp.k_max + 1)]
-        _write_json(
-            exp.out,
-            "sync_orbit.json",
-            {
-                "entry_time": orbit.entry_time,
-                "period": orbit.period,
-                "periodic_states": [
-                    ca_mod.state_to_string(s) for s in orbit.periodic_states()
-                ],
-            },
-        )
-        _write(exp.out, "spacetime_sync.svg", render_mod.spacetime_sync(states, ps))
-        _write(
-            exp.out,
-            "spacetime_sync.pgm",
-            render_mod.spacetime_sync_pixmap(states, ps),
-        )
-        print(f"sync orbit: entry {orbit.entry_time}, period {orbit.period}")
+        st.write("sync_orbit.json", *SYNC_PLOTS)
+        print(f"sync orbit: entry {st.orbit.entry_time}, period {st.orbit.period}")
     if schedule in ("async", "both"):
-        exp.require("x0")
-        run = ca_mod.async_run(
-            exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max
-        )
-        _write(
-            exp.out,
-            "async_contours.svg",
-            render_mod.contour_plot(run.trajectory, ps, run.states),
-        )
-        _write(
-            exp.out,
-            "spacetime_async_contours.svg",
-            render_mod.spacetime_async(run, ps, stage="contours"),
-        )
-        _write(exp.out, "spacetime_async.svg", render_mod.spacetime_async(run, ps))
-        _write(
-            exp.out,
-            "spacetime_async.pgm",
-            render_mod.spacetime_async_pixmap(run, ps),
-        )
-        print(f"async run: {exp.k_max} cycles")
+        st.write(*ASYNC_PLOTS)
+        print(f"async run: {st.exp.k_max} cycles")
     if schedule == "both":
-        ok = ca_mod.verify_bijection(
-            exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max
-        )
-        print(f"bijection sync/async: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            code = 1
-    return code
+        print(f"bijection sync/async: {'PASS' if st.bijection else 'FAIL'}")
+        return 0 if st.bijection else 1
+    return 0
 
 
-def cmd_stg(exp: Experiment) -> int:
-    exp.require("rule")
-    stg = ca_mod.build_stg(exp.rule, exp.spec)
-    _write_json(exp.out, "attractor_census.json", ca_mod.attractor_census(stg))
-    _write(exp.out, "stg.dot", render_mod.stg_dot(stg, _plotspec(exp)))
-    census = ca_mod.attractor_census(stg)
+def cmd_stg(st: Stages) -> int:
+    st.write("attractor_census.json", "stg.dot")
     print(
-        f"{len(census['fixed_points'])} fixed points, "
-        f"{len(census['cycles'])} longer cycles, "
-        f"{stg.transient_count()} transient states"
+        f"{len(st.census['fixed_points'])} fixed points, "
+        f"{len(st.census['cycles'])} longer cycles, "
+        f"{st.stg.transient_count()} transient states"
     )
     return 0
 
 
-def cmd_verify(exp: Experiment, fault_cell: int | None) -> int:
-    exp.require("rule", "s0", "x0", "k_max")
-    P = _build_p(exp)
-    checks = {}
-
-    fault0 = None if fault_cell is None else fault_cell - 1
-    checks["bijection"] = ca_mod.verify_bijection(
-        exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max, fault0
-    )
-
-    event_times, _ = ca_mod.event_simulation(
-        exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max, fault0
-    )
-    traj = traj_mod.iterate(P, exp.x0, exp.k_max)
-    checks["event_times_match_matrix"] = list(traj.states) == list(event_times)
-
-    summary = spectral_mod.analyze(P)
-    report = traj_mod.detect_regime(traj, summary)
-    checks["regime"] = traj_mod.verify_regime(report, P)
-
-    checks["eigen_equation"] = all(
-        P.apply(v) == vec_scale(summary.eigenvalue, v) for v in summary.eigenbasis
-    )
-
-    _write_json(
-        exp.out,
-        "verification.json",
-        {"checks": checks, "all_passed": all(checks.values())},
-    )
-    for name, ok in sorted(checks.items()):
+def cmd_verify(st: Stages) -> int:
+    st.write("verification.json")
+    for name, ok in sorted(st.checks.items()):
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all(checks.values()) else 1
+    return 0 if all(st.checks.values()) else 1
 
 
-def cmd_render(exp: Experiment) -> int:
-    exp.require("rule", "s0", "x0", "k_max")
-    ps = _plotspec(exp)
-    P = _build_p(exp)
-    summary = spectral_mod.analyze(P)
-    run = ca_mod.async_run(exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max)
-    orbit = ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, 1 << exp.spec.size)
-    states = [orbit.state(k) for k in range(exp.k_max + 1)]
-    _write(exp.out, "contour_plot.svg", render_mod.contour_plot(run.trajectory, ps))
-    _write(
-        exp.out,
-        "async_contours.svg",
-        render_mod.contour_plot(run.trajectory, ps, run.states),
-    )
-    _write(
-        exp.out,
-        "spacetime_async_contours.svg",
-        render_mod.spacetime_async(run, ps, stage="contours"),
-    )
-    _write(exp.out, "spacetime_async.svg", render_mod.spacetime_async(run, ps))
-    _write(exp.out, "spacetime_async.pgm", render_mod.spacetime_async_pixmap(run, ps))
-    _write(exp.out, "spacetime_sync.svg", render_mod.spacetime_sync(states, ps))
-    _write(exp.out, "spacetime_sync.pgm", render_mod.spacetime_sync_pixmap(states, ps))
-    _write(
-        exp.out,
+def cmd_render(st: Stages) -> int:
+    st.compute("run", "summary")
+    st.write(
+        "contour_plot.svg",
+        *ASYNC_PLOTS,
+        *SYNC_PLOTS,
         "event_dag.dot",
-        render_mod.event_dag_dot(run, 0, min(3, exp.k_max), ps),
-    )
-    graph = spectral_mod.build_graph(P)
-    _write(
-        exp.out,
         "critical_graph.dot",
-        render_mod.critical_graph_dot(graph, summary.critical, ps),
     )
-    if exp.spec.size <= 12:
-        stg = ca_mod.build_stg(exp.rule, exp.spec)
-        _write(exp.out, "stg.dot", render_mod.stg_dot(stg, ps))
-    print(f"rendered into {exp.out}")
+    if st.exp.spec.size <= 12:
+        st.write("stg.dot")
+    print(f"rendered into {st.exp.out}")
     return 0
 
 
@@ -493,19 +486,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         exp = load_experiment(args)
-        if args.command == "analyze":
-            return cmd_analyze(exp)
-        if args.command == "simulate":
-            return cmd_simulate(exp)
+        fault_cell = getattr(args, "inject_early_update", None)
+        st = Stages(exp, None if fault_cell is None else fault_cell - 1)
         if args.command == "ca":
-            return cmd_ca(exp, args.schedule)
-        if args.command == "stg":
-            return cmd_stg(exp)
-        if args.command == "verify":
-            return cmd_verify(exp, args.inject_early_update)
-        if args.command == "render":
-            return cmd_render(exp)
-        parser.error(f"unknown command {args.command}")
+            return cmd_ca(st, args.schedule)
+        return {
+            "analyze": cmd_analyze,
+            "simulate": cmd_simulate,
+            "stg": cmd_stg,
+            "verify": cmd_verify,
+            "render": cmd_render,
+        }[args.command](st)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -515,7 +506,6 @@ def main(argv=None) -> int:
     except TropicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

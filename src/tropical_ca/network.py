@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import NetworkError
@@ -185,16 +185,7 @@ def random_parameters(
     return TimingParameters.create(xi, tau)
 
 
-@dataclass(frozen=True)
-class TimingDependencyMatrix:
-    """P = A_xi ⊗ T together with the network it came from."""
-
-    matrix: MaxPlusMatrix
-    spec: NetworkSpec
-    params: TimingParameters
-
-
-def build_p(spec: NetworkSpec, params: TimingParameters) -> TimingDependencyMatrix:
+def build_p(spec: NetworkSpec, params: TimingParameters) -> MaxPlusMatrix:
     """P[i, j] = xi_i + tau_ij on arcs j -> i, eps elsewhere.
 
     This is the product A_xi ⊗ T of the processing-time diagonal and the
@@ -208,16 +199,6 @@ def build_p(spec: NetworkSpec, params: TimingParameters) -> TimingDependencyMatr
     entries = [[EPS] * n for _ in range(n)]
     for (j, i) in spec.arcs:
         entries[i][j] = xi[i] + tau[(i, j)]
-    return TimingDependencyMatrix(MaxPlusMatrix(entries), spec, params)
-
-
-def transmission_matrix(spec: NetworkSpec, params: TimingParameters) -> MaxPlusMatrix:
-    validate_timing(spec, params)
-    n = spec.size
-    entries = [[EPS] * n for _ in range(n)]
-    tau = params.tau
-    for (j, i) in spec.arcs:
-        entries[i][j] = tau[(i, j)]
     return MaxPlusMatrix(entries)
 
 
@@ -255,57 +236,72 @@ def save_network(path, spec: NetworkSpec, params: TimingParameters) -> None:
         fh.write("\n")
 
 
-def network_from_json_dict(obj: dict, mode: str = "int"):
-    if not isinstance(obj, dict):
-        raise NetworkError("network file must contain a JSON object")
-    try:
-        size = obj["N"]
-    except KeyError:
-        raise NetworkError("network file missing field N") from None
+def _is_list(value, length: int | None = None) -> bool:
+    return isinstance(value, (list, tuple)) and (
+        length is None or len(value) == length
+    )
+
+
+def _spec_from_json_dict(
+    obj: dict, tau_matrix: MaxPlusMatrix | None = None
+) -> NetworkSpec:
+    """The cells and arcs of a network object: N plus its "topology"
+    block or, when the block is absent, the finite entries of tau_matrix.
+
+    This is the one reader of N and the topology, for network files and
+    for the network block of an experiment config alike.
+    """
+    size = obj.get("N")
     if not isinstance(size, int) or size < 1:
         raise NetworkError(f"N must be a positive integer, got {size!r}")
-
+    if tau_matrix is not None and (tau_matrix.rows, tau_matrix.cols) != (size, size):
+        raise NetworkError("tau_matrix must be N x N")
     topo = obj.get("topology")
+    if topo is None:
+        if tau_matrix is None:
+            raise NetworkError("needs a topology block or a tau_matrix")
+        return explicit_network(
+            size,
+            [
+                (j, i)
+                for i in range(size)
+                for j in range(size)
+                if is_finite(tau_matrix[i, j])
+            ],
+        )
+    if not isinstance(topo, dict):
+        raise NetworkError("topology must be an object")
+    if "regular" in topo:
+        regular = topo["regular"]
+        n = regular.get("n") if isinstance(regular, dict) else None
+        if not isinstance(n, int):
+            raise NetworkError("topology.regular.n must be an integer")
+        return regular_ring(size, n)
+    if "arcs" in topo:
+        arcs = topo["arcs"]
+        if not _is_list(arcs) or not all(
+            _is_list(pair, 2) and all(isinstance(v, int) for v in pair) for pair in arcs
+        ):
+            raise NetworkError("topology.arcs must be a list of [j, i] index pairs")
+        return explicit_network(size, [(j - 1, i - 1) for (j, i) in arcs])
+    raise NetworkError("topology must contain 'regular' or 'arcs'")
+
+
+def network_from_json_dict(obj: dict, mode: str = "int"):
+    if not isinstance(obj, dict):
+        raise NetworkError("network must be a JSON object")
     tau_matrix = None
     if "tau_matrix" in obj:
         try:
             tau_matrix = MaxPlusMatrix.from_json_dict(obj["tau_matrix"], mode)
         except ValueError as exc:
             raise NetworkError(f"tau_matrix: {exc}") from exc
-        if tau_matrix.rows != size or tau_matrix.cols != size:
-            raise NetworkError("tau_matrix must be N x N")
+    spec = _spec_from_json_dict(obj, tau_matrix)
+    size = spec.size
 
-    if topo is None and tau_matrix is None:
-        raise NetworkError("network file needs a topology block or a tau_matrix")
-
-    if topo is not None:
-        if "regular" in topo:
-            n = topo["regular"].get("n")
-            if not isinstance(n, int):
-                raise NetworkError("topology.regular.n must be an integer")
-            spec = regular_ring(size, n)
-        elif "arcs" in topo:
-            arcs = []
-            for pair in topo["arcs"]:
-                if len(pair) != 2:
-                    raise NetworkError(f"topology.arcs entry {pair!r} is not a pair")
-                j, i = pair
-                arcs.append((j - 1, i - 1))
-            spec = explicit_network(size, arcs)
-        else:
-            raise NetworkError("topology must contain 'regular' or 'arcs'")
-    else:
-        arcs = [
-            (j, i)
-            for i in range(size)
-            for j in range(size)
-            if is_finite(tau_matrix[i, j])
-        ]
-        spec = explicit_network(size, arcs)
-
-    if "xi" not in obj:
-        raise NetworkError("network file missing field xi")
-    xi_raw = obj["xi"]
+    xi_raw = obj.get("xi")
+    if not _is_list(xi_raw):
+        raise NetworkError(f"xi must be a list of N = {size} scalars, got {xi_raw!r}")
     if len(xi_raw) != size:
         raise NetworkError(f"xi has {len(xi_raw)} entries for N = {size}")
     try:
@@ -323,10 +319,15 @@ def network_from_json_dict(obj: dict, mode: str = "int"):
                 )
             tau[(i, j)] = v
     else:
-        if "tau" not in obj:
-            raise NetworkError("network file missing field tau")
-        for triple in obj["tau"]:
-            if len(triple) != 3:
+        triples = obj.get("tau")
+        if not _is_list(triples):
+            raise NetworkError(
+                f"tau must be a list of [j, i, value] triples, got {triples!r}"
+            )
+        for triple in triples:
+            if not _is_list(triple, 3) or not all(
+                isinstance(v, int) for v in triple[:2]
+            ):
                 raise NetworkError(f"tau entry {triple!r} is not a [j, i, value] triple")
             j, i, v = triple
             try:

@@ -16,13 +16,13 @@ test-suite cross-checks against the state query API.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._version import __version__
 from .ca import AsyncRun, StateTransitionGraph, state_to_string
-from .errors import DimensionError, TropicalError
-from .semiring import Scalar, format_scalar, is_eps
+from .errors import DimensionError
+from .semiring import Scalar, format_scalar
 from .spectral import CriticalGraph, PrecedenceGraph
 from .trajectory import Trajectory
 
@@ -48,19 +48,9 @@ class PlotSpec:
     metadata: tuple = ()  # sorted (key, value) pairs baked into the output
 
     def with_metadata(self, mapping) -> "PlotSpec":
-        items = tuple(sorted((str(k), str(v)) for k, v in dict(mapping).items()))
-        return PlotSpec(
-            self.time_scale,
-            self.cell_px,
-            self.margin,
-            self.color0,
-            self.color1,
-            self.background,
-            self.contour_color,
-            self.gray0,
-            self.gray1,
-            self.gray_bg,
-            items,
+        return replace(
+            self,
+            metadata=tuple(sorted((str(k), str(v)) for k, v in dict(mapping).items())),
         )
 
 
@@ -97,10 +87,6 @@ def _comment_lines(ps: PlotSpec, prefix: str) -> list:
     lines = [f"{prefix} tropical-ca {__version__}"]
     lines += [f"{prefix} {k}: {v}" for k, v in ps.metadata]
     return lines
-
-
-def _ceil_exact(v) -> int:
-    return math.ceil(v)
 
 
 def _times_extent(states) -> tuple:
@@ -210,13 +196,13 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
     t0, _ = _times_extent(traj.states)
     t1 = max(run.update_times(i)[run.k_max] for i in range(n))
     s = ps.time_scale
-    height = max(1, _ceil_exact((t1 - t0) * s))
+    height = max(1, math.ceil((t1 - t0) * s))
     width = n * ps.cell_px
     grid = [[ps.gray_bg] * width for _ in range(height)]
     for i in range(n):
         for (a, b, bit) in run.hold_intervals(i):
-            r_lo = _ceil_exact((a - t0) * s)
-            r_hi = _ceil_exact((b - t0) * s)  # exclusive
+            r_lo = math.ceil((a - t0) * s)
+            r_hi = math.ceil((b - t0) * s)  # exclusive
             gray = ps.gray1 if bit else ps.gray0
             for r in range(r_lo, min(r_hi, height)):
                 row = grid[r]

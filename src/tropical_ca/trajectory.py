@@ -17,6 +17,7 @@ from its first occurrence).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -239,18 +240,24 @@ def verify_regime(report: RegimeReport, P: MaxPlusMatrix) -> bool:
     return True
 
 
-def write_trajectory_csv(traj: Trajectory, path, eigenvalue: Scalar | None = None):
-    """CSV with header k, x_1..x_N and, when lambda is known, the
-    companion normalized columns y_1..y_N."""
+def _csv_text(traj: Trajectory, eigenvalue: Scalar | None = None) -> str:
     n = traj.size
     header = ["k"] + [f"x_{i + 1}" for i in range(n)]
     if eigenvalue is not None:
         header += [f"y_{i + 1}" for i in range(n)]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for k, x in enumerate(traj.states):
+        row = [k] + [format_scalar(v) for v in x]
+        if eigenvalue is not None:
+            row += [format_scalar(v) for v in _normalized_state(x, eigenvalue, k)]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def write_trajectory_csv(traj: Trajectory, path, eigenvalue: Scalar | None = None):
+    """CSV with header k, x_1..x_N and, when lambda is known, the
+    companion normalized columns y_1..y_N."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, x in enumerate(traj.states):
-            row = [k] + [format_scalar(v) for v in x]
-            if eigenvalue is not None:
-                row += [format_scalar(v) for v in _normalized_state(x, eigenvalue, k)]
-            writer.writerow(row)
+        fh.write(_csv_text(traj, eigenvalue))

@@ -52,6 +52,15 @@ def grid_apply(a, vec):
     ]
 
 
+def transmission_grid(n, tau):
+    """T of a timing network: T[i][j] = tau_ij on each arc j -> i, with
+    ``tau`` keyed (receiver i, sender j)."""
+    grid = [[NEG_INF] * n for _ in range(n)]
+    for (i, j), value in tau.items():
+        grid[i][j] = value
+    return grid
+
+
 # -- circuits and spectral quantities -------------------------------------------
 
 

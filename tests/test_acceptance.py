@@ -55,7 +55,7 @@ def criterion(number, label, budget=None):
 def seeded_system(seed, size=10):
     spec = regular_ring(size, 3)
     params = random_parameters(spec, seed, (1, 30), (1, 10))
-    return spec, params, build_p(spec, params).matrix
+    return spec, params, build_p(spec, params)
 
 
 def test_criterion_1_rule150_orbit():

@@ -359,7 +359,7 @@ def test_event_times_agree_with_matrix_recurrence():
     times, _states = event_simulation(
         RULE150, spec, params, s0, unit_vector(10), 30
     )
-    P = build_p(spec, params).matrix
+    P = build_p(spec, params)
     traj = iterate(P, unit_vector(10), 30)
     assert list(traj.states) == list(times)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tropical_ca
+from tropical_ca import ca, network
 from tropical_ca.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -35,6 +36,35 @@ def write_config(tmp_path, body) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(body), encoding="utf-8")
     return str(path)
+
+
+def run_module(*argv):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = Path(tropical_ca.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "tropical_ca.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record the calls of module.name on every tropical_ca module that
+    binds that function (``ca`` imports ``build_p`` by name)."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("tropical_ca") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 # -- analyze ----------------------------------------------------------------
@@ -347,19 +377,59 @@ def test_eps_in_x0_is_a_config_error(tmp_path, command):
             "k_max": 5,
         },
     )
-    src = Path(tropical_ca.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "tropical_ca.cli", command,
-         "--config", cfg, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_module(command, "--config", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "x0[1]" in proc.stderr
+
+
+RING3 = {"N": 3, "topology": {"regular": {"n": 3}}}
+TIMED_RING3 = dict(
+    RING3,
+    xi=[1, 1, 1],
+    tau=[[(i + d) % 3 + 1, i + 1, 1] for i in range(3) for d in (-1, 0, 1)],
+)
+
+
+@pytest.mark.parametrize(
+    "argv, net, net_file",
+    [
+        (["analyze"], {"file": "net.json"}, dict(TIMED_RING3, topology={"regular": 3})),
+        (["analyze"], dict(TIMED_RING3, xi=5), None),
+        (["analyze"], dict(TIMED_RING3, tau=[5, 6, 7]), None),
+        (["ca", "--schedule", "async"], RING3, None),
+        (["ca", "--schedule", "both"], RING3, None),
+    ],
+    ids=["regular-not-an-object", "xi-not-a-list", "tau-not-triples",
+         "async-without-timings", "both-without-timings"],
+)
+def test_malformed_config_is_a_config_error(tmp_path, argv, net, net_file):
+    if net_file is not None:
+        (tmp_path / "net.json").write_text(json.dumps(net_file), encoding="utf-8")
+    cfg = write_config(
+        tmp_path,
+        {"network": net, "rule": {"eca": 150}, "s0": "010", "x0": "unit", "k_max": 3},
+    )
+    proc = run_module(*argv, "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+
+
+def test_inline_tau_matrix_needs_no_topology(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "network": {
+                "N": 2,
+                "xi": [2, 3],
+                "tau_matrix": {"rows": 2, "cols": 2, "entries": [[1, 0], [4, 5]]},
+            }
+        },
+    )
+    code, out, _ = run(capsys, "analyze", "--config", cfg, "--out", str(tmp_path))
+    assert code == 0
+    assert "lambda = 8" in out
 
 
 def test_bad_s0_length(tmp_path, capsys):
@@ -409,3 +479,43 @@ def test_out_directory_from_config(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "analyze", "--config", RING10)
     assert code == 0
     assert (tmp_path / "out" / "rule150_ring10" / "spectral.json").is_file()
+
+
+# -- one stage pipeline -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, calls",
+    [
+        (["render"], network, "build_p", 1),
+        (["render"], ca, "sync_orbit", 0),
+        (["verify"], ca, "event_simulation", 1),
+        (["stg"], ca, "attractor_census", 1),
+        (["ca", "--schedule", "both"], ca, "event_simulation", 1),
+        # the orbit of the ring10 config has entry 0 and period 6
+        (["ca", "--schedule", "sync"], ca, "sync_step", 6),
+    ],
+    ids=["render-build_p", "render-sync_orbit", "verify-event_simulation",
+         "stg-attractor_census", "ca-both-event_simulation", "ca-sync-sync_step"],
+)
+def test_each_stage_runs_once(tmp_path, capsys, monkeypatch, argv, module, name, calls):
+    recorded = count_calls(monkeypatch, module, name)
+    code, _, _ = run(capsys, *argv, "--config", RING10, "--out", str(tmp_path))
+    assert code == 0
+    assert len(recorded) == calls
+
+
+def test_render_files_equal_the_other_commands(tmp_path, capsys):
+    rendered_dir = tmp_path / "render"
+    assert run(capsys, "render", "--config", RING10, "--out", str(rendered_dir))[0] == 0
+    others = {}
+    for command in ("analyze", "simulate", "ca", "stg"):
+        out = tmp_path / command
+        assert run(capsys, command, "--config", RING10, "--out", str(out))[0] == 0
+        others.update(tree(out))
+    rendered = tree(rendered_dir)
+    assert rendered.keys() - others.keys() == {"event_dag.dot"}
+    assert len(rendered) == 10
+    for name, data in rendered.items():
+        if name != "event_dag.dot":
+            assert data == others[name], name

@@ -16,11 +16,12 @@ from tropical_ca.network import (
     random_parameters,
     regular_ring,
     save_network,
-    transmission_matrix,
     validate_timing,
 )
 from tropical_ca.semiring import EPS, is_eps
 from tropical_ca.spectral import is_irreducible, max_cycle_mean
+
+from oracles import NEG_INF, grid_mul, transmission_grid
 
 
 # -- topology ----------------------------------------------------------------
@@ -69,7 +70,7 @@ def test_explicit_network_validation():
 def test_build_p_single_cell():
     spec = regular_ring(1, 1)
     params = TimingParameters.create((4,), {(0, 0): 2})
-    P = build_p(spec, params).matrix
+    P = build_p(spec, params)
     assert P.entries == ((6,),)
 
 
@@ -79,7 +80,7 @@ def test_build_p_two_route_consistency():
         size = rng.randint(2, 8)
         spec = regular_ring(size, 3) if size >= 3 else regular_ring(size, 1)
         params = random_parameters(spec, rng.randint(0, 999), (1, 30), (1, 10))
-        P = build_p(spec, params).matrix
+        P = build_p(spec, params)
         tau = params.tau
         arcs = set(spec.arcs)
         for i in range(size):
@@ -93,22 +94,23 @@ def test_build_p_two_route_consistency():
 def test_build_p_equals_diagonal_times_t():
     spec = regular_ring(6, 3)
     params = random_parameters(spec, 77, (1, 30), (1, 10))
-    from tropical_ca.semiring import MaxPlusMatrix
-
-    T = transmission_matrix(spec, params)
-    assert build_p(spec, params).matrix == MaxPlusMatrix.diagonal(params.xi) @ T
+    a_xi = [
+        [x if i == j else NEG_INF for j in range(6)] for i, x in enumerate(params.xi)
+    ]
+    T = transmission_grid(6, params.tau)
+    assert [list(row) for row in build_p(spec, params).entries] == grid_mul(a_xi, T)
 
 
 def test_ring_p_irreducible():
     spec = regular_ring(10, 3)
-    P = build_p(spec, random_parameters(spec, 4, (1, 30), (1, 10))).matrix
+    P = build_p(spec, random_parameters(spec, 4, (1, 30), (1, 10)))
     assert is_irreducible(P)
 
 
 def test_self_loop_lower_bound_on_eigenvalue():
     spec = regular_ring(8, 3)
     params = random_parameters(spec, 15, (1, 30), (1, 10))
-    P = build_p(spec, params).matrix
+    P = build_p(spec, params)
     tau = params.tau
     best_loop = max(params.xi[i] + tau[(i, i)] for i in range(8))
     assert max_cycle_mean(P) >= best_loop
@@ -233,7 +235,7 @@ def test_load_tau_matrix_with_eps():
     }
     spec, params = network_from_json_dict(doc)
     assert spec.arcs == ((0, 0), (0, 1), (1, 1))
-    P = build_p(spec, params).matrix
+    P = build_p(spec, params)
     assert P.entries == ((3, EPS), (7, 8))
 
 
@@ -269,10 +271,10 @@ def test_ring_strong_connectivity_n3_and_up():
     for size in (3, 4, 7, 12):
         spec = regular_ring(size, 3)
         params = random_parameters(spec, 2, (1, 5), (0, 3))
-        assert is_irreducible(build_p(spec, params).matrix)
+        assert is_irreducible(build_p(spec, params))
     lonely = regular_ring(1, 1)
     params = random_parameters(lonely, 2, (1, 5), (0, 3))
-    assert is_irreducible(build_p(lonely, params).matrix)
+    assert is_irreducible(build_p(lonely, params))
     split = regular_ring(2, 1)
     params = random_parameters(split, 2, (1, 5), (0, 3))
-    assert not is_irreducible(build_p(split, params).matrix)
+    assert not is_irreducible(build_p(split, params))

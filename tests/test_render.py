@@ -104,7 +104,7 @@ def test_contour_plot_single_node_is_marker_column():
     traj = iterate(build_p(
         regular_ring(1, 1),
         random_parameters(regular_ring(1, 1), 0, (4, 4), (2, 2)),
-    ).matrix, (0,), 5)
+    ), (0,), 5)
     svg = contour_plot(traj, PlotSpec())
     assert "<polyline" not in svg
     assert svg.count("<circle") == 6
@@ -302,7 +302,7 @@ def test_event_dag_range_check():
 
 def test_critical_graph_dot_highlights():
     spec = regular_ring(5, 3)
-    P = build_p(spec, random_parameters(spec, 6, (1, 30), (1, 10))).matrix
+    P = build_p(spec, random_parameters(spec, 6, (1, 30), (1, 10)))
     summary = analyze(P)
     dot = critical_graph_dot(build_graph(P), summary.critical)
     arc_lines = [ln for ln in dot.splitlines() if "->" in ln]

@@ -64,7 +64,7 @@ TWO_MSCS = mat(
 def ring_p(size, seed, xi_range=(1, 30), tau_range=(1, 10)):
     spec = regular_ring(size, 3)
     params = random_parameters(spec, seed, xi_range, tau_range)
-    return build_p(spec, params).matrix
+    return build_p(spec, params)
 
 
 # -- precedence graph -----------------------------------------------------------
@@ -211,7 +211,7 @@ def test_critical_uniform_ring_is_everything():
     # With xi = c and tau = d every arc weighs c + d, so every circuit
     # attains the maximum mean and the whole graph is critical.
     spec = regular_ring(6, 3)
-    P = build_p(spec, random_parameters(spec, 1, (5, 5), (2, 2))).matrix
+    P = build_p(spec, random_parameters(spec, 1, (5, 5), (2, 2)))
     crit = critical_graph(P)
     assert crit.nodes == tuple(range(6))
     assert set(crit.arcs) == set(spec.arcs) and len(crit.arcs) == 18
@@ -324,7 +324,7 @@ def test_eigenvector_loop_with_feeding_chain():
 
 def test_eigenvector_uniform_ring_unit():
     spec = regular_ring(6, 3)
-    P = build_p(spec, random_parameters(spec, 1, (5, 5), (2, 2))).matrix
+    P = build_p(spec, random_parameters(spec, 1, (5, 5), (2, 2)))
     u = unit_vector(6)
     assert P.apply(u) == vec_scale(7, u)
     assert eigenvectors(P)[0] == u

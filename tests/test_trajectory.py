@@ -37,7 +37,7 @@ SWAP = mat((EPS, 0), (0, EPS))
 def ring_system(size, seed, xi_range=(1, 30), tau_range=(1, 10)):
     spec = regular_ring(size, 3)
     params = random_parameters(spec, seed, xi_range, tau_range)
-    P = build_p(spec, params).matrix
+    P = build_p(spec, params)
     return P, analyze(P)
 
 
@@ -359,7 +359,7 @@ def test_timing_path_forms_no_matrix_product(monkeypatch):
     spec = regular_ring(24, 3)
     params = random_parameters(spec, 5, (1, 30), (1, 10))
     monkeypatch.setattr(MaxPlusMatrix, "__matmul__", refuse)
-    P = build_p(spec, params).matrix
+    P = build_p(spec, params)
     summary = analyze(P)
     traj = iterate(P, unit_vector(24), 40)
     report = detect_regime(traj, summary)
