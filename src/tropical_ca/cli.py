@@ -195,7 +195,10 @@ def load_experiment(args) -> Experiment:
             raise ConfigError("k_max: must be a non-negative integer")
         k_max = raw["k_max"]
 
-    out = Path(args.out) if args.out else Path(raw.get("out", "out"))
+    out = raw.get("out", "out")
+    if not isinstance(out, str):
+        raise ConfigError("out: must be a path string")
+    out = Path(args.out) if args.out else Path(out)
     return Experiment(mode, spec, params, rule, s0, x0, k_max, out, seed)
 
 

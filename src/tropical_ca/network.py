@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import NetworkError
+from .errors import DimensionError, NetworkError
 from .semiring import (
     EPS,
     MaxPlusMatrix,
@@ -294,7 +294,7 @@ def network_from_json_dict(obj: dict, mode: str = "int"):
     if "tau_matrix" in obj:
         try:
             tau_matrix = MaxPlusMatrix.from_json_dict(obj["tau_matrix"], mode)
-        except ValueError as exc:
+        except (ValueError, DimensionError) as exc:
             raise NetworkError(f"tau_matrix: {exc}") from exc
     spec = _spec_from_json_dict(obj, tau_matrix)
     size = spec.size

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ._version import __version__
 from .ca import AsyncRun, StateTransitionGraph, state_to_string
-from .errors import DimensionError
+from .errors import DimensionError, StateUndefinedError
 from .semiring import Scalar, format_scalar
 from .spectral import CriticalGraph, PrecedenceGraph
 from .trajectory import Trajectory
@@ -33,6 +33,7 @@ class PlotSpec:
 
     time_scale: pixels per time unit (vertical), default 2.
     cell_px: pixels per cell (horizontal).
+    Both must be positive integers (DimensionError otherwise).
     """
 
     time_scale: int = 2
@@ -46,6 +47,12 @@ class PlotSpec:
     gray1: int = 255
     gray_bg: int = 127
     metadata: tuple = ()  # sorted (key, value) pairs baked into the output
+
+    def __post_init__(self):
+        for name in ("time_scale", "cell_px"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DimensionError(f"{name} must be a positive integer, got {value!r}")
 
     def with_metadata(self, mapping) -> "PlotSpec":
         return replace(
@@ -147,9 +154,10 @@ def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
 
     stage "plain": filled hold intervals only (the finished picture).
     stage "contours": hold intervals with the update contours overlaid.
+    Any other stage raises DimensionError.
     """
     if stage not in ("plain", "contours"):
-        raise ValueError(f"unknown stage {stage!r}")
+        raise DimensionError(f"unknown stage {stage!r}")
     n = run.spec.size
     traj = run.trajectory
     t0, t1 = _times_extent(traj.states)
@@ -198,37 +206,44 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
     s = ps.time_scale
     height = max(1, math.ceil((t1 - t0) * s))
     width = n * ps.cell_px
-    grid = [[ps.gray_bg] * width for _ in range(height)]
+    # The text of one cell's cell_px equal pixels, per gray level; a row
+    # is its cells' fragments joined by spaces.
+    dark, light, background = (
+        " ".join([str(gray)] * ps.cell_px) for gray in (ps.gray0, ps.gray1, ps.gray_bg)
+    )
+    columns = []
     for i in range(n):
+        column = [background] * height
         for (a, b, bit) in run.hold_intervals(i):
             r_lo = math.ceil((a - t0) * s)
-            r_hi = math.ceil((b - t0) * s)  # exclusive
-            gray = ps.gray1 if bit else ps.gray0
-            for r in range(r_lo, min(r_hi, height)):
-                row = grid[r]
-                for c in range(i * ps.cell_px, (i + 1) * ps.cell_px):
-                    row[c] = gray
+            r_hi = min(math.ceil((b - t0) * s), height)  # exclusive
+            column[r_lo:r_hi] = [light if bit else dark] * (r_hi - r_lo)
+        columns.append(column)
     lines = ["P2"]
     lines += _comment_lines(ps, "#")
     lines.append(f"{width} {height}")
     lines.append("255")
-    lines += [" ".join(str(v) for v in row) for row in grid]
+    lines += map(" ".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
 def pixmap_parse(text: str):
-    """Read back a P2 pixmap as (width, height, rows)."""
+    """Read back a P2 pixmap as (width, height, rows).  Text that is not
+    a P2 pixmap of its stated size raises DimensionError."""
     tokens = []
     for line in text.splitlines():
         body = line.split("#", 1)[0].strip()
         if body:
             tokens += body.split()
-    if tokens[0] != "P2":
-        raise ValueError("not a P2 pixmap")
-    width, height, _maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    values = [int(t) for t in tokens[4:]]
+    if tokens[:1] != ["P2"] or len(tokens) < 4:
+        raise DimensionError("not a P2 pixmap")
+    try:
+        width, height, _maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        values = [int(t) for t in tokens[4:]]
+    except ValueError:
+        raise DimensionError("pixmap holds a token that is not an integer") from None
     if len(values) != width * height:
-        raise ValueError("pixmap size mismatch")
+        raise DimensionError("pixmap size mismatch")
     rows = [values[r * width : (r + 1) * width] for r in range(height)]
     return width, height, rows
 
@@ -308,10 +323,13 @@ def build_event_dag(run: AsyncRun, k_lo: int, k_hi: int):
     labelled with xi_i).
 
     Returns (events, arcs): events maps id -> (kind, cell, cycle, time);
-    arcs is a list of (from_id, to_id, label).
+    arcs is a list of (from_id, to_id, label).  A range outside
+    0..k_max raises StateUndefinedError.
     """
     if not (0 <= k_lo <= k_hi <= run.k_max):
-        raise ValueError(f"cycle range [{k_lo}, {k_hi}] outside run 0..{run.k_max}")
+        raise StateUndefinedError(
+            f"cycle range [{k_lo}, {k_hi}] outside run 0..{run.k_max}"
+        )
     n = run.spec.size
     tau = run.params.tau
     times = run.trajectory.states

@@ -321,7 +321,11 @@ class MaxPlusMatrix:
             rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         except (KeyError, TypeError) as exc:
             raise DimensionError(f"matrix literal missing field: {exc}") from exc
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        if (
+            not isinstance(entries, (list, tuple))
+            or len(entries) != rows
+            or any(not isinstance(r, (list, tuple)) or len(r) != cols for r in entries)
+        ):
             raise DimensionError("matrix literal shape does not match rows/cols")
         return cls([[scalar_from_json(v, mode) for v in row] for row in entries])
 
@@ -388,7 +392,12 @@ def scalar_from_json(obj, mode: str = "int") -> Scalar:
     if isinstance(obj, dict) and set(obj) == {"num", "den"}:
         if mode == "int":
             raise ValueError("rational literal not allowed in int mode")
-        frac = Fraction(obj["num"], obj["den"])
+        num, den = obj["num"], obj["den"]
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (num, den)):
+            raise ValueError(f"rational literal needs integer num and den: {obj!r}")
+        if den == 0:
+            raise ValueError(f"rational literal has a zero denominator: {obj!r}")
+        frac = Fraction(num, den)
         return float(frac) if mode == "float" else canonical(frac)
     raise ValueError(f"not a scalar: {obj!r}")
 

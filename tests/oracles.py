@@ -6,6 +6,7 @@ float("-inf") marking absent arcs.  Nothing imports from tropical_ca, so
 agreement between the two code bases is evidence, not circularity.
 """
 
+import math
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -183,6 +184,38 @@ def random_irreducible_grid(rng, n, lo=-9, hi=9, density=0.35):
     for (j, i) in sorted(arc_set):
         grid[i][j] = rng.randint(lo, hi)
     return grid
+
+
+# -- plots -----------------------------------------------------------------------
+
+
+def async_pixmap_grid(run, ps, version):
+    """P2 text of an async run's memory blocks, from a full grid with one
+    store and one str() per pixel.  ``version`` is the package version the
+    header comment names."""
+    n = run.spec.size
+    traj = run.trajectory
+    t0 = min(min(x) for x in traj.states)
+    t1 = max(run.update_times(i)[run.k_max] for i in range(n))
+    s = ps.time_scale
+    height = max(1, math.ceil((t1 - t0) * s))
+    width = n * ps.cell_px
+    grid = [[ps.gray_bg] * width for _ in range(height)]
+    for i in range(n):
+        for (a, b, bit) in run.hold_intervals(i):
+            r_lo = math.ceil((a - t0) * s)
+            r_hi = math.ceil((b - t0) * s)  # exclusive
+            gray = ps.gray1 if bit else ps.gray0
+            for r in range(r_lo, min(r_hi, height)):
+                row = grid[r]
+                for c in range(i * ps.cell_px, (i + 1) * ps.cell_px):
+                    row[c] = gray
+    lines = ["P2", f"# tropical-ca {version}"]
+    lines += [f"# {k}: {v}" for k, v in ps.metadata]
+    lines.append(f"{width} {height}")
+    lines.append("255")
+    lines += [" ".join(str(v) for v in row) for row in grid]
+    return "\n".join(lines) + "\n"
 
 
 # -- synchronous CA --------------------------------------------------------------

@@ -392,23 +392,32 @@ TIMED_RING3 = dict(
 
 
 @pytest.mark.parametrize(
-    "argv, net, net_file",
+    "argv, net, net_file, fields",
     [
-        (["analyze"], {"file": "net.json"}, dict(TIMED_RING3, topology={"regular": 3})),
-        (["analyze"], dict(TIMED_RING3, xi=5), None),
-        (["analyze"], dict(TIMED_RING3, tau=[5, 6, 7]), None),
-        (["ca", "--schedule", "async"], RING3, None),
-        (["ca", "--schedule", "both"], RING3, None),
+        (["analyze"], {"file": "net.json"}, dict(TIMED_RING3, topology={"regular": 3}),
+         {}),
+        (["analyze"], dict(TIMED_RING3, xi=5), None, {}),
+        (["analyze"], dict(TIMED_RING3, tau=[5, 6, 7]), None, {}),
+        (["ca", "--schedule", "async"], RING3, None, {}),
+        (["ca", "--schedule", "both"], RING3, None, {}),
+        (["simulate", "--mode", "rational"], TIMED_RING3, None,
+         {"x0": [{"num": 1, "den": 0}, 0, 0]}),
+        (["analyze"],
+         {"N": 3, "xi": [1, 1, 1], "tau_matrix": {"rows": 3, "cols": 3, "entries": 5}},
+         None, {}),
+        (["simulate"], TIMED_RING3, None, {"out": 5}),
     ],
     ids=["regular-not-an-object", "xi-not-a-list", "tau-not-triples",
-         "async-without-timings", "both-without-timings"],
+         "async-without-timings", "both-without-timings", "zero-denominator",
+         "tau-matrix-entries-not-a-list", "out-not-a-string"],
 )
-def test_malformed_config_is_a_config_error(tmp_path, argv, net, net_file):
+def test_malformed_config_is_a_config_error(tmp_path, argv, net, net_file, fields):
     if net_file is not None:
         (tmp_path / "net.json").write_text(json.dumps(net_file), encoding="utf-8")
     cfg = write_config(
         tmp_path,
-        {"network": net, "rule": {"eca": 150}, "s0": "010", "x0": "unit", "k_max": 3},
+        {"network": net, "rule": {"eca": 150}, "s0": "010", "x0": "unit", "k_max": 3,
+         **fields},
     )
     proc = run_module(*argv, "--config", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2

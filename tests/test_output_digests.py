@@ -1,0 +1,85 @@
+"""Byte-identity pin: the sha256 of every file each CLI command writes for
+the bundled configs, under ``--mode int`` and ``--mode rational``, must
+equal ``tests/output_digests.json``.
+
+A change that alters output bytes on purpose records the file again, in a
+change of its own:
+
+    PYTHONPATH=src python3 tests/test_output_digests.py > tests/output_digests.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from tropical_ca.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "output_digests.json"
+CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+MODES = ("int", "rational")
+COMMANDS = {
+    "analyze": ["analyze"],
+    "simulate": ["simulate"],
+    "ca": ["ca", "--schedule", "both"],
+    "stg": ["stg"],
+    "verify": ["verify"],
+    "render": ["render"],
+}
+# The 20-cell ring's STG has 2^20 states: one run takes about a minute
+# and writes 215 MB.
+LEFT_OUT = {("uniform_ring", "stg")}
+CASES = [
+    f"{config} {mode} {command}"
+    for config in CONFIGS
+    for mode in MODES
+    for command in COMMANDS
+    if (config, command) not in LEFT_OUT
+]
+
+
+def tree_digests(root: Path) -> dict:
+    """sha256 of each file under root, keyed by its relative path."""
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def run_case(case: str, out: Path) -> dict:
+    """Exit code and output digests of one 'config mode command' case."""
+    config, mode, command = case.split()
+    argv = [
+        *COMMANDS[command],
+        "--config", str(ROOT / "configs" / f"{config}.json"),
+        "--mode", mode,
+        "--out", str(out),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "files": tree_digests(out) if out.exists() else {}}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_output_bytes_match_golden_digests(tmp_path, case):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run_case(case, tmp_path / "out") == golden[case]
+
+
+def test_golden_file_has_exactly_the_cases():
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {case: run_case(case, Path(tmp) / str(n)) for n, case in enumerate(CASES)}
+    json.dump(record, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")

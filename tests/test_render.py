@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import async_pixmap_grid
+from tropical_ca import __version__
 from tropical_ca.ca import (
     CARule,
     async_run,
@@ -15,8 +17,13 @@ from tropical_ca.ca import (
     state_from_string,
     sync_orbit,
 )
-from tropical_ca.errors import DimensionError
-from tropical_ca.network import build_p, random_parameters, regular_ring
+from tropical_ca.errors import DimensionError, StateUndefinedError
+from tropical_ca.network import (
+    TimingParameters,
+    build_p,
+    random_parameters,
+    regular_ring,
+)
 from tropical_ca.render import (
     PlotSpec,
     build_event_dag,
@@ -138,7 +145,7 @@ def test_async_svg_stages():
     overlay = spacetime_async(run, PlotSpec(), stage="contours")
     assert "<polyline" not in plain
     assert overlay.count("<polyline") == 9
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         spacetime_async(run, PlotSpec(), stage="fancy")
 
 
@@ -188,10 +195,69 @@ def test_async_pixmap_background_outside_window():
 
 
 def test_pixmap_parse_round_trip_errors():
-    with pytest.raises(ValueError):
-        pixmap_parse("P5\n1 1\n255\n0\n")
-    with pytest.raises(ValueError):
-        pixmap_parse("P2\n2 1\n255\n0\n")
+    for text in ("P5\n1 1\n255\n0\n", "P2\n2 1\n255\n0\n", "", "P2\n1 1\n255\nx\n"):
+        with pytest.raises(DimensionError):
+            pixmap_parse(text)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("time_scale", 0), ("time_scale", -1), ("cell_px", -2),
+                     ("cell_px", 0), ("cell_px", 1.5), ("time_scale", True)]
+)
+def test_plotspec_needs_positive_integer_geometry(field, value):
+    with pytest.raises(DimensionError):
+        PlotSpec(**{field: value})
+
+
+def random_timed_run(rng, kind):
+    """A ring run with int, rational or float timings and a random x0, so
+    that cells start and stop at different times."""
+    size = rng.randint(3, 9)
+    spec = regular_ring(size, 3)
+    if kind == "int":
+        def draw(lo, hi):
+            return rng.randint(lo, hi)
+    elif kind == "rational":
+        def draw(lo, hi):
+            return Fraction(rng.randint(lo * 6, hi * 6), rng.randint(1, 6))
+    else:
+        def draw(lo, hi):
+            return rng.uniform(lo, hi)
+    params = TimingParameters.create(
+        [draw(1, 8) for _ in range(size)],
+        {(i, j): draw(0, 4) for i in range(size) for j in spec.predecessors(i)},
+    )
+    s0 = tuple(rng.randint(0, 1) for _ in range(size))
+    x0 = tuple(draw(0, 30) for _ in range(size))
+    rule = rng.choice([RULE150, PARITY])
+    return async_run(rule, spec, params, s0, x0, rng.randint(0, 12))
+
+
+def test_async_pixmap_matches_per_pixel_oracle_random():
+    rng = random.Random(2024)
+    with_background = 0
+    for case in range(60):
+        run = random_timed_run(rng, ("int", "rational", "float")[case % 3])
+        gray0, gray1, gray_bg = rng.sample(range(256), 3)
+        ps = PlotSpec(
+            time_scale=rng.randint(1, 4),
+            cell_px=rng.randint(1, 5),
+            gray0=gray0,
+            gray1=gray1,
+            gray_bg=gray_bg,
+        )
+        if rng.random() < 0.5:
+            ps = ps.with_metadata({"case": case, "mode": "random"})
+        want = async_pixmap_grid(run, ps, __version__)
+        got = spacetime_async_pixmap(run, ps)
+        # Line by line: pytest's diff of two whole pixmaps takes minutes.
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        assert len(got_lines) == len(want_lines), f"case {case}"
+        for r, (g, w) in enumerate(zip(got_lines, want_lines)):
+            assert g == w, f"case {case}, line {r}"
+        _w, _h, rows = pixmap_parse(want)
+        with_background += any(gray_bg in row for row in rows)
+    assert with_background >= 40
 
 
 # -- synchronous space-time -------------------------------------------------------------
@@ -294,7 +360,7 @@ def test_event_dag_arcs_never_go_back_in_time():
 
 def test_event_dag_range_check():
     run = seeded_run(size=5, seed=1, k_max=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(StateUndefinedError):
         build_event_dag(run, 3, 9)
     dot = event_dag_dot(run, 0, 2)
     assert dot.startswith("digraph events {")
