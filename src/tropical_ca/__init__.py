@@ -86,6 +86,7 @@ from .ca import (
     state_from_string,
     state_to_string,
     sync_orbit,
+    sync_states,
     sync_step,
     verify_bijection,
 )

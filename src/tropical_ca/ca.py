@@ -17,6 +17,16 @@ wait-for-all discipline in one cell to show the equality is not vacuous.
 
 Between updates a cell holds its last computed state in memory: s_i(k) is
 exposed on the half-open interval [x_i(k), x_i(k+1)).
+
+Stepping: a configuration is coded as one int, cell 0 most significant
+(format(code, f"0{N}b") is its state string; the STG uses the same
+codes).  _compile turns (rule, spec) once into step(code) -> code that
+works on the whole state at once.  Each neighbour word is a few rotations
+of the code: an ECA step ORs the minterms its rule number selects from
+the left, self and right words, and a parity step XORs the words of all
+arcs.  sync_step, sync_states, sync_orbit and build_stg all use it.
+event_simulation applies the rule cell by cell on purpose: it is the
+independent oracle of the bijection check.
 """
 
 from __future__ import annotations
@@ -41,6 +51,22 @@ def state_from_string(text: str) -> State:
 
 def state_to_string(state: State) -> str:
     return "".join(str(b) for b in state)
+
+
+def _encode(state: State) -> int:
+    """Configuration to integer, first cell most significant, so the code
+    equals int(state_to_string(s), 2)."""
+    code = 0
+    for b in state:
+        code = (code << 1) | b
+    return code
+
+
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _decode(code: int, n: int) -> State:
+    return tuple(format(code, f"0{n}b").encode().translate(_DIGIT_TO_BIT))
 
 
 @dataclass(frozen=True)
@@ -95,15 +121,79 @@ def _check_rule_fits(rule: CARule, spec: NetworkSpec) -> None:
         )
 
 
+def _rotations(n: int, pairs) -> tuple:
+    """(d, mask) pairs that gather, for each (j, i) in pairs, cell j's bit
+    into cell i's place: rotating the code left by d = j - i mod n moves
+    every cell's bit d cells towards cell 0, and mask keeps the cells i
+    whose pair has that offset."""
+    masks: dict = {}
+    for j, i in pairs:
+        d = (j - i) % n
+        masks[d] = masks.get(d, 0) | 1 << (n - 1 - i)
+    return tuple(sorted(masks.items()))
+
+
+def _gather(code: int, n: int, rotations: tuple) -> int:
+    word = 0
+    for d, mask in rotations:
+        word ^= (code << d | code >> (n - d)) & mask
+    return word
+
+
+def _compile(rule: CARule, spec: NetworkSpec):
+    """The synchronous map F as step(code) -> code on the state codes of
+    _encode, checked against the network once.
+
+    ECA: three words hold every cell's left, self and right neighbour bit
+    (on a ring built by regular_ring, one rotation each), and the new
+    state is the OR of the minterms the rule number selects.  Parity: the
+    XOR of the words gathered over every arc.
+    """
+    _check_rule_fits(rule, spec)
+    n = spec.size
+    if rule.kind == "parity":
+        arcs = _rotations(n, spec.arcs)
+        return lambda code: _gather(code, n, arcs)
+    if rule.kind != "eca":
+        raise RuleError(f"unknown rule kind {rule.kind!r}")
+    nbhd = [spec.predecessors(i) for i in range(n)]
+    left, centre, right = (
+        _rotations(n, ((nb[p], i) for i, nb in enumerate(nbhd))) for p in range(3)
+    )
+    full = (1 << n) - 1
+    minterms = [
+        (b >> 2, b >> 1 & 1, b & 1) for b in range(8) if rule.number >> b & 1
+    ]
+
+    def step(code: int) -> int:
+        l = _gather(code, n, left)
+        c = _gather(code, n, centre)
+        r = _gather(code, n, right)
+        ls, cs, rs = (l ^ full, l), (c ^ full, c), (r ^ full, r)
+        out = 0
+        for x, y, z in minterms:
+            out |= ls[x] & cs[y] & rs[z]
+        return out
+
+    return step
+
+
 def sync_step(rule: CARule, spec: NetworkSpec, state: State) -> State:
     """One synchronous update of the whole configuration."""
     if len(state) != spec.size:
         raise RuleError(f"state has {len(state)} cells, network has {spec.size}")
-    _check_rule_fits(rule, spec)
-    return tuple(
-        rule.apply(tuple(state[j] for j in spec.predecessors(i)))
-        for i in range(spec.size)
-    )
+    return _decode(_compile(rule, spec)(_encode(state)), spec.size)
+
+
+def sync_states(rule: CARule, spec: NetworkSpec, s0: State, k: int) -> tuple:
+    """The synchronous states s(0..k) from s0."""
+    step = _compile(rule, spec)
+    if len(s0) != spec.size:
+        raise RuleError(f"s0 has {len(s0)} cells, network has {spec.size}")
+    codes = [_encode(s0)]
+    for _ in range(k):
+        codes.append(step(codes[-1]))
+    return tuple(_decode(c, spec.size) for c in codes)
 
 
 @dataclass(frozen=True)
@@ -134,40 +224,26 @@ def sync_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncOr
     period) exactly, so it pins both numbers.  k_max bounds the number of
     steps; 2^N always suffices.
     """
-    _check_rule_fits(rule, spec)
+    step = _compile(rule, spec)
     if len(s0) != spec.size:
         raise RuleError(f"s0 has {len(s0)} cells, network has {spec.size}")
-    seen = {s0: 0}
-    states = [s0]
-    s = s0
+    code = _encode(s0)
+    seen = {code: 0}  # insertion order is s(0), s(1), ...
     for k in range(1, k_max + 2):
-        s = sync_step(rule, spec, s)
-        if s in seen:
-            entry = seen[s]
-            return SyncOrbit(tuple(states), entry, k - entry)
+        code = step(code)
+        if code in seen:
+            entry = seen[code]
+            states = tuple(_decode(c, spec.size) for c in seen)
+            return SyncOrbit(states, entry, k - entry)
         if k > k_max:
             break
-        seen[s] = k
-        states.append(s)
+        seen[code] = k
     raise RuleError(f"no repeated configuration within k_max = {k_max} steps")
 
 
 # -- state transition graph --------------------------------------------------
 
 STG_CELL_CAP = 24
-
-
-def _encode(state: State) -> int:
-    """Configuration to integer, first cell most significant, so the code
-    equals int(state_to_string(s), 2)."""
-    code = 0
-    for b in state:
-        code = (code << 1) | b
-    return code
-
-
-def _decode(code: int, n: int) -> State:
-    return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -187,6 +263,10 @@ class StateTransitionGraph:
     def decode(self, code: int) -> State:
         return _decode(code, self.size)
 
+    def label(self, code: int) -> str:
+        """state_to_string of the configuration with this code."""
+        return format(code, f"0{self.size}b")
+
     def transient_count(self) -> int:
         return sum(1 for b in self.on_attractor if not b)
 
@@ -194,7 +274,7 @@ class StateTransitionGraph:
 def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
     """Exhaustive state transition graph; refuses more than cell_cap cells
     (2^N states) to keep memory bounded."""
-    _check_rule_fits(rule, spec)
+    step = _compile(rule, spec)
     n = spec.size
     if n > cell_cap:
         raise NetworkError(
@@ -202,12 +282,7 @@ def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
             f"cap is {cell_cap} cells (trace single orbits instead)"
         )
     total = 1 << n
-    nbhd = [spec.predecessors(i) for i in range(n)]
-    succ = []
-    for code in range(total):
-        s = _decode(code, n)
-        nxt = tuple(rule.apply(tuple(s[j] for j in nbhd[i])) for i in range(n))
-        succ.append(_encode(nxt))
+    succ = list(map(step, range(total)))
 
     on_attr = [False] * total
     resolved = [False] * total
@@ -245,13 +320,10 @@ def attractor_census(stg: StateTransitionGraph) -> dict:
     cycles = []
     for cyc in stg.attractors:
         if len(cyc) == 1:
-            fixed.append(state_to_string(stg.decode(cyc[0])))
+            fixed.append(stg.label(cyc[0]))
         else:
             cycles.append(
-                {
-                    "period": len(cyc),
-                    "states": [state_to_string(stg.decode(c)) for c in cyc],
-                }
+                {"period": len(cyc), "states": [stg.label(c) for c in cyc]}
             )
     return {"fixed_points": fixed, "cycles": cycles}
 
@@ -324,13 +396,9 @@ def async_run(
     """Timed run: max-plus trajectory for the update times, synchronous
     map for the contour states (the two agree cycle for cycle; see
     verify_bijection for the independent check)."""
-    if len(s0) != spec.size:
-        raise RuleError(f"s0 has {len(s0)} cells, network has {spec.size}")
+    states = sync_states(rule, spec, s0, k_max)
     traj = iterate(build_p(spec, params), x0, k_max)
-    states = [tuple(s0)]
-    for _ in range(k_max):
-        states.append(sync_step(rule, spec, states[-1]))
-    return AsyncRun(rule, spec, params, traj, tuple(states))
+    return AsyncRun(rule, spec, params, traj, states)
 
 
 def state_at(run: AsyncRun, t: Scalar) -> State:
@@ -445,10 +513,4 @@ def verify_bijection(
     _, event_states = event_simulation(
         rule, spec, params, s0, x0, k_max, early_update_cell
     )
-    s = tuple(s0)
-    for k in range(k_max + 1):
-        if event_states[k] != s:
-            return False
-        if k < k_max:
-            s = sync_step(rule, spec, s)
-    return True
+    return event_states == list(sync_states(rule, spec, s0, k_max))

@@ -267,10 +267,7 @@ class Stages:
         exp.require("rule", "s0", "k_max")
         if "orbit" in vars(self):
             return tuple(self.orbit.state(k) for k in range(exp.k_max + 1))
-        states = [exp.s0]
-        for _ in range(exp.k_max):
-            states.append(ca_mod.sync_step(exp.rule, exp.spec, states[-1]))
-        return tuple(states)
+        return ca_mod.sync_states(exp.rule, exp.spec, exp.s0, exp.k_max)
 
     @cached_property
     def run(self) -> ca_mod.AsyncRun:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._version import __version__
-from .ca import AsyncRun, StateTransitionGraph, state_to_string
+from .ca import AsyncRun, StateTransitionGraph
 from .errors import DimensionError, StateUndefinedError
 from .semiring import Scalar, format_scalar
 from .spectral import CriticalGraph, PrecedenceGraph
@@ -296,17 +296,17 @@ def stg_dot(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> str:
     lines += _comment_lines(ps, "  //")
     lines.append("  rankdir=TB;")
     lines.append('  node [shape=box, fontname="monospace"];')
-    for code in range(1 << stg.size):
-        label = state_to_string(stg.decode(code))
-        style = ', penwidth=2, color="#c03a2b"' if stg.on_attractor[code] else ""
+    labels = list(map(stg.label, range(1 << stg.size)))
+    for label, bold in zip(labels, stg.on_attractor):
+        style = ', penwidth=2, color="#c03a2b"' if bold else ""
         lines.append(f'  "{label}" [label="{label}"{style}];')
-    for code in range(1 << stg.size):
-        src = state_to_string(stg.decode(code))
-        dst = state_to_string(stg.decode(stg.successors[code]))
-        style = ' [penwidth=2, color="#c03a2b"]' if stg.on_attractor[code] else ""
-        lines.append(f'  "{src}" -> "{dst}"{style};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for label, dst, bold in zip(labels, stg.successors, stg.on_attractor):
+        style = ' [penwidth=2, color="#c03a2b"]' if bold else ""
+        lines.append(f'  "{label}" -> "{labels[dst]}"{style};')
+    del labels  # before the join, which holds the lines and the text at once
+    # The empty last line ends the text with a newline without copying it.
+    lines += ["}", ""]
+    return "\n".join(lines)
 
 
 def build_event_dag(run: AsyncRun, k_lo: int, k_hi: int):

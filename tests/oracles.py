@@ -278,3 +278,40 @@ def census_by_iteration(step, n):
         ],
         "transient_count": (1 << n) - len(on_cycle),
     }
+
+
+def ring_neighbourhoods(n):
+    """(left, self, right) of every cell of an n-cell ring."""
+    return [((i - 1) % n, i, (i + 1) % n) for i in range(n)]
+
+
+def longhand_step(rule, nbhd, state):
+    """One synchronous step, cell by cell.
+
+    ``rule`` is ("eca", number) or ("parity",); ``nbhd[i]`` lists the
+    cells that cell i reads, in rule order.  An ECA cell takes bit
+    4*left + 2*self + right of the rule number; a parity cell the sum of
+    its inputs mod 2 (0 when it reads nobody).
+    """
+    out = []
+    for i in range(len(state)):
+        inputs = [state[j] for j in nbhd[i]]
+        if rule[0] == "eca":
+            left, centre, right = inputs
+            out.append((rule[1] >> (4 * left + 2 * centre + right)) & 1)
+        else:
+            out.append(sum(inputs) % 2)
+    return tuple(out)
+
+
+def orbit_by_dict(step, s0):
+    """(states, entry, period) of the forward orbit: states s(0) up to the
+    last state before the first repeat, found by a dict of visit times."""
+    seen = {}
+    states = []
+    s = s0
+    while s not in seen:
+        seen[s] = len(states)
+        states.append(s)
+        s = step(s)
+    return states, seen[s], len(states) - seen[s]

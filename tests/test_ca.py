@@ -1,6 +1,7 @@
 """Synchronous and asynchronous cellular automata, STGs and the
 sync/async state bijection."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from tropical_ca.ca import (
     state_from_string,
     state_to_string,
     sync_orbit,
+    sync_states,
     sync_step,
     verify_bijection,
 )
@@ -34,7 +36,14 @@ from tropical_ca.network import (
 from tropical_ca.semiring import unit_vector
 from tropical_ca.trajectory import iterate
 
-from oracles import census_by_iteration, orbit_entry_period, ring150_step
+from oracles import (
+    census_by_iteration,
+    longhand_step,
+    orbit_by_dict,
+    orbit_entry_period,
+    ring150_step,
+    ring_neighbourhoods,
+)
 
 RULE150 = CARule.eca(150)
 PARITY = CARule.parity()
@@ -149,6 +158,64 @@ def test_sync_step_matches_longhand_oracle():
 def test_sync_step_size_check():
     with pytest.raises(RuleError):
         sync_step(PARITY, SIZE4, (0, 0, 0))
+
+
+def longhand_successors(rule, nbhd):
+    """Code of the longhand image of every state code, cell 0 leading."""
+    n = len(nbhd)
+    return [
+        int("".join(map(str, longhand_step(rule, nbhd, state))), 2)
+        for state in itertools.product((0, 1), repeat=n)
+    ]
+
+
+def test_compiled_eca_step_matches_longhand_every_rule_and_state():
+    # The STG applies the compiled step to every state.  A ring built by
+    # regular_ring reads (i-1, i, i+1); the same ring given as explicit
+    # arcs reads its neighbours in ascending index order (checked up to
+    # 5 cells, which keeps the test short).
+    for n in range(3, 10):
+        ring = ring_neighbourhoods(n)
+        explicit = [tuple(sorted(nb)) for nb in ring]
+        arcs = [(j, i) for i, nb in enumerate(ring) for j in nb]
+        for number in range(256):
+            stg = build_stg(CARule.eca(number), regular_ring(n, 3))
+            assert list(stg.successors) == longhand_successors(("eca", number), ring)
+            if n <= 5:
+                stg = build_stg(CARule.eca(number), explicit_network(n, arcs))
+                want = longhand_successors(("eca", number), explicit)
+                assert list(stg.successors) == want
+
+
+def test_compiled_parity_step_matches_longhand_on_random_digraphs():
+    rng = random.Random(2024)
+    degrees, loopless = set(), 0
+    for trial in range(30):
+        n = trial % 10 + 1
+        nbhd = [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(n)]
+        degrees.update(len(nb) for nb in nbhd)
+        loopless += sum(i not in nb for i, nb in enumerate(nbhd))
+        spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
+        stg = build_stg(PARITY, spec)
+        assert list(stg.successors) == longhand_successors(("parity",), nbhd)
+    assert 0 in degrees and max(degrees) >= 8 and loopless >= 30
+
+
+def test_rule150_orbit_89_cells_matches_longhand():
+    n = 89
+    rng = random.Random(89)
+    s0 = tuple(rng.randint(0, 1) for _ in range(n))
+    ring = ring_neighbourhoods(n)
+    states, entry, period = orbit_by_dict(
+        lambda s: longhand_step(("eca", 150), ring, s), s0
+    )
+    assert period == 2047
+    arcs = [(j, i) for i, nb in enumerate(ring) for j in nb]
+    for rule, spec in ((RULE150, regular_ring(n, 3)), (PARITY, explicit_network(n, arcs))):
+        orbit = sync_orbit(rule, spec, s0, 1 << n)
+        assert (orbit.entry_time, orbit.period) == (entry, period)
+        assert list(orbit.states) == states
+        assert list(sync_states(rule, spec, s0, 100)) == states[:101]
 
 
 # -- orbits ---------------------------------------------------------------------------

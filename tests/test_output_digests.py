@@ -28,6 +28,8 @@ COMMANDS = {
     "analyze": ["analyze"],
     "simulate": ["simulate"],
     "ca": ["ca", "--schedule", "both"],
+    "ca-sync": ["ca", "--schedule", "sync"],
+    "ca-async": ["ca", "--schedule", "async"],
     "stg": ["stg"],
     "verify": ["verify"],
     "render": ["render"],
