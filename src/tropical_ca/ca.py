@@ -76,7 +76,8 @@ class CARule:
     kind "eca": classical elementary CA table rule.  The new state is the
     binary digit of the rule number selected by the three neighbourhood
     bits (left, self, right) read as an integer 4l + 2c + r.  Only valid
-    on networks where every neighbourhood is {i-1, i, i+1} mod N.
+    on networks where every neighbourhood is {i-1, i, i+1} mod N, and read
+    in that ring order whether the ring is regular or given as arcs.
 
     kind "parity": sum of the predecessor states mod 2.  Valid on any
     topology and any in-degree; on a 3-ring it coincides with rule 150.
@@ -121,6 +122,16 @@ def _check_rule_fits(rule: CARule, spec: NetworkSpec) -> None:
         )
 
 
+def _neighbourhoods(rule: CARule, spec: NetworkSpec) -> list:
+    """Per cell, the neighbours in the order the rule reads them.  An ECA
+    rule reads (left, self, right) on any 3-ring, built by regular_ring or
+    given as arcs; parity reads spec.predecessors (order is immaterial)."""
+    n = spec.size
+    if rule.kind == "eca":
+        return [((i - 1) % n, i, (i + 1) % n) for i in range(n)]
+    return [spec.predecessors(i) for i in range(n)]
+
+
 def _rotations(n: int, pairs) -> tuple:
     """(d, mask) pairs that gather, for each (j, i) in pairs, cell j's bit
     into cell i's place: rotating the code left by d = j - i mod n moves
@@ -145,7 +156,7 @@ def _compile(rule: CARule, spec: NetworkSpec):
     _encode, checked against the network once.
 
     ECA: three words hold every cell's left, self and right neighbour bit
-    (on a ring built by regular_ring, one rotation each), and the new
+    (one rotation each on every 3-ring), and the new
     state is the OR of the minterms the rule number selects.  Parity: the
     XOR of the words gathered over every arc.
     """
@@ -156,7 +167,7 @@ def _compile(rule: CARule, spec: NetworkSpec):
         return lambda code: _gather(code, n, arcs)
     if rule.kind != "eca":
         raise RuleError(f"unknown rule kind {rule.kind!r}")
-    nbhd = [spec.predecessors(i) for i in range(n)]
+    nbhd = _neighbourhoods(rule, spec)
     left, centre, right = (
         _rotations(n, ((nb[p], i) for i, nb in enumerate(nbhd))) for p in range(3)
     )
@@ -461,7 +472,7 @@ def event_simulation(
         raise RuleError(f"no cell {early_update_cell!r} to inject the fault into")
     n = spec.size
     tau = params.tau
-    nbhd = [spec.predecessors(i) for i in range(n)]
+    nbhd = _neighbourhoods(rule, spec)
     for i in range(n):
         if not nbhd[i]:
             raise NetworkError(

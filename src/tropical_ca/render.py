@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from operator import sub
 
 from ._version import __version__
 from .ca import AsyncRun, StateTransitionGraph
@@ -84,6 +86,13 @@ def _svg_header(width, height, ps: PlotSpec) -> list:
     return lines
 
 
+def _svg_close(lines: list) -> str:
+    """The SVG text of the header and body lines.  The empty last line
+    ends it with a newline without copying the whole text once more."""
+    lines += ["</svg>", ""]
+    return "\n".join(lines)
+
+
 def _comment_svg(ps: PlotSpec) -> str:
     parts = [f"tropical-ca {__version__}"]
     parts += [f"{k}={v}" for k, v in ps.metadata]
@@ -102,48 +111,62 @@ def _times_extent(states) -> tuple:
     return lo, hi
 
 
+# -- SVG text -----------------------------------------------------------------
+
+
+def _coordinate_texts(rows, offset, origin, scale) -> list:
+    """Per row, the text of the pixel coordinate offset + (v - origin)·scale
+    of each value v in it, formatted once per distinct value.
+
+    The memo keys on (type(v), v): int 0 and float 0.0 hash alike, yet
+    their sums are an int that _fmt writes "12" and a float it writes
+    "12.0"."""
+    memo = {
+        key: _fmt(offset + (key[1] - origin) * scale)
+        for key in set(chain.from_iterable(zip(map(type, row), row) for row in rows))
+    }
+    return [list(map(memo.__getitem__, zip(map(type, row), row))) for row in rows]
+
+
 # -- contour plots -------------------------------------------------------------
 
 
 def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
     """Polyline per cycle k through the points (cell i, x_i(k)), time
-    downward.  With CA states given, each vertex carries a state marker.
-    A single-cell system degenerates to a column of markers."""
+    downward.  With CA states given (0/1 per cell), each vertex carries a
+    state marker.  A single-cell system degenerates to a column of
+    markers."""
     n = traj.size
     if states is not None and len(states) != len(traj.states):
         raise DimensionError("one CA state per contour required")
     t0, t1 = _times_extent(traj.states)
     width = 2 * ps.margin + (n - 1) * ps.cell_px
     height = 2 * ps.margin + (t1 - t0) * ps.time_scale
-
-    def xpix(i):
-        return ps.margin + i * ps.cell_px
-
-    def ypix(t):
-        return ps.margin + (t - t0) * ps.time_scale
+    xs = [_fmt(ps.margin + i * ps.cell_px) for i in range(n)]
+    vertex = [f"{x}," for x in xs]
+    marker = [f'<circle cx="{x}" cy="' for x in xs]
+    marker_tail = (
+        f'" r="3" fill="{ps.color0}" stroke="#555555" stroke-width="0.5"/>',
+        f'" r="3" fill="{ps.color1}" stroke="#555555" stroke-width="0.5"/>',
+    )
+    stroke = f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>'
+    dot_tail = f'" r="2" fill="{ps.contour_color}"/>'
 
     lines = _svg_header(width, height, ps)
-    for k, x in enumerate(traj.states):
-        pts = " ".join(f"{_fmt(xpix(i))},{_fmt(ypix(x[i]))}" for i in range(n))
+    # Time runs downward from t0.
+    rows = _coordinate_texts(traj.states, ps.margin, t0, ps.time_scale)
+    for k, ys in enumerate(rows):
         if n > 1:
-            lines.append(
-                f'<polyline points="{pts}" fill="none" '
-                f'stroke="{ps.contour_color}" stroke-width="1"/>'
-            )
+            pts = " ".join(map(str.__add__, vertex, ys))
+            lines.append(f'<polyline points="{pts}{stroke}')
         if states is not None:
-            for i in range(n):
-                fill = ps.color1 if states[k][i] else ps.color0
-                lines.append(
-                    f'<circle cx="{_fmt(xpix(i))}" cy="{_fmt(ypix(x[i]))}" '
-                    f'r="3" fill="{fill}" stroke="#555555" stroke-width="0.5"/>'
-                )
+            lines += [
+                f"{m}{y}{marker_tail[bit]}"
+                for m, y, bit in zip(marker, ys, states[k])
+            ]
         elif n == 1:
-            lines.append(
-                f'<circle cx="{_fmt(xpix(0))}" cy="{_fmt(ypix(x[0]))}" '
-                f'r="2" fill="{ps.contour_color}"/>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{marker[0]}{ys[0]}{dot_tail}")
+    return _svg_close(lines)
 
 
 # -- asynchronous space-time ---------------------------------------------------
@@ -163,33 +186,31 @@ def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
     t0, t1 = _times_extent(traj.states)
     width = 2 * ps.margin + n * ps.cell_px
     height = 2 * ps.margin + (t1 - t0) * ps.time_scale
-
-    def ypix(t):
-        return ps.margin + (t - t0) * ps.time_scale
+    block = f'" width="{ps.cell_px}" height="'
+    block_tail = (f'" fill="{ps.color0}"/>', f'" fill="{ps.color1}"/>')
+    # Cell i's k-th block spans [x_i(k), x_i(k+1)) and shows states[k][i].
+    ys = _coordinate_texts(traj.states, ps.margin, t0, ps.time_scale)
+    heights = _coordinate_texts(
+        [list(map(sub, times[1:], times)) for times in zip(*traj.states)],
+        0, 0, ps.time_scale,
+    )
 
     lines = _svg_header(width, height, ps)
-    for i in range(n):
-        x = ps.margin + i * ps.cell_px
-        for (a, b, bit) in run.hold_intervals(i):
-            fill = ps.color1 if bit else ps.color0
-            lines.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(ypix(a))}" '
-                f'width="{ps.cell_px}" height="{_fmt((b - a) * ps.time_scale)}" '
-                f'fill="{fill}"/>'
-            )
+    for i, (tops, sizes, bits) in enumerate(zip(zip(*ys), heights, zip(*run.states))):
+        rect = f'<rect x="{_fmt(ps.margin + i * ps.cell_px)}" y="'
+        lines += [
+            f"{rect}{top}{block}{size}{block_tail[bit]}"
+            for top, size, bit in zip(tops, sizes, bits)
+        ]
     if stage == "contours":
         half = Fraction(ps.cell_px, 2)
-        for x_vec in traj.states:
-            pts = " ".join(
-                f"{_fmt(ps.margin + i * ps.cell_px + half)},{_fmt(ypix(x_vec[i]))}"
-                for i in range(n)
-            )
-            lines.append(
-                f'<polyline points="{pts}" fill="none" '
-                f'stroke="{ps.contour_color}" stroke-width="1"/>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        vertex = [f"{_fmt(ps.margin + i * ps.cell_px + half)}," for i in range(n)]
+        stroke = f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>'
+        lines += [
+            f'<polyline points="{" ".join(map(str.__add__, vertex, y))}{stroke}'
+            for y in ys
+        ]
+    return _svg_close(lines)
 
 
 def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
@@ -224,7 +245,11 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
     lines.append(f"{width} {height}")
     lines.append("255")
     lines += map(" ".join, zip(*columns))
-    return "\n".join(lines) + "\n"
+    # The join is the peak of a render: free the columns first, and end
+    # the text with an empty last line instead of copying it to add "\n".
+    del columns
+    lines.append("")
+    return "\n".join(lines)
 
 
 def pixmap_parse(text: str):
@@ -252,24 +277,21 @@ def pixmap_parse(text: str):
 
 
 def spacetime_sync(states, ps: PlotSpec) -> str:
-    """Classical CA diagram: one row of square cells per step, downward."""
+    """Classical CA diagram: one row of square cells (0/1 each) per step,
+    downward."""
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
     width = 2 * ps.margin + n * ps.cell_px
     height = 2 * ps.margin + len(states) * ps.cell_px
+    rect = [f'<rect x="{ps.margin + i * ps.cell_px}" y="' for i in range(n)]
+    square = f'" width="{ps.cell_px}" height="{ps.cell_px}" fill="'
+    tail = (f'{square}{ps.color0}"/>', f'{square}{ps.color1}"/>')
     lines = _svg_header(width, height, ps)
     for k, s in enumerate(states):
         y = ps.margin + k * ps.cell_px
-        for i, bit in enumerate(s):
-            fill = ps.color1 if bit else ps.color0
-            x = ps.margin + i * ps.cell_px
-            lines.append(
-                f'<rect x="{x}" y="{y}" width="{ps.cell_px}" '
-                f'height="{ps.cell_px}" fill="{fill}"/>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        lines += [f"{r}{y}{tail[bit]}" for r, bit in zip(rect, s)]
+    return _svg_close(lines)
 
 
 def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:

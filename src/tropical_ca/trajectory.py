@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapExceededError, DimensionError, TropicalError
+from .errors import (
+    CapExceededError,
+    DimensionError,
+    TropicalError,
+    VerificationError,
+)
 from .semiring import (
     MaxPlusMatrix,
     Scalar,
@@ -65,10 +70,10 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
             f"x0 has {len(x0)} entries for a {P.rows}-cell system"
         )
     if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+        raise DimensionError(f"k_max must be >= 0, got {k_max}")
     x = tuple(canonical(v) for v in x0)
     if not vec_is_finite(x):
-        raise ValueError("x0 must be finite in every entry")
+        raise DimensionError("x0 must be finite in every entry")
     states = [x]
     for _ in range(k_max):
         x = P.apply(x)
@@ -91,7 +96,7 @@ def _normalized_state(x, lam, k):
 
 def normalize(traj: Trajectory, eigenvalue: Scalar) -> NormalizedTrajectory:
     if is_eps(eigenvalue):
-        raise ValueError("eigenvalue must be finite")
+        raise DimensionError("eigenvalue must be finite")
     states = tuple(
         _normalized_state(x, eigenvalue, k) for k, x in enumerate(traj.states)
     )
@@ -175,11 +180,11 @@ def detect_regime(
     # minimal period; double-check against all proper divisors anyway.
     for d in range(1, rho):
         if rho % d == 0 and ys[first + d] == ys[first]:
-            raise AssertionError("first repeat distance was not minimal")
+            raise VerificationError("first repeat distance was not minimal")
     mu = canonical(lam * rho)
     for i in range(traj.size):
         if canonical(xs[first + rho][i] - xs[first][i]) != mu:
-            raise AssertionError("observed shift disagrees with rho * lambda")
+            raise VerificationError("observed shift disagrees with rho * lambda")
     return RegimeReport(
         k_star=first,
         rho=rho,
@@ -199,7 +204,7 @@ def per_node_estimates(traj: Trajectory, k: int | None = None) -> tuple:
     if k is None:
         k = traj.k_max
     if not (1 <= k <= traj.k_max):
-        raise ValueError(f"k must be in 1..{traj.k_max}")
+        raise DimensionError(f"k must be in 1..{traj.k_max}, got {k}")
     xk = traj.states[k]
     return tuple(canonical(Fraction(xk[i], k)) for i in range(traj.size))
 

@@ -218,6 +218,129 @@ def async_pixmap_grid(run, ps, version):
     return "\n".join(lines) + "\n"
 
 
+def fmt_coordinate(v):
+    """Coordinate text: ints bare, whole rationals as ints, other
+    rationals and floats via repr of the float."""
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            return str(v.numerator)
+        return repr(float(v))
+    return repr(v)
+
+
+def svg_header(width, height, ps, version):
+    f = fmt_coordinate
+    parts = [f"tropical-ca {version}"] + [f"{k}={v}" for k, v in ps.metadata]
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{f(width)}" '
+        f'height="{f(height)}" viewBox="0 0 {f(width)} {f(height)}">',
+        "<!-- " + " | ".join(parts) + " -->",
+        f'<rect x="0" y="0" width="{f(width)}" height="{f(height)}" '
+        f'fill="{ps.background}"/>',
+    ]
+
+
+def contour_plot_vertices(traj, ps, version, states=None):
+    """SVG contour plot with both coordinates of every vertex computed and
+    formatted on the spot."""
+    f = fmt_coordinate
+    n = traj.size
+    t0 = min(min(x) for x in traj.states)
+    t1 = max(max(x) for x in traj.states)
+    width = 2 * ps.margin + (n - 1) * ps.cell_px
+    height = 2 * ps.margin + (t1 - t0) * ps.time_scale
+
+    def xpix(i):
+        return ps.margin + i * ps.cell_px
+
+    def ypix(t):
+        return ps.margin + (t - t0) * ps.time_scale
+
+    lines = svg_header(width, height, ps, version)
+    for k, x in enumerate(traj.states):
+        pts = " ".join(f"{f(xpix(i))},{f(ypix(x[i]))}" for i in range(n))
+        if n > 1:
+            lines.append(
+                f'<polyline points="{pts}" fill="none" '
+                f'stroke="{ps.contour_color}" stroke-width="1"/>'
+            )
+        if states is not None:
+            for i in range(n):
+                fill = ps.color1 if states[k][i] else ps.color0
+                lines.append(
+                    f'<circle cx="{f(xpix(i))}" cy="{f(ypix(x[i]))}" '
+                    f'r="3" fill="{fill}" stroke="#555555" stroke-width="0.5"/>'
+                )
+        elif n == 1:
+            lines.append(
+                f'<circle cx="{f(xpix(0))}" cy="{f(ypix(x[0]))}" '
+                f'r="2" fill="{ps.contour_color}"/>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def spacetime_async_vertices(run, ps, version, stage="plain"):
+    """SVG memory blocks (and, for stage "contours", the update contours)
+    with every coordinate computed and formatted on the spot."""
+    f = fmt_coordinate
+    n = run.spec.size
+    traj = run.trajectory
+    t0 = min(min(x) for x in traj.states)
+    t1 = max(max(x) for x in traj.states)
+    width = 2 * ps.margin + n * ps.cell_px
+    height = 2 * ps.margin + (t1 - t0) * ps.time_scale
+
+    def ypix(t):
+        return ps.margin + (t - t0) * ps.time_scale
+
+    lines = svg_header(width, height, ps, version)
+    for i in range(n):
+        x = ps.margin + i * ps.cell_px
+        for (a, b, bit) in run.hold_intervals(i):
+            fill = ps.color1 if bit else ps.color0
+            lines.append(
+                f'<rect x="{f(x)}" y="{f(ypix(a))}" '
+                f'width="{ps.cell_px}" height="{f((b - a) * ps.time_scale)}" '
+                f'fill="{fill}"/>'
+            )
+    if stage == "contours":
+        half = Fraction(ps.cell_px, 2)
+        for x_vec in traj.states:
+            pts = " ".join(
+                f"{f(ps.margin + i * ps.cell_px + half)},{f(ypix(x_vec[i]))}"
+                for i in range(n)
+            )
+            lines.append(
+                f'<polyline points="{pts}" fill="none" '
+                f'stroke="{ps.contour_color}" stroke-width="1"/>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def spacetime_sync_cells(states, ps, version):
+    """SVG synchronous space-time diagram, one formatted rect per cell and
+    step."""
+    n = len(states[0])
+    width = 2 * ps.margin + n * ps.cell_px
+    height = 2 * ps.margin + len(states) * ps.cell_px
+    lines = svg_header(width, height, ps, version)
+    for k, s in enumerate(states):
+        y = ps.margin + k * ps.cell_px
+        for i, bit in enumerate(s):
+            fill = ps.color1 if bit else ps.color0
+            x = ps.margin + i * ps.cell_px
+            lines.append(
+                f'<rect x="{x}" y="{y}" width="{ps.cell_px}" '
+                f'height="{ps.cell_px}" fill="{fill}"/>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
 # -- synchronous CA --------------------------------------------------------------
 
 

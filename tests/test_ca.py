@@ -170,21 +170,34 @@ def longhand_successors(rule, nbhd):
 
 
 def test_compiled_eca_step_matches_longhand_every_rule_and_state():
-    # The STG applies the compiled step to every state.  A ring built by
-    # regular_ring reads (i-1, i, i+1); the same ring given as explicit
-    # arcs reads its neighbours in ascending index order (checked up to
-    # 5 cells, which keeps the test short).
+    # The STG applies the compiled step to every state.  A ring reads
+    # (i-1, i, i+1) both when regular_ring builds it and when it is given
+    # as explicit arcs, whose predecessors are in ascending index order.
     for n in range(3, 10):
         ring = ring_neighbourhoods(n)
-        explicit = [tuple(sorted(nb)) for nb in ring]
         arcs = [(j, i) for i, nb in enumerate(ring) for j in nb]
         for number in range(256):
+            want = longhand_successors(("eca", number), ring)
             stg = build_stg(CARule.eca(number), regular_ring(n, 3))
-            assert list(stg.successors) == longhand_successors(("eca", number), ring)
-            if n <= 5:
-                stg = build_stg(CARule.eca(number), explicit_network(n, arcs))
-                want = longhand_successors(("eca", number), explicit)
-                assert list(stg.successors) == want
+            assert list(stg.successors) == want
+            stg = build_stg(CARule.eca(number), explicit_network(n, arcs))
+            assert list(stg.successors) == want, (n, number)
+
+
+def test_eca_on_explicit_arc_ring_reads_left_self_right():
+    ring = regular_ring(7, 3)
+    arcs = explicit_network(7, ring.arcs)
+    rule = CARule.eca(110)
+    s0 = state_from_string("0100110")
+    want = state_from_string("1101110")
+    assert sync_step(rule, ring, s0) == want
+    assert sync_step(rule, arcs, s0) == want
+    params = random_parameters(arcs, 7, (1, 30), (1, 10))
+    x0 = unit_vector(7)
+    times, states = event_simulation(rule, arcs, params, s0, x0, 12)
+    assert states[1] == want
+    assert verify_bijection(rule, arcs, params, s0, x0, 12)
+    assert not verify_bijection(rule, arcs, params, s0, x0, 12, early_update_cell=2)
 
 
 def test_compiled_parity_step_matches_longhand_on_random_digraphs():

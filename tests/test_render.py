@@ -6,9 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import async_pixmap_grid
+from oracles import (
+    async_pixmap_grid,
+    contour_plot_vertices,
+    spacetime_async_vertices,
+    spacetime_sync_cells,
+)
 from tropical_ca import __version__
 from tropical_ca.ca import (
+    AsyncRun,
     CARule,
     async_run,
     attractor_census,
@@ -39,7 +45,7 @@ from tropical_ca.render import (
 )
 from tropical_ca.semiring import unit_vector
 from tropical_ca.spectral import analyze, build_graph
-from tropical_ca.trajectory import iterate
+from tropical_ca.trajectory import Trajectory, iterate
 
 RULE150 = CARule.eca(150)
 PARITY = CARule.parity()
@@ -209,6 +215,14 @@ def test_plotspec_needs_positive_integer_geometry(field, value):
         PlotSpec(**{field: value})
 
 
+def assert_same_text(got, want, label):
+    # Line by line: pytest's diff of two whole pixmaps or SVGs takes minutes.
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    assert len(got_lines) == len(want_lines), label
+    for r, (g, w) in enumerate(zip(got_lines, want_lines)):
+        assert g == w, f"{label}, line {r}"
+
+
 def random_timed_run(rng, kind):
     """A ring run with int, rational or float timings and a random x0, so
     that cells start and stop at different times."""
@@ -249,15 +263,78 @@ def test_async_pixmap_matches_per_pixel_oracle_random():
         if rng.random() < 0.5:
             ps = ps.with_metadata({"case": case, "mode": "random"})
         want = async_pixmap_grid(run, ps, __version__)
-        got = spacetime_async_pixmap(run, ps)
-        # Line by line: pytest's diff of two whole pixmaps takes minutes.
-        got_lines, want_lines = got.split("\n"), want.split("\n")
-        assert len(got_lines) == len(want_lines), f"case {case}"
-        for r, (g, w) in enumerate(zip(got_lines, want_lines)):
-            assert g == w, f"case {case}, line {r}"
+        assert_same_text(spacetime_async_pixmap(run, ps), want, f"case {case}")
         _w, _h, rows = pixmap_parse(want)
         with_background += any(gray_bg in row for row in rows)
     assert with_background >= 40
+
+
+def random_plotspec(rng, case):
+    ps = PlotSpec(
+        time_scale=rng.randint(1, 4),
+        cell_px=rng.randint(1, 9),
+        margin=rng.randint(0, 15),
+        color0=f"#{rng.randrange(1 << 24):06x}",
+        color1=f"#{rng.randrange(1 << 24):06x}",
+        contour_color=f"#{rng.randrange(1 << 24):06x}",
+    )
+    if rng.random() < 0.5:
+        ps = ps.with_metadata({"case": case, "mode": "random"})
+    return ps
+
+
+def test_svg_emitters_match_per_vertex_oracles_random():
+    rng = random.Random(1975)
+    for case in range(60):
+        kind = ("int", "rational", "float")[case % 3]
+        run = random_timed_run(rng, kind)
+        ps = random_plotspec(rng, case)
+        label = f"case {case} ({kind})"
+        for stage in ("plain", "contours"):
+            assert_same_text(
+                spacetime_async(run, ps, stage),
+                spacetime_async_vertices(run, ps, __version__, stage),
+                f"{label} spacetime_async {stage}",
+            )
+        assert_same_text(
+            contour_plot(run.trajectory, ps),
+            contour_plot_vertices(run.trajectory, ps, __version__),
+            f"{label} contour_plot",
+        )
+        assert_same_text(
+            contour_plot(run.trajectory, ps, run.states),
+            contour_plot_vertices(run.trajectory, ps, __version__, run.states),
+            f"{label} contour_plot with states",
+        )
+        assert_same_text(
+            spacetime_sync(run.states, ps),
+            spacetime_sync_cells(run.states, ps, __version__),
+            f"{label} spacetime_sync",
+        )
+
+
+def test_svg_text_keys_times_on_type():
+    """int 0 and float 0.0 are equal keys of a plain dict, but "12" and
+    "12.0" on the page: each typed time keeps its own text."""
+    spec = regular_ring(2, 1)
+    params = TimingParameters.create([3, 3], {(0, 0): 0, (1, 1): 0})
+    times = ((0, 0.0), (3, 3.0), (6.0, 6))
+    traj = Trajectory(build_p(spec, params), times)
+    run = AsyncRun(PARITY, spec, params, traj, ((1, 0), (1, 0), (1, 0)))
+    ps = PlotSpec()
+    svg = contour_plot(traj, ps, run.states)
+    assert '<polyline points="12,12 20,12.0" ' in svg
+    assert '<polyline points="12,18 20,18.0" ' in svg
+    want = contour_plot_vertices(traj, ps, __version__, run.states)
+    assert_same_text(svg, want, "contour_plot")
+    for stage in ("plain", "contours"):
+        svg = spacetime_async(run, ps, stage)
+        assert '<rect x="12" y="12" width="8" height="6" ' in svg
+        assert '<rect x="12" y="18" width="8" height="6.0" ' in svg
+        assert '<rect x="20" y="12.0" width="8" height="6.0" ' in svg
+        assert_same_text(
+            svg, spacetime_async_vertices(run, ps, __version__, stage), stage
+        )
 
 
 # -- synchronous space-time -------------------------------------------------------------

@@ -69,9 +69,9 @@ def test_iterate_input_checks():
         iterate(mat((1, 2)), (0, 0), 1)
     with pytest.raises(DimensionError):
         iterate(SWAP, (0,), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         iterate(SWAP, (0, EPS), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         iterate(SWAP, (0, 0), -1)
 
 
@@ -110,7 +110,7 @@ def test_normalize_uniform_unit():
 
 
 def test_normalize_rejects_eps():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         normalize(iterate(SWAP, (0, 0), 1), EPS)
 
 
@@ -241,9 +241,9 @@ def test_per_node_estimates():
     ests = per_node_estimates(traj, 12)
     assert ests == tuple(Fraction(traj.states[12][i], 12) for i in range(5))
     assert per_node_estimates(traj) == ests
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         per_node_estimates(traj, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         per_node_estimates(traj, 13)
 
 
