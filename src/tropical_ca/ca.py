@@ -26,13 +26,19 @@ of the code: an ECA step ORs the minterms its rule number selects from
 the left, self and right words, and a parity step XORs the words of all
 arcs.  sync_step, sync_states, sync_orbit and build_stg all use it.
 event_simulation applies the rule cell by cell on purpose: it is the
-independent oracle of the bijection check.
+independent oracle of the bijection check, with no matrix, no _compile
+and no state codes.  It resolves each cell's (sender, delay) links and
+the local rule (the 8-entry ECA table, or the parity sum) once per run,
+so a cycle is one comprehension for the times and one for the states.
+Only an injected fault cell keeps a map of the last value it heard from
+each neighbour.  tests/oracles.py holds the message-by-message longhand.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .errors import NetworkError, RuleError, StateUndefinedError
@@ -361,8 +367,7 @@ class AsyncRun:
 
     def __post_init__(self):
         _check_rule_fits(self.rule, self.spec)
-        for i in range(self.spec.size):
-            times = self.update_times(i)
+        for i, times in enumerate(zip(*self.trajectory.states)):
             for k in range(self.k_max):
                 if not times[k] < times[k + 1]:
                     raise NetworkError(
@@ -389,11 +394,8 @@ class AsyncRun:
 
     def time_window(self) -> tuple:
         """(first, last): full-state queries are defined on [first, last]."""
-        first = max(x[0] for x in (self.update_times(i) for i in range(self.spec.size)))
-        last = min(
-            self.update_times(i)[self.k_max] for i in range(self.spec.size)
-        )
-        return first, last
+        states = self.trajectory.states
+        return max(states[0]), min(states[self.k_max])
 
 
 def async_run(
@@ -440,6 +442,19 @@ def state_at(run: AsyncRun, t: Scalar) -> State:
 # -- event-level verification --------------------------------------------------
 
 
+def _local_rule(rule: CARule, nbhd: list):
+    """The local rule applied cell by cell: next(prev) -> list of the new
+    states, cell i reading prev at nbhd[i].  ECA looks up the 8-entry table
+    that rule.apply gives over (left, self, right); parity sums the
+    neighbour bits mod 2."""
+    if rule.kind == "eca":
+        table = [rule.apply(bits) for bits in product((0, 1), repeat=3)]
+        return lambda s: [table[4 * s[l] + 2 * s[c] + s[r]] for l, c, r in nbhd]
+    if rule.kind == "parity":
+        return lambda s: [sum([s[j] for j in nb]) & 1 for nb in nbhd]
+    raise RuleError(f"unknown rule kind {rule.kind!r}")
+
+
 def event_simulation(
     rule: CARule,
     spec: NetworkSpec,
@@ -470,40 +485,36 @@ def event_simulation(
         raise RuleError("s0 and x0 must have one entry per cell")
     if early_update_cell is not None and not (0 <= early_update_cell < spec.size):
         raise RuleError(f"no cell {early_update_cell!r} to inject the fault into")
-    n = spec.size
     tau = params.tau
     nbhd = _neighbourhoods(rule, spec)
-    for i in range(n):
-        if not nbhd[i]:
+    for i, nb in enumerate(nbhd):
+        if not nb:
             raise NetworkError(
                 f"cell {i + 1} has no predecessors; every cell must read someone"
             )
+    # Per cell, the (sender, delay) of each message in the rule's reading
+    # order, with the cell's processing time.
+    links = [tuple((j, tau[(i, j)]) for j in nb) for i, nb in enumerate(nbhd)]
+    cells = tuple(zip(links, params.xi))
+    local = _local_rule(rule, nbhd)
+    fault = early_update_cell
+    if fault is not None:
+        # Last value the faulty cell received from each neighbour.
+        known = {j: s0[j] for j in nbhd[fault]}
     times = [tuple(x0)]
     states = [tuple(s0)]
-    # Last value each cell received from each neighbour (fault path only).
-    known = {
-        (i, j): s0[j] for i in range(n) for j in nbhd[i]
-    }
     for _ in range(k_max):
         prev_t, prev_s = times[-1], states[-1]
-        new_t = []
-        new_s = []
-        for i in range(n):
-            arrivals = [(prev_t[j] + tau[(i, j)], j) for j in nbhd[i]]
-            if i == early_update_cell:
-                receive = min(a for (a, _j) in arrivals)
-                inputs = []
-                for (a, j) in arrivals:
-                    if a <= receive:
-                        known[(i, j)] = prev_s[j]
-                    inputs.append(known[(i, j)])
-            else:
-                receive = max(a for (a, _j) in arrivals)
-                for (_a, j) in arrivals:
-                    known[(i, j)] = prev_s[j]
-                inputs = [prev_s[j] for j in nbhd[i]]
-            new_t.append(receive + params.xi[i])
-            new_s.append(rule.apply(tuple(inputs)))
+        new_t = [max([prev_t[j] + d for j, d in link]) + x for link, x in cells]
+        new_s = local(prev_s)
+        if fault is not None:
+            arrivals = [prev_t[j] + d for j, d in links[fault]]
+            receive = min(arrivals)
+            for a, j in zip(arrivals, nbhd[fault]):
+                if a <= receive:
+                    known[j] = prev_s[j]
+            new_t[fault] = receive + params.xi[fault]
+            new_s[fault] = rule.apply(tuple(known[j] for j in nbhd[fault]))
         times.append(tuple(new_t))
         states.append(tuple(new_s))
     return times, states

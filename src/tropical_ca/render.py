@@ -223,7 +223,7 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
     n = run.spec.size
     traj = run.trajectory
     t0, _ = _times_extent(traj.states)
-    t1 = max(run.update_times(i)[run.k_max] for i in range(n))
+    t1 = max(traj.states[run.k_max])
     s = ps.time_scale
     height = max(1, math.ceil((t1 - t0) * s))
     width = n * ps.cell_px

@@ -416,15 +416,17 @@ def longhand_step(rule, nbhd, state):
     4*left + 2*self + right of the rule number; a parity cell the sum of
     its inputs mod 2 (0 when it reads nobody).
     """
-    out = []
-    for i in range(len(state)):
-        inputs = [state[j] for j in nbhd[i]]
-        if rule[0] == "eca":
-            left, centre, right = inputs
-            out.append((rule[1] >> (4 * left + 2 * centre + right)) & 1)
-        else:
-            out.append(sum(inputs) % 2)
-    return tuple(out)
+    return tuple(
+        longhand_rule(rule, [state[j] for j in nbhd[i]]) for i in range(len(state))
+    )
+
+
+def longhand_rule(rule, inputs):
+    """The new state of one cell from its inputs in rule order."""
+    if rule[0] == "eca":
+        left, centre, right = inputs
+        return (rule[1] >> (4 * left + 2 * centre + right)) & 1
+    return sum(inputs) % 2
 
 
 def orbit_by_dict(step, s0):
@@ -438,3 +440,46 @@ def orbit_by_dict(step, s0):
         states.append(s)
         s = step(s)
     return states, seen[s], len(states) - seen[s]
+
+
+# -- asynchronous CA -------------------------------------------------------------
+
+
+def event_simulation_longhand(rule, nbhd, xi, tau, s0, x0, k_max, fault_cell):
+    """Message-passing run of the asynchronous CA, one message at a time.
+
+    Each cycle, cell i hears from every j in ``nbhd[i]`` (rule order) the
+    state j computed in the previous cycle, arriving at x_j + tau[(i, j)]
+    (``tau`` keyed (receiver, sender)); it updates at the last arrival
+    plus xi[i].  ``fault_cell`` (or None) updates at its first arrival
+    instead, using for each neighbour the last value received from it,
+    at first that neighbour's s0.  ``rule`` is as in longhand_step.
+    Returns (times, states): lists of k_max + 1 tuples.
+    """
+    n = len(s0)
+    times = [tuple(x0)]
+    states = [tuple(s0)]
+    known = {(i, j): s0[j] for i in range(n) for j in nbhd[i]}
+    for _ in range(k_max):
+        prev_t, prev_s = times[-1], states[-1]
+        new_t = []
+        new_s = []
+        for i in range(n):
+            arrivals = [(prev_t[j] + tau[(i, j)], j) for j in nbhd[i]]
+            if i == fault_cell:
+                receive = min(a for (a, _j) in arrivals)
+                inputs = []
+                for (a, j) in arrivals:
+                    if a <= receive:
+                        known[(i, j)] = prev_s[j]
+                    inputs.append(known[(i, j)])
+            else:
+                receive = max(a for (a, _j) in arrivals)
+                for (_a, j) in arrivals:
+                    known[(i, j)] = prev_s[j]
+                inputs = [prev_s[j] for j in nbhd[i]]
+            new_t.append(receive + xi[i])
+            new_s.append(longhand_rule(rule, inputs))
+        times.append(tuple(new_t))
+        states.append(tuple(new_s))
+    return times, states

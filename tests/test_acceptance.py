@@ -95,7 +95,7 @@ def test_criterion_2_bijection_suite():
     with criterion(
         2,
         "100 seeded runs: async states == sync states for every k <= 100; "
-        "the early-update fault is caught",
+        "the early-update fault is caught in at least 16",
         budget=30.0,
     ):
         mismatches = 0
@@ -109,7 +109,8 @@ def test_criterion_2_bijection_suite():
             ):
                 caught += 1
         assert mismatches == 0
-        assert caught >= 1
+        # The fault changes the states in 16 of these 100 runs.
+        assert caught >= 16
 
 
 def _random_matrices():

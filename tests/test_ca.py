@@ -38,6 +38,7 @@ from tropical_ca.trajectory import iterate
 
 from oracles import (
     census_by_iteration,
+    event_simulation_longhand,
     longhand_step,
     orbit_by_dict,
     orbit_entry_period,
@@ -444,6 +445,66 @@ def test_event_times_agree_with_matrix_recurrence():
     assert list(traj.states) == list(times)
 
 
+def _random_timing(rng, kind, n, arc_keys):
+    """xi, tau and x0 of one kind: "int", "fraction" (thirds and halves,
+    integral ones collapsed to int) or "float" (quarters, each entry an
+    int or a float, x0 with int zeros).  Narrow ranges make ties."""
+    def draw(lo):
+        if kind == "int":
+            return rng.randint(lo, 3)
+        if kind == "fraction":
+            return Fraction(rng.randint(lo * 6, 18), rng.choice((1, 2, 3)))
+        if rng.random() < 0.5:
+            return rng.randint(lo, 3)
+        return rng.randint(lo * 4, 12) / 4
+
+    xi = [draw(1) for _ in range(n)]
+    tau = {key: draw(0) for key in arc_keys}
+    x0 = [0 if kind == "float" and rng.random() < 0.5 else draw(0) for _ in range(n)]
+    return TimingParameters.create(xi, tau), x0
+
+
+def test_event_simulation_matches_longhand_oracle():
+    rng = random.Random(1729)
+    faults, degrees, kinds = 0, set(), set()
+    for trial in range(240):
+        if trial % 3 < 2:
+            n = rng.randint(3, 9)
+            number = rng.randrange(256)
+            rule, oracle_rule = CARule.eca(number), ("eca", number)
+            nbhd = ring_neighbourhoods(n)
+            spec = regular_ring(n, 3)
+            if trial % 3 == 1:
+                spec = explicit_network(n, spec.arcs)
+        else:
+            n = rng.randint(1, 8)
+            rule, oracle_rule = PARITY, ("parity",)
+            nbhd = [
+                sorted(rng.sample(range(n), rng.randint(1, min(n, 5))))
+                for _ in range(n)
+            ]
+            spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
+            degrees.update(len(nb) for nb in nbhd)
+        kind = ("int", "fraction", "float")[trial % 5 % 3]
+        kinds.add(kind)
+        params, x0 = _random_timing(
+            rng, kind, n, [(i, j) for i, nb in enumerate(nbhd) for j in nb]
+        )
+        s0 = tuple(rng.randint(0, 1) for _ in range(n))
+        k_max = rng.randint(0, 40)
+        fault = rng.randrange(n) if rng.random() < 0.4 else None
+        faults += fault is not None
+        want = event_simulation_longhand(
+            oracle_rule, nbhd, params.xi, params.tau, s0, x0, k_max, fault
+        )
+        got = event_simulation(rule, spec, params, s0, x0, k_max, fault)
+        assert got == want, (trial, kind, fault)
+        types = [[type(t) for t in row] for row in got[0]]
+        assert types == [[type(t) for t in row] for row in want[0]], trial
+    assert faults >= 50 and kinds == {"int", "fraction", "float"}
+    assert set(range(1, 5)) <= degrees
+
+
 def test_bijection_holds():
     for seed, size in ((42, 10), (3, 4), (91, 12)):
         spec, params = seeded_ring(size, seed)
@@ -474,6 +535,8 @@ def test_event_simulation_input_checks():
         event_simulation(PARITY, spec, params, (0, 0, 0), (0,) * 5, 3)
     with pytest.raises(RuleError):
         event_simulation(PARITY, spec, params, (0,) * 5, (0,) * 5, 3, 9)
+    with pytest.raises(RuleError):
+        event_simulation(CARule("majority"), spec, params, (0,) * 5, (0,) * 5, 3)
     # Cell 1 reads nobody, so its receive time is undefined.
     loner = explicit_network(2, [(0, 0), (1, 0)])
     loner_params = TimingParameters.create((1, 1), {(0, 0): 1, (0, 1): 1})

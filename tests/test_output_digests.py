@@ -32,6 +32,8 @@ COMMANDS = {
     "ca-async": ["ca", "--schedule", "async"],
     "stg": ["stg"],
     "verify": ["verify"],
+    # Cell 2 fires at its first message; exit 1 where the timings expose it.
+    "verify-fault": ["verify", "--inject-early-update", "2"],
     "render": ["render"],
 }
 # The 20-cell ring's STG has 2^20 states: one run takes about a minute
