@@ -99,7 +99,9 @@ from .render import (
     pixmap_parse,
     spacetime_async,
     spacetime_async_pixmap,
+    spacetime_async_pixmap_chunks,
     spacetime_sync,
     spacetime_sync_pixmap,
     stg_dot,
+    stg_dot_chunks,
 )

@@ -202,10 +202,23 @@ def load_experiment(args) -> Experiment:
     return Experiment(mode, spec, params, rule, s0, x0, k_max, out, seed)
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
+def _write_chunks(out_dir: Path, name: str, chunks) -> None:
+    """Write the text chunks to out_dir/name as they come.  A chunk
+    iterator that raises leaves no partial file behind."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, encoding="utf-8", newline="")
-    log.info("wrote %s", out_dir / name)
+    path = out_dir / name
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        path.unlink()
+        raise
+    log.info("wrote %s", path)
+
+
+def _write(out_dir: Path, name: str, text: str) -> None:
+    _write_chunks(out_dir, name, (text,))
 
 
 class Stages:
@@ -228,7 +241,11 @@ class Stages:
 
     def write(self, *names: str) -> None:
         for name in names:
-            _write(self.exp.out, name, WRITERS[name](self))
+            content = WRITERS[name](self)
+            if isinstance(content, str):
+                _write(self.exp.out, name, content)
+            else:
+                _write_chunks(self.exp.out, name, content)
 
     @cached_property
     def p(self) -> MaxPlusMatrix:
@@ -321,7 +338,8 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# File name -> text of that file, from the stages.
+# File name -> text of that file, from the stages: a str, or an iterator
+# of text chunks that is streamed to the file.
 WRITERS = {
     "spectral.json": lambda st: _json(st.summary.to_json_dict()),
     "critical_graph.dot": lambda st: render_mod.critical_graph_dot(
@@ -354,14 +372,14 @@ WRITERS = {
         st.run, st.plotspec, stage="contours"
     ),
     "spacetime_async.svg": lambda st: render_mod.spacetime_async(st.run, st.plotspec),
-    "spacetime_async.pgm": lambda st: render_mod.spacetime_async_pixmap(
+    "spacetime_async.pgm": lambda st: render_mod.spacetime_async_pixmap_chunks(
         st.run, st.plotspec
     ),
     "event_dag.dot": lambda st: render_mod.event_dag_dot(
         st.run, 0, min(3, st.exp.k_max), st.plotspec
     ),
     "attractor_census.json": lambda st: _json(st.census),
-    "stg.dot": lambda st: render_mod.stg_dot(st.stg, st.plotspec),
+    "stg.dot": lambda st: render_mod.stg_dot_chunks(st.stg, st.plotspec),
     "verification.json": lambda st: _json(
         {"checks": st.checks, "all_passed": all(st.checks.values())}
     ),

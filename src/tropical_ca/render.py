@@ -16,9 +16,10 @@ test-suite cross-checks against the state query API.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby, islice, repeat
 from operator import sub
 
 from ._version import __version__
@@ -109,6 +110,20 @@ def _times_extent(states) -> tuple:
     lo = min(min(x) for x in states)
     hi = max(max(x) for x in states)
     return lo, hi
+
+
+# Lines per chunk of the streamed texts: a few hundred raster rows (a few
+# KB each) or about 8k STG lines, so a chunk stays well under a megabyte.
+_PIXMAP_BLOCK = 256
+_STG_BLOCK = 8192
+
+
+def _line_blocks(lines, size: int) -> Iterator[str]:
+    """Newline-terminated lines, joined size at a time."""
+    lines = iter(lines)
+    while block := list(islice(lines, size)):
+        block.append("")
+        yield "\n".join(block)
 
 
 # -- SVG text -----------------------------------------------------------------
@@ -220,6 +235,14 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
     hold at time t0 + r / time_scale?  Rows outside a cell's computed
     window stay at the background gray.
     """
+    return "".join(spacetime_async_pixmap_chunks(run, ps))
+
+
+def spacetime_async_pixmap_chunks(run: AsyncRun, ps: PlotSpec) -> Iterator[str]:
+    """The text of :func:`spacetime_async_pixmap` as chunks of whole
+    lines, header first.  The row changes are collected when this is
+    called; the rows are joined only as the chunks are taken, so a writer
+    never holds the whole text."""
     n = run.spec.size
     traj = run.trajectory
     t0, _ = _times_extent(traj.states)
@@ -232,24 +255,45 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
     dark, light, background = (
         " ".join([str(gray)] * ps.cell_px) for gray in (ps.gray0, ps.gray1, ps.gray_bg)
     )
-    columns = []
+    # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
+    # (dark, light, background), so that sorting orders them by row: where
+    # each hold interval that owns a row starts, and where the cell's
+    # window ends.
+    m = 3 * n
+    changes = []
     for i in range(n):
-        column = [background] * height
+        r_end = 0
         for (a, b, bit) in run.hold_intervals(i):
             r_lo = math.ceil((a - t0) * s)
-            r_hi = min(math.ceil((b - t0) * s), height)  # exclusive
-            column[r_lo:r_hi] = [light if bit else dark] * (r_hi - r_lo)
-        columns.append(column)
-    lines = ["P2"]
-    lines += _comment_lines(ps, "#")
-    lines.append(f"{width} {height}")
-    lines.append("255")
-    lines += map(" ".join, zip(*columns))
-    # The join is the peak of a render: free the columns first, and end
-    # the text with an empty last line instead of copying it to add "\n".
-    del columns
-    lines.append("")
-    return "\n".join(lines)
+            r_end = min(math.ceil((b - t0) * s), height)  # exclusive
+            if r_lo < r_end:
+                changes.append(r_lo * m + 3 * i + bit)
+        changes.append(r_end * m + 3 * i + 2)
+    changes.sort()
+    slots = [(i, f) for i in range(n) for f in (dark, light, background)]
+    header = ["P2", *_comment_lines(ps, "#"), f"{width} {height}", "255"]
+    rows = _swept_rows([background] * n, changes, slots, height)
+    return _line_blocks(chain(header, rows), _PIXMAP_BLOCK)
+
+
+def _swept_rows(row: list, changes, slots: list, height: int) -> Iterator[str]:
+    """Rows 0..height-1 as text.  ``row`` holds the cells' fragments
+    before row 0.  A change r·len(slots) + k, in ascending order, sets the
+    (cell, fragment) pair slots[k] from row r on.  A row with no change
+    repeats the text of the row above."""
+    m = len(slots)
+    text = " ".join(row)
+    r = 0
+    for r_next, group in groupby(changes, m.__rfloordiv__):
+        if r_next >= height:
+            break
+        yield from repeat(text, r_next - r)
+        for key in group:
+            i, fragment = slots[key % m]
+            row[i] = fragment
+        text = " ".join(row)
+        r = r_next
+    yield from repeat(text, height - r)
 
 
 def pixmap_parse(text: str):
@@ -314,21 +358,25 @@ def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:
 def stg_dot(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> str:
     """State transition graph in DOT; attractor states and the arcs along
     each attractor cycle are drawn bold."""
-    lines = ["digraph stg {"]
-    lines += _comment_lines(ps, "  //")
-    lines.append("  rankdir=TB;")
-    lines.append('  node [shape=box, fontname="monospace"];')
+    return "".join(stg_dot_chunks(stg, ps))
+
+
+def stg_dot_chunks(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> Iterator[str]:
+    """The text of :func:`stg_dot` as chunks of about _STG_BLOCK lines."""
+    header = ["digraph stg {", *_comment_lines(ps, "  //"), "  rankdir=TB;",
+              '  node [shape=box, fontname="monospace"];']
     labels = list(map(stg.label, range(1 << stg.size)))
-    for label, bold in zip(labels, stg.on_attractor):
-        style = ', penwidth=2, color="#c03a2b"' if bold else ""
-        lines.append(f'  "{label}" [label="{label}"{style}];')
-    for label, dst, bold in zip(labels, stg.successors, stg.on_attractor):
-        style = ' [penwidth=2, color="#c03a2b"]' if bold else ""
-        lines.append(f'  "{label}" -> "{labels[dst]}"{style};')
-    del labels  # before the join, which holds the lines and the text at once
-    # The empty last line ends the text with a newline without copying it.
-    lines += ["}", ""]
-    return "\n".join(lines)
+    node_style = ("", ', penwidth=2, color="#c03a2b"')
+    arc_style = ("", ' [penwidth=2, color="#c03a2b"]')
+    nodes = (
+        f'  "{label}" [label="{label}"{node_style[bold]}];'
+        for label, bold in zip(labels, stg.on_attractor)
+    )
+    arcs = (
+        f'  "{label}" -> "{labels[dst]}"{arc_style[bold]};'
+        for label, dst, bold in zip(labels, stg.successors, stg.on_attractor)
+    )
+    return _line_blocks(chain(header, nodes, arcs, ["}"]), _STG_BLOCK)
 
 
 def build_event_dag(run: AsyncRun, k_lo: int, k_hi: int):

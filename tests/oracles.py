@@ -341,6 +341,27 @@ def spacetime_sync_cells(states, ps, version):
     return "\n".join(lines) + "\n"
 
 
+def stg_dot_longhand(n, successors, on_attractor, ps, version):
+    """DOT text of a state transition graph over n cells, one line per
+    state and per arc, built as one list and joined once."""
+    bold = ', penwidth=2, color="#c03a2b"'
+    lines = ["digraph stg {", f"  // tropical-ca {version}"]
+    lines += [f"  // {k}: {v}" for k, v in ps.metadata]
+    lines.append("  rankdir=TB;")
+    lines.append('  node [shape=box, fontname="monospace"];')
+    for code in range(2 ** n):
+        label = format(code, "b").zfill(n)
+        style = bold if on_attractor[code] else ""
+        lines.append(f'  "{label}" [label="{label}"{style}];')
+    for code in range(2 ** n):
+        label = format(code, "b").zfill(n)
+        target = format(successors[code], "b").zfill(n)
+        style = f" [{bold[2:]}]" if on_attractor[code] else ""
+        lines.append(f'  "{label}" -> "{target}"{style};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # -- synchronous CA --------------------------------------------------------------
 
 

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import tropical_ca
-from tropical_ca import ca, network
+from tropical_ca import ca, cli, network, render
 from tropical_ca.cli import main
+from tropical_ca.errors import TropicalError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RING10 = str(CONFIGS / "rule150_ring10.json")
@@ -257,6 +259,23 @@ def test_verify_detects_injected_fault(tmp_path, capsys):
     assert report["checks"]["event_times_match_matrix"] is False
 
 
+def test_early_update_fault_is_caught_only_on_unequal_timings(tmp_path, capsys):
+    # uniform_ring has one tau and one xi for every arc and cell and starts
+    # from the unit vector, so every message of a cycle arrives at the same
+    # instant: a cell that fires at its first message has heard them all,
+    # and the fault changes nothing.  The seeded timings of rule150_ring10
+    # spread the arrivals, and the same fault fails the check.
+    for config, want in ((UNIFORM, 0), (RING10, 1)):
+        out = tmp_path / Path(config).stem
+        code, _, _ = run(
+            capsys, "verify", "--inject-early-update", "2",
+            "--config", config, "--out", str(out),
+        )
+        assert code == want, config
+        report = json.loads((out / "verification.json").read_text())
+        assert report["all_passed"] is (want == 0)
+
+
 # -- failure modes ------------------------------------------------------------
 
 
@@ -467,6 +486,76 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_failed_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    pgm = tmp_path / "spacetime_async.pgm"
+
+    def failing_raster(st):
+        yield "P2\n"
+        assert pgm.exists()  # the file is open and holds the first chunk
+        raise TropicalError("raster failed mid-stream")
+
+    monkeypatch.setitem(cli.WRITERS, "spacetime_async.pgm", failing_raster)
+    code, _, err = run(
+        capsys, "ca", "--schedule", "async", "--config", RING10,
+        "--out", str(tmp_path),
+    )
+    assert code == 2 and "raster failed mid-stream" in err
+    assert not pgm.exists()
+    assert (tmp_path / "spacetime_async.svg").is_file()  # written before it
+
+
+def test_streamed_files_bypass_write(tmp_path, capsys, monkeypatch):
+    # _write gets whole texts only: a profiler that wraps it may take the
+    # len() of its text argument.
+    texts, streams = [], []
+    write, write_chunks = cli._write, cli._write_chunks
+
+    def recorded_write(out_dir, name, text):
+        texts.append((name, type(text)))
+        write(out_dir, name, text)
+
+    def recorded_write_chunks(out_dir, name, chunks):
+        streams.append(name)
+        write_chunks(out_dir, name, chunks)
+
+    monkeypatch.setattr(cli, "_write", recorded_write)
+    monkeypatch.setattr(cli, "_write_chunks", recorded_write_chunks)
+    code, _, _ = run(capsys, "render", "--config", RING10, "--out", str(tmp_path))
+    assert code == 0
+    assert {t for _, t in texts} == {str}
+    assert set(streams) - {name for name, _ in texts} == {
+        "spacetime_async.pgm", "stg.dot"
+    }
+    assert sorted(streams) == sorted(p.name for p in tmp_path.iterdir())
+
+
+def test_async_raster_is_never_held_whole(tmp_path, capsys):
+    # A 48-cell ring whose raster is mostly the shortest pixel text ("0 "),
+    # so that the text is as small as it gets against any per-pixel or
+    # per-row structure.  Holding the rows, the joined text or its
+    # encoded bytes would each cost more than half of the file.
+    cfg = write_config(tmp_path, {
+        "network": {"N": 48, "topology": {"regular": {"n": 3}}, "seed": 3,
+                    "xi_range": [1, 30], "tau_range": [1, 10]},
+        "rule": {"eca": 90}, "s0": "0110" * 12, "x0": "unit", "k_max": 200,
+    })
+    argv = ["ca", "--schedule", "async", "--config", cfg,
+            "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    data = (tmp_path / "out" / "spacetime_async.pgm").read_bytes()
+    assert len(data) >= 8 << 20
+    assert peak < len(data) / 2, (peak, len(data))
+    st = cli.Stages(cli.load_experiment(cli.build_parser().parse_args(argv)))
+    assert data == render.spacetime_async_pixmap(st.run, st.plotspec).encode()
 
 
 # -- determinism ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from oracles import (
     contour_plot_vertices,
     spacetime_async_vertices,
     spacetime_sync_cells,
+    stg_dot_longhand,
 )
 from tropical_ca import __version__
 from tropical_ca.ca import (
@@ -39,9 +40,11 @@ from tropical_ca.render import (
     pixmap_parse,
     spacetime_async,
     spacetime_async_pixmap,
+    spacetime_async_pixmap_chunks,
     spacetime_sync,
     spacetime_sync_pixmap,
     stg_dot,
+    stg_dot_chunks,
 )
 from tropical_ca.semiring import unit_vector
 from tropical_ca.spectral import analyze, build_graph
@@ -269,6 +272,15 @@ def test_async_pixmap_matches_per_pixel_oracle_random():
     assert with_background >= 40
 
 
+def test_async_pixmap_chunks_are_blocks_of_whole_lines():
+    run = seeded_run(k_max=30)
+    ps = PlotSpec().with_metadata({"seed": 42})
+    chunks = list(spacetime_async_pixmap_chunks(run, ps))
+    assert len(chunks) > 2 and all(c.endswith("\n") for c in chunks)
+    assert chunks[0].startswith("P2\n# tropical-ca")
+    assert_same_text("".join(chunks), async_pixmap_grid(run, ps, __version__), "chunks")
+
+
 def random_plotspec(rng, case):
     ps = PlotSpec(
         time_scale=rng.randint(1, 4),
@@ -380,6 +392,16 @@ def test_stg_dot_two_state_system():
     dot = stg_dot(stg)
     assert dot.count("->") == 2
     assert '"0" -> "0"' in dot and '"1" -> "1"' in dot
+
+
+def test_stg_dot_spanning_chunks_matches_longhand():
+    # 2^13 states: 16 k node and arc lines, more than one chunk of each.
+    stg = build_stg(RULE150, regular_ring(13, 3))
+    ps = PlotSpec().with_metadata({"N": 13})
+    chunks = list(stg_dot_chunks(stg, ps))
+    assert len(chunks) > 2 and all(c.endswith("\n") for c in chunks)
+    want = stg_dot_longhand(stg.size, stg.successors, stg.on_attractor, ps, __version__)
+    assert_same_text("".join(chunks), want, "stg")
 
 
 def test_stg_dot_out_degree_one_and_styling():
