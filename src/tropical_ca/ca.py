@@ -25,6 +25,11 @@ works on the whole state at once.  Each neighbour word is a few rotations
 of the code: an ECA step ORs the minterms its rule number selects from
 the left, self and right words, and a parity step XORs the words of all
 arcs.  sync_step, sync_states, sync_orbit and build_stg all use it.
+sync_orbit keeps the visited codes and decodes a state only on request.
+Parity, and the eight ECA rules whose table is GF(2)-linear, give a
+linear map, F(a ^ b) = F(a) ^ F(b): build_stg then fills the successor
+table from the images of the N one-bit codes by XOR, not by stepping
+every code.
 event_simulation applies the rule cell by cell on purpose: it is the
 independent oracle of the bijection check, with no matrix, no _compile
 and no state codes.  It resolves each cell's (sender, delay) links and
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .errors import NetworkError, RuleError, StateUndefinedError
+from .errors import CapExceededError, NetworkError, RuleError, StateUndefinedError
 from .network import NetworkSpec, TimingParameters, build_p, validate_timing
 from .semiring import Scalar
 from .trajectory import Trajectory, iterate
@@ -215,30 +220,42 @@ def sync_states(rule: CARule, spec: NetworkSpec, s0: State, k: int) -> tuple:
 
 @dataclass(frozen=True)
 class SyncOrbit:
-    """Orbit of one start state: states s(0..entry+period-1), where the
-    tail states before ``entry`` are transient and the final ``period``
-    states repeat forever."""
+    """Orbit of one start state on ``size`` cells: the codes of s(0..entry
+    + period - 1), where the tail states before ``entry`` are transient
+    and the final ``period`` states repeat forever."""
 
-    states: tuple
+    size: int
+    codes: tuple
     entry_time: int
     period: int
 
+    @property
+    def states(self) -> tuple:
+        return tuple(_decode(c, self.size) for c in self.codes)
+
+    def _periodic_codes(self) -> tuple:
+        return self.codes[self.entry_time : self.entry_time + self.period]
+
     def periodic_states(self) -> tuple:
-        return self.states[self.entry_time : self.entry_time + self.period]
+        return tuple(_decode(c, self.size) for c in self._periodic_codes())
+
+    def periodic_labels(self) -> list:
+        """state_to_string of each periodic state."""
+        fmt = f"0{self.size}b"
+        return [format(c, fmt) for c in self._periodic_codes()]
 
     def state(self, k: int) -> State:
         """s(k) for any k >= 0, folding into the periodic part."""
-        if k < len(self.states):
-            return self.states[k]
-        off = (k - self.entry_time) % self.period
-        return self.states[self.entry_time + off]
+        if k >= len(self.codes):
+            k = self.entry_time + (k - self.entry_time) % self.period
+        return _decode(self.codes[k], self.size)
 
 
 def sync_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncOrbit:
     """Iterate until the first repeated configuration.
 
     The first repeat of a deterministic map happens at (entry, entry +
-    period) exactly, so it pins both numbers.  k_max bounds the number of
+    period) exactly, so it pins both numbers.  k_max caps the number of
     steps; 2^N always suffices.
     """
     step = _compile(rule, spec)
@@ -250,17 +267,30 @@ def sync_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncOr
         code = step(code)
         if code in seen:
             entry = seen[code]
-            states = tuple(_decode(c, spec.size) for c in seen)
-            return SyncOrbit(states, entry, k - entry)
+            return SyncOrbit(spec.size, tuple(seen), entry, k - entry)
         if k > k_max:
             break
         seen[code] = k
-    raise RuleError(f"no repeated configuration within k_max = {k_max} steps")
+    raise CapExceededError(
+        f"no repeated configuration within the step cap k_max = {k_max}",
+        k_reached=k,
+    )
 
 
 # -- state transition graph --------------------------------------------------
 
 STG_CELL_CAP = 24
+
+
+def _is_linear(rule: CARule) -> bool:
+    """True when the synchronous map of rule is GF(2)-linear on every
+    network: parity, or an ECA whose 8-entry table t has t[x ^ y] ==
+    t[x] ^ t[y] for all x, y, which holds for rules 0, 60, 90, 102, 150,
+    170, 204 and 240 only."""
+    if rule.kind == "parity":
+        return True
+    t = [rule.number >> x & 1 for x in range(8)]
+    return all(t[x ^ y] == t[x] ^ t[y] for x in range(8) for y in range(8))
 
 
 @dataclass(frozen=True)
@@ -299,7 +329,15 @@ def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
             f"cap is {cell_cap} cells (trace single orbits instead)"
         )
     total = 1 << n
-    succ = list(map(step, range(total)))
+    if _is_linear(rule):
+        # Superposition: with F known on the codes c < 2^b, the code
+        # c | 1 << b maps to F(c) ^ F(1 << b).
+        succ = [0]
+        for b in range(n):
+            img = step(1 << b)
+            succ += [f ^ img for f in succ]
+    else:
+        succ = list(map(step, range(total)))
 
     on_attr = [False] * total
     resolved = [False] * total

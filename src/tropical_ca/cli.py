@@ -40,6 +40,11 @@ log = logging.getLogger("tropical_ca")
 
 MODES = ("int", "rational", "float")
 
+# Most steps an orbit search may take.  2^N steps find every orbit, so the
+# cap is exact for N <= 20; beyond that it bounds the time and the memory
+# of the visited states.
+ORBIT_STEP_CAP = 1 << 20
+
 
 @dataclass
 class Experiment:
@@ -273,13 +278,14 @@ class Stages:
     def orbit(self) -> ca_mod.SyncOrbit:
         exp = self.exp
         exp.require("rule", "s0", "k_max")
-        return ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, 1 << exp.spec.size)
+        cap = min(1 << exp.spec.size, ORBIT_STEP_CAP)
+        return ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, cap)
 
     @cached_property
     def sync_states(self) -> tuple:
         """s(0..k_max): folded out of the orbit when the command traced
-        it (only ``ca`` does, as that search may take 2^N steps), else
-        stepped k_max times from s0."""
+        it (only ``ca`` does, as that search may take ORBIT_STEP_CAP
+        steps), else stepped k_max times from s0."""
         exp = self.exp
         exp.require("rule", "s0", "k_max")
         if "orbit" in vars(self):
@@ -354,9 +360,7 @@ WRITERS = {
         {
             "entry_time": st.orbit.entry_time,
             "period": st.orbit.period,
-            "periodic_states": [
-                ca_mod.state_to_string(s) for s in st.orbit.periodic_states()
-            ],
+            "periodic_states": st.orbit.periodic_labels(),
         }
     ),
     "spacetime_sync.svg": lambda st: render_mod.spacetime_sync(

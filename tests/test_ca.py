@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropical_ca import ca
 from tropical_ca.ca import (
     CARule,
     async_run,
@@ -22,6 +23,7 @@ from tropical_ca.ca import (
     verify_bijection,
 )
 from tropical_ca.errors import (
+    CapExceededError,
     NetworkError,
     RuleError,
     StateUndefinedError,
@@ -215,6 +217,48 @@ def test_compiled_parity_step_matches_longhand_on_random_digraphs():
     assert 0 in degrees and max(degrees) >= 8 and loopless >= 30
 
 
+def test_linear_rules_are_exactly_the_xor_tables():
+    # Rule x <- XOR of the neighbourhood bits that mask selects, for each
+    # of the 8 subsets of (left, self, right).
+    xor_rules = {
+        sum(1 << x for x in range(8) if bin(x & mask).count("1") & 1)
+        for mask in range(8)
+    }
+    assert xor_rules == {0, 60, 90, 102, 150, 170, 204, 240}
+    assert {n for n in range(256) if ca._is_linear(CARule.eca(n))} == xor_rules
+    assert ca._is_linear(PARITY)
+
+
+def test_superposed_stg_equals_stepping_every_state(monkeypatch):
+    # build_stg fills a linear map's table from the N one-bit images; it
+    # must equal the compiled step mapped over every code, also on
+    # digraphs with cells that read nobody (in-degree 0).  A non-linear
+    # rule still steps every code.
+    compile_step = ca._compile
+    calls = []
+
+    def compile_counted(rule, spec):
+        step = compile_step(rule, spec)
+        return lambda code: calls.append(code) or step(code)
+
+    monkeypatch.setattr(ca, "_compile", compile_counted)
+    rng = random.Random(1114)
+    sources = 0
+    for n in range(11, 15):
+        nbhd = [sorted(rng.sample(range(n), rng.choice((0, 1, 2, 3, n)))) for _ in range(n)]
+        sources += sum(not nb for nb in nbhd)
+        spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
+        calls.clear()
+        stg = build_stg(PARITY, spec)
+        assert calls == [1 << b for b in range(n)]
+        want = list(map(compile_step(PARITY, spec), range(1 << n)))
+        assert list(stg.successors) == want, n
+    assert sources > 0
+    calls.clear()
+    build_stg(CARule.eca(110), regular_ring(11, 3))
+    assert calls == list(range(1 << 11))
+
+
 def test_rule150_orbit_89_cells_matches_longhand():
     n = 89
     rng = random.Random(89)
@@ -275,8 +319,48 @@ def test_orbit_state_folds_into_cycle():
 
 def test_orbit_kmax_exhausted():
     spec = regular_ring(10, 3)
-    with pytest.raises(RuleError):
+    with pytest.raises(CapExceededError, match="k_max = 2") as info:
         sync_orbit(RULE150, spec, state_from_string("0000100000"), 2)
+    assert info.value.k_reached == 3
+
+
+def test_orbit_keeps_codes_and_decodes_on_request():
+    spec = regular_ring(10, 3)
+    s0 = state_from_string("0110000000")
+    orbit = sync_orbit(RULE150, spec, s0, 1 << 10)
+    assert orbit.size == 10 and orbit.codes[0] == 0b0110000000
+    assert orbit.states == tuple(state_from_string(format(c, "010b")) for c in orbit.codes)
+    assert orbit.periodic_labels() == [
+        state_to_string(s) for s in orbit.periodic_states()
+    ]
+    assert orbit.periodic_states() == orbit.states[orbit.entry_time :]
+    assert [orbit.state(k) for k in range(40)] == list(sync_states(RULE150, spec, s0, 39))
+
+
+def _suborder(n: int) -> int:
+    """Least j >= 1 with 2^j = +-1 (mod n), for odd n."""
+    j = 1
+    while pow(2, j, n) not in (1, n - 1):
+        j += 1
+    return j
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 511, 512, 513, 1023, 1025])
+def test_rule90_large_ring_periods_follow_martin_odlyzko_wolfram(n):
+    # Martin, Odlyzko and Wolfram (1984): on an odd ring rule 90 enters its
+    # cycle within one step and the period divides 2^sord(N) - 1; on a
+    # ring of 2^k cells every state dies to all zeros within N/2 steps.
+    rule, spec = CARule.eca(90), regular_ring(n, 3)
+    rng = random.Random(n)
+    for _ in range(3):
+        s0 = tuple(rng.randint(0, 1) for _ in range(n))
+        orbit = sync_orbit(rule, spec, s0, 1 << 12)
+        if n % 2:
+            assert orbit.entry_time <= 1
+            assert (2 ** _suborder(n) - 1) % orbit.period == 0
+        else:
+            assert orbit.period == 1 and orbit.entry_time <= n // 2
+            assert orbit.periodic_states() == ((0,) * n,)
 
 
 # -- state transition graphs -----------------------------------------------------------

@@ -208,6 +208,20 @@ def test_ca_single_schedule_writes_only_its_files(tmp_path, capsys):
     }
 
 
+def test_orbit_step_cap_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    # The ring10 orbit repeats after 6 steps; a cap of 4 cuts it off.
+    assert cli.ORBIT_STEP_CAP == 1 << 20
+    monkeypatch.setattr(cli, "ORBIT_STEP_CAP", 4)
+    code, _, err = run(
+        capsys, "ca", "--config", RING10, "--out", str(tmp_path / "out"),
+        "--schedule", "sync",
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "k_max = 4" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "sync_orbit.json").exists()
+
+
 # -- stg ----------------------------------------------------------------------
 
 
