@@ -91,9 +91,11 @@ from .ca import (
     verify_bijection,
 )
 from .render import (
+    AsyncPlots,
     PlotSpec,
     build_event_dag,
     contour_plot,
+    contour_plot_chunks,
     critical_graph_dot,
     event_dag_dot,
     pixmap_parse,
@@ -101,6 +103,7 @@ from .render import (
     spacetime_async_pixmap,
     spacetime_async_pixmap_chunks,
     spacetime_sync,
+    spacetime_sync_chunks,
     spacetime_sync_pixmap,
     stg_dot,
     stg_dot_chunks,

@@ -303,6 +303,12 @@ class Stages:
         )
 
     @cached_property
+    def async_plots(self) -> render_mod.AsyncPlots:
+        """The layout shared by the four plots of the async run."""
+        run = self.run
+        return render_mod.AsyncPlots(run.trajectory, self.plotspec, run.states)
+
+    @cached_property
     def events(self) -> tuple:
         """(times, states) of the event-level simulation."""
         exp = self.exp
@@ -355,7 +361,9 @@ WRITERS = {
         st.trajectory, st.summary.eigenvalue
     ),
     "regime.json": lambda st: _json(st.regime.to_json_dict()),
-    "contour_plot.svg": lambda st: render_mod.contour_plot(st.trajectory, st.plotspec),
+    "contour_plot.svg": lambda st: render_mod.contour_plot_chunks(
+        st.trajectory, st.plotspec
+    ),
     "sync_orbit.json": lambda st: _json(
         {
             "entry_time": st.orbit.entry_time,
@@ -363,22 +371,18 @@ WRITERS = {
             "periodic_states": st.orbit.periodic_labels(),
         }
     ),
-    "spacetime_sync.svg": lambda st: render_mod.spacetime_sync(
+    "spacetime_sync.svg": lambda st: render_mod.spacetime_sync_chunks(
         st.sync_states, st.plotspec
     ),
     "spacetime_sync.pgm": lambda st: render_mod.spacetime_sync_pixmap(
         st.sync_states, st.plotspec
     ),
-    "async_contours.svg": lambda st: render_mod.contour_plot(
-        st.run.trajectory, st.plotspec, st.run.states
+    "async_contours.svg": lambda st: st.async_plots.contour_chunks(),
+    "spacetime_async_contours.svg": lambda st: st.async_plots.spacetime_chunks(
+        "contours"
     ),
-    "spacetime_async_contours.svg": lambda st: render_mod.spacetime_async(
-        st.run, st.plotspec, stage="contours"
-    ),
-    "spacetime_async.svg": lambda st: render_mod.spacetime_async(st.run, st.plotspec),
-    "spacetime_async.pgm": lambda st: render_mod.spacetime_async_pixmap_chunks(
-        st.run, st.plotspec
-    ),
+    "spacetime_async.svg": lambda st: st.async_plots.spacetime_chunks("plain"),
+    "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(),
     "event_dag.dot": lambda st: render_mod.event_dag_dot(
         st.run, 0, min(3, st.exp.k_max), st.plotspec
     ),

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, count, groupby, islice, repeat
 from operator import sub
 
 from ._version import __version__
@@ -87,13 +88,6 @@ def _svg_header(width, height, ps: PlotSpec) -> list:
     return lines
 
 
-def _svg_close(lines: list) -> str:
-    """The SVG text of the header and body lines.  The empty last line
-    ends it with a newline without copying the whole text once more."""
-    lines += ["</svg>", ""]
-    return "\n".join(lines)
-
-
 def _comment_svg(ps: PlotSpec) -> str:
     parts = [f"tropical-ca {__version__}"]
     parts += [f"{k}={v}" for k, v in ps.metadata]
@@ -106,15 +100,11 @@ def _comment_lines(ps: PlotSpec, prefix: str) -> list:
     return lines
 
 
-def _times_extent(states) -> tuple:
-    lo = min(min(x) for x in states)
-    hi = max(max(x) for x in states)
-    return lo, hi
-
-
 # Lines per chunk of the streamed texts: a few hundred raster rows (a few
-# KB each) or about 8k STG lines, so a chunk stays well under a megabyte.
+# KB each) or SVG lines (under 100 B each), or about 8k STG lines, so a
+# chunk stays well under a megabyte.
 _PIXMAP_BLOCK = 256
+_SVG_BLOCK = 512
 _STG_BLOCK = 8192
 
 
@@ -136,14 +126,178 @@ def _coordinate_texts(rows, offset, origin, scale) -> list:
     The memo keys on (type(v), v): int 0 and float 0.0 hash alike, yet
     their sums are an int that _fmt writes "12" and a float it writes
     "12.0"."""
-    memo = {
-        key: _fmt(offset + (key[1] - origin) * scale)
-        for key in set(chain.from_iterable(zip(map(type, row), row) for row in rows))
-    }
+    memo = dict.fromkeys(chain.from_iterable(zip(map(type, row), row) for row in rows))
+    for key in memo:
+        memo[key] = _fmt(offset + (key[1] - origin) * scale)
     return [list(map(memo.__getitem__, zip(map(type, row), row))) for row in rows]
 
 
-# -- contour plots -------------------------------------------------------------
+def _svg_blocks(width, height, ps: PlotSpec, body) -> Iterator[str]:
+    """An SVG text in blocks of whole lines: the header, the lines of
+    each list that ``body`` yields, and the closing tag."""
+    lines = chain(_svg_header(width, height, ps), chain.from_iterable(body), ["</svg>"])
+    return _line_blocks(lines, _SVG_BLOCK)
+
+
+# -- the plots of a timed run ----------------------------------------------------
+
+
+class AsyncPlots:
+    """The layout of one timed run's plots under one PlotSpec.
+
+    ``trajectory.states`` are the update times x(0..k_max), one row per
+    cycle; ``states`` are the CA states of the same cycles (0/1 per cell),
+    or None for a contour plot without state markers.  The contour plot,
+    both space-time SVGs and the raster share one layout, and each part
+    of it (time extent, per-cell columns, y and height texts) is computed
+    on first use and kept.  The lines of a file are made only as its
+    chunks are taken, so no file's text is ever held whole.
+    """
+
+    def __init__(self, trajectory: Trajectory, ps: PlotSpec, states=None):
+        self.times = trajectory.states
+        self.size = trajectory.size
+        self.ps = ps
+        self.states = states
+
+    @cached_property
+    def extent(self) -> tuple:
+        """(t0, t1): the earliest and the latest update time."""
+        return min(map(min, self.times)), max(map(max, self.times))
+
+    @cached_property
+    def time_columns(self) -> list:
+        """Per cell, its update times x_i(0..k_max)."""
+        return list(zip(*self.times))
+
+    @cached_property
+    def bit_columns(self) -> list:
+        """Per cell, the state it computed at each cycle."""
+        return list(zip(*self.states))
+
+    @cached_property
+    def y_rows(self) -> list:
+        """Per cycle, the y text of each cell's update time; time runs
+        downward from t0."""
+        ps = self.ps
+        return _coordinate_texts(self.times, ps.margin, self.extent[0], ps.time_scale)
+
+    @cached_property
+    def y_columns(self) -> list:
+        return list(zip(*self.y_rows))
+
+    @cached_property
+    def heights(self) -> list:
+        """Per cell, the height text of each hold interval."""
+        return _coordinate_texts(
+            [list(map(sub, times[1:], times)) for times in self.time_columns],
+            0, 0, self.ps.time_scale,
+        )
+
+    def _svg_height(self):
+        t0, t1 = self.extent
+        return 2 * self.ps.margin + (t1 - t0) * self.ps.time_scale
+
+    def contour_chunks(self) -> Iterator[str]:
+        """The text of :func:`contour_plot` in blocks of whole lines."""
+        ps = self.ps
+        if self.states is not None and len(self.states) != len(self.times):
+            raise DimensionError("one CA state per contour required")
+        width = 2 * ps.margin + (self.size - 1) * ps.cell_px
+        return _svg_blocks(width, self._svg_height(), ps, self._contour_rows())
+
+    def _contour_rows(self) -> Iterator[list]:
+        ps, n, states = self.ps, self.size, self.states
+        xs = [_fmt(ps.margin + i * ps.cell_px) for i in range(n)]
+        vertex = [f"{x}," for x in xs]
+        marker = [f'<circle cx="{x}" cy="' for x in xs]
+        marker_tail = (
+            f'" r="3" fill="{ps.color0}" stroke="#555555" stroke-width="0.5"/>',
+            f'" r="3" fill="{ps.color1}" stroke="#555555" stroke-width="0.5"/>',
+        )
+        stroke = f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>'
+        dot_tail = f'" r="2" fill="{ps.contour_color}"/>'
+        for k, ys in enumerate(self.y_rows):
+            lines = []
+            if n > 1:
+                pts = " ".join(map(str.__add__, vertex, ys))
+                lines.append(f'<polyline points="{pts}{stroke}')
+            if states is not None:
+                lines += [
+                    f"{m}{y}{marker_tail[bit]}"
+                    for m, y, bit in zip(marker, ys, states[k])
+                ]
+            elif n == 1:
+                lines.append(f"{marker[0]}{ys[0]}{dot_tail}")
+            yield lines
+
+    def spacetime_chunks(self, stage: str = "plain") -> Iterator[str]:
+        """The text of :func:`spacetime_async` in blocks of whole lines."""
+        if stage not in ("plain", "contours"):
+            raise DimensionError(f"unknown stage {stage!r}")
+        ps = self.ps
+        width = 2 * ps.margin + self.size * ps.cell_px
+        body = self._spacetime_rows(stage == "contours")
+        return _svg_blocks(width, self._svg_height(), ps, body)
+
+    def _spacetime_rows(self, contours: bool) -> Iterator[list]:
+        ps = self.ps
+        block = f'" width="{ps.cell_px}" height="'
+        block_tail = (f'" fill="{ps.color0}"/>', f'" fill="{ps.color1}"/>')
+        # Cell i's k-th block spans [x_i(k), x_i(k+1)) and shows states[k][i].
+        columns = zip(self.y_columns, self.heights, self.bit_columns)
+        for i, (tops, sizes, bits) in enumerate(columns):
+            rect = f'<rect x="{_fmt(ps.margin + i * ps.cell_px)}" y="'
+            yield [
+                f"{rect}{top}{block}{size}{block_tail[bit]}"
+                for top, size, bit in zip(tops, sizes, bits)
+            ]
+        if contours:
+            half = Fraction(ps.cell_px, 2)
+            vertex = [
+                f"{_fmt(ps.margin + i * ps.cell_px + half)}," for i in range(self.size)
+            ]
+            stroke = f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>'
+            for ys in self.y_rows:
+                pts = " ".join(map(str.__add__, vertex, ys))
+                yield [f'<polyline points="{pts}{stroke}']
+
+    def raster_chunks(self) -> Iterator[str]:
+        """The text of :func:`spacetime_async_pixmap` in blocks of whole
+        lines, header first.  The row changes are collected when this is
+        called; the rows are joined only as the chunks are taken."""
+        n, ps = self.size, self.ps
+        t0 = self.extent[0]
+        s = ps.time_scale
+        height = max(1, math.ceil((max(self.times[-1]) - t0) * s))
+        # The text of one cell's cell_px equal pixels, per gray level; a row
+        # is its cells' fragments joined by spaces.
+        dark, light, background = (
+            " ".join([str(gray)] * ps.cell_px) for gray in (ps.gray0, ps.gray1, ps.gray_bg)
+        )
+        # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
+        # (dark, light, background), so that sorting orders them by row: the
+        # first row of each hold interval that owns a row, and the row where
+        # the cell's window ends.  Each update time becomes its row once; a
+        # row at or past height is dropped by the sweep.
+        m = 3 * n
+        changes = []
+        for i, (times, bits) in enumerate(zip(self.time_columns, self.bit_columns)):
+            rows = [math.ceil((t - t0) * s) for t in times]
+            code = 3 * i
+            changes += [
+                r * m + code + bit
+                for r, r_end, bit in zip(rows, rows[1:], bits)
+                if r < r_end
+            ]
+            # The window ends at x_i(k_max).  With k_max = 0 the column is
+            # background throughout, and this change keeps it so.
+            changes.append(rows[-1] * m + code + 2)
+        changes.sort()
+        slots = [(i, f) for i in range(n) for f in (dark, light, background)]
+        header = ["P2", *_comment_lines(ps, "#"), f"{n * ps.cell_px} {height}", "255"]
+        lines = _swept_rows([background] * n, changes, slots, height)
+        return _line_blocks(chain(header, lines), _PIXMAP_BLOCK)
 
 
 def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
@@ -151,40 +305,12 @@ def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
     downward.  With CA states given (0/1 per cell), each vertex carries a
     state marker.  A single-cell system degenerates to a column of
     markers."""
-    n = traj.size
-    if states is not None and len(states) != len(traj.states):
-        raise DimensionError("one CA state per contour required")
-    t0, t1 = _times_extent(traj.states)
-    width = 2 * ps.margin + (n - 1) * ps.cell_px
-    height = 2 * ps.margin + (t1 - t0) * ps.time_scale
-    xs = [_fmt(ps.margin + i * ps.cell_px) for i in range(n)]
-    vertex = [f"{x}," for x in xs]
-    marker = [f'<circle cx="{x}" cy="' for x in xs]
-    marker_tail = (
-        f'" r="3" fill="{ps.color0}" stroke="#555555" stroke-width="0.5"/>',
-        f'" r="3" fill="{ps.color1}" stroke="#555555" stroke-width="0.5"/>',
-    )
-    stroke = f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>'
-    dot_tail = f'" r="2" fill="{ps.contour_color}"/>'
-
-    lines = _svg_header(width, height, ps)
-    # Time runs downward from t0.
-    rows = _coordinate_texts(traj.states, ps.margin, t0, ps.time_scale)
-    for k, ys in enumerate(rows):
-        if n > 1:
-            pts = " ".join(map(str.__add__, vertex, ys))
-            lines.append(f'<polyline points="{pts}{stroke}')
-        if states is not None:
-            lines += [
-                f"{m}{y}{marker_tail[bit]}"
-                for m, y, bit in zip(marker, ys, states[k])
-            ]
-        elif n == 1:
-            lines.append(f"{marker[0]}{ys[0]}{dot_tail}")
-    return _svg_close(lines)
+    return "".join(contour_plot_chunks(traj, ps, states))
 
 
-# -- asynchronous space-time ---------------------------------------------------
+def contour_plot_chunks(traj: Trajectory, ps: PlotSpec, states=None) -> Iterator[str]:
+    """The text of :func:`contour_plot` in blocks of whole lines."""
+    return AsyncPlots(traj, ps, states).contour_chunks()
 
 
 def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
@@ -194,38 +320,7 @@ def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
     stage "contours": hold intervals with the update contours overlaid.
     Any other stage raises DimensionError.
     """
-    if stage not in ("plain", "contours"):
-        raise DimensionError(f"unknown stage {stage!r}")
-    n = run.spec.size
-    traj = run.trajectory
-    t0, t1 = _times_extent(traj.states)
-    width = 2 * ps.margin + n * ps.cell_px
-    height = 2 * ps.margin + (t1 - t0) * ps.time_scale
-    block = f'" width="{ps.cell_px}" height="'
-    block_tail = (f'" fill="{ps.color0}"/>', f'" fill="{ps.color1}"/>')
-    # Cell i's k-th block spans [x_i(k), x_i(k+1)) and shows states[k][i].
-    ys = _coordinate_texts(traj.states, ps.margin, t0, ps.time_scale)
-    heights = _coordinate_texts(
-        [list(map(sub, times[1:], times)) for times in zip(*traj.states)],
-        0, 0, ps.time_scale,
-    )
-
-    lines = _svg_header(width, height, ps)
-    for i, (tops, sizes, bits) in enumerate(zip(zip(*ys), heights, zip(*run.states))):
-        rect = f'<rect x="{_fmt(ps.margin + i * ps.cell_px)}" y="'
-        lines += [
-            f"{rect}{top}{block}{size}{block_tail[bit]}"
-            for top, size, bit in zip(tops, sizes, bits)
-        ]
-    if stage == "contours":
-        half = Fraction(ps.cell_px, 2)
-        vertex = [f"{_fmt(ps.margin + i * ps.cell_px + half)}," for i in range(n)]
-        stroke = f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>'
-        lines += [
-            f'<polyline points="{" ".join(map(str.__add__, vertex, y))}{stroke}'
-            for y in ys
-        ]
-    return _svg_close(lines)
+    return "".join(AsyncPlots(run.trajectory, ps, run.states).spacetime_chunks(stage))
 
 
 def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
@@ -240,40 +335,8 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
 
 def spacetime_async_pixmap_chunks(run: AsyncRun, ps: PlotSpec) -> Iterator[str]:
     """The text of :func:`spacetime_async_pixmap` as chunks of whole
-    lines, header first.  The row changes are collected when this is
-    called; the rows are joined only as the chunks are taken, so a writer
-    never holds the whole text."""
-    n = run.spec.size
-    traj = run.trajectory
-    t0, _ = _times_extent(traj.states)
-    t1 = max(traj.states[run.k_max])
-    s = ps.time_scale
-    height = max(1, math.ceil((t1 - t0) * s))
-    width = n * ps.cell_px
-    # The text of one cell's cell_px equal pixels, per gray level; a row
-    # is its cells' fragments joined by spaces.
-    dark, light, background = (
-        " ".join([str(gray)] * ps.cell_px) for gray in (ps.gray0, ps.gray1, ps.gray_bg)
-    )
-    # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
-    # (dark, light, background), so that sorting orders them by row: where
-    # each hold interval that owns a row starts, and where the cell's
-    # window ends.
-    m = 3 * n
-    changes = []
-    for i in range(n):
-        r_end = 0
-        for (a, b, bit) in run.hold_intervals(i):
-            r_lo = math.ceil((a - t0) * s)
-            r_end = min(math.ceil((b - t0) * s), height)  # exclusive
-            if r_lo < r_end:
-                changes.append(r_lo * m + 3 * i + bit)
-        changes.append(r_end * m + 3 * i + 2)
-    changes.sort()
-    slots = [(i, f) for i in range(n) for f in (dark, light, background)]
-    header = ["P2", *_comment_lines(ps, "#"), f"{width} {height}", "255"]
-    rows = _swept_rows([background] * n, changes, slots, height)
-    return _line_blocks(chain(header, rows), _PIXMAP_BLOCK)
+    lines, header first, so that a writer never holds the whole text."""
+    return AsyncPlots(run.trajectory, ps, run.states).raster_chunks()
 
 
 def _swept_rows(row: list, changes, slots: list, height: int) -> Iterator[str]:
@@ -323,6 +386,11 @@ def pixmap_parse(text: str):
 def spacetime_sync(states, ps: PlotSpec) -> str:
     """Classical CA diagram: one row of square cells (0/1 each) per step,
     downward."""
+    return "".join(spacetime_sync_chunks(states, ps))
+
+
+def spacetime_sync_chunks(states, ps: PlotSpec) -> Iterator[str]:
+    """The text of :func:`spacetime_sync` in blocks of whole lines."""
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
@@ -331,25 +399,22 @@ def spacetime_sync(states, ps: PlotSpec) -> str:
     rect = [f'<rect x="{ps.margin + i * ps.cell_px}" y="' for i in range(n)]
     square = f'" width="{ps.cell_px}" height="{ps.cell_px}" fill="'
     tail = (f'{square}{ps.color0}"/>', f'{square}{ps.color1}"/>')
-    lines = _svg_header(width, height, ps)
-    for k, s in enumerate(states):
-        y = ps.margin + k * ps.cell_px
-        lines += [f"{r}{y}{tail[bit]}" for r, bit in zip(rect, s)]
-    return _svg_close(lines)
+    rows = (
+        [f"{r}{y}{tail[bit]}" for r, bit in zip(rect, s)]
+        for y, s in zip(count(ps.margin, ps.cell_px), states)
+    )
+    return _svg_blocks(width, height, ps, rows)
 
 
 def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:
     """One pixel per cell per step (row k = state s(k))."""
     if not states:
         raise DimensionError("need at least one state")
-    n = len(states[0])
-    lines = ["P2"]
-    lines += _comment_lines(ps, "#")
-    lines.append(f"{n} {len(states)}")
-    lines.append("255")
-    for s in states:
-        lines.append(" ".join(str(ps.gray1 if b else ps.gray0) for b in s))
-    return "\n".join(lines) + "\n"
+    gray = (str(ps.gray0), str(ps.gray1))
+    lines = ["P2", *_comment_lines(ps, "#"), f"{len(states[0])} {len(states)}", "255"]
+    lines += [" ".join(map(gray.__getitem__, s)) for s in states]
+    lines.append("")  # ends the text with a newline without copying it
+    return "\n".join(lines)
 
 
 # -- graph exports ---------------------------------------------------------------

@@ -540,7 +540,9 @@ def test_streamed_files_bypass_write(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert {t for _, t in texts} == {str}
     assert set(streams) - {name for name, _ in texts} == {
-        "spacetime_async.pgm", "stg.dot"
+        "contour_plot.svg", "async_contours.svg", "spacetime_async_contours.svg",
+        "spacetime_async.svg", "spacetime_async.pgm", "spacetime_sync.svg",
+        "stg.dot",
     }
     assert sorted(streams) == sorted(p.name for p in tmp_path.iterdir())
 
@@ -570,6 +572,62 @@ def test_async_raster_is_never_held_whole(tmp_path, capsys):
     assert peak < len(data) / 2, (peak, len(data))
     st = cli.Stages(cli.load_experiment(cli.build_parser().parse_args(argv)))
     assert data == render.spacetime_async_pixmap(st.run, st.plotspec).encode()
+
+
+def test_async_svgs_are_never_held_whole(tmp_path, capsys, monkeypatch):
+    # The ring of the raster test above.  Each SVG streams from the run's
+    # shared layout: writing it may raise the traced memory by the layout
+    # (built while the first one is written) and a block of lines, but
+    # not by the file's lines, its joined text or its encoded bytes.
+    cfg = write_config(tmp_path, {
+        "network": {"N": 48, "topology": {"regular": {"n": 3}}, "seed": 3,
+                    "xi_range": [1, 30], "tau_range": [1, 10]},
+        "rule": {"eca": 90}, "s0": "0110" * 12, "x0": "unit", "k_max": 200,
+    })
+    out = tmp_path / "out"
+    rises = {}
+    write = cli.Stages.write
+
+    def traced_write(st, *names):
+        st.compute("run")  # the run itself is not part of any file's cost
+        for name in names:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            write(st, name)
+            rises[name] = tracemalloc.get_traced_memory()[1] - before
+
+    monkeypatch.setattr(cli.Stages, "write", traced_write)
+    tracemalloc.start()
+    try:
+        code = main(["ca", "--schedule", "async", "--config", cfg, "--out", str(out)])
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    svgs = ("async_contours.svg", "spacetime_async_contours.svg", "spacetime_async.svg")
+    for name in svgs:
+        size = (out / name).stat().st_size
+        assert size >= 512 << 10
+        assert rises[name] < 2 * size, (name, rises[name], size)
+
+
+def test_async_plots_share_one_layout(tmp_path, capsys, monkeypatch):
+    # The y texts of the update times (contours and blocks) and the height
+    # texts of the hold intervals are each formatted once per run.
+    calls = []
+    coordinate_texts = render._coordinate_texts
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return coordinate_texts(*args)
+
+    monkeypatch.setattr(render, "_coordinate_texts", counted)
+    code, _, _ = run(
+        capsys, "ca", "--schedule", "async", "--config", RING10,
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert calls == [31, 10]  # k_max + 1 rows of times, then 10 cells
 
 
 # -- determinism ----------------------------------------------------------------

@@ -32,6 +32,7 @@ from tropical_ca.network import (
     regular_ring,
 )
 from tropical_ca.render import (
+    AsyncPlots,
     PlotSpec,
     build_event_dag,
     contour_plot,
@@ -226,9 +227,10 @@ def assert_same_text(got, want, label):
         assert g == w, f"{label}, line {r}"
 
 
-def random_timed_run(rng, kind):
+def random_timed_run(rng, kind, k_max=None):
     """A ring run with int, rational or float timings and a random x0, so
-    that cells start and stop at different times."""
+    that cells start and stop at different times; k_max is drawn from
+    0..12 unless given."""
     size = rng.randint(3, 9)
     spec = regular_ring(size, 3)
     if kind == "int":
@@ -247,7 +249,9 @@ def random_timed_run(rng, kind):
     s0 = tuple(rng.randint(0, 1) for _ in range(size))
     x0 = tuple(draw(0, 30) for _ in range(size))
     rule = rng.choice([RULE150, PARITY])
-    return async_run(rule, spec, params, s0, x0, rng.randint(0, 12))
+    if k_max is None:
+        k_max = rng.randint(0, 12)
+    return async_run(rule, spec, params, s0, x0, k_max)
 
 
 def test_async_pixmap_matches_per_pixel_oracle_random():
@@ -323,6 +327,41 @@ def test_svg_emitters_match_per_vertex_oracles_random():
             spacetime_sync_cells(run.states, ps, __version__),
             f"{label} spacetime_sync",
         )
+
+
+def test_shared_layout_chunks_equal_the_public_renderers():
+    """One AsyncPlots serves the four async files in the CLI's order.
+    Each chunk ends a line, and each file's chunks join to the text of the
+    public renderer (which lays the run out afresh) and of its oracle."""
+    rng = random.Random(1066)
+    runs = [
+        (f"{kind}, k_max {k_max}", random_timed_run(rng, kind, k_max))
+        for kind in ("int", "rational", "float")
+        for k_max in (0, 1, None)
+    ]
+    runs.append(("24 cells", seeded_run(size=24, k_max=40)))
+    for label, run in runs:
+        ps = random_plotspec(rng, label)
+        plots = AsyncPlots(run.trajectory, ps, run.states)
+        files = [
+            ("contours", plots.contour_chunks(),
+             contour_plot(run.trajectory, ps, run.states),
+             contour_plot_vertices(run.trajectory, ps, __version__, run.states)),
+            *(
+                (stage, plots.spacetime_chunks(stage), spacetime_async(run, ps, stage),
+                 spacetime_async_vertices(run, ps, __version__, stage))
+                for stage in ("contours", "plain")
+            ),
+            ("raster", plots.raster_chunks(), spacetime_async_pixmap(run, ps),
+             async_pixmap_grid(run, ps, __version__)),
+        ]
+        for name, chunks, public, oracle in files:
+            chunks = list(chunks)
+            assert all(c.endswith("\n") for c in chunks), (label, name)
+            if label == "24 cells":
+                assert len(chunks) > 1, name
+            assert "".join(chunks) == public, (label, name)
+            assert_same_text(public, oracle, f"{label} {name}")
 
 
 def test_svg_text_keys_times_on_type():
