@@ -13,12 +13,12 @@ from .errors import (
     CapExceededError,
     ConfigError,
     DimensionError,
-    ExactArithmeticError,
     KleeneStarDivergenceError,
     NetworkError,
     NoCircuitError,
     ReducibleMatrixError,
     RuleError,
+    ScalarError,
     StateUndefinedError,
     TropicalError,
     VerificationError,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,12 +32,12 @@ from . import network as net_mod
 from . import render as render_mod
 from . import spectral as spectral_mod
 from . import trajectory as traj_mod
-from .errors import ConfigError, NetworkError, TropicalError, VerificationError
-from .semiring import MaxPlusMatrix, scalar_from_json, unit_vector, vec_scale
+from .errors import ConfigError, NetworkError, ScalarError, TropicalError, VerificationError
+from .semiring import MaxPlusMatrix, load_json, scalar_from_json, unit_vector, vec_scale
 
 log = logging.getLogger("tropical_ca")
 
-MODES = ("int", "rational", "float")
+MODES = ("int", "rational")
 
 # Most steps an orbit search may take.  2^N steps find every orbit, so the
 # cap is exact for N <= 20; beyond that it bounds the time and the memory
@@ -123,17 +122,20 @@ def load_experiment(args) -> Experiment:
     path = Path(args.config)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = load_json(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
     mode = args.mode or raw.get("mode", "int")
     if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigError(
+            f"mode must be 'int' or 'rational' (which reads decimals such as "
+            f"0.1 exactly), got {mode!r}"
+        )
 
     if "network" not in raw:
         raise ConfigError("config needs a 'network' block")
@@ -182,15 +184,13 @@ def load_experiment(args) -> Experiment:
                 raise ConfigError(
                     f"x0 has {len(blk)} entries but the network has {spec.size}"
                 )
+            if "eps" in blk:
+                i = blk.index("eps") + 1
+                raise ConfigError(f"x0[{i}]: start times must be finite, got 'eps'")
             try:
                 x0 = tuple(scalar_from_json(v, mode) for v in blk)
-            except ValueError as exc:
+            except ScalarError as exc:
                 raise ConfigError(f"x0: {exc}") from exc
-            for i, v in enumerate(x0):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(
-                        f"x0[{i + 1}]: start times must be finite, got {blk[i]!r}"
-                    )
         else:
             raise ConfigError("x0: must be \"unit\" or a list of scalars")
 
@@ -350,6 +350,14 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _contour_plot_chunks(st: Stages):
+    """contour_plot.svg.  Its y texts are those of the async plots, so a
+    command that runs the CA takes them from the run's layout."""
+    if "run" in vars(st):
+        return st.async_plots._contour_blocks(None)
+    return render_mod.contour_plot_chunks(st.trajectory, st.plotspec)
+
+
 # File name -> text of that file, from the stages: a str, or an iterator
 # of text chunks that is streamed to the file.
 WRITERS = {
@@ -361,9 +369,7 @@ WRITERS = {
         st.trajectory, st.summary.eigenvalue
     ),
     "regime.json": lambda st: _json(st.regime.to_json_dict()),
-    "contour_plot.svg": lambda st: render_mod.contour_plot_chunks(
-        st.trajectory, st.plotspec
-    ),
+    "contour_plot.svg": _contour_plot_chunks,
     "sync_orbit.json": lambda st: _json(
         {
             "entry_time": st.orbit.entry_time,
@@ -478,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--mode", choices=MODES, help="arithmetic mode override")
+        p.add_argument("--mode", help="arithmetic mode override: int or rational")
         p.add_argument("--seed", type=int, help="seed override for generated networks")
 
     common(sub.add_parser("analyze", help="spectral summary of the timing matrix"))

@@ -23,9 +23,9 @@ class ReducibleMatrixError(TropicalError):
     which are outside the scope of this library."""
 
 
-class ExactArithmeticError(TropicalError):
-    """An operation that relies on exact equality was given float entries.
-    Rerun in integer or rational mode."""
+class ScalarError(TropicalError):
+    """A value is not a scalar of this library (an int, a Fraction or EPS),
+    or its JSON literal is malformed or not allowed in the mode."""
 
 
 class CapExceededError(TropicalError):

@@ -24,14 +24,15 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DimensionError, NetworkError
+from .errors import DimensionError, NetworkError, ScalarError
 from .semiring import (
     EPS,
     MaxPlusMatrix,
     Scalar,
-    canonical,
+    exact,
     is_eps,
     is_finite,
+    load_json,
     scalar_from_json,
     scalar_to_json,
 )
@@ -125,8 +126,8 @@ class TimingParameters:
 
     @staticmethod
     def create(xi: Sequence[Scalar], tau: Mapping) -> "TimingParameters":
-        items = tuple(sorted(((i, j), canonical(v)) for (i, j), v in tau.items()))
-        return TimingParameters(tuple(canonical(x) for x in xi), items)
+        items = tuple(sorted(((i, j), exact(v)) for (i, j), v in tau.items()))
+        return TimingParameters(tuple(map(exact, xi)), items)
 
 
 def validate_timing(spec: NetworkSpec, params: TimingParameters) -> None:
@@ -294,7 +295,7 @@ def network_from_json_dict(obj: dict, mode: str = "int"):
     if "tau_matrix" in obj:
         try:
             tau_matrix = MaxPlusMatrix.from_json_dict(obj["tau_matrix"], mode)
-        except (ValueError, DimensionError) as exc:
+        except (ScalarError, DimensionError) as exc:
             raise NetworkError(f"tau_matrix: {exc}") from exc
     spec = _spec_from_json_dict(obj, tau_matrix)
     size = spec.size
@@ -306,7 +307,7 @@ def network_from_json_dict(obj: dict, mode: str = "int"):
         raise NetworkError(f"xi has {len(xi_raw)} entries for N = {size}")
     try:
         xi = [scalar_from_json(v, mode) for v in xi_raw]
-    except ValueError as exc:
+    except ScalarError as exc:
         raise NetworkError(f"xi: {exc}") from exc
 
     tau = {}
@@ -332,7 +333,7 @@ def network_from_json_dict(obj: dict, mode: str = "int"):
             j, i, v = triple
             try:
                 tau[(i - 1, j - 1)] = scalar_from_json(v, mode)
-            except ValueError as exc:
+            except ScalarError as exc:
                 raise NetworkError(f"tau[{j},{i}]: {exc}") from exc
 
     params = TimingParameters.create(xi, tau)
@@ -344,7 +345,7 @@ def load_network(path, mode: str = "int"):
     """Read a network file, returning (NetworkSpec, TimingParameters)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            obj = load_json(fh)
+        except ValueError as exc:
             raise NetworkError(f"{path}: not valid JSON ({exc})") from exc
     return network_from_json_dict(obj, mode)

@@ -66,15 +66,13 @@ class PlotSpec:
 
 
 def _fmt(v: Scalar) -> str:
-    """Deterministic coordinate text: ints bare, rationals via repr of the
-    exact float conversion, floats via repr."""
+    """Deterministic coordinate text: integral values bare, other rationals
+    via repr of the correctly rounded float conversion."""
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return repr(float(v))
-    return repr(v)
+    if v.denominator == 1:
+        return str(v.numerator)
+    return repr(float(v))
 
 
 def _svg_header(width, height, ps: PlotSpec) -> list:
@@ -121,15 +119,12 @@ def _line_blocks(lines, size: int) -> Iterator[str]:
 
 def _coordinate_texts(rows, offset, origin, scale) -> list:
     """Per row, the text of the pixel coordinate offset + (v - origin)·scale
-    of each value v in it, formatted once per distinct value.
-
-    The memo keys on (type(v), v): int 0 and float 0.0 hash alike, yet
-    their sums are an int that _fmt writes "12" and a float it writes
-    "12.0"."""
-    memo = dict.fromkeys(chain.from_iterable(zip(map(type, row), row) for row in rows))
-    for key in memo:
-        memo[key] = _fmt(offset + (key[1] - origin) * scale)
-    return [list(map(memo.__getitem__, zip(map(type, row), row))) for row in rows]
+    of each value v in it, formatted once per distinct value (equal ints
+    and Fractions give equal text, so the memo keys on the value)."""
+    memo = dict.fromkeys(chain.from_iterable(rows))
+    for v in memo:
+        memo[v] = _fmt(offset + (v - origin) * scale)
+    return [list(map(memo.__getitem__, row)) for row in rows]
 
 
 def _svg_blocks(width, height, ps: PlotSpec, body) -> Iterator[str]:
@@ -200,14 +195,19 @@ class AsyncPlots:
 
     def contour_chunks(self) -> Iterator[str]:
         """The text of :func:`contour_plot` in blocks of whole lines."""
+        return self._contour_blocks(self.states)
+
+    def _contour_blocks(self, states) -> Iterator[str]:
+        """The contour plot with these CA states as markers (None for
+        none); the layout does not depend on them."""
         ps = self.ps
-        if self.states is not None and len(self.states) != len(self.times):
+        if states is not None and len(states) != len(self.times):
             raise DimensionError("one CA state per contour required")
         width = 2 * ps.margin + (self.size - 1) * ps.cell_px
-        return _svg_blocks(width, self._svg_height(), ps, self._contour_rows())
+        return _svg_blocks(width, self._svg_height(), ps, self._contour_rows(states))
 
-    def _contour_rows(self) -> Iterator[list]:
-        ps, n, states = self.ps, self.size, self.states
+    def _contour_rows(self, states) -> Iterator[list]:
+        ps, n = self.ps, self.size
         xs = [_fmt(ps.margin + i * ps.cell_px) for i in range(n)]
         vertex = [f"{x}," for x in xs]
         marker = [f'<circle cx="{x}" cy="' for x in xs]

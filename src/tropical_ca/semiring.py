@@ -7,11 +7,12 @@ two semiring operations are
 * ``otimes(a, b)`` = a + b          with identity ``E`` (the number 0)
 
 ``EPS`` absorbs under ``otimes`` and is neutral under ``oplus``.  Finite
-scalars are Python ``int`` (integer mode), ``fractions.Fraction`` (rational
-mode) or ``float`` (floating mode).  Integer and rational arithmetic is
-exact: no rounding ever occurs, and Python integers cannot overflow.
-Operations that depend on exact equality refuse float entries and raise
-:class:`~tropical_ca.errors.ExactArithmeticError`.
+scalars are Python ``int`` (integer mode) or ``fractions.Fraction``
+(rational mode), so arithmetic is exact: no rounding ever occurs, and
+Python integers cannot overflow.  Scalars enter the library through
+:func:`exact`, which refuses a finite float with
+:class:`~tropical_ca.errors.ScalarError`.  JSON decimals such as ``0.1``
+are read exactly, as the Fraction 1/10, in rational mode.
 
 Matrices are dense, immutable and row-major.  ``A @ B`` is the max-plus
 product, ``A + B`` the entry-wise max, ``A.star()`` the Kleene star
@@ -23,14 +24,12 @@ a sparse matrix costs O(arcs) per step.
 
 from __future__ import annotations
 
+import json
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    DimensionError,
-    ExactArithmeticError,
-    KleeneStarDivergenceError,
-)
+from .errors import DimensionError, KleeneStarDivergenceError, ScalarError
 
 #: Additive identity (the semiring "zero"), written epsilon in the literature.
 EPS: float = float("-inf")
@@ -38,7 +37,7 @@ EPS: float = float("-inf")
 #: Multiplicative identity (the semiring "one").
 E: int = 0
 
-Scalar = Union[int, Fraction, float]
+Scalar = Union[int, Fraction, float]  # the one float is EPS
 Vector = tuple  # tuple of Scalar
 
 
@@ -56,15 +55,21 @@ def canonical(x: Scalar) -> Scalar:
     return x
 
 
+def exact(x: Scalar) -> Scalar:
+    """``canonical(x)`` for a scalar entering the library.  A finite float
+    (or NaN) raises ScalarError: it would give inexact sums, and the
+    spectral layer would scale it to an int with a wrong value.  (Inlined
+    exact type tests: a dense 256×256 matrix makes 65k calls.)"""
+    kind = type(x)
+    if kind is Fraction:
+        return int(x) if x.denominator == 1 else x
+    if kind is float and x != EPS:
+        raise ScalarError(f"{x!r} is a float; give an int or a Fraction")
+    return x
+
+
 def is_finite(x: Scalar) -> bool:
     return not is_eps(x)
-
-
-def is_exact(x: Scalar) -> bool:
-    """True for ints, Fractions and EPS; false for finite floats."""
-    if isinstance(x, float):
-        return x == EPS
-    return isinstance(x, (int, Fraction))
 
 
 def oplus(a: Scalar, b: Scalar) -> Scalar:
@@ -93,7 +98,7 @@ def oplus_all(values: Iterable[Scalar]) -> Scalar:
 def neg(x: Scalar) -> Scalar:
     """Additive inverse of a finite scalar (the otimes-inverse)."""
     if is_eps(x):
-        raise ValueError("epsilon has no otimes inverse")
+        raise ScalarError("epsilon has no otimes inverse")
     return canonical(-x)
 
 
@@ -116,7 +121,7 @@ class MaxPlusMatrix:
     __slots__ = ("rows", "cols", "entries", "_finite_rows")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
-        grid = tuple(tuple(canonical(v) for v in row) for row in entries)
+        grid = tuple(tuple(map(exact, row)) for row in entries)
         if not grid or not grid[0]:
             raise DimensionError("matrix needs at least one row and one column")
         width = len(grid[0])
@@ -303,9 +308,6 @@ class MaxPlusMatrix:
         """A⁺ = A ⊗ A*: best strictly positive-length walk weights."""
         return self @ self.star()
 
-    def entries_exact(self) -> bool:
-        return all(is_exact(v) for row in self.entries for v in row)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -352,19 +354,17 @@ def vec_is_finite(v: Sequence[Scalar]) -> bool:
     return all(is_finite(x) for x in v)
 
 
-def require_exact(values: Iterable[Scalar], context: str) -> None:
-    """Raise unless every value is an int, Fraction or EPS."""
-    for v in values:
-        if not is_exact(v):
-            raise ExactArithmeticError(
-                f"{context} requires integer or rational entries, got float {v!r}"
-            )
-
-
 # -- JSON scalar codec -------------------------------------------------------
 #
 # Wire format: EPS as the string "eps", integers as JSON numbers, rationals
-# as {"num": p, "den": q}, floats (floating mode only) as JSON numbers.
+# as {"num": p, "den": q}.  In rational mode a decimal literal such as 0.1
+# also reads exactly: load_json keeps its text as a decimal.Decimal.
+
+#: Bound on a decimal literal's significant digits and on the magnitude of
+#: the exponent of its last digit.  Converting it to a Fraction costs time
+#: and memory in proportion to that exponent (1e-10000000 takes seconds,
+#: 1e-1000000000 exhausts memory), so a literal past it is refused first.
+DECIMAL_CAP = 1000
 
 
 def scalar_to_json(x: Scalar):
@@ -376,30 +376,50 @@ def scalar_to_json(x: Scalar):
     return x
 
 
+def load_json(fh):
+    """``json.load`` reading each number with a fraction part or an
+    exponent as a Decimal, for :func:`scalar_from_json`.  Malformed JSON,
+    an int literal past Python's digit limit and an exponent past
+    Decimal's range all raise ValueError."""
+    try:
+        return json.load(fh, parse_float=Decimal)
+    except InvalidOperation:
+        raise ValueError("a number's exponent is out of range") from None
+
+
 def scalar_from_json(obj, mode: str = "int") -> Scalar:
+    """The scalar of a JSON value: "eps", an int, {"num": p, "den": q}
+    (rational mode) or a Decimal (rational mode, read exactly).  Anything
+    else raises ScalarError."""
     if obj == "eps":
         return EPS
     if isinstance(obj, bool):
-        raise ValueError(f"not a scalar: {obj!r}")
+        raise ScalarError(f"not a scalar: {obj!r}")
     if isinstance(obj, int):
-        return float(obj) if mode == "float" else obj
-    if isinstance(obj, float):
-        if mode != "float":
-            raise ValueError(
-                f"float literal {obj!r} not allowed in {mode} mode"
-            )
         return obj
+    if isinstance(obj, Decimal):
+        if mode == "int":
+            raise ScalarError(
+                f"decimal literal {obj} not allowed in int mode; "
+                "rational mode reads it exactly"
+            )
+        _sign, digits, exponent = obj.as_tuple()
+        if not obj.is_finite() or max(len(digits), abs(exponent)) > DECIMAL_CAP:
+            raise ScalarError(
+                f"decimal literal {obj:.6} is not finite, or has more than "
+                f"{DECIMAL_CAP} digits or an exponent past ±{DECIMAL_CAP}"
+            )
+        return canonical(Fraction(obj))
     if isinstance(obj, dict) and set(obj) == {"num", "den"}:
         if mode == "int":
-            raise ValueError("rational literal not allowed in int mode")
+            raise ScalarError("rational literal not allowed in int mode")
         num, den = obj["num"], obj["den"]
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (num, den)):
-            raise ValueError(f"rational literal needs integer num and den: {obj!r}")
+            raise ScalarError(f"rational literal needs integer num and den: {obj!r}")
         if den == 0:
-            raise ValueError(f"rational literal has a zero denominator: {obj!r}")
-        frac = Fraction(num, den)
-        return float(frac) if mode == "float" else canonical(frac)
-    raise ValueError(f"not a scalar: {obj!r}")
+            raise ScalarError(f"rational literal has a zero denominator: {obj!r}")
+        return canonical(Fraction(num, den))
+    raise ScalarError(f"not a scalar: {obj!r}")
 
 
 def format_scalar(x: Scalar) -> str:
@@ -409,4 +429,4 @@ def format_scalar(x: Scalar) -> str:
     x = canonical(x)
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    return repr(x) if isinstance(x, float) else str(x)
+    return str(x)

@@ -7,8 +7,7 @@ eigenvalue of an irreducible matrix is the maximum circuit mean
     lambda = max over elementary circuits c of weight(c) / length(c)
 
 computed here with Karp's dynamic program on each strongly connected
-component, O(n·m) for n nodes and m arcs (exact rational arithmetic in
-integer/rational mode).
+component, O(n·m) for n nodes and m arcs, in exact rational arithmetic.
 
 Everything else is read off the normalized graph of (-lambda) ⊗ A, whose
 arc weights w - lambda leave its heaviest circuits at weight zero and no
@@ -27,13 +26,11 @@ circuit positive:
   normalized matrix at its smallest node: the longest-path weights from
   that node, one more Bellman-Ford.
 
-Each Bellman-Ford costs O(n·m) at worst and no n×n product is formed.  In
-the exact modes the weights are scaled by the common denominator of lambda
-and the entries, so the searches run on Python ints and divide once at the
-end.  A value that still improves in round n would mean a positive circuit
-and raises KleeneStarDivergenceError; in float mode only an improvement
-above ``tol`` counts, since rounding can leave a normalized circuit an ulp
-above zero.
+Each Bellman-Ford costs O(n·m) at worst and no n×n product is formed.  The
+weights are scaled by the common denominator of lambda and the entries, so
+the searches run on Python ints, test tightness by exact equality and
+divide once at the end.  A value that still improves in round n would mean
+a positive circuit and raises KleeneStarDivergenceError.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from .semiring import (
     Scalar,
     canonical,
     is_eps,
-    is_finite,
     oplus,
     otimes,
     scalar_to_json,
@@ -183,12 +179,6 @@ def is_irreducible(matrix: MaxPlusMatrix) -> bool:
     return len(scc_decompose(build_graph(matrix)).components) == 1
 
 
-def _ratio(num: Scalar, den: int) -> Scalar:
-    if isinstance(num, float):
-        return num / den
-    return canonical(Fraction(num, den))
-
-
 def _karp_component(nodes: tuple, arcs: list) -> Scalar | None:
     """Karp's maximum cycle mean on one strongly connected component.
 
@@ -219,7 +209,7 @@ def _karp_component(nodes: tuple, arcs: list) -> Scalar | None:
         for k in range(m):
             if D[k][v] == EPS:
                 continue
-            r = _ratio(last[v] - D[k][v], m - k)
+            r = Fraction(last[v] - D[k][v], m - k)
             if worst is None or r < worst:
                 worst = r
         if worst is not None and (best is None or worst > best):
@@ -302,34 +292,32 @@ def _component_cyclicity(comp: tuple, arcs: list) -> int:
     return g if g > 0 else 1
 
 
-def critical_graph(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> CriticalGraph:
+def critical_graph(matrix: MaxPlusMatrix) -> CriticalGraph:
     """Nodes and arcs on the circuits of maximum mean (see :func:`analyze`)."""
-    return analyze(matrix, tol).critical
+    return analyze(matrix).critical
 
 
-def cyclicity(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> int:
+def cyclicity(matrix: MaxPlusMatrix) -> int:
     """sigma(A): lcm over the maximal strongly connected subgraphs of the
     critical graph of the gcd of their circuit lengths."""
-    return analyze(matrix, tol).sigma
+    return analyze(matrix).sigma
 
 
-def eigenvectors(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> list:
+def eigenvectors(matrix: MaxPlusMatrix) -> list:
     """One eigenvector per maximal strongly connected subgraph of the
     critical graph: the column of (Ahat)* at the smallest node of the
     subgraph.  Columns at nodes of the same subgraph are scalar multiples
     of each other, so one representative spans the same set."""
-    return list(analyze(matrix, tol).eigenbasis)
+    return list(analyze(matrix).eigenbasis)
 
 
-def eigenspace_membership(
-    matrix: MaxPlusMatrix, v: Sequence[Scalar], tol: float | None = 1e-9
-) -> bool:
+def eigenspace_membership(matrix: MaxPlusMatrix, v: Sequence[Scalar]) -> bool:
     """True when v is a max-plus combination ⊕_c a_c ⊗ b_c of the basis
     eigenvectors.  The greatest candidate coefficients are the residuals
     a_c = min_r (v_r - b_c[r]); v is a member iff they reconstruct v."""
     if len(v) != matrix.rows:
         raise DimensionError("vector length does not match matrix size")
-    basis = eigenvectors(matrix, tol)
+    basis = eigenvectors(matrix)
     if any(is_eps(x) for x in v):
         return False
     coeffs = []
@@ -339,10 +327,6 @@ def eigenspace_membership(
     for a, b in zip(coeffs, basis):
         for r, e in enumerate(b):
             recon[r] = oplus(recon[r], otimes(a, e))
-    if tol is not None and any(isinstance(x, float) and is_finite(x) for x in v):
-        return all(
-            is_finite(w) and abs(w - x) <= tol for w, x in zip(recon, v)
-        )
     return all(canonical(w) == canonical(x) for w, x in zip(recon, v))
 
 
@@ -370,18 +354,12 @@ class SpectralSummary:
 
 def _normalized_successors(graph: PrecedenceGraph, lam: Scalar):
     """(succ, scale): succ[j] lists (i, w) for the arcs j -> i of the
-    normalized graph, ascending in i.
-
-    In the exact modes w = scale·(A[i, j] - lambda) with ``scale`` the least
-    common denominator of lambda and the entries, so every w is an int.
-    With any float around, w = A[i, j] - lambda and ``scale`` is None.
+    normalized graph, ascending in i, with w = scale·(A[i, j] - lambda)
+    and ``scale`` the least common denominator of lambda and the entries,
+    so every w is an int.
     """
     succ = [[] for _ in range(graph.node_count)]
     weights = [w for (_j, _i, w) in graph.arcs]
-    if any(isinstance(w, float) for w in [lam, *weights]):
-        for (j, i, w) in graph.arcs:
-            succ[j].append((i, w - lam))
-        return succ, None
     scale = math.lcm(*(Fraction(w).denominator for w in [lam, *weights]))
     shift = int(lam * scale)
     for (j, i, w) in graph.arcs:
@@ -389,14 +367,14 @@ def _normalized_successors(graph: PrecedenceGraph, lam: Scalar):
     return succ, scale
 
 
-def _longest_paths(succ: list, source: int, slack) -> list:
+def _longest_paths(succ: list, source: int) -> list:
     """Longest-path weights from ``source`` (EPS where unreachable).
 
     Bellman-Ford in rounds, each relaxing only the arcs out of the nodes
     improved in the round before.  After round k every value is at least
     the best walk of at most k arcs, so without a positive circuit nothing
     improves after round n - 1.  Round n is the circuit test: an
-    improvement above ``slack`` there raises KleeneStarDivergenceError.
+    improvement there raises KleeneStarDivergenceError.
     """
     n = len(succ)
     dist = [EPS] * n
@@ -416,18 +394,17 @@ def _longest_paths(succ: list, source: int, slack) -> list:
         frontier = improved
     for j in frontier:
         for i, w in succ[j]:
-            if dist[j] + w > dist[i] + slack:
+            if dist[j] + w > dist[i]:
                 raise KleeneStarDivergenceError(
                     "Kleene star diverges: the graph has a positive-weight circuit"
                 )
     return dist
 
 
-def analyze(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> SpectralSummary:
+def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
     """Single pass producing eigenvalue, cyclicity, critical graph and the
     eigenvector basis of an irreducible matrix (algorithm in the module
-    docstring).  ``tol`` is the float-mode slack for zero tests; exact
-    entries are compared exactly."""
+    docstring)."""
     if not matrix.is_square():
         raise DimensionError("spectral analysis of a non-square matrix")
     graph = build_graph(matrix)
@@ -440,13 +417,9 @@ def analyze(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> SpectralSummary:
     lam = _graph_cycle_mean(graph, dec)
     n = matrix.rows
     succ, scale = _normalized_successors(graph, lam)
-    slack = tol if scale is None and tol is not None else 0
-    v = _longest_paths(succ, 0, slack)
+    v = _longest_paths(succ, 0)
     tight = tuple(
-        (j, i, E)
-        for j in range(n)
-        for (i, w) in succ[j]
-        if abs(v[i] - v[j] - w) <= slack
+        (j, i, E) for j in range(n) for (i, w) in succ[j] if v[i] - v[j] == w
     )
     comp_of = scc_decompose(PrecedenceGraph(n, tight)).component_of
     arcs = tuple((j, i) for (j, i, _w) in tight if comp_of[j] == comp_of[i])
@@ -458,10 +431,8 @@ def analyze(matrix: MaxPlusMatrix, tol: float | None = 1e-9) -> SpectralSummary:
         comp_set = set(comp)
         comp_arcs = [a for a in arcs if a[0] in comp_set and a[1] in comp_set]
         sigma = math.lcm(sigma, _component_cyclicity(comp, comp_arcs))
-        column = _longest_paths(succ, comp[0], slack)
-        if scale is not None:
-            column = [canonical(Fraction(x, scale)) for x in column]
-        basis.append(tuple(column))
+        column = _longest_paths(succ, comp[0])
+        basis.append(tuple(canonical(Fraction(x, scale)) for x in column))
     return SpectralSummary(lam, sigma, crit, tuple(basis))
 
 

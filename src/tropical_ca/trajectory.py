@@ -7,11 +7,11 @@ sequence y(k) = x(k) - lambda·k, which evolves under the normalized matrix
 
     x(k + rho) = mu ⊗ x(k)        for all k >= k*,  mu = rho · lambda,
 
-and rho divides the cyclicity sigma(P).  Regime detection hashes the exact
-normalized states, so it requires integer or rational entries; the first
-repeated value pins both the transient k* and the minimal period rho
-(a deterministic map cannot revisit a tail value without being periodic
-from its first occurrence).
+and rho divides the cyclicity sigma(P).  Regime detection hashes the
+normalized states, which are exact ints or Fractions; the first repeated
+value pins both the transient k* and the minimal period rho (a
+deterministic map cannot revisit a tail value without being periodic from
+its first occurrence).
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .semiring import (
     MaxPlusMatrix,
     Scalar,
     canonical,
+    exact,
     format_scalar,
     is_eps,
-    require_exact,
     scalar_to_json,
     vec_is_finite,
     vec_scale,
@@ -71,7 +71,7 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
         )
     if k_max < 0:
         raise DimensionError(f"k_max must be >= 0, got {k_max}")
-    x = tuple(canonical(v) for v in x0)
+    x = tuple(map(exact, x0))
     if not vec_is_finite(x):
         raise DimensionError("x0 must be finite in every entry")
     states = [x]
@@ -141,12 +141,9 @@ def detect_regime(
 
     Walks the given trajectory and, when it is shorter than needed,
     continues iterating its matrix internally up to the cap
-    (default 10·N² + 10·sigma).  Exact arithmetic only: float entries are
-    refused because the detection relies on hash equality.
+    (default 10·N² + 10·sigma).
     """
     P = traj.matrix
-    require_exact((w for row in P.finite_rows() for (_j, w) in row), "regime detection")
-    require_exact(traj.states[0], "regime detection")
     lam = spectral.eigenvalue
     cap = default_cap(traj.size, spectral.sigma) if k_cap is None else k_cap
 

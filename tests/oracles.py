@@ -220,14 +220,12 @@ def async_pixmap_grid(run, ps, version):
 
 def fmt_coordinate(v):
     """Coordinate text: ints bare, whole rationals as ints, other
-    rationals and floats via repr of the float."""
+    rationals via repr of the float."""
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return repr(float(v))
-    return repr(v)
+    if v.denominator == 1:
+        return str(v.numerator)
+    return repr(float(v))
 
 
 def svg_header(width, height, ps, version):

@@ -1,13 +1,20 @@
 """End-to-end command line runs against the bundled example configs."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropical_ca
 from tropical_ca import ca, cli, network, render
@@ -346,50 +353,49 @@ def test_seed_override_rejected_for_explicit_parameters(tmp_path, capsys):
     assert "seed" in err
 
 
-def test_float_mode_refuses_regime_detection(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        {
-            "mode": "float",
+def test_rational_mode_reads_decimal_timings(tmp_path, capsys):
+    # The decimals 4.5, 2.0 and 0.0 give the outputs of 9/2, 2/1 and 0/1.
+    def config(xi, tau, x0):
+        return {
+            "mode": "rational",
             "network": {
                 "N": 1,
                 "topology": {"regular": {"n": 1}},
-                "xi": [4.5],
-                "tau": [[1, 1, 2.0]],
+                "xi": [xi],
+                "tau": [[1, 1, tau]],
             },
-            "x0": [0.0],
+            "x0": [x0],
             "k_max": 5,
-        },
-    )
-    code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path))
-    assert code == 2
-    assert "float" in err or "exact" in err
+        }
 
-
-def test_float_mode_analyze_matches_rational(tmp_path, capsys):
-    # lambda = 11/3 is not dyadic: the float normalized circuit rounds to an
-    # ulp above zero, which must not count as a positive circuit.
-    network = {
-        "N": 3,
-        "topology": {"arcs": [[1, 2], [2, 3], [3, 1]]},
-        "xi": [1, 1, 1],
-        "tau": [[1, 2, 3], [2, 3, 0], [3, 1, 5]],
+    spellings = {
+        "decimal": config(4.5, 2.0, 0.0),
+        "fraction": config(
+            {"num": 9, "den": 2}, {"num": 2, "den": 1}, {"num": 0, "den": 1}
+        ),
     }
-    cfg = write_config(tmp_path, {"mode": "float", "network": network})
-    docs = {}
-    for mode in ("float", "rational"):
-        out = tmp_path / mode
-        code, stdout, _ = run(
-            capsys, "analyze", "--config", cfg, "--mode", mode, "--out", str(out)
-        )
+    trees = {}
+    for name, body in spellings.items():
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, body)
+        out = tmp_path / name / "out"
+        code, stdout, _ = run(capsys, "simulate", "--config", cfg, "--out", str(out))
         assert code == 0
-        assert "sigma = 3, 3 critical nodes" in stdout
-        docs[mode] = json.loads((out / "spectral.json").read_text())
-    fl, ex = docs["float"], docs["rational"]
-    assert ex["lambda"] == {"num": 11, "den": 3}
-    assert abs(fl["lambda"] - 11 / 3) <= 1e-9
-    for key in ("sigma", "critical_nodes", "critical_arcs"):
-        assert fl[key] == ex[key]
+        assert "mu = 13/2" in stdout
+        trees[name] = tree(out)
+    assert set(trees["decimal"]) == {"trajectory.csv", "regime.json", "contour_plot.svg"}
+    assert trees["decimal"] == trees["fraction"]
+
+
+def test_float_mode_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"mode": "float", "network": TIMED_RING3})
+    for argv in ([], ["--mode", "float"]):
+        code, _, err = run(
+            capsys, "analyze", "--config", cfg, "--out", str(tmp_path), *argv
+        )
+        assert code == 2
+        assert err.startswith("config error:") and "rational" in err
+    assert not (tmp_path / "spectral.json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -456,6 +462,96 @@ def test_malformed_config_is_a_config_error(tmp_path, argv, net, net_file, field
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
+
+
+def config_text(body, raw) -> str:
+    """The JSON text of body with the string "@" replaced by the JSON
+    text raw, so that a number keeps the exact spelling of raw."""
+    return json.dumps(body).replace('"@"', raw)
+
+
+def quiet_main(cfg_text, *argv):
+    """(exit code, output files or None, stderr) of one in-process run
+    on cfg_text."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(cfg_text, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        files = tree(Path(tmp) / "out") if code == 0 else None
+    return code, files, err.getvalue()
+
+
+# Positive decimal literals, some with an exponent, as JSON number text.
+DECIMAL_TEXTS = st.builds(
+    "{}.{}{}".format,
+    st.integers(0, 999),
+    st.from_regex(r"[0-9]{1,8}", fullmatch=True),
+    st.one_of(st.just(""), st.integers(-12, 12).map("e{}".format)),
+).filter(lambda text: Fraction(text) > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(DECIMAL_TEXTS)
+def test_decimal_timings_equal_their_fractions(text):
+    # The decimal is xi_1 and the tau of arc 2 -> 1 of a 3-ring.
+    def config(value):
+        tau = [[j, i, value if (j, i) == (2, 1) else v] for j, i, v in TIMED_RING3["tau"]]
+        return {"network": dict(TIMED_RING3, xi=[value, 1, 2], tau=tau)}
+
+    exact = Fraction(text)
+    fraction = {"num": exact.numerator, "den": exact.denominator}
+    code, files, _ = quiet_main(config_text(config("@"), text), "analyze", "--mode", "rational")
+    want_code, want, _ = quiet_main(json.dumps(config(fraction)), "analyze", "--mode", "rational")
+    assert code == want_code == 0
+    assert files == want
+    code, _, err = quiet_main(config_text(config("@"), text), "analyze", "--mode", "int")
+    assert code == 2 and "int mode" in err
+
+
+# JSON texts that are no scalar of the mode: each pair is (mode, text).
+MALFORMED_SCALARS = st.one_of(
+    st.tuples(
+        st.sampled_from(["int", "rational"]),
+        st.one_of(
+            st.sampled_from(
+                ["true", "false", "null", "NaN", "Infinity", "-Infinity", "[]", "{}",
+                 '{"num": 1, "den": 0}', '{"num": 1.5, "den": 2}', '{"num": 1}',
+                 "1e-99999999999999999999", "9" * 5000]
+            ),
+            st.text(max_size=6).filter(lambda t: t != "eps").map(json.dumps),
+            st.integers(1001, 10**20).flatmap(
+                lambda e: st.sampled_from([f"1e{e}", f"1e-{e}", f"-2.5E+{e}"])
+            ),
+        ),
+    ),
+    st.tuples(st.just("int"), DECIMAL_TEXTS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MALFORMED_SCALARS, st.sampled_from(["xi", "tau", "x0"]))
+def test_malformed_scalars_are_config_errors(case, field):
+    mode, raw = case
+    body = {"network": dict(TIMED_RING3), "x0": [0, 0, 0], "k_max": 3}
+    if field == "xi":
+        body["network"]["xi"] = ["@", 1, 1]
+    elif field == "tau":
+        body["network"]["tau"] = [[1, 1, "@"], *TIMED_RING3["tau"][1:]]
+    else:
+        body["x0"] = [0, "@", 0]
+    code, _, err = quiet_main(config_text(body, raw), "simulate", "--mode", mode)
+    assert code == 2, (raw, field, err)
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+def test_huge_decimal_exponent_fails_fast():
+    body = {"mode": "rational", "network": dict(TIMED_RING3, xi=["@", 1, 1])}
+    start = time.perf_counter()
+    code, _, err = quiet_main(config_text(body, "1e-1000000000"), "analyze")
+    assert code == 2 and "xi" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_inline_tau_matrix_needs_no_topology(tmp_path, capsys):
@@ -613,7 +709,8 @@ def test_async_svgs_are_never_held_whole(tmp_path, capsys, monkeypatch):
 
 def test_async_plots_share_one_layout(tmp_path, capsys, monkeypatch):
     # The y texts of the update times (contours and blocks) and the height
-    # texts of the hold intervals are each formatted once per run.
+    # texts of the hold intervals are each formatted once per run; render's
+    # contour_plot.svg takes its y texts from the same layout.
     calls = []
     coordinate_texts = render._coordinate_texts
 
@@ -622,12 +719,11 @@ def test_async_plots_share_one_layout(tmp_path, capsys, monkeypatch):
         return coordinate_texts(*args)
 
     monkeypatch.setattr(render, "_coordinate_texts", counted)
-    code, _, _ = run(
-        capsys, "ca", "--schedule", "async", "--config", RING10,
-        "--out", str(tmp_path),
-    )
-    assert code == 0
-    assert calls == [31, 10]  # k_max + 1 rows of times, then 10 cells
+    for argv in (["ca", "--schedule", "async"], ["render"]):
+        calls.clear()
+        code, _, _ = run(capsys, *argv, "--config", RING10, "--out", str(tmp_path / argv[0]))
+        assert code == 0
+        assert calls == [31, 10], argv  # k_max + 1 rows of times, then 10 cells
 
 
 # -- determinism ----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Network topologies, timing parameters and the timing dependency matrix."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from tropical_ca.errors import NetworkError
+from tropical_ca.errors import NetworkError, ScalarError
 from tropical_ca.network import (
     NetworkSpec,
     TimingParameters,
@@ -263,6 +264,20 @@ def test_load_network_bad_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(NetworkError):
         load_network(path)
+
+
+def test_network_file_decimals_read_exactly(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(
+        '{"N": 1, "topology": {"regular": {"n": 1}}, "xi": [0.1], "tau": [[1, 1, 2.5e-1]]}',
+        encoding="utf-8",
+    )
+    _spec, params = load_network(path, "rational")
+    assert params.xi == (Fraction(1, 10),) and params.tau == {(0, 0): Fraction(1, 4)}
+    with pytest.raises(NetworkError, match="int mode"):
+        load_network(path, "int")
+    with pytest.raises(ScalarError):
+        TimingParameters.create((0.1,), {(0, 0): 0})
 
 
 def test_ring_strong_connectivity_n3_and_up():

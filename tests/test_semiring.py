@@ -1,29 +1,26 @@
 """Scalar, vector and matrix arithmetic over the max-plus semiring."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropical_ca.errors import (
-    DimensionError,
-    ExactArithmeticError,
-    KleeneStarDivergenceError,
-)
+from tropical_ca.errors import DimensionError, KleeneStarDivergenceError, ScalarError
 from tropical_ca.semiring import (
     E,
     EPS,
     MaxPlusMatrix,
+    DECIMAL_CAP,
     canonical,
+    exact,
     format_scalar,
     is_eps,
-    is_exact,
     neg,
     oplus,
     oplus_all,
     otimes,
-    require_exact,
     scalar_from_json,
     scalar_to_json,
     unit_vector,
@@ -59,17 +56,20 @@ def test_scalar_helpers():
     assert oplus_all([EPS, 2, 5, 1]) == 5
     assert is_eps(oplus_all([]))
     assert neg(3) == -3
-    with pytest.raises(ValueError):
+    with pytest.raises(ScalarError):
         neg(EPS)
     assert canonical(Fraction(6, 2)) == 3 and isinstance(canonical(Fraction(6, 2)), int)
-    assert is_exact(5) and is_exact(Fraction(1, 3)) and is_exact(EPS)
-    assert not is_exact(0.5)
 
 
 def test_require_exact():
-    require_exact([1, Fraction(1, 2), EPS], "test")
-    with pytest.raises(ExactArithmeticError):
-        require_exact([1, 0.5], "test")
+    assert exact(5) == 5 and exact(Fraction(1, 3)) == Fraction(1, 3)
+    assert is_eps(exact(EPS))
+    assert exact(Fraction(6, 2)) == 3 and isinstance(exact(Fraction(6, 2)), int)
+    for bad in (0.5, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ScalarError):
+            exact(bad)
+        with pytest.raises(ScalarError):
+            mat((1, bad))
 
 
 # -- matrix construction -----------------------------------------------------
@@ -271,17 +271,30 @@ def test_scalar_json_round_trip():
 
 
 def test_scalar_json_mode_policing():
-    with pytest.raises(ValueError):
-        scalar_from_json(0.5, "int")
-    with pytest.raises(ValueError):
+    with pytest.raises(ScalarError):
+        scalar_from_json(Decimal("0.5"), "int")
+    with pytest.raises(ScalarError):
+        scalar_from_json(Decimal("2.0"), "int")
+    with pytest.raises(ScalarError):
         scalar_from_json({"num": 1, "den": 2}, "int")
     assert scalar_from_json({"num": 1, "den": 2}, "rational") == Fraction(1, 2)
-    assert scalar_from_json({"num": 1, "den": 2}, "float") == 0.5
-    assert scalar_from_json(3, "float") == 3.0
-    with pytest.raises(ValueError):
-        scalar_from_json(True, "int")
-    with pytest.raises(ValueError):
-        scalar_from_json("nope", "int")
+    for mode in ("int", "rational"):
+        for bad in (True, "nope", 0.5, float("nan"), {"num": 1, "den": 0}):
+            with pytest.raises(ScalarError):
+                scalar_from_json(bad, mode)
+
+
+def test_decimal_literals_read_exactly_in_rational_mode():
+    assert scalar_from_json(Decimal("0.1"), "rational") == Fraction(1, 10)
+    two = scalar_from_json(Decimal("2.0"), "rational")
+    assert two == 2 and type(two) is int
+    assert scalar_from_json(Decimal("-1.25e2"), "rational") == -125
+    cap = DECIMAL_CAP
+    assert scalar_from_json(Decimal(f"1e-{cap}"), "rational") == Fraction(1, 10**cap)
+    for bad in (f"1e-{cap + 1}", f"1e{cap + 1}", "1e-1000000000", "1." + "0" * 1000,
+                "NaN", "Infinity"):
+        with pytest.raises(ScalarError):
+            scalar_from_json(Decimal(bad), "rational")
 
 
 def test_matrix_json_round_trip():

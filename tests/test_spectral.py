@@ -259,28 +259,6 @@ def test_critical_against_oracle_random():
     assert non_integer >= 20
 
 
-def test_float_mode_agrees_with_exact_random():
-    # Thirds are not dyadic: float rounding can leave a normalized circuit
-    # an ulp above zero, which must not count as a positive circuit.
-    rng = random.Random(67)
-    for trial in range(120):
-        n = 1 + trial % 8
-        grid = random_irreducible_grid(rng, n)
-        ex = analyze(MaxPlusMatrix(
-            [[w if w == NEG_INF else Fraction(w, 3) for w in row] for row in grid]
-        ))
-        fl = analyze(MaxPlusMatrix(
-            [[w if w == NEG_INF else w / 3 for w in row] for row in grid]
-        ))
-        assert abs(fl.eigenvalue - ex.eigenvalue) <= 1e-9
-        assert fl.sigma == ex.sigma
-        assert fl.critical.nodes == ex.critical.nodes
-        assert fl.critical.arcs == ex.critical.arcs
-        assert len(fl.eigenbasis) == len(ex.eigenbasis)
-        for u, v in zip(fl.eigenbasis, ex.eigenbasis):
-            assert all(abs(a - b) <= 1e-9 for a, b in zip(u, v))
-
-
 def test_critical_reducible_refused():
     with pytest.raises(ReducibleMatrixError):
         critical_graph(MaxPlusMatrix.diagonal((1, 2)))
