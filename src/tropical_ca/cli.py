@@ -23,7 +23,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from ._version import __version__
@@ -246,11 +246,20 @@ class Stages:
 
     def write(self, *names: str) -> None:
         for name in names:
-            content = WRITERS[name](self)
-            if isinstance(content, str):
-                _write(self.exp.out, name, content)
-            else:
-                _write_chunks(self.exp.out, name, content)
+            try:
+                content = WRITERS[name](self)
+                if isinstance(content, str):
+                    _write(self.exp.out, name, content)
+                else:
+                    _write_chunks(self.exp.out, name, content)
+            except ValueError as exc:
+                # Python refuses to print an int past its digit limit.
+                if "integer string conversion" not in str(exc):
+                    raise
+                raise TropicalError(
+                    f"cannot write {self.exp.out / name}: an exact value in it "
+                    f"has more than {sys.get_int_max_str_digits()} digits"
+                ) from None
 
     @cached_property
     def p(self) -> MaxPlusMatrix:
@@ -329,7 +338,7 @@ class Stages:
             "bijection": self.bijection,
             "event_times_match_matrix":
                 list(self.trajectory.states) == list(self.events[0]),
-            "regime": traj_mod.verify_regime(self.regime, self.p),
+            "regime": traj_mod.verify_regime(self.regime, self.p, self.summary),
             "eigen_equation": all(
                 self.p.apply(v) == vec_scale(self.summary.eigenvalue, v)
                 for v in self.summary.eigenbasis
@@ -473,7 +482,10 @@ def cmd_render(st: Stages) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parsing
+    leaves it unchanged, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="tropical-ca",
         description="Max-plus timing analysis and simulation of asynchronous CA",

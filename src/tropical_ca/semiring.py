@@ -371,7 +371,7 @@ def scalar_to_json(x: Scalar):
     if is_eps(x):
         return "eps"
     x = canonical(x)
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return {"num": x.numerator, "den": x.denominator}
     return x
 
@@ -427,6 +427,6 @@ def format_scalar(x: Scalar) -> str:
     if is_eps(x):
         return "eps"
     x = canonical(x)
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return f"{x.numerator}/{x.denominator}"
     return str(x)

@@ -6,31 +6,34 @@ eigenvalue of an irreducible matrix is the maximum circuit mean
 
     lambda = max over elementary circuits c of weight(c) / length(c)
 
-computed here with Karp's dynamic program on each strongly connected
-component, O(n·m) for n nodes and m arcs, in exact rational arithmetic.
+computed here with Howard's policy iteration on each strongly connected
+component with an arc (see :func:`_howard`).  Each iteration costs O(n + m)
+for n nodes and m arcs, and few are needed in practice (Dasdan, Irani and
+Gupta, 1999).  The weights are scaled to ints by the common denominator of
+the entries, so values and biases are ints and no Fraction enters the loop.
 
 Everything else is read off the normalized graph of (-lambda) ⊗ A, whose
 arc weights w - lambda leave its heaviest circuits at weight zero and no
 circuit positive:
 
-* One Bellman-Ford from node 0 gives the longest-path weights v, a finite
-  potential with v_j + w <= v_i on every normalized arc j -> i.
+* Howard's final bias v, on an irreducible matrix, is a finite potential
+  of the normalized graph: v_j + w <= v_i on every normalized arc j -> i.
 * An arc is tight when equality holds.  Around a circuit the potential
-  differences cancel, so a circuit weighs zero iff all its arcs are tight.
-  The critical graph (nodes and arcs of the circuits of mean lambda) is
-  therefore the tight arcs whose two ends share a strongly connected
-  component of the tight subgraph.
+  differences cancel, so a circuit weighs zero iff all its arcs are tight,
+  whichever potential is used.  The critical graph (nodes and arcs of the
+  circuits of mean lambda) is therefore the tight arcs whose two ends
+  share a strongly connected component of the tight subgraph.
 * The cyclicity sigma is the lcm, over the maximal strongly connected
   subgraphs of the critical graph, of the gcd of their circuit lengths.
 * One eigenvector per such subgraph is the column of the Kleene star of the
   normalized matrix at its smallest node: the longest-path weights from
-  that node, one more Bellman-Ford.
+  that node, one Bellman-Ford.
 
 Each Bellman-Ford costs O(n·m) at worst and no n×n product is formed.  The
-weights are scaled by the common denominator of lambda and the entries, so
-the searches run on Python ints, test tightness by exact equality and
-divide once at the end.  A value that still improves in round n would mean
-a positive circuit and raises KleeneStarDivergenceError.
+normalized weights are scaled by the common denominator of lambda and the
+entries, so the searches run on Python ints, test tightness by exact
+equality and divide once at the end.  A value that still improves in round
+n would mean a positive circuit and raises KleeneStarDivergenceError.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -179,42 +183,161 @@ def is_irreducible(matrix: MaxPlusMatrix) -> bool:
     return len(scc_decompose(build_graph(matrix)).components) == 1
 
 
-def _karp_component(nodes: tuple, arcs: list) -> Scalar | None:
-    """Karp's maximum cycle mean on one strongly connected component.
+def _int_weights(arcs) -> tuple:
+    """(scale, weights): the least common denominator of the arc weights
+    and each weight times it, an int."""
+    scale = math.lcm(*{w.denominator for (_j, _i, w) in arcs})
+    return scale, [w.numerator * (scale // w.denominator) for (_j, _i, w) in arcs]
 
-    D[k][v] = best weight of a walk from the source with exactly k arcs.
-    Returns None when the component has no circuit (solitary node without
-    a self-loop).
+
+def _howard_cap(node_count: int, arc_count: int) -> int:
+    """Most policies Howard's iteration may evaluate on one component.
+
+    No polynomial bound on the count is proven.  The slowest inputs known
+    (Hansen and Zwick, 2010) take about 2n evaluations on n nodes and 2n
+    arcs, and Omega(n^2) on Theta(n^2) arcs; they conjecture that m
+    evaluations always suffice.  The cap is twice that, plus a margin for
+    small graphs; each evaluation costs O(n + m).
     """
-    if not arcs:
-        return None
-    m = len(nodes)
-    pos = {v: p for p, v in enumerate(nodes)}
-    local = [(pos[j], pos[i], w) for (j, i, w) in arcs]
-    D = [[EPS] * m for _ in range(m + 1)]
-    D[0][0] = E
-    for k in range(1, m + 1):
-        prev, cur = D[k - 1], D[k]
-        for (u, v, w) in local:
-            if prev[u] != EPS:
-                cand = prev[u] + w
-                if cand > cur[v]:
-                    cur[v] = cand
-    best = None
-    last = D[m]
-    for v in range(m):
-        if last[v] == EPS:
-            continue
-        worst = None
-        for k in range(m):
-            if D[k][v] == EPS:
+    return 2 * arc_count + node_count + 100
+
+
+def _howard(preds: list) -> tuple:
+    """Howard's policy iteration for the maximum cycle mean of a strongly
+    connected graph with at least one arc (Cochet-Terrasson, Cohen,
+    Gaubert, McGettrick and Quadrat, 1998).
+
+    ``preds[i]`` lists the ``(j, w)`` of the arcs j -> i, w an int.  A
+    policy picks one arc into each node.  Following the picked arcs
+    backwards from any node ends in a circuit; its mean p/q is the node's
+    value, and the node's bias x is the weight, less p/q per arc, of the
+    picked path down to the smallest node of that circuit, whose bias is
+    0.  Values are kept as reduced pairs (p, q) and biases scaled by q,
+    all ints, so two values compare by cross-multiplying.
+
+    While the values differ, each node of a smaller value is re-pointed,
+    by a breadth-first search along the arcs out of the nodes of the
+    greatest value, to a path into a circuit of that value; the graph is
+    strongly connected, so the search reaches every node.  Once they are
+    equal, a node moves to an in-arc that strictly raises its bias.  A
+    circuit this closes has a greater mean, so the values never fall; a
+    circuit kept keeps its root and the root's bias 0, so while the values
+    stay the biases only rise: no policy comes back.  When no
+    node moves, every value is lambda = p/q and x_i = max_j (q·w_ij - p +
+    x_j) at every node i.
+
+    Returns (p, q, x).  Raises CapExceededError after :func:`_howard_cap`
+    evaluations.
+    """
+    n = len(preds)
+    succ = [[] for _ in range(n)]
+    for i, row in enumerate(preds):
+        for arc in row:
+            succ[arc[0]].append((i, arc))
+    policy = [max(row, key=itemgetter(1)) for row in preds]
+    cap = _howard_cap(n, sum(map(len, preds)))
+    for _ in range(cap):
+        # Value determination: one walk per circuit of the policy graph.
+        means = []  # (p, q) per circuit
+        value = [-1] * n  # node -> index into means, -1 while unvisited
+        x = [0] * n
+        for start in range(n):
+            if value[start] >= 0:
                 continue
-            r = Fraction(last[v] - D[k][v], m - k)
-            if worst is None or r < worst:
-                worst = r
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
+            path = []
+            on_path = set()
+            v = start
+            while value[v] < 0 and v not in on_path:
+                path.append(v)
+                on_path.add(v)
+                v = policy[v][0]
+            if value[v] < 0:  # the walk closed a new circuit at v
+                s = path.index(v)
+                circuit = path[s:]
+                total = sum(policy[u][1] for u in circuit)
+                g = math.gcd(total, len(circuit))
+                k = len(means)
+                means.append((total // g, len(circuit) // g))
+                r = circuit.index(min(circuit))
+                value[circuit[r]] = k
+                # Each node's bias follows from that of the node it picks,
+                # so fill the circuit back from the root, then the tail.
+                path = path[:s] + circuit[r + 1:] + circuit[:r]
+            else:
+                k = value[v]
+            p, q = means[k]
+            for u in reversed(path):
+                j, w = policy[u]
+                x[u] = q * w - p + x[j]
+                value[u] = k
+
+        p, q = means[0]
+        for tp, tq in means:
+            if tp * q > p * tq:
+                p, q = tp, tq
+        reached = [means[k] == (p, q) for k in value]
+        frontier = [v for v in range(n) if reached[v]]
+        changed = len(frontier) < n
+        while frontier:
+            nxt = []
+            for j in frontier:
+                for i, arc in succ[j]:
+                    if not reached[i]:
+                        reached[i] = True
+                        policy[i] = arc
+                        nxt.append(i)
+            frontier = nxt
+        if changed:
+            continue
+        for i in range(n):
+            best = x[i]
+            for arc in preds[i]:
+                cand = q * arc[1] - p + x[arc[0]]
+                if cand > best:
+                    best = cand
+                    policy[i] = arc
+                    changed = True
+        if not changed:
+            return p, q, x
+    raise CapExceededError(
+        f"Howard's policy iteration did not settle within {cap} evaluations",
+        k_reached=cap,
+    )
+
+
+def _component_preds(graph: PrecedenceGraph, dec: SccDecomposition, weights):
+    """Per component, the ``preds`` lists of :func:`_howard` over the arcs
+    inside it, nodes numbered by their rank in the component."""
+    rank = [0] * graph.node_count
+    for comp in dec.components:
+        for t, v in enumerate(comp):
+            rank[v] = t
+    comp_of = dec.component_of
+    preds = [[[] for _ in comp] for comp in dec.components]
+    for (j, i, _w), w in zip(graph.arcs, weights):
+        c = comp_of[j]
+        if c == comp_of[i]:
+            preds[c][rank[i]].append((rank[j], w))
+    return preds
+
+
+def _cycle_mean(graph: PrecedenceGraph, dec: SccDecomposition) -> tuple:
+    """(p, q, x, scale, weights): the maximum cycle mean is p / (q·scale)
+    and x is Howard's bias on a component that attains it, its nodes
+    numbered by rank; ``weights`` are the arc weights times ``scale``.
+    Raises NoCircuitError on an acyclic graph."""
+    scale, weights = _int_weights(graph.arcs)
+    best = None
+    for preds in _component_preds(graph, dec, weights):
+        if preds[0]:  # the component has an arc
+            p, q, x = _howard(preds)
+            if best is None or p * best[1] > best[0] * q:
+                best = (p, q, x)
+    if best is None:
+        raise NoCircuitError(
+            "the precedence graph has no circuit, so the eigenvalue is undefined"
+        )
+    return (*best, scale, weights)
 
 
 def max_cycle_mean(matrix: MaxPlusMatrix) -> Scalar:
@@ -224,22 +347,8 @@ def max_cycle_mean(matrix: MaxPlusMatrix) -> Scalar:
     raises NoCircuitError on an acyclic graph.
     """
     graph = build_graph(matrix)
-    return _graph_cycle_mean(graph, scc_decompose(graph))
-
-
-def _graph_cycle_mean(graph: PrecedenceGraph, dec: SccDecomposition) -> Scalar:
-    best = None
-    for comp in dec.components:
-        comp_set = set(comp)
-        arcs = [a for a in graph.arcs if a[0] in comp_set and a[1] in comp_set]
-        value = _karp_component(comp, arcs)
-        if value is not None and (best is None or value > best):
-            best = value
-    if best is None:
-        raise NoCircuitError(
-            "the precedence graph has no circuit, so the eigenvalue is undefined"
-        )
-    return canonical(best)
+    p, q, _x, scale, _weights = _cycle_mean(graph, scc_decompose(graph))
+    return canonical(Fraction(p, q * scale))
 
 
 @dataclass(frozen=True)
@@ -352,21 +461,6 @@ class SpectralSummary:
         }
 
 
-def _normalized_successors(graph: PrecedenceGraph, lam: Scalar):
-    """(succ, scale): succ[j] lists (i, w) for the arcs j -> i of the
-    normalized graph, ascending in i, with w = scale·(A[i, j] - lambda)
-    and ``scale`` the least common denominator of lambda and the entries,
-    so every w is an int.
-    """
-    succ = [[] for _ in range(graph.node_count)]
-    weights = [w for (_j, _i, w) in graph.arcs]
-    scale = math.lcm(*(Fraction(w).denominator for w in [lam, *weights]))
-    shift = int(lam * scale)
-    for (j, i, w) in graph.arcs:
-        succ[j].append((i, int(w * scale) - shift))
-    return succ, scale
-
-
 def _longest_paths(succ: list, source: int) -> list:
     """Longest-path weights from ``source`` (EPS where unreachable).
 
@@ -414,10 +508,15 @@ def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
             "matrix is reducible (precedence graph not strongly connected); "
             "this library only analyzes irreducible matrices"
         )
-    lam = _graph_cycle_mean(graph, dec)
+    p, q, v, scale, weights = _cycle_mean(graph, dec)
+    lam = canonical(Fraction(p, q * scale))
+    # The normalized graph, weights scaled by q·scale so that they are ints
+    # like Howard's bias v, which is a potential of it.
+    scale *= q
     n = matrix.rows
-    succ, scale = _normalized_successors(graph, lam)
-    v = _longest_paths(succ, 0)
+    succ = [[] for _ in range(n)]
+    for (j, i, _w), w in zip(graph.arcs, weights):
+        succ[j].append((i, q * w - p))
     tight = tuple(
         (j, i, E) for j in range(n) for (i, w) in succ[j] if v[i] - v[j] == w
     )
@@ -432,7 +531,11 @@ def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
         comp_arcs = [a for a in arcs if a[0] in comp_set and a[1] in comp_set]
         sigma = math.lcm(sigma, _component_cyclicity(comp, comp_arcs))
         column = _longest_paths(succ, comp[0])
-        basis.append(tuple(canonical(Fraction(x, scale)) for x in column))
+        basis.append(
+            tuple(
+                x // scale if x % scale == 0 else Fraction(x, scale) for x in column
+            )
+        )
     return SpectralSummary(lam, sigma, crit, tuple(basis))
 
 

@@ -25,7 +25,6 @@ from typing import Sequence
 from .errors import (
     CapExceededError,
     DimensionError,
-    TropicalError,
     VerificationError,
 )
 from .semiring import (
@@ -39,7 +38,7 @@ from .semiring import (
     vec_is_finite,
     vec_scale,
 )
-from .spectral import SpectralSummary, analyze
+from .spectral import SpectralSummary
 
 
 @dataclass(frozen=True)
@@ -206,17 +205,16 @@ def per_node_estimates(traj: Trajectory, k: int | None = None) -> tuple:
     return tuple(canonical(Fraction(xk[i], k)) for i in range(traj.size))
 
 
-def verify_regime(report: RegimeReport, P: MaxPlusMatrix) -> bool:
+def verify_regime(
+    report: RegimeReport, P: MaxPlusMatrix, spectral: SpectralSummary
+) -> bool:
     """Re-check every regime invariant by direct matrix-vector products.
 
-    True iff rho >= 1, rho divides sigma(P), mu equals rho times the
-    eigenvalue of P, consecutive contours map into each other under P, and
-    every contour is an eigenvector of P^⊗rho with eigenvalue mu.
+    ``spectral`` is the summary of P, as for :func:`detect_regime`.  True
+    iff rho >= 1, rho divides sigma(P), mu equals rho times the eigenvalue
+    of P, consecutive contours map into each other under P, and every
+    contour is an eigenvector of P^⊗rho with eigenvalue mu.
     """
-    try:
-        spectral = analyze(P)
-    except TropicalError:
-        return False
     lam = spectral.eigenvalue
     rho = report.rho
     if rho < 1 or spectral.sigma % rho != 0:

@@ -124,6 +124,45 @@ def max_circuit_mean(grid):
     return best
 
 
+def karp_cycle_mean(grid):
+    """Karp's maximum cycle mean (1978), per strongly connected component.
+
+    D[k][v] = best weight of a walk of exactly k arcs from the component's
+    first node to v; the component's mean is max_v min_k (D[m][v] -
+    D[k][v]) / (m - k) over its m nodes.  Returns an exact Fraction, or
+    None for an acyclic graph.
+    """
+    arcs = grid_arcs(grid)
+    best = None
+    for comp in scc_partition(len(grid), arcs):
+        nodes = sorted(comp)
+        pos = {v: p for p, v in enumerate(nodes)}
+        local = [
+            (pos[j], pos[i], w) for (j, i), w in arcs.items() if j in comp and i in comp
+        ]
+        if not local:
+            continue
+        m = len(nodes)
+        D = [[NEG_INF] * m for _ in range(m + 1)]
+        D[0][0] = 0
+        for k in range(1, m + 1):
+            prev, cur = D[k - 1], D[k]
+            for (u, v, w) in local:
+                if prev[u] != NEG_INF and prev[u] + w > cur[v]:
+                    cur[v] = prev[u] + w
+        for v in range(m):
+            if D[m][v] == NEG_INF:
+                continue
+            worst = min(
+                Fraction(D[m][v] - D[k][v], m - k)
+                for k in range(m)
+                if D[k][v] != NEG_INF
+            )
+            if best is None or worst > best:
+                best = worst
+    return best
+
+
 def critical_parts(grid):
     """(nodes, arcs) lying on some circuit of maximum mean, by enumeration."""
     arcs = grid_arcs(grid)

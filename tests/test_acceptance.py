@@ -123,7 +123,7 @@ def _random_matrices():
 def test_criterion_3_eigenvalue_oracle_equivalence():
     with criterion(
         3,
-        "Karp cycle mean == exhaustive circuit enumeration on 200 random "
+        "Howard cycle mean == exhaustive circuit enumeration on 200 random "
         "irreducible matrices (n <= 8)",
         budget=30.0,
     ):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropical_ca
-from tropical_ca import ca, cli, network, render
+from tropical_ca import ca, cli, network, render, spectral
 from tropical_ca.cli import main
 from tropical_ca.errors import TropicalError
 
@@ -215,6 +215,28 @@ def test_ca_single_schedule_writes_only_its_files(tmp_path, capsys):
     }
 
 
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    # The parser is built once per process; each main call still reads
+    # its own arguments, defaults included.
+    assert cli.build_parser() is cli.build_parser()
+    runs = (
+        ("analyze", {"spectral.json", "critical_graph.dot"}),
+        ("ca", "--schedule", "sync", {
+            "sync_orbit.json", "spacetime_sync.svg", "spacetime_sync.pgm",
+        }),
+        ("ca", {
+            "sync_orbit.json", "spacetime_sync.svg", "spacetime_sync.pgm",
+            "async_contours.svg", "spacetime_async_contours.svg",
+            "spacetime_async.svg", "spacetime_async.pgm",
+        }),
+    )
+    for n, (*argv, files) in enumerate(runs):
+        out = tmp_path / str(n)
+        code, _, _ = run(capsys, *argv, "--config", RING10, "--out", str(out))
+        assert code == 0
+        assert {p.name for p in out.iterdir()} == files
+
+
 def test_orbit_step_cap_is_a_clean_error(tmp_path, capsys, monkeypatch):
     # The ring10 orbit repeats after 6 steps; a cap of 4 cuts it off.
     assert cli.ORBIT_STEP_CAP == 1 << 20
@@ -266,6 +288,13 @@ def test_verify_passes_on_healthy_run(tmp_path, capsys):
     }
 
 
+def test_verify_analyzes_once(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, spectral, "analyze")
+    code, _, _ = run(capsys, "verify", "--config", RING10, "--out", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_detects_injected_fault(tmp_path, capsys):
     code, out, _ = run(
         capsys, "verify", "--config", RING10, "--out", str(tmp_path),
@@ -315,6 +344,30 @@ def test_reducible_network_is_a_clean_error(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--config", cfg, "--out", str(tmp_path))
     assert code == 2
     assert "strongly connected" in err
+
+
+def test_too_long_exact_value_is_a_clean_error(tmp_path, capsys):
+    # lambda is the mean of the 2-circuit, (xi_1 + xi_2) / 2, whose
+    # denominator has about 6000 digits: past Python's int-to-text limit.
+    den = 10**3000
+    cfg = write_config(
+        tmp_path,
+        {
+            "mode": "rational",
+            "network": {
+                "N": 2,
+                "topology": {"arcs": [[1, 2], [2, 1]]},
+                "xi": [{"num": 1, "den": den + 19}, {"num": 1, "den": den + 21}],
+                "tau": [[1, 2, 0], [2, 1, 0]],
+            },
+        },
+    )
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "analyze", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out / "spectral.json") in err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -5,8 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tropical_ca import spectral
 from tropical_ca.errors import (
+    CapExceededError,
     DimensionError,
     NoCircuitError,
     ReducibleMatrixError,
@@ -29,8 +33,10 @@ from tropical_ca.spectral import (
 from oracles import (
     NEG_INF,
     critical_parts,
+    grid_arcs,
     grid_identity,
     grid_mul,
+    karp_cycle_mean,
     max_circuit_mean,
     random_irreducible_grid,
     scc_partition,
@@ -190,6 +196,59 @@ def test_mcm_against_enumeration_oracle():
         assert max_cycle_mean(MaxPlusMatrix(grid)) == max_circuit_mean(grid)
 
 
+@st.composite
+def cycle_mean_grids(draw):
+    """Grids of n <= 10 nodes, half of them irreducible (a Hamiltonian
+    cycle in a drawn order), each node with up to two more out-arcs, and
+    int or Fraction weights, so lambda can be non-integer."""
+    n = draw(st.integers(1, 10))
+    arcs = set()
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        arcs |= {(order[t], order[(t + 1) % n]) for t in range(n)}
+    for j in range(n):
+        arcs |= {(j, i) for i in draw(st.lists(st.integers(0, n - 1), max_size=2))}
+    if draw(st.booleans()):
+        weights = st.fractions(-9, 9, max_denominator=6)
+    else:
+        weights = st.integers(-9, 9)
+    grid = [[NEG_INF] * n for _ in range(n)]
+    for (j, i) in sorted(arcs):
+        grid[i][j] = draw(weights)
+    return grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycle_mean_grids())
+def test_mcm_equals_karp_and_enumeration(grid):
+    lam = max_circuit_mean(grid)
+    assert karp_cycle_mean(grid) == lam
+    A = MaxPlusMatrix(grid)
+    if lam is None:
+        with pytest.raises(NoCircuitError):
+            max_cycle_mean(A)
+        return
+    assert max_cycle_mean(A) == lam
+    if len(scc_partition(len(grid), grid_arcs(grid))) == 1:
+        summary = analyze(A)
+        nodes, arcs = critical_parts(grid)
+        assert summary.eigenvalue == lam
+        assert set(summary.critical.nodes) == nodes
+        assert set(summary.critical.arcs) == arcs
+
+
+def test_mcm_policy_iteration_cap(monkeypatch):
+    # Node 0 first picks its heavier in-arc, from node 1, on the circuit of
+    # mean -5/2; the self-loop of mean 4 takes a second policy.
+    A = mat((4, 5), (-10, EPS))
+    assert max_cycle_mean(A) == 4
+    monkeypatch.setattr(spectral, "_howard_cap", lambda nodes, arcs: 1)
+    for fn in (max_cycle_mean, analyze):
+        with pytest.raises(CapExceededError) as exc:
+            fn(A)
+        assert exc.value.k_reached == 1
+
+
 # -- critical graph -----------------------------------------------------------------
 
 
@@ -249,6 +308,7 @@ def test_critical_against_oracle_random():
         nodes, arcs = critical_parts(grid)
         assert set(crit.nodes) == nodes and set(crit.arcs) == arcs
         lam = max_circuit_mean(grid)
+        assert karp_cycle_mean(grid) == lam
         non_integer += lam.denominator > 1
         summary = analyze(A)
         assert summary.eigenvalue == lam

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from tropical_ca.errors import CapExceededError, DimensionError, ScalarError
+from tropical_ca.errors import (
+    CapExceededError,
+    DimensionError,
+    ReducibleMatrixError,
+    ScalarError,
+)
 from tropical_ca.network import build_p, random_parameters, regular_ring
 from tropical_ca.semiring import EPS, MaxPlusMatrix, unit_vector, vec_scale
 from tropical_ca.spectral import analyze, eigenvectors
@@ -139,7 +144,7 @@ def test_regime_rho_divides_sigma():
         P, summary = ring_system(10, 100 + seed)
         report = detect_regime(iterate(P, unit_vector(10), 0), summary)
         assert summary.sigma % report.rho == 0
-        assert verify_regime(report, P)
+        assert verify_regime(report, P, summary)
 
 
 def test_regime_extends_past_short_trajectory():
@@ -251,7 +256,7 @@ def test_per_node_estimates():
 def test_verify_regime_accepts_detected():
     P, summary = ring_system(10, 42)
     report = detect_regime(iterate(P, unit_vector(10), 0), summary)
-    assert verify_regime(report, P)
+    assert verify_regime(report, P, summary)
 
 
 def test_verify_regime_rejects_wrong_rho():
@@ -265,7 +270,7 @@ def test_verify_regime_rejects_wrong_rho():
         eigenvalue=good.eigenvalue,
         contours=good.contours * 2,
     )
-    assert not verify_regime(bad, P)
+    assert not verify_regime(bad, P, summary)
 
 
 def test_verify_regime_rejects_perturbed_contour():
@@ -280,11 +285,12 @@ def test_verify_regime_rejects_perturbed_contour():
         eigenvalue=good.eigenvalue,
         contours=(tuple(c),),
     )
-    assert not verify_regime(bad, P)
+    assert not verify_regime(bad, P, summary)
 
 
 def test_verify_regime_rejects_wrong_mu():
-    report = detect_regime(iterate(mat((6,)), (0,), 3), analyze(mat((6,))))
+    summary = analyze(mat((6,)))
+    report = detect_regime(iterate(mat((6,)), (0,), 3), summary)
     bad = RegimeReport(
         k_star=report.k_star,
         rho=report.rho,
@@ -292,12 +298,14 @@ def test_verify_regime_rejects_wrong_mu():
         eigenvalue=report.eigenvalue,
         contours=report.contours,
     )
-    assert not verify_regime(bad, mat((6,)))
+    assert not verify_regime(bad, mat((6,)), summary)
 
 
 def test_verify_regime_false_on_reducible():
-    report = detect_regime(iterate(mat((6,)), (0,), 3), analyze(mat((6,))))
-    assert not verify_regime(report, MaxPlusMatrix.diagonal((6, 6)))
+    # verify_regime takes the summary of P, and a reducible P has none:
+    # analyze refuses it before any regime is checked.
+    with pytest.raises(ReducibleMatrixError):
+        analyze(MaxPlusMatrix.diagonal((6, 6)))
 
 
 # -- report serialization and CSV -----------------------------------------------------
@@ -361,5 +369,5 @@ def test_timing_path_forms_no_matrix_product(monkeypatch):
     summary = analyze(P)
     traj = iterate(P, unit_vector(24), 40)
     report = detect_regime(traj, summary)
-    assert verify_regime(report, P)
+    assert verify_regime(report, P, summary)
     assert products == []
