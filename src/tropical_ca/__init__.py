@@ -80,6 +80,7 @@ from .ca import (
     SyncOrbit,
     async_run,
     attractor_census,
+    attractor_census_chunks,
     build_stg,
     event_simulation,
     state_at,

@@ -29,7 +29,12 @@ sync_orbit keeps the visited codes and decodes a state only on request.
 Parity, and the eight ECA rules whose table is GF(2)-linear, give a
 linear map, F(a ^ b) = F(a) ^ F(b): build_stg then fills the successor
 table from the images of the N one-bit codes by XOR, not by stepping
-every code.
+every code.  The table is an array('I'); one colour pass over a second
+array of tags finds the attractors, touching each state a fixed number
+of times.  A state label is the join of two half-width labels from
+tables of 2^(N/2) entries each, and attractor_census_chunks streams the
+census JSON one cycle at a time, so no list of all 2^N labels or whole
+census text is ever built.
 event_simulation applies the rule cell by cell on purpose: it is the
 independent oracle of the bijection check, with no matrix, no _compile
 and no state codes.  It resolves each cell's (sender, delay) links and
@@ -41,10 +46,13 @@ each neighbour.  tests/oracles.py holds the message-by-message longhand.
 
 from __future__ import annotations
 
+import json
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence
+from functools import cached_property
+from itertools import islice, product
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError, NetworkError, RuleError, StateUndefinedError
 from .network import NetworkSpec, TimingParameters, build_p, validate_timing
@@ -280,6 +288,8 @@ def sync_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncOr
 # -- state transition graph --------------------------------------------------
 
 STG_CELL_CAP = 24
+# Fixed points per chunk of the census text.
+_CENSUS_BLOCK = 4096
 
 
 def _is_linear(rule: CARule) -> bool:
@@ -297,30 +307,50 @@ def _is_linear(rule: CARule) -> bool:
 class StateTransitionGraph:
     """Functional digraph on all 2^N configurations.
 
-    successors[c] is the code of the image of configuration c; attractors
-    are the circuits, each stored rotated so its smallest code comes
+    successors[c] is the code of the image of configuration c;
+    on_attractor[c] is 1 when c lies on a circuit.  attractors are the
+    circuits, each a tuple of codes rotated so its smallest code comes
     first, sorted by (period, smallest code).
     """
 
     size: int
-    successors: tuple
+    successors: array  # array('I'), one code per code
     attractors: tuple  # tuple of tuples of codes
-    on_attractor: tuple  # bool per code
+    on_attractor: bytearray  # 0/1 per code
 
     def decode(self, code: int) -> State:
         return _decode(code, self.size)
 
+    @cached_property
+    def label_halves(self) -> tuple:
+        """(hi, lo, k): hi[h] is the label of the top N - k bits, lo[l]
+        that of the low k = ceil(N/2) bits, so the label of code c is
+        hi[c >> k] + lo[c & (2^k - 1)] and state codes list in the order
+        of hi x lo."""
+        k = (self.size + 1) // 2
+        top = self.size - k
+        hi = [format(h, f"0{top}b") for h in range(1 << top)] if top else [""]
+        lo = [format(c, f"0{k}b") for c in range(1 << k)]
+        return hi, lo, k
+
     def label(self, code: int) -> str:
         """state_to_string of the configuration with this code."""
-        return format(code, f"0{self.size}b")
+        hi, lo, k = self.label_halves
+        return hi[code >> k] + lo[code & ((1 << k) - 1)]
 
     def transient_count(self) -> int:
-        return sum(1 for b in self.on_attractor if not b)
+        return len(self.on_attractor) - self.on_attractor.count(1)
 
 
 def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
     """Exhaustive state transition graph; refuses more than cell_cap cells
-    (2^N states) to keep memory bounded."""
+    (2^N states) to keep memory bounded.
+
+    The attractors come from one colour pass: tag[s] is 0 until a walk
+    reaches s, then the start of that walk + 1.  A walk stops at the
+    first tagged state; when that tag is its own, it has closed a new
+    circuit, which a second lap around it lists.
+    """
     step = _compile(rule, spec)
     n = spec.size
     if n > cell_cap:
@@ -332,55 +362,74 @@ def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
     if _is_linear(rule):
         # Superposition: with F known on the codes c < 2^b, the code
         # c | 1 << b maps to F(c) ^ F(1 << b).
-        succ = [0]
+        succ = array("I", [0])
         for b in range(n):
-            img = step(1 << b)
-            succ += [f ^ img for f in succ]
+            succ += array("I", map(step(1 << b).__xor__, succ))
     else:
-        succ = list(map(step, range(total)))
+        succ = array("I", map(step, range(total)))
 
-    on_attr = [False] * total
-    resolved = [False] * total
+    tag = array("I", bytes(4 * total))
+    on_attr = bytearray(total)
     attractors = []
     for start in range(total):
-        if resolved[start]:
+        if tag[start]:
             continue
-        walk = []
-        pos: dict = {}
+        mark = start + 1
         s = start
-        while True:
-            if resolved[s]:
-                break
-            if s in pos:
-                cycle = walk[pos[s] :]
-                low = cycle.index(min(cycle))
-                cycle = cycle[low:] + cycle[:low]
-                attractors.append(tuple(cycle))
-                for c in cycle:
-                    on_attr[c] = True
-                break
-            pos[s] = len(walk)
-            walk.append(s)
+        while not tag[s]:
+            tag[s] = mark
             s = succ[s]
-        for v in walk:
-            resolved[v] = True
+        if tag[s] == mark:
+            cycle = [s]
+            c = succ[s]
+            while c != s:
+                cycle.append(c)
+                c = succ[c]
+            for c in cycle:
+                on_attr[c] = 1
+            low = cycle.index(min(cycle))
+            attractors.append(tuple(cycle[low:] + cycle[:low]))
     attractors.sort(key=lambda cyc: (len(cyc), cyc[0]))
-    return StateTransitionGraph(n, tuple(succ), tuple(attractors), tuple(on_attr))
+    return StateTransitionGraph(n, succ, tuple(attractors), on_attr)
+
+
+def attractor_census_chunks(stg: StateTransitionGraph) -> Iterator[str]:
+    """The census JSON text, json.dumps(attractor_census(stg), indent=2,
+    sort_keys=True) + "\n", one cycle (or one block of fixed points) at a
+    time: "cycles" lists the longer circuits with period and states,
+    "fixed_points" the fixed points, both in the order of attractors."""
+    hi, lo, k = stg.label_halves
+    mask = (1 << k) - 1
+    attractors = stg.attractors
+    fixed = bisect_right(attractors, 1, key=len)  # sorted by period first
+    if fixed == len(attractors):
+        yield '{\n  "cycles": [],'
+    else:
+        sep = '{\n  "cycles": [\n'
+        for cyc in islice(attractors, fixed, None):
+            states = '",\n        "'.join([hi[c >> k] + lo[c & mask] for c in cyc])
+            yield (
+                f'{sep}    {{\n      "period": {len(cyc)},\n'
+                f'      "states": [\n        "{states}"\n      ]\n    }}'
+            )
+            sep = ",\n"
+        yield "\n  ],"
+    if not fixed:
+        yield '\n  "fixed_points": []\n}\n'
+        return
+    sep = '\n  "fixed_points": [\n    "'
+    for b in range(0, fixed, _CENSUS_BLOCK):
+        block = attractors[b : min(b + _CENSUS_BLOCK, fixed)]
+        yield sep + '",\n    "'.join([hi[c >> k] + lo[c & mask] for (c,) in block])
+        sep = '",\n    "'
+    yield '"\n  ]\n}\n'
 
 
 def attractor_census(stg: StateTransitionGraph) -> dict:
-    """JSON-ready census: fixed points as strings, longer cycles with
-    period and state list."""
-    fixed = []
-    cycles = []
-    for cyc in stg.attractors:
-        if len(cyc) == 1:
-            fixed.append(stg.label(cyc[0]))
-        else:
-            cycles.append(
-                {"period": len(cyc), "states": [stg.label(c) for c in cyc]}
-            )
-    return {"fixed_points": fixed, "cycles": cycles}
+    """JSON-ready census, the parse of :func:`attractor_census_chunks`:
+    {"fixed_points": [label, ...], "cycles": [{"period": p, "states":
+    [label, ...]}, ...]}."""
+    return json.loads("".join(attractor_census_chunks(stg)))
 
 
 # -- asynchronous runs ---------------------------------------------------------

@@ -350,10 +350,6 @@ class Stages:
         self.exp.require("rule")
         return ca_mod.build_stg(self.exp.rule, self.exp.spec)
 
-    @cached_property
-    def census(self) -> dict:
-        return ca_mod.attractor_census(self.stg)
-
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -401,7 +397,7 @@ WRITERS = {
     "event_dag.dot": lambda st: render_mod.event_dag_dot(
         st.run, 0, min(3, st.exp.k_max), st.plotspec
     ),
-    "attractor_census.json": lambda st: _json(st.census),
+    "attractor_census.json": lambda st: ca_mod.attractor_census_chunks(st.stg),
     "stg.dot": lambda st: render_mod.stg_dot_chunks(st.stg, st.plotspec),
     "verification.json": lambda st: _json(
         {"checks": st.checks, "all_passed": all(st.checks.values())}
@@ -452,9 +448,10 @@ def cmd_ca(st: Stages, schedule: str) -> int:
 
 def cmd_stg(st: Stages) -> int:
     st.write("attractor_census.json", "stg.dot")
+    attractors = st.stg.attractors
+    fixed = sum(1 for cyc in attractors if len(cyc) == 1)
     print(
-        f"{len(st.census['fixed_points'])} fixed points, "
-        f"{len(st.census['cycles'])} longer cycles, "
+        f"{fixed} fixed points, {len(attractors) - fixed} longer cycles, "
         f"{st.stg.transient_count()} transient states"
     )
     return 0

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, count, groupby, islice, repeat
+from itertools import chain, count, groupby, islice, product, repeat
 from operator import sub
 
 from ._version import __version__
@@ -427,19 +427,22 @@ def stg_dot(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> str:
 
 
 def stg_dot_chunks(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> Iterator[str]:
-    """The text of :func:`stg_dot` as chunks of about _STG_BLOCK lines."""
+    """The text of :func:`stg_dot` as chunks of about _STG_BLOCK lines.
+    Labels come from the graph's two half-width tables, the codes in
+    order as hi x lo, so no list of the 2^N labels is built."""
     header = ["digraph stg {", *_comment_lines(ps, "  //"), "  rankdir=TB;",
               '  node [shape=box, fontname="monospace"];']
-    labels = list(map(stg.label, range(1 << stg.size)))
+    hi, lo, k = stg.label_halves
+    mask = (1 << k) - 1
     node_style = ("", ', penwidth=2, color="#c03a2b"')
     arc_style = ("", ' [penwidth=2, color="#c03a2b"]')
     nodes = (
-        f'  "{label}" [label="{label}"{node_style[bold]}];'
-        for label, bold in zip(labels, stg.on_attractor)
+        f'  "{h}{l}" [label="{h}{l}"{node_style[bold]}];'
+        for (h, l), bold in zip(product(hi, lo), stg.on_attractor)
     )
     arcs = (
-        f'  "{label}" -> "{labels[dst]}"{arc_style[bold]};'
-        for label, dst, bold in zip(labels, stg.successors, stg.on_attractor)
+        f'  "{h}{l}" -> "{hi[dst >> k]}{lo[dst & mask]}"{arc_style[bold]};'
+        for (h, l), dst, bold in zip(product(hi, lo), stg.successors, stg.on_attractor)
     )
     return _line_blocks(chain(header, nodes, arcs, ["}"]), _STG_BLOCK)
 

@@ -445,6 +445,8 @@ def census_by_iteration(step, n):
             index[s] = len(trail)
             trail.append(s)
             s = step(s)
+        if s in on_cycle:
+            continue  # this walk ran into a cycle already listed
         cycle = trail[index[s]:]
         strings = [to_str(c) for c in cycle]
         low = strings.index(min(strings))

@@ -2,6 +2,7 @@
 sync/async state bijection."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from tropical_ca.ca import (
     CARule,
     async_run,
     attractor_census,
+    attractor_census_chunks,
     build_stg,
     event_simulation,
     state_at,
@@ -404,6 +406,76 @@ def test_stg_ring4_rule150_against_oracle():
     assert got["fixed_points"] == want["fixed_points"]
     assert got["cycles"] == want["cycles"]
     assert stg.transient_count() == want["transient_count"]
+
+
+def assert_stg_matches_oracle(stg, rule, nbhd):
+    """The colour pass's attractors, on_attractor and transient count, and
+    the streamed census text, against the census found by iterating the
+    longhand step from every state (each state stepped once)."""
+    n = stg.size
+    image = {
+        s: longhand_step(rule, nbhd, s) for s in itertools.product((0, 1), repeat=n)
+    }
+    want = census_by_iteration(image.__getitem__, n)
+    cycles = [[fp] for fp in want["fixed_points"]]
+    cycles += [c["states"] for c in want["cycles"]]
+    assert [[stg.label(c) for c in cyc] for cyc in stg.attractors] == cycles
+    on_cycle = {label for cyc in cycles for label in cyc}
+    assert stg.on_attractor == bytearray(
+        format(c, f"0{n}b") in on_cycle for c in range(1 << n)
+    )
+    assert stg.transient_count() == want["transient_count"]
+    del want["transient_count"]
+    text = "".join(attractor_census_chunks(stg))
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    return text
+
+
+def test_stg_colour_pass_and_census_text_every_eca_rule():
+    for n in range(3, 9):
+        ring = ring_neighbourhoods(n)
+        for number in range(256):
+            stg = build_stg(CARule.eca(number), regular_ring(n, 3))
+            assert_stg_matches_oracle(stg, ("eca", number), ring)
+
+
+def test_stg_colour_pass_and_census_text_parity_digraphs():
+    rng = random.Random(1307)
+    for trial in range(24):
+        n = trial % 8 + 1
+        nbhd = [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(n)]
+        spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
+        stg = build_stg(PARITY, spec)
+        assert_stg_matches_oracle(stg, ("parity",), nbhd)
+
+
+def test_census_text_with_an_empty_list():
+    # Rule 204 is the identity: every state is fixed.  Rule 51 complements
+    # every cell: no state is fixed, every state has period 2.
+    ring = ring_neighbourhoods(5)
+    for number, empty, size in ((204, '"cycles": []', 32), (51, '"fixed_points": []', 16)):
+        stg = build_stg(CARule.eca(number), regular_ring(5, 3))
+        text = assert_stg_matches_oracle(stg, ("eca", number), ring)
+        assert empty in text
+        assert len(stg.attractors) == size
+        assert attractor_census(stg) == json.loads(text)
+    # 2^13 fixed points: more than one block of the census text.
+    stg = build_stg(CARule.eca(204), regular_ring(13, 3))
+    want = {"cycles": [], "fixed_points": [format(c, "013b") for c in range(1 << 13)]}
+    text = "".join(attractor_census_chunks(stg))
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def test_stg_labels_from_half_width_tables():
+    # N = 1 has an empty top half.
+    for n in range(1, 13):
+        stg = build_stg(PARITY, regular_ring(n, 1))
+        hi, lo, k = stg.label_halves
+        assert (len(hi), len(lo), k) == (1 << n // 2, 1 << (n + 1) // 2, (n + 1) // 2)
+        assert [stg.label(c) for c in range(1 << n)] == [
+            format(c, f"0{n}b") for c in range(1 << n)
+        ]
+    assert build_stg(PARITY, regular_ring(1, 1)).label_halves[0] == [""]
 
 
 def test_stg_functional_and_complete():

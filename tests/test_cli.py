@@ -760,6 +760,41 @@ def test_async_svgs_are_never_held_whole(tmp_path, capsys, monkeypatch):
         assert rises[name] < 2 * size, (name, rises[name], size)
 
 
+def test_stg_files_are_never_held_whole(tmp_path, capsys, monkeypatch):
+    # Rule 150 is invertible on a 16-cell ring, so the census lists all
+    # 2^16 states.  Writing either file may raise the traced memory by
+    # the half-width label tables and a block of text, but not by the
+    # file's labels, lines or joined text.
+    cfg = write_config(tmp_path, {
+        "network": {"N": 16, "topology": {"regular": {"n": 3}}},
+        "rule": {"eca": 150},
+    })
+    out = tmp_path / "out"
+    rises = {}
+    write = cli.Stages.write
+
+    def traced_write(st, *names):
+        st.compute("stg")  # the graph itself is not part of any file's cost
+        for name in names:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            write(st, name)
+            rises[name] = tracemalloc.get_traced_memory()[1] - before
+
+    monkeypatch.setattr(cli.Stages, "write", traced_write)
+    tracemalloc.start()
+    try:
+        code = main(["stg", "--config", cfg, "--out", str(out)])
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    for name in ("attractor_census.json", "stg.dot"):
+        size = (out / name).stat().st_size
+        assert size >= 1 << 20
+        assert rises[name] < size, (name, rises[name], size)
+
+
 def test_async_plots_share_one_layout(tmp_path, capsys, monkeypatch):
     # The y texts of the update times (contours and blocks) and the height
     # texts of the hold intervals are each formatted once per run; render's
@@ -828,7 +863,8 @@ def count_steps(monkeypatch) -> list:
         (["render"], lambda mp: count_calls(mp, network, "build_p"), 1),
         (["render"], lambda mp: count_calls(mp, ca, "sync_orbit"), 0),
         (["verify"], lambda mp: count_calls(mp, ca, "event_simulation"), 1),
-        (["stg"], lambda mp: count_calls(mp, ca, "attractor_census"), 1),
+        # the census is streamed to its file, once
+        (["stg"], lambda mp: count_calls(mp, ca, "attractor_census_chunks"), 1),
         (["ca", "--schedule", "both"],
          lambda mp: count_calls(mp, ca, "event_simulation"), 1),
         # the orbit of the ring10 config has entry 0 and period 6
