@@ -252,6 +252,22 @@ class SyncOrbit:
         fmt = f"0{self.size}b"
         return [format(c, fmt) for c in self._periodic_codes()]
 
+    def json_chunks(self) -> Iterator[str]:
+        """The text of json.dumps({"entry_time": ..., "period": ...,
+        "periodic_states": self.periodic_labels()}, indent=2,
+        sort_keys=True) + "\n", a block of labels at a time."""
+        fmt = f"0{self.size}b"
+        codes = self._periodic_codes()
+        sep = (
+            f'{{\n  "entry_time": {self.entry_time},\n'
+            f'  "period": {self.period},\n  "periodic_states": [\n    "'
+        )
+        for b in range(0, len(codes), _CENSUS_BLOCK):
+            block = codes[b : b + _CENSUS_BLOCK]
+            yield sep + '",\n    "'.join([format(c, fmt) for c in block])
+            sep = '",\n    "'
+        yield '"\n  ]\n}\n'
+
     def state(self, k: int) -> State:
         """s(k) for any k >= 0, folding into the periodic part."""
         if k >= len(self.codes):

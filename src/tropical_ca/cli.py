@@ -33,7 +33,7 @@ from . import render as render_mod
 from . import spectral as spectral_mod
 from . import trajectory as traj_mod
 from .errors import ConfigError, NetworkError, ScalarError, TropicalError, VerificationError
-from .semiring import MaxPlusMatrix, load_json, scalar_from_json, unit_vector, vec_scale
+from .semiring import MaxPlusMatrix, load_json, scalar_from_json, unit_vector
 
 log = logging.getLogger("tropical_ca")
 
@@ -339,9 +339,8 @@ class Stages:
             "event_times_match_matrix":
                 list(self.trajectory.states) == list(self.events[0]),
             "regime": traj_mod.verify_regime(self.regime, self.p, self.summary),
-            "eigen_equation": all(
-                self.p.apply(v) == vec_scale(self.summary.eigenvalue, v)
-                for v in self.summary.eigenbasis
+            "eigen_equation": traj_mod.maps_cyclically(
+                self.p, self.summary.eigenvalue, [(v,) for v in self.summary.eigenbasis]
             ),
         }
 
@@ -375,13 +374,7 @@ WRITERS = {
     ),
     "regime.json": lambda st: _json(st.regime.to_json_dict()),
     "contour_plot.svg": _contour_plot_chunks,
-    "sync_orbit.json": lambda st: _json(
-        {
-            "entry_time": st.orbit.entry_time,
-            "period": st.orbit.period,
-            "periodic_states": st.orbit.periodic_labels(),
-        }
-    ),
+    "sync_orbit.json": lambda st: st.orbit.json_chunks(),
     "spacetime_sync.svg": lambda st: render_mod.spacetime_sync_chunks(
         st.sync_states, st.plotspec
     ),

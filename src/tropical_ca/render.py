@@ -98,10 +98,11 @@ def _comment_lines(ps: PlotSpec, prefix: str) -> list:
     return lines
 
 
-# Lines per chunk of the streamed texts: a few hundred raster rows (a few
-# KB each) or SVG lines (under 100 B each), or about 8k STG lines, so a
-# chunk stays well under a megabyte.
-_PIXMAP_BLOCK = 256
+# Lines per chunk of the streamed texts: 512 SVG lines (under 100 B
+# each) or about 8k STG lines, so a chunk stays well under a megabyte.  A
+# raster row's width varies, so its chunks hold as many rows as fit in
+# _PIXMAP_BYTES (at least one).
+_PIXMAP_BYTES = 1 << 18
 _SVG_BLOCK = 512
 _STG_BLOCK = 8192
 
@@ -297,7 +298,11 @@ class AsyncPlots:
         slots = [(i, f) for i in range(n) for f in (dark, light, background)]
         header = ["P2", *_comment_lines(ps, "#"), f"{n * ps.cell_px} {height}", "255"]
         lines = _swept_rows([background] * n, changes, slots, height)
-        return _line_blocks(chain(header, lines), _PIXMAP_BLOCK)
+        row_bytes = n * (max(map(len, (dark, light, background))) + 1)
+        return chain(
+            _line_blocks(header, len(header)),
+            _line_blocks(lines, max(1, _PIXMAP_BYTES // row_bytes)),
+        )
 
 
 def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:

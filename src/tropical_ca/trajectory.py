@@ -7,17 +7,37 @@ sequence y(k) = x(k) - lambda·k, which evolves under the normalized matrix
 
     x(k + rho) = mu ⊗ x(k)        for all k >= k*,  mu = rho · lambda,
 
-and rho divides the cyclicity sigma(P).  Regime detection hashes the
-normalized states, which are exact ints or Fractions; the first repeated
-value pins both the transient k* and the minimal period rho (a
-deterministic map cannot revisit a tail value without being periodic from
-its first occurrence).
+and rho divides the cyclicity sigma(P).  That is the cyclicity theorem of
+max-plus algebra: for an irreducible P, x(k + sigma) = (sigma·lambda) ⊗
+x(k) once k is past the transient (Baccelli, Cohen, Olsder and Quadrat,
+*Synchronization and Linearity*, 1992; Heidergott, Olsder and van der
+Woude, *Max Plus at Work*, 2006).
+
+The normalized frame runs on scaled ints, as the normalized graph of
+:func:`~tropical_ca.spectral.analyze` does.  With D the common
+denominator of P's finite entries and x(0), every x(k) is a multiple of
+1/D.  Write lambda·D = p/q in lowest terms and s = q·D; then
+y(k) = Y(k)/s with
+
+    Y(k) = s·x(k) - p·k,
+
+a vector of ints, and Y(k+1) is P ⊗ Y(k) over the int arc weights
+s·w - p.  A scalar y is formed only where one leaves the layer.
+
+Regime detection keeps the last sigma + 1 states Y(k) only.  The first k
+with Y(k) = Y(k - sigma) gives k* = k - sigma.  The tail from k* is
+periodic, and no earlier state recurs: the tail from a recurring state
+is purely periodic, the theorem makes sigma one of its periods, so the
+state recurs sigma steps later too.  The minimal period rho divides
+sigma, and it is the smallest divisor d of sigma with Y(k* + d) = Y(k*).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,6 +48,7 @@ from .errors import (
     VerificationError,
 )
 from .semiring import (
+    EPS,
     MaxPlusMatrix,
     Scalar,
     canonical,
@@ -36,7 +57,6 @@ from .semiring import (
     is_eps,
     scalar_to_json,
     vec_is_finite,
-    vec_scale,
 )
 from .spectral import SpectralSummary
 
@@ -80,6 +100,78 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
     return Trajectory(P, tuple(states))
 
 
+def _times(v, s: int):
+    """s·v as an int, for an int or a Fraction v whose denominator
+    divides s."""
+    return v * s if type(v) is int else v.numerator * (s // v.denominator)
+
+
+def _denominator(values) -> int:
+    """Least common denominator of the finite scalars."""
+    return math.lcm(*{v.denominator for v in values if type(v) is not float})
+
+
+class _Frame:
+    """The normalized frame y(k) = x(k) - lambda·k of one trajectory, as
+    the scaled ints Y(k) = s·x(k) - p·k of the module docstring."""
+
+    def __init__(self, traj: Trajectory, lam: Scalar):
+        if is_eps(lam):
+            raise DimensionError("eigenvalue must be finite")
+        x0 = traj.states[0]
+        self.rows = rows = traj.matrix.finite_rows()
+        d = math.lcm(
+            _denominator(w for row in rows for (_j, w) in row), _denominator(x0)
+        )
+        lam_d = Fraction(exact(lam)) * d
+        self.s = lam_d.denominator * d
+        self.p = lam_d.numerator
+        # Every state is a vector of ints, none EPS: int entries, a finite
+        # x(0) and an arc into every cell.
+        self.ints = d == 1 and all(rows) and vec_is_finite(x0)
+
+    def state(self, k: int, x) -> tuple:
+        """Y(k) of the state x = x(k), None where x is EPS."""
+        s, shift = self.s, self.p * k
+        if self.ints:
+            return tuple([s * v - shift for v in x])
+        return tuple(
+            [None if type(v) is float else _times(v, s) - shift for v in x]
+        )
+
+    def arcs(self) -> list:
+        """Per row of P, its (j, s·w - p) pairs: Y(k+1) = P ⊗ Y(k) over
+        them."""
+        s, p = self.s, self.p
+        return [[(j, _times(w, s) - p) for (j, w) in row] for row in self.rows]
+
+    def vector(self, y: tuple) -> tuple:
+        """y = Y/s as exact scalars."""
+        s = self.s
+        if s == 1 and self.ints:
+            return y
+        return tuple(
+            EPS if v is None else v // s if v % s == 0 else Fraction(v, s)
+            for v in y
+        )
+
+
+def _step(arcs: list, y: tuple) -> tuple:
+    """P ⊗ y over int arcs, with None for EPS: per row, the greatest
+    w + y_j over its arcs (j, w) with y_j finite, or None if none is."""
+    out = []
+    for row in arcs:
+        best = None
+        for j, w in row:
+            v = y[j]
+            if v is not None:
+                v += w
+                if best is None or v > best:
+                    best = v
+        out.append(best)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class NormalizedTrajectory:
     """y(k) = x(k) - lambda·k: the trajectory seen from the moving frame."""
@@ -88,16 +180,10 @@ class NormalizedTrajectory:
     states: tuple
 
 
-def _normalized_state(x, lam, k):
-    shift = canonical(lam * k)
-    return tuple(canonical(v - shift) for v in x)
-
-
 def normalize(traj: Trajectory, eigenvalue: Scalar) -> NormalizedTrajectory:
-    if is_eps(eigenvalue):
-        raise DimensionError("eigenvalue must be finite")
+    frame = _Frame(traj, eigenvalue)
     states = tuple(
-        _normalized_state(x, eigenvalue, k) for k, x in enumerate(traj.states)
+        frame.vector(frame.state(k, x)) for k, x in enumerate(traj.states)
     )
     return NormalizedTrajectory(eigenvalue, states)
 
@@ -136,57 +222,47 @@ def detect_regime(
     spectral: SpectralSummary,
     k_cap: int | None = None,
 ) -> RegimeReport:
-    """Find (k*, rho, mu) by hashing exact normalized states.
+    """Find (k*, rho, mu) from a window of the last sigma + 1 normalized
+    states (module docstring).
 
-    Walks the given trajectory and, when it is shorter than needed,
-    continues iterating its matrix internally up to the cap
-    (default 10·N² + 10·sigma).
+    Reads the given trajectory and, when it is shorter than needed,
+    steps the normalized frame on from its last state, until the regime
+    shows at step k* + sigma or the cap (default 10·N² + 10·sigma) is
+    passed.  ``spectral`` is the summary of the trajectory's matrix.
     """
-    P = traj.matrix
-    lam = spectral.eigenvalue
-    cap = default_cap(traj.size, spectral.sigma) if k_cap is None else k_cap
-
-    seen: dict = {}
-    ys = []
-    xs = []
-    x = traj.states[0]
-    k = 0
-    first = repeat = None
-    while k <= cap:
-        y = _normalized_state(x, lam, k)
-        if y in seen:
-            first, repeat = seen[y], k
-            ys.append(y)
-            xs.append(x)
+    lam, sigma = spectral.eigenvalue, spectral.sigma
+    cap = default_cap(traj.size, sigma) if k_cap is None else k_cap
+    frame = _Frame(traj, lam)
+    states = traj.states
+    window = deque(maxlen=sigma + 1)
+    arcs = None
+    for k in range(cap + 1):
+        if k < len(states):
+            y = frame.state(k, states[k])
+        else:
+            if arcs is None:
+                arcs = frame.arcs()
+            y = _step(arcs, y)
+        window.append(y)
+        if k >= sigma and y == window[0]:
             break
-        seen[y] = k
-        ys.append(y)
-        xs.append(x)
-        x = traj.states[k + 1] if k + 1 <= traj.k_max else P.apply(x)
-        k += 1
-    if first is None:
+    else:
         raise CapExceededError(
             f"no periodic regime within {cap} steps; "
             "raise the cap or check that the matrix is irreducible",
             k_reached=cap,
         )
 
-    rho = repeat - first
-    # The first repeated value of a deterministic map already gives the
-    # minimal period; double-check against all proper divisors anyway.
-    for d in range(1, rho):
-        if rho % d == 0 and ys[first + d] == ys[first]:
-            raise VerificationError("first repeat distance was not minimal")
-    mu = canonical(lam * rho)
-    for i in range(traj.size):
-        if canonical(xs[first + rho][i] - xs[first][i]) != mu:
-            raise VerificationError("observed shift disagrees with rho * lambda")
+    rho = next(d for d in range(1, sigma + 1) if sigma % d == 0 and window[d] == y)
+    # x(k + rho) = mu ⊗ x(k) must hold across the whole window.
+    if any(window[m] != window[m + rho] for m in range(sigma + 1 - rho)):
+        raise VerificationError("observed shift disagrees with rho * lambda")
     return RegimeReport(
-        k_star=first,
+        k_star=k - sigma,
         rho=rho,
-        mu=mu,
+        mu=canonical(lam * rho),
         eigenvalue=lam,
-        contours=tuple(ys[first : first + rho]),
+        contours=tuple(frame.vector(window[m]) for m in range(rho)),
     )
 
 
@@ -205,15 +281,52 @@ def per_node_estimates(traj: Trajectory, k: int | None = None) -> tuple:
     return tuple(canonical(Fraction(xk[i], k)) for i in range(traj.size))
 
 
+def maps_cyclically(P: MaxPlusMatrix, lam: Scalar, cycles) -> bool:
+    """True iff P ⊗ c[m] = lam ⊗ c[m + 1] around each cycle c of vectors
+    (indices mod len(c)); a cycle of one vector is an eigenvector.
+
+    The test runs on ints: P, lam and every vector are scaled by the lcm S
+    of all their denominators, and (S·P) ⊗ (S·c) = S·lam + S·c′ entry by
+    entry.  A vector entry may be EPS; a finite float raises ScalarError.
+    """
+    lam = exact(lam)
+    if is_eps(lam):
+        raise DimensionError("eigenvalue must be finite")
+    cycles = [[tuple(map(exact, c)) for c in cyc] for cyc in cycles]
+    if any(len(c) != P.cols for cyc in cycles for c in cyc):
+        raise DimensionError(f"a vector's length is not the matrix's {P.cols}")
+    rows = P.finite_rows()
+    s = math.lcm(
+        _denominator(w for row in rows for (_j, w) in row),
+        lam.denominator,
+        *(_denominator(c) for cyc in cycles for c in cyc),
+    )
+    arcs = rows if s == 1 else [[(j, _times(w, s)) for (j, w) in row] for row in rows]
+    shift = _times(lam, s)
+    for cyc in cycles:
+        scaled = [
+            tuple([None if is_eps(v) else _times(v, s) for v in c]) for c in cyc
+        ]
+        for m, c in enumerate(scaled):
+            nxt = scaled[(m + 1) % len(scaled)]
+            if _step(arcs, c) != tuple(
+                [None if v is None else v + shift for v in nxt]
+            ):
+                return False
+    return True
+
+
 def verify_regime(
     report: RegimeReport, P: MaxPlusMatrix, spectral: SpectralSummary
 ) -> bool:
-    """Re-check every regime invariant by direct matrix-vector products.
+    """Re-check every regime invariant of the report, exactly.
 
     ``spectral`` is the summary of P, as for :func:`detect_regime`.  True
     iff rho >= 1, rho divides sigma(P), mu equals rho times the eigenvalue
-    of P, consecutive contours map into each other under P, and every
-    contour is an eigenvector of P^⊗rho with eigenvalue mu.
+    of P, and P maps each contour to the next one shifted by lambda
+    (wrapping round): :func:`maps_cyclically`.  Then every contour is also
+    an eigenvector of P^⊗rho with eigenvalue mu, as ⊗ by a scalar commutes
+    with P.
     """
     lam = spectral.eigenvalue
     rho = report.rho
@@ -225,19 +338,24 @@ def verify_regime(
         return False
     if len(report.contours) != rho or report.k_star < 0:
         return False
-    # P maps each contour to the next one shifted by lambda (wrapping).
-    for m, c in enumerate(report.contours):
-        nxt = report.contours[(m + 1) % rho]
-        if P.apply(c) != vec_scale(lam, nxt):
-            return False
-    # Each contour is an eigenvector of P^⊗rho: apply P rho times.
-    for c in report.contours:
-        x = c
-        for _ in range(rho):
-            x = P.apply(x)
-        if x != vec_scale(report.mu, c):
-            return False
-    return True
+    return maps_cyclically(P, lam, [report.contours])
+
+
+class _Texts(dict):
+    """Text of y = Y/s per scaled value Y, formatted on first use."""
+
+    def __init__(self, s: int):
+        super().__init__()
+        self.s = s
+
+    def __missing__(self, v):
+        if v is None:
+            text = "eps"
+        else:
+            g = math.gcd(v, self.s)
+            text = str(v // g) if g == self.s else f"{v // g}/{self.s // g}"
+        self[v] = text
+        return text
 
 
 def _csv_text(traj: Trajectory, eigenvalue: Scalar | None = None) -> str:
@@ -245,13 +363,15 @@ def _csv_text(traj: Trajectory, eigenvalue: Scalar | None = None) -> str:
     header = ["k"] + [f"x_{i + 1}" for i in range(n)]
     if eigenvalue is not None:
         header += [f"y_{i + 1}" for i in range(n)]
+        frame = _Frame(traj, eigenvalue)
+        texts = _Texts(frame.s).__getitem__
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     for k, x in enumerate(traj.states):
-        row = [k] + [format_scalar(v) for v in x]
+        row = [k, *[v if type(v) is int else format_scalar(v) for v in x]]
         if eigenvalue is not None:
-            row += [format_scalar(v) for v in _normalized_state(x, eigenvalue, k)]
+            row += map(texts, frame.state(k, x))
         writer.writerow(row)
     return buf.getvalue()
 

@@ -209,20 +209,93 @@ def scc_partition(n, arc_pairs):
 # -- random instances ------------------------------------------------------------
 
 
-def random_irreducible_grid(rng, n, lo=-9, hi=9, density=0.35):
+def random_irreducible_grid(rng, n, lo=-9, hi=9, density=0.35, period=1):
     """Random integer matrix whose graph is strongly connected: a Hamiltonian
-    cycle through a shuffled node order plus density-sprinkled extra arcs."""
+    cycle through a shuffled node order plus density-sprinkled extra arcs.
+
+    With period > 1 (dividing n) the t-th node of the order is in class
+    t mod period and every arc leads to the next class, so every circuit
+    length, and with it the cyclicity, is a multiple of period."""
+    if n % period:
+        raise ValueError(f"period {period} does not divide n = {n}")
     order = list(range(n))
     rng.shuffle(order)
     arc_set = {(order[t], order[(t + 1) % n]) for t in range(n)}
+    cls = {v: t % period for t, v in enumerate(order)}
     for j in range(n):
         for i in range(n):
-            if (j, i) not in arc_set and rng.random() < density:
+            if (
+                (j, i) not in arc_set
+                and (cls[j] + 1 - cls[i]) % period == 0
+                and rng.random() < density
+            ):
                 arc_set.add((j, i))
     grid = [[NEG_INF] * n for _ in range(n)]
     for (j, i) in sorted(arc_set):
         grid[i][j] = rng.randint(lo, hi)
     return grid
+
+
+# -- trajectories and regimes ------------------------------------------------------
+
+
+def regime_by_hashing(grid, x0, lam, cap):
+    """(k_star, rho, mu, contours) of x(k+1) = grid ⊗ x(k) by hashing every
+    normalized state y(k) = x(k) - lam·k in Fractions: the first value seen
+    twice, at k_star and k_star + rho, pins both.  None past the cap."""
+    lam = Fraction(lam)
+    seen, ys = {}, []
+    x = [Fraction(v) for v in x0]
+    for k in range(cap + 1):
+        y = tuple(v - lam * k for v in x)
+        if y in seen:
+            first = seen[y]
+            rho = k - first
+            return first, rho, lam * rho, tuple(ys[first:])
+        seen[y] = k
+        ys.append(y)
+        x = grid_apply(grid, x)
+    return None
+
+
+def cyclic_regime_holds(grid, lam, sigma, rho, mu, contours):
+    """The regime invariants, longhand in Fractions: rho >= 1 divides
+    sigma, mu = rho·lam, there are rho contours, grid ⊗ c_m = lam + c_{m+1}
+    around them, and grid^rho ⊗ c = mu + c for each."""
+    if rho < 1 or sigma % rho or mu != rho * lam or len(contours) != rho:
+        return False
+    for m, c in enumerate(contours):
+        nxt = contours[(m + 1) % rho]
+        if grid_apply(grid, list(c)) != [v + lam for v in nxt]:
+            return False
+        x = list(c)
+        for _ in range(rho):
+            x = grid_apply(grid, x)
+        if x != [v + mu for v in c]:
+            return False
+    return True
+
+
+def trajectory_csv_longhand(states, lam):
+    """trajectory.csv text: k, the x columns and the y = x - lam·k
+    columns, each value written as an int, p/q in lowest terms or eps."""
+
+    def text(v):
+        if v == NEG_INF:
+            return "eps"
+        v = Fraction(v)
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+
+    n = len(states[0])
+    header = ["k"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
+    lines = [",".join(header)]
+    lam = Fraction(lam)
+    for k, x in enumerate(states):
+        cells = [str(k)] + [text(v) for v in x] + [text(v - lam * k) for v in x]
+        lines.append(",".join(cells))
+    return "\r\n".join(lines) + "\r\n"
 
 
 # -- plots -----------------------------------------------------------------------

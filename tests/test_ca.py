@@ -339,6 +339,31 @@ def test_orbit_keeps_codes_and_decodes_on_request():
     assert [orbit.state(k) for k in range(40)] == list(sync_states(RULE150, spec, s0, 39))
 
 
+def test_orbit_json_chunks_equal_json_dumps():
+    # sync_orbit.json streams its labels; the text must be json.dumps's,
+    # for a fixed point, a short cycle after a transient and a long cycle
+    # that spans several blocks of labels.
+    cases = [
+        (PARITY, regular_ring(7, 3), (0,) * 7),
+        (RULE150, regular_ring(10, 3), state_from_string("0110000000")),
+        (RULE150, regular_ring(10, 3), state_from_string("0000100000")),
+        (RULE150, regular_ring(200, 3), (1,) + (0,) * 199),
+    ]
+    periods = set()
+    for rule, spec, s0 in cases:
+        orbit = sync_orbit(rule, spec, s0, 1 << 14)
+        periods.add(orbit.period)
+        doc = {
+            "entry_time": orbit.entry_time,
+            "period": orbit.period,
+            "periodic_states": orbit.periodic_labels(),
+        }
+        chunks = list(orbit.json_chunks())
+        assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert 1 in periods and max(periods) > ca._CENSUS_BLOCK
+    assert len(chunks) > 2
+
+
 def _suborder(n: int) -> int:
     """Least j >= 1 with 2^j = +-1 (mod n), for odd n."""
     j = 1

@@ -13,7 +13,7 @@ from oracles import (
     spacetime_sync_cells,
     stg_dot_longhand,
 )
-from tropical_ca import __version__
+from tropical_ca import __version__, render
 from tropical_ca.ca import (
     CARule,
     async_run,
@@ -358,6 +358,21 @@ def test_shared_layout_chunks_equal_the_public_renderers():
                 assert len(chunks) > 1, name
             assert "".join(chunks) == public, (label, name)
             assert_same_text(public, oracle, f"{label} {name}")
+
+
+def test_raster_chunks_are_sized_in_bytes():
+    # A chunk holds as many rows as fit in the byte target, so a wide
+    # raster is not joined 256 rows (megabytes) at a time; a raster whose
+    # rows are wider than the target gets one row per chunk.
+    run = seeded_run(size=128, k_max=5)
+    for ps in (PlotSpec(), PlotSpec(cell_px=300)):
+        plots = AsyncPlots(run.trajectory, ps, run.states)
+        chunks = list(plots.raster_chunks())
+        text = "".join(chunks)
+        assert text == spacetime_async_pixmap(run, ps)
+        row = max(map(len, text.splitlines())) + 1
+        assert len(chunks) > 3
+        assert all(len(c) <= render._PIXMAP_BYTES + row for c in chunks)
 
 
 # -- synchronous space-time -------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 import csv
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from tropical_ca.errors import (
     CapExceededError,
@@ -17,6 +22,7 @@ from tropical_ca.semiring import EPS, MaxPlusMatrix, unit_vector, vec_scale
 from tropical_ca.spectral import analyze, eigenvectors
 from tropical_ca.trajectory import (
     RegimeReport,
+    _csv_text,
     cycletime,
     default_cap,
     detect_regime,
@@ -340,6 +346,21 @@ def test_trajectory_csv(tmp_path):
         assert all(x - lam * k == y for x, y in zip(xs, ys))
 
 
+def test_csv_and_normalize_keep_eps():
+    # No arc enters cell 2, so x_2(k) is EPS from k = 1 on.
+    for P, x0, lam in (
+        (mat((2, 0), (EPS, EPS)), (0, 5), 2),
+        (mat((Fraction(1, 2), 0), (EPS, EPS)), (Fraction(1, 3), 0), Fraction(1, 2)),
+    ):
+        traj = iterate(P, x0, 3)
+        assert traj.states[1][1] == EPS
+        assert _csv_text(traj, lam) == oracles.trajectory_csv_longhand(traj.states, lam)
+        assert normalize(traj, lam).states == tuple(
+            tuple(v if v == EPS else v - lam * k for v in x)
+            for k, x in enumerate(traj.states)
+        )
+
+
 def test_trajectory_csv_without_lambda(tmp_path):
     P, _ = ring_system(4, 11)
     traj = iterate(P, unit_vector(4), 2)
@@ -371,3 +392,114 @@ def test_timing_path_forms_no_matrix_product(monkeypatch):
     report = detect_regime(traj, summary)
     assert verify_regime(report, P, summary)
     assert products == []
+
+
+# -- the window detector against the hashing oracle --------------------------------
+
+
+@st.composite
+def regime_instances(draw):
+    """(grid, x0, k_max, period): a random irreducible grid of up to 9
+    nodes whose circuit lengths are all multiples of period (so sigma is
+    too), int or rational entries and start, and a trajectory length
+    that may stop before the regime or run past it.  x0 is None for a
+    start on an eigenvector, where rho = 1 whatever sigma is."""
+    period = draw(st.sampled_from([1, 1, 2, 3]))
+    n = period * draw(st.integers(1, 9 // period))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    grid = oracles.random_irreducible_grid(rng, n, period=period)
+    if draw(st.booleans()):
+        grid = [
+            [v if v == oracles.NEG_INF else Fraction(v, rng.randint(1, 6)) for v in row]
+            for row in grid
+        ]
+        x0 = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+    else:
+        x0 = tuple(rng.randint(-9, 9) for _ in range(n))
+    if draw(st.integers(0, 3)) == 0:
+        x0 = None
+    return grid, x0, draw(st.integers(0, 12)), period
+
+
+def _canonical(v):
+    return int(v) if v.denominator == 1 else v
+
+
+@settings(max_examples=150, deadline=None)
+@given(regime_instances())
+def test_window_detector_equals_hashing_oracle(instance):
+    grid, x0, k_max, period = instance
+    P = MaxPlusMatrix(grid)
+    summary = analyze(P)
+    assert summary.sigma % period == 0
+    if x0 is None:
+        x0 = summary.eigenbasis[-1]
+    traj = iterate(P, x0, k_max)
+    report = detect_regime(traj, summary)
+    lam = summary.eigenvalue
+    cap = default_cap(len(grid), summary.sigma)
+    k_star, rho, mu, contours = oracles.regime_by_hashing(grid, x0, lam, cap)
+    want = RegimeReport(
+        k_star=k_star,
+        rho=rho,
+        mu=_canonical(mu),
+        eigenvalue=lam,
+        contours=tuple(tuple(map(_canonical, c)) for c in contours),
+    )
+    assert report == want
+    assert report.to_json_dict() == want.to_json_dict()
+    assert _csv_text(traj, lam) == oracles.trajectory_csv_longhand(traj.states, lam)
+
+    def checks(contours):
+        bad = RegimeReport(k_star, rho, report.mu, lam, contours)
+        holds = oracles.cyclic_regime_holds(grid, lam, summary.sigma, rho, mu, contours)
+        assert verify_regime(bad, P, summary) == holds
+        return holds
+
+    assert checks(report.contours)
+    # Shifting every contour by one constant keeps a valid report valid,
+    # though its entries are no longer multiples of the frame's 1/s.
+    alpha = Fraction(1, 97)
+    assert checks(tuple(tuple(v + alpha for v in c) for c in report.contours))
+    # Raising one entry of the first contour breaks the map into it from
+    # the last one, unless rho = 1 and a self-loop carries the raise along.
+    free = [i for i in range(len(grid)) if rho > 1 or grid[i][i] == oracles.NEG_INF]
+    if free:
+        c0 = list(report.contours[0])
+        c0[free[0]] += alpha
+        assert not checks((tuple(c0),) + report.contours[1:])
+
+
+def test_verify_regime_rational_period_three():
+    # The circuit 0 -> 1 -> 2 -> 0 (mean 7/3) is critical, the 6-circuit
+    # through all nodes has mean 2: lambda has denominator 3, and
+    # sigma = rho = 3 from the unit start.
+    grid = [[oracles.NEG_INF] * 6 for _ in range(6)]
+    arcs = ((0, 1, 2), (1, 2, 2), (2, 0, 3), (2, 3, 1), (3, 4, 4), (4, 5, 2), (5, 0, 1))
+    for j, i, w in arcs:
+        grid[i][j] = w
+    P = MaxPlusMatrix(grid)
+    summary = analyze(P)
+    report = detect_regime(iterate(P, unit_vector(6), 0), summary)
+    assert (summary.eigenvalue, summary.sigma, report.rho) == (Fraction(7, 3), 3, 3)
+    assert verify_regime(report, P, summary)
+    c = list(report.contours[1])
+    c[4] += Fraction(1, 3)
+    bad = RegimeReport(report.k_star, 3, report.mu, report.eigenvalue,
+                       (report.contours[0], tuple(c), report.contours[2]))
+    assert not verify_regime(bad, P, summary)
+
+
+def test_detect_regime_memory_is_a_window():
+    # k* = 1254 steps on 160 cells: the hashing detector kept every state
+    # (15.4 MiB at its peak); the window keeps sigma + 1 = 2.
+    P, summary = ring_system(160, 5)
+    traj = iterate(P, unit_vector(160), 0)
+    tracemalloc.start()
+    try:
+        report = detect_regime(traj, summary)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.k_star, report.rho, summary.sigma) == (1254, 1, 1)
+    assert peak < 1 << 20
