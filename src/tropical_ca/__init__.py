@@ -65,8 +65,10 @@ from .trajectory import (
     NormalizedTrajectory,
     RegimeReport,
     Trajectory,
+    csv_chunks,
     cycletime,
     detect_regime,
+    iter_states,
     iterate,
     normalize,
     per_node_estimates,
@@ -76,13 +78,19 @@ from .trajectory import (
 from .ca import (
     AsyncRun,
     CARule,
+    Mismatch,
     StateTransitionGraph,
     SyncOrbit,
     async_run,
     attractor_census,
     attractor_census_chunks,
+    bijection_mismatch,
     build_stg,
     event_simulation,
+    event_states,
+    event_times,
+    first_mismatches,
+    iter_sync_states,
     state_at,
     state_from_string,
     state_to_string,

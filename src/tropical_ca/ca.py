@@ -13,7 +13,8 @@ the k-th contour x(k) equals the synchronous state s(k) even though wall
 clock update times are scattered.  verify_bijection re-derives the
 asynchronous states with an explicit per-message event simulation (no
 matrix algebra) and compares; an optional early-update fault breaks the
-wait-for-all discipline in one cell to show the equality is not vacuous.
+wait-for-all discipline in one cell to show the equality is not vacuous,
+and the first counter-example then names that cell.
 
 Between updates a cell holds its last computed state in memory: s_i(k) is
 exposed on the half-open interval [x_i(k), x_i(k+1)).
@@ -35,13 +36,19 @@ of times.  A state label is the join of two half-width labels from
 tables of 2^(N/2) entries each, and attractor_census_chunks streams the
 census JSON one cycle at a time, so no list of all 2^N labels or whole
 census text is ever built.
-event_simulation applies the rule cell by cell on purpose: it is the
-independent oracle of the bijection check, with no matrix, no _compile
-and no state codes.  It resolves each cell's (sender, delay) links and
-the local rule (the 8-entry ECA table, or the parity sum) once per run,
-so a cycle is one comprehension for the times and one for the states.
-Only an injected fault cell keeps a map of the last value it heard from
-each neighbour.  tests/oracles.py holds the message-by-message longhand.
+The event simulation applies the rule cell by cell on purpose: it is
+the independent oracle of the bijection check, with no matrix, no
+_compile and no state codes.  It is two per-cycle generators.
+event_times resolves each cell's (sender, delay) links once and steps
+max(x_j + tau) + xi; event_states resolves the local rule (the 8-entry
+ECA table, or the parity sum) once and reads no time, as without a
+fault no state depends on when its messages arrived.  Only an injected
+fault cell keeps a map of the last value it heard from each neighbour,
+and only then are the times read.  event_simulation lists the two;
+verify_bijection runs the states alone unless a fault cell needs the
+times.  first_mismatches steps any number of such runs in lockstep and
+keeps each check's first counter-example, in memory of one state per
+run.  tests/oracles.py holds the message-by-message longhand.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from typing import Iterator, Sequence
 
 from .errors import CapExceededError, NetworkError, RuleError, StateUndefinedError
 from .network import NetworkSpec, TimingParameters, build_p, validate_timing
-from .semiring import Scalar
+from .semiring import Scalar, format_scalar
 from .trajectory import Trajectory, iterate
 
 State = tuple  # tuple of 0/1 ints, cell 0 first
@@ -215,15 +222,27 @@ def sync_step(rule: CARule, spec: NetworkSpec, state: State) -> State:
     return _decode(_compile(rule, spec)(_encode(state)), spec.size)
 
 
-def sync_states(rule: CARule, spec: NetworkSpec, s0: State, k: int) -> tuple:
-    """The synchronous states s(0..k) from s0."""
+def iter_sync_states(
+    rule: CARule, spec: NetworkSpec, s0: State, k: int
+) -> Iterator[State]:
+    """The synchronous states s(0..k) from s0, one at a time.  The inputs
+    are checked on the call."""
     step = _compile(rule, spec)
     if len(s0) != spec.size:
         raise RuleError(f"s0 has {len(s0)} cells, network has {spec.size}")
-    codes = [_encode(s0)]
+    return _sync_states(step, _encode(s0), spec.size, k)
+
+
+def _sync_states(step, code: int, n: int, k: int):
+    yield _decode(code, n)
     for _ in range(k):
-        codes.append(step(codes[-1]))
-    return tuple(_decode(c, spec.size) for c in codes)
+        code = step(code)
+        yield _decode(code, n)
+
+
+def sync_states(rule: CARule, spec: NetworkSpec, s0: State, k: int) -> tuple:
+    """The synchronous states s(0..k) from s0."""
+    return tuple(iter_sync_states(rule, spec, s0, k))
 
 
 @dataclass(frozen=True)
@@ -558,6 +577,122 @@ def _local_rule(rule: CARule, nbhd: list):
     raise RuleError(f"unknown rule kind {rule.kind!r}")
 
 
+def _check_fault(spec: NetworkSpec, cell: int | None) -> None:
+    if cell is not None and not (0 <= cell < spec.size):
+        raise RuleError(f"no cell {cell!r} to inject the fault into")
+
+
+def _check_senders(nbhd: list) -> None:
+    for i, nb in enumerate(nbhd):
+        if not nb:
+            raise NetworkError(
+                f"cell {i + 1} has no predecessors; every cell must read someone"
+            )
+
+
+def event_times(
+    spec: NetworkSpec,
+    params: TimingParameters,
+    x0: Sequence[Scalar],
+    k_max: int,
+    early_update_cell: int | None = None,
+) -> Iterator[tuple]:
+    """The update times x(0..k_max) of the message-passing run, one cycle
+    at a time.
+
+    Each cycle, cell i waits for the message of every predecessor j, sent
+    at j's previous update and arriving tau_ij later, then spends xi_i
+    processing: x_i(k+1) = max_j (x_j(k) + tau_ij) + xi_i, from per-arc
+    bookkeeping with no max-plus matrix.  The early-update cell fires at
+    its first arrival instead.  The inputs are checked on the call.
+    """
+    validate_timing(spec, params)
+    if len(x0) != spec.size:
+        raise RuleError("x0 must have one entry per cell")
+    _check_fault(spec, early_update_cell)
+    nbhd = [spec.predecessors(i) for i in range(spec.size)]
+    _check_senders(nbhd)
+    tau = params.tau
+    # Per cell, the (sender, delay) of each message, with its processing time.
+    cells = tuple(
+        (tuple((j, tau[(i, j)]) for j in nb), xi)
+        for i, (nb, xi) in enumerate(zip(nbhd, params.xi))
+    )
+    return _event_times(cells, tuple(x0), k_max, early_update_cell)
+
+
+def _event_times(cells: tuple, x: tuple, k_max: int, fault: int | None):
+    yield x
+    for _ in range(k_max):
+        new = [max([x[j] + d for j, d in link]) + xi for link, xi in cells]
+        if fault is not None:
+            link, xi = cells[fault]
+            new[fault] = min([x[j] + d for j, d in link]) + xi
+        x = tuple(new)
+        yield x
+
+
+def event_states(
+    rule: CARule,
+    spec: NetworkSpec,
+    s0: State,
+    k_max: int,
+    early_update_cell: int | None = None,
+    params: TimingParameters | None = None,
+    times=None,
+) -> Iterator[tuple]:
+    """The states s(0..k_max) of the message-passing run, one cycle at a
+    time, each cell applying the local rule to the states its neighbours
+    computed in the previous cycle.
+
+    A cell that waits for all its messages reads no time.  The early-update
+    cell fires at its first arrival and takes, from each neighbour whose
+    message is not in yet, the last value it received from it (at first
+    that neighbour's s0).  Only then are ``params`` (its delays) and
+    ``times`` read: an iterable of the update times x(0), x(1), ... of the
+    same run, as event_times gives them with the same cell.  The inputs
+    are checked on the call.
+    """
+    _check_rule_fits(rule, spec)
+    if len(s0) != spec.size:
+        raise RuleError("s0 must have one entry per cell")
+    _check_fault(spec, early_update_cell)
+    nbhd = _neighbourhoods(rule, spec)
+    _check_senders(nbhd)
+    local = _local_rule(rule, nbhd)
+    fault = None
+    if early_update_cell is not None:
+        if params is None or times is None:
+            raise RuleError("an early-update cell needs the run's timings and times")
+        validate_timing(spec, params)
+        nb = nbhd[early_update_cell]
+        delays = [params.tau[(early_update_cell, j)] for j in nb]
+        fault = (early_update_cell, nb, delays, times)
+    return _event_states(rule, local, tuple(s0), k_max, fault)
+
+
+def _event_states(rule: CARule, local, s: tuple, k_max: int, fault):
+    yield s
+    if fault is None:
+        for _ in range(k_max):
+            s = tuple(local(s))
+            yield s
+        return
+    cell, nb, delays, times = fault
+    # Last value the faulty cell received from each neighbour.
+    known = {j: s[j] for j in nb}
+    for _, t in zip(range(k_max), times):
+        arrivals = [t[j] + d for j, d in zip(nb, delays)]
+        receive = min(arrivals)
+        for a, j in zip(arrivals, nb):
+            if a <= receive:
+                known[j] = s[j]
+        new = local(s)
+        new[cell] = rule.apply(tuple(known[j] for j in nb))
+        s = tuple(new)
+        yield s
+
+
 def event_simulation(
     rule: CARule,
     spec: NetworkSpec,
@@ -567,60 +702,82 @@ def event_simulation(
     k_max: int,
     early_update_cell: int | None = None,
 ):
-    """Message-passing simulation of the asynchronous network.
+    """Message-passing simulation of the asynchronous network: the lists
+    of :func:`event_times` and :func:`event_states`.
 
-    Each cycle, every cell waits for the state messages its neighbours
-    sent after their previous update (arrival = send time + tau), then
-    spends xi processing.  No max-plus matrix is involved: times and
-    states are derived purely from per-arc message bookkeeping, which is
-    what makes this an independent oracle for the contour semantics.
-
-    With early_update_cell set, that cell fires as soon as its first
-    message of the cycle arrives and uses the last value it ever received
-    from each not-yet-arrived neighbour (initially its neighbours' start
-    states).  This deliberately breaks the wait-for-all discipline.
+    No max-plus matrix is involved: times and states are derived purely
+    from per-arc message bookkeeping, which is what makes this an
+    independent oracle for the contour semantics.  With
+    early_update_cell set, that cell fires as soon as its first message
+    of the cycle arrives, which deliberately breaks the wait-for-all
+    discipline.
 
     Returns (times, states): lists of length k_max + 1.
     """
-    _check_rule_fits(rule, spec)
-    validate_timing(spec, params)
-    if len(s0) != spec.size or len(x0) != spec.size:
-        raise RuleError("s0 and x0 must have one entry per cell")
-    if early_update_cell is not None and not (0 <= early_update_cell < spec.size):
-        raise RuleError(f"no cell {early_update_cell!r} to inject the fault into")
-    tau = params.tau
-    nbhd = _neighbourhoods(rule, spec)
-    for i, nb in enumerate(nbhd):
-        if not nb:
-            raise NetworkError(
-                f"cell {i + 1} has no predecessors; every cell must read someone"
-            )
-    # Per cell, the (sender, delay) of each message in the rule's reading
-    # order, with the cell's processing time.
-    links = [tuple((j, tau[(i, j)]) for j in nb) for i, nb in enumerate(nbhd)]
-    cells = tuple(zip(links, params.xi))
-    local = _local_rule(rule, nbhd)
-    fault = early_update_cell
-    if fault is not None:
-        # Last value the faulty cell received from each neighbour.
-        known = {j: s0[j] for j in nbhd[fault]}
-    times = [tuple(x0)]
-    states = [tuple(s0)]
-    for _ in range(k_max):
-        prev_t, prev_s = times[-1], states[-1]
-        new_t = [max([prev_t[j] + d for j, d in link]) + x for link, x in cells]
-        new_s = local(prev_s)
-        if fault is not None:
-            arrivals = [prev_t[j] + d for j, d in links[fault]]
-            receive = min(arrivals)
-            for a, j in zip(arrivals, nbhd[fault]):
-                if a <= receive:
-                    known[j] = prev_s[j]
-            new_t[fault] = receive + params.xi[fault]
-            new_s[fault] = rule.apply(tuple(known[j] for j in nbhd[fault]))
-        times.append(tuple(new_t))
-        states.append(tuple(new_s))
-    return times, states
+    times = list(event_times(spec, params, x0, k_max, early_update_cell))
+    states = event_states(rule, spec, s0, k_max, early_update_cell, params, times)
+    return times, list(states)
+
+
+@dataclass(frozen=True)
+class Mismatch:
+    """The first counter-example of a per-cycle check: at cycle k, cell
+    ``cell`` (0-based) had ``got`` where ``expected`` was due."""
+
+    check: str
+    k: int
+    cell: int
+    expected: object
+    got: object
+
+    def describe(self) -> str:
+        return (
+            f"{self.check}: first counter-example at cycle k = {self.k}, "
+            f"cell {self.cell + 1}: expected {format_scalar(self.expected)}, "
+            f"got {format_scalar(self.got)}"
+        )
+
+
+def first_mismatches(checks: dict) -> dict:
+    """Name -> the first :class:`Mismatch` of each check, or None.
+
+    ``checks`` maps a name to a pair (expected, got) of iterables of
+    per-cycle vectors, cycle 0 first.  All of them advance together, one
+    cycle at a time, and the pass ends once every check has failed, so it
+    holds one vector of each.
+    """
+    found = dict.fromkeys(checks)
+    left = len(checks)
+    # One row per cycle: expected, got, expected, got, ... of each check.
+    for k, row in enumerate(zip(*(it for pair in checks.values() for it in pair))):
+        if row[::2] == row[1::2]:
+            continue
+        for name, want, got in zip(found, row[::2], row[1::2]):
+            if want != got and found[name] is None:
+                i = next(i for i, (a, b) in enumerate(zip(want, got)) if a != b)
+                found[name] = Mismatch(name, k, i, want[i], got[i])
+                left -= 1
+        if not left:
+            break
+    return found
+
+
+def bijection_mismatch(
+    rule: CARule,
+    spec: NetworkSpec,
+    params: TimingParameters,
+    s0: State,
+    x0: Sequence[Scalar],
+    k_max: int,
+    early_update_cell: int | None = None,
+) -> Mismatch | None:
+    """The first cycle and cell where the event-level states differ from
+    the synchronous map, or None.  Without a fault only the states are
+    run; the times are computed only for a fault cell to read."""
+    times = event_times(spec, params, x0, k_max, early_update_cell)
+    states = event_states(rule, spec, s0, k_max, early_update_cell, params, times)
+    sync = iter_sync_states(rule, spec, s0, k_max)
+    return first_mismatches({"bijection": (sync, states)})["bijection"]
 
 
 def verify_bijection(
@@ -633,9 +790,10 @@ def verify_bijection(
     early_update_cell: int | None = None,
 ) -> bool:
     """True iff the event-level states match the synchronous map at every
-    cycle k <= k_max.  With a fault injected the comparison is expected to
-    fail; a False result then certifies the check has teeth."""
-    _, event_states = event_simulation(
-        rule, spec, params, s0, x0, k_max, early_update_cell
+    cycle k <= k_max: :func:`bijection_mismatch` finds none.  With a fault
+    injected the comparison is expected to fail; a False result then
+    certifies the check has teeth."""
+    return (
+        bijection_mismatch(rule, spec, params, s0, x0, k_max, early_update_cell)
+        is None
     )
-    return event_states == list(sync_states(rule, spec, s0, k_max))

@@ -24,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import tee
 from pathlib import Path
 
 from ._version import __version__
@@ -281,7 +282,15 @@ class Stages:
 
     @cached_property
     def regime(self) -> traj_mod.RegimeReport:
-        return traj_mod.detect_regime(self.trajectory, self.summary)
+        """Read from the trajectory when the command built it, else
+        stepped in the normalized frame from x(0) alone (``verify`` holds
+        no trajectory); the report is the same."""
+        if "trajectory" in vars(self):
+            traj = self.trajectory
+        else:
+            self.exp.require("x0")
+            traj = traj_mod.iterate(self.p, self.exp.x0, 0)
+        return traj_mod.detect_regime(traj, self.summary)
 
     @cached_property
     def orbit(self) -> ca_mod.SyncOrbit:
@@ -318,26 +327,48 @@ class Stages:
         return render_mod.AsyncPlots(run.trajectory, self.plotspec, run.states)
 
     @cached_property
-    def events(self) -> tuple:
-        """(times, states) of the event-level simulation."""
+    def bijection_mismatch(self) -> ca_mod.Mismatch | None:
+        """``ca``'s check: the first cycle and cell where the event-level
+        states differ from the synchronous ones, or None.  The states need
+        no event time, and s(0..k_max) is already held for the plots."""
         exp = self.exp
-        exp.require("rule", "s0", "x0", "k_max", "params")
-        return ca_mod.event_simulation(
-            exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max,
-            self.fault_cell,
-        )
+        exp.require("rule", "s0", "k_max")
+        states = ca_mod.event_states(exp.rule, exp.spec, exp.s0, exp.k_max)
+        return ca_mod.first_mismatches(
+            {"bijection": (self.sync_states, states)}
+        )["bijection"]
 
     @cached_property
-    def bijection(self) -> bool:
-        """The event-level states equal the synchronous ones at every cycle."""
-        return list(self.events[1]) == list(self.sync_states)
+    def mismatches(self) -> dict:
+        """``verify``'s per-cycle checks, name -> first Mismatch or None,
+        from one lockstep pass over cycles 0..k_max that holds one state
+        of each run: the event-level states against the compiled
+        synchronous step, and the event-level times against P's arcs
+        stepped from x(0)."""
+        exp = self.exp
+        exp.require("rule", "s0", "x0", "k_max", "params")
+        cell = self.fault_cell
+        times = ca_mod.event_times(exp.spec, exp.params, exp.x0, exp.k_max, cell)
+        heard = None
+        if cell is not None:  # the fault cell's states read the times too
+            times, heard = tee(times)
+        states = ca_mod.event_states(
+            exp.rule, exp.spec, exp.s0, exp.k_max, cell, exp.params, heard
+        )
+        return ca_mod.first_mismatches({
+            "bijection": (
+                ca_mod.iter_sync_states(exp.rule, exp.spec, exp.s0, exp.k_max),
+                states,
+            ),
+            "event_times_match_matrix": (
+                traj_mod.iter_states(self.p, exp.x0, exp.k_max), times
+            ),
+        })
 
     @cached_property
     def checks(self) -> dict:
         return {
-            "bijection": self.bijection,
-            "event_times_match_matrix":
-                list(self.trajectory.states) == list(self.events[0]),
+            **{name: m is None for name, m in self.mismatches.items()},
             "regime": traj_mod.verify_regime(self.regime, self.p, self.summary),
             "eigen_equation": traj_mod.maps_cyclically(
                 self.p, self.summary.eigenvalue, [(v,) for v in self.summary.eigenbasis]
@@ -369,7 +400,7 @@ WRITERS = {
     "critical_graph.dot": lambda st: render_mod.critical_graph_dot(
         st.graph, st.summary.critical, st.plotspec
     ),
-    "trajectory.csv": lambda st: traj_mod._csv_text(
+    "trajectory.csv": lambda st: traj_mod.csv_chunks(
         st.trajectory, st.summary.eigenvalue
     ),
     "regime.json": lambda st: _json(st.regime.to_json_dict()),
@@ -417,6 +448,7 @@ def cmd_analyze(st: Stages) -> int:
 
 
 def cmd_simulate(st: Stages) -> int:
+    st.compute("trajectory")  # the regime reads it
     report = st.regime  # first, so that a failed regime search writes no file
     st.write("trajectory.csv", "regime.json", "contour_plot.svg")
     print(
@@ -434,8 +466,11 @@ def cmd_ca(st: Stages, schedule: str) -> int:
         st.write(*ASYNC_PLOTS)
         print(f"async run: {st.exp.k_max} cycles")
     if schedule == "both":
-        print(f"bijection sync/async: {'PASS' if st.bijection else 'FAIL'}")
-        return 0 if st.bijection else 1
+        mismatch = st.bijection_mismatch
+        print(f"bijection sync/async: {'FAIL' if mismatch else 'PASS'}")
+        if mismatch:
+            print(mismatch.describe())
+            return 1
     return 0
 
 
@@ -454,6 +489,9 @@ def cmd_verify(st: Stages) -> int:
     st.write("verification.json")
     for name, ok in sorted(st.checks.items()):
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
+        mismatch = st.mismatches.get(name)
+        if mismatch:
+            print(mismatch.describe())
     return 0 if all(st.checks.values()) else 1
 
 

@@ -40,7 +40,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -82,6 +82,12 @@ class Trajectory:
 
 def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
     """Iterate x(k+1) = P ⊗ x(k) from a finite start vector."""
+    return Trajectory(P, tuple(iter_states(P, x0, k_max)))
+
+
+def iter_states(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Iterator:
+    """The states x(0..k_max) of :func:`iterate`, one at a time, without
+    holding them.  The inputs are checked on the call."""
     if not P.is_square():
         raise DimensionError("iteration needs a square matrix")
     if len(x0) != P.rows:
@@ -93,11 +99,14 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
     x = tuple(map(exact, x0))
     if not vec_is_finite(x):
         raise DimensionError("x0 must be finite in every entry")
-    states = [x]
+    return _iter_states(P, x, k_max)
+
+
+def _iter_states(P: MaxPlusMatrix, x: tuple, k_max: int):
+    yield x
     for _ in range(k_max):
         x = P.apply(x)
-        states.append(x)
-    return Trajectory(P, tuple(states))
+        yield x
 
 
 def _times(v, s: int):
@@ -358,26 +367,39 @@ class _Texts(dict):
         return text
 
 
-def _csv_text(traj: Trajectory, eigenvalue: Scalar | None = None) -> str:
+# Rows per chunk of trajectory.csv.
+_CSV_BLOCK = 1024
+
+
+def csv_chunks(traj: Trajectory, eigenvalue: Scalar | None = None) -> Iterator[str]:
+    """The text of trajectory.csv, a block of rows at a time: header k,
+    x_1..x_N and, when lambda is known, the companion normalized columns
+    y_1..y_N, written by csv.writer."""
     n = traj.size
     header = ["k"] + [f"x_{i + 1}" for i in range(n)]
     if eigenvalue is not None:
         header += [f"y_{i + 1}" for i in range(n)]
         frame = _Frame(traj, eigenvalue)
         texts = _Texts(frame.s).__getitem__
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for k, x in enumerate(traj.states):
-        row = [k, *[v if type(v) is int else format_scalar(v) for v in x]]
+
+    def row(k, x):
+        cells = [k, *[v if type(v) is int else format_scalar(v) for v in x]]
         if eigenvalue is not None:
-            row += map(texts, frame.state(k, x))
-        writer.writerow(row)
-    return buf.getvalue()
+            cells += map(texts, frame.state(k, x))
+        return cells
+
+    states = traj.states
+    buf = io.StringIO()
+    csv.writer(buf).writerow(header)
+    for b in range(0, len(states), _CSV_BLOCK):
+        csv.writer(buf).writerows(
+            [row(k, x) for k, x in enumerate(states[b : b + _CSV_BLOCK], b)]
+        )
+        yield buf.getvalue()
+        buf = io.StringIO()
 
 
 def write_trajectory_csv(traj: Trajectory, path, eigenvalue: Scalar | None = None):
-    """CSV with header k, x_1..x_N and, when lambda is known, the
-    companion normalized columns y_1..y_N."""
+    """Write :func:`csv_chunks` to path as they come."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text(traj, eigenvalue))
+        fh.writelines(csv_chunks(traj, eigenvalue))

@@ -17,7 +17,10 @@ from tropical_ca.ca import (
     CARule,
     async_run,
     attractor_census,
+    bijection_mismatch,
     build_stg,
+    event_times,
+    first_mismatches,
     state_at,
     state_from_string,
     state_to_string,
@@ -33,7 +36,7 @@ from tropical_ca.render import (
 )
 from tropical_ca.semiring import MaxPlusMatrix, unit_vector, vec_scale
 from tropical_ca.spectral import analyze, max_cycle_mean
-from tropical_ca.trajectory import cycletime, detect_regime, iterate
+from tropical_ca.trajectory import cycletime, detect_regime, iter_states, iterate
 
 
 @contextmanager
@@ -95,7 +98,8 @@ def test_criterion_2_bijection_suite():
     with criterion(
         2,
         "100 seeded runs: async states == sync states for every k <= 100; "
-        "the early-update fault is caught in at least 16",
+        "the early-update fault is caught in at least 16, and its first "
+        "counter-example names the injected cell",
         budget=30.0,
     ):
         mismatches = 0
@@ -104,10 +108,18 @@ def test_criterion_2_bijection_suite():
             rule, spec, params, s0, x0 = _bijection_instance(i)
             if not verify_bijection(rule, spec, params, s0, x0, 100):
                 mismatches += 1
-            if not verify_bijection(
+            found = bijection_mismatch(
                 rule, spec, params, s0, x0, 100, early_update_cell=0
-            ):
+            )
+            if found is not None:
                 caught += 1
+                # The cell that fires early differs first in its own state.
+                assert found.cell == 0, (i, found)
+            times = first_mismatches({"times": (
+                iter_states(build_p(spec, params), x0, 100),
+                event_times(spec, params, x0, 100, early_update_cell=0),
+            )})["times"]
+            assert times is None or times.cell == 0, (i, times)
         assert mismatches == 0
         # The fault changes the states in 16 of these 100 runs.
         assert caught >= 16

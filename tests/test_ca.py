@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropical_ca import ca
 from tropical_ca.ca import (
@@ -14,8 +16,12 @@ from tropical_ca.ca import (
     async_run,
     attractor_census,
     attractor_census_chunks,
+    bijection_mismatch,
     build_stg,
     event_simulation,
+    event_states,
+    event_times,
+    first_mismatches,
     state_at,
     state_from_string,
     state_to_string,
@@ -38,14 +44,16 @@ from tropical_ca.network import (
     regular_ring,
 )
 from tropical_ca.semiring import unit_vector
-from tropical_ca.trajectory import iterate
+from tropical_ca.trajectory import iter_states, iterate
 
 from oracles import (
+    NEG_INF,
     census_by_iteration,
     event_simulation_longhand,
     longhand_step,
     orbit_by_dict,
     orbit_entry_period,
+    random_irreducible_grid,
     ring150_step,
     ring_neighbourhoods,
 )
@@ -681,6 +689,66 @@ def test_event_simulation_matches_longhand_oracle():
     assert set(range(1, 5)) <= degrees
 
 
+@st.composite
+def event_instances(draw):
+    """(rule, oracle rule, spec, nbhd, params, s0, x0, k_max, fault): an
+    ECA rule on a 3-ring (regular or as arcs) or parity on a random
+    strongly connected digraph, int or Fraction timings, and a fault cell
+    or None."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 8))
+        number = draw(st.integers(0, 255))
+        rule, oracle_rule = CARule.eca(number), ("eca", number)
+        nbhd = ring_neighbourhoods(n)
+        spec = regular_ring(n, 3)
+        if draw(st.booleans()):
+            spec = explicit_network(n, spec.arcs)
+    else:
+        n = draw(st.integers(1, 8))
+        grid = random_irreducible_grid(rng, n)
+        nbhd = [[j for j in range(n) if grid[i][j] != NEG_INF] for i in range(n)]
+        rule, oracle_rule = PARITY, ("parity",)
+        spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
+    params, x0 = _random_timing(
+        rng, draw(st.sampled_from(["int", "fraction"])), n,
+        [(i, j) for i, nb in enumerate(nbhd) for j in nb],
+    )
+    s0 = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    fault = draw(st.none() | st.integers(0, n - 1))
+    return rule, oracle_rule, spec, nbhd, params, s0, x0, draw(st.integers(0, 30)), fault
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_instances())
+def test_event_generators_equal_list_form_and_longhand(instance):
+    rule, oracle_rule, spec, nbhd, params, s0, x0, k_max, fault = instance
+    want = event_simulation_longhand(
+        oracle_rule, nbhd, params.xi, params.tau, s0, x0, k_max, fault
+    )
+    assert event_simulation(rule, spec, params, s0, x0, k_max, fault) == want
+    # The generators in lockstep, the states reading a copy of the times
+    # only for a fault cell.
+    times, heard = itertools.tee(event_times(spec, params, x0, k_max, fault))
+    states = event_states(rule, spec, s0, k_max, fault, params, heard)
+    assert list(zip(times, states)) == list(zip(*want))
+    if fault is None:
+        assert list(event_states(rule, spec, s0, k_max)) == want[1]
+    # The first counter-example of either check is at the fault cell: a
+    # cell that fires early differs first in its own time or state.
+    found = first_mismatches({
+        "bijection": (sync_states(rule, spec, s0, k_max), want[1]),
+        "times": (iter_states(build_p(spec, params), x0, k_max), want[0]),
+    })
+    assert found["bijection"] == bijection_mismatch(
+        rule, spec, params, s0, x0, k_max, fault
+    )
+    for mismatch in found.values():
+        assert mismatch is None or mismatch.cell == fault, mismatch
+    if fault is None:
+        assert found == {"bijection": None, "times": None}
+
+
 def test_bijection_holds():
     for seed, size in ((42, 10), (3, 4), (91, 12)):
         spec, params = seeded_ring(size, seed)
@@ -713,6 +781,14 @@ def test_event_simulation_input_checks():
         event_simulation(PARITY, spec, params, (0,) * 5, (0,) * 5, 3, 9)
     with pytest.raises(RuleError):
         event_simulation(CARule("majority"), spec, params, (0,) * 5, (0,) * 5, 3)
+    # The generators check on the call, before the first cycle is asked
+    # for; a fault cell's states need the run's timings and times.
+    with pytest.raises(RuleError):
+        event_times(spec, params, (0,) * 4, 3)
+    with pytest.raises(RuleError):
+        event_states(PARITY, spec, (0,) * 5, 3, 9)
+    with pytest.raises(RuleError):
+        event_states(PARITY, spec, (0,) * 5, 3, 0)
     # Cell 1 reads nobody, so its receive time is undefined.
     loner = explicit_network(2, [(0, 0), (1, 0)])
     loner_params = TimingParameters.create((1, 1), {(0, 0): 1, (0, 1): 1})

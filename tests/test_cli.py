@@ -307,6 +307,22 @@ def test_verify_detects_injected_fault(tmp_path, capsys):
     assert report["checks"]["bijection"] is False
     # the fault corrupts timestamps too, not only the logical states
     assert report["checks"]["event_times_match_matrix"] is False
+    # Each failed check prints its first counter-example, which names the
+    # injected cell wherever the fault is caught: a cell that fires early
+    # differs first in its own time and state, its neighbours only later.
+    lines = [line for line in out.splitlines() if "counter-example" in line]
+    assert [line.split(":")[0] for line in lines] == [
+        "bijection", "event_times_match_matrix"
+    ]
+    assert all(", cell 1: expected " in line for line in lines), lines
+    for cell in range(2, 11):
+        code, out, _ = run(
+            capsys, "verify", "--config", RING10, "--out", str(tmp_path / "more"),
+            "--inject-early-update", str(cell),
+        )
+        lines = [line for line in out.splitlines() if "counter-example" in line]
+        assert (code == 1) == bool(lines), cell
+        assert all(f", cell {cell}: expected " in line for line in lines), lines
 
 
 def test_early_update_fault_is_caught_only_on_unequal_timings(tmp_path, capsys):
@@ -795,6 +811,47 @@ def test_stg_files_are_never_held_whole(tmp_path, capsys, monkeypatch):
         assert rises[name] < size, (name, rises[name], size)
 
 
+def test_trajectory_csv_is_never_held_whole(tmp_path):
+    # trajectory.csv streams a block of rows at a time: writing it may
+    # raise the traced memory by a block and the texts of the y values,
+    # but not by the file's rows or its whole text.
+    cfg = json.loads(Path(RING10).read_text())
+    cfg["k_max"] = 20_000
+    argv = ["simulate", "--config", write_config(tmp_path, cfg),
+            "--out", str(tmp_path / "out")]
+    st = cli.Stages(cli.load_experiment(cli.build_parser().parse_args(argv)))
+    st.compute("trajectory", "summary")  # not part of the file's cost
+    tracemalloc.start()
+    try:
+        st.write("trajectory.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "out" / "trajectory.csv").stat().st_size
+    assert size >= 2 << 20
+    assert peak < size / 2, (peak, size)
+
+
+def test_verify_holds_one_state_of_each_run(tmp_path, capsys):
+    # verify steps the max-plus times, the event times and states and the
+    # synchronous states in lockstep, and finds the regime in a window:
+    # at k_max 20 000 holding any of those runs whole would take MiBs.
+    cfg = json.loads(Path(RING10).read_text())
+    cfg["k_max"] = 20_000
+    argv = ["verify", "--config", write_config(tmp_path, cfg),
+            "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert peak - before < 1 << 20, peak - before
+
+
 def test_async_plots_share_one_layout(tmp_path, capsys, monkeypatch):
     # The y texts of the update times (contours and blocks) and the height
     # texts of the hold intervals are each formatted once per run; render's
@@ -862,16 +919,22 @@ def count_steps(monkeypatch) -> list:
     [
         (["render"], lambda mp: count_calls(mp, network, "build_p"), 1),
         (["render"], lambda mp: count_calls(mp, ca, "sync_orbit"), 0),
-        (["verify"], lambda mp: count_calls(mp, ca, "event_simulation"), 1),
+        # verify steps the event times and states once, in lockstep
+        (["verify"], lambda mp: count_calls(mp, ca, "event_times"), 1),
+        (["verify"], lambda mp: count_calls(mp, ca, "event_states"), 1),
         # the census is streamed to its file, once
         (["stg"], lambda mp: count_calls(mp, ca, "attractor_census_chunks"), 1),
+        # ca checks the bijection on the event states alone: no event time
         (["ca", "--schedule", "both"],
-         lambda mp: count_calls(mp, ca, "event_simulation"), 1),
+         lambda mp: count_calls(mp, ca, "event_states"), 1),
+        (["ca", "--schedule", "both"],
+         lambda mp: count_calls(mp, ca, "event_times"), 0),
         # the orbit of the ring10 config has entry 0 and period 6
         (["ca", "--schedule", "sync"], count_steps, 6),
     ],
-    ids=["render-build_p", "render-sync_orbit", "verify-event_simulation",
-         "stg-attractor_census", "ca-both-event_simulation", "ca-sync-sync_step"],
+    ids=["render-build_p", "render-sync_orbit", "verify-event_times",
+         "verify-event_states", "stg-attractor_census", "ca-both-event_states",
+         "ca-both-no-event_times", "ca-sync-sync_step"],
 )
 def test_each_stage_runs_once(tmp_path, capsys, monkeypatch, argv, counter, calls):
     recorded = counter(monkeypatch)

@@ -22,7 +22,7 @@ from tropical_ca.semiring import EPS, MaxPlusMatrix, unit_vector, vec_scale
 from tropical_ca.spectral import analyze, eigenvectors
 from tropical_ca.trajectory import (
     RegimeReport,
-    _csv_text,
+    csv_chunks,
     cycletime,
     default_cap,
     detect_regime,
@@ -354,7 +354,7 @@ def test_csv_and_normalize_keep_eps():
     ):
         traj = iterate(P, x0, 3)
         assert traj.states[1][1] == EPS
-        assert _csv_text(traj, lam) == oracles.trajectory_csv_longhand(traj.states, lam)
+        assert "".join(csv_chunks(traj, lam)) == oracles.trajectory_csv_longhand(traj.states, lam)
         assert normalize(traj, lam).states == tuple(
             tuple(v if v == EPS else v - lam * k for v in x)
             for k, x in enumerate(traj.states)
@@ -448,7 +448,7 @@ def test_window_detector_equals_hashing_oracle(instance):
     )
     assert report == want
     assert report.to_json_dict() == want.to_json_dict()
-    assert _csv_text(traj, lam) == oracles.trajectory_csv_longhand(traj.states, lam)
+    assert "".join(csv_chunks(traj, lam)) == oracles.trajectory_csv_longhand(traj.states, lam)
 
     def checks(contours):
         bad = RegimeReport(k_star, rho, report.mu, lam, contours)
