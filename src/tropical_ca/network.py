@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionError, NetworkError, ScalarError
 from .semiring import (
-    EPS,
     MaxPlusMatrix,
     Scalar,
     exact,
@@ -190,17 +189,16 @@ def build_p(spec: NetworkSpec, params: TimingParameters) -> MaxPlusMatrix:
     """P[i, j] = xi_i + tau_ij on arcs j -> i, eps elsewhere.
 
     This is the product A_xi ⊗ T of the processing-time diagonal and the
-    transmission matrix, filled in entry by entry: O(N + arcs) additions
-    instead of an N³ product.
+    transmission matrix, written as its arcs: one addition per arc, and no
+    N x N grid.
     """
     validate_timing(spec, params)
-    n = spec.size
     xi = params.xi
     tau = params.tau
-    entries = [[EPS] * n for _ in range(n)]
+    rows = [[] for _ in range(spec.size)]
     for (j, i) in spec.arcs:
-        entries[i][j] = xi[i] + tau[(i, j)]
-    return MaxPlusMatrix(entries)
+        rows[i].append((j, xi[i] + tau[(i, j)]))
+    return MaxPlusMatrix.from_arcs(rows)
 
 
 # -- file format -------------------------------------------------------------
@@ -261,14 +259,9 @@ def _spec_from_json_dict(
     if topo is None:
         if tau_matrix is None:
             raise NetworkError("needs a topology block or a tau_matrix")
+        rows = tau_matrix.finite_rows()
         return explicit_network(
-            size,
-            [
-                (j, i)
-                for i in range(size)
-                for j in range(size)
-                if is_finite(tau_matrix[i, j])
-            ],
+            size, [(j, i) for i, row in enumerate(rows) for (j, _w) in row]
         )
     if not isinstance(topo, dict):
         raise NetworkError("topology must be an object")

@@ -14,19 +14,25 @@ Python integers cannot overflow.  Scalars enter the library through
 :class:`~tropical_ca.errors.ScalarError`.  JSON decimals such as ``0.1``
 are read exactly, as the Fraction 1/10, in rational mode.
 
-Matrices are dense, immutable and row-major.  ``A @ B`` is the max-plus
-product, ``A + B`` the entry-wise max, ``A.star()`` the Kleene star
+Matrices are immutable and stored as their arcs: per row i, the pairs
+``(j, A[i, j])`` of its finite entries, ascending in j
+(``A.finite_rows()``).  ``MaxPlusMatrix.from_arcs`` builds one from those
+lists and the constructor from a dense grid; ``A.entries`` is the dense
+n² view, built on first use.  :func:`step_arcs` is the one max-plus
+stepping loop: ``A.apply(x)``, ``A @ B`` (column by column) and the
+trajectory layer's int runs all go through it, so a step costs O(arcs).
+``A + B`` is the entry-wise max and ``A.star()`` the Kleene star
 ``E ⊕ A ⊕ A² ⊕ …`` truncated exactly at length n-1 (valid because the star
-only exists when no circuit has positive weight).  ``A.apply(x)`` and
-``A.finite_rows()`` walk only the finite entries of each row, so iterating
-a sparse matrix costs O(arcs) per step.
+only exists when no circuit has positive weight).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionError, KleeneStarDivergenceError, ScalarError
@@ -102,35 +108,53 @@ def neg(x: Scalar) -> Scalar:
     return canonical(-x)
 
 
-def _product_row(row: Sequence[Scalar], cols: Sequence[Sequence[Scalar]]) -> tuple:
+def step_arcs(arcs: Sequence[Sequence[tuple]], y: Sequence) -> tuple:
+    """The max-plus product A ⊗ y over the arcs of A, with None for EPS:
+    per row, the greatest w + y_j over its arcs (j, w) with y_j finite, or
+    None if none is.  This is the one max-plus stepping loop of the
+    package; ``arcs`` is :meth:`MaxPlusMatrix.finite_rows` or the same
+    lists with scaled int weights."""
     out = []
-    for col in cols:
-        best = EPS
-        for a, b in zip(row, col):
-            if a != EPS and b != EPS:
-                s = a + b
-                if s > best:
-                    best = s
-        out.append(canonical(best))
+    for row in arcs:
+        best = None
+        for j, w in row:
+            v = y[j]
+            if v is not None:
+                v += w
+                if best is None or v > best:
+                    best = v
+        out.append(best)
     return tuple(out)
 
 
 class MaxPlusMatrix:
-    """Immutable dense matrix over the max-plus semiring."""
+    """Immutable matrix over the max-plus semiring, stored as its arcs:
+    per row i, the ``(j, A[i, j])`` pairs with a finite entry, ascending
+    in j."""
 
-    __slots__ = ("rows", "cols", "entries", "_finite_rows")
+    __slots__ = ("rows", "cols", "_arcs", "_entries")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
-        grid = tuple(tuple(map(exact, row)) for row in entries)
+        """The matrix of a dense grid of rows, EPS marking no arc."""
+        grid = [tuple(row) for row in entries]
         if not grid or not grid[0]:
             raise DimensionError("matrix needs at least one row and one column")
         width = len(grid[0])
         if any(len(r) != width for r in grid):
             raise DimensionError("rows have unequal lengths")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_finite_rows", None)
+        self._init(
+            tuple(
+                tuple([(j, exact(w)) for j, w in enumerate(r) if w != EPS])
+                for r in grid
+            ),
+            width,
+        )
+
+    def _init(self, arcs: tuple, cols: int) -> None:
+        object.__setattr__(self, "_arcs", arcs)
+        object.__setattr__(self, "rows", len(arcs))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MaxPlusMatrix is immutable")
@@ -138,32 +162,74 @@ class MaxPlusMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_arcs(
+        cls, rows: Iterable[Iterable[tuple]], cols: int | None = None
+    ) -> "MaxPlusMatrix":
+        """The matrix whose row i has the entries ``(j, w)`` of ``rows[i]``
+        and EPS elsewhere; ``cols`` defaults to the row count.  The pairs
+        of a row may come in any order; an EPS weight is no arc.  A column
+        out of range, or given twice in a row, raises DimensionError."""
+        arcs = []
+        for row in rows:
+            row = sorted(
+                [(j, exact(w)) for j, w in row if w != EPS], key=itemgetter(0)
+            )
+            arcs.append(tuple(row))
+        if cols is None:
+            cols = len(arcs)
+        if not arcs or cols < 1:
+            raise DimensionError("matrix needs at least one row and one column")
+        for row in arcs:
+            last = -1
+            for j, _w in row:
+                if type(j) is not int or not last < j < cols:
+                    raise DimensionError(
+                        f"column {j!r} is out of range 0..{cols - 1} or repeated"
+                    )
+                last = j
+        matrix = object.__new__(cls)
+        matrix._init(tuple(arcs), cols)
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "MaxPlusMatrix":
         """E(n, n): E on the diagonal, EPS elsewhere."""
-        return cls([[E if i == j else EPS for j in range(n)] for i in range(n)])
+        return cls.diagonal((E,) * n)
 
     @classmethod
     def epsilons(cls, rows: int, cols: int) -> "MaxPlusMatrix":
-        return cls([[EPS] * cols for _ in range(rows)])
+        return cls.from_arcs([()] * rows, cols)
 
     @classmethod
     def diagonal(cls, values: Sequence[Scalar]) -> "MaxPlusMatrix":
-        n = len(values)
-        return cls(
-            [[values[i] if i == j else EPS for j in range(n)] for i in range(n)]
-        )
+        return cls.from_arcs([[(i, v)] for i, v in enumerate(values)])
 
     # -- basic protocol ----------------------------------------------------
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        row = self._arcs[i]
+        j = range(self.cols)[j]
+        k = bisect_left(row, (j,))
+        return row[k][1] if k < len(row) and row[k][0] == j else EPS
 
     def row(self, i: int) -> tuple:
-        return self.entries[i]
+        out = [EPS] * self.cols
+        for j, w in self._arcs[i]:
+            out[j] = w
+        return tuple(out)
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        return tuple(self[i, j] for i in range(self.rows))
+
+    @property
+    def entries(self) -> tuple:
+        """The dense n x m grid of rows, built on first use."""
+        grid = self._entries
+        if grid is None:
+            grid = tuple(map(self.row, range(self.rows)))
+            object.__setattr__(self, "_entries", grid)
+        return grid
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -171,15 +237,15 @@ class MaxPlusMatrix:
     def __eq__(self, other):
         if not isinstance(other, MaxPlusMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.cols, self._arcs) == (other.cols, other._arcs)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.cols, self._arcs))
 
     def __repr__(self):
         body = "; ".join(
-            " ".join("eps" if is_eps(v) else str(v) for v in row)
-            for row in self.entries
+            " ".join("eps" if is_eps(v) else str(v) for v in self.row(i))
+            for i in range(self.rows)
         )
         return f"MaxPlusMatrix({self.rows}x{self.cols}: {body})"
 
@@ -193,59 +259,54 @@ class MaxPlusMatrix:
             raise DimensionError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        return MaxPlusMatrix(
-            [
-                [oplus(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        rows = []
+        for ra, rb in zip(self._arcs, other._arcs):
+            merged = dict(ra)
+            for j, w in rb:
+                merged[j] = oplus(merged.get(j, EPS), w)
+            rows.append(merged.items())
+        return MaxPlusMatrix.from_arcs(rows, self.cols)
 
     def __matmul__(self, other):
-        """Max-plus product with a matrix, or application to a vector."""
+        """Max-plus product with a matrix, or application to a vector.
+        Column j of A ⊗ B is A ⊗ (column j of B)."""
         if isinstance(other, MaxPlusMatrix):
             if self.cols != other.rows:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by "
                     f"{other.rows}x{other.cols}"
                 )
-            cols = tuple(zip(*other.entries))
-            return MaxPlusMatrix([_product_row(r, cols) for r in self.entries])
+            columns = [[None] * other.rows for _ in range(other.cols)]
+            for k, row in enumerate(other._arcs):
+                for j, w in row:
+                    columns[j][k] = w
+            rows = [[] for _ in range(self.rows)]
+            for j, col in enumerate(columns):
+                for i, v in enumerate(step_arcs(self._arcs, col)):
+                    if v is not None:
+                        rows[i].append((j, v))
+            return MaxPlusMatrix.from_arcs(rows, other.cols)
         return self.apply(other)
 
     def finite_rows(self) -> tuple:
         """Per row i, the ``(j, A[i, j])`` pairs with a finite entry, in
-        ascending j: the arcs into node i.  Computed once, on first use."""
-        rows = self._finite_rows
-        if rows is None:
-            rows = tuple(
-                tuple((j, w) for j, w in enumerate(row) if w != EPS)
-                for row in self.entries
-            )
-            object.__setattr__(self, "_finite_rows", rows)
-        return rows
+        ascending j: the arcs into node i."""
+        return self._arcs
 
     def apply(self, vec: Sequence[Scalar]) -> Vector:
-        """Matrix-vector product A ⊗ x, over the finite entries only."""
+        """Matrix-vector product A ⊗ x by :func:`step_arcs`."""
         if len(vec) != self.cols:
             raise DimensionError(
                 f"matrix has {self.cols} columns but vector has {len(vec)} entries"
             )
-        out = []
-        for row in self.finite_rows():
-            best = EPS
-            for j, a in row:
-                b = vec[j]
-                if b != EPS:
-                    s = a + b
-                    if s > best:
-                        best = s
-            out.append(canonical(best))
-        return tuple(out)
+        out = step_arcs(self._arcs, [None if v == EPS else v for v in vec])
+        return tuple([EPS if v is None else canonical(v) for v in out])
 
     def scale(self, alpha: Scalar) -> "MaxPlusMatrix":
         """Scalar product alpha ⊗ A: alpha added to every finite entry."""
-        return MaxPlusMatrix(
-            [[otimes(alpha, v) for v in row] for row in self.entries]
+        return MaxPlusMatrix.from_arcs(
+            [[(j, otimes(alpha, w)) for j, w in row] for row in self._arcs],
+            self.cols,
         )
 
     def power(self, k: int) -> "MaxPlusMatrix":
@@ -311,11 +372,13 @@ class MaxPlusMatrix:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[scalar_to_json(v) for v in row] for row in self.entries],
-        }
+        entries = []
+        for row in self._arcs:
+            out = ["eps"] * self.cols
+            for j, w in row:
+                out[j] = scalar_to_json(w)
+            entries.append(out)
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, obj: dict, mode: str = "int") -> "MaxPlusMatrix":

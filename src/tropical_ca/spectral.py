@@ -363,12 +363,29 @@ class CriticalGraph:
     def mscs(self) -> tuple:
         """Maximal strongly connected subgraphs of the critical graph,
         as tuples of node indices (deterministic order)."""
+        return tuple(comp for comp, _arcs in self._mscs_arcs())
+
+    def _mscs_arcs(self) -> list:
+        """(nodes, arcs) of each of :meth:`mscs`, in its order; each arc
+        list keeps the order of ``arcs``.  The arcs are grouped by the
+        component of their start in one pass, not filtered per
+        component."""
         sub = PrecedenceGraph(
             self.node_count, tuple((j, i, E) for (j, i) in self.arcs)
         )
         dec = scc_decompose(sub)
+        comp_of = dec.component_of
+        inside = [[] for _ in dec.components]
+        for arc in self.arcs:
+            c = comp_of[arc[0]]
+            if c == comp_of[arc[1]]:
+                inside[c].append(arc)
         critical = set(self.nodes)
-        return tuple(c for c in dec.components if set(c) <= critical)
+        return [
+            (comp, inside[c])
+            for c, comp in enumerate(dec.components)
+            if critical.issuperset(comp)
+        ]
 
 
 def _component_cyclicity(comp: tuple, arcs: list) -> int:
@@ -526,9 +543,7 @@ def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
     crit = CriticalGraph(n, nodes, arcs, lam)
     sigma = 1
     basis = []
-    for comp in crit.mscs():
-        comp_set = set(comp)
-        comp_arcs = [a for a in arcs if a[0] in comp_set and a[1] in comp_set]
+    for comp, comp_arcs in crit._mscs_arcs():
         sigma = math.lcm(sigma, _component_cyclicity(comp, comp_arcs))
         column = _longest_paths(succ, comp[0])
         basis.append(

@@ -56,6 +56,7 @@ from .semiring import (
     format_scalar,
     is_eps,
     scalar_to_json,
+    step_arcs,
     vec_is_finite,
 )
 from .spectral import SpectralSummary
@@ -87,7 +88,12 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
 
 def iter_states(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Iterator:
     """The states x(0..k_max) of :func:`iterate`, one at a time, without
-    holding them.  The inputs are checked on the call."""
+    holding them.  The inputs are checked on the call.
+
+    The run steps the scaled ints s·x(k) of the frame with lambda = 0
+    (:class:`_Frame`) through :func:`~tropical_ca.semiring.step_arcs` and
+    divides by s only to yield a state; in int mode s = 1 and the ints are
+    the states."""
     if not P.is_square():
         raise DimensionError("iteration needs a square matrix")
     if len(x0) != P.rows:
@@ -103,10 +109,13 @@ def iter_states(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Iterator:
 
 
 def _iter_states(P: MaxPlusMatrix, x: tuple, k_max: int):
+    frame = _Frame(P, x, 0)
+    arcs = frame.arcs()
+    y = frame.state(0, x)
     yield x
     for _ in range(k_max):
-        x = P.apply(x)
-        yield x
+        y = step_arcs(arcs, y)
+        yield frame.vector(y)
 
 
 def _times(v, s: int):
@@ -121,14 +130,13 @@ def _denominator(values) -> int:
 
 
 class _Frame:
-    """The normalized frame y(k) = x(k) - lambda·k of one trajectory, as
-    the scaled ints Y(k) = s·x(k) - p·k of the module docstring."""
+    """The normalized frame y(k) = x(k) - lambda·k of the run of P from
+    x0, as the scaled ints Y(k) = s·x(k) - p·k of the module docstring."""
 
-    def __init__(self, traj: Trajectory, lam: Scalar):
+    def __init__(self, P: MaxPlusMatrix, x0: tuple, lam: Scalar):
         if is_eps(lam):
             raise DimensionError("eigenvalue must be finite")
-        x0 = traj.states[0]
-        self.rows = rows = traj.matrix.finite_rows()
+        self.rows = rows = P.finite_rows()
         d = math.lcm(
             _denominator(w for row in rows for (_j, w) in row), _denominator(x0)
         )
@@ -152,6 +160,8 @@ class _Frame:
         """Per row of P, its (j, s·w - p) pairs: Y(k+1) = P ⊗ Y(k) over
         them."""
         s, p = self.s, self.p
+        if s == 1 and p == 0:
+            return self.rows
         return [[(j, _times(w, s) - p) for (j, w) in row] for row in self.rows]
 
     def vector(self, y: tuple) -> tuple:
@@ -165,22 +175,6 @@ class _Frame:
         )
 
 
-def _step(arcs: list, y: tuple) -> tuple:
-    """P ⊗ y over int arcs, with None for EPS: per row, the greatest
-    w + y_j over its arcs (j, w) with y_j finite, or None if none is."""
-    out = []
-    for row in arcs:
-        best = None
-        for j, w in row:
-            v = y[j]
-            if v is not None:
-                v += w
-                if best is None or v > best:
-                    best = v
-        out.append(best)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class NormalizedTrajectory:
     """y(k) = x(k) - lambda·k: the trajectory seen from the moving frame."""
@@ -190,7 +184,7 @@ class NormalizedTrajectory:
 
 
 def normalize(traj: Trajectory, eigenvalue: Scalar) -> NormalizedTrajectory:
-    frame = _Frame(traj, eigenvalue)
+    frame = _Frame(traj.matrix, traj.states[0], eigenvalue)
     states = tuple(
         frame.vector(frame.state(k, x)) for k, x in enumerate(traj.states)
     )
@@ -241,8 +235,8 @@ def detect_regime(
     """
     lam, sigma = spectral.eigenvalue, spectral.sigma
     cap = default_cap(traj.size, sigma) if k_cap is None else k_cap
-    frame = _Frame(traj, lam)
     states = traj.states
+    frame = _Frame(traj.matrix, states[0], lam)
     window = deque(maxlen=sigma + 1)
     arcs = None
     for k in range(cap + 1):
@@ -251,7 +245,7 @@ def detect_regime(
         else:
             if arcs is None:
                 arcs = frame.arcs()
-            y = _step(arcs, y)
+            y = step_arcs(arcs, y)
         window.append(y)
         if k >= sigma and y == window[0]:
             break
@@ -318,7 +312,7 @@ def maps_cyclically(P: MaxPlusMatrix, lam: Scalar, cycles) -> bool:
         ]
         for m, c in enumerate(scaled):
             nxt = scaled[(m + 1) % len(scaled)]
-            if _step(arcs, c) != tuple(
+            if step_arcs(arcs, c) != tuple(
                 [None if v is None else v + shift for v in nxt]
             ):
                 return False
@@ -379,7 +373,7 @@ def csv_chunks(traj: Trajectory, eigenvalue: Scalar | None = None) -> Iterator[s
     header = ["k"] + [f"x_{i + 1}" for i in range(n)]
     if eigenvalue is not None:
         header += [f"y_{i + 1}" for i in range(n)]
-        frame = _Frame(traj, eigenvalue)
+        frame = _Frame(traj.matrix, traj.states[0], eigenvalue)
         texts = _Texts(frame.s).__getitem__
 
     def row(k, x):

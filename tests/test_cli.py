@@ -20,6 +20,7 @@ import tropical_ca
 from tropical_ca import ca, cli, network, render, spectral
 from tropical_ca.cli import main
 from tropical_ca.errors import TropicalError
+from tropical_ca.semiring import MaxPlusMatrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RING10 = str(CONFIGS / "rule150_ring10.json")
@@ -293,6 +294,23 @@ def test_verify_analyzes_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--config", RING10, "--out", str(tmp_path))
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["simulate"], ["verify"], ["ca", "--schedule", "both"], ["render"]],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_builds_the_dense_grid(tmp_path, capsys, monkeypatch, argv):
+    """P is read through its arcs only: its n x n view is never built."""
+
+    def refuse(self):
+        raise AssertionError("the dense n x n view of P was built")
+
+    monkeypatch.setattr(MaxPlusMatrix, "entries", property(refuse))
+    code, _, _ = run(capsys, argv[0], "--config", RING10, "--out", str(tmp_path),
+                     *argv[1:])
+    assert code == 0
 
 
 def test_verify_detects_injected_fault(tmp_path, capsys):

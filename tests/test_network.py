@@ -1,6 +1,7 @@
 """Network topologies, timing parameters and the timing dependency matrix."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,9 @@ from tropical_ca.network import (
     save_network,
     validate_timing,
 )
-from tropical_ca.semiring import EPS, is_eps
+from tropical_ca.semiring import EPS, MaxPlusMatrix, is_eps, unit_vector
 from tropical_ca.spectral import is_irreducible, max_cycle_mean
+from tropical_ca.trajectory import iterate
 
 from oracles import NEG_INF, grid_mul, transmission_grid
 
@@ -293,3 +295,30 @@ def test_ring_strong_connectivity_n3_and_up():
     split = regular_ring(2, 1)
     params = random_parameters(split, 2, (1, 5), (0, 3))
     assert not is_irreducible(build_p(split, params))
+
+
+def test_p_holds_its_arcs_not_a_grid(monkeypatch):
+    """build_p and a short run on a 5000-cell 3-ring hold P's 15 000 arcs
+    and a few states, well under the 25 M entries of a dense P, and never
+    build the dense view."""
+
+    def refuse(self):
+        raise AssertionError("the dense n x n view of P was built")
+
+    monkeypatch.setattr(MaxPlusMatrix, "entries", property(refuse))
+    n = 5000
+    spec = regular_ring(n, 3)
+    params = random_parameters(spec, 5, (1, 30), (1, 10))
+    tracemalloc.start()
+    try:
+        P = build_p(spec, params)
+        traj = iterate(P, unit_vector(n), 3)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert sum(map(len, P.finite_rows())) == 3 * n
+    assert P[0, n - 1] == params.xi[0] + params.tau[(0, n - 1)]
+    assert traj.states[3][0] == max(
+        traj.states[2][j] + P[0, j] for j in spec.predecessors(0)
+    )

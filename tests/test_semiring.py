@@ -27,8 +27,9 @@ from tropical_ca.semiring import (
     vec_oplus,
     vec_scale,
 )
+from tropical_ca.trajectory import iter_states, iterate
 
-from oracles import NEG_INF, grid_mul
+from oracles import NEG_INF, grid_apply, grid_mul
 
 
 def mat(*rows):
@@ -310,6 +311,127 @@ def test_format_scalar():
     assert format_scalar(5) == "5"
     assert format_scalar(Fraction(7, 2)) == "7/2"
     assert format_scalar(Fraction(4, 2)) == "2"
+
+
+# -- the arc store ---------------------------------------------------------------
+
+
+def exact_entries(ints=False):
+    """EPS, small ints and, unless ``ints``, Fractions, some of them
+    integral."""
+    finite = st.integers(-9, 9)
+    if not ints:
+        finite = st.one_of(
+            finite, st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4))
+        )
+    return st.one_of(st.just(EPS), finite)
+
+
+@st.composite
+def grids(draw, ints=False):
+    """A square grid of 1 to 6 rows, about one in four with no arc."""
+    n = draw(st.integers(1, 6))
+    return [
+        [EPS] * n
+        if draw(st.integers(0, 3)) == 0
+        else draw(st.lists(exact_entries(ints), min_size=n, max_size=n))
+        for _ in range(n)
+    ]
+
+
+def lowest_terms(v):
+    """The library's canonical form, written out: an integral Fraction is
+    an int."""
+    return int(v) if type(v) is Fraction and v.denominator == 1 else v
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(), st.randoms(use_true_random=False))
+def test_arc_store_agrees_with_dense_constructor(grid, rnd):
+    n = len(grid)
+    want = [[lowest_terms(v) for v in row] for row in grid]
+    pairs = []
+    for row in grid:
+        row_pairs = list(enumerate(row))  # EPS pairs too: no arc
+        rnd.shuffle(row_pairs)
+        pairs.append(row_pairs)
+    dense = MaxPlusMatrix(grid)
+    sparse = MaxPlusMatrix.from_arcs(pairs)
+    for A in (dense, sparse):
+        assert (A.rows, A.cols) == (n, n)
+        assert A.finite_rows() == tuple(
+            tuple((j, v) for j, v in enumerate(row) if v != NEG_INF) for row in want
+        )
+        for i in range(n):
+            assert A.row(i) == tuple(want[i])
+            assert A.column(i) == tuple(row[i] for row in want)
+            for j in range(n):
+                assert A[i, j] == want[i][j] and type(A[i, j]) is type(want[i][j])
+        assert A.entries == tuple(map(tuple, want))
+        again = MaxPlusMatrix.from_json_dict(A.to_json_dict(), "rational")
+        assert again == A and hash(again) == hash(A)
+    assert dense == sparse and hash(dense) == hash(sparse)
+    # One entry changed, or the same arcs in a wider matrix: not equal.
+    i, j = rnd.randrange(n), rnd.randrange(n)
+    changed = [list(row) for row in want]
+    changed[i][j] = 10 if want[i][j] == NEG_INF else NEG_INF
+    assert MaxPlusMatrix(changed) != sparse
+    assert MaxPlusMatrix.from_arcs(pairs, n + 1) != sparse
+
+
+def test_from_arcs_checks_its_columns():
+    A = MaxPlusMatrix.from_arcs([[(1, 2), (0, Fraction(4, 2))], [(0, EPS)]])
+    assert A == mat((2, 2), (EPS, EPS))
+    assert type(A[0, 0]) is int
+    wide = MaxPlusMatrix.from_arcs([[(2, 5)]], 3)
+    assert (wide.rows, wide.cols) == (1, 3) and wide.row(0) == (EPS, EPS, 5)
+    for rows, cols in (
+        ([[(2, 1)], []], None),  # past the last column
+        ([[(-1, 1)]], None),
+        ([[(0, 1), (0, 2)]], None),  # one column twice
+        ([[(0.0, 1)]], None),
+        ([], None),
+        ([[]], 0),
+    ):
+        with pytest.raises(DimensionError):
+            MaxPlusMatrix.from_arcs(rows, cols)
+    with pytest.raises(ScalarError):
+        MaxPlusMatrix.from_arcs([[(0, 0.5)]])
+
+
+# -- the one kernel ------------------------------------------------------------------
+
+
+def start_vectors(n, ints):
+    finite = exact_entries(ints).filter(lambda v: v != EPS)
+    return st.lists(finite, min_size=n, max_size=n).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda ints: st.tuples(st.just(ints), grids(ints))),
+       st.data())
+def test_one_kernel_matches_grid_apply(case, data):
+    """P.apply, iter_states and iterate all step through step_arcs; each
+    agrees with the textbook product, stepped up to 20 times, on int and
+    rational entries, rows with no arc (EPS results) and non-integral
+    starts."""
+    ints, grid = case
+    n = len(grid)
+    x0 = data.draw(start_vectors(n, ints))
+    k_max = data.draw(st.integers(0, 20))
+    P = MaxPlusMatrix(grid)
+    want = [[lowest_terms(v) for v in x0]]
+    for _ in range(k_max):
+        want.append(grid_apply(grid, want[-1]))
+    applied = [tuple(want[0])]
+    for _ in range(k_max):
+        applied.append(P.apply(applied[-1]))
+    for states in (list(iter_states(P, x0, k_max)), iterate(P, x0, k_max).states,
+                   applied):
+        assert len(states) == k_max + 1
+        for got, expected in zip(states, want):
+            assert type(got) is tuple and list(got) == expected
+            assert all(type(v) is not Fraction or v.denominator != 1 for v in got)
 
 
 # -- vectors ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 eigenspace, cross-checked against exhaustive enumeration oracles."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from tropical_ca.errors import (
 from tropical_ca.network import build_p, random_parameters, regular_ring
 from tropical_ca.semiring import EPS, MaxPlusMatrix, otimes, unit_vector, vec_scale
 from tropical_ca.spectral import (
+    CriticalGraph,
     analyze,
     build_graph,
     critical_graph,
@@ -317,6 +319,52 @@ def test_critical_against_oracle_random():
         for comp, vec in zip(mscs, summary.eigenbasis):
             assert list(vec) == star_column(grid, lam, comp[0])
     assert non_integer >= 20
+
+
+def test_critical_components_match_the_circuit_oracle():
+    """analyze's per-component arc lists: the components are the strongly
+    connected parts of the critical graph, each list holds the critical
+    arcs inside its component in the critical graph's order, and together
+    they are the arcs on circuits of maximum mean."""
+    rng = random.Random(17)
+    several = 0
+    for trial in range(80):
+        n = 1 + trial % 7
+        # Weights in -2..2 tie often, so several circuits are critical.
+        grid = random_irreducible_grid(rng, n, lo=-2, hi=2)
+        crit = analyze(MaxPlusMatrix(grid)).critical
+        parts = crit._mscs_arcs()
+        nodes, arcs = critical_parts(grid)
+        assert {v for comp, _arcs in parts for v in comp} == nodes
+        assert sorted(a for _comp, group in parts for a in group) == sorted(arcs)
+        sccs = scc_partition(n, arcs)
+        for comp, group in parts:
+            assert frozenset(comp) in sccs
+            assert group == [a for a in crit.arcs if a[0] in comp and a[1] in comp]
+        several += len(parts) > 1
+    assert several >= 5
+
+
+def test_critical_components_are_grouped_in_one_pass():
+    """One critical self-loop on each of 2000 cells: 2000 components, and
+    the arcs are read twice in all, not once per component."""
+    n = 2000
+
+    class CountedArcs(tuple):
+        passes = 0
+
+        def __iter__(self):
+            CountedArcs.passes += 1
+            return super().__iter__()
+
+    loops = CountedArcs((i, i) for i in range(n))
+    crit = CriticalGraph(n, tuple(range(n)), loops, 1)
+    start = time.perf_counter()
+    parts = crit._mscs_arcs()
+    elapsed = time.perf_counter() - start
+    assert sorted(parts) == [((i,), [(i, i)]) for i in range(n)]
+    assert CountedArcs.passes <= 2
+    assert elapsed < 0.5
 
 
 def test_critical_reducible_refused():
