@@ -37,17 +37,14 @@ from .semiring import (
 )
 from .spectral import (
     CriticalGraph,
-    PrecedenceGraph,
     SccDecomposition,
     SpectralSummary,
     analyze,
     build_graph,
     critical_graph,
     cyclicity,
-    eigenspace_membership,
     eigenvectors,
     is_irreducible,
-    matrix_power_onset,
     max_cycle_mean,
     scc_decompose,
 )

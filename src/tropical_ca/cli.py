@@ -272,10 +272,6 @@ class Stages:
         return spectral_mod.analyze(self.p)
 
     @cached_property
-    def graph(self) -> spectral_mod.PrecedenceGraph:
-        return spectral_mod.build_graph(self.p)
-
-    @cached_property
     def trajectory(self) -> traj_mod.Trajectory:
         self.exp.require("x0", "k_max")
         return traj_mod.iterate(self.p, self.exp.x0, self.exp.k_max)
@@ -398,7 +394,7 @@ def _contour_plot_chunks(st: Stages):
 WRITERS = {
     "spectral.json": lambda st: _json(st.summary.to_json_dict()),
     "critical_graph.dot": lambda st: render_mod.critical_graph_dot(
-        st.graph, st.summary.critical, st.plotspec
+        st.p, st.summary.critical, st.plotspec
     ),
     "trajectory.csv": lambda st: traj_mod.csv_chunks(
         st.trajectory, st.summary.eigenvalue

@@ -26,8 +26,8 @@ from operator import sub
 from ._version import __version__
 from .ca import AsyncRun, StateTransitionGraph
 from .errors import DimensionError, StateUndefinedError
-from .semiring import Scalar, format_scalar
-from .spectral import CriticalGraph, PrecedenceGraph
+from .semiring import MaxPlusMatrix, Scalar, format_scalar
+from .spectral import CriticalGraph, build_graph
 from .trajectory import Trajectory
 
 
@@ -522,24 +522,27 @@ def event_dag_dot(run: AsyncRun, k_lo: int, k_hi: int, ps: PlotSpec = PlotSpec()
 
 
 def critical_graph_dot(
-    graph: PrecedenceGraph, crit: CriticalGraph, ps: PlotSpec = PlotSpec()
+    P: MaxPlusMatrix, crit: CriticalGraph, ps: PlotSpec = PlotSpec()
 ) -> str:
-    """Precedence graph with the critical subgraph highlighted."""
-    if graph.node_count != crit.node_count:
+    """Precedence graph of P with the critical subgraph highlighted, the
+    arcs j -> i in (j, i) order."""
+    succ = build_graph(P)
+    if len(succ) != crit.node_count:
         raise DimensionError("graph and critical graph sizes differ")
     critical_nodes = set(crit.nodes)
     critical_arcs = set(crit.arcs)
     lines = ["digraph precedence {"]
     lines += _comment_lines(ps, "  //")
-    for v in range(graph.node_count):
+    for v in range(len(succ)):
         style = ', penwidth=2, color="#c03a2b"' if v in critical_nodes else ""
         lines.append(f'  "{v + 1}" [shape=circle{style}];')
-    for (j, i, w) in graph.arcs:
-        style = (
-            ', penwidth=2, color="#c03a2b"' if (j, i) in critical_arcs else ""
-        )
-        lines.append(
-            f'  "{j + 1}" -> "{i + 1}" [label="{format_scalar(w)}"{style}];'
-        )
+    for j, row in enumerate(succ):
+        for i, w in row:
+            style = (
+                ', penwidth=2, color="#c03a2b"' if (j, i) in critical_arcs else ""
+            )
+            lines.append(
+                f'  "{j + 1}" -> "{i + 1}" [label="{format_scalar(w)}"{style}];'
+            )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -309,24 +309,6 @@ class MaxPlusMatrix:
             self.cols,
         )
 
-    def power(self, k: int) -> "MaxPlusMatrix":
-        """k-fold max-plus power, A^⊗0 = identity."""
-        if not self.is_square():
-            raise DimensionError("power of a non-square matrix")
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = MaxPlusMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
-
-    __pow__ = power
-
     def has_positive_circuit(self) -> bool:
         """True when some circuit of the precedence graph has weight > 0.
 
@@ -364,10 +346,6 @@ class MaxPlusMatrix:
             term = term @ self
             result = result + term
         return result
-
-    def plus(self) -> "MaxPlusMatrix":
-        """A⁺ = A ⊗ A*: best strictly positive-length walk weights."""
-        return self @ self.star()
 
     # -- serialization -----------------------------------------------------
 

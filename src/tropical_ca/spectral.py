@@ -2,7 +2,12 @@
 
 A square matrix A induces a precedence graph: arc j -> i exists exactly when
 A[i, j] is finite, so column index = arc start, row index = arc end.  The
-eigenvalue of an irreducible matrix is the maximum circuit mean
+layer reads that graph in one shape, the out-arc view of
+:func:`build_graph`: ``succ[j]`` lists ``(i, w)`` for each arc j -> i,
+ascending in i, made in one pass over the matrix's arc store.  Tarjan's
+components, Howard's policy iteration and Bellman-Ford all read views of
+that shape.  The eigenvalue of an irreducible matrix is the maximum
+circuit mean
 
     lambda = max over elementary circuits c of weight(c) / length(c)
 
@@ -22,12 +27,16 @@ circuit positive:
   differences cancel, so a circuit weighs zero iff all its arcs are tight,
   whichever potential is used.  The critical graph (nodes and arcs of the
   circuits of mean lambda) is therefore the tight arcs whose two ends
-  share a strongly connected component of the tight subgraph.
+  share a strongly connected component of the tight subgraph, and its
+  maximal strongly connected subgraphs are the tight components that hold
+  such an arc.  So :func:`analyze` runs Tarjan twice: once on the graph,
+  to check that it is irreducible, and once on the tight subgraph.
 * The cyclicity sigma is the lcm, over the maximal strongly connected
   subgraphs of the critical graph, of the gcd of their circuit lengths.
 * One eigenvector per such subgraph is the column of the Kleene star of the
   normalized matrix at its smallest node: the longest-path weights from
-  that node, one Bellman-Ford.
+  that node, one Bellman-Ford.  The subgraphs, and so the basis vectors,
+  are listed in descending order of their smallest node.
 
 Each Bellman-Ford costs O(n·m) at worst and no n×n product is formed.  The
 normalized weights are scaled by the common denominator of lambda and the
@@ -41,8 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Sequence
 
 from .errors import (
     CapExceededError,
@@ -51,75 +58,42 @@ from .errors import (
     NoCircuitError,
     ReducibleMatrixError,
 )
-from .semiring import (
-    EPS,
-    E,
-    MaxPlusMatrix,
-    Scalar,
-    canonical,
-    is_eps,
-    oplus,
-    otimes,
-    scalar_to_json,
-)
+from .semiring import EPS, E, MaxPlusMatrix, Scalar, canonical, scalar_to_json
 
 
-@dataclass(frozen=True)
-class PrecedenceGraph:
-    """Weighted digraph of a square matrix: arc j -> i iff A[i, j] != eps."""
-
-    node_count: int
-    arcs: tuple  # tuple of (start j, end i, weight) sorted by (j, i)
-
-    def predecessors(self, i: int) -> tuple:
-        """Nodes j with an arc j -> i, ascending (the neighbourhood of i)."""
-        return tuple(sorted(j for (j, to, _w) in self.arcs if to == i))
-
-    def successors(self, j: int) -> tuple:
-        return tuple(sorted(i for (f, i, _w) in self.arcs if f == j))
-
-    def arc_set(self) -> frozenset:
-        return frozenset((j, i) for (j, i, _w) in self.arcs)
-
-
-def build_graph(matrix: MaxPlusMatrix) -> PrecedenceGraph:
+def build_graph(matrix: MaxPlusMatrix) -> list:
+    """The out-arc view of a square matrix: ``succ[j]`` lists ``(i, w)``
+    for each arc j -> i, w = A[i, j].  One pass over
+    :meth:`MaxPlusMatrix.finite_rows`; the rows come in ascending i, so
+    each list is ascending in i with no sort."""
     if not matrix.is_square():
         raise DimensionError("precedence graph of a non-square matrix")
-    arcs = [
-        (j, i, w) for i, row in enumerate(matrix.finite_rows()) for (j, w) in row
-    ]
-    arcs.sort(key=lambda a: (a[0], a[1]))
-    return PrecedenceGraph(matrix.rows, tuple(arcs))
+    succ = [[] for _ in range(matrix.rows)]
+    for i, row in enumerate(matrix.finite_rows()):
+        for j, w in row:
+            succ[j].append((i, w))
+    return succ
 
 
 @dataclass(frozen=True)
 class SccDecomposition:
     """Strongly connected components, numbered in topological order of the
-    condensation (every condensation arc goes from a lower-numbered
-    component to a higher-numbered one)."""
+    condensation (every arc between two components goes from the
+    lower-numbered one to the higher-numbered one)."""
 
     components: tuple  # tuple of tuples of node indices, each ascending
     component_of: tuple  # node index -> component number
-    condensation_arcs: tuple  # sorted tuple of (from_comp, to_comp) pairs
 
 
-def _successor_lists(n: int, arcs) -> list:
-    succ = [[] for _ in range(n)]
-    for (j, i, _w) in arcs:
-        succ[j].append(i)
-    for lst in succ:
-        lst.sort()
-    return succ
-
-
-def scc_decompose(graph: PrecedenceGraph) -> SccDecomposition:
-    """Iterative Tarjan.  Components pop in reverse topological order, so
-    reversing the emission order yields the deterministic numbering."""
-    n = graph.node_count
-    succ = _successor_lists(n, graph.arcs)
+def scc_decompose(succ: list) -> SccDecomposition:
+    """Iterative Tarjan over an out-arc view (see :func:`build_graph`; only
+    the ends i of its pairs are read).  Components pop in reverse
+    topological order, so reversing the emission order yields the
+    deterministic numbering.  A node whose component has popped gets index
+    n, above every lowlink, so it needs no on-stack flag."""
+    n = len(succ)
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     emitted: list[tuple] = []
     counter = 0
@@ -127,54 +101,42 @@ def scc_decompose(graph: PrecedenceGraph) -> SccDecomposition:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
+            v, arcs = work[-1]
+            for w, _weight in arcs:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                emitted.append(tuple(sorted(comp)))
-            if work:
-                u, _ = work[-1]
-                lowlink[u] = min(lowlink[u], lowlink[v])
+                if index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                low = lowlink[v]
+                if low == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        comp.append(w)
+                        if w == v:
+                            break
+                    emitted.append(tuple(sorted(comp)))
+                elif low < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = low
 
     components = tuple(reversed(emitted))
     component_of = [0] * n
     for ci, comp in enumerate(components):
         for v in comp:
             component_of[v] = ci
-    cond = sorted(
-        {
-            (component_of[j], component_of[i])
-            for (j, i, _w) in graph.arcs
-            if component_of[j] != component_of[i]
-        }
-    )
-    return SccDecomposition(components, tuple(component_of), tuple(cond))
+    return SccDecomposition(components, tuple(component_of))
 
 
 def is_irreducible(matrix: MaxPlusMatrix) -> bool:
@@ -183,11 +145,17 @@ def is_irreducible(matrix: MaxPlusMatrix) -> bool:
     return len(scc_decompose(build_graph(matrix)).components) == 1
 
 
-def _int_weights(arcs) -> tuple:
-    """(scale, weights): the least common denominator of the arc weights
-    and each weight times it, an int."""
-    scale = math.lcm(*{w.denominator for (_j, _i, w) in arcs})
-    return scale, [w.numerator * (scale // w.denominator) for (_j, _i, w) in arcs]
+def _int_view(succ: list) -> tuple:
+    """(scale, view): the least common denominator of the arc weights and
+    the out-arc view with each weight times it, an int.  Int weights need
+    no scaling, so then the view is ``succ`` itself."""
+    scale = math.lcm(*{w.denominator for row in succ for _i, w in row})
+    if scale == 1:
+        return 1, succ
+    return scale, [
+        [(i, w.numerator * (scale // w.denominator)) for i, w in row]
+        for row in succ
+    ]
 
 
 def _howard_cap(node_count: int, arc_count: int) -> int:
@@ -202,18 +170,19 @@ def _howard_cap(node_count: int, arc_count: int) -> int:
     return 2 * arc_count + node_count + 100
 
 
-def _howard(preds: list) -> tuple:
+def _howard(succ: list) -> tuple:
     """Howard's policy iteration for the maximum cycle mean of a strongly
     connected graph with at least one arc (Cochet-Terrasson, Cohen,
     Gaubert, McGettrick and Quadrat, 1998).
 
-    ``preds[i]`` lists the ``(j, w)`` of the arcs j -> i, w an int.  A
-    policy picks one arc into each node.  Following the picked arcs
-    backwards from any node ends in a circuit; its mean p/q is the node's
-    value, and the node's bias x is the weight, less p/q per arc, of the
-    picked path down to the smallest node of that circuit, whose bias is
-    0.  Values are kept as reduced pairs (p, q) and biases scaled by q,
-    all ints, so two values compare by cross-multiplying.
+    ``succ`` is an out-arc view with int weights.  A policy picks one arc
+    into each node, kept as its ``(j, w)``; the arcs into a node are
+    weighed in ascending j, and a tie keeps the first.  Following the
+    picked arcs backwards from any node ends in a circuit; its mean p/q is
+    the node's value, and the node's bias x is the weight, less p/q per
+    arc, of the picked path down to the smallest node of that circuit,
+    whose bias is 0.  Values are kept as reduced pairs (p, q) and biases
+    scaled by q, all ints, so two values compare by cross-multiplying.
 
     While the values differ, each node of a smaller value is re-pointed,
     by a breadth-first search along the arcs out of the nodes of the
@@ -229,13 +198,13 @@ def _howard(preds: list) -> tuple:
     Returns (p, q, x).  Raises CapExceededError after :func:`_howard_cap`
     evaluations.
     """
-    n = len(preds)
-    succ = [[] for _ in range(n)]
-    for i, row in enumerate(preds):
-        for arc in row:
-            succ[arc[0]].append((i, arc))
-    policy = [max(row, key=itemgetter(1)) for row in preds]
-    cap = _howard_cap(n, sum(map(len, preds)))
+    n = len(succ)
+    policy = [None] * n
+    for j, row in enumerate(succ):
+        for i, w in row:
+            if policy[i] is None or w > policy[i][1]:
+                policy[i] = (j, w)
+    cap = _howard_cap(n, sum(map(len, succ)))
     for _ in range(cap):
         # Value determination: one walk per circuit of the policy graph.
         means = []  # (p, q) per circuit
@@ -281,21 +250,22 @@ def _howard(preds: list) -> tuple:
         while frontier:
             nxt = []
             for j in frontier:
-                for i, arc in succ[j]:
+                for i, w in succ[j]:
                     if not reached[i]:
                         reached[i] = True
-                        policy[i] = arc
+                        policy[i] = (j, w)
                         nxt.append(i)
             frontier = nxt
         if changed:
             continue
-        for i in range(n):
-            best = x[i]
-            for arc in preds[i]:
-                cand = q * arc[1] - p + x[arc[0]]
-                if cand > best:
-                    best = cand
-                    policy[i] = arc
+        best = x.copy()
+        for j, row in enumerate(succ):
+            xj = x[j] - p
+            for i, w in row:
+                cand = q * w + xj
+                if cand > best[i]:
+                    best[i] = cand
+                    policy[i] = (j, w)
                     changed = True
         if not changed:
             return p, q, x
@@ -305,39 +275,42 @@ def _howard(preds: list) -> tuple:
     )
 
 
-def _component_preds(graph: PrecedenceGraph, dec: SccDecomposition, weights):
-    """Per component, the ``preds`` lists of :func:`_howard` over the arcs
-    inside it, nodes numbered by their rank in the component."""
-    rank = [0] * graph.node_count
+def _component_views(view: list, dec: SccDecomposition) -> list:
+    """Per component, ``view`` restricted to the arcs inside it, nodes
+    numbered by their rank in the component; ``[view]`` itself when one
+    component holds every node."""
+    if len(dec.components) == 1:
+        return [view]
+    rank = [0] * len(view)
     for comp in dec.components:
         for t, v in enumerate(comp):
             rank[v] = t
     comp_of = dec.component_of
-    preds = [[[] for _ in comp] for comp in dec.components]
-    for (j, i, _w), w in zip(graph.arcs, weights):
+    subs = [[[] for _ in comp] for comp in dec.components]
+    for j, row in enumerate(view):
         c = comp_of[j]
-        if c == comp_of[i]:
-            preds[c][rank[i]].append((rank[j], w))
-    return preds
+        out = subs[c][rank[j]]
+        for i, w in row:
+            if comp_of[i] == c:
+                out.append((rank[i], w))
+    return subs
 
 
-def _cycle_mean(graph: PrecedenceGraph, dec: SccDecomposition) -> tuple:
-    """(p, q, x, scale, weights): the maximum cycle mean is p / (q·scale)
-    and x is Howard's bias on a component that attains it, its nodes
-    numbered by rank; ``weights`` are the arc weights times ``scale``.
-    Raises NoCircuitError on an acyclic graph."""
-    scale, weights = _int_weights(graph.arcs)
+def _cycle_mean(view: list, dec: SccDecomposition) -> tuple:
+    """(p, q, x): the maximum cycle mean of an int view is p / q, and x is
+    Howard's bias on a component that attains it, its nodes numbered by
+    rank.  Raises NoCircuitError on an acyclic graph."""
     best = None
-    for preds in _component_preds(graph, dec, weights):
-        if preds[0]:  # the component has an arc
-            p, q, x = _howard(preds)
+    for sub in _component_views(view, dec):
+        if sub[0]:  # the component has an arc
+            p, q, x = _howard(sub)
             if best is None or p * best[1] > best[0] * q:
                 best = (p, q, x)
     if best is None:
         raise NoCircuitError(
             "the precedence graph has no circuit, so the eigenvalue is undefined"
         )
-    return (*best, scale, weights)
+    return best
 
 
 def max_cycle_mean(matrix: MaxPlusMatrix) -> Scalar:
@@ -346,8 +319,9 @@ def max_cycle_mean(matrix: MaxPlusMatrix) -> Scalar:
     Works on reducible matrices too (circuits never straddle components);
     raises NoCircuitError on an acyclic graph.
     """
-    graph = build_graph(matrix)
-    p, q, _x, scale, _weights = _cycle_mean(graph, scc_decompose(graph))
+    succ = build_graph(matrix)
+    scale, view = _int_view(succ)
+    p, q, _x = _cycle_mean(view, scc_decompose(succ))
     return canonical(Fraction(p, q * scale))
 
 
@@ -359,33 +333,25 @@ class CriticalGraph:
     nodes: tuple  # ascending node indices
     arcs: tuple  # (start j, end i) pairs sorted by (j, i)
     eigenvalue: Scalar
+    # Node tuples of the maximal strongly connected subgraphs, in
+    # descending order of their smallest node: the order of the eigenbasis.
+    components: tuple
 
-    def mscs(self) -> tuple:
-        """Maximal strongly connected subgraphs of the critical graph,
-        as tuples of node indices (deterministic order)."""
-        return tuple(comp for comp, _arcs in self._mscs_arcs())
 
-    def _mscs_arcs(self) -> list:
-        """(nodes, arcs) of each of :meth:`mscs`, in its order; each arc
-        list keeps the order of ``arcs``.  The arcs are grouped by the
-        component of their start in one pass, not filtered per
-        component."""
-        sub = PrecedenceGraph(
-            self.node_count, tuple((j, i, E) for (j, i) in self.arcs)
-        )
-        dec = scc_decompose(sub)
-        comp_of = dec.component_of
-        inside = [[] for _ in dec.components]
-        for arc in self.arcs:
-            c = comp_of[arc[0]]
-            if c == comp_of[arc[1]]:
-                inside[c].append(arc)
-        critical = set(self.nodes)
-        return [
-            (comp, inside[c])
-            for c, comp in enumerate(dec.components)
-            if critical.issuperset(comp)
-        ]
+def _critical_components(dec: SccDecomposition, arcs) -> list:
+    """(nodes, arcs) of each maximal strongly connected subgraph of the
+    critical graph, in descending order of smallest node.  ``dec`` is the
+    decomposition of the tight subgraph and ``arcs`` the critical arcs, the
+    tight arcs inside one of its components; the subgraphs are the
+    components that hold one.  The arcs are grouped by the component of
+    their start in one pass, each group in the order of ``arcs``."""
+    comp_of = dec.component_of
+    groups: dict[int, list] = {}
+    for arc in arcs:
+        groups.setdefault(comp_of[arc[0]], []).append(arc)
+    comps = dec.components
+    order = sorted(groups, key=lambda c: comps[c][0], reverse=True)
+    return [(comps[c], groups[c]) for c in order]
 
 
 def _component_cyclicity(comp: tuple, arcs: list) -> int:
@@ -432,28 +398,10 @@ def cyclicity(matrix: MaxPlusMatrix) -> int:
 def eigenvectors(matrix: MaxPlusMatrix) -> list:
     """One eigenvector per maximal strongly connected subgraph of the
     critical graph: the column of (Ahat)* at the smallest node of the
-    subgraph.  Columns at nodes of the same subgraph are scalar multiples
-    of each other, so one representative spans the same set."""
+    subgraph, in descending order of that node.  Columns at nodes of the
+    same subgraph are scalar multiples of each other, so one representative
+    spans the same set."""
     return list(analyze(matrix).eigenbasis)
-
-
-def eigenspace_membership(matrix: MaxPlusMatrix, v: Sequence[Scalar]) -> bool:
-    """True when v is a max-plus combination ⊕_c a_c ⊗ b_c of the basis
-    eigenvectors.  The greatest candidate coefficients are the residuals
-    a_c = min_r (v_r - b_c[r]); v is a member iff they reconstruct v."""
-    if len(v) != matrix.rows:
-        raise DimensionError("vector length does not match matrix size")
-    basis = eigenvectors(matrix)
-    if any(is_eps(x) for x in v):
-        return False
-    coeffs = []
-    for b in basis:
-        coeffs.append(canonical(min(x - e for x, e in zip(v, b))))
-    recon = [EPS] * len(v)
-    for a, b in zip(coeffs, basis):
-        for r, e in enumerate(b):
-            recon[r] = oplus(recon[r], otimes(a, e))
-    return all(canonical(w) == canonical(x) for w, x in zip(recon, v))
 
 
 @dataclass(frozen=True)
@@ -515,64 +463,46 @@ def _longest_paths(succ: list, source: int) -> list:
 def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
     """Single pass producing eigenvalue, cyclicity, critical graph and the
     eigenvector basis of an irreducible matrix (algorithm in the module
-    docstring)."""
-    if not matrix.is_square():
-        raise DimensionError("spectral analysis of a non-square matrix")
-    graph = build_graph(matrix)
-    dec = scc_decompose(graph)
+    docstring).  It builds one out-arc view and runs Tarjan twice."""
+    succ = build_graph(matrix)
+    dec = scc_decompose(succ)
     if len(dec.components) != 1:
         raise ReducibleMatrixError(
             "matrix is reducible (precedence graph not strongly connected); "
             "this library only analyzes irreducible matrices"
         )
-    p, q, v, scale, weights = _cycle_mean(graph, dec)
+    scale, view = _int_view(succ)
+    p, q, v = _cycle_mean(view, dec)
     lam = canonical(Fraction(p, q * scale))
     # The normalized graph, weights scaled by q·scale so that they are ints
     # like Howard's bias v, which is a potential of it.
     scale *= q
-    n = matrix.rows
-    succ = [[] for _ in range(n)]
-    for (j, i, _w), w in zip(graph.arcs, weights):
-        succ[j].append((i, q * w - p))
-    tight = tuple(
-        (j, i, E) for j in range(n) for (i, w) in succ[j] if v[i] - v[j] == w
+    norm = [[(i, q * w - p) for i, w in row] for row in view]
+    tight = [
+        [arc for arc in row if v[arc[0]] - v[j] == arc[1]]
+        for j, row in enumerate(norm)
+    ]
+    tdec = scc_decompose(tight)
+    comp_of = tdec.component_of
+    arcs = tuple(
+        (j, i)
+        for j, row in enumerate(tight)
+        for i, _w in row
+        if comp_of[i] == comp_of[j]
     )
-    comp_of = scc_decompose(PrecedenceGraph(n, tight)).component_of
-    arcs = tuple((j, i) for (j, i, _w) in tight if comp_of[j] == comp_of[i])
-    nodes = tuple(sorted({x for arc in arcs for x in arc}))
-    crit = CriticalGraph(n, nodes, arcs, lam)
+    parts = _critical_components(tdec, arcs)
+    nodes = tuple(sorted(x for comp, _arcs in parts for x in comp))
+    crit = CriticalGraph(
+        len(succ), nodes, arcs, lam, tuple(comp for comp, _arcs in parts)
+    )
     sigma = 1
     basis = []
-    for comp, comp_arcs in crit._mscs_arcs():
+    for comp, comp_arcs in parts:
         sigma = math.lcm(sigma, _component_cyclicity(comp, comp_arcs))
-        column = _longest_paths(succ, comp[0])
+        column = _longest_paths(norm, comp[0])
         basis.append(
             tuple(
                 x // scale if x % scale == 0 else Fraction(x, scale) for x in column
             )
         )
     return SpectralSummary(lam, sigma, crit, tuple(basis))
-
-
-def matrix_power_onset(matrix: MaxPlusMatrix, k_cap: int | None = None) -> int:
-    """Smallest k with A^⊗(k+sigma) = (lambda·sigma) ⊗ A^⊗k.
-
-    Once the equality holds at k it holds for every larger exponent
-    (multiply both sides by A), so the first hit is the onset.  The search
-    is capped at 10·n² steps by default.
-    """
-    summary = analyze(matrix)
-    sigma = summary.sigma
-    shift = canonical(summary.eigenvalue * sigma)
-    n = matrix.rows
-    cap = 10 * n * n if k_cap is None else k_cap
-    a_sigma = matrix.power(sigma)
-    current = MaxPlusMatrix.identity(n)
-    for k in range(cap + 1):
-        if current @ a_sigma == current.scale(shift):
-            return k
-        current = current @ matrix
-    raise CapExceededError(
-        f"power sequence did not become periodic within {cap} steps",
-        k_reached=cap,
-    )

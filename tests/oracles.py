@@ -3,7 +3,10 @@
 Everything here is deliberately naive: direct loops, exhaustive
 enumeration, Fraction arithmetic on plain list-of-list grids with
 float("-inf") marking absent arcs.  Nothing imports from tropical_ca, so
-agreement between the two code bases is evidence, not circularity.
+agreement between the two code bases is evidence, not circularity.  The
+dense references over the library's own matrices (powers, A+, the onset of
+the power sequence, eigenspace membership) call only the operations of the
+MaxPlusMatrix they are given.
 """
 
 import math
@@ -204,6 +207,59 @@ def scc_partition(n, arc_pairs):
             )
         )
     return comps
+
+
+# -- dense references over tropical_ca's matrices ------------------------------
+
+
+def mat_power(a, k):
+    """k-fold max-plus power of a square MaxPlusMatrix, A^0 = identity, by
+    repeated squaring."""
+    result = type(a).identity(a.rows)
+    base = a
+    while k:
+        if k & 1:
+            result = result @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    return result
+
+
+def mat_plus(a):
+    """A+ = A (x) A*: best strictly positive-length walk weights."""
+    return a @ a.star()
+
+
+def matrix_power_onset(a, summary, k_cap=None):
+    """Smallest k with A^(k+sigma) = (lambda*sigma) (x) A^k, sigma and lambda
+    from the spectral summary of A.  Once the equality holds at k it holds
+    for every larger exponent (multiply both sides by A), so the first hit
+    is the onset.  The search stops at 10 n^2 steps by default."""
+    shift = summary.eigenvalue * summary.sigma
+    n = a.rows
+    cap = 10 * n * n if k_cap is None else k_cap
+    a_sigma = mat_power(a, summary.sigma)
+    current = type(a).identity(n)
+    for k in range(cap + 1):
+        if current @ a_sigma == current.scale(shift):
+            return k
+        current = current @ a
+    raise AssertionError(f"power sequence not periodic within {cap} steps")
+
+
+def eigenspace_membership(basis, v):
+    """True when v is a max-plus combination of the basis vectors b_c.  The
+    greatest candidate coefficients are the residuals
+    a_c = min_r (v_r - b_c[r]); v is a member iff they reconstruct v."""
+    if NEG_INF in v:
+        return False
+    coeffs = [min(x - e for x, e in zip(v, b)) for b in basis]
+    recon = [
+        max((a + b[r] for a, b in zip(coeffs, basis)), default=NEG_INF)
+        for r in range(len(v))
+    ]
+    return recon == list(v)
 
 
 # -- random instances ------------------------------------------------------------

@@ -81,6 +81,38 @@ def test_golden_file_has_exactly_the_cases():
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
 
 
+# A seeded 2560-cell 3-ring whose critical graph has eight components.  No
+# bundled config has more than one, so this pins the order of the
+# eigenbasis (descending smallest cell of each component).
+RING_2560 = {
+    "mode": "int",
+    "network": {
+        "N": 2560,
+        "topology": {"regular": {"n": 3}},
+        "seed": 5,
+        "xi_range": [1, 30],
+        "tau_range": [1, 10],
+    },
+    "x0": "unit",
+    "k_max": 30,
+}
+RING_2560_DIGESTS = {
+    "critical_graph.dot": "cd26fc124e8a01188e624ca5565ff04e6631f04128692f201a29d58d98db244b",
+    "spectral.json": "5e00b5eb0fb07310d9ec9acdd8133990ddf5f1e1a07dfa7ecadd4d80b29527d6",
+}
+
+
+def test_analyze_on_a_2560_cell_ring_pins_the_eigenbasis_order(tmp_path):
+    config = tmp_path / "ring2560.json"
+    config.write_text(json.dumps(RING_2560), encoding="utf-8")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["analyze", "--config", str(config), "--out", str(out)])
+    assert code == 0
+    assert len(json.loads((out / "spectral.json").read_text())["eigenbasis"]) == 8
+    assert tree_digests(out) == RING_2560_DIGESTS
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {case: run_case(case, Path(tmp) / str(n)) for n, case in enumerate(CASES)}

@@ -47,7 +47,7 @@ from tropical_ca.render import (
     stg_dot_chunks,
 )
 from tropical_ca.semiring import unit_vector
-from tropical_ca.spectral import analyze, build_graph
+from tropical_ca.spectral import analyze
 from tropical_ca.trajectory import iterate
 
 RULE150 = CARule.eca(150)
@@ -495,7 +495,7 @@ def test_critical_graph_dot_highlights():
     spec = regular_ring(5, 3)
     P = build_p(spec, random_parameters(spec, 6, (1, 30), (1, 10)))
     summary = analyze(P)
-    dot = critical_graph_dot(build_graph(P), summary.critical)
+    dot = critical_graph_dot(P, summary.critical)
     arc_lines = [ln for ln in dot.splitlines() if "->" in ln]
     assert len(arc_lines) == len(spec.arcs)
     bold = sum(1 for ln in arc_lines if "penwidth=2" in ln)

@@ -19,15 +19,13 @@ from tropical_ca.errors import (
 from tropical_ca.network import build_p, random_parameters, regular_ring
 from tropical_ca.semiring import EPS, MaxPlusMatrix, otimes, unit_vector, vec_scale
 from tropical_ca.spectral import (
-    CriticalGraph,
+    SccDecomposition,
     analyze,
     build_graph,
     critical_graph,
     cyclicity,
-    eigenspace_membership,
     eigenvectors,
     is_irreducible,
-    matrix_power_onset,
     max_cycle_mean,
     scc_decompose,
 )
@@ -35,10 +33,13 @@ from tropical_ca.spectral import (
 from oracles import (
     NEG_INF,
     critical_parts,
+    eigenspace_membership,
     grid_arcs,
     grid_identity,
     grid_mul,
     karp_cycle_mean,
+    mat_power,
+    matrix_power_onset,
     max_circuit_mean,
     random_irreducible_grid,
     scc_partition,
@@ -75,24 +76,23 @@ def ring_p(size, seed, xi_range=(1, 30), tau_range=(1, 10)):
     return build_p(spec, params)
 
 
-# -- precedence graph -----------------------------------------------------------
+# -- out-arc view -----------------------------------------------------------------
 
 
 def test_build_graph_identity():
-    g = build_graph(MaxPlusMatrix.identity(2))
-    assert g.arcs == ((0, 0, 0), (1, 1, 0))
+    assert build_graph(MaxPlusMatrix.identity(2)) == [[(0, 0)], [(1, 0)]]
 
 
 def test_build_graph_empty():
-    g = build_graph(MaxPlusMatrix.epsilons(3, 3))
-    assert g.node_count == 3 and g.arcs == ()
+    assert build_graph(MaxPlusMatrix.epsilons(3, 3)) == [[], [], []]
 
 
 def test_build_graph_ring_neighbourhoods():
     P = ring_p(20, 3)
     g = build_graph(P)
-    for i in range(20):
-        assert g.predecessors(i) == tuple(sorted({(i - 1) % 20, i, (i + 1) % 20}))
+    for j in range(20):
+        ends = sorted({(j - 1) % 20, j, (j + 1) % 20})
+        assert g[j] == [(i, P[i, j]) for i in ends]
 
 
 def test_build_graph_non_square():
@@ -100,10 +100,13 @@ def test_build_graph_non_square():
         build_graph(mat((1, 2)))
 
 
-def test_graph_accessors():
-    g = build_graph(TWO_CIRCUITS)
-    assert g.successors(1) == (0, 2)
-    assert (1, 0) in g.arc_set() and (0, 2) not in g.arc_set()
+def test_build_graph_out_arcs():
+    assert build_graph(TWO_CIRCUITS) == [
+        [(1, 5)],
+        [(0, 5), (2, 0)],
+        [(3, 3)],
+        [(0, 0), (2, 3)],
+    ]
 
 
 # -- strongly connected components -------------------------------------------------
@@ -119,12 +122,14 @@ def test_scc_two_disjoint_rings():
     entries = [[EPS] * 6 for _ in range(6)]
     for a, b in ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)):
         entries[b][a] = 1
-    dec = scc_decompose(build_graph(MaxPlusMatrix(entries)))
+    g = build_graph(MaxPlusMatrix(entries))
+    dec = scc_decompose(g)
     assert {frozenset(c) for c in dec.components} == {
         frozenset({0, 1, 2}),
         frozenset({3, 4, 5}),
     }
-    assert dec.condensation_arcs == ()
+    comp_of = dec.component_of
+    assert all(comp_of[j] == comp_of[i] for j, row in enumerate(g) for i, _w in row)
 
 
 def test_scc_against_reachability_oracle():
@@ -137,11 +142,11 @@ def test_scc_against_reachability_oracle():
         ]
         g = build_graph(MaxPlusMatrix(entries))
         dec = scc_decompose(g)
-        assert {frozenset(c) for c in dec.components} == scc_partition(
-            n, [(j, i) for (j, i, _w) in g.arcs]
-        )
-        # Topological numbering: condensation arcs go low -> high.
-        assert all(a < b for (a, b) in dec.condensation_arcs)
+        arcs = [(j, i) for j, row in enumerate(g) for i, _w in row]
+        assert {frozenset(c) for c in dec.components} == scc_partition(n, arcs)
+        # Topological numbering: arcs between components go low -> high.
+        comp_of = dec.component_of
+        assert all(comp_of[j] <= comp_of[i] for (j, i) in arcs)
         for v in range(n):
             assert v in dec.components[dec.component_of[v]]
 
@@ -314,18 +319,17 @@ def test_critical_against_oracle_random():
         non_integer += lam.denominator > 1
         summary = analyze(A)
         assert summary.eigenvalue == lam
-        mscs = summary.critical.mscs()
-        assert len(summary.eigenbasis) == len(mscs)
-        for comp, vec in zip(mscs, summary.eigenbasis):
+        comps = summary.critical.components
+        assert len(summary.eigenbasis) == len(comps)
+        for comp, vec in zip(comps, summary.eigenbasis):
             assert list(vec) == star_column(grid, lam, comp[0])
     assert non_integer >= 20
 
 
 def test_critical_components_match_the_circuit_oracle():
-    """analyze's per-component arc lists: the components are the strongly
-    connected parts of the critical graph, each list holds the critical
-    arcs inside its component in the critical graph's order, and together
-    they are the arcs on circuits of maximum mean."""
+    """analyze's critical components: the strongly connected parts of the
+    critical graph, every critical arc inside one of them, listed in
+    descending order of their smallest node."""
     rng = random.Random(17)
     several = 0
     for trial in range(80):
@@ -333,21 +337,22 @@ def test_critical_components_match_the_circuit_oracle():
         # Weights in -2..2 tie often, so several circuits are critical.
         grid = random_irreducible_grid(rng, n, lo=-2, hi=2)
         crit = analyze(MaxPlusMatrix(grid)).critical
-        parts = crit._mscs_arcs()
+        comps = crit.components
         nodes, arcs = critical_parts(grid)
-        assert {v for comp, _arcs in parts for v in comp} == nodes
-        assert sorted(a for _comp, group in parts for a in group) == sorted(arcs)
+        assert {v for comp in comps for v in comp} == nodes
         sccs = scc_partition(n, arcs)
-        for comp, group in parts:
-            assert frozenset(comp) in sccs
-            assert group == [a for a in crit.arcs if a[0] in comp and a[1] in comp]
-        several += len(parts) > 1
+        assert all(frozenset(comp) in sccs for comp in comps)
+        assert all(any(j in comp and i in comp for comp in comps) for j, i in arcs)
+        smallest = [comp[0] for comp in comps]
+        assert smallest == sorted(smallest, reverse=True)
+        several += len(comps) > 1
     assert several >= 5
 
 
 def test_critical_components_are_grouped_in_one_pass():
-    """One critical self-loop on each of 2000 cells: 2000 components, and
-    the arcs are read twice in all, not once per component."""
+    """One critical self-loop on each of 2000 cells: 2000 components, in
+    descending order, and the arcs are read twice in all, not once per
+    component."""
     n = 2000
 
     class CountedArcs(tuple):
@@ -358,13 +363,30 @@ def test_critical_components_are_grouped_in_one_pass():
             return super().__iter__()
 
     loops = CountedArcs((i, i) for i in range(n))
-    crit = CriticalGraph(n, tuple(range(n)), loops, 1)
+    dec = SccDecomposition(tuple((i,) for i in range(n)), tuple(range(n)))
     start = time.perf_counter()
-    parts = crit._mscs_arcs()
+    parts = spectral._critical_components(dec, loops)
     elapsed = time.perf_counter() - start
-    assert sorted(parts) == [((i,), [(i, i)]) for i in range(n)]
+    assert parts == [((i,), [(i, i)]) for i in reversed(range(n))]
     assert CountedArcs.passes <= 2
     assert elapsed < 0.5
+
+
+def test_analyze_builds_one_view_and_runs_tarjan_twice(monkeypatch):
+    """With two critical components, analyze builds the out-arc view once
+    and decomposes twice: the graph and its tight subgraph."""
+    calls = {"build_graph": 0, "scc_decompose": 0}
+    for name in calls:
+        original = getattr(spectral, name)
+
+        def counted(arg, name=name, original=original):
+            calls[name] += 1
+            return original(arg)
+
+        monkeypatch.setattr(spectral, name, counted)
+    summary = analyze(TWO_MSCS)
+    assert len(summary.eigenbasis) == 2
+    assert calls == {"build_graph": 1, "scc_decompose": 2}
 
 
 def test_critical_reducible_refused():
@@ -414,7 +436,7 @@ def test_eigenvector_uniform_ring_unit():
     u = unit_vector(6)
     assert P.apply(u) == vec_scale(7, u)
     assert eigenvectors(P)[0] == u
-    assert eigenspace_membership(P, u)
+    assert eigenspace_membership(eigenvectors(P), u)
 
 
 def test_eigenvector_shift_closure():
@@ -425,7 +447,7 @@ def test_eigenvector_shift_closure():
             assert A.apply(shifted) == vec_scale(
                 otimes(summary.eigenvalue, 4), v
             )
-            assert eigenspace_membership(A, shifted)
+            assert eigenspace_membership(summary.eigenbasis, shifted)
 
 
 def test_eigen_equation_random():
@@ -442,15 +464,15 @@ def test_membership_basis_and_combinations():
     summary = analyze(TWO_MSCS)
     assert len(summary.eigenbasis) == 2
     b0, b1 = summary.eigenbasis
-    assert eigenspace_membership(TWO_MSCS, b0)
-    assert eigenspace_membership(TWO_MSCS, b1)
+    assert eigenspace_membership(summary.eigenbasis, b0)
+    assert eigenspace_membership(summary.eigenbasis, b1)
     rng = random.Random(3)
     for _ in range(10):
         a0, a1 = rng.randint(-5, 5), rng.randint(-5, 5)
         combo = tuple(
             max(a0 + x, a1 + y) for x, y in zip(b0, b1)
         )
-        assert eigenspace_membership(TWO_MSCS, combo)
+        assert eigenspace_membership(summary.eigenbasis, combo)
         assert TWO_MSCS.apply(combo) == vec_scale(summary.eigenvalue, combo)
 
 
@@ -459,11 +481,11 @@ def test_membership_rejects_perturbation():
     v = eigenvectors(A)[0]
     poked = (v[0], v[1] + 1)
     assert A.apply(poked) != vec_scale(5, poked)
-    assert not eigenspace_membership(A, poked)
+    assert not eigenspace_membership([v], poked)
 
 
 def test_membership_rejects_eps_entries():
-    assert not eigenspace_membership(mat((5, 0), (0, EPS)), (0, EPS))
+    assert not eigenspace_membership(eigenvectors(mat((5, 0), (0, EPS))), (0, EPS))
 
 
 def test_column_equivalence_per_mscs():
@@ -510,8 +532,8 @@ def test_analyze_reducible_refused():
 
 def test_matrix_power_onset_examples():
     swap = mat((EPS, 0), (0, EPS))
-    assert matrix_power_onset(swap) == 0
-    assert matrix_power_onset(mat((5,))) == 0
+    assert matrix_power_onset(swap, analyze(swap)) == 0
+    assert matrix_power_onset(mat((5,)), analyze(mat((5,)))) == 0
 
 
 def test_power_periodicity_random():
@@ -520,10 +542,10 @@ def test_power_periodicity_random():
         n = 2 + trial % 5
         A = MaxPlusMatrix(random_irreducible_grid(rng, n, lo=-4, hi=4))
         summary = analyze(A)
-        k_star = matrix_power_onset(A)
+        k_star = matrix_power_onset(A, summary)
         shift = summary.eigenvalue * summary.sigma
-        a_sigma = A.power(summary.sigma)
-        current = A.power(k_star)
+        a_sigma = mat_power(A, summary.sigma)
+        current = mat_power(A, k_star)
         for _ in range(11):
             assert current @ a_sigma == current.scale(shift)
             current = current @ A
