@@ -147,11 +147,8 @@ def is_irreducible(matrix: MaxPlusMatrix) -> bool:
 
 def _int_view(succ: list) -> tuple:
     """(scale, view): the least common denominator of the arc weights and
-    the out-arc view with each weight times it, an int.  Int weights need
-    no scaling, so then the view is ``succ`` itself."""
+    the out-arc view with each weight times it, an int."""
     scale = math.lcm(*{w.denominator for row in succ for _i, w in row})
-    if scale == 1:
-        return 1, succ
     return scale, [
         [(i, w.numerator * (scale // w.denominator)) for i, w in row]
         for row in succ
@@ -277,10 +274,7 @@ def _howard(succ: list) -> tuple:
 
 def _component_views(view: list, dec: SccDecomposition) -> list:
     """Per component, ``view`` restricted to the arcs inside it, nodes
-    numbered by their rank in the component; ``[view]`` itself when one
-    component holds every node."""
-    if len(dec.components) == 1:
-        return [view]
+    numbered by their rank in the component."""
     rank = [0] * len(view)
     for comp in dec.components:
         for t, v in enumerate(comp):

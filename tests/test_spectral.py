@@ -326,10 +326,21 @@ def test_critical_against_oracle_random():
     assert non_integer >= 20
 
 
-def test_critical_components_match_the_circuit_oracle():
-    """analyze's critical components: the strongly connected parts of the
-    critical graph, every critical arc inside one of them, listed in
-    descending order of their smallest node."""
+def test_critical_components_match_the_circuit_oracle(monkeypatch):
+    """analyze's critical components and the per-component arc lists its
+    cyclicity reads: the components are the strongly connected parts of
+    the critical graph, in descending order of their smallest node; each
+    list holds the critical arcs inside its component in the critical
+    graph's order, and together they are the arcs on circuits of maximum
+    mean."""
+    grouped = []
+    original = spectral._critical_components
+
+    def recorded(dec, arcs):
+        grouped.append(original(dec, arcs))
+        return grouped[-1]
+
+    monkeypatch.setattr(spectral, "_critical_components", recorded)
     rng = random.Random(17)
     several = 0
     for trial in range(80):
@@ -337,15 +348,20 @@ def test_critical_components_match_the_circuit_oracle():
         # Weights in -2..2 tie often, so several circuits are critical.
         grid = random_irreducible_grid(rng, n, lo=-2, hi=2)
         crit = analyze(MaxPlusMatrix(grid)).critical
+        parts = grouped[-1]
         comps = crit.components
+        assert tuple(comp for comp, _group in parts) == comps
         nodes, arcs = critical_parts(grid)
         assert {v for comp in comps for v in comp} == nodes
+        assert sorted(a for _comp, group in parts for a in group) == sorted(arcs)
         sccs = scc_partition(n, arcs)
-        assert all(frozenset(comp) in sccs for comp in comps)
-        assert all(any(j in comp and i in comp for comp in comps) for j, i in arcs)
+        for comp, group in parts:
+            assert frozenset(comp) in sccs
+            assert group == [a for a in crit.arcs if a[0] in comp and a[1] in comp]
         smallest = [comp[0] for comp in comps]
         assert smallest == sorted(smallest, reverse=True)
         several += len(comps) > 1
+    assert len(grouped) == 80
     assert several >= 5
 
 
