@@ -32,8 +32,6 @@ from .semiring import (
     oplus,
     otimes,
     unit_vector,
-    vec_oplus,
-    vec_scale,
 )
 from .spectral import (
     CriticalGraph,
@@ -44,7 +42,6 @@ from .spectral import (
     critical_graph,
     cyclicity,
     eigenvectors,
-    is_irreducible,
     max_cycle_mean,
     scc_decompose,
 )

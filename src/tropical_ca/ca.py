@@ -56,10 +56,10 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 from itertools import islice, product
-from typing import Iterator, Sequence
+from operator import lt
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, NetworkError, RuleError, StateUndefinedError
 from .network import NetworkSpec, TimingParameters, build_p, validate_timing
@@ -95,8 +95,7 @@ def _decode(code: int, n: int) -> State:
     return tuple(format(code, f"0{n}b").encode().translate(_DIGIT_TO_BIT))
 
 
-@dataclass(frozen=True)
-class CARule:
+class CARule(NamedTuple):
     """Local update rule.
 
     kind "eca": classical elementary CA table rule.  The new state is the
@@ -245,8 +244,7 @@ def sync_states(rule: CARule, spec: NetworkSpec, s0: State, k: int) -> tuple:
     return tuple(iter_sync_states(rule, spec, s0, k))
 
 
-@dataclass(frozen=True)
-class SyncOrbit:
+class SyncOrbit(NamedTuple):
     """Orbit of one start state on ``size`` cells: the codes of s(0..entry
     + period - 1), where the tail states before ``entry`` are transient
     and the final ``period`` states repeat forever."""
@@ -338,8 +336,7 @@ def _is_linear(rule: CARule) -> bool:
     return all(t[x ^ y] == t[x] ^ t[y] for x in range(8) for y in range(8))
 
 
-@dataclass(frozen=True)
-class StateTransitionGraph:
+class StateTransitionGraph(NamedTuple):
     """Functional digraph on all 2^N configurations.
 
     successors[c] is the code of the image of configuration c;
@@ -356,17 +353,14 @@ class StateTransitionGraph:
     def decode(self, code: int) -> State:
         return _decode(code, self.size)
 
-    @cached_property
+    @property
     def label_halves(self) -> tuple:
         """(hi, lo, k): hi[h] is the label of the top N - k bits, lo[l]
         that of the low k = ceil(N/2) bits, so the label of code c is
         hi[c >> k] + lo[c & (2^k - 1)] and state codes list in the order
-        of hi x lo."""
-        k = (self.size + 1) // 2
-        top = self.size - k
-        hi = [format(h, f"0{top}b") for h in range(1 << top)] if top else [""]
-        lo = [format(c, f"0{k}b") for c in range(1 << k)]
-        return hi, lo, k
+        of hi x lo.  Built once per cell count and shared by every graph of
+        that count, so read them only."""
+        return _label_halves(self.size)
 
     def label(self, code: int) -> str:
         """state_to_string of the configuration with this code."""
@@ -375,6 +369,15 @@ class StateTransitionGraph:
 
     def transient_count(self) -> int:
         return len(self.on_attractor) - self.on_attractor.count(1)
+
+
+@cache  # one entry per cell count, at most STG_CELL_CAP + 1 from build_stg
+def _label_halves(size: int) -> tuple:
+    k = (size + 1) // 2
+    top = size - k
+    hi = [format(h, f"0{top}b") for h in range(1 << top)] if top else [""]
+    lo = [format(c, f"0{k}b") for c in range(1 << k)]
+    return hi, lo, k
 
 
 def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
@@ -470,8 +473,15 @@ def attractor_census(stg: StateTransitionGraph) -> dict:
 # -- asynchronous runs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsyncRun:
+class _AsyncRunFields(NamedTuple):
+    rule: CARule
+    spec: NetworkSpec
+    params: TimingParameters
+    trajectory: Trajectory
+    states: tuple
+
+
+class AsyncRun(_AsyncRunFields):
     """Joint record of update times and contour states.
 
     trajectory.states[k] are the k-th update times x(k); states[k] is the
@@ -481,22 +491,22 @@ class AsyncRun:
     network.
     """
 
-    rule: CARule
-    spec: NetworkSpec
-    params: TimingParameters
-    trajectory: Trajectory
-    states: tuple
+    __slots__ = ()
+    # _replace builds through _make: check its records too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_rule_fits(self.rule, self.spec)
         for i, times in enumerate(zip(*self.trajectory.states)):
-            for k in range(self.k_max):
-                if not times[k] < times[k + 1]:
-                    raise NetworkError(
-                        f"update times of cell {i + 1} are not strictly increasing "
-                        f"at cycle {k}; memory semantics need a self-loop on every "
-                        "cell (tau_ii present) and positive xi"
-                    )
+            if not all(map(lt, times, times[1:])):
+                k = next(k for k, t in enumerate(times[1:]) if not times[k] < t)
+                raise NetworkError(
+                    f"update times of cell {i + 1} are not strictly increasing "
+                    f"at cycle {k}; memory semantics need a self-loop on every "
+                    "cell (tau_ii present) and positive xi"
+                )
+        return self
 
     @property
     def k_max(self) -> int:
@@ -719,8 +729,7 @@ def event_simulation(
     return times, list(states)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """The first counter-example of a per-cycle check: at cycle k, cell
     ``cell`` (0-based) had ``got`` where ``expected`` was due."""
 

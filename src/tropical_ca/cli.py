@@ -11,21 +11,18 @@ command, and requires only the config fields it reads; each output file
 has exactly one writer (:data:`WRITERS`).
 
 Exit codes: 0 success, 1 a verification found a violated invariant,
-2 usage or configuration error.  The environment variable TROPICAL_CA_LOG
-sets the log level (DEBUG, INFO, WARNING, ...).
+2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import tee
 from pathlib import Path
+from typing import NamedTuple
 
 from ._version import __version__
 from . import ca as ca_mod
@@ -36,8 +33,6 @@ from . import trajectory as traj_mod
 from .errors import ConfigError, NetworkError, ScalarError, TropicalError, VerificationError
 from .semiring import MaxPlusMatrix, load_json, scalar_from_json, unit_vector
 
-log = logging.getLogger("tropical_ca")
-
 MODES = ("int", "rational")
 
 # Most steps an orbit search may take.  2^N steps find every orbit, so the
@@ -46,8 +41,7 @@ MODES = ("int", "rational")
 ORBIT_STEP_CAP = 1 << 20
 
 
-@dataclass
-class Experiment:
+class Experiment(NamedTuple):
     """A fully validated configuration, ready to run."""
 
     mode: str
@@ -220,7 +214,6 @@ def _write_chunks(out_dir: Path, name: str, chunks) -> None:
     except BaseException:
         path.unlink()
         raise
-    log.info("wrote %s", path)
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -548,8 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TROPICAL_CA_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, NetworkError, ScalarError
 from .semiring import (
@@ -37,15 +36,21 @@ from .semiring import (
 )
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Pure topology: cell count and arc set (0-based, sender -> receiver)."""
-
+class _NetworkFields(NamedTuple):
     size: int
     arcs: tuple  # sorted tuple of (j, i) pairs
     regular_n: int | None = None  # neighbourhood size when built as a ring
 
-    def __post_init__(self):
+
+class NetworkSpec(_NetworkFields):
+    """Pure topology: cell count and arc set (0-based, sender -> receiver)."""
+
+    __slots__ = ()
+    # _replace builds through _make: check its records too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.size < 1:
             raise NetworkError("network needs at least one cell")
         seen = set()
@@ -56,6 +61,7 @@ class NetworkSpec:
             if arc in seen:
                 raise NetworkError(f"duplicate arc {arc}")
             seen.add(arc)
+        return self
 
     def predecessors(self, i: int) -> tuple:
         """Neighbourhood of cell i in rule-application order.
@@ -108,8 +114,7 @@ def explicit_network(size: int, arcs: Sequence) -> NetworkSpec:
     return NetworkSpec(size, tuple(sorted(tuple(a) for a in arcs)))
 
 
-@dataclass(frozen=True)
-class TimingParameters:
+class TimingParameters(NamedTuple):
     """Processing times per cell and transmission times per arc.
 
     ``tau`` is keyed (receiver i, sender j) to mirror the tau_ij subscript

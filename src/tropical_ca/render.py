@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, count, groupby, islice, product, repeat
 from operator import sub
+from typing import NamedTuple
 
 from ._version import __version__
 from .ca import AsyncRun, StateTransitionGraph
@@ -31,15 +31,7 @@ from .spectral import CriticalGraph, build_graph
 from .trajectory import Trajectory
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    """Geometry and palette shared by the renderers.
-
-    time_scale: pixels per time unit (vertical), default 2.
-    cell_px: pixels per cell (horizontal).
-    Both must be positive integers (DimensionError otherwise).
-    """
-
+class _PlotFields(NamedTuple):
     time_scale: int = 2
     cell_px: int = 8
     margin: int = 12
@@ -52,15 +44,29 @@ class PlotSpec:
     gray_bg: int = 127
     metadata: tuple = ()  # sorted (key, value) pairs baked into the output
 
-    def __post_init__(self):
+
+class PlotSpec(_PlotFields):
+    """Geometry and palette shared by the renderers.
+
+    time_scale: pixels per time unit (vertical), default 2.
+    cell_px: pixels per cell (horizontal).
+    Both must be positive integers (DimensionError otherwise).
+    """
+
+    __slots__ = ()
+    # _replace builds through _make: check its records too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("time_scale", "cell_px"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise DimensionError(f"{name} must be a positive integer, got {value!r}")
+        return self
 
     def with_metadata(self, mapping) -> "PlotSpec":
-        return replace(
-            self,
+        return self._replace(
             metadata=tuple(sorted((str(k), str(v)) for k, v in dict(mapping).items())),
         )
 

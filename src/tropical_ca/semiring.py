@@ -381,16 +381,6 @@ def unit_vector(n: int) -> Vector:
     return (E,) * n
 
 
-def vec_oplus(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    if len(u) != len(v):
-        raise DimensionError("vector lengths differ")
-    return tuple(oplus(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(alpha: Scalar, v: Sequence[Scalar]) -> Vector:
-    return tuple(otimes(alpha, x) for x in v)
-
-
 def vec_is_finite(v: Sequence[Scalar]) -> bool:
     return all(is_finite(x) for x in v)
 

@@ -48,8 +48,8 @@ n would mean a positive circuit and raises KleeneStarDivergenceError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -75,8 +75,7 @@ def build_graph(matrix: MaxPlusMatrix) -> list:
     return succ
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(NamedTuple):
     """Strongly connected components, numbered in topological order of the
     condensation (every arc between two components goes from the
     lower-numbered one to the higher-numbered one)."""
@@ -137,12 +136,6 @@ def scc_decompose(succ: list) -> SccDecomposition:
         for v in comp:
             component_of[v] = ci
     return SccDecomposition(components, tuple(component_of))
-
-
-def is_irreducible(matrix: MaxPlusMatrix) -> bool:
-    """True when the precedence graph is strongly connected.  A single node
-    counts as its own component whether or not it has a self-loop."""
-    return len(scc_decompose(build_graph(matrix)).components) == 1
 
 
 def _int_view(succ: list) -> tuple:
@@ -319,8 +312,7 @@ def max_cycle_mean(matrix: MaxPlusMatrix) -> Scalar:
     return canonical(Fraction(p, q * scale))
 
 
-@dataclass(frozen=True)
-class CriticalGraph:
+class CriticalGraph(NamedTuple):
     """Nodes and arcs lying on some circuit of maximum mean."""
 
     node_count: int
@@ -398,8 +390,7 @@ def eigenvectors(matrix: MaxPlusMatrix) -> list:
     return list(analyze(matrix).eigenbasis)
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     """Everything the downstream timing analysis needs about one matrix."""
 
     eigenvalue: Scalar

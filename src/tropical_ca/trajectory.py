@@ -34,13 +34,10 @@ sigma, and it is the smallest divisor d of sigma with Y(k* + d) = Y(k*).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     CapExceededError,
@@ -62,8 +59,7 @@ from .semiring import (
 from .spectral import SpectralSummary
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """States x(0..k_max) of one iteration, immutable after construction."""
 
     matrix: MaxPlusMatrix
@@ -175,8 +171,7 @@ class _Frame:
         )
 
 
-@dataclass(frozen=True)
-class NormalizedTrajectory:
+class NormalizedTrajectory(NamedTuple):
     """y(k) = x(k) - lambda·k: the trajectory seen from the moving frame."""
 
     eigenvalue: Scalar
@@ -191,8 +186,7 @@ def normalize(traj: Trajectory, eigenvalue: Scalar) -> NormalizedTrajectory:
     return NormalizedTrajectory(eigenvalue, states)
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Periodic regime of one trajectory.
 
     contours holds the normalized states y(k*), ..., y(k* + rho - 1); the
@@ -368,7 +362,9 @@ _CSV_BLOCK = 1024
 def csv_chunks(traj: Trajectory, eigenvalue: Scalar | None = None) -> Iterator[str]:
     """The text of trajectory.csv, a block of rows at a time: header k,
     x_1..x_N and, when lambda is known, the companion normalized columns
-    y_1..y_N, written by csv.writer."""
+    y_1..y_N.  No field (a name, an int, eps or p/q) needs quoting, so a
+    row is its fields joined by "," and ended by CRLF, byte for byte what
+    csv.writer's default dialect writes."""
     n = traj.size
     header = ["k"] + [f"x_{i + 1}" for i in range(n)]
     if eigenvalue is not None:
@@ -377,20 +373,18 @@ def csv_chunks(traj: Trajectory, eigenvalue: Scalar | None = None) -> Iterator[s
         texts = _Texts(frame.s).__getitem__
 
     def row(k, x):
-        cells = [k, *[v if type(v) is int else format_scalar(v) for v in x]]
+        cells = [str(k), *[str(v) if type(v) is int else format_scalar(v) for v in x]]
         if eigenvalue is not None:
             cells += map(texts, frame.state(k, x))
-        return cells
+        return ",".join(cells)
 
     states = traj.states
-    buf = io.StringIO()
-    csv.writer(buf).writerow(header)
+    lines = [",".join(header)]
     for b in range(0, len(states), _CSV_BLOCK):
-        csv.writer(buf).writerows(
-            [row(k, x) for k, x in enumerate(states[b : b + _CSV_BLOCK], b)]
-        )
-        yield buf.getvalue()
-        buf = io.StringIO()
+        lines += [row(k, x) for k, x in enumerate(states[b : b + _CSV_BLOCK], b)]
+        lines.append("")
+        yield "\r\n".join(lines)
+        lines = []
 
 
 def write_trajectory_csv(traj: Trajectory, path, eigenvalue: Scalar | None = None):

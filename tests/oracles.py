@@ -56,6 +56,17 @@ def grid_apply(a, vec):
     ]
 
 
+def vec_oplus(u, v):
+    """Entry-wise max of two vectors of equal length."""
+    return tuple(max(a, b) for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(alpha, v):
+    """alpha (x) v: alpha added to each entry (NEG_INF absorbs, as a float
+    sum)."""
+    return tuple(alpha + x for x in v)
+
+
 def transmission_grid(n, tau):
     """T of a timing network: T[i][j] = tau_ij on each arc j -> i, with
     ``tau`` keyed (receiver i, sender j)."""
@@ -210,6 +221,15 @@ def scc_partition(n, arc_pairs):
 
 
 # -- dense references over tropical_ca's matrices ------------------------------
+
+
+def is_irreducible(a):
+    """True when the precedence graph of a square MaxPlusMatrix is strongly
+    connected.  A single node is one component with or without a
+    self-loop."""
+    arcs = [(j, i) for i, row in enumerate(a.entries)
+            for j, w in enumerate(row) if w != NEG_INF]
+    return len(scc_partition(a.rows, arcs)) == 1
 
 
 def mat_power(a, k):

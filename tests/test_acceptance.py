@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import oracles
+from oracles import vec_scale
 
 from tropical_ca.ca import (
     CARule,
@@ -34,7 +35,7 @@ from tropical_ca.render import (
     spacetime_async,
     spacetime_async_pixmap,
 )
-from tropical_ca.semiring import MaxPlusMatrix, unit_vector, vec_scale
+from tropical_ca.semiring import MaxPlusMatrix, unit_vector
 from tropical_ca.spectral import analyze, max_cycle_mean
 from tropical_ca.trajectory import cycletime, detect_regime, iter_states, iterate
 

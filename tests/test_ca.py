@@ -562,8 +562,15 @@ def test_async_requires_strictly_increasing_times():
     # No self-loops: an early-start cell can overtake its own next update.
     spec = explicit_network(2, [(0, 1), (1, 0)])
     params = TimingParameters.create((1, 1), {(1, 0): 1, (0, 1): 1})
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError) as info:
         async_run(PARITY, spec, params, (1, 0), (0, 100), 3)
+    # Cell 1 runs 0, 102, 4 and cell 2 runs 100, 2: the first failing cell
+    # is named with its own first failing cycle.
+    assert str(info.value) == (
+        "update times of cell 1 are not strictly increasing at cycle 1; "
+        "memory semantics need a self-loop on every cell (tau_ii present) "
+        "and positive xi"
+    )
 
 
 def test_hold_intervals_tile_time():

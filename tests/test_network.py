@@ -21,10 +21,10 @@ from tropical_ca.network import (
     validate_timing,
 )
 from tropical_ca.semiring import EPS, MaxPlusMatrix, is_eps, unit_vector
-from tropical_ca.spectral import is_irreducible, max_cycle_mean
+from tropical_ca.spectral import max_cycle_mean
 from tropical_ca.trajectory import iterate
 
-from oracles import NEG_INF, grid_mul, transmission_grid
+from oracles import NEG_INF, grid_mul, is_irreducible, transmission_grid
 
 
 # -- topology ----------------------------------------------------------------

@@ -24,12 +24,18 @@ from tropical_ca.semiring import (
     scalar_from_json,
     scalar_to_json,
     unit_vector,
-    vec_oplus,
-    vec_scale,
 )
 from tropical_ca.trajectory import iter_states, iterate
 
-from oracles import NEG_INF, grid_apply, grid_mul, mat_plus, mat_power
+from oracles import (
+    NEG_INF,
+    grid_apply,
+    grid_mul,
+    mat_plus,
+    mat_power,
+    vec_oplus,
+    vec_scale,
+)
 
 
 def mat(*rows):
@@ -309,15 +315,19 @@ def test_format_scalar():
 # -- the arc store ---------------------------------------------------------------
 
 
-def exact_entries(ints=False):
-    """EPS, small ints and, unless ``ints``, Fractions, some of them
-    integral."""
+def finite_entries(ints=False):
+    """Small ints and, unless ``ints``, Fractions, some of them integral."""
     finite = st.integers(-9, 9)
-    if not ints:
-        finite = st.one_of(
-            finite, st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4))
-        )
-    return st.one_of(st.just(EPS), finite)
+    if ints:
+        return finite
+    return st.one_of(
+        finite, st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4))
+    )
+
+
+def exact_entries(ints=False):
+    """EPS or a :func:`finite_entries` value."""
+    return st.one_of(st.just(EPS), finite_entries(ints))
 
 
 @st.composite
@@ -396,8 +406,7 @@ def test_from_arcs_checks_its_columns():
 
 
 def start_vectors(n, ints):
-    finite = exact_entries(ints).filter(lambda v: v != EPS)
-    return st.lists(finite, min_size=n, max_size=n).map(tuple)
+    return st.lists(finite_entries(ints), min_size=n, max_size=n).map(tuple)
 
 
 @settings(max_examples=100, deadline=None)
@@ -434,5 +443,5 @@ def test_vector_helpers():
     assert unit_vector(3) == (0, 0, 0)
     assert vec_oplus((1, EPS), (EPS, 2)) == (1, 2)
     assert vec_scale(2, (1, EPS)) == (3, EPS)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError):
         vec_oplus((1,), (1, 2))

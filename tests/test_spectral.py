@@ -17,7 +17,7 @@ from tropical_ca.errors import (
     ReducibleMatrixError,
 )
 from tropical_ca.network import build_p, random_parameters, regular_ring
-from tropical_ca.semiring import EPS, MaxPlusMatrix, otimes, unit_vector, vec_scale
+from tropical_ca.semiring import EPS, MaxPlusMatrix, otimes, unit_vector
 from tropical_ca.spectral import (
     SccDecomposition,
     analyze,
@@ -25,7 +25,6 @@ from tropical_ca.spectral import (
     critical_graph,
     cyclicity,
     eigenvectors,
-    is_irreducible,
     max_cycle_mean,
     scc_decompose,
 )
@@ -37,12 +36,14 @@ from oracles import (
     grid_arcs,
     grid_identity,
     grid_mul,
+    is_irreducible,
     karp_cycle_mean,
     mat_power,
     matrix_power_onset,
     max_circuit_mean,
     random_irreducible_grid,
     scc_partition,
+    vec_scale,
 )
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import vec_scale
 
 from tropical_ca.errors import (
     CapExceededError,
@@ -18,7 +19,7 @@ from tropical_ca.errors import (
     ScalarError,
 )
 from tropical_ca.network import build_p, random_parameters, regular_ring
-from tropical_ca.semiring import EPS, MaxPlusMatrix, unit_vector, vec_scale
+from tropical_ca.semiring import EPS, MaxPlusMatrix, unit_vector
 from tropical_ca.spectral import analyze, eigenvectors
 from tropical_ca.trajectory import (
     RegimeReport,
