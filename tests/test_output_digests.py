@@ -113,6 +113,54 @@ def test_analyze_on_a_2560_cell_ring_pins_the_eigenbasis_order(tmp_path):
     assert tree_digests(out) == RING_2560_DIGESTS
 
 
+# A 6-cell digraph with quarter-unit timings and a half-unit start, whose
+# eigenvalue 31/12 has a denominator in neither P nor x(0).  Every bundled
+# rational case has int timings, so this is the one pin of a Fraction frame:
+# sigma = rho = 3 and k* = 3, and every check passes.
+FRACTION_LAMBDA = {
+    "mode": "rational",
+    "network": {
+        "N": 6,
+        "topology": {"arcs": [[1, 2], [2, 3], [3, 1], [3, 4], [4, 5], [5, 6], [6, 1]]},
+        "xi": [0.25, 0.25, 0.25, 0.25, 0.25, 0.25],
+        "tau": [[1, 2, 2], [2, 3, 2], [3, 1, 3], [3, 4, 1], [4, 5, 4], [5, 6, 2], [6, 1, 1]],
+    },
+    "rule": "parity",
+    "s0": "100100",
+    "x0": [0, 0.5, 0, 0, 1.5, 0],
+    "k_max": 12,
+}
+FRACTION_LAMBDA_DIGESTS = {
+    "analyze": {
+        "critical_graph.dot": "6e3e9365c8e2995b3fc92f8a6a45ce0c0e8a3098a56c78265d191fbc0e51529c",
+        "spectral.json": "7be98628e1798360415791b06c5553233af379f9a56f4681c20e37e0ab332d31",
+    },
+    "simulate": {
+        "contour_plot.svg": "9bdf71967ee1d815ae9a182a8a3a3572181578642fda0d63004d54ae8027ca6e",
+        "regime.json": "eab4a6372cc1db3c4edc9477303050c9516def8d95b4db3a4c35e24354517118",
+        "trajectory.csv": "2fa71a3193c8271cbfc543597e3148bcc9403a37a106a3f831ab870aa6905f03",
+    },
+    "verify": {
+        "verification.json": "f381ee06b2e788e7fafee6bb5d63110e0b1e670ebdd817b11a74b2b33731e7c5",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(FRACTION_LAMBDA_DIGESTS))
+def test_a_non_integer_eigenvalue_pins_the_fraction_frame(tmp_path, command):
+    config = tmp_path / "fraction.json"
+    config.write_text(json.dumps(FRACTION_LAMBDA), encoding="utf-8")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(config), "--out", str(out)])
+    assert code == 0
+    assert tree_digests(out) == FRACTION_LAMBDA_DIGESTS[command]
+    if command == "simulate":
+        regime = json.loads((out / "regime.json").read_text())
+        assert regime["lambda"] == {"num": 31, "den": 12}
+        assert (regime["k_star"], regime["rho"]) == (3, 3)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {case: run_case(case, Path(tmp) / str(n)) for n, case in enumerate(CASES)}
