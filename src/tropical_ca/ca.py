@@ -113,8 +113,8 @@ class CARule(NamedTuple):
 
     @classmethod
     def eca(cls, number: int) -> "CARule":
-        if not (0 <= number <= 255):
-            raise RuleError(f"ECA rule number must be in 0..255, got {number}")
+        if type(number) is not int or not 0 <= number <= 255:
+            raise RuleError(f"ECA rule number must be an int in 0..255, got {number!r}")
         return cls("eca", number)
 
     @classmethod

@@ -102,7 +102,7 @@ def _parse_network(block, mode, seed_override, base_dir: Path):
     if not has_generator:
         return spec, None, None
     seed = seed_override if seed_override is not None else block.get("seed")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError("network.seed: must be an integer")
     ranges = []
     for name in ("xi_range", "tau_range"):
@@ -147,7 +147,7 @@ def load_experiment(args) -> Experiment:
         if blk == "parity" or blk == {"parity": True}:
             rule = ca_mod.CARule.parity()
         elif isinstance(blk, dict) and "eca" in blk:
-            if not isinstance(blk["eca"], int):
+            if type(blk["eca"]) is not int:
                 raise ConfigError("rule.eca: must be an integer 0..255")
             try:
                 rule = ca_mod.CARule.eca(blk["eca"])
@@ -191,7 +191,7 @@ def load_experiment(args) -> Experiment:
 
     k_max = None
     if "k_max" in raw:
-        if not isinstance(raw["k_max"], int) or raw["k_max"] < 0:
+        if type(raw["k_max"]) is not int or raw["k_max"] < 0:
             raise ConfigError("k_max: must be a non-negative integer")
         k_max = raw["k_max"]
 
@@ -311,9 +311,9 @@ class Stages:
 
     @cached_property
     def async_plots(self) -> render_mod.AsyncPlots:
-        """The layout shared by the four plots of the async run."""
-        run = self.run
-        return render_mod.AsyncPlots(run.trajectory, self.plotspec, run.states)
+        """The layout of the trajectory, shared by the contour plot and the
+        four plots of the async run."""
+        return render_mod.AsyncPlots(self.trajectory, self.plotspec)
 
     @cached_property
     def bijection_mismatch(self) -> ca_mod.Mismatch | None:
@@ -374,14 +374,6 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _contour_plot_chunks(st: Stages):
-    """contour_plot.svg.  Its y texts are those of the async plots, so a
-    command that runs the CA takes them from the run's layout."""
-    if "run" in vars(st):
-        return st.async_plots._contour_blocks(None)
-    return render_mod.contour_plot_chunks(st.trajectory, st.plotspec)
-
-
 # File name -> text of that file, from the stages: a str, or an iterator
 # of text chunks that is streamed to the file.
 WRITERS = {
@@ -393,7 +385,7 @@ WRITERS = {
         st.trajectory, st.summary.eigenvalue
     ),
     "regime.json": lambda st: _json(st.regime.to_json_dict()),
-    "contour_plot.svg": _contour_plot_chunks,
+    "contour_plot.svg": lambda st: st.async_plots.contour_chunks(),
     "sync_orbit.json": lambda st: st.orbit.json_chunks(),
     "spacetime_sync.svg": lambda st: render_mod.spacetime_sync_chunks(
         st.sync_states, st.plotspec
@@ -401,12 +393,14 @@ WRITERS = {
     "spacetime_sync.pgm": lambda st: render_mod.spacetime_sync_pixmap(
         st.sync_states, st.plotspec
     ),
-    "async_contours.svg": lambda st: st.async_plots.contour_chunks(),
+    "async_contours.svg": lambda st: st.async_plots.contour_chunks(st.run.states),
     "spacetime_async_contours.svg": lambda st: st.async_plots.spacetime_chunks(
-        "contours"
+        "contours", st.run.states
     ),
-    "spacetime_async.svg": lambda st: st.async_plots.spacetime_chunks("plain"),
-    "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(),
+    "spacetime_async.svg": lambda st: st.async_plots.spacetime_chunks(
+        "plain", st.run.states
+    ),
+    "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(st.run.states),
     "event_dag.dot": lambda st: render_mod.event_dag_dot(
         st.run, 0, min(3, st.exp.k_max), st.plotspec
     ),

@@ -174,7 +174,7 @@ def random_parameters(
     xi_lo, xi_hi = xi_range
     tau_lo, tau_hi = tau_range
     for name, (lo, hi) in (("xi", (xi_lo, xi_hi)), ("tau", (tau_lo, tau_hi))):
-        if not (isinstance(lo, int) and isinstance(hi, int)):
+        if not (type(lo) is int and type(hi) is int):
             raise NetworkError(f"{name} range must have integer bounds")
         if lo > hi:
             raise NetworkError(f"{name} range is empty: [{lo}, {hi}]")
@@ -256,7 +256,7 @@ def _spec_from_json_dict(
     for the network block of an experiment config alike.
     """
     size = obj.get("N")
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise NetworkError(f"N must be a positive integer, got {size!r}")
     if tau_matrix is not None and (tau_matrix.rows, tau_matrix.cols) != (size, size):
         raise NetworkError("tau_matrix must be N x N")
@@ -273,13 +273,13 @@ def _spec_from_json_dict(
     if "regular" in topo:
         regular = topo["regular"]
         n = regular.get("n") if isinstance(regular, dict) else None
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise NetworkError("topology.regular.n must be an integer")
         return regular_ring(size, n)
     if "arcs" in topo:
         arcs = topo["arcs"]
         if not _is_list(arcs) or not all(
-            _is_list(pair, 2) and all(isinstance(v, int) for v in pair) for pair in arcs
+            _is_list(pair, 2) and all(type(v) is int for v in pair) for pair in arcs
         ):
             raise NetworkError("topology.arcs must be a list of [j, i] index pairs")
         return explicit_network(size, [(j - 1, i - 1) for (j, i) in arcs])
@@ -325,7 +325,7 @@ def network_from_json_dict(obj: dict, mode: str = "int"):
             )
         for triple in triples:
             if not _is_list(triple, 3) or not all(
-                isinstance(v, int) for v in triple[:2]
+                type(v) is int for v in triple[:2]
             ):
                 raise NetworkError(f"tau entry {triple!r} is not a [j, i, value] triple")
             j, i, v = triple

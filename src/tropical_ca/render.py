@@ -148,19 +148,19 @@ class AsyncPlots:
     """The layout of one timed run's plots under one PlotSpec.
 
     ``trajectory.states`` are the update times x(0..k_max), one row per
-    cycle; ``states`` are the CA states of the same cycles (0/1 per cell),
-    or None for a contour plot without state markers.  The contour plot,
-    both space-time SVGs and the raster share one layout, and each part
-    of it (time extent, per-cell columns, y and height texts) is computed
-    on first use and kept.  The lines of a file are made only as its
-    chunks are taken, so no file's text is ever held whole.
+    cycle.  The layout depends on the times only: each plot takes the CA
+    states of the same cycles (0/1 per cell) per call, and a contour plot
+    may take none.  The contour plot, both space-time SVGs and the raster
+    share one layout, and each part of it (time extent, per-cell columns,
+    y and height texts) is computed on first use and kept.  The lines of
+    a file are made only as its chunks are taken, so no file's text is
+    ever held whole.
     """
 
-    def __init__(self, trajectory: Trajectory, ps: PlotSpec, states=None):
+    def __init__(self, trajectory: Trajectory, ps: PlotSpec):
         self.times = trajectory.states
         self.size = trajectory.size
         self.ps = ps
-        self.states = states
 
     @cached_property
     def extent(self) -> tuple:
@@ -171,11 +171,6 @@ class AsyncPlots:
     def time_columns(self) -> list:
         """Per cell, its update times x_i(0..k_max)."""
         return list(zip(*self.times))
-
-    @cached_property
-    def bit_columns(self) -> list:
-        """Per cell, the state it computed at each cycle."""
-        return list(zip(*self.states))
 
     @cached_property
     def y_rows(self) -> list:
@@ -200,16 +195,18 @@ class AsyncPlots:
         t0, t1 = self.extent
         return 2 * self.ps.margin + (t1 - t0) * self.ps.time_scale
 
-    def contour_chunks(self) -> Iterator[str]:
-        """The text of :func:`contour_plot` in blocks of whole lines."""
-        return self._contour_blocks(self.states)
-
-    def _contour_blocks(self, states) -> Iterator[str]:
-        """The contour plot with these CA states as markers (None for
-        none); the layout does not depend on them."""
-        ps = self.ps
-        if states is not None and len(states) != len(self.times):
+    def _checked(self, states):
+        """The CA states, one per cycle of the layout."""
+        if len(states) != len(self.times):
             raise DimensionError("one CA state per contour required")
+        return states
+
+    def contour_chunks(self, states=None) -> Iterator[str]:
+        """The text of :func:`contour_plot` in blocks of whole lines, with
+        these CA states as markers (None for none)."""
+        ps = self.ps
+        if states is not None:
+            self._checked(states)
         width = 2 * ps.margin + (self.size - 1) * ps.cell_px
         return _svg_blocks(width, self._svg_height(), ps, self._contour_rows(states))
 
@@ -238,21 +235,22 @@ class AsyncPlots:
                 lines.append(f"{marker[0]}{ys[0]}{dot_tail}")
             yield lines
 
-    def spacetime_chunks(self, stage: str = "plain") -> Iterator[str]:
+    def spacetime_chunks(self, stage: str, states) -> Iterator[str]:
         """The text of :func:`spacetime_async` in blocks of whole lines."""
         if stage not in ("plain", "contours"):
             raise DimensionError(f"unknown stage {stage!r}")
         ps = self.ps
         width = 2 * ps.margin + self.size * ps.cell_px
-        body = self._spacetime_rows(stage == "contours")
+        bits = zip(*self._checked(states))
+        body = self._spacetime_rows(stage == "contours", bits)
         return _svg_blocks(width, self._svg_height(), ps, body)
 
-    def _spacetime_rows(self, contours: bool) -> Iterator[list]:
+    def _spacetime_rows(self, contours: bool, bit_columns) -> Iterator[list]:
         ps = self.ps
         block = f'" width="{ps.cell_px}" height="'
         block_tail = (f'" fill="{ps.color0}"/>', f'" fill="{ps.color1}"/>')
         # Cell i's k-th block spans [x_i(k), x_i(k+1)) and shows states[k][i].
-        columns = zip(self.y_columns, self.heights, self.bit_columns)
+        columns = zip(self.y_columns, self.heights, bit_columns)
         for i, (tops, sizes, bits) in enumerate(columns):
             rect = f'<rect x="{_fmt(ps.margin + i * ps.cell_px)}" y="'
             yield [
@@ -269,7 +267,7 @@ class AsyncPlots:
                 pts = " ".join(map(str.__add__, vertex, ys))
                 yield [f'<polyline points="{pts}{stroke}']
 
-    def raster_chunks(self) -> Iterator[str]:
+    def raster_chunks(self, states) -> Iterator[str]:
         """The text of :func:`spacetime_async_pixmap` in blocks of whole
         lines, header first.  The row changes are collected when this is
         called; the rows are joined only as the chunks are taken."""
@@ -289,7 +287,8 @@ class AsyncPlots:
         # row at or past height is dropped by the sweep.
         m = 3 * n
         changes = []
-        for i, (times, bits) in enumerate(zip(self.time_columns, self.bit_columns)):
+        columns = zip(self.time_columns, zip(*self._checked(states)))
+        for i, (times, bits) in enumerate(columns):
             rows = [math.ceil((t - t0) * s) for t in times]
             code = 3 * i
             changes += [
@@ -321,7 +320,7 @@ def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
 
 def contour_plot_chunks(traj: Trajectory, ps: PlotSpec, states=None) -> Iterator[str]:
     """The text of :func:`contour_plot` in blocks of whole lines."""
-    return AsyncPlots(traj, ps, states).contour_chunks()
+    return AsyncPlots(traj, ps).contour_chunks(states)
 
 
 def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
@@ -331,7 +330,7 @@ def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
     stage "contours": hold intervals with the update contours overlaid.
     Any other stage raises DimensionError.
     """
-    return "".join(AsyncPlots(run.trajectory, ps, run.states).spacetime_chunks(stage))
+    return "".join(AsyncPlots(run.trajectory, ps).spacetime_chunks(stage, run.states))
 
 
 def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
@@ -347,7 +346,7 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
 def spacetime_async_pixmap_chunks(run: AsyncRun, ps: PlotSpec) -> Iterator[str]:
     """The text of :func:`spacetime_async_pixmap` as chunks of whole
     lines, header first, so that a writer never holds the whole text."""
-    return AsyncPlots(run.trajectory, ps, run.states).raster_chunks()
+    return AsyncPlots(run.trajectory, ps).raster_chunks(run.states)
 
 
 def _swept_rows(row: list, changes, slots: list, height: int) -> Iterator[str]:

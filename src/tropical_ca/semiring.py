@@ -21,6 +21,9 @@ lists and the constructor from a dense grid; ``A.entries`` is the dense
 n² view, built on first use.  :func:`step_arcs` is the one max-plus
 stepping loop: ``A.apply(x)``, ``A @ B`` (column by column) and the
 trajectory layer's int runs all go through it, so a step costs O(arcs).
+:class:`IntFrame` is the one place where arcs, an eigenvalue and vectors
+become exact ints: the normalized frame of (-lambda) ⊗ A that the
+spectral and trajectory layers step and compare in.
 ``A + B`` is the entry-wise max and ``A.star()`` the Kleene star
 ``E ⊕ A ⊕ A² ⊕ …`` truncated exactly at length n-1 (valid because the star
 only exists when no circuit has positive weight).
@@ -29,6 +32,7 @@ only exists when no circuit has positive weight).
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -125,6 +129,65 @@ def step_arcs(arcs: Sequence[Sequence[tuple]], y: Sequence) -> tuple:
                     best = v
         out.append(best)
     return tuple(out)
+
+
+def _times(v, s: int) -> int:
+    """s·v as an int, for an int or a Fraction v whose denominator
+    divides s."""
+    return v * s if type(v) is int else v.numerator * (s // v.denominator)
+
+
+class IntFrame:
+    """The normalized frame of (-lam) ⊗ A on scaled ints.
+
+    ``rows`` are the arc lists of A, in-arc (:meth:`MaxPlusMatrix.finite_rows`)
+    or out-arc: the index of a pair is never read.  With D the least common
+    denominator of the weights and of the finite entries of ``vectors``,
+    lam·D = p/q in lowest terms and s = q·D, ``arcs`` holds the rows with
+    the int weights s·w - p.  Then Y(k) = s·x(k) - p·k (:meth:`state`) steps
+    as Y(k+1) = step_arcs(arcs, Y(k)), and y(k) = Y(k)/s (:meth:`vector`).
+    ``ints`` says that every state of a run from ``vectors`` is a finite
+    int vector: int weights and entries, no EPS, an arc in every row."""
+
+    __slots__ = ("arcs", "s", "p", "ints")
+
+    def __init__(self, rows: Sequence, lam: Scalar = 0, vectors: Iterable = ()):
+        lam = exact(lam)
+        if is_eps(lam):
+            raise DimensionError("eigenvalue must be finite")
+        vectors = tuple(vectors)
+        d = math.lcm(
+            *{w.denominator for row in rows for _j, w in row},
+            *{v.denominator for x in vectors for v in x if type(v) is not float},
+        )
+        lam_d = Fraction(lam) * d
+        self.s = s = lam_d.denominator * d
+        self.p = p = lam_d.numerator
+        self.arcs = (
+            rows
+            if s == 1 and p == 0
+            else [[(j, _times(w, s) - p) for j, w in row] for row in rows]
+        )
+        self.ints = d == 1 and all(rows) and all(map(vec_is_finite, vectors))
+
+    def state(self, k: int, x: Sequence) -> tuple:
+        """Y(k) = s·x - p·k of the state x = x(k), None where x is EPS."""
+        s, shift = self.s, self.p * k
+        if self.ints:
+            return tuple([s * v - shift for v in x])
+        return tuple(
+            [None if type(v) is float else _times(v, s) - shift for v in x]
+        )
+
+    def vector(self, y: Sequence) -> tuple:
+        """y = Y/s as exact scalars, EPS where Y is None."""
+        s = self.s
+        if s == 1 and self.ints:
+            return y
+        return tuple(
+            EPS if v is None else v // s if v % s == 0 else Fraction(v, s)
+            for v in y
+        )
 
 
 class MaxPlusMatrix:

@@ -14,8 +14,10 @@ circuit mean
 computed here with Howard's policy iteration on each strongly connected
 component with an arc (see :func:`_howard`).  Each iteration costs O(n + m)
 for n nodes and m arcs, and few are needed in practice (Dasdan, Irani and
-Gupta, 1999).  The weights are scaled to ints by the common denominator of
-the entries, so values and biases are ints and no Fraction enters the loop.
+Gupta, 1999).  It reads the arcs of ``IntFrame(succ)``
+(:class:`~tropical_ca.semiring.IntFrame`), the weights scaled to ints by
+their common denominator, so values and biases are ints and no Fraction
+enters the loop.
 
 Everything else is read off the normalized graph of (-lambda) ⊗ A, whose
 arc weights w - lambda leave its heaviest circuits at weight zero and no
@@ -39,10 +41,11 @@ circuit positive:
   are listed in descending order of their smallest node.
 
 Each Bellman-Ford costs O(n·m) at worst and no n×n product is formed.  The
-normalized weights are scaled by the common denominator of lambda and the
-entries, so the searches run on Python ints, test tightness by exact
-equality and divide once at the end.  A value that still improves in round
-n would mean a positive circuit and raises KleeneStarDivergenceError.
+normalized graph is the arcs of ``IntFrame(succ, lambda)``, int weights
+s·w - p with lambda = p/s, so the searches run on Python ints, test
+tightness by exact equality and divide by s once at the end.  A value that
+still improves in round n would mean a positive circuit and raises
+KleeneStarDivergenceError.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .errors import (
     NoCircuitError,
     ReducibleMatrixError,
 )
-from .semiring import EPS, E, MaxPlusMatrix, Scalar, canonical, scalar_to_json
+from .semiring import EPS, E, IntFrame, MaxPlusMatrix, Scalar, canonical, scalar_to_json
 
 
 def build_graph(matrix: MaxPlusMatrix) -> list:
@@ -136,16 +139,6 @@ def scc_decompose(succ: list) -> SccDecomposition:
         for v in comp:
             component_of[v] = ci
     return SccDecomposition(components, tuple(component_of))
-
-
-def _int_view(succ: list) -> tuple:
-    """(scale, view): the least common denominator of the arc weights and
-    the out-arc view with each weight times it, an int."""
-    scale = math.lcm(*{w.denominator for row in succ for _i, w in row})
-    return scale, [
-        [(i, w.numerator * (scale // w.denominator)) for i, w in row]
-        for row in succ
-    ]
 
 
 def _howard_cap(node_count: int, arc_count: int) -> int:
@@ -307,9 +300,9 @@ def max_cycle_mean(matrix: MaxPlusMatrix) -> Scalar:
     raises NoCircuitError on an acyclic graph.
     """
     succ = build_graph(matrix)
-    scale, view = _int_view(succ)
-    p, q, _x = _cycle_mean(view, scc_decompose(succ))
-    return canonical(Fraction(p, q * scale))
+    frame = IntFrame(succ)
+    p, q, _x = _cycle_mean(frame.arcs, scc_decompose(succ))
+    return canonical(Fraction(p, q * frame.s))
 
 
 class CriticalGraph(NamedTuple):
@@ -411,7 +404,7 @@ class SpectralSummary(NamedTuple):
         }
 
 
-def _longest_paths(succ: list, source: int) -> list:
+def _longest_paths(succ: list, source: int) -> tuple:
     """Longest-path weights from ``source`` (EPS where unreachable).
 
     Bellman-Ford in rounds, each relaxing only the arcs out of the nodes
@@ -434,7 +427,7 @@ def _longest_paths(succ: list, source: int) -> list:
                     dist[i] = cand
                     improved[i] = None
         if not improved:
-            return dist
+            return tuple(dist)
         frontier = improved
     for j in frontier:
         for i, w in succ[j]:
@@ -442,7 +435,7 @@ def _longest_paths(succ: list, source: int) -> list:
                 raise KleeneStarDivergenceError(
                     "Kleene star diverges: the graph has a positive-weight circuit"
                 )
-    return dist
+    return tuple(dist)
 
 
 def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
@@ -456,13 +449,13 @@ def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
             "matrix is reducible (precedence graph not strongly connected); "
             "this library only analyzes irreducible matrices"
         )
-    scale, view = _int_view(succ)
-    p, q, v = _cycle_mean(view, dec)
-    lam = canonical(Fraction(p, q * scale))
-    # The normalized graph, weights scaled by q·scale so that they are ints
-    # like Howard's bias v, which is a potential of it.
-    scale *= q
-    norm = [[(i, q * w - p) for i, w in row] for row in view]
+    frame = IntFrame(succ)
+    p, q, v = _cycle_mean(frame.arcs, dec)
+    lam = canonical(Fraction(p, q * frame.s))
+    # The normalized graph: its int weights s·w - p carry the scale of
+    # Howard's bias v, which is a potential of it.
+    frame = IntFrame(succ, lam)
+    norm = frame.arcs
     tight = [
         [arc for arc in row if v[arc[0]] - v[j] == arc[1]]
         for j, row in enumerate(norm)
@@ -484,10 +477,5 @@ def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
     basis = []
     for comp, comp_arcs in parts:
         sigma = math.lcm(sigma, _component_cyclicity(comp, comp_arcs))
-        column = _longest_paths(norm, comp[0])
-        basis.append(
-            tuple(
-                x // scale if x % scale == 0 else Fraction(x, scale) for x in column
-            )
-        )
+        basis.append(frame.vector(_longest_paths(norm, comp[0])))
     return SpectralSummary(lam, sigma, crit, tuple(basis))

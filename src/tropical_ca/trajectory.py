@@ -13,16 +13,13 @@ x(k) once k is past the transient (Baccelli, Cohen, Olsder and Quadrat,
 *Synchronization and Linearity*, 1992; Heidergott, Olsder and van der
 Woude, *Max Plus at Work*, 2006).
 
-The normalized frame runs on scaled ints, as the normalized graph of
-:func:`~tropical_ca.spectral.analyze` does.  With D the common
-denominator of P's finite entries and x(0), every x(k) is a multiple of
-1/D.  Write lambda·D = p/q in lowest terms and s = q·D; then
-y(k) = Y(k)/s with
-
-    Y(k) = s·x(k) - p·k,
-
-a vector of ints, and Y(k+1) is P ⊗ Y(k) over the int arc weights
-s·w - p.  A scalar y is formed only where one leaves the layer.
+The normalized frame runs on the scaled ints of
+:class:`~tropical_ca.semiring.IntFrame`, built from P's arcs, lambda and
+x(0), the frame :func:`~tropical_ca.spectral.analyze` reads too: every
+x(k) is a multiple of 1/D, with D the common denominator of P and x(0),
+and y(k) = Y(k)/s for the ints Y(k) = s·x(k) - p·k, where
+lambda·D = p/q and s = q·D.  Y(k+1) is P ⊗ Y(k) over the int arc
+weights s·w - p.  A scalar y is formed only where one leaves the layer.
 
 Regime detection keeps the last sigma + 1 states Y(k) only.  The first k
 with Y(k) = Y(k - sigma) gives k* = k - sigma.  The tail from k* is
@@ -45,13 +42,12 @@ from .errors import (
     VerificationError,
 )
 from .semiring import (
-    EPS,
+    IntFrame,
     MaxPlusMatrix,
     Scalar,
     canonical,
     exact,
     format_scalar,
-    is_eps,
     scalar_to_json,
     step_arcs,
     vec_is_finite,
@@ -87,9 +83,8 @@ def iter_states(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Iterator:
     holding them.  The inputs are checked on the call.
 
     The run steps the scaled ints s·x(k) of the frame with lambda = 0
-    (:class:`_Frame`) through :func:`~tropical_ca.semiring.step_arcs` and
-    divides by s only to yield a state; in int mode s = 1 and the ints are
-    the states."""
+    (:class:`~tropical_ca.semiring.IntFrame`) and divides by s only to
+    yield a state; in int mode s = 1 and the ints are the states."""
     if not P.is_square():
         raise DimensionError("iteration needs a square matrix")
     if len(x0) != P.rows:
@@ -105,70 +100,12 @@ def iter_states(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Iterator:
 
 
 def _iter_states(P: MaxPlusMatrix, x: tuple, k_max: int):
-    frame = _Frame(P, x, 0)
-    arcs = frame.arcs()
+    frame = IntFrame(P.finite_rows(), 0, (x,))
     y = frame.state(0, x)
     yield x
     for _ in range(k_max):
-        y = step_arcs(arcs, y)
+        y = step_arcs(frame.arcs, y)
         yield frame.vector(y)
-
-
-def _times(v, s: int):
-    """s·v as an int, for an int or a Fraction v whose denominator
-    divides s."""
-    return v * s if type(v) is int else v.numerator * (s // v.denominator)
-
-
-def _denominator(values) -> int:
-    """Least common denominator of the finite scalars."""
-    return math.lcm(*{v.denominator for v in values if type(v) is not float})
-
-
-class _Frame:
-    """The normalized frame y(k) = x(k) - lambda·k of the run of P from
-    x0, as the scaled ints Y(k) = s·x(k) - p·k of the module docstring."""
-
-    def __init__(self, P: MaxPlusMatrix, x0: tuple, lam: Scalar):
-        if is_eps(lam):
-            raise DimensionError("eigenvalue must be finite")
-        self.rows = rows = P.finite_rows()
-        d = math.lcm(
-            _denominator(w for row in rows for (_j, w) in row), _denominator(x0)
-        )
-        lam_d = Fraction(exact(lam)) * d
-        self.s = lam_d.denominator * d
-        self.p = lam_d.numerator
-        # Every state is a vector of ints, none EPS: int entries, a finite
-        # x(0) and an arc into every cell.
-        self.ints = d == 1 and all(rows) and vec_is_finite(x0)
-
-    def state(self, k: int, x) -> tuple:
-        """Y(k) of the state x = x(k), None where x is EPS."""
-        s, shift = self.s, self.p * k
-        if self.ints:
-            return tuple([s * v - shift for v in x])
-        return tuple(
-            [None if type(v) is float else _times(v, s) - shift for v in x]
-        )
-
-    def arcs(self) -> list:
-        """Per row of P, its (j, s·w - p) pairs: Y(k+1) = P ⊗ Y(k) over
-        them."""
-        s, p = self.s, self.p
-        if s == 1 and p == 0:
-            return self.rows
-        return [[(j, _times(w, s) - p) for (j, w) in row] for row in self.rows]
-
-    def vector(self, y: tuple) -> tuple:
-        """y = Y/s as exact scalars."""
-        s = self.s
-        if s == 1 and self.ints:
-            return y
-        return tuple(
-            EPS if v is None else v // s if v % s == 0 else Fraction(v, s)
-            for v in y
-        )
 
 
 class NormalizedTrajectory(NamedTuple):
@@ -179,7 +116,7 @@ class NormalizedTrajectory(NamedTuple):
 
 
 def normalize(traj: Trajectory, eigenvalue: Scalar) -> NormalizedTrajectory:
-    frame = _Frame(traj.matrix, traj.states[0], eigenvalue)
+    frame = IntFrame(traj.matrix.finite_rows(), eigenvalue, traj.states[:1])
     states = tuple(
         frame.vector(frame.state(k, x)) for k, x in enumerate(traj.states)
     )
@@ -230,16 +167,13 @@ def detect_regime(
     lam, sigma = spectral.eigenvalue, spectral.sigma
     cap = default_cap(traj.size, sigma) if k_cap is None else k_cap
     states = traj.states
-    frame = _Frame(traj.matrix, states[0], lam)
+    frame = IntFrame(traj.matrix.finite_rows(), lam, states[:1])
     window = deque(maxlen=sigma + 1)
-    arcs = None
     for k in range(cap + 1):
         if k < len(states):
             y = frame.state(k, states[k])
         else:
-            if arcs is None:
-                arcs = frame.arcs()
-            y = step_arcs(arcs, y)
+            y = step_arcs(frame.arcs, y)
         window.append(y)
         if k >= sigma and y == window[0]:
             break
@@ -282,34 +216,22 @@ def maps_cyclically(P: MaxPlusMatrix, lam: Scalar, cycles) -> bool:
     """True iff P ⊗ c[m] = lam ⊗ c[m + 1] around each cycle c of vectors
     (indices mod len(c)); a cycle of one vector is an eigenvector.
 
-    The test runs on ints: P, lam and every vector are scaled by the lcm S
-    of all their denominators, and (S·P) ⊗ (S·c) = S·lam + S·c′ entry by
-    entry.  A vector entry may be EPS; a finite float raises ScalarError.
+    The test runs on the ints of the normalized frame of P and lam, scaled
+    to cover every vector too: there P ⊗ c = lam ⊗ c′ reads
+    step_arcs(arcs, Y(c)) = Y(c′).  A vector entry may be EPS; a finite
+    float raises ScalarError.
     """
-    lam = exact(lam)
-    if is_eps(lam):
-        raise DimensionError("eigenvalue must be finite")
     cycles = [[tuple(map(exact, c)) for c in cyc] for cyc in cycles]
     if any(len(c) != P.cols for cyc in cycles for c in cyc):
         raise DimensionError(f"a vector's length is not the matrix's {P.cols}")
-    rows = P.finite_rows()
-    s = math.lcm(
-        _denominator(w for row in rows for (_j, w) in row),
-        lam.denominator,
-        *(_denominator(c) for cyc in cycles for c in cyc),
-    )
-    arcs = rows if s == 1 else [[(j, _times(w, s)) for (j, w) in row] for row in rows]
-    shift = _times(lam, s)
+    frame = IntFrame(P.finite_rows(), lam, (c for cyc in cycles for c in cyc))
     for cyc in cycles:
-        scaled = [
-            tuple([None if is_eps(v) else _times(v, s) for v in c]) for c in cyc
-        ]
-        for m, c in enumerate(scaled):
-            nxt = scaled[(m + 1) % len(scaled)]
-            if step_arcs(arcs, c) != tuple(
-                [None if v is None else v + shift for v in nxt]
-            ):
-                return False
+        ys = [frame.state(0, c) for c in cyc]
+        if any(
+            step_arcs(frame.arcs, y) != ys[(m + 1) % len(ys)]
+            for m, y in enumerate(ys)
+        ):
+            return False
     return True
 
 
@@ -369,7 +291,7 @@ def csv_chunks(traj: Trajectory, eigenvalue: Scalar | None = None) -> Iterator[s
     header = ["k"] + [f"x_{i + 1}" for i in range(n)]
     if eigenvalue is not None:
         header += [f"y_{i + 1}" for i in range(n)]
-        frame = _Frame(traj.matrix, traj.states[0], eigenvalue)
+        frame = IntFrame(traj.matrix.finite_rows(), eigenvalue, traj.states[:1])
         texts = _Texts(frame.s).__getitem__
 
     def row(k, x):

@@ -633,6 +633,58 @@ def test_malformed_scalars_are_config_errors(case, field):
     assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
+
+
+GENERATED_RING = {
+    "network": {
+        "N": 4, "topology": {"regular": {"n": 3}}, "seed": 1,
+        "xi_range": [1, 5], "tau_range": [1, 5],
+    },
+    "rule": {"eca": 150}, "s0": "0100", "x0": "unit", "k_max": 3,
+}
+EXPLICIT_PAIR = {
+    "network": {
+        "N": 2, "topology": {"arcs": [[1, 2], [2, 1]]},
+        "xi": [1, 1], "tau": [[1, 2, 1], [2, 1, 1]],
+    },
+    "rule": {"eca": 150}, "s0": "01", "x0": "unit", "k_max": 3,
+}
+
+
+# JSON true and false are ints to Python's isinstance: each of these
+# fields read them as 1 and 0 until it checked the exact type.
+@pytest.mark.parametrize(
+    "base, path",
+    [
+        (GENERATED_RING, ("network", "seed")),
+        (GENERATED_RING, ("rule", "eca")),
+        (GENERATED_RING, ("k_max",)),
+        (GENERATED_RING, ("network", "xi_range", 0)),
+        (GENERATED_RING, ("network", "tau_range", 1)),
+        (GENERATED_RING, ("network", "N")),
+        (GENERATED_RING, ("network", "topology", "regular", "n")),
+        (EXPLICIT_PAIR, ("network", "topology", "arcs", 0, 0)),
+        (EXPLICIT_PAIR, ("network", "tau", 0, 1)),
+    ],
+    ids=lambda v: (
+        ".".join(map(str, v)) if isinstance(v, tuple)
+        else "ring" if v is GENERATED_RING else "pair"
+    ),
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_booleans_are_not_integers_in_configs(base, path, value):
+    assert quiet_main(json.dumps(base), "simulate")[0] == 0
+    body = json.loads(json.dumps(base))
+    node = body
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code, _, err = quiet_main(json.dumps(body), "simulate")
+    assert code == 2, (path, err)
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_huge_decimal_exponent_fails_fast():
     body = {"mode": "rational", "network": dict(TIMED_RING3, xi=["@", 1, 1])}
     start = time.perf_counter()

@@ -338,17 +338,17 @@ def test_shared_layout_chunks_equal_the_public_renderers():
     runs.append(("24 cells", seeded_run(size=24, k_max=40)))
     for label, run in runs:
         ps = random_plotspec(rng, label)
-        plots = AsyncPlots(run.trajectory, ps, run.states)
+        plots = AsyncPlots(run.trajectory, ps)
         files = [
-            ("contours", plots.contour_chunks(),
+            ("contours", plots.contour_chunks(run.states),
              contour_plot(run.trajectory, ps, run.states),
              contour_plot_vertices(run.trajectory, ps, __version__, run.states)),
             *(
-                (stage, plots.spacetime_chunks(stage), spacetime_async(run, ps, stage),
+                (stage, plots.spacetime_chunks(stage, run.states), spacetime_async(run, ps, stage),
                  spacetime_async_vertices(run, ps, __version__, stage))
                 for stage in ("contours", "plain")
             ),
-            ("raster", plots.raster_chunks(), spacetime_async_pixmap(run, ps),
+            ("raster", plots.raster_chunks(run.states), spacetime_async_pixmap(run, ps),
              async_pixmap_grid(run, ps, __version__)),
         ]
         for name, chunks, public, oracle in files:
@@ -366,8 +366,8 @@ def test_raster_chunks_are_sized_in_bytes():
     # rows are wider than the target gets one row per chunk.
     run = seeded_run(size=128, k_max=5)
     for ps in (PlotSpec(), PlotSpec(cell_px=300)):
-        plots = AsyncPlots(run.trajectory, ps, run.states)
-        chunks = list(plots.raster_chunks())
+        plots = AsyncPlots(run.trajectory, ps)
+        chunks = list(plots.raster_chunks(run.states))
         text = "".join(chunks)
         assert text == spacetime_async_pixmap(run, ps)
         row = max(map(len, text.splitlines())) + 1

@@ -28,6 +28,7 @@ from tropical_ca.trajectory import (
     default_cap,
     detect_regime,
     iterate,
+    maps_cyclically,
     normalize,
     per_node_estimates,
     verify_regime,
@@ -258,6 +259,50 @@ def test_per_node_estimates():
 
 
 # -- verify_regime -----------------------------------------------------------------
+
+
+def test_maps_cyclically_reads_eps_entries():
+    # Arc 1 -> 2 of weight 0 and a loop of weight 1 at each cell: (eps, 0)
+    # is an eigenvector of eigenvalue 1 with its first entry EPS.
+    P = mat((1, EPS), (0, 1))
+    assert maps_cyclically(P, 1, [[(EPS, 0)]])
+    assert not maps_cyclically(P, 2, [[(EPS, 0)]])
+    assert not maps_cyclically(P, 1, [[(0, EPS)]])
+    # With EPS present the entries are scaled to ints one by one.
+    assert maps_cyclically(P, 1, [[(EPS, Fraction(1, 3))]])
+    assert not maps_cyclically(P, 1, [[(EPS, Fraction(1, 3)), (EPS, Fraction(1, 2))]])
+
+
+# P swaps the two cells and adds 1, so it maps c to 1 ⊗ c', with
+# denominators 3 and 5 that are neither in P nor in lambda.
+SWAP_ONE = mat((EPS, 1), (1, EPS))
+THIRDS_FIFTHS = [(Fraction(1, 3), Fraction(2, 5)), (Fraction(2, 5), Fraction(1, 3))]
+
+
+def test_maps_cyclically_on_a_two_cycle_with_new_denominators():
+    assert maps_cyclically(SWAP_ONE, 1, [THIRDS_FIFTHS])
+    assert maps_cyclically(SWAP_ONE, 1, [THIRDS_FIFTHS[::-1], [(0, 0)]])
+    assert not maps_cyclically(SWAP_ONE, 1, [THIRDS_FIFTHS[:1]])
+    assert not maps_cyclically(SWAP_ONE, Fraction(1, 3), [THIRDS_FIFTHS])
+
+
+def test_maps_cyclically_fails_on_one_perturbed_entry():
+    for m in range(2):
+        for i in range(2):
+            cycle = [list(c) for c in THIRDS_FIFTHS]
+            cycle[m][i] += Fraction(1, 7)
+            assert not maps_cyclically(SWAP_ONE, 1, [[tuple(c) for c in cycle]])
+
+
+def test_maps_cyclically_input_checks():
+    with pytest.raises(ScalarError):
+        maps_cyclically(SWAP_ONE, 1, [[(0.5, 0)]])
+    with pytest.raises(ScalarError):
+        maps_cyclically(SWAP_ONE, 1.0, [[(0, 0)]])
+    with pytest.raises(DimensionError):
+        maps_cyclically(SWAP_ONE, EPS, [[(0, 0)]])
+    with pytest.raises(DimensionError):
+        maps_cyclically(SWAP_ONE, 1, [[(0, 0, 0)]])
 
 
 def test_verify_regime_accepts_detected():
