@@ -22,20 +22,21 @@ exposed on the half-open interval [x_i(k), x_i(k+1)).
 Stepping: a configuration is coded as one int, cell 0 most significant
 (format(code, f"0{N}b") is its state string; the STG uses the same
 codes).  _compile turns (rule, spec) once into step(code) -> code that
-works on the whole state at once.  Each neighbour word is a few rotations
-of the code: an ECA step ORs the minterms its rule number selects from
-the left, self and right words, and a parity step XORs the words of all
-arcs.  sync_step, sync_states, sync_orbit and build_stg all use it.
-sync_orbit keeps the visited codes and decodes a state only on request.
-Parity, and the eight ECA rules whose table is GF(2)-linear, give a
-linear map, F(a ^ b) = F(a) ^ F(b): build_stg then fills the successor
-table from the images of the N one-bit codes by XOR, not by stepping
-every code.  The table is an array('I'); one colour pass over a second
-array of tags finds the attractors, touching each state a fixed number
-of times.  A state label is the join of two half-width labels from
-tables of 2^(N/2) entries each, and attractor_census_chunks streams the
-census JSON one cycle at a time, so no list of all 2^N labels or whole
-census text is ever built.
+works on the whole state at once.  Each neighbour word is a few
+rotations of the code: an ECA step XORs the AND-words of the monomials
+of its rule's algebraic normal form (ANF) over GF(2) in the left, self
+and right words, and a parity step XORs the words of all arcs.
+sync_step, sync_states, sync_orbit and build_stg all use it.  sync_orbit
+keeps the visited codes and decodes a state only on request.  Parity,
+and the eight ECA rules whose ANF has degree 1 and no constant term,
+give a linear map, F(a ^ b) = F(a) ^ F(b): build_stg then fills the
+successor table from the images of the N one-bit codes by XOR, not by
+stepping every code.  The table is an array('I'); one colour pass over a
+second array of tags finds the attractors, touching each state a fixed
+number of times.  A state label is the join of two half-width labels
+from tables of 2^(N/2) entries each, and attractor_census_chunks streams
+the census JSON one cycle at a time, so no list of all 2^N labels or
+whole census text is ever built.
 The event simulation applies the rule cell by cell on purpose: it is
 the independent oracle of the bijection check, with no matrix, no
 _compile and no state codes.  It is two per-cycle generators.
@@ -56,9 +57,9 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from functools import cache
+from functools import cache, reduce
 from itertools import islice, product
-from operator import lt
+from operator import lt, or_
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, NetworkError, RuleError, StateUndefinedError
@@ -176,14 +177,23 @@ def _gather(code: int, n: int, rotations: tuple) -> int:
     return word
 
 
+@cache
+def _anf(t: int) -> tuple:
+    """The ANF of the ECA rule with number (8-bit table) t: a[m] is the
+    coefficient of the monomial that ANDs the inputs in m (4 left, 2 self,
+    1 right), and the rule maps x to the XOR of a[m] over m ⊆ x.  By
+    Möbius inversion, a[m] is the XOR of the table's bits x ⊆ m."""
+    return tuple(sum(t >> x & 1 for x in range(8) if x | m == m) & 1 for m in range(8))
+
+
 def _compile(rule: CARule, spec: NetworkSpec):
     """The synchronous map F as step(code) -> code on the state codes of
     _encode, checked against the network once.
 
-    ECA: three words hold every cell's left, self and right neighbour bit
-    (one rotation each on every 3-ring), and the new
-    state is the OR of the minterms the rule number selects.  Parity: the
-    XOR of the words gathered over every arc.
+    ECA: the XOR of the AND-words of the rule's ANF monomials (all ones
+    for the constant).  On every 3-ring the left and right words are one
+    rotation of the code each and the self word is the code; a word no
+    monomial reads is not computed.  Parity: the XOR of the arcs' words.
     """
     _check_rule_fits(rule, spec)
     n = spec.size
@@ -192,23 +202,18 @@ def _compile(rule: CARule, spec: NetworkSpec):
         return lambda code: _gather(code, n, arcs)
     if rule.kind != "eca":
         raise RuleError(f"unknown rule kind {rule.kind!r}")
-    nbhd = _neighbourhoods(rule, spec)
-    left, centre, right = (
-        _rotations(n, ((nb[p], i) for i, nb in enumerate(nbhd))) for p in range(3)
-    )
+    monomials = [m for m, a in enumerate(_anf(rule.number)) if a]
+    reads = reduce(or_, monomials, 0)  # the inputs any monomial ANDs
     full = (1 << n) - 1
-    minterms = [
-        (b >> 2, b >> 1 & 1, b & 1) for b in range(8) if rule.number >> b & 1
-    ]
+    dl, dr = (n - 1) % n, 1 % n  # the offsets j - i mod n of j = i - 1 and i + 1
 
     def step(code: int) -> int:
-        l = _gather(code, n, left)
-        c = _gather(code, n, centre)
-        r = _gather(code, n, right)
-        ls, cs, rs = (l ^ full, l), (c ^ full, c), (r ^ full, r)
+        l = (code << dl | code >> (n - dl)) & full if reads & 4 else 0
+        r = (code << dr | code >> (n - dr)) & full if reads & 1 else 0
+        words = (full, r, code, code & r, l, l & r, l & code, l & code & r)  # by m
         out = 0
-        for x, y, z in minterms:
-            out |= ls[x] & cs[y] & rs[z]
+        for m in monomials:
+            out ^= words[m]
         return out
 
     return step
@@ -327,13 +332,12 @@ _CENSUS_BLOCK = 4096
 
 def _is_linear(rule: CARule) -> bool:
     """True when the synchronous map of rule is GF(2)-linear on every
-    network: parity, or an ECA whose 8-entry table t has t[x ^ y] ==
-    t[x] ^ t[y] for all x, y, which holds for rules 0, 60, 90, 102, 150,
-    170, 204 and 240 only."""
+    network: parity, or an ECA whose ANF has no constant term and only
+    monomials of degree 1 (m = 1, 2, 4), which holds for rules 0, 60, 90,
+    102, 150, 170, 204 and 240 only."""
     if rule.kind == "parity":
         return True
-    t = [rule.number >> x & 1 for x in range(8)]
-    return all(t[x ^ y] == t[x] ^ t[y] for x in range(8) for y in range(8))
+    return not any(map(_anf(rule.number).__getitem__, (0, 3, 5, 6, 7)))
 
 
 class StateTransitionGraph(NamedTuple):
@@ -384,10 +388,10 @@ def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
     """Exhaustive state transition graph; refuses more than cell_cap cells
     (2^N states) to keep memory bounded.
 
-    The attractors come from one colour pass: tag[s] is 0 until a walk
-    reaches s, then the start of that walk + 1.  A walk stops at the
-    first tagged state; when that tag is its own, it has closed a new
-    circuit, which a second lap around it lists.
+    One colour pass finds the attractors: tag[s] is 0 until a walk
+    reaches s, then the walk's start + 1.  Each walk starts at the next
+    untagged state (tag.index) and stops at the first tagged one; its
+    own tag there means a new circuit, which a second lap lists.
     """
     step = _compile(rule, spec)
     n = spec.size
@@ -406,25 +410,21 @@ def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
     else:
         succ = array("I", map(step, range(total)))
 
-    tag = array("I", bytes(4 * total))
+    tag = array("I", bytes(4 * total + 4))  # a last 0 ends the search below
     on_attr = bytearray(total)
     attractors = []
-    for start in range(total):
-        if tag[start]:
-            continue
-        mark = start + 1
-        s = start
+    mark = 0  # the last walk's start + 1: no earlier state is untagged
+    while (s := tag.index(0, mark)) < total:
+        mark = s + 1
         while not tag[s]:
             tag[s] = mark
             s = succ[s]
         if tag[s] == mark:
-            cycle = [s]
-            c = succ[s]
-            while c != s:
-                cycle.append(c)
-                c = succ[c]
-            for c in cycle:
-                on_attr[c] = 1
+            cycle = []
+            while not on_attr[s]:
+                on_attr[s] = 1
+                cycle.append(s)
+                s = succ[s]
             low = cycle.index(min(cycle))
             attractors.append(tuple(cycle[low:] + cycle[:low]))
     attractors.sort(key=lambda cyc: (len(cyc), cyc[0]))

@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, count, groupby, islice, product, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -105,7 +105,8 @@ def _comment_lines(ps: PlotSpec, prefix: str) -> list:
 
 
 # Lines per chunk of the streamed texts: 512 SVG lines (under 100 B
-# each) or about 8k STG lines, so a chunk stays well under a megabyte.  A
+# each; the synchronous plot's chunks hold whole rows, at least one) or
+# up to 8192 STG lines, so a chunk stays well under a megabyte.  A
 # raster row's width varies, so its chunks hold as many rows as fit in
 # _PIXMAP_BYTES (at least one).
 _PIXMAP_BYTES = 1 << 18
@@ -283,13 +284,17 @@ class AsyncPlots:
         # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
         # (dark, light, background), so that sorting orders them by row: the
         # first row of each hold interval that owns a row, and the row where
-        # the cell's window ends.  Each update time becomes its row once; a
-        # row at or past height is dropped by the sweep.
+        # the cell's window ends.  Each distinct update time becomes its
+        # row once (equal ints and Fractions share a key); a row at or
+        # past height is dropped by the sweep.
         m = 3 * n
         changes = []
+        row_of = dict.fromkeys(chain.from_iterable(self.times))
+        for t in row_of:
+            row_of[t] = math.ceil((t - t0) * s)
         columns = zip(self.time_columns, zip(*self._checked(states)))
         for i, (times, bits) in enumerate(columns):
-            rows = [math.ceil((t - t0) * s) for t in times]
+            rows = list(map(row_of.__getitem__, times))
             code = 3 * i
             changes += [
                 r * m + code + bit
@@ -400,7 +405,8 @@ def spacetime_sync(states, ps: PlotSpec) -> str:
 
 
 def spacetime_sync_chunks(states, ps: PlotSpec) -> Iterator[str]:
-    """The text of :func:`spacetime_sync` in blocks of whole lines."""
+    """The text of :func:`spacetime_sync` in blocks of whole lines: the
+    header, rows of about _SVG_BLOCK lines in all, and the closing tag."""
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
@@ -408,12 +414,25 @@ def spacetime_sync_chunks(states, ps: PlotSpec) -> Iterator[str]:
     height = 2 * ps.margin + len(states) * ps.cell_px
     rect = [f'<rect x="{ps.margin + i * ps.cell_px}" y="' for i in range(n)]
     square = f'" width="{ps.cell_px}" height="{ps.cell_px}" fill="'
-    tail = (f'{square}{ps.color0}"/>', f'{square}{ps.color1}"/>')
-    rows = (
-        [f"{r}{y}{tail[bit]}" for r, bit in zip(rect, s)]
-        for y, s in zip(count(ps.margin, ps.cell_px), states)
+    # Row s at height y is y.join([rect[0], piece of cell 0, ..., piece of
+    # cell n - 1]): cell i's piece ends its rect in the colour of its bit
+    # and starts the rect of cell i + 1.
+    pieces = [
+        (f'{square}{ps.color0}"/>\n{after}', f'{square}{ps.color1}"/>\n{after}')
+        for after in rect[1:] + [""]
+    ]
+    first = rect[0]
+    ys = range(ps.margin, ps.margin + len(states) * ps.cell_px, ps.cell_px)
+    rows = max(1, _SVG_BLOCK // n)  # per chunk
+    blocks = (
+        "".join([
+            str(y).join([first, *[piece[bit] for piece, bit in zip(pieces, s)]])
+            for y, s in zip(ys[k : k + rows], states[k : k + rows])
+        ])
+        for k in range(0, len(states), rows)
     )
-    return _svg_blocks(width, height, ps, rows)
+    header = _svg_header(width, height, ps)
+    return chain(_line_blocks(header, len(header)), blocks, ["</svg>\n"])
 
 
 def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:
@@ -437,24 +456,41 @@ def stg_dot(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> str:
 
 
 def stg_dot_chunks(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> Iterator[str]:
-    """The text of :func:`stg_dot` as chunks of about _STG_BLOCK lines.
-    Labels come from the graph's two half-width tables, the codes in
-    order as hi x lo, so no list of the 2^N labels is built."""
-    header = ["digraph stg {", *_comment_lines(ps, "  //"), "  rankdir=TB;",
-              '  node [shape=box, fontname="monospace"];']
+    """The text of :func:`stg_dot` in chunks of whole lines: the header,
+    then the node lines and the arc lines, each chunk at most _STG_BLOCK
+    lines (while N <= 26).  Labels come from the graph's two half-width
+    tables, the codes in order as hi x lo, so no list of the 2^N labels is
+    built: a chunk is the lines of whole high labels h, made by one
+    comprehension over its h, lo and the matching slices of the graph."""
+    yield "\n".join(["digraph stg {", *_comment_lines(ps, "  //"), "  rankdir=TB;",
+                     '  node [shape=box, fontname="monospace"];', ""])
     hi, lo, k = stg.label_halves
     mask = (1 << k) - 1
-    node_style = ("", ', penwidth=2, color="#c03a2b"')
-    arc_style = ("", ' [penwidth=2, color="#c03a2b"]')
-    nodes = (
-        f'  "{h}{l}" [label="{h}{l}"{node_style[bold]}];'
-        for (h, l), bold in zip(product(hi, lo), stg.on_attractor)
-    )
-    arcs = (
-        f'  "{h}{l}" -> "{hi[dst >> k]}{lo[dst & mask]}"{arc_style[bold]};'
-        for (h, l), dst, bold in zip(product(hi, lo), stg.successors, stg.on_attractor)
-    )
-    return _line_blocks(chain(header, nodes, arcs, ["}"]), _STG_BLOCK)
+    width = len(lo)
+    highs = max(1, _STG_BLOCK // width)  # high labels per chunk
+    node_style = ('"];\n', '", penwidth=2, color="#c03a2b"];\n')
+    arc_style = ('";\n', '" [penwidth=2, color="#c03a2b"];\n')
+    on, succ = stg.on_attractor, stg.successors
+    # Per chunk, the (first code, label) of each of its high labels.
+    blocks = [
+        list(zip(range(b * width, len(on), width), hi[b : b + highs]))
+        for b in range(0, len(hi), highs)
+    ]
+    for block in blocks:
+        yield "".join([
+            f'  "{h}{l}" [label="{h}{l}{node_style[bold]}'
+            for code, h in block
+            for l, bold in zip(lo, on[code : code + width])
+        ])
+    for block in blocks:
+        yield "".join([
+            f'  "{h}{l}" -> "{hi[dst >> k]}{lo[dst & mask]}{arc_style[bold]}'
+            for code, h in block
+            for l, dst, bold in zip(
+                lo, succ[code : code + width], on[code : code + width]
+            )
+        ])
+    yield "}\n"
 
 
 def build_event_dag(run: AsyncRun, k_lo: int, k_hi: int):

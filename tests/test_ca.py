@@ -197,6 +197,41 @@ def test_compiled_eca_step_matches_longhand_every_rule_and_state():
             assert list(stg.successors) == want, (n, number)
 
 
+def test_anf_step_matches_longhand_on_wide_rings():
+    # 63 to 65 cells straddle a 64-bit word and 89 is a multi-word ring;
+    # the all-zero and all-one states show a constant term (rules 1, 255).
+    rng = random.Random(6489)
+    for n in (63, 64, 65, 89):
+        ring = ring_neighbourhoods(n)
+        arcs = [(j, i) for i, nb in enumerate(ring) for j in nb]
+        specs = (regular_ring(n, 3), explicit_network(n, arcs))
+        states = [(0,) * n, (1,) * n]
+        states += [tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(2)]
+        for number in range(256):
+            for s in states:
+                want = longhand_step(("eca", number), ring, s)
+                for spec in specs:
+                    assert sync_step(CARule.eca(number), spec, s) == want, (n, number)
+
+
+def test_anf_monomials_rebuild_every_rule_table():
+    # Monomial m ANDs the inputs it has bits for (4 left, 2 self, 1 right;
+    # m = 0 is the constant 1), and the XOR of the rule's monomials at
+    # (l, c, r) is bit 4l + 2c + r of the rule number.
+    for number in range(256):
+        a = ca._anf(number)
+        assert len(a) == 8 and set(a) <= {0, 1}
+        for l, c, r in itertools.product((0, 1), repeat=3):
+            value = 0
+            for m in range(8):
+                term = a[m]
+                for bit, x in ((4, l), (2, c), (1, r)):
+                    if m & bit:
+                        term &= x
+                value ^= term
+            assert value == number >> (4 * l + 2 * c + r) & 1, (number, l, c, r)
+
+
 def test_eca_on_explicit_arc_ring_reads_left_self_right():
     ring = regular_ring(7, 3)
     arcs = explicit_network(7, ring.arcs)

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from tropical_ca.ca import (
     state_at,
     state_from_string,
     sync_orbit,
+    sync_states,
 )
 from tropical_ca.errors import DimensionError, StateUndefinedError
 from tropical_ca.network import (
@@ -42,6 +44,7 @@ from tropical_ca.render import (
     spacetime_async_pixmap,
     spacetime_async_pixmap_chunks,
     spacetime_sync,
+    spacetime_sync_chunks,
     spacetime_sync_pixmap,
     stg_dot,
     stg_dot_chunks,
@@ -378,6 +381,28 @@ def test_raster_chunks_are_sized_in_bytes():
 # -- synchronous space-time -------------------------------------------------------------
 
 
+def test_sync_svg_chunks_are_blocks_of_lines_never_the_whole_text():
+    # 256 cells over 200 steps: a chunk of about _SVG_BLOCK lines holds two
+    # rows.  Taking the chunks one at a time may hold one of them, but
+    # not the file's rows or its text (3 MB).
+    states = sync_states(CARule.eca(110), regular_ring(256, 3), (0, 1) * 128, 200)
+    ps = PlotSpec().with_metadata({"N": 256})
+    size = 0
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for chunk in spacetime_sync_chunks(states, ps):
+            assert chunk.endswith("\n") and chunk.count("\n") <= render._SVG_BLOCK
+            size += len(chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size >= 3_000_000
+    assert peak - before < size / 16, (peak - before, size)
+    text = "".join(spacetime_sync_chunks(states, ps))
+    assert_same_text(text, spacetime_sync_cells(states, ps, __version__), "sync")
+
+
 def test_sync_plot_all_zero_single_color():
     states = [(0, 0, 0)] * 4
     svg = spacetime_sync(states, PlotSpec())
@@ -421,13 +446,20 @@ def test_stg_dot_two_state_system():
 
 
 def test_stg_dot_spanning_chunks_matches_longhand():
-    # 2^13 states: 16 k node and arc lines, more than one chunk of each.
-    stg = build_stg(RULE150, regular_ring(13, 3))
-    ps = PlotSpec().with_metadata({"N": 13})
-    chunks = list(stg_dot_chunks(stg, ps))
-    assert len(chunks) > 2 and all(c.endswith("\n") for c in chunks)
-    want = stg_dot_longhand(stg.size, stg.successors, stg.on_attractor, ps, __version__)
-    assert_same_text("".join(chunks), want, "stg")
+    # 2^13 states: 16 k node and arc lines in full chunks, from label
+    # halves of unequal widths (6 and 7 bits); 2^14 states fill two
+    # chunks of each.  On 1 cell the high half is the empty label, and on
+    # 2 cells each half is one bit.
+    for n in (1, 2, 13, 14):
+        stg = build_stg(PARITY, regular_ring(n, 3 if n > 2 else 1))
+        assert (stg.label_halves[0] == [""]) == (n == 1)
+        ps = PlotSpec().with_metadata({"N": n})
+        chunks = list(stg_dot_chunks(stg, ps))
+        assert len(chunks) > 2 and all(c.endswith("\n") for c in chunks)
+        assert max(c.count("\n") for c in chunks) <= render._STG_BLOCK
+        want = stg_dot_longhand(n, stg.successors, stg.on_attractor, ps, __version__)
+        assert_same_text("".join(chunks), want, f"stg on {n} cells")
+    assert max(c.count("\n") for c in chunks) == render._STG_BLOCK
 
 
 def test_stg_dot_out_degree_one_and_styling():
