@@ -108,6 +108,7 @@ from .render import (
     spacetime_sync,
     spacetime_sync_chunks,
     spacetime_sync_pixmap,
+    spacetime_sync_pixmap_chunks,
     stg_dot,
     stg_dot_chunks,
 )

@@ -202,22 +202,31 @@ def load_experiment(args) -> Experiment:
     return Experiment(mode, spec, params, rule, s0, x0, k_max, out, seed)
 
 
-def _write_chunks(out_dir: Path, name: str, chunks) -> None:
-    """Write the text chunks to out_dir/name as they come.  A chunk
-    iterator that raises leaves no partial file behind."""
+def _write_chunks(out_dir: Path, files: dict, shared=()) -> None:
+    """Write each file out_dir/name of ``files`` (name -> text chunks):
+    the ``shared`` chunks, to every file as they come, then the file's
+    own.  A chunk iterator that raises leaves none of the files behind."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    fh = open(path, "w", encoding="utf-8", newline="")
+    paths = [out_dir / name for name in files]
+    handles = []
     try:
-        with fh:
-            fh.writelines(chunks)
+        for path in paths:
+            handles.append(open(path, "w", encoding="utf-8", newline=""))
+        for chunk in shared:
+            for fh in handles:
+                fh.write(chunk)
+        for fh, chunks in zip(handles, files.values()):
+            with fh:
+                fh.writelines(chunks)
     except BaseException:
-        path.unlink()
+        for fh, path in zip(handles, paths):
+            fh.close()
+            path.unlink()
         raise
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
-    _write_chunks(out_dir, name, (text,))
+    _write_chunks(out_dir, {name: (text,)})
 
 
 class Stages:
@@ -238,20 +247,25 @@ class Stages:
         for name in stages:
             getattr(self, name)
 
-    def write(self, *names: str) -> None:
+    def write(self, *names) -> None:
+        """Write the named files; a tuple of names is one writer's files."""
         for name in names:
             try:
                 content = WRITERS[name](self)
                 if isinstance(content, str):
                     _write(self.exp.out, name, content)
+                elif isinstance(name, tuple):
+                    shared, tails = content
+                    _write_chunks(self.exp.out, dict(zip(name, tails)), shared)
                 else:
-                    _write_chunks(self.exp.out, name, content)
+                    _write_chunks(self.exp.out, {name: content})
             except ValueError as exc:
                 # Python refuses to print an int past its digit limit.
                 if "integer string conversion" not in str(exc):
                     raise
+                first = name[0] if isinstance(name, tuple) else name
                 raise TropicalError(
-                    f"cannot write {self.exp.out / name}: an exact value in it "
+                    f"cannot write {self.exp.out / first}: an exact value in it "
                     f"has more than {sys.get_int_max_str_digits()} digits"
                 ) from None
 
@@ -374,8 +388,13 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# The two space-time SVGs open with the same lines, formatted once for both.
+SPACETIME_SVGS = ("spacetime_async.svg", "spacetime_async_contours.svg")
+
 # File name -> text of that file, from the stages: a str, or an iterator
-# of text chunks that is streamed to the file.
+# of text chunks that is streamed to the file.  A tuple of names maps to
+# (shared chunks, one tail of chunks per name): each file is the shared
+# text followed by its tail.
 WRITERS = {
     "spectral.json": lambda st: _json(st.summary.to_json_dict()),
     "critical_graph.dot": lambda st: render_mod.critical_graph_dot(
@@ -390,16 +409,11 @@ WRITERS = {
     "spacetime_sync.svg": lambda st: render_mod.spacetime_sync_chunks(
         st.sync_states, st.plotspec
     ),
-    "spacetime_sync.pgm": lambda st: render_mod.spacetime_sync_pixmap(
+    "spacetime_sync.pgm": lambda st: render_mod.spacetime_sync_pixmap_chunks(
         st.sync_states, st.plotspec
     ),
     "async_contours.svg": lambda st: st.async_plots.contour_chunks(st.run.states),
-    "spacetime_async_contours.svg": lambda st: st.async_plots.spacetime_chunks(
-        "contours", st.run.states
-    ),
-    "spacetime_async.svg": lambda st: st.async_plots.spacetime_chunks(
-        "plain", st.run.states
-    ),
+    SPACETIME_SVGS: lambda st: st.async_plots.spacetime_pair_chunks(st.run.states),
     "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(st.run.states),
     "event_dag.dot": lambda st: render_mod.event_dag_dot(
         st.run, 0, min(3, st.exp.k_max), st.plotspec
@@ -412,12 +426,7 @@ WRITERS = {
 }
 
 SYNC_PLOTS = ("spacetime_sync.svg", "spacetime_sync.pgm")
-ASYNC_PLOTS = (
-    "async_contours.svg",
-    "spacetime_async_contours.svg",
-    "spacetime_async.svg",
-    "spacetime_async.pgm",
-)
+ASYNC_PLOTS = ("async_contours.svg", SPACETIME_SVGS, "spacetime_async.pgm")
 
 
 def cmd_analyze(st: Stages) -> int:

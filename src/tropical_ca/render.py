@@ -142,6 +142,21 @@ def _svg_blocks(width, height, ps: PlotSpec, body) -> Iterator[str]:
     return _line_blocks(lines, _SVG_BLOCK)
 
 
+def _polylines(xs: list, y_rows, ps: PlotSpec) -> Iterator[str]:
+    """Per row of y texts, the contour polyline through the points
+    (xs[i], ys[i]).  Each row is slice-assigned into one reused list of
+    parts, which is joined once."""
+    parts = [None] * (2 * len(xs) + 1)
+    parts[::2] = [
+        f'<polyline points="{xs[0]},',
+        *[f" {x}," for x in xs[1:]],
+        f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>',
+    ]
+    for ys in y_rows:
+        parts[1::2] = ys
+        yield "".join(parts)
+
+
 # -- the plots of a timed run ----------------------------------------------------
 
 
@@ -214,19 +229,15 @@ class AsyncPlots:
     def _contour_rows(self, states) -> Iterator[list]:
         ps, n = self.ps, self.size
         xs = [_fmt(ps.margin + i * ps.cell_px) for i in range(n)]
-        vertex = [f"{x}," for x in xs]
         marker = [f'<circle cx="{x}" cy="' for x in xs]
         marker_tail = (
             f'" r="3" fill="{ps.color0}" stroke="#555555" stroke-width="0.5"/>',
             f'" r="3" fill="{ps.color1}" stroke="#555555" stroke-width="0.5"/>',
         )
-        stroke = f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>'
         dot_tail = f'" r="2" fill="{ps.contour_color}"/>'
-        for k, ys in enumerate(self.y_rows):
-            lines = []
-            if n > 1:
-                pts = " ".join(map(str.__add__, vertex, ys))
-                lines.append(f'<polyline points="{pts}{stroke}')
+        polylines = _polylines(xs, self.y_rows, ps) if n > 1 else repeat(None)
+        for k, (ys, polyline) in enumerate(zip(self.y_rows, polylines)):
+            lines = [] if polyline is None else [polyline]
             if states is not None:
                 lines += [
                     f"{m}{y}{marker_tail[bit]}"
@@ -240,13 +251,28 @@ class AsyncPlots:
         """The text of :func:`spacetime_async` in blocks of whole lines."""
         if stage not in ("plain", "contours"):
             raise DimensionError(f"unknown stage {stage!r}")
+        shared, tails = self.spacetime_pair_chunks(states)
+        return chain(shared, tails[stage == "contours"])
+
+    def spacetime_pair_chunks(self, states) -> tuple:
+        """Both stages of :func:`spacetime_async` as (shared, (plain,
+        contours)), each a chunk iterator of whole lines.  Both files
+        open with the shared header and hold-interval rects, so a writer
+        of the two formats those once; the plain file then only closes,
+        the contours file adds a polyline per cycle first."""
         ps = self.ps
         width = 2 * ps.margin + self.size * ps.cell_px
-        bits = zip(*self._checked(states))
-        body = self._spacetime_rows(stage == "contours", bits)
-        return _svg_blocks(width, self._svg_height(), ps, body)
+        header = _svg_header(width, self._svg_height(), ps)
+        rects = chain.from_iterable(self._rect_rows(zip(*self._checked(states))))
+        half = Fraction(ps.cell_px, 2)
+        xs = [_fmt(ps.margin + i * ps.cell_px + half) for i in range(self.size)]
+        contours = chain(_polylines(xs, self.y_rows, ps), ["</svg>"])
+        return (
+            _line_blocks(chain(header, rects), _SVG_BLOCK),
+            (["</svg>\n"], _line_blocks(contours, _SVG_BLOCK)),
+        )
 
-    def _spacetime_rows(self, contours: bool, bit_columns) -> Iterator[list]:
+    def _rect_rows(self, bit_columns) -> Iterator[list]:
         ps = self.ps
         block = f'" width="{ps.cell_px}" height="'
         block_tail = (f'" fill="{ps.color0}"/>', f'" fill="{ps.color1}"/>')
@@ -258,15 +284,6 @@ class AsyncPlots:
                 f"{rect}{top}{block}{size}{block_tail[bit]}"
                 for top, size, bit in zip(tops, sizes, bits)
             ]
-        if contours:
-            half = Fraction(ps.cell_px, 2)
-            vertex = [
-                f"{_fmt(ps.margin + i * ps.cell_px + half)}," for i in range(self.size)
-            ]
-            stroke = f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>'
-            for ys in self.y_rows:
-                pts = " ".join(map(str.__add__, vertex, ys))
-                yield [f'<polyline points="{pts}{stroke}']
 
     def raster_chunks(self, states) -> Iterator[str]:
         """The text of :func:`spacetime_async_pixmap` in blocks of whole
@@ -284,17 +301,14 @@ class AsyncPlots:
         # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
         # (dark, light, background), so that sorting orders them by row: the
         # first row of each hold interval that owns a row, and the row where
-        # the cell's window ends.  Each distinct update time becomes its
-        # row once (equal ints and Fractions share a key); a row at or
-        # past height is dropped by the sweep.
+        # the cell's window ends.  Time t falls in row ceil((t - t0)·s),
+        # written -((t0 - t)·s // 1) so that an int takes no call; a row
+        # at or past height is dropped by the sweep.
         m = 3 * n
         changes = []
-        row_of = dict.fromkeys(chain.from_iterable(self.times))
-        for t in row_of:
-            row_of[t] = math.ceil((t - t0) * s)
         columns = zip(self.time_columns, zip(*self._checked(states)))
         for i, (times, bits) in enumerate(columns):
-            rows = list(map(row_of.__getitem__, times))
+            rows = [-((t0 - t) * s // 1) for t in times]
             code = 3 * i
             changes += [
                 r * m + code + bit
@@ -437,13 +451,24 @@ def spacetime_sync_chunks(states, ps: PlotSpec) -> Iterator[str]:
 
 def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:
     """One pixel per cell per step (row k = state s(k))."""
+    return "".join(spacetime_sync_pixmap_chunks(states, ps))
+
+
+def spacetime_sync_pixmap_chunks(states, ps: PlotSpec) -> Iterator[str]:
+    """The text of :func:`spacetime_sync_pixmap` in chunks of whole
+    lines: the header, then as many rows as fit in _PIXMAP_BYTES (at
+    least one) per chunk."""
     if not states:
         raise DimensionError("need at least one state")
+    n = len(states[0])
     gray = (str(ps.gray0), str(ps.gray1))
-    lines = ["P2", *_comment_lines(ps, "#"), f"{len(states[0])} {len(states)}", "255"]
-    lines += [" ".join(map(gray.__getitem__, s)) for s in states]
-    lines.append("")  # ends the text with a newline without copying it
-    return "\n".join(lines)
+    header = ["P2", *_comment_lines(ps, "#"), f"{n} {len(states)}", "255"]
+    rows = (" ".join(map(gray.__getitem__, s)) for s in states)
+    row_bytes = n * (max(map(len, gray)) + 1)
+    return chain(
+        _line_blocks(header, len(header)),
+        _line_blocks(rows, max(1, _PIXMAP_BYTES // row_bytes)),
+    )
 
 
 # -- graph exports ---------------------------------------------------------------

@@ -74,8 +74,49 @@ class Trajectory(NamedTuple):
 
 
 def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
-    """Iterate x(k+1) = P ⊗ x(k) from a finite start vector."""
-    return Trajectory(P, tuple(iter_states(P, x0, k_max)))
+    """Iterate x(k+1) = P ⊗ x(k) from a finite start vector.
+
+    The states are taken from :func:`iter_states` only until the run
+    recurs up to a shift: x(k) = c ⊗ x(m) for the latest checkpoint m
+    (k = 0 and each power of two).  From then on x(k') = c ⊗ x(k' - d)
+    with d = k - m, since P ⊗ (c ⊗ x) = c ⊗ (P ⊗ x), and the rest of the
+    run is shifted out of the states already held, not stepped.  Past k*
+    the regime x(k + rho) = mu ⊗ x(k) makes a checkpoint recur, so this
+    happens by k = 2·max(k*, rho) + rho at the latest."""
+    states = []
+    for k, x in enumerate(iter_states(P, x0, k_max)):
+        states.append(x)
+        if k and (c := _shift(ref, x)) is not None:
+            # x(j + d) = c ⊗ x(j).  An int shift keeps each entry's type
+            # (int, Fraction or EPS); a Fraction one may make a Fraction
+            # entry integral.
+            d = k - mark
+            for j in range(k + 1 - d, k_max + 1 - d):
+                y = states[j]
+                states.append(
+                    tuple([v + c for v in y])
+                    if type(c) is int
+                    else tuple([canonical(v + c) for v in y])
+                )
+            break
+        if k & (k - 1) == 0:  # a checkpoint: k = 0 or a power of two
+            mark, ref = k, x
+    return Trajectory(P, tuple(states))
+
+
+def _shift(ref: tuple, x: tuple):
+    """The scalar c with x = c ⊗ ref (0 when both are all EPS), or None.
+    The scan stops at the first entry that rules a shift out."""
+    c = None
+    for a, b in zip(ref, x):
+        if type(a) is float or type(b) is float:  # EPS, the one float
+            if a != b:
+                return None
+        elif c is None:
+            c = b - a
+        elif b - a != c:
+            return None
+    return 0 if c is None else canonical(c)
 
 
 def iter_states(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Iterator:

@@ -754,6 +754,27 @@ def test_failed_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     assert not pgm.exists()
     assert (tmp_path / "spacetime_async.svg").is_file()  # written before it
 
+    # Files written from shared chunks go together: a failure in the last
+    # file's own chunks removes the finished first file too.
+    out = tmp_path / "pair"
+    svgs = [out / name for name in cli.SPACETIME_SVGS]
+
+    def failing_tail():
+        assert all(p.exists() for p in svgs)
+        yield "<polyline/>\n"
+        raise TropicalError("contours failed mid-stream")
+
+    monkeypatch.setitem(
+        cli.WRITERS, cli.SPACETIME_SVGS,
+        lambda st: (iter(["<svg>\n"]), (["</svg>\n"], failing_tail())),
+    )
+    code, _, err = run(
+        capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
+    )
+    assert code == 2 and "contours failed mid-stream" in err
+    assert not any(p.exists() for p in svgs)
+    assert (out / "async_contours.svg").is_file()
+
 
 def test_streamed_files_bypass_write(tmp_path, capsys, monkeypatch):
     # _write gets whole texts only: a profiler that wraps it may take the
@@ -765,9 +786,9 @@ def test_streamed_files_bypass_write(tmp_path, capsys, monkeypatch):
         texts.append((name, type(text)))
         write(out_dir, name, text)
 
-    def recorded_write_chunks(out_dir, name, chunks):
-        streams.append(name)
-        write_chunks(out_dir, name, chunks)
+    def recorded_write_chunks(out_dir, files, shared=()):
+        streams.extend(files)
+        write_chunks(out_dir, files, shared)
 
     monkeypatch.setattr(cli, "_write", recorded_write)
     monkeypatch.setattr(cli, "_write_chunks", recorded_write_chunks)
@@ -777,7 +798,7 @@ def test_streamed_files_bypass_write(tmp_path, capsys, monkeypatch):
     assert set(streams) - {name for name, _ in texts} == {
         "contour_plot.svg", "async_contours.svg", "spacetime_async_contours.svg",
         "spacetime_async.svg", "spacetime_async.pgm", "spacetime_sync.svg",
-        "stg.dot",
+        "spacetime_sync.pgm", "stg.dot",
     }
     assert sorted(streams) == sorted(p.name for p in tmp_path.iterdir())
 
@@ -839,11 +860,15 @@ def test_async_svgs_are_never_held_whole(tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    svgs = ("async_contours.svg", "spacetime_async_contours.svg", "spacetime_async.svg")
-    for name in svgs:
+    # One call writes both space-time SVGs from one pass over their
+    # shared lines: its rise is bounded by twice the plain file alone.
+    for names, name in (
+        ("async_contours.svg", "async_contours.svg"),
+        (cli.SPACETIME_SVGS, "spacetime_async.svg"),
+    ):
         size = (out / name).stat().st_size
         assert size >= 512 << 10
-        assert rises[name] < 2 * size, (name, rises[name], size)
+        assert rises[names] < 2 * size, (names, rises[names], size)
 
 
 def test_stg_files_are_never_held_whole(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -46,6 +47,7 @@ from tropical_ca.render import (
     spacetime_sync,
     spacetime_sync_chunks,
     spacetime_sync_pixmap,
+    spacetime_sync_pixmap_chunks,
     stg_dot,
     stg_dot_chunks,
 )
@@ -378,6 +380,31 @@ def test_raster_chunks_are_sized_in_bytes():
         assert all(len(c) <= render._PIXMAP_BYTES + row for c in chunks)
 
 
+def test_raster_changes_hold_no_table_over_the_update_times():
+    # Wide timings make nearly every update time of a 10-cell ring's run
+    # distinct.  Collecting the raster's row changes may hold a list entry
+    # per hold interval and one cell's column of rows, but no table keyed
+    # by the run's update times, which costs about 60 B more per cell and
+    # cycle.
+    k_max = 20_000
+    spec = regular_ring(10, 3)
+    params = random_parameters(spec, 7, (1, 10**6), (1, 10**6))
+    s0 = state_from_string("0000100000")
+    run = async_run(RULE150, spec, params, s0, unit_vector(10), k_max)
+    cells_cycles = 10 * (k_max + 1)
+    assert len(set(chain.from_iterable(run.trajectory.states))) > 0.9 * cells_cycles
+    plots = AsyncPlots(run.trajectory, PlotSpec())
+    plots.time_columns  # the layout is not part of the cost
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        plots.raster_chunks(run.states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / cells_cycles < 100, (peak - before) / cells_cycles
+
+
 # -- synchronous space-time -------------------------------------------------------------
 
 
@@ -401,6 +428,36 @@ def test_sync_svg_chunks_are_blocks_of_lines_never_the_whole_text():
     assert peak - before < size / 16, (peak - before, size)
     text = "".join(spacetime_sync_chunks(states, ps))
     assert_same_text(text, spacetime_sync_cells(states, ps, __version__), "sync")
+
+
+def test_sync_pixmap_chunks_are_blocks_of_rows_never_the_whole_text():
+    # 256 cells over 8000 steps: a chunk holds as many whole rows as fit
+    # in _PIXMAP_BYTES.  Taking the chunks one at a time may hold a few
+    # chunks' worth of rows, but not the file's rows or its text (4 MB).
+    states = sync_states(CARule.eca(110), regular_ring(256, 3), (0, 1) * 128, 8000)
+    ps = PlotSpec().with_metadata({"N": 256})
+    chunks = 0
+    size = 0
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for chunk in spacetime_sync_pixmap_chunks(states, ps):
+            assert chunk.endswith("\n") and len(chunk) <= render._PIXMAP_BYTES
+            chunks += 1
+            size += len(chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size >= 4_000_000 and chunks > 16
+    assert peak - before < 3 * render._PIXMAP_BYTES < size / 4, (peak - before, size)
+    text = spacetime_sync_pixmap(states, ps)
+    assert text.startswith(f"P2\n# tropical-ca {__version__}\n# N: 256\n256 8001\n255\n")
+    gray = (str(ps.gray0), str(ps.gray1))
+    assert text.split("\n")[-len(states) - 1 :] == [
+        *[" ".join(gray[b] for b in s) for s in states], ""
+    ]
+    with pytest.raises(DimensionError):
+        spacetime_sync_pixmap_chunks([], ps)
 
 
 def test_sync_plot_all_zero_single_color():

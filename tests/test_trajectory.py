@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import vec_scale
 
+from tropical_ca import trajectory
 from tropical_ca.errors import (
     CapExceededError,
     DimensionError,
@@ -27,6 +28,7 @@ from tropical_ca.trajectory import (
     cycletime,
     default_cap,
     detect_regime,
+    iter_states,
     iterate,
     maps_cyclically,
     normalize,
@@ -82,6 +84,90 @@ def test_iterate_input_checks():
         iterate(SWAP, (0, EPS), 1)
     with pytest.raises(DimensionError):
         iterate(SWAP, (0, 0), -1)
+
+
+@st.composite
+def fast_forward_cases(draw):
+    """(grid, x0, k_max): sparse grids, mostly reducible and often with
+    rows that have no arc (EPS entries); irreducible grids of cyclicity
+    1, 2 or 3; permutations whose circuits have equal or unequal means;
+    int or rational weights and start; k_max past several checkpoints."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["sparse", "periodic", "permutation"]))
+    n = draw(st.integers(1, 8))
+    if kind == "sparse":
+        density = rng.choice([0.15, 0.3, 0.6])
+        grid = [
+            [rng.randint(-9, 9) if rng.random() < density else EPS for _ in range(n)]
+            for _ in range(n)
+        ]
+    elif kind == "periodic":
+        period = rng.choice([p for p in (1, 2, 3) if n % p == 0])
+        grid = oracles.random_irreducible_grid(rng, n, period=period)
+    else:
+        # Each circuit of a random permutation has a mean drawn from
+        # {0, 1, 3/2}: with equal means the run recurs with rho the lcm of
+        # the circuit lengths (and lambda may be 3/2); with unequal means
+        # it never recurs up to one shift.
+        order = list(range(n))
+        rng.shuffle(order)
+        grid = [[EPS] * n for _ in range(n)]
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            circuit = order[a:b]
+            weights = [rng.randint(-9, 9) for _ in circuit[1:]]
+            total = len(circuit) * rng.choice([0, 1, Fraction(3, 2)])
+            weights.append(total - sum(weights))
+            for j, i, w in zip(circuit, circuit[1:] + circuit[:1], weights):
+                grid[i][j] = w
+    rational = draw(st.booleans())
+    if rational and kind != "permutation":
+        grid = [
+            [v if v == EPS else Fraction(v, rng.randint(1, 6)) for v in row]
+            for row in grid
+        ]
+    x0 = tuple(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rational else rng.randint(-9, 9)
+        for _ in range(n)
+    )
+    return grid, x0, draw(st.integers(0, 70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fast_forward_cases())
+def test_iterate_fast_forward_equals_stepping(case):
+    # iterate shifts held states once the run recurs; iter_states steps
+    # every one.  Both give the same states with the same entry types.
+    grid, x0, k_max = case
+    P = MaxPlusMatrix(grid)
+    got = iterate(P, x0, k_max).states
+    want = tuple(iter_states(P, x0, k_max))
+    assert got == want
+    assert [list(map(type, x)) for x in got] == [list(map(type, x)) for x in want]
+
+
+def test_iterate_stops_stepping_once_the_run_recurs(monkeypatch):
+    # A checkpoint past k* recurs rho steps later, so iterate steps P at
+    # most 2·max(k*, rho) + rho times however long the run.
+    steps = []
+    step = trajectory.step_arcs
+
+    def counted(arcs, y):
+        steps.append(1)
+        return step(arcs, y)
+
+    monkeypatch.setattr(trajectory, "step_arcs", counted)
+    cases = [(*ring_system(n, seed), unit_vector(n)) for n, seed in ((10, 42), (24, 5))]
+    three = mat((EPS, EPS, 2), (1, EPS, EPS), (EPS, 4, EPS))  # rho = 3, lambda 7/3
+    cases.append((three, analyze(three), (0, 0, 0)))
+    for P, summary, x0 in cases:
+        report = detect_regime(iterate(P, x0, 0), summary)
+        bound = 2 * max(report.k_star, report.rho) + report.rho
+        steps.clear()
+        traj = iterate(P, x0, 3000)
+        assert 0 < len(steps) <= bound < 3000
+        assert traj.states == tuple(iter_states(P, x0, 3000))
+        assert report.rho == (3 if P is three else 1)
 
 
 def test_monotone_growth():
