@@ -202,22 +202,28 @@ def load_experiment(args) -> Experiment:
     return Experiment(mode, spec, params, rule, s0, x0, k_max, out, seed)
 
 
+def _encoded(chunk) -> bytes:
+    return chunk if isinstance(chunk, bytes) else chunk.encode()
+
+
 def _write_chunks(out_dir: Path, files: dict, shared=()) -> None:
-    """Write each file out_dir/name of ``files`` (name -> text chunks):
-    the ``shared`` chunks, to every file as they come, then the file's
-    own.  A chunk iterator that raises leaves none of the files behind."""
+    """Write each file out_dir/name of ``files`` (name -> chunks of text
+    or of UTF-8 bytes): the ``shared`` chunks, to every file as they come,
+    then the file's own.  Each text chunk is encoded once, however many
+    files take it.  A chunk iterator that raises leaves none of the files
+    behind."""
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in files]
     handles = []
     try:
         for path in paths:
-            handles.append(open(path, "w", encoding="utf-8", newline=""))
-        for chunk in shared:
+            handles.append(open(path, "wb"))
+        for chunk in map(_encoded, shared):
             for fh in handles:
                 fh.write(chunk)
         for fh, chunks in zip(handles, files.values()):
             with fh:
-                fh.writelines(chunks)
+                fh.writelines(map(_encoded, chunks))
     except BaseException:
         for fh, path in zip(handles, paths):
             fh.close()
@@ -392,9 +398,9 @@ def _json(obj) -> str:
 SPACETIME_SVGS = ("spacetime_async.svg", "spacetime_async_contours.svg")
 
 # File name -> text of that file, from the stages: a str, or an iterator
-# of text chunks that is streamed to the file.  A tuple of names maps to
-# (shared chunks, one tail of chunks per name): each file is the shared
-# text followed by its tail.
+# of text or bytes chunks that is streamed to the file.  A tuple of names
+# maps to (shared chunks, one tail of chunks per name): each file is the
+# shared text followed by its tail.
 WRITERS = {
     "spectral.json": lambda st: _json(st.summary.to_json_dict()),
     "critical_graph.dot": lambda st: render_mod.critical_graph_dot(

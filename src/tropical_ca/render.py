@@ -285,47 +285,55 @@ class AsyncPlots:
                 for top, size, bit in zip(tops, sizes, bits)
             ]
 
-    def raster_chunks(self, states) -> Iterator[str]:
-        """The text of :func:`spacetime_async_pixmap` in blocks of whole
-        lines, header first.  The row changes are collected when this is
-        called; the rows are joined only as the chunks are taken."""
+    def raster_chunks(self, states) -> Iterator[bytes]:
+        """The bytes of :func:`spacetime_async_pixmap` in chunks of whole
+        lines, header first.  The changes of each cell's gray are
+        collected when this is called, one per switch; the rows are built
+        only as the chunks are taken."""
         n, ps = self.size, self.ps
         t0 = self.extent[0]
         s = ps.time_scale
         height = max(1, math.ceil((max(self.times[-1]) - t0) * s))
-        # The text of one cell's cell_px equal pixels, per gray level; a row
-        # is its cells' fragments joined by spaces.
-        dark, light, background = (
-            " ".join([str(gray)] * ps.cell_px) for gray in (ps.gray0, ps.gray1, ps.gray_bg)
-        )
+        # Per cell, the bytes of its cell_px equal pixels and the separator
+        # after them (the newline after the last cell), per gray code
+        # (dark, light, background); a row is its cells' fragments joined.
+        grays = [" ".join([str(gray)] * ps.cell_px) for gray in (ps.gray0, ps.gray1, ps.gray_bg)]
+        fragments = [
+            [(gray + sep).encode() for gray in grays] for sep in [" "] * (n - 1) + ["\n"]
+        ]
         # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
-        # (dark, light, background), so that sorting orders them by row: the
-        # first row of each hold interval that owns a row, and the row where
-        # the cell's window ends.  Time t falls in row ceil((t - t0)·s),
-        # written -((t0 - t)·s // 1) so that an int takes no call; a row
-        # at or past height is dropped by the sweep.
+        # (dark, light, background), so that sorting orders them by row.
+        # Time t falls in row ceil((t - t0)·s), written -((t0 - t)·s // 1)
+        # so that an int takes no call; a row at or past height is dropped
+        # by the sweep.
         m = 3 * n
         changes = []
         columns = zip(self.time_columns, zip(*self._checked(states)))
         for i, (times, bits) in enumerate(columns):
             rows = [-((t0 - t) * s // 1) for t in times]
             code = 3 * i
+            # Hold interval k owns the rows rows[k] .. rows[k+1] - 1.  Its
+            # change is kept where it owns a row and switches the gray: its
+            # bit differs from interval k-1's, or interval k-1 owned no row,
+            # which may hide a switch.  Before interval 0 the cell is
+            # background (code 2), so interval 0's change is always kept.
             changes += [
                 r * m + code + bit
-                for r, r_end, bit in zip(rows, rows[1:], bits)
-                if r < r_end
+                for r_prev, r, r_end, bit_prev, bit in zip(
+                    chain((-1,), rows), rows, rows[1:], chain((2,), bits), bits
+                )
+                if r < r_end and (bit != bit_prev or r_prev == r)
             ]
             # The window ends at x_i(k_max).  With k_max = 0 the column is
             # background throughout, and this change keeps it so.
             changes.append(rows[-1] * m + code + 2)
         changes.sort()
-        slots = [(i, f) for i in range(n) for f in (dark, light, background)]
-        header = ["P2", *_comment_lines(ps, "#"), f"{n * ps.cell_px} {height}", "255"]
-        lines = _swept_rows([background] * n, changes, slots, height)
-        row_bytes = n * (max(map(len, (dark, light, background))) + 1)
+        slots = [(i, f) for i, cell in enumerate(fragments) for f in cell]
+        row = [cell[2] for cell in fragments]
+        row_bytes = n * (max(map(len, grays)) + 1)
         return chain(
-            _line_blocks(header, len(header)),
-            _line_blocks(lines, max(1, _PIXMAP_BYTES // row_bytes)),
+            [_pgm_header(ps, n * ps.cell_px, height)],
+            _swept_rows(row, changes, slots, height, max(1, _PIXMAP_BYTES // row_bytes)),
         )
 
 
@@ -359,33 +367,49 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
     hold at time t0 + r / time_scale?  Rows outside a cell's computed
     window stay at the background gray.
     """
-    return "".join(spacetime_async_pixmap_chunks(run, ps))
+    return b"".join(spacetime_async_pixmap_chunks(run, ps)).decode()
 
 
-def spacetime_async_pixmap_chunks(run: AsyncRun, ps: PlotSpec) -> Iterator[str]:
-    """The text of :func:`spacetime_async_pixmap` as chunks of whole
+def spacetime_async_pixmap_chunks(run: AsyncRun, ps: PlotSpec) -> Iterator[bytes]:
+    """The bytes of :func:`spacetime_async_pixmap` as chunks of whole
     lines, header first, so that a writer never holds the whole text."""
     return AsyncPlots(run.trajectory, ps).raster_chunks(run.states)
 
 
-def _swept_rows(row: list, changes, slots: list, height: int) -> Iterator[str]:
-    """Rows 0..height-1 as text.  ``row`` holds the cells' fragments
-    before row 0.  A change r·len(slots) + k, in ascending order, sets the
-    (cell, fragment) pair slots[k] from row r on.  A row with no change
-    repeats the text of the row above."""
+def _pgm_header(ps: PlotSpec, width: int, height: int) -> bytes:
+    """The P2 header of a width × height pixmap, comment lines included."""
+    return "\n".join(["P2", *_comment_lines(ps, "#"), f"{width} {height}", "255", ""]).encode()
+
+
+def _swept_rows(row: list, changes, slots: list, height: int, size: int) -> Iterator[bytes]:
+    """Rows 0..height-1 as bytes, in chunks of ``size`` rows (the last
+    may hold fewer).  ``row`` holds the cells' fragments before row 0,
+    each ending in its separator.  A change r·len(slots) + k, in
+    ascending order, sets the (cell, fragment) pair slots[k] from row r
+    on.  A row with no change repeats the bytes of the row above, so a
+    chunk is a list of references to a few rows, joined once."""
     m = len(slots)
-    text = " ".join(row)
+    text = b"".join(row)
+    block = []
     r = 0
-    for r_next, group in groupby(changes, m.__rfloordiv__):
+    for r_next, group in chain(groupby(changes, m.__rfloordiv__), [(height, ())]):
+        run = min(r_next, height) - r
+        while len(block) + run >= size:
+            take = size - len(block)
+            block += [text] * take
+            yield b"".join(block)
+            block = []
+            run -= take
+        block += [text] * run
         if r_next >= height:
             break
-        yield from repeat(text, r_next - r)
         for key in group:
             i, fragment = slots[key % m]
             row[i] = fragment
-        text = " ".join(row)
+        text = b"".join(row)
         r = r_next
-    yield from repeat(text, height - r)
+    if block:
+        yield b"".join(block)
 
 
 def pixmap_parse(text: str):
@@ -451,24 +475,25 @@ def spacetime_sync_chunks(states, ps: PlotSpec) -> Iterator[str]:
 
 def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:
     """One pixel per cell per step (row k = state s(k))."""
-    return "".join(spacetime_sync_pixmap_chunks(states, ps))
+    return b"".join(spacetime_sync_pixmap_chunks(states, ps)).decode()
 
 
-def spacetime_sync_pixmap_chunks(states, ps: PlotSpec) -> Iterator[str]:
-    """The text of :func:`spacetime_sync_pixmap` in chunks of whole
+def spacetime_sync_pixmap_chunks(states, ps: PlotSpec) -> Iterator[bytes]:
+    """The bytes of :func:`spacetime_sync_pixmap` in chunks of whole
     lines: the header, then as many rows as fit in _PIXMAP_BYTES (at
     least one) per chunk."""
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
-    gray = (str(ps.gray0), str(ps.gray1))
-    header = ["P2", *_comment_lines(ps, "#"), f"{n} {len(states)}", "255"]
-    rows = (" ".join(map(gray.__getitem__, s)) for s in states)
-    row_bytes = n * (max(map(len, gray)) + 1)
-    return chain(
-        _line_blocks(header, len(header)),
-        _line_blocks(rows, max(1, _PIXMAP_BYTES // row_bytes)),
+    gray = (str(ps.gray0).encode(), str(ps.gray1).encode())
+    rows = max(1, _PIXMAP_BYTES // (n * (max(map(len, gray)) + 1)))  # per chunk
+    blocks = (
+        b"\n".join([
+            *[b" ".join(map(gray.__getitem__, s)) for s in states[k : k + rows]], b""
+        ])
+        for k in range(0, len(states), rows)
     )
+    return chain([_pgm_header(ps, n, len(states))], blocks)
 
 
 # -- graph exports ---------------------------------------------------------------

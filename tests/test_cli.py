@@ -10,6 +10,7 @@ import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -772,6 +773,62 @@ def test_failed_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
         capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
     )
     assert code == 2 and "contours failed mid-stream" in err
+    assert not any(p.exists() for p in svgs)
+    assert (out / "async_contours.svg").is_file()
+
+
+def test_write_chunks_writes_text_and_bytes_alike(tmp_path):
+    # Text chunks are UTF-8 encoded as they are written, bytes chunks go
+    # as they are; shared chunks of either kind reach every file.
+    text = ["P2\n# tropical-ca \u00fc\n", "3 1\n255\n", "0 127 255\n"]
+    want = "".join(text).encode()
+    data = [c.encode() for c in text]
+    for name, files, shared in (
+        ("text", {"f": text}, ()),
+        ("bytes", {"f": data}, ()),
+        ("mixed", {"f": [data[0], text[1], data[2]]}, ()),
+        ("shared", {"f": text[1:], "g": data[1:]}, [data[0]]),
+        ("shared text", {"f": text[1:], "g": data[1:]}, text[:1]),
+    ):
+        cli._write_chunks(tmp_path / name, files, shared)
+        written = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        assert written == dict.fromkeys(files, want), name
+    cli._write(tmp_path / "whole", "f", "".join(text))
+    assert (tmp_path / "whole" / "f").read_bytes() == want
+
+
+def test_failed_raster_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # The raster's own bytes chunks, cut by an error after the header and
+    # the first block of rows: the file being written goes, alone or with
+    # the file that shares its chunks.
+    def cut(st, path):
+        yield from islice(st.async_plots.raster_chunks(st.run.states), 2)
+        assert path.exists()  # the file is open and holds those chunks
+        raise TropicalError("raster failed mid-stream")
+
+    out = tmp_path / "single"
+    pgm = out / "spacetime_async.pgm"
+    monkeypatch.setitem(cli.WRITERS, "spacetime_async.pgm", lambda st: cut(st, pgm))
+    code, _, err = run(
+        capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
+    )
+    assert code == 2 and "raster failed mid-stream" in err
+    assert not pgm.exists()
+    assert (out / "spacetime_async.svg").is_file()  # written before it
+
+    out = tmp_path / "pair"
+    svgs = [out / name for name in cli.SPACETIME_SVGS]
+    monkeypatch.setitem(
+        cli.WRITERS, cli.SPACETIME_SVGS,
+        lambda st: (
+            islice(st.async_plots.raster_chunks(st.run.states), 2),
+            ([b"</svg>\n"], cut(st, svgs[1])),
+        ),
+    )
+    code, _, err = run(
+        capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
+    )
+    assert code == 2 and "raster failed mid-stream" in err
     assert not any(p.exists() for p in svgs)
     assert (out / "async_contours.svg").is_file()
 

@@ -1,5 +1,6 @@
 """Plot and graph-export geometry, determinism and read-back fidelity."""
 
+import math
 import random
 import re
 import tracemalloc
@@ -277,13 +278,46 @@ def test_async_pixmap_matches_per_pixel_oracle_random():
     assert with_background >= 40
 
 
+def test_async_pixmap_keeps_switches_behind_rowless_intervals():
+    # The raster keeps one change per switch of a cell's gray.  Short
+    # timings cut to a fifth, at one row per time unit, give hold
+    # intervals that own no row, and a switch may hide behind one:
+    # interval k's gray equals interval k-1's, yet differs from the gray
+    # on the rows above.  One run in four keeps its integer timings,
+    # where every interval owns a row.
+    spec = regular_ring(4, 3)
+    rules = [CARule.eca(r) for r in (30, 90, 110, 150, 204)]
+    ps = PlotSpec(time_scale=1, cell_px=1)
+    rowless = 0
+    for seed in range(300):
+        params = random_parameters(spec, seed, (1, 2), (0, 1))
+        if seed % 4:
+            params = TimingParameters.create(
+                [Fraction(x, 5) for x in params.xi],
+                {arc: Fraction(t, 5) for arc, t in params.tau.items()},
+            )
+        rng = random.Random(seed)
+        s0 = tuple(rng.randint(0, 1) for _ in range(4))
+        run = async_run(rules[seed % len(rules)], spec, params, s0, unit_vector(4), 24)
+        t0 = min(run.trajectory.states[0])
+        rowless += any(
+            math.ceil(a - t0) == math.ceil(b - t0)
+            for i in range(4)
+            for a, b, _bit in run.hold_intervals(i)
+        )
+        want = async_pixmap_grid(run, ps, __version__)
+        assert_same_text(spacetime_async_pixmap(run, ps), want, f"seed {seed}")
+    assert rowless >= 200, rowless
+
+
 def test_async_pixmap_chunks_are_blocks_of_whole_lines():
     run = seeded_run(k_max=30)
     ps = PlotSpec().with_metadata({"seed": 42})
     chunks = list(spacetime_async_pixmap_chunks(run, ps))
-    assert len(chunks) > 2 and all(c.endswith("\n") for c in chunks)
-    assert chunks[0].startswith("P2\n# tropical-ca")
-    assert_same_text("".join(chunks), async_pixmap_grid(run, ps, __version__), "chunks")
+    assert len(chunks) > 2 and all(c.endswith(b"\n") for c in chunks)
+    assert chunks[0].startswith(b"P2\n# tropical-ca")
+    text = b"".join(chunks).decode()
+    assert_same_text(text, async_pixmap_grid(run, ps, __version__), "chunks")
 
 
 def random_plotspec(rng, case):
@@ -333,7 +367,9 @@ def test_svg_emitters_match_per_vertex_oracles_random():
 def test_shared_layout_chunks_equal_the_public_renderers():
     """One AsyncPlots serves the four async files in the CLI's order.
     Each chunk ends a line, and each file's chunks join to the text of the
-    public renderer (which lays the run out afresh) and of its oracle."""
+    public renderer (which lays the run out afresh) and of its oracle.
+    The raster's chunks are the UTF-8 bytes of that text, the others
+    str."""
     rng = random.Random(1066)
     runs = [
         (f"{kind}, k_max {k_max}", random_timed_run(rng, kind, k_max))
@@ -358,10 +394,13 @@ def test_shared_layout_chunks_equal_the_public_renderers():
         ]
         for name, chunks, public, oracle in files:
             chunks = list(chunks)
-            assert all(c.endswith("\n") for c in chunks), (label, name)
+            newline = b"\n" if name == "raster" else "\n"
+            assert all(type(c) is type(newline) for c in chunks), (label, name)
+            assert all(c.endswith(newline) for c in chunks), (label, name)
             if label == "24 cells":
                 assert len(chunks) > 1, name
-            assert "".join(chunks) == public, (label, name)
+            joined = newline[:0].join(chunks)
+            assert joined == (public.encode() if name == "raster" else public), (label, name)
             assert_same_text(public, oracle, f"{label} {name}")
 
 
@@ -373,24 +412,22 @@ def test_raster_chunks_are_sized_in_bytes():
     for ps in (PlotSpec(), PlotSpec(cell_px=300)):
         plots = AsyncPlots(run.trajectory, ps)
         chunks = list(plots.raster_chunks(run.states))
-        text = "".join(chunks)
-        assert text == spacetime_async_pixmap(run, ps)
+        text = b"".join(chunks)
+        assert text == spacetime_async_pixmap(run, ps).encode()
         row = max(map(len, text.splitlines())) + 1
         assert len(chunks) > 3
         assert all(len(c) <= render._PIXMAP_BYTES + row for c in chunks)
 
 
-def test_raster_changes_hold_no_table_over_the_update_times():
-    # Wide timings make nearly every update time of a 10-cell ring's run
-    # distinct.  Collecting the raster's row changes may hold a list entry
-    # per hold interval and one cell's column of rows, but no table keyed
-    # by the run's update times, which costs about 60 B more per cell and
-    # cycle.
+def raster_change_rise(rule):
+    """Traced rise per (cell, cycle) of collecting the raster's changes
+    for a 10-cell ring at k_max 20 000 under ``rule``.  Its wide timings
+    make nearly every update time of the run distinct."""
     k_max = 20_000
     spec = regular_ring(10, 3)
     params = random_parameters(spec, 7, (1, 10**6), (1, 10**6))
     s0 = state_from_string("0000100000")
-    run = async_run(RULE150, spec, params, s0, unit_vector(10), k_max)
+    run = async_run(rule, spec, params, s0, unit_vector(10), k_max)
     cells_cycles = 10 * (k_max + 1)
     assert len(set(chain.from_iterable(run.trajectory.states))) > 0.9 * cells_cycles
     plots = AsyncPlots(run.trajectory, PlotSpec())
@@ -402,7 +439,26 @@ def test_raster_changes_hold_no_table_over_the_update_times():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (peak - before) / cells_cycles < 100, (peak - before) / cells_cycles
+    return (peak - before) / cells_cycles
+
+
+def test_raster_changes_hold_no_table_over_the_update_times():
+    # Collecting the raster's row changes may hold a list entry per hold
+    # interval and one cell's column of rows, but no table keyed by the
+    # run's update times, which costs about 60 B more per cell and cycle.
+    rise = raster_change_rise(RULE150)
+    assert rise < 100, rise
+
+
+def test_raster_changes_are_one_per_gray_switch():
+    # The identity rule never switches a cell's gray after its first
+    # interval, so its changes are a few per cell: what is left is the
+    # bit columns and one cell's column of rows.  Rule 150 switches about
+    # every other interval; a change per hold interval took 60 B.
+    rise = raster_change_rise(CARule.eca(204))
+    assert rise < 20, rise
+    rise = raster_change_rise(RULE150)
+    assert rise < 45, rise
 
 
 # -- synchronous space-time -------------------------------------------------------------
@@ -442,7 +498,7 @@ def test_sync_pixmap_chunks_are_blocks_of_rows_never_the_whole_text():
     try:
         before, _ = tracemalloc.get_traced_memory()
         for chunk in spacetime_sync_pixmap_chunks(states, ps):
-            assert chunk.endswith("\n") and len(chunk) <= render._PIXMAP_BYTES
+            assert chunk.endswith(b"\n") and len(chunk) <= render._PIXMAP_BYTES
             chunks += 1
             size += len(chunk)
         _, peak = tracemalloc.get_traced_memory()
