@@ -290,6 +290,17 @@ class SyncOrbit(NamedTuple):
             sep = '",\n    "'
         yield '"\n  ]\n}\n'
 
+    def states_through(self, k: int) -> tuple:
+        """s(0..k): each code decoded once, at most, and the periodic
+        states repeated."""
+        codes = self.codes[: k + 1]
+        states = tuple(_decode(c, self.size) for c in codes)
+        if len(codes) == k + 1:
+            return states
+        cycle = states[self.entry_time :]
+        q, r = divmod(k + 1 - len(codes), self.period)
+        return states + cycle * q + cycle[:r]
+
     def state(self, k: int) -> State:
         """s(k) for any k >= 0, folding into the periodic part."""
         if k >= len(self.codes):
@@ -488,7 +499,9 @@ class AsyncRun(_AsyncRunFields):
     configuration computed at that contour.  Cell i holds states[k][i] in
     memory over [x_i(k), x_i(k+1)), so construction checks that every
     cell's update times strictly increase, and that the rule fits the
-    network.
+    network.  Where the trajectory recurs, states[j + d] = c ⊗ states[j]
+    for j >= m, the check reads states[:m + d + 1] only: a later step
+    x_i(j + 1) - x_i(j) equals the step d cycles before it.
     """
 
     __slots__ = ()
@@ -498,7 +511,11 @@ class AsyncRun(_AsyncRunFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _check_rule_fits(self.rule, self.spec)
-        for i, times in enumerate(zip(*self.trajectory.states)):
+        states = self.trajectory.states
+        if self.trajectory.recurrence is not None:
+            m, d = self.trajectory.recurrence
+            states = states[: m + d + 1]
+        for i, times in enumerate(zip(*states)):
             if not all(map(lt, times, times[1:])):
                 k = next(k for k, t in enumerate(times[1:]) if not times[k] < t)
                 raise NetworkError(

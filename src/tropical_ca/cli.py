@@ -30,7 +30,14 @@ from . import network as net_mod
 from . import render as render_mod
 from . import spectral as spectral_mod
 from . import trajectory as traj_mod
-from .errors import ConfigError, NetworkError, ScalarError, TropicalError, VerificationError
+from .errors import (
+    CapExceededError,
+    ConfigError,
+    NetworkError,
+    ScalarError,
+    TropicalError,
+    VerificationError,
+)
 from .semiring import MaxPlusMatrix, load_json, scalar_from_json, unit_vector
 
 MODES = ("int", "rational")
@@ -39,6 +46,10 @@ MODES = ("int", "rational")
 # cap is exact for N <= 20; beyond that it bounds the time and the memory
 # of the visited states.
 ORBIT_STEP_CAP = 1 << 20
+
+# Most bytes the rows of spacetime_async.pgm may take: its height times
+# its widest row.  The 10-cell ring at k_max 20 000 writes 300 MB.
+RASTER_BYTE_CAP = 1 << 30
 
 
 class Experiment(NamedTuple):
@@ -310,14 +321,15 @@ class Stages:
 
     @cached_property
     def sync_states(self) -> tuple:
-        """s(0..k_max): folded out of the orbit when the command traced
-        it (only ``ca`` does, as that search may take ORBIT_STEP_CAP
-        steps), else stepped k_max times from s0."""
+        """s(0..k_max): when the command traced the orbit (only ``ca``
+        does, as that search may take ORBIT_STEP_CAP steps), its codes
+        are decoded once and the periodic states repeated; else stepped
+        k_max times from s0."""
         exp = self.exp
         exp.require("rule", "s0", "k_max")
-        if "orbit" in vars(self):
-            return tuple(self.orbit.state(k) for k in range(exp.k_max + 1))
-        return ca_mod.sync_states(exp.rule, exp.spec, exp.s0, exp.k_max)
+        if "orbit" not in vars(self):
+            return ca_mod.sync_states(exp.rule, exp.spec, exp.s0, exp.k_max)
+        return self.orbit.states_through(exp.k_max)
 
     @cached_property
     def run(self) -> ca_mod.AsyncRun:
@@ -336,15 +348,38 @@ class Stages:
         return render_mod.AsyncPlots(self.trajectory, self.plotspec)
 
     @cached_property
+    def raster_size(self) -> tuple:
+        """(height, widest row in bytes) of spacetime_async.pgm.  A raster
+        that may pass RASTER_BYTE_CAP is refused here, so a command that
+        computes this first opens no file."""
+        self.exp.require("rule", "s0", "k_max", "x0", "params")  # as the run does
+        height, row = self.async_plots.raster_size()
+        if height * row > RASTER_BYTE_CAP:
+            raise CapExceededError(
+                f"{self.exp.out / 'spacetime_async.pgm'} would take up to "
+                f"{height * row} bytes ({height} rows of up to {row}), over the "
+                f"cap of {RASTER_BYTE_CAP}; lower k_max"
+            )
+        return height, row
+
+    @cached_property
     def bijection_mismatch(self) -> ca_mod.Mismatch | None:
         """``ca``'s check: the first cycle and cell where the event-level
         states differ from the synchronous ones, or None.  The states need
-        no event time, and s(0..k_max) is already held for the plots."""
+        no event time, and s(0..k_max) is already held for the plots.
+
+        The pass stops at cycle K = min(k_max, entry + period) of the
+        orbit.  A fault-free event state is a function of the one before
+        it, so where the runs agree up to K, the event run is back at
+        s(entry) at K and repeats from there as the orbit does: a first
+        mismatch after K would repeat one a period earlier."""
         exp = self.exp
         exp.require("rule", "s0", "k_max")
-        states = ca_mod.event_states(exp.rule, exp.spec, exp.s0, exp.k_max)
+        orbit = self.orbit
+        last = min(exp.k_max, orbit.entry_time + orbit.period)
+        states = ca_mod.event_states(exp.rule, exp.spec, exp.s0, last)
         return ca_mod.first_mismatches(
-            {"bijection": (self.sync_states, states)}
+            {"bijection": (self.sync_states[: last + 1], states)}
         )["bijection"]
 
     @cached_property
@@ -457,6 +492,8 @@ def cmd_simulate(st: Stages) -> int:
 
 
 def cmd_ca(st: Stages, schedule: str) -> int:
+    if schedule in ("async", "both"):
+        st.compute("raster_size")
     if schedule in ("sync", "both"):
         st.write("sync_orbit.json", *SYNC_PLOTS)
         print(f"sync orbit: entry {st.orbit.entry_time}, period {st.orbit.period}")
@@ -494,7 +531,7 @@ def cmd_verify(st: Stages) -> int:
 
 
 def cmd_render(st: Stages) -> int:
-    st.compute("run", "summary")
+    st.compute("run", "summary", "raster_size")
     st.write(
         "contour_plot.svg",
         *ASYNC_PLOTS,

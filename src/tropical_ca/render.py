@@ -19,8 +19,8 @@ import math
 from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, groupby, islice, repeat
-from operator import sub
+from itertools import chain, groupby, islice
+from operator import getitem, sub
 from typing import NamedTuple
 
 from ._version import __version__
@@ -135,13 +135,6 @@ def _coordinate_texts(rows, offset, origin, scale) -> list:
     return [list(map(memo.__getitem__, row)) for row in rows]
 
 
-def _svg_blocks(width, height, ps: PlotSpec, body) -> Iterator[str]:
-    """An SVG text in blocks of whole lines: the header, the lines of
-    each list that ``body`` yields, and the closing tag."""
-    lines = chain(_svg_header(width, height, ps), chain.from_iterable(body), ["</svg>"])
-    return _line_blocks(lines, _SVG_BLOCK)
-
-
 def _polylines(xs: list, y_rows, ps: PlotSpec) -> Iterator[str]:
     """Per row of y texts, the contour polyline through the points
     (xs[i], ys[i]).  Each row is slice-assigned into one reused list of
@@ -154,6 +147,27 @@ def _polylines(xs: list, y_rows, ps: PlotSpec) -> Iterator[str]:
     ]
     for ys in y_rows:
         parts[1::2] = ys
+        yield "".join(parts)
+
+
+def _marker_rows(xs: list, y_rows, states, ps: PlotSpec) -> Iterator[str]:
+    """Per row of y texts and CA state, the state markers at the points
+    (xs[i], ys[i]): its lines joined by newlines, without the last one.
+    Cell i's piece ends its marker in the colour of its bit and starts
+    the marker of cell i + 1; each row's y texts and pieces are
+    slice-assigned into one reused list of parts, which is joined once."""
+    marker = [f'<circle cx="{x}" cy="' for x in xs]
+    tail = [
+        f'" r="3" fill="{color}" stroke="#555555" stroke-width="0.5"/>'
+        for color in (ps.color0, ps.color1)
+    ]
+    pieces = [(f"{tail[0]}\n{m}", f"{tail[1]}\n{m}") for m in marker[1:]]
+    pieces.append(tuple(tail))
+    parts = [None] * (2 * len(xs) + 1)
+    parts[0] = marker[0]
+    for ys, bits in zip(y_rows, states):
+        parts[1::2] = ys
+        parts[2::2] = map(getitem, pieces, bits)
         yield "".join(parts)
 
 
@@ -175,6 +189,7 @@ class AsyncPlots:
 
     def __init__(self, trajectory: Trajectory, ps: PlotSpec):
         self.times = trajectory.states
+        self.recurrence = trajectory.recurrence
         self.size = trajectory.size
         self.ps = ps
 
@@ -201,11 +216,21 @@ class AsyncPlots:
 
     @cached_property
     def heights(self) -> list:
-        """Per cell, the height text of each hold interval."""
-        return _coordinate_texts(
-            [list(map(sub, times[1:], times)) for times in self.time_columns],
+        """Per cell, the height text of each hold interval.  Where the run
+        recurs, (m, d) = trajectory.recurrence, interval j + d is as long
+        as interval j for j >= m: only intervals 0..m + d - 1 are
+        formatted, and the rest repeat the last d of them."""
+        k_max = len(self.times) - 1
+        cut = k_max if self.recurrence is None else min(k_max, sum(self.recurrence))
+        texts = _coordinate_texts(
+            [list(map(sub, times[1 : cut + 1], times)) for times in self.time_columns],
             0, 0, self.ps.time_scale,
         )
+        if cut == k_max:
+            return texts
+        m, d = self.recurrence
+        q, r = divmod(k_max - cut, d)
+        return [head + head[m:] * q + head[m : m + r] for head in texts]
 
     def _svg_height(self):
         t0, t1 = self.extent
@@ -219,33 +244,27 @@ class AsyncPlots:
 
     def contour_chunks(self, states=None) -> Iterator[str]:
         """The text of :func:`contour_plot` in blocks of whole lines, with
-        these CA states as markers (None for none)."""
-        ps = self.ps
+        these CA states as markers (None for none): the header, the lines
+        of about _SVG_BLOCK // (lines per cycle) cycles per block, and the
+        closing tag."""
+        ps, n = self.ps, self.size
         if states is not None:
             self._checked(states)
-        width = 2 * ps.margin + (self.size - 1) * ps.cell_px
-        return _svg_blocks(width, self._svg_height(), ps, self._contour_rows(states))
-
-    def _contour_rows(self, states) -> Iterator[list]:
-        ps, n = self.ps, self.size
+        width = 2 * ps.margin + (n - 1) * ps.cell_px
+        header = _svg_header(width, self._svg_height(), ps)
         xs = [_fmt(ps.margin + i * ps.cell_px) for i in range(n)]
-        marker = [f'<circle cx="{x}" cy="' for x in xs]
-        marker_tail = (
-            f'" r="3" fill="{ps.color0}" stroke="#555555" stroke-width="0.5"/>',
-            f'" r="3" fill="{ps.color1}" stroke="#555555" stroke-width="0.5"/>',
+        # Per cycle, its polyline and its markers (or a single cell's dot).
+        rows = [_polylines(xs, self.y_rows, ps)] if n > 1 else []
+        if states is not None:
+            rows.append(_marker_rows(xs, self.y_rows, states, ps))
+        elif n == 1:
+            dot = (f'<circle cx="{xs[0]}" cy="', f'" r="2" fill="{ps.contour_color}"/>')
+            rows.append(y.join(dot) for (y,) in self.y_rows)
+        lines = (n > 1) + (n if states is not None else n == 1)  # per cycle
+        body = _line_blocks(
+            chain.from_iterable(zip(*rows)), len(rows) * max(1, _SVG_BLOCK // lines)
         )
-        dot_tail = f'" r="2" fill="{ps.contour_color}"/>'
-        polylines = _polylines(xs, self.y_rows, ps) if n > 1 else repeat(None)
-        for k, (ys, polyline) in enumerate(zip(self.y_rows, polylines)):
-            lines = [] if polyline is None else [polyline]
-            if states is not None:
-                lines += [
-                    f"{m}{y}{marker_tail[bit]}"
-                    for m, y, bit in zip(marker, ys, states[k])
-                ]
-            elif n == 1:
-                lines.append(f"{marker[0]}{ys[0]}{dot_tail}")
-            yield lines
+        return chain(_line_blocks(header, len(header)), body, ["</svg>\n"])
 
     def spacetime_chunks(self, stage: str, states) -> Iterator[str]:
         """The text of :func:`spacetime_async` in blocks of whole lines."""
@@ -263,27 +282,51 @@ class AsyncPlots:
         ps = self.ps
         width = 2 * ps.margin + self.size * ps.cell_px
         header = _svg_header(width, self._svg_height(), ps)
-        rects = chain.from_iterable(self._rect_rows(zip(*self._checked(states))))
+        rects = self._rect_blocks(zip(*self._checked(states)))
         half = Fraction(ps.cell_px, 2)
         xs = [_fmt(ps.margin + i * ps.cell_px + half) for i in range(self.size)]
         contours = chain(_polylines(xs, self.y_rows, ps), ["</svg>"])
         return (
-            _line_blocks(chain(header, rects), _SVG_BLOCK),
+            chain(_line_blocks(header, len(header)), rects),
             (["</svg>\n"], _line_blocks(contours, _SVG_BLOCK)),
         )
 
-    def _rect_rows(self, bit_columns) -> Iterator[list]:
+    def _rect_blocks(self, bit_columns) -> Iterator[str]:
+        """The hold-interval rects, cell by cell, in blocks of at most
+        _SVG_BLOCK lines.  Cell i's k-th rect spans [x_i(k), x_i(k+1))
+        and shows states[k][i].  A block is one join of a reused list of
+        parts: per line its top, the fixed width text, its height and a
+        piece that ends the rect in the colour of its bit and starts the
+        cell's next rect."""
         ps = self.ps
-        block = f'" width="{ps.cell_px}" height="'
-        block_tail = (f'" fill="{ps.color0}"/>', f'" fill="{ps.color1}"/>')
-        # Cell i's k-th block spans [x_i(k), x_i(k+1)) and shows states[k][i].
+        width = f'" width="{ps.cell_px}" height="'
+        fill = (f'" fill="{ps.color0}"/>\n', f'" fill="{ps.color1}"/>\n')
+        k_max = len(self.times) - 1
+        parts = []
         columns = zip(self.y_columns, self.heights, bit_columns)
-        for i, (tops, sizes, bits) in enumerate(columns):
+        for i, (tops, heights, bits) in enumerate(columns):
             rect = f'<rect x="{_fmt(ps.margin + i * ps.cell_px)}" y="'
-            yield [
-                f"{rect}{top}{block}{size}{block_tail[bit]}"
-                for top, size, bit in zip(tops, sizes, bits)
-            ]
+            pieces = (fill[0] + rect, fill[1] + rect)
+            for k in range(0, k_max, _SVG_BLOCK):
+                end = min(k + _SVG_BLOCK, k_max)
+                if len(parts) != 4 * (end - k) + 1:
+                    parts = [rect, *[None, width, None, None] * (end - k)]
+                parts[0] = rect
+                parts[1::4] = tops[k:end]
+                parts[3::4] = heights[k:end]
+                parts[4::4] = map(pieces.__getitem__, bits[k:end])
+                parts[-1] = fill[bits[end - 1]]
+                yield "".join(parts)
+
+    def raster_size(self) -> tuple:
+        """(height, width in bytes of its widest row) of the raster's
+        rows, without building any: a row per 1/time_scale from t0 to
+        the latest x_i(k_max), and per cell cell_px pixels, each with its
+        separator."""
+        ps = self.ps
+        height = math.ceil((max(self.times[-1]) - self.extent[0]) * ps.time_scale)
+        digits = max(len(str(gray)) for gray in (ps.gray0, ps.gray1, ps.gray_bg))
+        return max(1, height), self.size * ps.cell_px * (digits + 1)
 
     def raster_chunks(self, states) -> Iterator[bytes]:
         """The bytes of :func:`spacetime_async_pixmap` in chunks of whole
@@ -293,7 +336,7 @@ class AsyncPlots:
         n, ps = self.size, self.ps
         t0 = self.extent[0]
         s = ps.time_scale
-        height = max(1, math.ceil((max(self.times[-1]) - t0) * s))
+        height, row_bytes = self.raster_size()
         # Per cell, the bytes of its cell_px equal pixels and the separator
         # after them (the newline after the last cell), per gray code
         # (dark, light, background); a row is its cells' fragments joined.
@@ -330,7 +373,6 @@ class AsyncPlots:
         changes.sort()
         slots = [(i, f) for i, cell in enumerate(fragments) for f in cell]
         row = [cell[2] for cell in fragments]
-        row_bytes = n * (max(map(len, grays)) + 1)
         return chain(
             [_pgm_header(ps, n * ps.cell_px, height)],
             _swept_rows(row, changes, slots, height, max(1, _PIXMAP_BYTES // row_bytes)),

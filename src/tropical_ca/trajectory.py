@@ -56,10 +56,16 @@ from .spectral import SpectralSummary
 
 
 class Trajectory(NamedTuple):
-    """States x(0..k_max) of one iteration, immutable after construction."""
+    """States x(0..k_max) of one iteration, immutable after construction.
+
+    ``recurrence`` is (m, d) when states[j + d] = c ⊗ states[j] for every
+    j >= m and one scalar c, so that each cell's step x_i(j + 1) - x_i(j)
+    repeats with period d from j = m on; None when it is not known (a
+    hand-built trajectory, or a run that did not recur by k_max)."""
 
     matrix: MaxPlusMatrix
     states: tuple  # tuple of vectors
+    recurrence: tuple | None = None
 
     @property
     def k_max(self) -> int:
@@ -82,7 +88,8 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
     with d = k - m, since P ⊗ (c ⊗ x) = c ⊗ (P ⊗ x), and the rest of the
     run is shifted out of the states already held, not stepped.  Past k*
     the regime x(k + rho) = mu ⊗ x(k) makes a checkpoint recur, so this
-    happens by k = 2·max(k*, rho) + rho at the latest."""
+    happens by k = 2·max(k*, rho) + rho at the latest.  The trajectory
+    records the recurrence as (m, d)."""
     states = []
     for k, x in enumerate(iter_states(P, x0, k_max)):
         states.append(x)
@@ -98,7 +105,7 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
                     if type(c) is int
                     else tuple([canonical(v + c) for v in y])
                 )
-            break
+            return Trajectory(P, tuple(states), (mark, d))
         if k & (k - 1) == 0:  # a checkpoint: k = 0 or a power of two
             mark, ref = k, x
     return Trajectory(P, tuple(states))

@@ -362,6 +362,28 @@ def test_orbit_state_folds_into_cycle():
         assert orbit.state(k) == orbit.state(k + orbit.period)
 
 
+def test_orbit_states_through_decode_each_code_once(monkeypatch):
+    # s(0..k) from the orbit: the codes up to k decoded once each, then
+    # the periodic states repeated, for k inside and past the orbit.
+    spec, rule = regular_ring(10, 3), CARule.eca(30)
+    s0 = state_from_string("0110011100")
+    orbit = sync_orbit(rule, spec, s0, 1 << 10)
+    assert (orbit.entry_time, orbit.period) == (19, 15)
+    decoded = []
+    decode = ca._decode
+
+    def counted(code, n):
+        decoded.append(code)
+        return decode(code, n)
+
+    monkeypatch.setattr(ca, "_decode", counted)
+    for k in (0, 3, len(orbit.codes) - 1, len(orbit.codes), 5 * len(orbit.codes) + 2):
+        want = sync_states(rule, spec, s0, k)
+        decoded.clear()
+        assert orbit.states_through(k) == want
+        assert len(decoded) == min(k + 1, len(orbit.codes))
+
+
 def test_orbit_kmax_exhausted():
     spec = regular_ring(10, 3)
     with pytest.raises(CapExceededError, match="k_max = 2") as info:
@@ -606,6 +628,27 @@ def test_async_requires_strictly_increasing_times():
         "memory semantics need a self-loop on every cell (tau_ii present) "
         "and positive xi"
     )
+
+
+def test_async_check_reads_the_whole_run_without_a_recurrence():
+    # iterate records where the run recurs, and the check reads the run up
+    # to there only.  A hand-built trajectory has no recurrence, so a
+    # column that stops increasing after k_max / 2, past where the
+    # recurrence of the same run would end the check, is still refused.
+    spec, params = seeded_ring(10, 42)
+    s0 = state_from_string("0000100000")
+    k_max = 200
+    traj = iterate(build_p(spec, params), unit_vector(10), k_max)
+    m, d = traj.recurrence
+    assert m + d < k_max // 2
+    half = k_max // 2
+    states = [
+        x if k <= half else (traj.states[half][0], *x[1:])
+        for k, x in enumerate(traj.states)
+    ]
+    hand = traj._replace(states=tuple(states), recurrence=None)
+    with pytest.raises(NetworkError, match=f"cell 1 are not strictly increasing at cycle {half}"):
+        ca.AsyncRun(RULE150, spec, params, hand, sync_states(RULE150, spec, s0, k_max))
 
 
 def test_hold_intervals_tile_time():

@@ -253,6 +253,103 @@ def test_orbit_step_cap_is_a_clean_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "sync_orbit.json").exists()
 
 
+def test_raster_past_the_byte_cap_opens_no_file(tmp_path, capsys, monkeypatch):
+    # The bound is the raster's height times its widest row.  A cap one
+    # byte below it refuses every command that writes the raster, with
+    # one error line and exit 2, before any file is opened; at the bound
+    # the raster is written, and its rows fit in it.
+    assert cli.RASTER_BYTE_CAP == 1 << 30
+    args = cli.build_parser().parse_args(["ca", "--config", RING10])
+    height, row = cli.Stages(cli.load_experiment(args)).async_plots.raster_size()
+    bound = height * row
+    monkeypatch.setattr(cli, "RASTER_BYTE_CAP", bound - 1)
+    for argv in (["ca", "--schedule", "async"], ["ca", "--schedule", "both"], ["render"]):
+        out = tmp_path / "-".join(argv)
+        code, stdout, err = run(capsys, *argv, "--config", RING10, "--out", str(out))
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{out / 'spacetime_async.pgm'} would take up to {bound} bytes" in err
+        assert not out.exists() and stdout == "", argv
+    monkeypatch.setattr(cli, "RASTER_BYTE_CAP", bound)
+    out = tmp_path / "at-the-cap"
+    assert run(capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out))[0] == 0
+    text = (out / "spacetime_async.pgm").read_bytes()
+    header = text.split(b"\n255\n", 1)[0]
+    assert header.endswith(f"\n{row // 4} {height}".encode())  # 3 digits and a space a pixel
+    assert len(text) - len(header) - 5 <= bound
+
+
+def flip_event_state(monkeypatch, target, cell):
+    """Make the event run's local rule flip ``cell`` of the next state
+    wherever the state before it is ``target``."""
+    local_rule = ca._local_rule
+
+    def patched(rule, nbhd):
+        local = local_rule(rule, nbhd)
+
+        def step(s):
+            new = local(s)
+            if s == target:
+                new[cell] ^= 1
+            return new
+
+        return step
+
+    monkeypatch.setattr(ca, "_local_rule", patched)
+
+
+def full_bijection_pass(exp):
+    return ca.first_mismatches({"bijection": (
+        ca.iter_sync_states(exp.rule, exp.spec, exp.s0, exp.k_max),
+        ca.event_states(exp.rule, exp.spec, exp.s0, exp.k_max),
+    )})["bijection"]
+
+
+def orbit_experiment(rule, spec, s0, k_max):
+    return cli.Experiment("int", spec, None, rule, s0, None, k_max, Path("out"), None)
+
+
+def test_bounded_bijection_pass_finds_a_late_fault(monkeypatch):
+    # ca stops the check at cycle entry + period of the orbit.  A local
+    # rule that goes wrong only on the orbit's last new state first shows
+    # at that very cycle: the bounded and the full pass both report it.
+    spec, rule = network.regular_ring(10, 3), ca.CARule.eca(30)
+    s0 = ca.state_from_string("0110011100")
+    exp = orbit_experiment(rule, spec, s0, 200)
+    orbit = cli.Stages(exp).orbit
+    last = orbit.entry_time + orbit.period
+    assert (orbit.entry_time, orbit.period) == (19, 15)
+    flip_event_state(monkeypatch, orbit.states[-1], 4)
+    bounded = cli.Stages(exp).bijection_mismatch
+    assert bounded == full_bijection_pass(exp)
+    assert (bounded.k, bounded.cell) == (last, 4)
+    # Past k_max the fault is not reached by either pass.
+    exp = exp._replace(k_max=last - 1)
+    assert cli.Stages(exp).bijection_mismatch is None is full_bijection_pass(exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule=st.one_of(st.integers(0, 255).map(ca.CARule.eca), st.just(ca.CARule.parity())),
+    size=st.integers(3, 9),
+    bits=st.integers(0, (1 << 9) - 1),
+    k_max=st.integers(0, 120),
+    flip=st.one_of(st.none(), st.tuples(st.integers(0, 1 << 9), st.integers(0, 8))),
+)
+def test_bounded_and_full_bijection_passes_agree(rule, size, bits, k_max, flip):
+    # With the event rule faithful or flipping one cell on one orbit
+    # state, the pass that stops at entry + period reports the same first
+    # mismatch as the pass over every cycle.
+    spec = network.regular_ring(size, 3)
+    s0 = tuple((bits >> i) & 1 for i in range(size))
+    exp = orbit_experiment(rule, spec, s0, k_max)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if flip is not None:
+            states = cli.Stages(exp).orbit.states
+            flip_event_state(monkeypatch, states[flip[0] % len(states)], flip[1] % size)
+        assert cli.Stages(exp).bijection_mismatch == full_bijection_pass(exp)
+
+
 # -- stg ----------------------------------------------------------------------
 
 

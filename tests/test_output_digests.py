@@ -161,6 +161,73 @@ def test_a_non_integer_eigenvalue_pins_the_fraction_frame(tmp_path, command):
         assert (regime["k_star"], regime["rho"]) == (3, 3)
 
 
+# ca --schedule both formats the hold heights up to the run's recurrence,
+# reads the orbit's states once and stops the bijection check at the
+# orbit's entry + period.  These are the files of the full passes (the
+# same digests are pinned in CI): the 10-cell ring at k_max 2000, and a
+# 6-cell ring with self-loops and quarter-unit timings, whose update
+# times are Fractions and whose rho is 2.
+QUARTER_RHO2 = {
+    "mode": "rational",
+    "network": {
+        "N": 6,
+        "topology": {"arcs": [[1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [6, 6], [1, 2],
+                              [2, 1], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]},
+        "xi": [0.25, 0.5, 0.25, 0.75, 0.25, 0.5],
+        "tau": [[1, 1, 1], [2, 2, 1.25], [3, 3, 0.5], [4, 4, 1], [5, 5, 0.75], [6, 6, 1],
+                [1, 2, 2.75], [2, 1, 3.25], [2, 3, 1], [3, 4, 0.5], [4, 5, 1.25],
+                [5, 6, 0.25], [6, 1, 1.5]],
+    },
+    "rule": "parity",
+    "s0": "100100",
+    "x0": [0, 0.5, 0, 0.25, 1.5, 0],
+    "k_max": 40,
+}
+CA_BOTH_DIGESTS = {
+    "rule150_ring10 k_max 2000": {
+        "async_contours.svg": "c2ccd7c343705ffcf180c6254655ac4d385150fbde0f92111a38059d7c1a411c",
+        "spacetime_async.pgm": "d8753eece01e7447e63ff55fb90402dc71a88d566beeca29ef7fecd09979a18f",
+        "spacetime_async.svg": "8df7ea73f7ac4255546c5b5ac823a151e6e5f0d57541f0d22fd76f54cbe38c4e",
+        "spacetime_async_contours.svg":
+            "60b951055c4e94e6edcbf19ca92e48cfaeeda4b76c223c888e66a7f7d9785fc2",
+        "spacetime_sync.pgm": "64f9a4c4ba52d55758e7c4d9c706c6ffc823342f5119f1fefcee751170946ca8",
+        "spacetime_sync.svg": "b469335c323b1e4f875b4ee6af09b1c6ff2dc329b5a968b5c58ca21d2e1932d7",
+        "sync_orbit.json": "5ad1ed3a94fa89c42c95dbb782caac745e652f14611b27e58a45592d407afa48",
+    },
+    "quarter-unit rho 2": {
+        "async_contours.svg": "ed9e217e98559758782495d599e95ff70debb74299956d947e3783ee29b07f94",
+        "spacetime_async.pgm": "9d4cf765fc89cec712681b5de13d529756f1ceb3579ffdf7239abbbf0f57420c",
+        "spacetime_async.svg": "b989fce1b67dd00070b35ed9ba369d803cd5498ae4e9acb3184e6e8dc8ebaeba",
+        "spacetime_async_contours.svg":
+            "ecda4c6acfefc4b2c2155facc05980355c5c48263ddca6a462ce7dc7f8920119",
+        "spacetime_sync.pgm": "4ee63f5bfaeeb2d60b48e73bce626d53344ba74b7516cd18d0c47ee3bd0e8eb9",
+        "spacetime_sync.svg": "4be4e616c0ac0471a76219f062f27d84c6fc61c43008ee9964f324a08444d1c0",
+        "sync_orbit.json": "f9fc77547803eb208ea3fd4a59fdd0ac96c2a70ebf5700fe5022c884445e94af",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CA_BOTH_DIGESTS))
+def test_ca_both_on_a_recurring_run_pins_every_file(tmp_path, case):
+    if case == "quarter-unit rho 2":
+        body = QUARTER_RHO2
+    else:
+        body = json.loads((ROOT / "configs" / "rule150_ring10.json").read_text())
+        body = {**body, "k_max": 2000}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body), encoding="utf-8")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["ca", "--schedule", "both", "--config", str(config), "--out", str(out)])
+    assert code == 0
+    assert tree_digests(out) == CA_BOTH_DIGESTS[case]
+    if case == "quarter-unit rho 2":
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")])
+        regime = json.loads((tmp_path / "sim" / "regime.json").read_text())
+        assert regime["rho"] == 2 and regime["lambda"] == {"num": 27, "den": 8}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {case: run_case(case, Path(tmp) / str(n)) for n, case in enumerate(CASES)}

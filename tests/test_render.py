@@ -8,10 +8,13 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     async_pixmap_grid,
     contour_plot_vertices,
+    fmt_coordinate,
     spacetime_async_vertices,
     spacetime_sync_cells,
     stg_dot_longhand,
@@ -54,7 +57,7 @@ from tropical_ca.render import (
 )
 from tropical_ca.semiring import unit_vector
 from tropical_ca.spectral import analyze
-from tropical_ca.trajectory import iterate
+from tropical_ca.trajectory import Trajectory, iterate
 
 RULE150 = CARule.eca(150)
 PARITY = CARule.parity()
@@ -232,10 +235,11 @@ def assert_same_text(got, want, label):
         assert g == w, f"{label}, line {r}"
 
 
-def random_timed_run(rng, kind, k_max=None):
+def random_timed_run(rng, kind, k_max=None, shrink=1):
     """A ring run with int or rational timings and a random x0, so
     that cells start and stop at different times; k_max is drawn from
-    0..12 unless given."""
+    0..12 unless given.  Timings divided by ``shrink`` > 1 give hold
+    intervals shorter than a time unit."""
     size = rng.randint(3, 9)
     spec = regular_ring(size, 3)
     if kind == "int":
@@ -248,6 +252,11 @@ def random_timed_run(rng, kind, k_max=None):
         [draw(1, 8) for _ in range(size)],
         {(i, j): draw(0, 4) for i in range(size) for j in spec.predecessors(i)},
     )
+    if shrink != 1:
+        params = TimingParameters.create(
+            [Fraction(x, shrink) for x in params.xi],
+            {arc: Fraction(t, shrink) for arc, t in params.tau.items()},
+        )
     s0 = tuple(rng.randint(0, 1) for _ in range(size))
     x0 = tuple(draw(0, 30) for _ in range(size))
     rule = rng.choice([RULE150, PARITY])
@@ -362,6 +371,55 @@ def test_svg_emitters_match_per_vertex_oracles_random():
             spacetime_sync_cells(run.states, ps, __version__),
             f"{label} spacetime_sync",
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 32),
+    kind=st.sampled_from(["int", "rational"]),
+    k_max=st.integers(0, 48),
+    shrink=st.sampled_from([1, 5]),
+)
+def test_joined_svgs_and_recurrence_cut_heights_match_oracles(seed, kind, k_max, shrink):
+    # The SVG lines are joined from reused parts, and the heights of a run
+    # that recurs are formatted up to the recurrence and repeated.  Both
+    # equal the per-vertex oracles, for the trajectory of iterate and for
+    # the same states hand-built with no recurrence.  Shrunk timings at
+    # one row per time unit give the raster rowless hold intervals.
+    rng = random.Random(seed)
+    run = random_timed_run(rng, kind, k_max, shrink)
+    ps = random_plotspec(rng, seed)
+    if shrink != 1:
+        ps = ps._replace(time_scale=1)
+    traj = run.trajectory
+    if traj.recurrence is not None:
+        m, d = traj.recurrence
+        assert 0 <= m and 1 <= d and m + d <= k_max
+        for j in range(m, k_max + 1 - d):
+            c = traj.states[j + d][0] - traj.states[j][0]
+            assert traj.states[j + d] == tuple(v + c for v in traj.states[j])
+    hand = run._replace(trajectory=Trajectory(traj.matrix, traj.states))
+    assert hand.trajectory.recurrence is None
+    n = traj.size
+    for r in (run, hand):
+        plots = AsyncPlots(r.trajectory, ps)
+        assert plots.heights == [
+            [fmt_coordinate((b - a) * ps.time_scale) for a, b, _bit in r.hold_intervals(i)]
+            for i in range(n)
+        ]
+        files = [
+            ("contours", plots.contour_chunks(r.states),
+             contour_plot_vertices(r.trajectory, ps, __version__, r.states)),
+            *(
+                (stage, plots.spacetime_chunks(stage, r.states),
+                 spacetime_async_vertices(r, ps, __version__, stage))
+                for stage in ("plain", "contours")
+            ),
+        ]
+        for label, chunks, oracle in files:
+            assert_same_text("".join(chunks), oracle, label)
+        raster = b"".join(plots.raster_chunks(r.states)).decode()
+        assert_same_text(raster, async_pixmap_grid(r, ps, __version__), "raster")
 
 
 def test_shared_layout_chunks_equal_the_public_renderers():

@@ -140,10 +140,20 @@ def test_iterate_fast_forward_equals_stepping(case):
     # every one.  Both give the same states with the same entry types.
     grid, x0, k_max = case
     P = MaxPlusMatrix(grid)
-    got = iterate(P, x0, k_max).states
+    traj = iterate(P, x0, k_max)
+    got = traj.states
     want = tuple(iter_states(P, x0, k_max))
     assert got == want
     assert [list(map(type, x)) for x in got] == [list(map(type, x)) for x in want]
+    # The recurrence it records, (m, d): states[j + d] = c ⊗ states[j]
+    # for every j >= m and one scalar c.
+    if traj.recurrence is not None:
+        m, d = traj.recurrence
+        assert m >= 0 and d >= 1 and m + d <= k_max
+        finite = [i for i, v in enumerate(got[m]) if v != EPS]
+        c = got[m + d][finite[0]] - got[m][finite[0]] if finite else 0
+        for j in range(m, k_max + 1 - d):
+            assert got[j + d] == tuple(v + c for v in got[j])
 
 
 def test_iterate_stops_stepping_once_the_run_recurs(monkeypatch):
@@ -166,6 +176,8 @@ def test_iterate_stops_stepping_once_the_run_recurs(monkeypatch):
         steps.clear()
         traj = iterate(P, x0, 3000)
         assert 0 < len(steps) <= bound < 3000
+        assert sum(traj.recurrence) == len(steps)
+        assert iterate(P, x0, len(steps) - 1).recurrence is None
         assert traj.states == tuple(iter_states(P, x0, 3000))
         assert report.rho == (3 if P is three else 1)
 
