@@ -29,8 +29,6 @@ from .semiring import (
     MaxPlusMatrix,
     canonical,
     is_eps,
-    oplus,
-    otimes,
     unit_vector,
 )
 from .spectral import (
@@ -98,13 +96,11 @@ from .render import (
     PlotSpec,
     build_event_dag,
     contour_plot,
-    contour_plot_chunks,
     critical_graph_dot,
     event_dag_dot,
     pixmap_parse,
     spacetime_async,
     spacetime_async_pixmap,
-    spacetime_async_pixmap_chunks,
     spacetime_sync,
     spacetime_sync_chunks,
     spacetime_sync_pixmap,

@@ -62,7 +62,13 @@ from itertools import islice, product
 from operator import lt, or_
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import CapExceededError, NetworkError, RuleError, StateUndefinedError
+from .errors import (
+    CapExceededError,
+    DimensionError,
+    NetworkError,
+    RuleError,
+    StateUndefinedError,
+)
 from .network import NetworkSpec, TimingParameters, build_p, validate_timing
 from .semiring import Scalar, format_scalar
 from .trajectory import Trajectory, iterate
@@ -497,10 +503,11 @@ class AsyncRun(_AsyncRunFields):
 
     trajectory.states[k] are the k-th update times x(k); states[k] is the
     configuration computed at that contour.  Cell i holds states[k][i] in
-    memory over [x_i(k), x_i(k+1)), so construction checks that every
-    cell's update times strictly increase, and that the rule fits the
-    network.  Where the trajectory recurs, states[j + d] = c ⊗ states[j]
-    for j >= m, the check reads states[:m + d + 1] only: a later step
+    memory over [x_i(k), x_i(k+1)), so construction checks that there
+    are k_max + 1 states of N cells each, that every cell's update times
+    strictly increase, and that the rule fits the network.  Where the
+    trajectory recurs, states[j + d] = c ⊗ states[j] for j >= m, the
+    increase check reads states[:m + d + 1] only: a later step
     x_i(j + 1) - x_i(j) equals the step d cycles before it.
     """
 
@@ -511,6 +518,12 @@ class AsyncRun(_AsyncRunFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _check_rule_fits(self.rule, self.spec)
+        n, k_max = self.spec.size, self.trajectory.k_max
+        if len(self.states) != k_max + 1 or any(len(s) != n for s in self.states):
+            raise DimensionError(
+                f"an async run needs k_max + 1 = {k_max + 1} states of "
+                f"{n} cells each"
+            )
         states = self.trajectory.states
         if self.trajectory.recurrence is not None:
             m, d = self.trajectory.recurrence

@@ -93,6 +93,8 @@ def _parse_network(block, mode, seed_override, base_dir: Path):
     if not isinstance(block, dict):
         raise ConfigError("network: must be an object")
     if "file" in block:
+        if not isinstance(block["file"], str):
+            raise ConfigError("network.file: must be a path string")
         path = Path(block["file"])
         if not path.is_absolute():
             path = base_dir / path
@@ -102,6 +104,10 @@ def _parse_network(block, mode, seed_override, base_dir: Path):
             return (*net_mod.load_network(path, mode), None)
         except FileNotFoundError:
             raise ConfigError(f"network.file: {path} does not exist") from None
+        except OSError as exc:
+            raise ConfigError(
+                f"network.file: cannot read {path}: {exc.strerror}"
+            ) from None
 
     has_explicit = "xi" in block or "tau" in block or "tau_matrix" in block
     has_generator = "seed" in block or seed_override is not None
@@ -131,6 +137,10 @@ def load_experiment(args) -> Experiment:
             raw = load_json(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read config file {path}: {exc.strerror}"
+        ) from None
     except ValueError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -223,7 +233,12 @@ def _write_chunks(out_dir: Path, files: dict, shared=()) -> None:
     then the file's own.  Each text chunk is encoded once, however many
     files take it.  A chunk iterator that raises leaves none of the files
     behind."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"out: cannot make the directory {out_dir}: {exc.strerror}"
+        ) from None
     paths = [out_dir / name for name in files]
     handles = []
     try:

@@ -29,7 +29,6 @@ from .semiring import (
     Scalar,
     exact,
     is_eps,
-    is_finite,
     load_json,
     scalar_from_json,
     scalar_to_json,
@@ -140,7 +139,7 @@ def validate_timing(spec: NetworkSpec, params: TimingParameters) -> None:
             f"xi has {len(params.xi)} entries for {spec.size} cells"
         )
     for idx, x in enumerate(params.xi):
-        if is_eps(x) or not is_finite(x) or x <= 0:
+        if is_eps(x) or x <= 0:
             raise NetworkError(f"xi[{idx + 1}] must be finite and positive, got {x!r}")
     arc_keys = {(i, j) for (j, i) in spec.arcs}
     tau = params.tau
@@ -310,9 +309,10 @@ def network_from_json_dict(obj: dict, mode: str = "int"):
 
     tau = {}
     if tau_matrix is not None:
+        weights = [dict(row) for row in tau_matrix.finite_rows()]
         for (j, i) in spec.arcs:
-            v = tau_matrix[i, j]
-            if is_eps(v):
+            v = weights[i].get(j)
+            if v is None:
                 raise NetworkError(
                     f"tau_matrix has eps on declared arc {j + 1} -> {i + 1}"
                 )

@@ -266,13 +266,6 @@ class AsyncPlots:
         )
         return chain(_line_blocks(header, len(header)), body, ["</svg>\n"])
 
-    def spacetime_chunks(self, stage: str, states) -> Iterator[str]:
-        """The text of :func:`spacetime_async` in blocks of whole lines."""
-        if stage not in ("plain", "contours"):
-            raise DimensionError(f"unknown stage {stage!r}")
-        shared, tails = self.spacetime_pair_chunks(states)
-        return chain(shared, tails[stage == "contours"])
-
     def spacetime_pair_chunks(self, states) -> tuple:
         """Both stages of :func:`spacetime_async` as (shared, (plain,
         contours)), each a chunk iterator of whole lines.  Both files
@@ -384,12 +377,7 @@ def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
     downward.  With CA states given (0/1 per cell), each vertex carries a
     state marker.  A single-cell system degenerates to a column of
     markers."""
-    return "".join(contour_plot_chunks(traj, ps, states))
-
-
-def contour_plot_chunks(traj: Trajectory, ps: PlotSpec, states=None) -> Iterator[str]:
-    """The text of :func:`contour_plot` in blocks of whole lines."""
-    return AsyncPlots(traj, ps).contour_chunks(states)
+    return "".join(AsyncPlots(traj, ps).contour_chunks(states))
 
 
 def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
@@ -399,7 +387,10 @@ def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
     stage "contours": hold intervals with the update contours overlaid.
     Any other stage raises DimensionError.
     """
-    return "".join(AsyncPlots(run.trajectory, ps).spacetime_chunks(stage, run.states))
+    if stage not in ("plain", "contours"):
+        raise DimensionError(f"unknown stage {stage!r}")
+    shared, tails = AsyncPlots(run.trajectory, ps).spacetime_pair_chunks(run.states)
+    return "".join(chain(shared, tails[stage == "contours"]))
 
 
 def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
@@ -409,13 +400,7 @@ def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
     hold at time t0 + r / time_scale?  Rows outside a cell's computed
     window stay at the background gray.
     """
-    return b"".join(spacetime_async_pixmap_chunks(run, ps)).decode()
-
-
-def spacetime_async_pixmap_chunks(run: AsyncRun, ps: PlotSpec) -> Iterator[bytes]:
-    """The bytes of :func:`spacetime_async_pixmap` as chunks of whole
-    lines, header first, so that a writer never holds the whole text."""
-    return AsyncPlots(run.trajectory, ps).raster_chunks(run.states)
+    return b"".join(AsyncPlots(run.trajectory, ps).raster_chunks(run.states)).decode()
 
 
 def _pgm_header(ps: PlotSpec, width: int, height: int) -> bytes:

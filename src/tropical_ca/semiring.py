@@ -3,10 +3,11 @@
 Scalars live in ``R ∪ {EPS}`` where ``EPS`` stands for minus infinity.  The
 two semiring operations are
 
-* ``oplus(a, b)``  = max(a, b)      with identity ``EPS``
-* ``otimes(a, b)`` = a + b          with identity ``E`` (the number 0)
+* a ⊕ b = max(a, b)      with identity ``EPS``
+* a ⊗ b = a + b          with identity ``E`` (the number 0)
 
-``EPS`` absorbs under ``otimes`` and is neutral under ``oplus``.  Finite
+``EPS`` absorbs under ⊗ and is neutral under ⊕; both live in
+:func:`step_arcs`, where None stands for ``EPS``.  Finite
 scalars are Python ``int`` (integer mode) or ``fractions.Fraction``
 (rational mode), so arithmetic is exact: no rounding ever occurs, and
 Python integers cannot overflow.  Scalars enter the library through
@@ -14,26 +15,23 @@ Python integers cannot overflow.  Scalars enter the library through
 :class:`~tropical_ca.errors.ScalarError`.  JSON decimals such as ``0.1``
 are read exactly, as the Fraction 1/10, in rational mode.
 
-Matrices are immutable and stored as their arcs: per row i, the pairs
-``(j, A[i, j])`` of its finite entries, ascending in j
+Matrices are immutable and stored as their arcs alone: per row i, the
+pairs ``(j, A[i, j])`` of its finite entries, ascending in j
 (``A.finite_rows()``).  ``MaxPlusMatrix.from_arcs`` builds one from those
-lists and the constructor from a dense grid; ``A.entries`` is the dense
-n² view, built on first use.  :func:`step_arcs` is the one max-plus
-stepping loop: ``A.apply(x)``, ``A @ B`` (column by column) and the
-trajectory layer's int runs all go through it, so a step costs O(arcs).
+lists and the constructor from a dense grid; no dense view is kept.
+:func:`step_arcs` is the one max-plus stepping loop: ``A.apply(x)``,
+``A @ B`` (column by column), the trajectory layer's int runs, the
+positive-circuit test and the Kleene star ``A.star()`` (one longest-path
+search per column) all go through it, so a step costs O(arcs).
 :class:`IntFrame` is the one place where arcs, an eigenvalue and vectors
 become exact ints: the normalized frame of (-lambda) ⊗ A that the
 spectral and trajectory layers step and compare in.
-``A + B`` is the entry-wise max and ``A.star()`` the Kleene star
-``E ⊕ A ⊕ A² ⊕ …`` truncated exactly at length n-1 (valid because the star
-only exists when no circuit has positive weight).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from operator import itemgetter
@@ -76,40 +74,6 @@ def exact(x: Scalar) -> Scalar:
     if kind is float and x != EPS:
         raise ScalarError(f"{x!r} is a float; give an int or a Fraction")
     return x
-
-
-def is_finite(x: Scalar) -> bool:
-    return not is_eps(x)
-
-
-def oplus(a: Scalar, b: Scalar) -> Scalar:
-    """Semiring addition: max(a, b)."""
-    if is_eps(a):
-        return b
-    if is_eps(b):
-        return a
-    return a if a >= b else b
-
-
-def otimes(a: Scalar, b: Scalar) -> Scalar:
-    """Semiring multiplication: a + b, with EPS absorbing."""
-    if is_eps(a) or is_eps(b):
-        return EPS
-    return canonical(a + b)
-
-
-def oplus_all(values: Iterable[Scalar]) -> Scalar:
-    acc = EPS
-    for v in values:
-        acc = oplus(acc, v)
-    return acc
-
-
-def neg(x: Scalar) -> Scalar:
-    """Additive inverse of a finite scalar (the otimes-inverse)."""
-    if is_eps(x):
-        raise ScalarError("epsilon has no otimes inverse")
-    return canonical(-x)
 
 
 def step_arcs(arcs: Sequence[Sequence[tuple]], y: Sequence) -> tuple:
@@ -195,7 +159,7 @@ class MaxPlusMatrix:
     per row i, the ``(j, A[i, j])`` pairs with a finite entry, ascending
     in j."""
 
-    __slots__ = ("rows", "cols", "_arcs", "_entries")
+    __slots__ = ("rows", "cols", "_arcs")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
         """The matrix of a dense grid of rows, EPS marking no arc."""
@@ -217,7 +181,6 @@ class MaxPlusMatrix:
         object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "rows", len(arcs))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MaxPlusMatrix is immutable")
@@ -254,45 +217,7 @@ class MaxPlusMatrix:
         matrix._init(tuple(arcs), cols)
         return matrix
 
-    @classmethod
-    def identity(cls, n: int) -> "MaxPlusMatrix":
-        """E(n, n): E on the diagonal, EPS elsewhere."""
-        return cls.diagonal((E,) * n)
-
-    @classmethod
-    def epsilons(cls, rows: int, cols: int) -> "MaxPlusMatrix":
-        return cls.from_arcs([()] * rows, cols)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Scalar]) -> "MaxPlusMatrix":
-        return cls.from_arcs([[(i, v)] for i, v in enumerate(values)])
-
     # -- basic protocol ----------------------------------------------------
-
-    def __getitem__(self, key):
-        i, j = key
-        row = self._arcs[i]
-        j = range(self.cols)[j]
-        k = bisect_left(row, (j,))
-        return row[k][1] if k < len(row) and row[k][0] == j else EPS
-
-    def row(self, i: int) -> tuple:
-        out = [EPS] * self.cols
-        for j, w in self._arcs[i]:
-            out[j] = w
-        return tuple(out)
-
-    def column(self, j: int) -> tuple:
-        return tuple(self[i, j] for i in range(self.rows))
-
-    @property
-    def entries(self) -> tuple:
-        """The dense n x m grid of rows, built on first use."""
-        grid = self._entries
-        if grid is None:
-            grid = tuple(map(self.row, range(self.rows)))
-            object.__setattr__(self, "_entries", grid)
-        return grid
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -307,28 +232,12 @@ class MaxPlusMatrix:
 
     def __repr__(self):
         body = "; ".join(
-            " ".join("eps" if is_eps(v) else str(v) for v in self.row(i))
-            for i in range(self.rows)
+            " ".join(f"{j}:{format_scalar(w)}" for j, w in row) or "-"
+            for row in self._arcs
         )
         return f"MaxPlusMatrix({self.rows}x{self.cols}: {body})"
 
     # -- semiring operations -----------------------------------------------
-
-    def __add__(self, other: "MaxPlusMatrix") -> "MaxPlusMatrix":
-        """Entry-wise oplus (max)."""
-        if not isinstance(other, MaxPlusMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        rows = []
-        for ra, rb in zip(self._arcs, other._arcs):
-            merged = dict(ra)
-            for j, w in rb:
-                merged[j] = oplus(merged.get(j, EPS), w)
-            rows.append(merged.items())
-        return MaxPlusMatrix.from_arcs(rows, self.cols)
 
     def __matmul__(self, other):
         """Max-plus product with a matrix, or application to a vector.
@@ -365,29 +274,34 @@ class MaxPlusMatrix:
         out = step_arcs(self._arcs, [None if v == EPS else v for v in vec])
         return tuple([EPS if v is None else canonical(v) for v in out])
 
-    def scale(self, alpha: Scalar) -> "MaxPlusMatrix":
-        """Scalar product alpha ⊗ A: alpha added to every finite entry."""
-        return MaxPlusMatrix.from_arcs(
-            [[(j, otimes(alpha, w)) for j, w in row] for row in self._arcs],
-            self.cols,
-        )
+    def _settle(self, z: list, rounds: int) -> tuple:
+        """(z, settled): z <- z ⊕ (A ⊗ z) by :func:`step_arcs`, None for
+        EPS, until a round changes nothing (settled) or ``rounds`` rounds
+        have run.  After k rounds z_i is the greatest z_j plus the weight
+        of a walk of at most k arcs from j to i."""
+        for _ in range(rounds):
+            y = [
+                v if w is None or (v is not None and v >= w) else w
+                for v, w in zip(z, step_arcs(self._arcs, z))
+            ]
+            if y == z:
+                return z, True
+            z = y
+        return z, False
 
     def has_positive_circuit(self) -> bool:
         """True when some circuit of the precedence graph has weight > 0.
 
-        A positive circuit exists iff some diagonal entry of A^⊗k is
-        positive for some k in 1..n (an elementary positive circuit has
-        length at most n, and any positive closed walk contains a positive
-        elementary circuit).
+        From z = 0, at most n rounds of z <- z ⊕ (A ⊗ z) (Bellman-Ford).
+        Without a positive circuit a walk weighs at most some path with
+        the same ends, and a path has at most n - 1 arcs, so round n
+        changes nothing.  Conversely a settled z has z_i >= w + z_j on
+        every arc j -> i, and summing that round a circuit gives its
+        weight <= 0: z settles within n rounds iff no circuit is positive.
         """
         if not self.is_square():
             raise DimensionError("circuit test on a non-square matrix")
-        term = self
-        for _ in range(self.rows):
-            if any(is_finite(term[i, i]) and term[i, i] > 0 for i in range(self.rows)):
-                return True
-            term = term @ self
-        return False
+        return not self._settle([E] * self.rows, self.rows)[1]
 
     def star(self) -> "MaxPlusMatrix":
         """Kleene star A* = ⊕_{k>=0} A^⊗k.
@@ -396,6 +310,9 @@ class MaxPlusMatrix:
         sum over k = 0..n-1: any walk longer than n-1 arcs repeats a node,
         and removing the enclosed (non-positive) circuit never decreases
         the walk weight.  The precondition is verified, not assumed.
+        Column j is then a longest-path search from node j: at most n - 1
+        rounds of z <- z ⊕ (A ⊗ z) from the unit vector e_j, stopped
+        once settled.
         """
         if not self.is_square():
             raise DimensionError("star of a non-square matrix")
@@ -403,23 +320,17 @@ class MaxPlusMatrix:
             raise KleeneStarDivergenceError(
                 "Kleene star diverges: the graph has a positive-weight circuit"
             )
-        result = MaxPlusMatrix.identity(self.rows)
-        term = MaxPlusMatrix.identity(self.rows)
-        for _ in range(self.rows - 1):
-            term = term @ self
-            result = result + term
-        return result
+        n = self.rows
+        rows = [[] for _ in range(n)]
+        for j in range(n):
+            z = [None] * n
+            z[j] = E
+            for i, v in enumerate(self._settle(z, n - 1)[0]):
+                if v is not None:
+                    rows[i].append((j, v))
+        return MaxPlusMatrix.from_arcs(rows)
 
     # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        entries = []
-        for row in self._arcs:
-            out = ["eps"] * self.cols
-            for j, w in row:
-                out[j] = scalar_to_json(w)
-            entries.append(out)
-        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, obj: dict, mode: str = "int") -> "MaxPlusMatrix":
@@ -445,7 +356,7 @@ def unit_vector(n: int) -> Vector:
 
 
 def vec_is_finite(v: Sequence[Scalar]) -> bool:
-    return all(is_finite(x) for x in v)
+    return EPS not in v
 
 
 # -- JSON scalar codec -------------------------------------------------------

@@ -3,10 +3,10 @@
 Everything here is deliberately naive: direct loops, exhaustive
 enumeration, Fraction arithmetic on plain list-of-list grids with
 float("-inf") marking absent arcs.  Nothing imports from tropical_ca, so
-agreement between the two code bases is evidence, not circularity.  The
-dense references over the library's own matrices (powers, A+, the onset of
-the power sequence, eigenspace membership) call only the operations of the
-MaxPlusMatrix they are given.
+agreement between the two code bases is evidence, not circularity.  A
+library matrix enters only through :func:`dense` and :func:`is_irreducible`,
+which read its arcs (``finite_rows()``) and nothing else; powers, stars and
+the onset of the power sequence are computed on the grids.
 """
 
 import math
@@ -43,6 +43,29 @@ def grid_power(a, k):
     for _ in range(k):
         out = grid_mul(out, a)
     return out
+
+
+def grid_oplus(a, b):
+    """Entry-wise max of two grids of equal shape."""
+    return [list(map(max, r, s)) for r, s in zip(a, b, strict=True)]
+
+
+def grid_star(a):
+    """Kleene star E ⊕ A ⊕ ... ⊕ A^(n-1), by its powers.  It equals the
+    infinite sum only when no circuit has positive weight."""
+    out = grid_identity(len(a))
+    for k in range(1, len(a)):
+        out = grid_oplus(out, grid_power(a, k))
+    return out
+
+
+def dense(a):
+    """The grid of a MaxPlusMatrix, read from its arcs alone."""
+    grid = [[NEG_INF] * a.cols for _ in range(a.rows)]
+    for i, row in enumerate(a.finite_rows()):
+        for j, w in row:
+            grid[i][j] = w
+    return grid
 
 
 def grid_apply(a, vec):
@@ -220,51 +243,38 @@ def scc_partition(n, arc_pairs):
     return comps
 
 
-# -- dense references over tropical_ca's matrices ------------------------------
+# -- references over tropical_ca's matrices and on grids ------------------------
 
 
 def is_irreducible(a):
     """True when the precedence graph of a square MaxPlusMatrix is strongly
     connected.  A single node is one component with or without a
     self-loop."""
-    arcs = [(j, i) for i, row in enumerate(a.entries)
-            for j, w in enumerate(row) if w != NEG_INF]
+    arcs = [(j, i) for i, row in enumerate(a.finite_rows()) for j, _w in row]
     return len(scc_partition(a.rows, arcs)) == 1
 
 
-def mat_power(a, k):
-    """k-fold max-plus power of a square MaxPlusMatrix, A^0 = identity, by
-    repeated squaring."""
-    result = type(a).identity(a.rows)
-    base = a
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
-
-
 def mat_plus(a):
-    """A+ = A (x) A*: best strictly positive-length walk weights."""
-    return a @ a.star()
+    """A+ = A (x) A* of a grid: best strictly positive-length walk
+    weights, where no circuit is positive."""
+    return grid_mul(a, grid_star(a))
 
 
 def matrix_power_onset(a, summary, k_cap=None):
-    """Smallest k with A^(k+sigma) = (lambda*sigma) (x) A^k, sigma and lambda
-    from the spectral summary of A.  Once the equality holds at k it holds
-    for every larger exponent (multiply both sides by A), so the first hit
-    is the onset.  The search stops at 10 n^2 steps by default."""
+    """Smallest k with A^(k+sigma) = (lambda*sigma) (x) A^k for a grid a,
+    sigma and lambda from its spectral summary.  Once the equality holds
+    at k it holds for every larger exponent (multiply both sides by A), so
+    the first hit is the onset.  The search stops at 10 n^2 steps by
+    default."""
     shift = summary.eigenvalue * summary.sigma
-    n = a.rows
+    n = len(a)
     cap = 10 * n * n if k_cap is None else k_cap
-    a_sigma = mat_power(a, summary.sigma)
-    current = type(a).identity(n)
+    a_sigma = grid_power(a, summary.sigma)
+    current = grid_identity(n)
     for k in range(cap + 1):
-        if current @ a_sigma == current.scale(shift):
+        if grid_mul(current, a_sigma) == [[v + shift for v in row] for row in current]:
             return k
-        current = current @ a
+        current = grid_mul(current, a)
     raise AssertionError(f"power sequence not periodic within {cap} steps")
 
 

@@ -32,6 +32,7 @@ from tropical_ca.ca import (
 )
 from tropical_ca.errors import (
     CapExceededError,
+    DimensionError,
     NetworkError,
     RuleError,
     StateUndefinedError,
@@ -649,6 +650,25 @@ def test_async_check_reads_the_whole_run_without_a_recurrence():
     hand = traj._replace(states=tuple(states), recurrence=None)
     with pytest.raises(NetworkError, match=f"cell 1 are not strictly increasing at cycle {half}"):
         ca.AsyncRun(RULE150, spec, params, hand, sync_states(RULE150, spec, s0, k_max))
+
+
+def test_async_run_needs_one_state_of_n_cells_per_cycle():
+    # Too few states used to build, and hold_intervals and state_at then
+    # failed with a bare IndexError; states of the wrong width built too.
+    spec, params = seeded_ring(10, 42)
+    k_max = 6
+    traj = iterate(build_p(spec, params), unit_vector(10), k_max)
+    states = sync_states(RULE150, spec, state_from_string("0000100000"), k_max)
+    for bad in (
+        states[:3],
+        states + states[-1:],
+        (*states[:-1], states[-1][:9]),
+        (*states[:2], states[2] + (0,), *states[3:]),
+    ):
+        with pytest.raises(DimensionError, match="7 states of 10 cells each"):
+            ca.AsyncRun(RULE150, spec, params, traj, bad)
+    run = ca.AsyncRun(RULE150, spec, params, traj, states)
+    assert len(run.hold_intervals(9)) == k_max
 
 
 def test_hold_intervals_tile_time():

@@ -400,12 +400,13 @@ def test_verify_analyzes_once(tmp_path, capsys, monkeypatch):
     ids=lambda argv: argv[0],
 )
 def test_no_command_builds_the_dense_grid(tmp_path, capsys, monkeypatch, argv):
-    """P is read through its arcs only: its n x n view is never built."""
+    """P is built and read through its arcs only: no command builds a
+    matrix from an n x n grid."""
 
-    def refuse(self):
-        raise AssertionError("the dense n x n view of P was built")
+    def refuse(self, entries):
+        raise AssertionError("a matrix was built from a dense n x n grid")
 
-    monkeypatch.setattr(MaxPlusMatrix, "entries", property(refuse))
+    monkeypatch.setattr(MaxPlusMatrix, "__init__", refuse)
     code, _, _ = run(capsys, argv[0], "--config", RING10, "--out", str(tmp_path),
                      *argv[1:])
     assert code == 0
@@ -616,37 +617,52 @@ TIMED_RING3 = dict(
 
 
 @pytest.mark.parametrize(
-    "argv, net, net_file, fields",
+    "argv, net, net_file, fields, paths",
     [
         (["analyze"], {"file": "net.json"}, dict(TIMED_RING3, topology={"regular": 3}),
-         {}),
-        (["analyze"], dict(TIMED_RING3, xi=5), None, {}),
-        (["analyze"], dict(TIMED_RING3, tau=[5, 6, 7]), None, {}),
-        (["ca", "--schedule", "async"], RING3, None, {}),
-        (["ca", "--schedule", "both"], RING3, None, {}),
+         {}, {}),
+        (["analyze"], dict(TIMED_RING3, xi=5), None, {}, {}),
+        (["analyze"], dict(TIMED_RING3, tau=[5, 6, 7]), None, {}, {}),
+        (["ca", "--schedule", "async"], RING3, None, {}, {}),
+        (["ca", "--schedule", "both"], RING3, None, {}, {}),
         (["simulate", "--mode", "rational"], TIMED_RING3, None,
-         {"x0": [{"num": 1, "den": 0}, 0, 0]}),
+         {"x0": [{"num": 1, "den": 0}, 0, 0]}, {}),
         (["analyze"],
          {"N": 3, "xi": [1, 1, 1], "tau_matrix": {"rows": 3, "cols": 3, "entries": 5}},
-         None, {}),
-        (["simulate"], TIMED_RING3, None, {"out": 5}),
+         None, {}, {}),
+        (["simulate"], TIMED_RING3, None, {"out": 5}, {}),
+        (["analyze"], TIMED_RING3, None, {}, {"config": "a-directory"}),
+        (["analyze"], TIMED_RING3, None, {}, {"out": "a-file"}),
+        (["analyze"], {"file": 5}, None, {}, {}),
+        (["analyze"], {"file": "a-directory"}, None, {}, {}),
     ],
     ids=["regular-not-an-object", "xi-not-a-list", "tau-not-triples",
          "async-without-timings", "both-without-timings", "zero-denominator",
-         "tau-matrix-entries-not-a-list", "out-not-a-string"],
+         "tau-matrix-entries-not-a-list", "out-not-a-string",
+         "config-is-a-directory", "out-is-a-file", "network-file-not-a-string",
+         "network-file-is-a-directory"],
 )
-def test_malformed_config_is_a_config_error(tmp_path, argv, net, net_file, fields):
+def test_malformed_config_is_a_config_error(tmp_path, argv, net, net_file, fields,
+                                            paths):
+    """Exit 2 with one config error line.  ``paths`` may point --config
+    or --out at the directory tmp_path/a-directory or the file
+    tmp_path/a-file instead."""
     if net_file is not None:
         (tmp_path / "net.json").write_text(json.dumps(net_file), encoding="utf-8")
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
     cfg = write_config(
         tmp_path,
         {"network": net, "rule": {"eca": 150}, "s0": "010", "x0": "unit", "k_max": 3,
          **fields},
     )
-    proc = run_module(*argv, "--config", cfg, "--out", str(tmp_path / "out"))
+    config = tmp_path / paths["config"] if "config" in paths else cfg
+    out = tmp_path / paths.get("out", "out")
+    proc = run_module(*argv, "--config", str(config), "--out", str(out))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
+    assert proc.stderr.count("\n") == 1
 
 
 def config_text(body, raw) -> str:
@@ -706,8 +722,10 @@ MALFORMED_SCALARS = st.one_of(
                  "1e-99999999999999999999", "9" * 5000]
             ),
             st.text(max_size=6).filter(lambda t: t != "eps").map(json.dumps),
+            # Each literal's last digit has an exponent e past the cap:
+            # -2.5E+(e + 1) is -25 * 10**e.
             st.integers(1001, 10**20).flatmap(
-                lambda e: st.sampled_from([f"1e{e}", f"1e-{e}", f"-2.5E+{e}"])
+                lambda e: st.sampled_from([f"1e{e}", f"1e-{e}", f"-2.5E+{e + 1}"])
             ),
         ),
     ),

@@ -24,7 +24,7 @@ from tropical_ca.semiring import EPS, MaxPlusMatrix, is_eps, unit_vector
 from tropical_ca.spectral import max_cycle_mean
 from tropical_ca.trajectory import iterate
 
-from oracles import NEG_INF, grid_mul, is_irreducible, transmission_grid
+from oracles import NEG_INF, dense, grid_mul, is_irreducible, transmission_grid
 
 
 # -- topology ----------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_build_p_single_cell():
     spec = regular_ring(1, 1)
     params = TimingParameters.create((4,), {(0, 0): 2})
     P = build_p(spec, params)
-    assert P.entries == ((6,),)
+    assert dense(P) == [[6]]
 
 
 def test_build_p_two_route_consistency():
@@ -83,15 +83,15 @@ def test_build_p_two_route_consistency():
         size = rng.randint(2, 8)
         spec = regular_ring(size, 3) if size >= 3 else regular_ring(size, 1)
         params = random_parameters(spec, rng.randint(0, 999), (1, 30), (1, 10))
-        P = build_p(spec, params)
+        P = dense(build_p(spec, params))
         tau = params.tau
         arcs = set(spec.arcs)
         for i in range(size):
             for j in range(size):
                 if (j, i) in arcs:
-                    assert P[i, j] == params.xi[i] + tau[(i, j)]
+                    assert P[i][j] == params.xi[i] + tau[(i, j)]
                 else:
-                    assert is_eps(P[i, j])
+                    assert is_eps(P[i][j])
 
 
 def test_build_p_equals_diagonal_times_t():
@@ -101,7 +101,7 @@ def test_build_p_equals_diagonal_times_t():
         [x if i == j else NEG_INF for j in range(6)] for i, x in enumerate(params.xi)
     ]
     T = transmission_grid(6, params.tau)
-    assert [list(row) for row in build_p(spec, params).entries] == grid_mul(a_xi, T)
+    assert dense(build_p(spec, params)) == grid_mul(a_xi, T)
 
 
 def test_ring_p_irreducible():
@@ -239,7 +239,7 @@ def test_load_tau_matrix_with_eps():
     spec, params = network_from_json_dict(doc)
     assert spec.arcs == ((0, 0), (0, 1), (1, 1))
     P = build_p(spec, params)
-    assert P.entries == ((3, EPS), (7, 8))
+    assert dense(P) == [[3, EPS], [7, 8]]
 
 
 def test_load_missing_fields():
@@ -300,12 +300,12 @@ def test_ring_strong_connectivity_n3_and_up():
 def test_p_holds_its_arcs_not_a_grid(monkeypatch):
     """build_p and a short run on a 5000-cell 3-ring hold P's 15 000 arcs
     and a few states, well under the 25 M entries of a dense P, and never
-    build the dense view."""
+    build a matrix from a dense grid."""
 
-    def refuse(self):
-        raise AssertionError("the dense n x n view of P was built")
+    def refuse(self, entries):
+        raise AssertionError("a matrix was built from a dense n x n grid")
 
-    monkeypatch.setattr(MaxPlusMatrix, "entries", property(refuse))
+    monkeypatch.setattr(MaxPlusMatrix, "__init__", refuse)
     n = 5000
     spec = regular_ring(n, 3)
     params = random_parameters(spec, 5, (1, 30), (1, 10))
@@ -318,7 +318,8 @@ def test_p_holds_its_arcs_not_a_grid(monkeypatch):
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert sum(map(len, P.finite_rows())) == 3 * n
-    assert P[0, n - 1] == params.xi[0] + params.tau[(0, n - 1)]
+    row = dict(P.finite_rows()[0])
+    assert row[n - 1] == params.xi[0] + params.tau[(0, n - 1)]
     assert traj.states[3][0] == max(
-        traj.states[2][j] + P[0, j] for j in spec.predecessors(0)
+        traj.states[2][j] + row[j] for j in spec.predecessors(0)
     )

@@ -47,7 +47,6 @@ from tropical_ca.render import (
     pixmap_parse,
     spacetime_async,
     spacetime_async_pixmap,
-    spacetime_async_pixmap_chunks,
     spacetime_sync,
     spacetime_sync_chunks,
     spacetime_sync_pixmap,
@@ -322,11 +321,18 @@ def test_async_pixmap_keeps_switches_behind_rowless_intervals():
 def test_async_pixmap_chunks_are_blocks_of_whole_lines():
     run = seeded_run(k_max=30)
     ps = PlotSpec().with_metadata({"seed": 42})
-    chunks = list(spacetime_async_pixmap_chunks(run, ps))
+    chunks = list(AsyncPlots(run.trajectory, ps).raster_chunks(run.states))
     assert len(chunks) > 2 and all(c.endswith(b"\n") for c in chunks)
     assert chunks[0].startswith(b"P2\n# tropical-ca")
     text = b"".join(chunks).decode()
     assert_same_text(text, async_pixmap_grid(run, ps, __version__), "chunks")
+
+
+def spacetime_stage_chunks(plots, stage, states):
+    """One stage's chunks of the space-time SVG pair, as the CLI writes
+    them: the shared header and rects, then that stage's tail."""
+    shared, tails = plots.spacetime_pair_chunks(states)
+    return chain(shared, tails[stage == "contours"])
 
 
 def random_plotspec(rng, case):
@@ -411,7 +417,7 @@ def test_joined_svgs_and_recurrence_cut_heights_match_oracles(seed, kind, k_max,
             ("contours", plots.contour_chunks(r.states),
              contour_plot_vertices(r.trajectory, ps, __version__, r.states)),
             *(
-                (stage, plots.spacetime_chunks(stage, r.states),
+                (stage, spacetime_stage_chunks(plots, stage, r.states),
                  spacetime_async_vertices(r, ps, __version__, stage))
                 for stage in ("plain", "contours")
             ),
@@ -443,7 +449,7 @@ def test_shared_layout_chunks_equal_the_public_renderers():
              contour_plot(run.trajectory, ps, run.states),
              contour_plot_vertices(run.trajectory, ps, __version__, run.states)),
             *(
-                (stage, plots.spacetime_chunks(stage, run.states), spacetime_async(run, ps, stage),
+                (stage, spacetime_stage_chunks(plots, stage, run.states), spacetime_async(run, ps, stage),
                  spacetime_async_vertices(run, ps, __version__, stage))
                 for stage in ("contours", "plain")
             ),

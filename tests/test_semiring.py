@@ -17,10 +17,6 @@ from tropical_ca.semiring import (
     exact,
     format_scalar,
     is_eps,
-    neg,
-    oplus,
-    oplus_all,
-    otimes,
     scalar_from_json,
     scalar_to_json,
     unit_vector,
@@ -29,10 +25,17 @@ from tropical_ca.trajectory import iter_states, iterate
 
 from oracles import (
     NEG_INF,
+    circuit_weight,
+    dense,
+    elementary_circuits,
     grid_apply,
+    grid_arcs,
+    grid_identity,
     grid_mul,
+    grid_oplus,
+    grid_power,
+    grid_star,
     mat_plus,
-    mat_power,
     vec_oplus,
     vec_scale,
 )
@@ -42,29 +45,37 @@ def mat(*rows):
     return MaxPlusMatrix(rows)
 
 
+def identity(n):
+    return MaxPlusMatrix(grid_identity(n))
+
+
+def epsilons(n):
+    """The n x n matrix with no arc."""
+    return MaxPlusMatrix.from_arcs([()] * n)
+
+
 # -- scalars ---------------------------------------------------------------
 
 
+# The scalar operations live in the one kernel: a row (a, b) applied to
+# (0, 0) is a ⊕ b, and a 1 x 1 matrix (a) applied to (b) is a ⊗ b.
+
+
 def test_oplus_examples():
-    assert oplus(3, 5) == 5
-    assert oplus(EPS, 7) == 7
-    assert oplus(7, EPS) == 7
-    assert is_eps(oplus(EPS, EPS))
+    assert mat((3, 5)).apply((0, 0)) == (5,)
+    assert mat((EPS, 7)).apply((0, 0)) == (7,)
+    assert mat((7, EPS)).apply((0, 0)) == (7,)
+    assert is_eps(mat((EPS, EPS)).apply((0, 0))[0])
 
 
 def test_otimes_examples():
-    assert otimes(3, 5) == 8
-    assert is_eps(otimes(EPS, 7))
-    assert is_eps(otimes(7, EPS))
-    assert otimes(E, 9) == 9
+    assert mat((3,)).apply((5,)) == (8,)
+    assert is_eps(mat((EPS,)).apply((7,))[0])
+    assert is_eps(mat((7,)).apply((EPS,))[0])
+    assert mat((E,)).apply((9,)) == (9,)
 
 
 def test_scalar_helpers():
-    assert oplus_all([EPS, 2, 5, 1]) == 5
-    assert is_eps(oplus_all([]))
-    assert neg(3) == -3
-    with pytest.raises(ScalarError):
-        neg(EPS)
     assert canonical(Fraction(6, 2)) == 3 and isinstance(canonical(Fraction(6, 2)), int)
 
 
@@ -95,36 +106,13 @@ def test_matrix_immutable():
         A.rows = 5
 
 
-def test_identity_and_diagonal():
-    assert MaxPlusMatrix.identity(2).entries == ((0, EPS), (EPS, 0))
-    assert MaxPlusMatrix.diagonal((2, 3)).entries == ((2, EPS), (EPS, 3))
-    assert MaxPlusMatrix.epsilons(2, 3).entries == ((EPS,) * 3,) * 2
-
-
-# -- mat_add ------------------------------------------------------------------
-
-
-def test_mat_add_examples():
-    A = mat((1, EPS), (EPS, 2))
-    assert (A + A) == A  # oplus is idempotent
-    B = mat((0, 0), (EPS, EPS))
-    assert (A + B).entries == ((1, 0), (EPS, 2))
-    Z = MaxPlusMatrix.epsilons(2, 2)
-    assert (A + Z) == A
-
-
-def test_mat_add_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        mat((1, 2)) + mat((1, 2), (3, 4))
-
-
 # -- mat_mul ------------------------------------------------------------------
 
 
 def test_mat_mul_identity():
     A = mat((1, EPS), (4, 2))
-    assert MaxPlusMatrix.identity(2) @ A == A
-    assert A @ MaxPlusMatrix.identity(2) == A
+    assert identity(2) @ A == A
+    assert A @ identity(2) == A
 
 
 def test_diagonal_acts_as_shift():
@@ -141,7 +129,7 @@ def test_mat_mul_against_loop_oracle():
         b = [[rng.randint(-9, 9) if rng.random() < 0.7 else NEG_INF for _ in range(4)] for _ in range(4)]
         got = MaxPlusMatrix(a) @ MaxPlusMatrix(b)
         want = grid_mul(a, b)
-        assert [list(r) for r in got.entries] == want
+        assert dense(got) == want
 
 
 def test_mat_mul_dimension_mismatch():
@@ -151,34 +139,37 @@ def test_mat_mul_dimension_mismatch():
         mat((1, 2)).apply((1, 2, 3))
 
 
-# -- powers (by the dense reference in tests/oracles.py) ------------------------
+# -- powers (against the grid reference in tests/oracles.py) --------------------
 
 
 def test_power_examples():
     A = mat((1, EPS), (4, 2))
-    assert mat_power(A, 0) == MaxPlusMatrix.identity(2)
-    assert mat_power(A, 1) == A
-    assert mat_power(A, 5) == ((A @ A) @ (A @ A)) @ A
+    a = dense(A)
+    assert grid_power(a, 0) == grid_identity(2)
+    assert grid_power(a, 1) == a
+    assert dense(((A @ A) @ (A @ A)) @ A) == grid_power(a, 5)
 
 
 def test_no_integer_overflow():
     # Python ints are unbounded, so huge products stay exact.
-    A = mat((10**9,))
-    assert mat_power(A, 100).entries == ((100 * 10**9,),)
+    A = power = mat((10**9,))
+    for _ in range(99):
+        power = power @ A
+    assert dense(power) == [[100 * 10**9]]
 
 
 # -- Kleene star -----------------------------------------------------------------
 
 
 def test_star_of_all_eps_is_identity():
-    assert MaxPlusMatrix.epsilons(3, 3).star() == MaxPlusMatrix.identity(3)
+    assert epsilons(3).star() == identity(3)
 
 
 def test_star_two_node_example():
     # Arcs 1 -> 2 weight -1 and 2 -> 1 weight -2: zero diagonal, the
     # off-diagonal entries are the single-arc path weights.
     A = mat((EPS, -2), (-1, EPS))
-    assert A.star().entries == ((0, -2), (-1, 0))
+    assert dense(A.star()) == [[0, -2], [-1, 0]]
 
 
 def test_star_refuses_positive_circuit():
@@ -189,20 +180,14 @@ def test_star_refuses_positive_circuit():
 
 
 def test_star_of_normalized_matrix_converges():
-    A = mat((EPS, 3), (7, EPS))
-    ahat = A.scale(-5)  # subtract the maximum circuit mean
-    assert ahat.star().entries == ((0, -2), (2, 0))
+    # A = ((eps, 3), (7, eps)) less its maximum circuit mean 5.
+    ahat = mat((EPS, 3 - 5), (7 - 5, EPS))
+    assert dense(ahat.star()) == [[0, -2], [2, 0]]
 
 
 def test_plus_examples():
-    assert mat_plus(MaxPlusMatrix.epsilons(2, 2)) == MaxPlusMatrix.epsilons(2, 2)
-    assert mat_plus(mat((0,))).entries == ((0,),)
-
-
-def test_scale_examples():
-    A = mat((1, EPS))
-    assert A.scale(0) == A
-    assert A.scale(2).entries == ((3, EPS),)
+    assert mat_plus([[NEG_INF] * 2] * 2) == [[NEG_INF] * 2] * 2
+    assert mat_plus([[0]]) == [[0]]
 
 
 # -- algebraic laws (property tests) ----------------------------------------------
@@ -224,13 +209,11 @@ def matrices(n):
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(matrices(n), matrices(n), matrices(n))))
 def test_semiring_laws(abc):
     A, B, C = abc
-    assert A + B == B + A
-    assert (A + B) + C == A + (B + C)
-    assert A + A == A
     assert (A @ B) @ C == A @ (B @ C)
-    assert A @ (B + C) == (A @ B) + (A @ C)
-    E_n = MaxPlusMatrix.identity(A.rows)
-    Z = MaxPlusMatrix.epsilons(A.rows, A.rows)
+    b_plus_c = MaxPlusMatrix(grid_oplus(dense(B), dense(C)))
+    assert dense(A @ b_plus_c) == grid_oplus(dense(A @ B), dense(A @ C))
+    E_n = identity(A.rows)
+    Z = epsilons(A.rows)
     assert E_n @ A == A and A @ E_n == A
     assert Z @ A == Z and A @ Z == Z
 
@@ -242,7 +225,9 @@ def test_semiring_laws(abc):
     st.integers(0, 6),
 )
 def test_power_addition_law(A, j, k):
-    assert mat_power(A, j + k) == mat_power(A, j) @ mat_power(A, k)
+    a = dense(A)
+    product = MaxPlusMatrix(grid_power(a, j)) @ MaxPlusMatrix(grid_power(a, k))
+    assert dense(product) == grid_power(a, j + k)
 
 
 def nonpositive_matrices(n):
@@ -256,8 +241,8 @@ def nonpositive_matrices(n):
 @given(st.integers(2, 6).flatmap(nonpositive_matrices))
 def test_star_fixed_point(A):
     # All entries <= 0, so every circuit weight is <= 0 and A* exists.
-    star = A.star()
-    assert (A @ star) + MaxPlusMatrix.identity(A.rows) == star
+    star = dense(A.star())
+    assert grid_oplus(grid_identity(A.rows), grid_mul(dense(A), star)) == star
 
 
 # -- serialization ------------------------------------------------------------------
@@ -291,15 +276,23 @@ def test_decimal_literals_read_exactly_in_rational_mode():
     assert scalar_from_json(Decimal("-1.25e2"), "rational") == -125
     cap = DECIMAL_CAP
     assert scalar_from_json(Decimal(f"1e-{cap}"), "rational") == Fraction(1, 10**cap)
+    # The cap reads the exponent of the last digit: -2.5E+1001 is -25·10^1000.
+    assert scalar_from_json(Decimal(f"-2.5E+{cap + 1}"), "rational") == -25 * 10**cap
     for bad in (f"1e-{cap + 1}", f"1e{cap + 1}", "1e-1000000000", "1." + "0" * 1000,
                 "NaN", "Infinity"):
         with pytest.raises(ScalarError):
             scalar_from_json(Decimal(bad), "rational")
 
 
+def matrix_literal(A):
+    """The JSON matrix literal of A, written with the scalar codec."""
+    return {"rows": A.rows, "cols": A.cols,
+            "entries": [[scalar_to_json(v) for v in row] for row in dense(A)]}
+
+
 def test_matrix_json_round_trip():
     A = mat((1, EPS), (Fraction(3, 2), 0))
-    again = MaxPlusMatrix.from_json_dict(A.to_json_dict(), "rational")
+    again = MaxPlusMatrix.from_json_dict(matrix_literal(A), "rational")
     assert again == A
     with pytest.raises(DimensionError):
         MaxPlusMatrix.from_json_dict({"rows": 2, "cols": 2, "entries": [[1, 2]]})
@@ -331,9 +324,10 @@ def exact_entries(ints=False):
 
 
 @st.composite
-def grids(draw, ints=False):
-    """A square grid of 1 to 6 rows, about one in four with no arc."""
-    n = draw(st.integers(1, 6))
+def grids(draw, ints=False, max_size=6):
+    """A square grid of 1 to ``max_size`` rows, about one in four with no
+    arc."""
+    n = draw(st.integers(1, max_size))
     return [
         [EPS] * n
         if draw(st.integers(0, 3)) == 0
@@ -358,22 +352,19 @@ def test_arc_store_agrees_with_dense_constructor(grid, rnd):
         row_pairs = list(enumerate(row))  # EPS pairs too: no arc
         rnd.shuffle(row_pairs)
         pairs.append(row_pairs)
-    dense = MaxPlusMatrix(grid)
+    from_grid = MaxPlusMatrix(grid)
     sparse = MaxPlusMatrix.from_arcs(pairs)
-    for A in (dense, sparse):
+    for A in (from_grid, sparse):
         assert (A.rows, A.cols) == (n, n)
         assert A.finite_rows() == tuple(
             tuple((j, v) for j, v in enumerate(row) if v != NEG_INF) for row in want
         )
-        for i in range(n):
-            assert A.row(i) == tuple(want[i])
-            assert A.column(i) == tuple(row[i] for row in want)
-            for j in range(n):
-                assert A[i, j] == want[i][j] and type(A[i, j]) is type(want[i][j])
-        assert A.entries == tuple(map(tuple, want))
-        again = MaxPlusMatrix.from_json_dict(A.to_json_dict(), "rational")
+        view = dense(A)
+        assert view == want
+        assert [list(map(type, row)) for row in view] == [list(map(type, row)) for row in want]
+        again = MaxPlusMatrix.from_json_dict(matrix_literal(A), "rational")
         assert again == A and hash(again) == hash(A)
-    assert dense == sparse and hash(dense) == hash(sparse)
+    assert from_grid == sparse and hash(from_grid) == hash(sparse)
     # One entry changed, or the same arcs in a wider matrix: not equal.
     i, j = rnd.randrange(n), rnd.randrange(n)
     changed = [list(row) for row in want]
@@ -385,9 +376,12 @@ def test_arc_store_agrees_with_dense_constructor(grid, rnd):
 def test_from_arcs_checks_its_columns():
     A = MaxPlusMatrix.from_arcs([[(1, 2), (0, Fraction(4, 2))], [(0, EPS)]])
     assert A == mat((2, 2), (EPS, EPS))
-    assert type(A[0, 0]) is int
+    assert type(A.finite_rows()[0][0][1]) is int
     wide = MaxPlusMatrix.from_arcs([[(2, 5)]], 3)
-    assert (wide.rows, wide.cols) == (1, 3) and wide.row(0) == (EPS, EPS, 5)
+    assert (wide.rows, wide.cols) == (1, 3) and dense(wide) == [[EPS, EPS, 5]]
+    # repr lists each row's arcs as column:weight, "-" for a row with none.
+    halves = MaxPlusMatrix.from_arcs([[(2, 5), (0, Fraction(1, 2))], []], 3)
+    assert repr(halves) == "MaxPlusMatrix(2x3: 0:1/2 2:5; -)"
     for rows, cols in (
         ([[(2, 1)], []], None),  # past the last column
         ([[(-1, 1)]], None),
@@ -400,6 +394,35 @@ def test_from_arcs_checks_its_columns():
             MaxPlusMatrix.from_arcs(rows, cols)
     with pytest.raises(ScalarError):
         MaxPlusMatrix.from_arcs([[(0, 0.5)]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda ints: grids(ints, max_size=7)), st.booleans())
+def test_star_and_circuit_test_match_the_grid_oracles(grid, wide):
+    """has_positive_circuit and star step the arcs; the references here
+    enumerate the elementary circuits and sum the dense powers
+    A^0 ⊕ ... ⊕ A^(n-1), on ints, Fractions and EPS.  A diverging star
+    and a non-square matrix raise with their messages."""
+    n = len(grid)
+    if wide:
+        A = MaxPlusMatrix.from_arcs(MaxPlusMatrix(grid).finite_rows(), n + 1)
+        with pytest.raises(DimensionError, match="circuit test on a non-square matrix"):
+            A.has_positive_circuit()
+        with pytest.raises(DimensionError, match="star of a non-square matrix"):
+            A.star()
+        return
+    A = MaxPlusMatrix(grid)
+    arcs = grid_arcs(grid)
+    positive = any(circuit_weight(c, arcs) > 0 for c in elementary_circuits(n, arcs))
+    assert A.has_positive_circuit() == positive
+    if positive:
+        with pytest.raises(KleeneStarDivergenceError, match="positive-weight circuit"):
+            A.star()
+        return
+    want = [[lowest_terms(v) for v in row] for row in grid_star(grid)]
+    got = dense(A.star())
+    assert got == want
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
 
 
 # -- the one kernel ------------------------------------------------------------------

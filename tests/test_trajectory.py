@@ -205,9 +205,9 @@ def test_normalize_two_route():
     P, summary = ring_system(5, 21)
     traj = iterate(P, (0, 3, 1, 4, 2), 12)
     norm = normalize(traj, summary.eigenvalue)
-    phat = P.scale(-summary.eigenvalue)
+    phat = [[w - summary.eigenvalue for w in row] for row in oracles.dense(P)]
     for k in range(12):
-        assert phat.apply(norm.states[k]) == norm.states[k + 1]
+        assert tuple(oracles.grid_apply(phat, norm.states[k])) == norm.states[k + 1]
 
 
 def test_normalize_uniform_unit():
@@ -298,11 +298,13 @@ def test_contours_are_eigenvectors_of_both_powers():
     for seed in (42, 55):
         P, summary = ring_system(10, seed)
         report = detect_regime(iterate(P, unit_vector(10), 0), summary)
-        p_rho = oracles.mat_power(P, report.rho)
-        p_sigma = oracles.mat_power(P, summary.sigma)
+        p_rho = oracles.grid_power(oracles.dense(P), report.rho)
+        p_sigma = oracles.grid_power(oracles.dense(P), summary.sigma)
         for c in report.contours:
-            assert p_rho.apply(c) == vec_scale(report.rho * summary.eigenvalue, c)
-            assert p_sigma.apply(c) == vec_scale(
+            assert tuple(oracles.grid_apply(p_rho, c)) == vec_scale(
+                report.rho * summary.eigenvalue, c
+            )
+            assert tuple(oracles.grid_apply(p_sigma, c)) == vec_scale(
                 summary.sigma * summary.eigenvalue, c
             )
 
@@ -455,7 +457,7 @@ def test_verify_regime_false_on_reducible():
     # verify_regime takes the summary of P, and a reducible P has none:
     # analyze refuses it before any regime is checked.
     with pytest.raises(ReducibleMatrixError):
-        analyze(MaxPlusMatrix.diagonal((6, 6)))
+        analyze(mat((6, EPS), (EPS, 6)))
 
 
 # -- report serialization and CSV -----------------------------------------------------
