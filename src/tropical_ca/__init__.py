@@ -37,9 +37,6 @@ from .spectral import (
     SpectralSummary,
     analyze,
     build_graph,
-    critical_graph,
-    cyclicity,
-    eigenvectors,
     max_cycle_mean,
     scc_decompose,
 )

@@ -619,7 +619,10 @@ def _local_rule(rule: CARule, nbhd: list):
 
 def _check_fault(spec: NetworkSpec, cell: int | None) -> None:
     if cell is not None and not (0 <= cell < spec.size):
-        raise RuleError(f"no cell {cell!r} to inject the fault into")
+        raise RuleError(
+            f"no cell {cell + 1} to inject the fault into; "
+            f"the cells are 1..{spec.size}"
+        )
 
 
 def _check_senders(nbhd: list) -> None:

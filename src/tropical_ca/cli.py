@@ -232,7 +232,8 @@ def _write_chunks(out_dir: Path, files: dict, shared=()) -> None:
     or of UTF-8 bytes): the ``shared`` chunks, to every file as they come,
     then the file's own.  Each text chunk is encoded once, however many
     files take it.  A chunk iterator that raises leaves none of the files
-    behind."""
+    behind, and so does a file that cannot be opened or written, which is
+    a ConfigError naming it."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -241,19 +242,25 @@ def _write_chunks(out_dir: Path, files: dict, shared=()) -> None:
         ) from None
     paths = [out_dir / name for name in files]
     handles = []
+    at = out_dir  # the file being opened or written
     try:
-        for path in paths:
-            handles.append(open(path, "wb"))
+        for at in paths:
+            handles.append(open(at, "wb"))
         for chunk in map(_encoded, shared):
-            for fh in handles:
+            for at, fh in zip(paths, handles):
                 fh.write(chunk)
-        for fh, chunks in zip(handles, files.values()):
+        for at, fh, chunks in zip(paths, handles, files.values()):
             with fh:
                 fh.writelines(map(_encoded, chunks))
-    except BaseException:
+    except BaseException as exc:
         for fh, path in zip(handles, paths):
-            fh.close()
+            try:
+                fh.close()  # flushes, so a full disk raises here again
+            except OSError:
+                pass
             path.unlink()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"out: cannot write {at}: {exc.strerror}") from None
         raise
 
 

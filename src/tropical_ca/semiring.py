@@ -20,9 +20,11 @@ pairs ``(j, A[i, j])`` of its finite entries, ascending in j
 (``A.finite_rows()``).  ``MaxPlusMatrix.from_arcs`` builds one from those
 lists and the constructor from a dense grid; no dense view is kept.
 :func:`step_arcs` is the one max-plus stepping loop: ``A.apply(x)``,
-``A @ B`` (column by column), the trajectory layer's int runs, the
-positive-circuit test and the Kleene star ``A.star()`` (one longest-path
-search per column) all go through it, so a step costs O(arcs).
+``A @ B`` (column by column) and the trajectory layer's int runs go
+through it, so a step costs O(arcs).  :func:`longest_paths` is the one
+longest-path search, over the arcs turned round by :func:`out_arcs`: the
+positive-circuit test runs it from z = 0, the Kleene star ``A.star()``
+once per column from e_j, and the spectral layer once per eigenvector.
 :class:`IntFrame` is the one place where arcs, an eigenvalue and vectors
 become exact ints: the normalized frame of (-lambda) ⊗ A that the
 spectral and trajectory layers step and compare in.
@@ -93,6 +95,58 @@ def step_arcs(arcs: Sequence[Sequence[tuple]], y: Sequence) -> tuple:
                     best = v
         out.append(best)
     return tuple(out)
+
+
+def out_arcs(rows: Sequence[Sequence[tuple]], cols: int) -> list:
+    """The arcs of ``rows`` turned round: entry j lists ``(i, w)`` for each
+    ``(j, w)`` in ``rows[i]``, ascending in i.  Of the in-arc rows
+    :meth:`MaxPlusMatrix.finite_rows` it gives the out-arc view, and per
+    column j the finite entries of column j."""
+    succ = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, w in row:
+            succ[j].append((i, w))
+    return succ
+
+
+def longest_paths(succ: Sequence[Sequence[tuple]], z: Sequence) -> tuple:
+    """Per node i, the greatest z_j plus the weight of a walk from j to i,
+    with None for EPS, over the out-arc view ``succ`` (:func:`out_arcs`).
+
+    Bellman-Ford in rounds, each relaxing only the arcs out of the nodes
+    improved in the round before.  After round k every value is at least
+    the best over walks of at most k arcs, so without a positive circuit
+    nothing improves after round n - 1: a longer walk repeats a node, and
+    removing the enclosed circuit never lowers its weight.  Round n is the
+    circuit test: an improvement there raises KleeneStarDivergenceError.
+    It finds every positive circuit reachable from a finite z_j, since a
+    settled z has z_i >= z_j + w on each arc j -> i, and summing that
+    round a circuit gives its weight <= 0.
+    """
+    dist = list(z)
+    frontier = [j for j, v in enumerate(dist) if v is not None]
+    for _ in range(len(dist) - 1):
+        improved = {}
+        for j in frontier:
+            dj = dist[j]
+            for i, w in succ[j]:
+                cand = dj + w
+                di = dist[i]
+                if di is None or cand > di:
+                    dist[i] = cand
+                    improved[i] = None
+        if not improved:
+            return tuple(dist)
+        frontier = improved
+    for j in frontier:
+        dj = dist[j]
+        for i, w in succ[j]:
+            di = dist[i]
+            if di is None or dj + w > di:
+                raise KleeneStarDivergenceError(
+                    "Kleene star diverges: the graph has a positive-weight circuit"
+                )
+    return tuple(dist)
 
 
 def _times(v, s: int) -> int:
@@ -248,12 +302,11 @@ class MaxPlusMatrix:
                     f"cannot multiply {self.rows}x{self.cols} by "
                     f"{other.rows}x{other.cols}"
                 )
-            columns = [[None] * other.rows for _ in range(other.cols)]
-            for k, row in enumerate(other._arcs):
-                for j, w in row:
-                    columns[j][k] = w
             rows = [[] for _ in range(self.rows)]
-            for j, col in enumerate(columns):
+            for j, entries in enumerate(out_arcs(other._arcs, other.cols)):
+                col = [None] * other.rows
+                for k, w in entries:
+                    col[k] = w
                 for i, v in enumerate(step_arcs(self._arcs, col)):
                     if v is not None:
                         rows[i].append((j, v))
@@ -274,58 +327,37 @@ class MaxPlusMatrix:
         out = step_arcs(self._arcs, [None if v == EPS else v for v in vec])
         return tuple([EPS if v is None else canonical(v) for v in out])
 
-    def _settle(self, z: list, rounds: int) -> tuple:
-        """(z, settled): z <- z ⊕ (A ⊗ z) by :func:`step_arcs`, None for
-        EPS, until a round changes nothing (settled) or ``rounds`` rounds
-        have run.  After k rounds z_i is the greatest z_j plus the weight
-        of a walk of at most k arcs from j to i."""
-        for _ in range(rounds):
-            y = [
-                v if w is None or (v is not None and v >= w) else w
-                for v, w in zip(z, step_arcs(self._arcs, z))
-            ]
-            if y == z:
-                return z, True
-            z = y
-        return z, False
-
     def has_positive_circuit(self) -> bool:
-        """True when some circuit of the precedence graph has weight > 0.
-
-        From z = 0, at most n rounds of z <- z ⊕ (A ⊗ z) (Bellman-Ford).
-        Without a positive circuit a walk weighs at most some path with
-        the same ends, and a path has at most n - 1 arcs, so round n
-        changes nothing.  Conversely a settled z has z_i >= w + z_j on
-        every arc j -> i, and summing that round a circuit gives its
-        weight <= 0: z settles within n rounds iff no circuit is positive.
-        """
+        """True when some circuit of the precedence graph has weight > 0,
+        that is when :func:`longest_paths` from z = 0 raises: every node
+        starts finite, so the search reaches every circuit."""
         if not self.is_square():
             raise DimensionError("circuit test on a non-square matrix")
-        return not self._settle([E] * self.rows, self.rows)[1]
+        try:
+            longest_paths(out_arcs(self._arcs, self.cols), [E] * self.rows)
+        except KleeneStarDivergenceError:
+            return True
+        return False
 
     def star(self) -> "MaxPlusMatrix":
         """Kleene star A* = ⊕_{k>=0} A^⊗k.
 
-        When every circuit weight is <= 0 the series is exactly the finite
-        sum over k = 0..n-1: any walk longer than n-1 arcs repeats a node,
-        and removing the enclosed (non-positive) circuit never decreases
-        the walk weight.  The precondition is verified, not assumed.
-        Column j is then a longest-path search from node j: at most n - 1
-        rounds of z <- z ⊕ (A ⊗ z) from the unit vector e_j, stopped
-        once settled.
+        Column j is :func:`longest_paths` from the unit vector e_j: when
+        no circuit is positive the series is exactly the finite sum over
+        k = 0..n-1, and the search settles within n - 1 rounds.  A
+        positive circuit through node j is reachable from j, so the search
+        of column j raises KleeneStarDivergenceError: the precondition is
+        verified, not assumed.
         """
         if not self.is_square():
             raise DimensionError("star of a non-square matrix")
-        if self.has_positive_circuit():
-            raise KleeneStarDivergenceError(
-                "Kleene star diverges: the graph has a positive-weight circuit"
-            )
         n = self.rows
+        succ = out_arcs(self._arcs, n)
         rows = [[] for _ in range(n)]
         for j in range(n):
             z = [None] * n
             z[j] = E
-            for i, v in enumerate(self._settle(z, n - 1)[0]):
+            for i, v in enumerate(longest_paths(succ, z)):
                 if v is not None:
                     rows[i].append((j, v))
         return MaxPlusMatrix.from_arcs(rows)

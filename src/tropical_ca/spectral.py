@@ -4,10 +4,10 @@ A square matrix A induces a precedence graph: arc j -> i exists exactly when
 A[i, j] is finite, so column index = arc start, row index = arc end.  The
 layer reads that graph in one shape, the out-arc view of
 :func:`build_graph`: ``succ[j]`` lists ``(i, w)`` for each arc j -> i,
-ascending in i, made in one pass over the matrix's arc store.  Tarjan's
-components, Howard's policy iteration and Bellman-Ford all read views of
-that shape.  The eigenvalue of an irreducible matrix is the maximum
-circuit mean
+ascending in i, made by :func:`~tropical_ca.semiring.out_arcs` in one
+pass over the matrix's arc store.  Tarjan's components, Howard's policy
+iteration and the longest-path search all read views of that shape.  The
+eigenvalue of an irreducible matrix is the maximum circuit mean
 
     lambda = max over elementary circuits c of weight(c) / length(c)
 
@@ -37,15 +37,16 @@ circuit positive:
   subgraphs of the critical graph, of the gcd of their circuit lengths.
 * One eigenvector per such subgraph is the column of the Kleene star of the
   normalized matrix at its smallest node: the longest-path weights from
-  that node, one Bellman-Ford.  The subgraphs, and so the basis vectors,
-  are listed in descending order of their smallest node.
+  that node, one :func:`~tropical_ca.semiring.longest_paths`, the search
+  that ``MaxPlusMatrix.star`` runs per column.  Columns at nodes of one
+  subgraph are shifts of each other, so one spans them all.  The
+  subgraphs, and so the basis vectors, are listed in descending order of
+  their smallest node.
 
-Each Bellman-Ford costs O(n·m) at worst and no n×n product is formed.  The
+Each search costs O(n·m) at worst and no n×n product is formed.  The
 normalized graph is the arcs of ``IntFrame(succ, lambda)``, int weights
 s·w - p with lambda = p/s, so the searches run on Python ints, test
-tightness by exact equality and divide by s once at the end.  A value that
-still improves in round n would mean a positive circuit and raises
-KleeneStarDivergenceError.
+tightness by exact equality and divide by s once at the end.
 """
 
 from __future__ import annotations
@@ -57,25 +58,29 @@ from typing import NamedTuple
 from .errors import (
     CapExceededError,
     DimensionError,
-    KleeneStarDivergenceError,
     NoCircuitError,
     ReducibleMatrixError,
 )
-from .semiring import EPS, E, IntFrame, MaxPlusMatrix, Scalar, canonical, scalar_to_json
+from .semiring import (
+    E,
+    IntFrame,
+    MaxPlusMatrix,
+    Scalar,
+    canonical,
+    longest_paths,
+    out_arcs,
+    scalar_to_json,
+)
 
 
 def build_graph(matrix: MaxPlusMatrix) -> list:
     """The out-arc view of a square matrix: ``succ[j]`` lists ``(i, w)``
-    for each arc j -> i, w = A[i, j].  One pass over
-    :meth:`MaxPlusMatrix.finite_rows`; the rows come in ascending i, so
-    each list is ascending in i with no sort."""
+    for each arc j -> i, w = A[i, j], ascending in i: the arcs of
+    :meth:`MaxPlusMatrix.finite_rows` turned round by
+    :func:`~tropical_ca.semiring.out_arcs`."""
     if not matrix.is_square():
         raise DimensionError("precedence graph of a non-square matrix")
-    succ = [[] for _ in range(matrix.rows)]
-    for i, row in enumerate(matrix.finite_rows()):
-        for j, w in row:
-            succ[j].append((i, w))
-    return succ
+    return out_arcs(matrix.finite_rows(), matrix.cols)
 
 
 class SccDecomposition(NamedTuple):
@@ -363,26 +368,6 @@ def _component_cyclicity(comp: tuple, arcs: list) -> int:
     return g if g > 0 else 1
 
 
-def critical_graph(matrix: MaxPlusMatrix) -> CriticalGraph:
-    """Nodes and arcs on the circuits of maximum mean (see :func:`analyze`)."""
-    return analyze(matrix).critical
-
-
-def cyclicity(matrix: MaxPlusMatrix) -> int:
-    """sigma(A): lcm over the maximal strongly connected subgraphs of the
-    critical graph of the gcd of their circuit lengths."""
-    return analyze(matrix).sigma
-
-
-def eigenvectors(matrix: MaxPlusMatrix) -> list:
-    """One eigenvector per maximal strongly connected subgraph of the
-    critical graph: the column of (Ahat)* at the smallest node of the
-    subgraph, in descending order of that node.  Columns at nodes of the
-    same subgraph are scalar multiples of each other, so one representative
-    spans the same set."""
-    return list(analyze(matrix).eigenbasis)
-
-
 class SpectralSummary(NamedTuple):
     """Everything the downstream timing analysis needs about one matrix."""
 
@@ -402,40 +387,6 @@ class SpectralSummary(NamedTuple):
                 [scalar_to_json(x) for x in vec] for vec in self.eigenbasis
             ],
         }
-
-
-def _longest_paths(succ: list, source: int) -> tuple:
-    """Longest-path weights from ``source`` (EPS where unreachable).
-
-    Bellman-Ford in rounds, each relaxing only the arcs out of the nodes
-    improved in the round before.  After round k every value is at least
-    the best walk of at most k arcs, so without a positive circuit nothing
-    improves after round n - 1.  Round n is the circuit test: an
-    improvement there raises KleeneStarDivergenceError.
-    """
-    n = len(succ)
-    dist = [EPS] * n
-    dist[source] = E
-    frontier = (source,)
-    for _ in range(n - 1):
-        improved = {}
-        for j in frontier:
-            dj = dist[j]
-            for i, w in succ[j]:
-                cand = dj + w
-                if cand > dist[i]:
-                    dist[i] = cand
-                    improved[i] = None
-        if not improved:
-            return tuple(dist)
-        frontier = improved
-    for j in frontier:
-        for i, w in succ[j]:
-            if dist[j] + w > dist[i]:
-                raise KleeneStarDivergenceError(
-                    "Kleene star diverges: the graph has a positive-weight circuit"
-                )
-    return tuple(dist)
 
 
 def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
@@ -477,5 +428,7 @@ def analyze(matrix: MaxPlusMatrix) -> SpectralSummary:
     basis = []
     for comp, comp_arcs in parts:
         sigma = math.lcm(sigma, _component_cyclicity(comp, comp_arcs))
-        basis.append(frame.vector(_longest_paths(norm, comp[0])))
+        z = [None] * len(norm)
+        z[comp[0]] = E
+        basis.append(frame.vector(longest_paths(norm, z)))
     return SpectralSummary(lam, sigma, crit, tuple(basis))

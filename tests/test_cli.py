@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import tropical_ca
 from tropical_ca import ca, cli, network, render, spectral
 from tropical_ca.cli import main
-from tropical_ca.errors import TropicalError
+from tropical_ca.errors import ConfigError, TropicalError
 from tropical_ca.semiring import MaxPlusMatrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -440,6 +440,19 @@ def test_verify_detects_injected_fault(tmp_path, capsys):
         lines = [line for line in out.splitlines() if "counter-example" in line]
         assert (code == 1) == bool(lines), cell
         assert all(f", cell {cell}: expected " in line for line in lines), lines
+
+
+@pytest.mark.parametrize("cell", ["0", "11"])
+def test_fault_cell_out_of_range_is_named_one_based(tmp_path, capsys, cell):
+    # RING10 has cells 1..10: 0 and 11 are refused under their own names.
+    code, _, err = run(
+        capsys, "verify", "--config", RING10, "--out", str(tmp_path),
+        "--inject-early-update", cell,
+    )
+    assert code == 2
+    assert err == (
+        f"error: no cell {cell} to inject the fault into; the cells are 1..10\n"
+    )
 
 
 def test_early_update_fault_is_caught_only_on_unequal_timings(tmp_path, capsys):
@@ -910,6 +923,34 @@ def test_write_chunks_writes_text_and_bytes_alike(tmp_path):
         assert written == dict.fromkeys(files, want), name
     cli._write(tmp_path / "whole", "f", "".join(text))
     assert (tmp_path / "whole" / "f").read_bytes() == want
+
+
+def test_unwritable_output_is_a_config_error(tmp_path):
+    # spectral.json is a directory: open fails, exit 2 with one line, and
+    # neither file of the command is left.
+    out = tmp_path / "out"
+    (out / "spectral.json").mkdir(parents=True)
+    proc = run_module("analyze", "--config", RING10, "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"config error: out: cannot write {out / 'spectral.json'}: Is a directory\n"
+    )
+    assert [p.name for p in out.iterdir()] == ["spectral.json"]
+    assert not any((out / "spectral.json").iterdir())
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failed_write_is_a_config_error_and_leaves_no_file(tmp_path):
+    # A file that links to /dev/full fails on write (a full disk): the
+    # error names it, and every file of the call goes, the link with them.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "g").symlink_to("/dev/full")
+    with pytest.raises(ConfigError) as exc:
+        cli._write_chunks(out, {"f": ["x" * 100_000], "g": ["y"]}, ["head\n"])
+    assert str(exc.value) == f"out: cannot write {out / 'g'}: No space left on device"
+    assert not any(out.iterdir())
 
 
 def test_failed_raster_stream_leaves_no_file(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropical_ca import semiring
 from tropical_ca.errors import DimensionError, KleeneStarDivergenceError, ScalarError
 from tropical_ca.semiring import (
     E,
@@ -183,6 +184,37 @@ def test_star_of_normalized_matrix_converges():
     # A = ((eps, 3), (7, eps)) less its maximum circuit mean 5.
     ahat = mat((EPS, 3 - 5), (7 - 5, EPS))
     assert dense(ahat.star()) == [[0, -2], [2, 0]]
+
+
+def test_star_tests_the_circuits_in_its_column_searches(monkeypatch):
+    """The star runs no circuit test of its own: the longest-path search
+    of each column raises on a positive circuit it reaches.  Here the only
+    one, 2 -> 3 -> 2 of weight 1, is reached from columns 2 and 3 alone;
+    columns 0 and 1 settle, and column 2 raises."""
+
+    def no_circuit_test(self):
+        raise AssertionError("star ran a separate circuit test")
+
+    monkeypatch.setattr(MaxPlusMatrix, "has_positive_circuit", no_circuit_test)
+    starts = []
+    search = semiring.longest_paths
+
+    def recorded(succ, z):
+        starts.append(z.index(E))
+        return search(succ, z)
+
+    monkeypatch.setattr(semiring, "longest_paths", recorded)
+    assert dense(mat((EPS, -2), (-1, EPS)).star()) == [[0, -2], [-1, 0]]
+    A = mat(
+        (EPS, -3, EPS, 0),
+        (1, EPS, EPS, EPS),
+        (EPS, EPS, EPS, -1),
+        (EPS, EPS, 2, EPS),
+    )
+    starts.clear()
+    with pytest.raises(KleeneStarDivergenceError, match="positive-weight circuit"):
+        A.star()
+    assert starts == [0, 1, 2]
 
 
 def test_plus_examples():

@@ -22,9 +22,6 @@ from tropical_ca.spectral import (
     SccDecomposition,
     analyze,
     build_graph,
-    critical_graph,
-    cyclicity,
-    eigenvectors,
     max_cycle_mean,
     scc_decompose,
 )
@@ -272,13 +269,13 @@ def test_mcm_policy_iteration_cap(monkeypatch):
 
 
 def test_critical_single_self_loop():
-    crit = critical_graph(mat((5,)))
+    crit = analyze(mat((5,))).critical
     assert crit.nodes == (0,) and crit.arcs == ((0, 0),)
     assert crit.eigenvalue == 5
 
 
 def test_critical_two_circuits():
-    crit = critical_graph(TWO_CIRCUITS)
+    crit = analyze(TWO_CIRCUITS).critical
     assert crit.nodes == (0, 1)
     assert crit.arcs == ((0, 1), (1, 0))
     nodes, arcs = critical_parts(dense(TWO_CIRCUITS))
@@ -290,7 +287,7 @@ def test_critical_uniform_ring_is_everything():
     # attains the maximum mean and the whole graph is critical.
     spec = regular_ring(6, 3)
     P = build_p(spec, random_parameters(spec, 1, (5, 5), (2, 2)))
-    crit = critical_graph(P)
+    crit = analyze(P).critical
     assert crit.nodes == tuple(range(6))
     assert set(crit.arcs) == set(spec.arcs) and len(crit.arcs) == 18
     nodes, arcs = critical_parts(dense(P))
@@ -323,7 +320,7 @@ def test_critical_against_oracle_random():
                 [w if w == NEG_INF else Fraction(w, d) for w in row] for row in grid
             ]
         A = MaxPlusMatrix(grid)
-        crit = critical_graph(A)
+        crit = analyze(A).critical
         nodes, arcs = critical_parts(grid)
         assert set(crit.nodes) == nodes and set(crit.arcs) == arcs
         lam = max_circuit_mean(grid)
@@ -419,23 +416,23 @@ def test_analyze_builds_one_view_and_runs_tarjan_twice(monkeypatch):
 
 def test_critical_reducible_refused():
     with pytest.raises(ReducibleMatrixError):
-        critical_graph(diagonal(1, 2))
+        analyze(diagonal(1, 2)).critical
 
 
 # -- cyclicity ---------------------------------------------------------------------
 
 
 def test_cyclicity_self_loop():
-    assert cyclicity(mat((5,))) == 1
+    assert analyze(mat((5,))).sigma == 1
 
 
 def test_cyclicity_three_cycle():
     A = mat((EPS, EPS, 2), (2, EPS, EPS), (EPS, 2, EPS))
-    assert cyclicity(A) == 3
+    assert analyze(A).sigma == 3
 
 
 def test_cyclicity_lcm_of_mscs():
-    assert cyclicity(TWO_MSCS) == 6
+    assert analyze(TWO_MSCS).sigma == 6
 
 
 def test_cyclicity_single_critical_cycle_length():
@@ -444,7 +441,7 @@ def test_cyclicity_single_critical_cycle_length():
         entries = [[EPS] * L for _ in range(L)]
         for t in range(L):
             entries[(t + 1) % L][t] = 1
-        assert cyclicity(MaxPlusMatrix(entries)) == L
+        assert analyze(MaxPlusMatrix(entries)).sigma == L
 
 
 # -- eigenvectors ---------------------------------------------------------------------
@@ -453,8 +450,8 @@ def test_cyclicity_single_critical_cycle_length():
 def test_eigenvector_loop_with_feeding_chain():
     # Self-loop of weight 5 on node 0 with a 0-weight return chain via 1.
     A = mat((5, 0), (0, EPS))
-    basis = eigenvectors(A)
-    assert basis == [(0, -5)]
+    basis = analyze(A).eigenbasis
+    assert basis == ((0, -5),)
     assert A.apply(basis[0]) == vec_scale(5, basis[0])
 
 
@@ -463,8 +460,8 @@ def test_eigenvector_uniform_ring_unit():
     P = build_p(spec, random_parameters(spec, 1, (5, 5), (2, 2)))
     u = unit_vector(6)
     assert P.apply(u) == vec_scale(7, u)
-    assert eigenvectors(P)[0] == u
-    assert eigenspace_membership(eigenvectors(P), u)
+    assert analyze(P).eigenbasis[0] == u
+    assert eigenspace_membership(analyze(P).eigenbasis, u)
 
 
 def test_eigenvector_shift_closure():
@@ -506,14 +503,16 @@ def test_membership_basis_and_combinations():
 
 def test_membership_rejects_perturbation():
     A = mat((5, 0), (0, EPS))
-    v = eigenvectors(A)[0]
+    v = analyze(A).eigenbasis[0]
     poked = (v[0], v[1] + 1)
     assert A.apply(poked) != vec_scale(5, poked)
     assert not eigenspace_membership([v], poked)
 
 
 def test_membership_rejects_eps_entries():
-    assert not eigenspace_membership(eigenvectors(mat((5, 0), (0, EPS))), (0, EPS))
+    assert not eigenspace_membership(
+        analyze(mat((5, 0), (0, EPS))).eigenbasis, (0, EPS)
+    )
 
 
 def test_column_equivalence_per_mscs():
@@ -534,13 +533,7 @@ def test_column_equivalence_per_mscs():
 
 def test_analyze_matches_parts():
     for A in (TWO_CIRCUITS, TWO_MSCS, ring_p(7, 12)):
-        summary = analyze(A)
-        assert summary.eigenvalue == max_cycle_mean(A)
-        assert summary.sigma == cyclicity(A)
-        crit = critical_graph(A)
-        assert summary.critical.nodes == crit.nodes
-        assert summary.critical.arcs == crit.arcs
-        assert list(summary.eigenbasis) == eigenvectors(A)
+        assert analyze(A).eigenvalue == max_cycle_mean(A)
 
 
 def test_summary_json_one_based():
@@ -553,9 +546,8 @@ def test_summary_json_one_based():
 
 
 def test_analyze_reducible_refused():
-    for fn in (analyze, cyclicity, eigenvectors):
-        with pytest.raises(ReducibleMatrixError):
-            fn(diagonal(1, 2))
+    with pytest.raises(ReducibleMatrixError):
+        analyze(diagonal(1, 2))
 
 
 # -- power-sequence periodicity ----------------------------------------------------------

@@ -21,7 +21,7 @@ from tropical_ca.errors import (
 )
 from tropical_ca.network import build_p, random_parameters, regular_ring
 from tropical_ca.semiring import EPS, MaxPlusMatrix, unit_vector
-from tropical_ca.spectral import analyze, eigenvectors
+from tropical_ca.spectral import analyze
 from tropical_ca.trajectory import (
     RegimeReport,
     csv_chunks,
@@ -69,7 +69,7 @@ def test_iterate_uniform_ring():
 
 def test_iterate_eigenvector_start():
     A = mat((5, 0), (0, EPS))
-    v = eigenvectors(A)[0]
+    v = analyze(A).eigenbasis[0]
     traj = iterate(A, v, 6)
     for k, x in enumerate(traj.states):
         assert x == vec_scale(5 * k, v)
@@ -196,7 +196,7 @@ def test_monotone_growth():
 
 def test_normalize_eigenvector_start_constant():
     A = mat((5, 0), (0, EPS))
-    v = eigenvectors(A)[0]
+    v = analyze(A).eigenbasis[0]
     norm = normalize(iterate(A, v, 5), 5)
     assert all(y == v for y in norm.states)
 
@@ -226,7 +226,7 @@ def test_normalize_rejects_eps():
 
 def test_regime_eigenvector_start():
     A = mat((5, 0), (0, EPS))
-    v = eigenvectors(A)[0]
+    v = analyze(A).eigenbasis[0]
     report = detect_regime(iterate(A, v, 4), analyze(A))
     assert (report.k_star, report.rho, report.mu) == (0, 1, 5)
     assert report.contours == (v,)
