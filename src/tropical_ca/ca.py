@@ -26,8 +26,9 @@ works on the whole state at once.  Each neighbour word is a few
 rotations of the code: an ECA step XORs the AND-words of the monomials
 of its rule's algebraic normal form (ANF) over GF(2) in the left, self
 and right words, and a parity step XORs the words of all arcs.
-sync_step, sync_states, sync_orbit and build_stg all use it.  sync_orbit
-keeps the visited codes and decodes a state only on request.  Parity,
+sync_step, sync_states, trace_orbit, sync_orbit and build_stg all use
+it.  trace_orbit keeps the visited codes and decodes a state only on
+request; sync_orbit is a trace that must close within its cap.  Parity,
 and the eight ECA rules whose ANF has degree 1 and no constant term,
 give a linear map, F(a ^ b) = F(a) ^ F(b): build_stg then fills the
 successor table from the images of the N one-bit codes by XOR, not by
@@ -313,31 +314,59 @@ class SyncOrbit(NamedTuple):
             k = self.entry_time + (k - self.entry_time) % self.period
         return _decode(self.codes[k], self.size)
 
+    @property
+    def recurrence(self) -> tuple | None:
+        """(entry, period), so that s(j + period) = s(j) for j >= entry;
+        None for an open trace."""
+        return None if self.period is None else (self.entry_time, self.period)
 
-def sync_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncOrbit:
+
+def trace_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncOrbit:
+    """The search of :func:`sync_orbit`, except that an orbit that does
+    not close within k_max steps is returned open, not refused: its codes
+    are s(0..k_max), and its entry_time and period are None."""
+    step = _compile(rule, spec)
+    if len(s0) != spec.size:
+        raise RuleError(f"s0 has {len(s0)} cells, network has {spec.size}")
+    return _traced(step, {_encode(s0): 0}, spec.size, k_max)
+
+
+def _traced(step, seen: dict, size: int, k_max: int) -> SyncOrbit:
+    """Carry the trace ``seen`` (code -> k, in the order s(0), s(1), ...)
+    on to the first repeat or past s(k_max)."""
+    code = next(reversed(seen))
+    for k in range(len(seen), k_max + 2):
+        code = step(code)
+        if code in seen:
+            entry = seen[code]
+            return SyncOrbit(size, tuple(seen), entry, k - entry)
+        if k > k_max:
+            break
+        seen[code] = k
+    return SyncOrbit(size, tuple(seen), None, None)
+
+
+def sync_orbit(
+    rule: CARule, spec: NetworkSpec, s0: State, k_max: int, trace: SyncOrbit | None = None
+) -> SyncOrbit:
     """Iterate until the first repeated configuration.
 
     The first repeat of a deterministic map happens at (entry, entry +
     period) exactly, so it pins both numbers.  k_max caps the number of
-    steps; 2^N always suffices.
+    steps; 2^N always suffices.  ``trace``, a :func:`trace_orbit` of the
+    same start, is carried on rather than stepped again.
     """
-    step = _compile(rule, spec)
-    if len(s0) != spec.size:
-        raise RuleError(f"s0 has {len(s0)} cells, network has {spec.size}")
-    code = _encode(s0)
-    seen = {code: 0}  # insertion order is s(0), s(1), ...
-    for k in range(1, k_max + 2):
-        code = step(code)
-        if code in seen:
-            entry = seen[code]
-            return SyncOrbit(spec.size, tuple(seen), entry, k - entry)
-        if k > k_max:
-            break
-        seen[code] = k
-    raise CapExceededError(
-        f"no repeated configuration within the step cap k_max = {k_max}",
-        k_reached=k,
-    )
+    if trace is None:
+        trace = trace_orbit(rule, spec, s0, k_max)
+    elif trace.period is None:
+        seen = dict(zip(trace.codes, range(len(trace.codes))))
+        trace = _traced(_compile(rule, spec), seen, spec.size, k_max)
+    if trace.period is None or trace.entry_time + trace.period > k_max + 1:
+        raise CapExceededError(
+            f"no repeated configuration within the step cap k_max = {k_max}",
+            k_reached=k_max + 1,
+        )
+    return trace
 
 
 # -- state transition graph --------------------------------------------------
@@ -763,18 +792,20 @@ def event_simulation(
 
 
 class Mismatch(NamedTuple):
-    """The first counter-example of a per-cycle check: at cycle k, cell
-    ``cell`` (0-based) had ``got`` where ``expected`` was due."""
+    """The first counter-example of a check: at cycle k (or at the item
+    that ``at`` names, numbered k), cell ``cell`` (0-based) had ``got``
+    where ``expected`` was due."""
 
     check: str
     k: int
     cell: int
     expected: object
     got: object
+    at: str = "cycle k"
 
     def describe(self) -> str:
         return (
-            f"{self.check}: first counter-example at cycle k = {self.k}, "
+            f"{self.check}: first counter-example at {self.at} = {self.k}, "
             f"cell {self.cell + 1}: expected {format_scalar(self.expected)}, "
             f"got {format_scalar(self.got)}"
         )

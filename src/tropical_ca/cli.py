@@ -335,23 +335,30 @@ class Stages:
         return traj_mod.detect_regime(traj, self.summary)
 
     @cached_property
+    def sync_trace(self) -> ca_mod.SyncOrbit:
+        """The orbit of s0 traced for at most k_max steps, open where it
+        does not close by then."""
+        exp = self.exp
+        exp.require("rule", "s0", "k_max")
+        return ca_mod.trace_orbit(exp.rule, exp.spec, exp.s0, exp.k_max)
+
+    @cached_property
     def orbit(self) -> ca_mod.SyncOrbit:
+        """The orbit that ``ca`` reports, searched for at most
+        min(2^N, ORBIT_STEP_CAP) steps.  Where k_max is within that cap,
+        the search carries the trace on; else it runs alone, so that an
+        orbit longer than the cap fails at the cap."""
         exp = self.exp
         exp.require("rule", "s0", "k_max")
         cap = min(1 << exp.spec.size, ORBIT_STEP_CAP)
-        return ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, cap)
+        trace = self.sync_trace if exp.k_max <= cap else None
+        return ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, cap, trace)
 
     @cached_property
     def sync_states(self) -> tuple:
-        """s(0..k_max): when the command traced the orbit (only ``ca``
-        does, as that search may take ORBIT_STEP_CAP steps), its codes
-        are decoded once and the periodic states repeated; else stepped
-        k_max times from s0."""
-        exp = self.exp
-        exp.require("rule", "s0", "k_max")
-        if "orbit" not in vars(self):
-            return ca_mod.sync_states(exp.rule, exp.spec, exp.s0, exp.k_max)
-        return self.orbit.states_through(exp.k_max)
+        """s(0..k_max): the trace's codes, each decoded once, and the
+        periodic states repeated."""
+        return self.sync_trace.states_through(self.exp.k_max)
 
     @cached_property
     def run(self) -> ca_mod.AsyncRun:
@@ -431,6 +438,19 @@ class Stages:
             ),
         })
 
+    def contour_mismatch(self, name: str) -> ca_mod.Mismatch | None:
+        """The first contour of the check ``regime`` (the regime's
+        contours, m = 0..rho - 1) or ``eigen_equation`` (the eigenbasis,
+        j = 0, 1, ...) and its first cell where P ⊗ c ≠ lambda ⊗ c′, or
+        None."""
+        summary = self.summary
+        if name == "regime":
+            cycles, at = [self.regime.contours], "contour m"
+        else:
+            cycles, at = [(v,) for v in summary.eigenbasis], "eigenvector j"
+        found = traj_mod.cyclic_mismatch(self.p, summary.eigenvalue, cycles)
+        return None if found is None else ca_mod.Mismatch(name, *found, at)
+
     @cached_property
     def checks(self) -> dict:
         return {
@@ -470,14 +490,16 @@ WRITERS = {
     "contour_plot.svg": lambda st: st.async_plots.contour_chunks(),
     "sync_orbit.json": lambda st: st.orbit.json_chunks(),
     "spacetime_sync.svg": lambda st: render_mod.spacetime_sync_chunks(
-        st.sync_states, st.plotspec
+        st.sync_states, st.plotspec, st.sync_trace.recurrence
     ),
     "spacetime_sync.pgm": lambda st: render_mod.spacetime_sync_pixmap_chunks(
-        st.sync_states, st.plotspec
+        st.sync_states, st.plotspec, st.sync_trace.recurrence
     ),
     "async_contours.svg": lambda st: st.async_plots.contour_chunks(st.run.states),
     SPACETIME_SVGS: lambda st: st.async_plots.spacetime_pair_chunks(st.run.states),
-    "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(st.run.states),
+    "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(
+        st.run.states, st.sync_trace.recurrence
+    ),
     "event_dag.dot": lambda st: render_mod.event_dag_dot(
         st.run, 0, min(3, st.exp.k_max), st.plotspec
     ),
@@ -546,9 +568,10 @@ def cmd_verify(st: Stages) -> int:
     st.write("verification.json")
     for name, ok in sorted(st.checks.items()):
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        mismatch = st.mismatches.get(name)
-        if mismatch:
-            print(mismatch.describe())
+        if not ok:
+            mismatch = st.mismatches.get(name) or st.contour_mismatch(name)
+            if mismatch:
+                print(mismatch.describe())
     return 0 if all(st.checks.values()) else 1
 
 

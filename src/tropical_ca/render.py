@@ -16,11 +16,12 @@ test-suite cross-checks against the state query API.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, groupby, islice
-from operator import getitem, sub
+from itertools import chain, count, cycle, groupby, islice, repeat
+from operator import add, getitem, lt, sub
 from typing import NamedTuple
 
 from ._version import __version__
@@ -195,8 +196,15 @@ class AsyncPlots:
 
     @cached_property
     def extent(self) -> tuple:
-        """(t0, t1): the earliest and the latest update time."""
-        return min(map(min, self.times)), max(map(max, self.times))
+        """(t0, t1): the earliest and the latest update time.  Where the
+        run recurs, (m, d) = trajectory.recurrence, each cell's time moves
+        the same way every d cycles from m on, so both lie in the first
+        m + d states or in the last d."""
+        times = self.times
+        if self.recurrence is not None:
+            m, d = self.recurrence
+            times = times[: m + d] + times[-d:]
+        return min(map(min, times)), max(map(max, times))
 
     @cached_property
     def time_columns(self) -> list:
@@ -321,11 +329,51 @@ class AsyncPlots:
         digits = max(len(str(gray)) for gray in (ps.gray0, ps.gray1, ps.gray_bg))
         return max(1, height), self.size * ps.cell_px * (digits + 1)
 
-    def raster_chunks(self, states) -> Iterator[bytes]:
+    @cached_property
+    def _steady(self) -> tuple | None:
+        """(m, d, c): x(j + d) = c ⊗ x(j) for j >= m, from
+        trajectory.recurrence, where every cell's update times increase;
+        None where the run does not recur or a cell's times do not
+        increase.  They are checked up to cycle m + d only, as each cell's
+        steps repeat every d cycles from m on."""
+        if self.recurrence is None:
+            return None
+        m, d = self.recurrence
+        times = self.times[: m + d + 1]
+        if not all(all(map(lt, x, y)) for x, y in zip(times, times[1:])):
+            return None
+        return m, d, times[m + d][0] - times[m][0]
+
+    def _joint(self, orbit) -> tuple | None:
+        """(J, L, B): from cycle J on, the update times recur every L
+        cycles shifted by B raster rows, and so do the CA states of the
+        orbit (entry, period).  J = max(m, entry) and L = lcm(d, period)
+        for (m, d, c) = :attr:`_steady`.  None where the times or the
+        states do not recur, or B is not a whole number."""
+        if self._steady is None or orbit is None:
+            return None
+        m, d, c = self._steady
+        entry, period = orbit
+        L = math.lcm(d, period)
+        shift = c * (L // d) * self.ps.time_scale
+        if shift % 1:
+            return None
+        return max(m, entry), L, int(shift)
+
+    def raster_chunks(self, states, orbit=None) -> Iterator[bytes]:
         """The bytes of :func:`spacetime_async_pixmap` in chunks of whole
         lines, header first.  The changes of each cell's gray are
         collected when this is called, one per switch; the rows are built
-        only as the chunks are taken."""
+        only as the chunks are taken.
+
+        ``orbit`` is (entry, period) of the states, or None.  Past the
+        joint recurrence (J, L, B) of :meth:`_joint`, hold interval k + L
+        is interval k shifted B rows down, so changes are collected only
+        for the intervals 0..J + L and repeated from there.  Rows R0 =
+        max_i row of x_i(J) and on repeat every B rows until the first
+        window end E = min_i row of x_i(k_max); where B rows fit in
+        _PIXMAP_BYTES, the rows from R0 + B to E are copies of the held
+        block of rows R0 .. R0 + B - 1, not swept."""
         n, ps = self.size, self.ps
         t0 = self.extent[0]
         s = ps.time_scale
@@ -337,39 +385,91 @@ class AsyncPlots:
         fragments = [
             [(gray + sep).encode() for gray in grays] for sep in [" "] * (n - 1) + ["\n"]
         ]
+        times, k_max = self.times, len(self.times) - 1
+        states = self._checked(states)
+        joint = self._joint(orbit)
+        # Intervals 0..cut - 1 are collected; the rest repeat them.
+        cut = k_max if joint is None else min(k_max, joint[0] + joint[1] + 1)
         # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
         # (dark, light, background), so that sorting orders them by row.
         # Time t falls in row ceil((t - t0)·s), written -((t0 - t)·s // 1)
         # so that an int takes no call; a row at or past height is dropped
         # by the sweep.
         m = 3 * n
+        ends = [-((t0 - t) * s // 1) for t in times[-1]]  # the window ends
+        # From interval p on, each cell's row moves D = c·s rows every d
+        # intervals (a change moves step = D·3n), so the rows past one
+        # period need no conversion.
+        head = cut
+        if self._steady is not None and self._steady[2] * s % 1 == 0:
+            p, d, c = self._steady
+            step, head = int(c * s) * m, min(cut, p + d)
+        held = None
+        if cut < k_max:
+            J, L, B = joint
+            r0 = -((t0 - max(times[J])) * s // 1)
+            if B * row_bytes <= _PIXMAP_BYTES and r0 + B < min(ends):
+                held = (r0, B, min(ends))
         changes = []
-        columns = zip(self.time_columns, zip(*self._checked(states)))
-        for i, (times, bits) in enumerate(columns):
-            rows = [-((t0 - t) * s // 1) for t in times]
+        columns = zip(self.time_columns, zip(*states[: cut + 1]), ends)
+        for i, (times_i, bits, end) in enumerate(columns):
+            rows = [-((t0 - t) * s // 1) for t in islice(times_i, head + 1)]
+            # Where every interval of the first period owns a row, every
+            # later one does: its change is kept where its bit switches.
+            steps = head < cut and all(map(lt, rows[p:], rows[p + 1 :]))
+            if head < cut and not steps:
+                rows += [-((t0 - t) * s // 1) for t in islice(times_i, head + 1, cut + 1)]
             code = 3 * i
             # Hold interval k owns the rows rows[k] .. rows[k+1] - 1.  Its
             # change is kept where it owns a row and switches the gray: its
             # bit differs from interval k-1's, or interval k-1 owned no row,
             # which may hide a switch.  Before interval 0 the cell is
             # background (code 2), so interval 0's change is always kept.
-            changes += [
+            kept = [
                 r * m + code + bit
                 for r_prev, r, r_end, bit_prev, bit in zip(
                     chain((-1,), rows), rows, rows[1:], chain((2,), bits), bits
                 )
                 if r < r_end and (bit != bit_prev or r_prev == r)
             ]
+            if steps:
+                # Interval p + j starts at row rows[p + j % d] + (j // d)·D.
+                starts = [r * m + code for r in rows[p : p + d]]
+                kept += [
+                    starts[j % d] + j // d * step + bit
+                    for j, bit_prev, bit in zip(count(d), bits[head - 1 : cut - 1], bits[head:cut])
+                    if bit != bit_prev
+                ]
+            changes += kept
+            if cut < k_max:
+                # Interval J + 1 + qL + j is interval J + 1 + j shifted qB
+                # rows down.  A copy whose row reaches the window end would
+                # be an interval past k_max.  A held block needs only the
+                # copies before row R0 + B and those from row E on.
+                first = -((t0 - times_i[J + 1]) * s // 1)
+                block = kept[bisect_left(kept, first * m) :]
+                last = (end - 1 - first) // B  # the last copy to reach a row
+                if held is None:
+                    copies = [(1, last)]
+                else:
+                    front = (held[0] - first) // B + 1
+                    copies = [(1, front), (max(front + 1, (held[2] - first) // B), last)]
+                for lo, hi in copies:
+                    shifts = (map(add, block, repeat(q * B * m)) for q in range(lo, hi + 1))
+                    tail = list(chain.from_iterable(shifts))
+                    del tail[bisect_left(tail, end * m) :]
+                    changes += tail
             # The window ends at x_i(k_max).  With k_max = 0 the column is
             # background throughout, and this change keeps it so.
-            changes.append(rows[-1] * m + code + 2)
+            changes.append(end * m + code + 2)
         changes.sort()
         slots = [(i, f) for i, cell in enumerate(fragments) for f in cell]
         row = [cell[2] for cell in fragments]
-        return chain(
-            [_pgm_header(ps, n * ps.cell_px, height)],
-            _swept_rows(row, changes, slots, height, max(1, _PIXMAP_BYTES // row_bytes)),
-        )
+        size = max(1, _PIXMAP_BYTES // row_bytes)
+        header = [_pgm_header(ps, n * ps.cell_px, height)]
+        if held is None:
+            return chain(header, _swept_rows(row, changes, slots, 0, height, size))
+        return chain(header, _held_rows(row, changes, slots, height, size, held))
 
 
 def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
@@ -408,19 +508,24 @@ def _pgm_header(ps: PlotSpec, width: int, height: int) -> bytes:
     return "\n".join(["P2", *_comment_lines(ps, "#"), f"{width} {height}", "255", ""]).encode()
 
 
-def _swept_rows(row: list, changes, slots: list, height: int, size: int) -> Iterator[bytes]:
-    """Rows 0..height-1 as bytes, in chunks of ``size`` rows (the last
-    may hold fewer).  ``row`` holds the cells' fragments before row 0,
-    each ending in its separator.  A change r·len(slots) + k, in
-    ascending order, sets the (cell, fragment) pair slots[k] from row r
-    on.  A row with no change repeats the bytes of the row above, so a
-    chunk is a list of references to a few rows, joined once."""
+def _swept_rows(
+    row: list, changes, slots: list, start: int, stop: int, size: int
+) -> Iterator[bytes]:
+    """Rows start..stop-1 as bytes, in chunks of ``size`` rows (the last
+    may hold fewer).  ``row`` holds the cells' fragments in effect before
+    row start, each ending in its separator, and is updated in place.  A
+    change r·len(slots) + k in the sorted list ``changes`` sets the
+    (cell, fragment) pair slots[k] from row r on; those before row start
+    are skipped, and those from row stop on are not applied.  A row with
+    no change repeats the bytes of the row above, so a chunk is a list of
+    references to a few rows, joined once."""
     m = len(slots)
     text = b"".join(row)
     block = []
-    r = 0
-    for r_next, group in chain(groupby(changes, m.__rfloordiv__), [(height, ())]):
-        run = min(r_next, height) - r
+    r = start
+    changes = islice(changes, bisect_left(changes, start * m), None)
+    for r_next, group in chain(groupby(changes, m.__rfloordiv__), [(stop, ())]):
+        run = min(r_next, stop) - r
         while len(block) + run >= size:
             take = size - len(block)
             block += [text] * take
@@ -428,7 +533,7 @@ def _swept_rows(row: list, changes, slots: list, height: int, size: int) -> Iter
             block = []
             run -= take
         block += [text] * run
-        if r_next >= height:
+        if r_next >= stop:
             break
         for key in group:
             i, fragment = slots[key % m]
@@ -437,6 +542,31 @@ def _swept_rows(row: list, changes, slots: list, height: int, size: int) -> Iter
         r = r_next
     if block:
         yield b"".join(block)
+
+
+def _held_rows(row: list, changes, slots: list, height: int, size: int, held) -> Iterator[bytes]:
+    """Rows 0..height-1 as :func:`_swept_rows` gives them, where held =
+    (R0, B, E) says that row r + B repeats row r for R0 <= r < E - B.
+    Rows R0 + B .. E - 1 are copies of the block of rows R0 .. R0 + B - 1,
+    whose bytes are held, written in chunks of whole blocks that fit in
+    _PIXMAP_BYTES; the sweep resumes at row E from the fragments of row
+    E - 1, which are those of block row (E - 1 - R0) mod B."""
+    r0, b, e = held
+    yield from _swept_rows(row, changes, slots, 0, r0, size)
+    q, t = divmod(e - r0 - b, b)
+    head = b"".join(_swept_rows(row, changes, slots, r0, r0 + t, b))
+    at_end = row[:]  # the fragments of block row t - 1
+    block = head + b"".join(_swept_rows(row, changes, slots, r0 + t, r0 + b, b))
+    if t:
+        row[:] = at_end
+    reps = max(1, _PIXMAP_BYTES // len(block))
+    yield block
+    yield from repeat(block * reps, q // reps)
+    if q % reps:
+        yield block * (q % reps)
+    if head:
+        yield head
+    yield from _swept_rows(row, changes, slots, e, height, size)
 
 
 def pixmap_parse(text: str):
@@ -469,9 +599,22 @@ def spacetime_sync(states, ps: PlotSpec) -> str:
     return "".join(spacetime_sync_chunks(states, ps))
 
 
-def spacetime_sync_chunks(states, ps: PlotSpec) -> Iterator[str]:
+def _orbit_rows(states, orbit, row) -> Iterator:
+    """row(s) of each state s in turn.  Given the orbit (entry, period)
+    of the states, each row is formed once per orbit state and then
+    repeated."""
+    if orbit is None or sum(orbit) >= len(states):
+        return map(row, states)
+    entry, period = orbit
+    rows = list(map(row, states[: entry + period]))
+    return chain(rows, islice(cycle(rows[entry:]), len(states) - len(rows)))
+
+
+def spacetime_sync_chunks(states, ps: PlotSpec, orbit=None) -> Iterator[str]:
     """The text of :func:`spacetime_sync` in blocks of whole lines: the
-    header, rows of about _SVG_BLOCK lines in all, and the closing tag."""
+    header, rows of about _SVG_BLOCK lines in all, and the closing tag.
+    ``orbit`` is (entry, period) of the states, or None: the pieces of a
+    row are then picked once per orbit state."""
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
@@ -487,13 +630,11 @@ def spacetime_sync_chunks(states, ps: PlotSpec) -> Iterator[str]:
         for after in rect[1:] + [""]
     ]
     first = rect[0]
+    parts = _orbit_rows(states, orbit, lambda s: [first, *map(getitem, pieces, s)])
     ys = range(ps.margin, ps.margin + len(states) * ps.cell_px, ps.cell_px)
     rows = max(1, _SVG_BLOCK // n)  # per chunk
     blocks = (
-        "".join([
-            str(y).join([first, *[piece[bit] for piece, bit in zip(pieces, s)]])
-            for y, s in zip(ys[k : k + rows], states[k : k + rows])
-        ])
+        "".join([str(y).join(p) for y, p in zip(ys[k : k + rows], islice(parts, rows))])
         for k in range(0, len(states), rows)
     )
     header = _svg_header(width, height, ps)
@@ -505,20 +646,19 @@ def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:
     return b"".join(spacetime_sync_pixmap_chunks(states, ps)).decode()
 
 
-def spacetime_sync_pixmap_chunks(states, ps: PlotSpec) -> Iterator[bytes]:
+def spacetime_sync_pixmap_chunks(states, ps: PlotSpec, orbit=None) -> Iterator[bytes]:
     """The bytes of :func:`spacetime_sync_pixmap` in chunks of whole
     lines: the header, then as many rows as fit in _PIXMAP_BYTES (at
-    least one) per chunk."""
+    least one) per chunk.  ``orbit`` is (entry, period) of the states, or
+    None: a row is then joined once per orbit state."""
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
     gray = (str(ps.gray0).encode(), str(ps.gray1).encode())
     rows = max(1, _PIXMAP_BYTES // (n * (max(map(len, gray)) + 1)))  # per chunk
+    texts = _orbit_rows(states, orbit, lambda s: b" ".join(map(gray.__getitem__, s)))
     blocks = (
-        b"\n".join([
-            *[b" ".join(map(gray.__getitem__, s)) for s in states[k : k + rows]], b""
-        ])
-        for k in range(0, len(states), rows)
+        b"\n".join([*islice(texts, rows), b""]) for _ in range(0, len(states), rows)
     )
     return chain([_pgm_header(ps, n, len(states))], blocks)
 

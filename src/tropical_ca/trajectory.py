@@ -269,18 +269,29 @@ def maps_cyclically(P: MaxPlusMatrix, lam: Scalar, cycles) -> bool:
     step_arcs(arcs, Y(c)) = Y(c′).  A vector entry may be EPS; a finite
     float raises ScalarError.
     """
+    return cyclic_mismatch(P, lam, cycles) is None
+
+
+def cyclic_mismatch(P: MaxPlusMatrix, lam: Scalar, cycles) -> tuple | None:
+    """The first counter-example to :func:`maps_cyclically`, or None: (j,
+    i, (lam ⊗ c′)_i, (P ⊗ c)_i) for the first vector c where P ⊗ c ≠
+    lam ⊗ c′, numbered j from 0 across the cycles in order, and its first
+    cell i (0-based) that differs."""
     cycles = [[tuple(map(exact, c)) for c in cyc] for cyc in cycles]
     if any(len(c) != P.cols for cyc in cycles for c in cyc):
         raise DimensionError(f"a vector's length is not the matrix's {P.cols}")
     frame = IntFrame(P.finite_rows(), lam, (c for cyc in cycles for c in cyc))
+    j = 0
     for cyc in cycles:
         ys = [frame.state(0, c) for c in cyc]
-        if any(
-            step_arcs(frame.arcs, y) != ys[(m + 1) % len(ys)]
-            for m, y in enumerate(ys)
-        ):
-            return False
-    return True
+        for m, y in enumerate(ys):
+            got, want = step_arcs(frame.arcs, y), ys[(m + 1) % len(ys)]
+            if got != want:
+                i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+                got, want = frame.vector(got)[i], frame.vector(want)[i]
+                return j + m, i, canonical(want + lam), canonical(got + lam)
+        j += len(cyc)
+    return None
 
 
 def verify_regime(

@@ -442,6 +442,57 @@ def test_verify_detects_injected_fault(tmp_path, capsys):
         assert all(f", cell {cell}: expected " in line for line in lines), lines
 
 
+def test_verify_names_the_contour_and_cell_of_a_corrupted_summary(tmp_path, capsys, monkeypatch):
+    # A summary whose first eigenvector is off by one in cell 3, and a
+    # regime whose first contour is off by one in cell 5: each check
+    # fails with one line naming the vector and the first cell where
+    # P ⊗ c ≠ lambda ⊗ c′, and verification.json keeps its form.
+    analyze, detect = spectral.analyze, cli.traj_mod.detect_regime
+
+    def bumped(vectors, cell):
+        first = list(vectors[0])
+        first[cell] += 1
+        return (tuple(first), *vectors[1:])
+
+    monkeypatch.setattr(spectral, "analyze", lambda p: analyze(p)._replace(
+        eigenbasis=bumped(analyze(p).eigenbasis, 2)))
+    monkeypatch.setattr(cli.traj_mod, "detect_regime", lambda *args: (
+        lambda r: r._replace(contours=bumped(r.contours, 4)))(detect(*args)))
+    code, out, _ = run(capsys, "verify", "--config", RING10, "--out", str(tmp_path))
+    assert code == 1
+    stages = cli.Stages(cli.load_experiment(cli.build_parser().parse_args(
+        ["verify", "--config", RING10])))
+    p, lam = stages.p, stages.summary.eigenvalue
+    want = []
+    for check, at, vectors in (
+        ("eigen_equation", "eigenvector j", [(v, v) for v in stages.summary.eigenbasis]),
+        ("regime", "contour m", list(zip(stages.regime.contours,
+                                         stages.regime.contours[1:] + stages.regime.contours[:1]))),
+    ):
+        j, i, got, expected = next(
+            (j, i, a, b + lam)
+            for j, (c, c_next) in enumerate(vectors)
+            for i, (a, b) in enumerate(zip(p.apply(c), c_next))
+            if a != b + lam
+        )
+        want.append(f"{check}: first counter-example at {at} = {j}, cell {i + 1}: "
+                    f"expected {expected}, got {got}")
+    assert [line for line in out.splitlines() if "counter-example" in line] == want
+    assert "eigen_equation: FAIL" in out and "regime: FAIL" in out
+    assert (tmp_path / "verification.json").read_text() == json.dumps({
+        "all_passed": False,
+        "checks": {"bijection": True, "eigen_equation": False,
+                   "event_times_match_matrix": True, "regime": False},
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def test_contour_mismatch_is_none_on_a_sound_summary():
+    stages = cli.Stages(cli.load_experiment(cli.build_parser().parse_args(
+        ["verify", "--config", RING10])))
+    assert stages.contour_mismatch("regime") is None
+    assert stages.contour_mismatch("eigen_equation") is None
+
+
 @pytest.mark.parametrize("cell", ["0", "11"])
 def test_fault_cell_out_of_range_is_named_one_based(tmp_path, capsys, cell):
     # RING10 has cells 1..10: 0 and 11 are refused under their own names.

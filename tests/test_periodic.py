@@ -1,0 +1,359 @@
+"""The periodic regime written once.
+
+Past the joint recurrence of a timed run and its CA orbit, every raster
+row and every synchronous row repeats an earlier one, and the writers
+form those rows once (``render.AsyncPlots.raster_chunks``,
+``spacetime_sync_chunks``, ``spacetime_sync_pixmap_chunks``).  These
+tests hold every file of ``ca --schedule both`` and ``render`` to the
+files of the same run handed over with no recurrence and no orbit, and
+bound the rows the raster sweep still forms.
+"""
+
+import contextlib
+import io
+import json
+import random
+from fractions import Fraction
+from functools import cached_property
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tropical_ca import ca, cli, render
+from tropical_ca.network import TimingParameters, explicit_network, regular_ring
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class Unrolled(cli.Stages):
+    """The same stages with both recurrences withheld: the trajectory
+    without (m, d), every synchronous state stepped, and an orbit
+    trace with neither entry nor period, so that every writer forms
+    every row.  The orbit that ``ca`` reports is searched afresh, as
+    this trace's codes may repeat."""
+
+    @cached_property
+    def trajectory(self):
+        return super().trajectory._replace(recurrence=None)
+
+    @cached_property
+    def sync_trace(self):
+        exp = self.exp
+        states = ca.sync_states(exp.rule, exp.spec, exp.s0, exp.k_max)
+        return ca.SyncOrbit(exp.spec.size, tuple(map(ca._encode, states)), None, None)
+
+    @cached_property
+    def orbit(self):
+        exp = self.exp
+        cap = min(1 << exp.spec.size, cli.ORBIT_STEP_CAP)
+        return ca.sync_orbit(exp.rule, exp.spec, exp.s0, cap)
+
+
+def tree(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def joint_of(exp):
+    """(J, L, B) of the run as the writers see it, or None."""
+    stages = cli.Stages(exp)
+    return stages.async_plots._joint(stages.sync_trace.recurrence)
+
+
+def written(stages_class, exp, out: Path, monkeypatch) -> tuple:
+    """The files and the lines printed by ca --schedule both and by
+    render, and the number of raster blocks held."""
+    held = []
+    held_rows = render._held_rows
+
+    def counted(*args):
+        held.append(args[-1])
+        return held_rows(*args)
+
+    monkeypatch.setattr(render, "_held_rows", counted)
+    printed = io.StringIO()
+    files = {}
+    with contextlib.redirect_stdout(printed):
+        for name, command in (("ca", lambda st: cli.cmd_ca(st, "both")),
+                              ("render", cli.cmd_render)):
+            stages = stages_class(exp._replace(out=out / name))
+            assert command(stages) == 0
+            files[name] = tree(out / name)
+    monkeypatch.setattr(render, "_held_rows", held_rows)
+    return files, printed.getvalue().replace(str(out), ""), len(held)
+
+
+def check_files(exp, tmp: Path, monkeypatch, budget: int) -> dict:
+    """Assert that the files of ``exp`` equal those of its unrolled run
+    with rows of ``budget`` bytes per chunk; the facts of the case."""
+    monkeypatch.setattr(render, "_PIXMAP_BYTES", budget)
+    files, printed, held = written(cli.Stages, exp, tmp / "periodic", monkeypatch)
+    want, want_printed, unrolled_held = written(Unrolled, exp, tmp / "unrolled", monkeypatch)
+    assert unrolled_held == 0
+    assert printed == want_printed
+    for command, names in want.items():
+        assert files[command].keys() == names.keys()
+        for name, data in names.items():
+            assert files[command][name] == data, (command, name)
+    stages = cli.Stages(exp)
+    joint = joint_of(exp)
+    trace = stages.sync_trace
+    return {
+        "joint": joint,
+        "fraction": any(type(v) is Fraction for v in exp.params.xi),
+        "entry": trace.entry_time,
+        "held": held,
+        "shifted": joint is not None and sum(joint[:2]) + 1 < exp.k_max,
+        "non-integral B": (
+            stages.trajectory.recurrence is not None
+            and trace.recurrence is not None
+            and joint is None
+        ),
+    }
+
+
+def experiment(rule, spec, params, s0, x0, k_max):
+    return cli.Experiment("int", spec, params, rule, s0, x0, k_max, Path("out"), None)
+
+
+def random_case(rng: random.Random, fraction: bool):
+    """A small ring under a random ECA rule, or a looped digraph under
+    parity, with int or quarter/third-unit timings and a random x0."""
+    n = rng.randint(3, 7)
+    if rng.random() < 0.7:
+        spec, rule = regular_ring(n, 3), ca.CARule.eca(rng.randrange(256))
+    else:
+        arcs = {(i, i) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}
+        arcs |= {(rng.randrange(n), rng.randrange(n)) for _ in range(n)}
+        spec, rule = explicit_network(n, sorted(arcs)), ca.CARule.parity()
+    # Fraction timings in thirds or quarters of a time unit, or in
+    # sixteenths, so that many hold intervals own one raster row or none.
+    den = rng.choice([3, 4, 16]) if fraction else 1
+
+    def draw(lo, hi):
+        return Fraction(rng.randint(lo, hi * 4), den) if den > 1 else rng.randint(lo, hi)
+
+    params = TimingParameters.create(
+        [draw(1, 3) for _ in range(n)],
+        {(i, j): draw(0, 2) for i in range(n) for j in spec.predecessors(i)},
+    )
+    s0 = tuple(rng.randint(0, 1) for _ in range(n))
+    x0 = tuple(draw(0, 6) for _ in range(n))
+    return rule, spec, params, s0, x0
+
+
+def k_max_choices(case) -> list:
+    """k_max 0, 1 and J + L - 1, J + L, J + L + 1 and J + L + 2 for the
+    (J, L) of the run at a long k_max, and that long k_max."""
+    long_run = 200
+    joint = joint_of(experiment(*case, long_run))
+    if joint is None:
+        return [0, 1, long_run]
+    j_l = joint[0] + joint[1]
+    return sorted({0, 1, *(k for k in range(j_l - 1, j_l + 3) if k >= 0), long_run})
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.booleans(),
+    budget=st.sampled_from([64, 1 << 18]),
+    pick=st.integers(0, 7),
+)
+# Cases where a joint recurrence taken one cycle early (J - 1) is wrong,
+# with the block re-swept and held, and one whose last hold interval in
+# the shifted part owns the one row before its window end.
+@example(seed=7, fraction=False, budget=64, pick=7)
+@example(seed=14, fraction=False, budget=1 << 18, pick=7)
+@example(seed=78, fraction=True, budget=1 << 18, pick=7)
+def test_files_equal_those_of_the_unrolled_run(tmp_path_factory, seed, fraction, budget, pick):
+    case = random_case(random.Random(seed), fraction)
+    choices = k_max_choices(case)
+    exp = experiment(*case, choices[min(pick, len(choices) - 1)])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_files(exp, tmp_path_factory.mktemp("case"), monkeypatch, budget)
+
+
+def test_the_guard_covers_its_cases(tmp_path, monkeypatch):
+    # Deterministic cases that reach every branch the property guards:
+    # int and Fraction timings, a whole and a fractional block shift B,
+    # a block above and below the chunk budget, an orbit entry after 0,
+    # and k_max of 0, 1, J + L - 1, J + L and J + L + 1 (the first
+    # k_max with shifted copies is J + L + 2).
+    seen = {key: set() for key in ("fraction", "held", "non-integral B", "entry > 0",
+                                   "k_max - (J + L)", "shifted")}
+    rng = random.Random(26)
+    n = 0
+    while not all(len(v) == 2 for k, v in seen.items() if k != "k_max - (J + L)") or (
+        not {-1, 0, 1, 2} <= seen["k_max - (J + L)"]
+    ):
+        assert n < 60, seen
+        case = random_case(rng, fraction=n % 2 == 1)
+        for k_max in k_max_choices(case):
+            for budget in (64, 1 << 18):
+                facts = check_files(
+                    experiment(*case, k_max), tmp_path / f"{n}-{k_max}-{budget}", monkeypatch,
+                    budget,
+                )
+                seen["fraction"].add(facts["fraction"])
+                seen["non-integral B"].add(facts["non-integral B"])
+                seen["entry > 0"].add(bool(facts["entry"]))
+                seen["shifted"].add(facts["shifted"])
+                if facts["shifted"]:
+                    seen["held"].add(bool(facts["held"]))
+                if facts["joint"] is not None:
+                    seen["k_max - (J + L)"].add(k_max - sum(facts["joint"][:2]))
+        n += 1
+
+
+def test_rowless_intervals_past_the_recurrence(tmp_path, monkeypatch):
+    # A directed 3-cycle with self-loops and eighth-unit timings.  Past
+    # its recurrence, (m, d) = (4, 3), each cell's row moves 3 rows every
+    # 3 intervals, but an interval of a period may own no row, so a
+    # change there is not kept on a bit switch alone.
+    q = Fraction(1, 8)
+    spec = explicit_network(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+    params = TimingParameters.create(
+        [q, 2 * q, q],
+        {(0, 0): 0, (0, 2): 4 * q, (1, 0): 3 * q, (1, 1): 0, (2, 1): q, (2, 2): q},
+    )
+    exp = experiment(ca.CARule.parity(), spec, params, (1, 0, 1), (5 * q, q, q), 150)
+    plots = cli.Stages(exp).async_plots
+    assert plots._steady == (4, 3, Fraction(3, 2))
+    t0, period = plots.extent[0], plots.times[4:8]
+    rows = [[-((t0 - x[i]) * 2 // 1) for x in period] for i in range(3)]
+    assert any(a == b for cell in rows for a, b in zip(cell, cell[1:]))
+    check_files(exp, tmp_path, monkeypatch, 1 << 18)
+
+
+def test_pinned_rings_equal_their_unrolled_runs(tmp_path, monkeypatch):
+    # The 10-cell ring at k_max 2000 holds its block (408 rows of 320 B;
+    # J is 32, the checkpoint at which iterate saw the run recur);
+    # a 96-cell ring whose orbit enters its period at cycle 31 re-sweeps
+    # its block (96 rows of 3072 B, over the 256 KiB budget).
+    body = json.loads((CONFIGS / "rule150_ring10.json").read_text())
+    ring10 = cli.load_experiment(argparse_namespace(body, tmp_path / "ring10.json"))
+    ring10 = ring10._replace(k_max=2000)
+    s0 = ("111010000101101000011110111010010101000010001101101111100010001001011110"
+          "110111110100010011000000")
+    ring96 = {"mode": "int", "network": {"N": 96, "topology": {"regular": {"n": 3}},
+              "seed": 7, "xi_range": [1, 2], "tau_range": [0, 1]},
+              "rule": {"eca": 150}, "s0": s0, "x0": "unit", "k_max": 400}
+    ring96 = cli.load_experiment(argparse_namespace(ring96, tmp_path / "ring96.json"))
+    facts = check_files(ring10, tmp_path / "10", monkeypatch, 1 << 18)
+    assert facts["joint"] == (32, 6, 408) and facts["held"] == 2
+    facts = check_files(ring96, tmp_path / "96", monkeypatch, 1 << 18)
+    assert facts["joint"] == (31, 16, 96) and facts["entry"] == 31
+    assert facts["held"] == 0 and facts["shifted"]
+
+
+def argparse_namespace(body: dict, path: Path):
+    path.write_text(json.dumps(body), encoding="utf-8")
+    return cli.build_parser().parse_args(["ca", "--config", str(path)])
+
+
+# -- the work the raster sweep still does ------------------------------------------------
+
+
+def test_async_raster_sweeps_few_rows_of_a_recurring_run(tmp_path, capsys, monkeypatch):
+    # ca --schedule async on the 10-cell ring at k_max 2000 writes
+    # 136 000 raster rows.  Its joint recurrence starts at cycle 32 (the
+    # checkpoint where iterate saw the times recur) and repeats every 6
+    # cycles, 408 rows; the sweep forms the rows up to one block past
+    # that and the tail after the first window end (2 770 rows).
+    swept = []
+    swept_rows = render._swept_rows
+
+    def counted(*args):
+        for chunk in swept_rows(*args):
+            swept.append(chunk.count(b"\n"))
+            yield chunk
+
+    monkeypatch.setattr(render, "_swept_rows", counted)
+    body = json.loads((CONFIGS / "rule150_ring10.json").read_text())
+    config = tmp_path / "ring10_2k.json"
+    config.write_text(json.dumps({**body, "k_max": 2000}), encoding="utf-8")
+    code = cli.main(["ca", "--schedule", "async", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    with open(tmp_path / "out" / "spacetime_async.pgm", "rb") as fh:
+        size = next(line for line in fh if not line.startswith((b"P2", b"#")))
+    assert size == b"80 136000\n"
+    assert sum(swept) < 5000, sum(swept)
+
+
+# -- the synchronous states ----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule=st.integers(0, 255),
+    n=st.integers(3, 12),
+    bits=st.integers(0, 2**12 - 1),
+    k_max=st.integers(0, 300),
+)
+def test_stage_sync_states_equal_the_stepped_states(rule, n, bits, k_max):
+    spec, rule = regular_ring(n, 3), ca.CARule.eca(rule)
+    s0 = tuple(bits >> i & 1 for i in range(n))
+    stages = cli.Stages(experiment(rule, spec, None, s0, None, k_max))
+    assert stages.sync_states == ca.sync_states(rule, spec, s0, k_max)
+    trace = stages.sync_trace
+    if trace.recurrence is None:  # no repeat by k_max: every state traced
+        assert len(trace.codes) == k_max + 1
+    else:
+        assert sum(trace.recurrence) <= k_max + 1
+
+
+def test_an_orbit_open_at_k_max_is_decoded_not_stepped_again(monkeypatch):
+    # Rule 150 on 11 cells has period 31 from this state: at k_max 20 the
+    # trace does not close, and its 21 codes are the states.
+    spec, rule = regular_ring(11, 3), ca.CARule.eca(150)
+    s0 = ca.state_from_string("00000100000")
+    steps = []
+    compile_step = ca._compile
+
+    def counted(rule, spec):
+        step = compile_step(rule, spec)
+        return lambda code: steps.append(code) or step(code)
+
+    monkeypatch.setattr(ca, "_compile", counted)
+    stages = cli.Stages(experiment(rule, spec, None, s0, None, 20))
+    states = stages.sync_states
+    assert stages.sync_trace.recurrence is None and len(steps) == 21
+    monkeypatch.setattr(ca, "_compile", compile_step)
+    assert states == ca.sync_states(rule, spec, s0, 20)
+    # ca's own search carries the trace on to the orbit's first repeat.
+    orbit = stages.orbit
+    assert (orbit.entry_time, orbit.period) == (0, 31)
+    assert orbit == ca.sync_orbit(rule, spec, s0, 1 << 11)
+    assert len(steps) == 21
+
+
+@pytest.mark.parametrize("k_max", [3, 5, 6, 40])
+def test_orbit_search_over_the_cap_fails_after_a_trace(monkeypatch, k_max):
+    # The ring10 orbit first repeats at step 6: with a cap of 4 the search
+    # fails whether k_max is below, at or past the orbit's close.
+    spec, rule = regular_ring(10, 3), ca.CARule.eca(150)
+    s0 = ca.state_from_string("0000100000")
+    monkeypatch.setattr(cli, "ORBIT_STEP_CAP", 4)
+    stages = cli.Stages(experiment(rule, spec, None, s0, None, k_max))
+    with pytest.raises(ca.CapExceededError, match="k_max = 4") as info:
+        stages.orbit
+    assert info.value.k_reached == 5
+    assert stages.sync_states == ca.sync_states(rule, spec, s0, k_max)
+
+
+def test_unrolled_stages_withhold_both_recurrences(tmp_path):
+    # The guard's reference forms every row: it sees no recurrence of the
+    # times and no orbit, but the same times and states.
+    args = cli.build_parser().parse_args(["ca", "--config", str(CONFIGS / "rule150_ring10.json")])
+    exp = cli.load_experiment(args)._replace(k_max=200)
+    stages, unrolled = cli.Stages(exp), Unrolled(exp)
+    assert stages.trajectory.recurrence is not None
+    assert stages.sync_trace.recurrence == (0, 6)
+    assert unrolled.trajectory.recurrence is None
+    assert unrolled.sync_trace.recurrence is None
+    assert unrolled.trajectory.states == stages.trajectory.states
+    assert unrolled.sync_states == stages.sync_states
+    assert unrolled.async_plots._joint(None) is None
