@@ -223,6 +223,10 @@ def load_experiment(args) -> Experiment:
     return Experiment(mode, spec, params, rule, s0, x0, k_max, out, seed)
 
 
+# Bytes buffered per output file.
+_WRITE_BUFFER = 1 << 18
+
+
 def _encoded(chunk) -> bytes:
     return chunk if isinstance(chunk, bytes) else chunk.encode()
 
@@ -231,9 +235,11 @@ def _write_chunks(out_dir: Path, files: dict, shared=()) -> None:
     """Write each file out_dir/name of ``files`` (name -> chunks of text
     or of UTF-8 bytes): the ``shared`` chunks, to every file as they come,
     then the file's own.  Each text chunk is encoded once, however many
-    files take it.  A chunk iterator that raises leaves none of the files
-    behind, and so does a file that cannot be opened or written, which is
-    a ConfigError naming it."""
+    files take it, and each file has a buffer of _WRITE_BUFFER bytes, so
+    that small chunks leave in large writes.  A chunk iterator that
+    raises leaves none of the files behind, and so does a file that
+    cannot be opened or written (at a write, or at the flush when it is
+    closed), which is a ConfigError naming it."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -245,7 +251,7 @@ def _write_chunks(out_dir: Path, files: dict, shared=()) -> None:
     at = out_dir  # the file being opened or written
     try:
         for at in paths:
-            handles.append(open(at, "wb"))
+            handles.append(open(at, "wb", buffering=_WRITE_BUFFER))
         for chunk in map(_encoded, shared):
             for at, fh in zip(paths, handles):
                 fh.write(chunk)
@@ -493,12 +499,12 @@ WRITERS = {
         st.sync_states, st.plotspec, st.sync_trace.recurrence
     ),
     "spacetime_sync.pgm": lambda st: render_mod.spacetime_sync_pixmap_chunks(
-        st.sync_states, st.plotspec, st.sync_trace.recurrence
+        st.sync_states, st.plotspec, st.sync_trace
     ),
     "async_contours.svg": lambda st: st.async_plots.contour_chunks(st.run.states),
     SPACETIME_SVGS: lambda st: st.async_plots.spacetime_pair_chunks(st.run.states),
     "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(
-        st.run.states, st.sync_trace.recurrence
+        st.run.states, st.sync_trace
     ),
     "event_dag.dot": lambda st: render_mod.event_dag_dot(
         st.run, 0, min(3, st.exp.k_max), st.plotspec

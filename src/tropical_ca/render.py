@@ -16,16 +16,16 @@ test-suite cross-checks against the state query API.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
-from itertools import chain, count, cycle, groupby, islice, repeat
-from operator import add, getitem, lt, sub
+from itertools import chain, cycle, groupby, islice, repeat, starmap
+from operator import getitem, lt, sub
 from typing import NamedTuple
 
 from ._version import __version__
-from .ca import AsyncRun, StateTransitionGraph
+from .ca import AsyncRun, StateTransitionGraph, _encode
 from .errors import DimensionError, StateUndefinedError
 from .semiring import MaxPlusMatrix, Scalar, format_scalar
 from .spectral import CriticalGraph, build_graph
@@ -360,116 +360,150 @@ class AsyncPlots:
             return None
         return max(m, entry), L, int(shift)
 
-    def raster_chunks(self, states, orbit=None) -> Iterator[bytes]:
+    def raster_chunks(self, states, trace=None) -> Iterator[bytes]:
         """The bytes of :func:`spacetime_async_pixmap` in chunks of whole
-        lines, header first.  The changes of each cell's gray are
-        collected when this is called, one per switch; the rows are built
-        only as the chunks are taken.
+        lines, header first.  The changes of the rows that are swept are
+        collected when this is called, one per gray switch; the rows are
+        built only as the chunks are taken.
 
-        ``orbit`` is (entry, period) of the states, or None.  Past the
-        joint recurrence (J, L, B) of :meth:`_joint`, hold interval k + L
-        is interval k shifted B rows down, so changes are collected only
-        for the intervals 0..J + L and repeated from there.  Rows R0 =
-        max_i row of x_i(J) and on repeat every B rows until the first
-        window end E = min_i row of x_i(k_max); where B rows fit in
-        _PIXMAP_BYTES, the rows from R0 + B to E are copies of the held
-        block of rows R0 .. R0 + B - 1, not swept."""
+        ``trace`` is the :class:`~tropical_ca.ca.SyncOrbit` whose codes
+        are the states' (folded into its period past its entry where it
+        closes), or None: the states are then encoded.  Where the update
+        times recur, (m, d, c) = :attr:`_steady`, and D = c·time_scale is
+        whole, a cell's interval k + d starts D rows below its interval k
+        for k >= m.  From cycle J on (J of :meth:`_joint` where the orbit
+        closes, else m), the rows R0 = max_i row of x_i(J) .. E - 1, where
+        E = min_i row of x_i(k_max) is the first window end, are built
+        from the codes (:func:`_code_rows`).  Only the rows before R0 and
+        from E on are swept, from the changes of the intervals that own
+        them.  Where the orbit closes, its block of B rows fits in
+        _PIXMAP_BYTES and R0 + B < E, rows R0 + B .. E - 1 are copies of
+        the block (:func:`_held_rows`).  A run with no whole D, or with
+        R0 + D > E, is swept whole."""
         n, ps = self.size, self.ps
         t0 = self.extent[0]
         s = ps.time_scale
         height, row_bytes = self.raster_size()
+        states = self._checked(states)
         # Per cell, the bytes of its cell_px equal pixels and the separator
         # after them (the newline after the last cell), per gray code
-        # (dark, light, background); a row is its cells' fragments joined.
+        # (dark, light, background); a swept row is its cells' fragments
+        # joined.
         grays = [" ".join([str(gray)] * ps.cell_px) for gray in (ps.gray0, ps.gray1, ps.gray_bg)]
         fragments = [
             [(gray + sep).encode() for gray in grays] for sep in [" "] * (n - 1) + ["\n"]
         ]
+        slots = [(i, f) for i, cell in enumerate(fragments) for f in cell]
+        background = [cell[2] for cell in fragments]
+        size = max(1, _PIXMAP_BYTES // row_bytes)
+        header = [_pgm_header(ps, n * ps.cell_px, height)]
         times, k_max = self.times, len(self.times) - 1
-        states = self._checked(states)
-        joint = self._joint(orbit)
-        # Intervals 0..cut - 1 are collected; the rest repeat them.
-        cut = k_max if joint is None else min(k_max, joint[0] + joint[1] + 1)
         # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
         # (dark, light, background), so that sorting orders them by row.
         # Time t falls in row ceil((t - t0)·s), written -((t0 - t)·s // 1)
         # so that an int takes no call; a row at or past height is dropped
-        # by the sweep.
-        m = 3 * n
-        ends = [-((t0 - t) * s // 1) for t in times[-1]]  # the window ends
-        # From interval p on, each cell's row moves D = c·s rows every d
-        # intervals (a change moves step = D·3n), so the rows past one
-        # period need no conversion.
-        head = cut
-        if self._steady is not None and self._steady[2] * s % 1 == 0:
-            p, d, c = self._steady
-            step, head = int(c * s) * m, min(cut, p + d)
-        held = None
-        if cut < k_max:
-            J, L, B = joint
-            r0 = -((t0 - max(times[J])) * s // 1)
-            if B * row_bytes <= _PIXMAP_BYTES and r0 + B < min(ends):
-                held = (r0, B, min(ends))
-        changes = []
-        columns = zip(self.time_columns, zip(*states[: cut + 1]), ends)
-        for i, (times_i, bits, end) in enumerate(columns):
-            rows = [-((t0 - t) * s // 1) for t in islice(times_i, head + 1)]
-            # Where every interval of the first period owns a row, every
-            # later one does: its change is kept where its bit switches.
-            steps = head < cut and all(map(lt, rows[p:], rows[p + 1 :]))
-            if head < cut and not steps:
-                rows += [-((t0 - t) * s // 1) for t in islice(times_i, head + 1, cut + 1)]
-            code = 3 * i
-            # Hold interval k owns the rows rows[k] .. rows[k+1] - 1.  Its
-            # change is kept where it owns a row and switches the gray: its
-            # bit differs from interval k-1's, or interval k-1 owned no row,
-            # which may hide a switch.  Before interval 0 the cell is
-            # background (code 2), so interval 0's change is always kept.
-            kept = [
-                r * m + code + bit
-                for r_prev, r, r_end, bit_prev, bit in zip(
-                    chain((-1,), rows), rows, rows[1:], chain((2,), bits), bits
+        # by the sweep.  The window ends at x_i(k_max), where the cell
+        # turns background; with k_max = 0 it is background throughout.
+        w = 3 * n
+        ends = [-((t0 - t) * s // 1) for t in times[-1]]
+        plan = self._code_plan(trace, min(ends))
+        if plan is None:
+            changes = []
+            for i, (column, bits, end) in enumerate(zip(self.time_columns, zip(*states), ends)):
+                rows = [-((t0 - t) * s // 1) for t in column]
+                changes += _kept(rows, bits, 3 * i, w)
+                changes.append(end * w + 3 * i + 2)
+            changes.sort()
+            return chain(header, _swept_rows(background, changes, slots, 0, height, size))
+        J, d, D, r0, e, joint, rows = plan
+
+        def row_at(cell, k):  # the row of interval k >= J
+            q, j = divmod(k - J, d)
+            return cell[J + j] + q * D
+
+        if joint is None:  # the codes of s(0..k_max)
+            codes = tuple(map(_encode, states)) if trace is None else trace.codes
+            base, mod = 0, len(codes)
+        else:  # the codes of the orbit's period, from its entry on
+            base, mod = trace.recurrence
+            codes = trace.codes[base:]
+        head, tail, owners, starts = [], [], [], []
+        for i, (cell, end) in enumerate(zip(rows, ends)):
+            key = 3 * i
+            # From J on, interval k + d starts D rows below interval k.
+            while cell[-1] < r0 + D:
+                cell.append(cell[-d] + D)
+            # The intervals that start before R0, swept.
+            h = bisect_left(cell, r0)
+            head += _kept(cell[: h + 1], [x[i] for x in states[:h]], key, w)
+            # The interval that owns row R0, and those that start in rows
+            # R0 .. R0 + D - 1 and own a row: from row R0 + rho on, cell i
+            # shows interval k.
+            owners.append(bisect_right(cell, r0) - 1 - base)
+            for k in range(h, bisect_left(cell, r0 + D, h)):
+                if cell[k] < cell[k + 1]:
+                    starts.append((cell[k] - r0, i, k - base))
+            # Those that own a row from E on, swept from the one that owns
+            # row E (none where the window ends at E).
+            if end > e:
+                k = J + (e - cell[J]) // D * d
+                while row_at(cell, k + 1) <= e:
+                    k += 1
+                tail += _kept(
+                    [e, *(row_at(cell, j) for j in range(k + 1, k_max + 1))],
+                    [x[i] for x in states[k:k_max]], key, w, first=e,
                 )
-                if r < r_end and (bit != bit_prev or r_prev == r)
-            ]
-            if steps:
-                # Interval p + j starts at row rows[p + j % d] + (j // d)·D.
-                starts = [r * m + code for r in rows[p : p + d]]
-                kept += [
-                    starts[j % d] + j // d * step + bit
-                    for j, bit_prev, bit in zip(count(d), bits[head - 1 : cut - 1], bits[head:cut])
-                    if bit != bit_prev
-                ]
-            changes += kept
-            if cut < k_max:
-                # Interval J + 1 + qL + j is interval J + 1 + j shifted qB
-                # rows down.  A copy whose row reaches the window end would
-                # be an interval past k_max.  A held block needs only the
-                # copies before row R0 + B and those from row E on.
-                first = -((t0 - times_i[J + 1]) * s // 1)
-                block = kept[bisect_left(kept, first * m) :]
-                last = (end - 1 - first) // B  # the last copy to reach a row
-                if held is None:
-                    copies = [(1, last)]
-                else:
-                    front = (held[0] - first) // B + 1
-                    copies = [(1, front), (max(front + 1, (held[2] - first) // B), last)]
-                for lo, hi in copies:
-                    shifts = (map(add, block, repeat(q * B * m)) for q in range(lo, hi + 1))
-                    tail = list(chain.from_iterable(shifts))
-                    del tail[bisect_left(tail, end * m) :]
-                    changes += tail
-            # The window ends at x_i(k_max).  With k_max = 0 the column is
-            # background throughout, and this change keeps it so.
-            changes.append(end * m + code + 2)
-        changes.sort()
-        slots = [(i, f) for i, cell in enumerate(fragments) for f in cell]
-        row = [cell[2] for cell in fragments]
-        size = max(1, _PIXMAP_BYTES // row_bytes)
-        header = [_pgm_header(ps, n * ps.cell_px, height)]
-        if held is None:
-            return chain(header, _swept_rows(row, changes, slots, 0, height, size))
-        return chain(header, _held_rows(row, changes, slots, height, size, held))
+            tail.append(end * w + key + 2)
+        head.sort()
+        tail.sort()
+        # Per run of rows R0 + rho .. from a row where intervals start (or
+        # rho = 0): its length, the mask of the cells whose interval goes
+        # on and the intervals that start.
+        at = {0: []}
+        for rho, i, o in starts:
+            at.setdefault(rho, []).append((i, o))
+        rhos = sorted(at)
+        full = (1 << n) - 1
+        runs = []
+        for count, rho in zip(map(sub, [*rhos[1:], D], rhos), rhos):
+            pairs = _cell_masks(at[rho], n)
+            runs.append((count, full ^ sum(mask for _o, mask in pairs), pairs))
+        code_rows = partial(
+            _code_rows, _code_row(n, ps.cell_px, (ps.gray0, ps.gray1)), codes, mod,
+            _cell_masks(enumerate(owners), n), runs, d, r0,
+        )
+        if joint is not None and joint[2] * row_bytes <= _PIXMAP_BYTES and r0 + joint[2] < e:
+            body = _held_rows(code_rows(r0 + joint[2]), joint[2], e - r0)
+        else:
+            body = _row_chunks(code_rows(e), size)
+        return chain(
+            header,
+            _swept_rows(background[:], head, slots, 0, r0, size),
+            body,
+            _swept_rows(background, tail, slots, e, height, size),
+        )
+
+    def _code_plan(self, trace, e: int) -> tuple | None:
+        """(J, d, D, R0, E, joint, rows) for :meth:`raster_chunks` where
+        its rows R0 .. E - 1 are built from codes, E = e: J, R0 and the
+        joint recurrence (J, L, B) of the trace's orbit (None where it is
+        open), and per cell the rows of its intervals 0 .. J + d - 1.
+        None where the times do not recur, D is not whole or R0 + D > E."""
+        steady = self._steady
+        s = self.ps.time_scale
+        if steady is None or steady[2] * s % 1:
+            return None
+        m, d, c = steady
+        joint = self._joint(None if trace is None else trace.recurrence)
+        J = m if joint is None else joint[0]
+        t0 = self.extent[0]
+        rows = [
+            [-((t0 - t) * s // 1) for t in islice(column, J + d)] for column in self.time_columns
+        ]
+        r0 = max(cell[J] for cell in rows)
+        if r0 + c * s > e:
+            return None
+        return J, d, int(c * s), r0, e, joint, rows
 
 
 def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
@@ -508,6 +542,103 @@ def _pgm_header(ps: PlotSpec, width: int, height: int) -> bytes:
     return "\n".join(["P2", *_comment_lines(ps, "#"), f"{width} {height}", "255", ""]).encode()
 
 
+def _kept(rows: list, bits, key: int, w: int, first: int = -1) -> list:
+    """The changes r·w + key + bit of a cell's hold intervals, where
+    interval j owns the rows rows[j] .. rows[j+1] - 1 and shows bits[j].
+    A change is kept where its interval owns a row and switches the gray:
+    its bit differs from the interval's before, or that one owned no row,
+    which may hide a switch.  Before the first interval the cell is
+    background (code 2); ``first`` is the row where the interval before
+    it started (-1 for none; rows[0] keeps the first change)."""
+    return [
+        r * w + key + bit
+        for r_prev, r, r_end, bit_prev, bit in zip(
+            chain((first,), rows), rows, rows[1:], chain((2,), bits), bits
+        )
+        if r < r_end and (bit != bit_prev or r_prev == r)
+    ]
+
+
+def _cell_masks(cells, n: int) -> list:
+    """The (o, mask) pairs of the (cell i, interval o) pairs ``cells``:
+    per interval, the mask of its cells, cell 0 the top bit of n."""
+    masks = {}
+    for i, o in cells:
+        masks[o] = masks.get(o, 0) | 1 << (n - 1 - i)
+    return list(masks.items())
+
+
+def _code_row(n: int, px: int, grays: tuple):
+    """The function from the code of a state of n cells (cell 0 the top
+    bit, as ca._encode gives it) to the bytes of its pixmap row: per cell
+    px pixels of grays[bit], each followed by a space, the last by the
+    newline.  The code is cut into bytes of 8 cells, the last holding
+    the n mod 8 cells left (or 8) in its top bits, and a byte's text is
+    read from a table of 256: one table for the full bytes and one,
+    ending in the newline, for the last.  A row is one join."""
+    count = (n + 7) // 8
+    pad = 8 * count - n
+    one = [(" ".join([str(gray)] * px) + " ").encode() for gray in grays]
+    two = [a + b for a in one for b in one]
+    four = [a + b for a in two for b in two]
+    full = [a + b for a in four for b in four]
+    # The last byte's cells are its top 8 - pad bits: a full text less
+    # pad dark cells and the last space.
+    cut = pad * len(one[0]) + 1
+    ends = [full[u << pad][:-cut] + b"\n" for u in range(256 >> pad)]
+    last = [ends[v >> pad] for v in range(256)]
+    tables = [full] * (count - 1) + [last]
+    return lambda code: b"".join(map(getitem, tables, (code << pad).to_bytes(count, "big")))
+
+
+def _code_rows(row, codes, mod: int, first, runs: list, d: int, start: int, stop: int) -> Iterator:
+    """(bytes, count) runs of the rows start .. stop - 1 of a raster
+    whose rows repeat every D rows with the intervals shifted d on, in
+    the q-th repeat interval o showing state code codes[(o + q·d) % mod].
+    Row start shows the intervals of ``first``, (o, mask of the cells
+    that show it) pairs.  Of each D rows, runs[j] = (count, keep, pairs)
+    gives a run of rows from a row where the intervals of ``pairs`` start
+    in the cells of their masks and those of ``keep`` go on.  A row's
+    code is updated per run, and row(code) is built where it changes."""
+    code = 0
+    for o, mask in first:
+        code |= codes[o % mod] & mask
+    prev = text = None
+    shift = 0
+    r = start
+    while True:
+        for count, keep, pairs in runs:
+            if pairs:
+                code &= keep
+                for o, mask in pairs:
+                    code |= codes[(o + shift) % mod] & mask
+            if code != prev:
+                prev, text = code, row(code)
+            count = min(count, stop - r)
+            yield text, count
+            r += count
+            if r >= stop:
+                return
+        shift = (shift + d) % mod
+
+
+def _row_chunks(runs, size: int) -> Iterator[bytes]:
+    """The rows of the (bytes, count) runs in chunks of ``size`` rows (the
+    last may hold fewer): a chunk is a list of references to a few rows,
+    joined once."""
+    block = []
+    for text, run in runs:
+        while len(block) + run >= size:
+            take = size - len(block)
+            block += [text] * take
+            yield b"".join(block)
+            block = []
+            run -= take
+        block += [text] * run
+    if block:
+        yield b"".join(block)
+
+
 def _swept_rows(
     row: list, changes, slots: list, start: int, stop: int, size: int
 ) -> Iterator[bytes]:
@@ -517,56 +648,42 @@ def _swept_rows(
     change r·len(slots) + k in the sorted list ``changes`` sets the
     (cell, fragment) pair slots[k] from row r on; those before row start
     are skipped, and those from row stop on are not applied.  A row with
-    no change repeats the bytes of the row above, so a chunk is a list of
-    references to a few rows, joined once."""
+    no change repeats the bytes of the row above."""
+    return _row_chunks(_swept_runs(row, changes, slots, start, stop), size)
+
+
+def _swept_runs(row: list, changes, slots: list, start: int, stop: int) -> Iterator:
+    """The (bytes, count) runs of :func:`_swept_rows`."""
     m = len(slots)
     text = b"".join(row)
-    block = []
     r = start
     changes = islice(changes, bisect_left(changes, start * m), None)
-    for r_next, group in chain(groupby(changes, m.__rfloordiv__), [(stop, ())]):
-        run = min(r_next, stop) - r
-        while len(block) + run >= size:
-            take = size - len(block)
-            block += [text] * take
-            yield b"".join(block)
-            block = []
-            run -= take
-        block += [text] * run
+    for r_next, group in groupby(changes, m.__rfloordiv__):
         if r_next >= stop:
             break
+        yield text, r_next - r
         for key in group:
             i, fragment = slots[key % m]
             row[i] = fragment
         text = b"".join(row)
         r = r_next
-    if block:
-        yield b"".join(block)
+    yield text, stop - r
 
 
-def _held_rows(row: list, changes, slots: list, height: int, size: int, held) -> Iterator[bytes]:
-    """Rows 0..height-1 as :func:`_swept_rows` gives them, where held =
-    (R0, B, E) says that row r + B repeats row r for R0 <= r < E - B.
-    Rows R0 + B .. E - 1 are copies of the block of rows R0 .. R0 + B - 1,
-    whose bytes are held, written in chunks of whole blocks that fit in
-    _PIXMAP_BYTES; the sweep resumes at row E from the fragments of row
-    E - 1, which are those of block row (E - 1 - R0) mod B."""
-    r0, b, e = held
-    yield from _swept_rows(row, changes, slots, 0, r0, size)
-    q, t = divmod(e - r0 - b, b)
-    head = b"".join(_swept_rows(row, changes, slots, r0, r0 + t, b))
-    at_end = row[:]  # the fragments of block row t - 1
-    block = head + b"".join(_swept_rows(row, changes, slots, r0 + t, r0 + b, b))
-    if t:
-        row[:] = at_end
+def _held_rows(runs, b: int, count: int) -> Iterator[bytes]:
+    """``count`` rows that repeat every b rows, from the (bytes, count)
+    runs of the first b: their block is joined once and held, and the
+    rows are written as copies of it, in chunks of whole blocks that fit
+    in _PIXMAP_BYTES, and the first count mod b rows of one more."""
+    rows = list(chain.from_iterable(starmap(repeat, runs)))
+    block = b"".join(rows)
+    q, t = divmod(count, b)
     reps = max(1, _PIXMAP_BYTES // len(block))
-    yield block
     yield from repeat(block * reps, q // reps)
     if q % reps:
         yield block * (q % reps)
-    if head:
-        yield head
-    yield from _swept_rows(row, changes, slots, e, height, size)
+    if t:
+        yield b"".join(rows[:t])
 
 
 def pixmap_parse(text: str):
@@ -599,15 +716,16 @@ def spacetime_sync(states, ps: PlotSpec) -> str:
     return "".join(spacetime_sync_chunks(states, ps))
 
 
-def _orbit_rows(states, orbit, row) -> Iterator:
-    """row(s) of each state s in turn.  Given the orbit (entry, period)
-    of the states, each row is formed once per orbit state and then
-    repeated."""
-    if orbit is None or sum(orbit) >= len(states):
-        return map(row, states)
+def _orbit_rows(items, orbit, count: int, row) -> Iterator:
+    """row(x) of the first ``count`` states of a run, each given by its
+    item x.  Given the orbit (entry, period) of the run, the items need
+    run to entry + period only: each row is formed once per orbit state
+    and then repeated."""
+    if orbit is None or sum(orbit) >= count:
+        return map(row, islice(items, count))
     entry, period = orbit
-    rows = list(map(row, states[: entry + period]))
-    return chain(rows, islice(cycle(rows[entry:]), len(states) - len(rows)))
+    rows = list(map(row, items[: entry + period]))
+    return chain(rows, islice(cycle(rows[entry:]), count - len(rows)))
 
 
 def spacetime_sync_chunks(states, ps: PlotSpec, orbit=None) -> Iterator[str]:
@@ -630,7 +748,7 @@ def spacetime_sync_chunks(states, ps: PlotSpec, orbit=None) -> Iterator[str]:
         for after in rect[1:] + [""]
     ]
     first = rect[0]
-    parts = _orbit_rows(states, orbit, lambda s: [first, *map(getitem, pieces, s)])
+    parts = _orbit_rows(states, orbit, len(states), lambda s: [first, *map(getitem, pieces, s)])
     ys = range(ps.margin, ps.margin + len(states) * ps.cell_px, ps.cell_px)
     rows = max(1, _SVG_BLOCK // n)  # per chunk
     blocks = (
@@ -646,20 +764,25 @@ def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:
     return b"".join(spacetime_sync_pixmap_chunks(states, ps)).decode()
 
 
-def spacetime_sync_pixmap_chunks(states, ps: PlotSpec, orbit=None) -> Iterator[bytes]:
+def spacetime_sync_pixmap_chunks(states, ps: PlotSpec, trace=None) -> Iterator[bytes]:
     """The bytes of :func:`spacetime_sync_pixmap` in chunks of whole
     lines: the header, then as many rows as fit in _PIXMAP_BYTES (at
-    least one) per chunk.  ``orbit`` is (entry, period) of the states, or
-    None: a row is then joined once per orbit state."""
+    least one) per chunk.  A row is built from its state's code
+    (:func:`_code_row`).  ``trace`` is the
+    :class:`~tropical_ca.ca.SyncOrbit` whose codes are the states', or
+    None: the states are then encoded.  Where the trace closes, a row is
+    built once per orbit state."""
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
-    gray = (str(ps.gray0).encode(), str(ps.gray1).encode())
-    rows = max(1, _PIXMAP_BYTES // (n * (max(map(len, gray)) + 1)))  # per chunk
-    texts = _orbit_rows(states, orbit, lambda s: b" ".join(map(gray.__getitem__, s)))
-    blocks = (
-        b"\n".join([*islice(texts, rows), b""]) for _ in range(0, len(states), rows)
-    )
+    row = _code_row(n, 1, (ps.gray0, ps.gray1))
+    width = n * (max(len(str(ps.gray0)), len(str(ps.gray1))) + 1)
+    rows = max(1, _PIXMAP_BYTES // width)  # per chunk
+    if trace is None:
+        texts = map(row, map(_encode, states))
+    else:
+        texts = _orbit_rows(trace.codes, trace.recurrence, len(states), row)
+    blocks = (b"".join(islice(texts, rows)) for _ in range(0, len(states), rows))
     return chain([_pgm_header(ps, n, len(states))], blocks)
 
 

@@ -89,7 +89,9 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
     run is shifted out of the states already held, not stepped.  Past k*
     the regime x(k + rho) = mu ⊗ x(k) makes a checkpoint recur, so this
     happens by k = 2·max(k*, rho) + rho at the latest.  The trajectory
-    records the recurrence as (m, d)."""
+    records the recurrence as (m, d), where m is the earliest cycle from
+    which x(j + d) = c ⊗ x(j) holds: the checkpoint, walked back over the
+    states already held, so no step is added."""
     states = []
     for k, x in enumerate(iter_states(P, x0, k_max)):
         states.append(x)
@@ -97,7 +99,9 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
             # x(j + d) = c ⊗ x(j).  An int shift keeps each entry's type
             # (int, Fraction or EPS); a Fraction one may make a Fraction
             # entry integral.
-            d = k - mark
+            d, m = k - mark, mark
+            while m and _shift(states[m - 1], states[m - 1 + d]) == c:
+                m -= 1
             for j in range(k + 1 - d, k_max + 1 - d):
                 y = states[j]
                 states.append(
@@ -105,7 +109,7 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
                     if type(c) is int
                     else tuple([canonical(v + c) for v in y])
                 )
-            return Trajectory(P, tuple(states), (mark, d))
+            return Trajectory(P, tuple(states), (m, d))
         if k & (k - 1) == 0:  # a checkpoint: k = 0 or a power of two
             mark, ref = k, x
     return Trajectory(P, tuple(states))

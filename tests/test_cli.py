@@ -1040,6 +1040,23 @@ def test_failed_raster_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert (out / "async_contours.svg").is_file()
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_write_error_at_close_is_one_line_and_leaves_no_file(tmp_path):
+    # critical_graph.dot links to /dev/full: its few hundred bytes stay in
+    # the file's buffer until it is closed, and the flush there fails.
+    # The command exits 2 with one line naming it, and no file is left.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "critical_graph.dot").symlink_to("/dev/full")
+    proc = run_module("analyze", "--config", RING10, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"config error: out: cannot write {out / 'critical_graph.dot'}: "
+        "No space left on device\n"
+    )
+    assert [p.name for p in out.iterdir()] == ["spectral.json"]
+
+
 def test_streamed_files_bypass_write(tmp_path, capsys, monkeypatch):
     # _write gets whole texts only: a profiler that wraps it may take the
     # len() of its text argument.

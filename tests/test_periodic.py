@@ -1,8 +1,10 @@
-"""The periodic regime written once.
+"""The periodic regime built from codes and written once.
 
-Past the joint recurrence of a timed run and its CA orbit, every raster
-row and every synchronous row repeats an earlier one, and the writers
-form those rows once (``render.AsyncPlots.raster_chunks``,
+Past the recurrence of a timed run's update times, a raster row depends
+only on a few CA state codes and on its phase, and past the joint
+recurrence with the CA orbit every raster row and every synchronous row
+repeats an earlier one; the writers build those rows from the orbit's
+codes and form each repeated one once (``render.AsyncPlots.raster_chunks``,
 ``spacetime_sync_chunks``, ``spacetime_sync_pixmap_chunks``).  These
 tests hold every file of ``ca --schedule both`` and ``render`` to the
 files of the same run handed over with no recurrence and no orbit, and
@@ -14,6 +16,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from operator import ne
 from functools import cached_property
 from pathlib import Path
 
@@ -61,55 +64,64 @@ def joint_of(exp):
     return stages.async_plots._joint(stages.sync_trace.recurrence)
 
 
-def written(stages_class, exp, out: Path, monkeypatch) -> tuple:
+def written(stages_class, exp, out: Path, plotspec=None) -> tuple:
     """The files and the lines printed by ca --schedule both and by
-    render, and the number of raster blocks held."""
-    held = []
-    held_rows = render._held_rows
+    render (under ``plotspec``'s geometry and grays, if given), and the
+    number of calls that built raster rows from codes and that held a
+    block of them.  A held block never passes _PIXMAP_BYTES, and so no
+    chunk of its copies does."""
+    calls = {"_code_rows": 0, "_held_rows": 0}
 
-    def counted(*args):
-        held.append(args[-1])
-        return held_rows(*args)
+    def bounded(chunks):
+        for chunk in chunks:
+            assert len(chunk) <= render._PIXMAP_BYTES, len(chunk)
+            yield chunk
 
-    monkeypatch.setattr(render, "_held_rows", counted)
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return bounded(function(*args)) if name == "_held_rows" else function(*args)
+        return call
+
     printed = io.StringIO()
     files = {}
-    with contextlib.redirect_stdout(printed):
+    with pytest.MonkeyPatch.context() as monkeypatch, contextlib.redirect_stdout(printed):
+        for name in calls:
+            monkeypatch.setattr(render, name, counted(name, getattr(render, name)))
         for name, command in (("ca", lambda st: cli.cmd_ca(st, "both")),
                               ("render", cli.cmd_render)):
             stages = stages_class(exp._replace(out=out / name))
+            if plotspec is not None:
+                stages.plotspec = plotspec._replace(metadata=stages.plotspec.metadata)
             assert command(stages) == 0
             files[name] = tree(out / name)
-    monkeypatch.setattr(render, "_held_rows", held_rows)
-    return files, printed.getvalue().replace(str(out), ""), len(held)
+    return files, printed.getvalue().replace(str(out), ""), calls
 
 
-def check_files(exp, tmp: Path, monkeypatch, budget: int) -> dict:
+def check_files(exp, tmp: Path, monkeypatch, budget: int, plotspec=None) -> dict:
     """Assert that the files of ``exp`` equal those of its unrolled run
     with rows of ``budget`` bytes per chunk; the facts of the case."""
     monkeypatch.setattr(render, "_PIXMAP_BYTES", budget)
-    files, printed, held = written(cli.Stages, exp, tmp / "periodic", monkeypatch)
-    want, want_printed, unrolled_held = written(Unrolled, exp, tmp / "unrolled", monkeypatch)
-    assert unrolled_held == 0
+    files, printed, calls = written(cli.Stages, exp, tmp / "periodic", plotspec)
+    want, want_printed, unrolled = written(Unrolled, exp, tmp / "unrolled", plotspec)
+    assert unrolled == {"_code_rows": 0, "_held_rows": 0}
     assert printed == want_printed
     for command, names in want.items():
         assert files[command].keys() == names.keys()
         for name, data in names.items():
             assert files[command][name] == data, (command, name)
     stages = cli.Stages(exp)
-    joint = joint_of(exp)
+    steady = stages.async_plots._steady
     trace = stages.sync_trace
     return {
-        "joint": joint,
+        "joint": joint_of(exp),
         "fraction": any(type(v) is Fraction for v in exp.params.xi),
-        "entry": trace.entry_time,
-        "held": held,
-        "shifted": joint is not None and sum(joint[:2]) + 1 < exp.k_max,
-        "non-integral B": (
-            stages.trajectory.recurrence is not None
-            and trace.recurrence is not None
-            and joint is None
-        ),
+        "entry": trace.entry_time or 0,
+        "open": trace.recurrence is None,
+        "coded": calls["_code_rows"],
+        "held": calls["_held_rows"],
+        "fractional D": steady is not None and steady[2] * stages.plotspec.time_scale % 1 != 0,
+        "whole D": steady is not None and steady[2] * stages.plotspec.time_scale % 1 == 0,
     }
 
 
@@ -117,11 +129,13 @@ def experiment(rule, spec, params, s0, x0, k_max):
     return cli.Experiment("int", spec, params, rule, s0, x0, k_max, Path("out"), None)
 
 
-def random_case(rng: random.Random, fraction: bool):
-    """A small ring under a random ECA rule, or a looped digraph under
-    parity, with int or quarter/third-unit timings and a random x0."""
-    n = rng.randint(3, 7)
-    if rng.random() < 0.7:
+def random_case(rng: random.Random, fraction: bool, n: int | None = None):
+    """A ring of n cells (3 to 7 if None) under a random ECA rule, or a
+    looped digraph under parity (always below 3 cells), with int or
+    quarter/third/sixteenth-unit timings and a random x0."""
+    if n is None:
+        n = rng.randint(3, 7)
+    if n >= 3 and rng.random() < 0.7:
         spec, rule = regular_ring(n, 3), ca.CARule.eca(rng.randrange(256))
     else:
         arcs = {(i, i) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}
@@ -162,8 +176,8 @@ def k_max_choices(case) -> list:
     pick=st.integers(0, 7),
 )
 # Cases where a joint recurrence taken one cycle early (J - 1) is wrong,
-# with the block re-swept and held, and one whose last hold interval in
-# the shifted part owns the one row before its window end.
+# with the block built from codes and held, and one whose last hold
+# interval before the first window end owns a single row.
 @example(seed=7, fraction=False, budget=64, pick=7)
 @example(seed=14, fraction=False, budget=1 << 18, pick=7)
 @example(seed=78, fraction=True, budget=1 << 18, pick=7)
@@ -175,21 +189,55 @@ def test_files_equal_those_of_the_unrolled_run(tmp_path_factory, seed, fraction,
         check_files(exp, tmp_path_factory.mktemp("case"), monkeypatch, budget)
 
 
+GRAYS = st.tuples(st.sampled_from([0, 7, 40, 200]), st.sampled_from([1, 99, 255]),
+                  st.sampled_from([5, 127]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20),
+    fraction=st.booleans(),
+    budget=st.sampled_from([64, 1 << 18]),
+    pick=st.integers(0, 7),
+    grays=GRAYS,
+    cell_px=st.integers(1, 3),
+)
+# Rings of 8, 9, 16 and 17 cells, whose state codes fill their last byte
+# or put one cell in it, at k_max 200: the 17-cell ring's orbit is still
+# open there while its times recur, and the 9-cell ring's enters its
+# period at cycle 2.
+@example(seed=4, n=8, fraction=False, budget=1 << 18, pick=7, grays=(0, 255, 127), cell_px=1)
+@example(seed=4, n=9, fraction=False, budget=64, pick=7, grays=(7, 99, 5), cell_px=3)
+@example(seed=3, n=16, fraction=False, budget=1 << 18, pick=7, grays=(200, 1, 127), cell_px=2)
+@example(seed=0, n=17, fraction=False, budget=1 << 18, pick=7, grays=(40, 255, 5), cell_px=1)
+def test_files_of_rings_up_to_20_cells_equal_those_of_the_unrolled_run(
+    tmp_path_factory, seed, n, fraction, budget, pick, grays, cell_px
+):
+    # State codes that cross a byte, a last byte of n mod 8 cells, gray
+    # texts of 1 to 3 digits and cells of 1 to 3 pixels.
+    case = random_case(random.Random(seed), fraction, n)
+    choices = k_max_choices(case)
+    exp = experiment(*case, choices[min(pick, len(choices) - 1)])
+    plotspec = render.PlotSpec(cell_px=cell_px, gray0=grays[0], gray1=grays[1], gray_bg=grays[2])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_files(exp, tmp_path_factory.mktemp("case"), monkeypatch, budget, plotspec)
+
+
 def test_the_guard_covers_its_cases(tmp_path, monkeypatch):
-    # Deterministic cases that reach every branch the property guards:
-    # int and Fraction timings, a whole and a fractional block shift B,
-    # a block above and below the chunk budget, an orbit entry after 0,
-    # and k_max of 0, 1, J + L - 1, J + L and J + L + 1 (the first
-    # k_max with shifted copies is J + L + 2).
-    seen = {key: set() for key in ("fraction", "held", "non-integral B", "entry > 0",
-                                   "k_max - (J + L)", "shifted")}
-    rng = random.Random(26)
+    # Deterministic cases that reach every branch the properties guard:
+    # int and Fraction timings; a whole and a fractional row shift D; a
+    # whole D with rows built from codes and with the run swept whole,
+    # as R0 + D > E; rows from the codes of an open and of a closed
+    # orbit, and of one that enters its period after cycle 0; and a
+    # closed orbit's block held and not (over the budget, or R0 + B >= E).
+    keys = ("fraction", "fractional D", "coded", "open", "entry > 0", "held")
+    seen = {key: set() for key in keys}
+    rng = random.Random(30)
     n = 0
-    while not all(len(v) == 2 for k, v in seen.items() if k != "k_max - (J + L)") or (
-        not {-1, 0, 1, 2} <= seen["k_max - (J + L)"]
-    ):
+    while not all(len(v) == 2 for v in seen.values()):
         assert n < 60, seen
-        case = random_case(rng, fraction=n % 2 == 1)
+        case = random_case(rng, fraction=n % 2 == 1, n=rng.choice([None, 9, 17]))
         for k_max in k_max_choices(case):
             for budget in (64, 1 << 18):
                 facts = check_files(
@@ -197,19 +245,20 @@ def test_the_guard_covers_its_cases(tmp_path, monkeypatch):
                     budget,
                 )
                 seen["fraction"].add(facts["fraction"])
-                seen["non-integral B"].add(facts["non-integral B"])
-                seen["entry > 0"].add(bool(facts["entry"]))
-                seen["shifted"].add(facts["shifted"])
-                if facts["shifted"]:
-                    seen["held"].add(bool(facts["held"]))
-                if facts["joint"] is not None:
-                    seen["k_max - (J + L)"].add(k_max - sum(facts["joint"][:2]))
+                seen["fractional D"].add(facts["fractional D"])
+                if facts["whole D"]:
+                    seen["coded"].add(bool(facts["coded"]))
+                if facts["coded"]:
+                    seen["open"].add(facts["open"])
+                    if not facts["open"]:
+                        seen["entry > 0"].add(bool(facts["entry"]))
+                        seen["held"].add(bool(facts["held"]))
         n += 1
 
 
 def test_rowless_intervals_past_the_recurrence(tmp_path, monkeypatch):
     # A directed 3-cycle with self-loops and eighth-unit timings.  Past
-    # its recurrence, (m, d) = (4, 3), each cell's row moves 3 rows every
+    # its recurrence, (m, d) = (3, 3), each cell's row moves 3 rows every
     # 3 intervals, but an interval of a period may own no row, so a
     # change there is not kept on a bit switch alone.
     q = Fraction(1, 8)
@@ -220,8 +269,8 @@ def test_rowless_intervals_past_the_recurrence(tmp_path, monkeypatch):
     )
     exp = experiment(ca.CARule.parity(), spec, params, (1, 0, 1), (5 * q, q, q), 150)
     plots = cli.Stages(exp).async_plots
-    assert plots._steady == (4, 3, Fraction(3, 2))
-    t0, period = plots.extent[0], plots.times[4:8]
+    assert plots._steady == (3, 3, Fraction(3, 2))
+    t0, period = plots.extent[0], plots.times[3:7]
     rows = [[-((t0 - x[i]) * 2 // 1) for x in period] for i in range(3)]
     assert any(a == b for cell in rows for a, b in zip(cell, cell[1:]))
     check_files(exp, tmp_path, monkeypatch, 1 << 18)
@@ -229,9 +278,9 @@ def test_rowless_intervals_past_the_recurrence(tmp_path, monkeypatch):
 
 def test_pinned_rings_equal_their_unrolled_runs(tmp_path, monkeypatch):
     # The 10-cell ring at k_max 2000 holds its block (408 rows of 320 B;
-    # J is 32, the checkpoint at which iterate saw the run recur);
-    # a 96-cell ring whose orbit enters its period at cycle 31 re-sweeps
-    # its block (96 rows of 3072 B, over the 256 KiB budget).
+    # J is 19, where its times start to recur); a 96-cell ring whose
+    # orbit enters its period at cycle 31 builds every row of its block
+    # (96 rows of 3072 B, over the 256 KiB budget) from codes.
     body = json.loads((CONFIGS / "rule150_ring10.json").read_text())
     ring10 = cli.load_experiment(argparse_namespace(body, tmp_path / "ring10.json"))
     ring10 = ring10._replace(k_max=2000)
@@ -242,10 +291,10 @@ def test_pinned_rings_equal_their_unrolled_runs(tmp_path, monkeypatch):
               "rule": {"eca": 150}, "s0": s0, "x0": "unit", "k_max": 400}
     ring96 = cli.load_experiment(argparse_namespace(ring96, tmp_path / "ring96.json"))
     facts = check_files(ring10, tmp_path / "10", monkeypatch, 1 << 18)
-    assert facts["joint"] == (32, 6, 408) and facts["held"] == 2
+    assert facts["joint"] == (19, 6, 408) and facts["held"] == facts["coded"] == 2
     facts = check_files(ring96, tmp_path / "96", monkeypatch, 1 << 18)
     assert facts["joint"] == (31, 16, 96) and facts["entry"] == 31
-    assert facts["held"] == 0 and facts["shifted"]
+    assert facts["held"] == 0 and facts["coded"] == 2
 
 
 def argparse_namespace(body: dict, path: Path):
@@ -258,10 +307,9 @@ def argparse_namespace(body: dict, path: Path):
 
 def test_async_raster_sweeps_few_rows_of_a_recurring_run(tmp_path, capsys, monkeypatch):
     # ca --schedule async on the 10-cell ring at k_max 2000 writes
-    # 136 000 raster rows.  Its joint recurrence starts at cycle 32 (the
-    # checkpoint where iterate saw the times recur) and repeats every 6
-    # cycles, 408 rows; the sweep forms the rows up to one block past
-    # that and the tail after the first window end (2 770 rows).
+    # 136 000 raster rows.  Its joint recurrence starts at cycle 19 and
+    # repeats every 6 cycles, 408 rows; the sweep forms the rows before
+    # R0 = max_i row of x_i(19) and those from the first window end E on.
     swept = []
     swept_rows = render._swept_rows
 
@@ -281,6 +329,54 @@ def test_async_raster_sweeps_few_rows_of_a_recurring_run(tmp_path, capsys, monke
         size = next(line for line in fh if not line.startswith((b"P2", b"#")))
     assert size == b"80 136000\n"
     assert sum(swept) < 5000, sum(swept)
+
+
+RING256 = {
+    "mode": "int", "k_max": 200, "rule": {"eca": 150}, "x0": "unit",
+    "network": {"N": 256, "seed": 1817423264, "topology": {"regular": {"n": 3}},
+                "xi_range": [1, 2], "tau_range": [0, 1]},
+    "s0": "1101010010011111011110010001100111111000100001000011010000110110"
+          "1111110010010100101110011000010001101011111000101101100011100100"
+          "1010100110010101100101001010111001001111101110101000111111010000"
+          "1101100101010011100101100010110010011000010110101100101011010110",
+}
+
+
+def test_timed_ring_sweeps_only_the_rows_outside_the_code_rows(tmp_path, monkeypatch):
+    # A 256-cell rule-150 ring with narrow timings: its times recur from
+    # cycle 14 (d = 1, D = 6 rows) and its orbit from 0 (period 128), so
+    # its block of 768 rows of 8 KiB is over the budget.  Rows R0 = 84 to
+    # E = 1184 are built from codes, at most one per row where a hold
+    # interval starts; only rows 0 .. 83 and 1184 .. 1199 are swept.
+    ranges, swept, built = [], [], []
+    swept_rows, code_row = render._swept_rows, render._code_row
+
+    def counted_sweep(row, changes, slots, start, stop, size):
+        ranges.append((start, stop))
+        for chunk in swept_rows(row, changes, slots, start, stop, size):
+            swept.append(chunk.count(b"\n"))
+            yield chunk
+
+    def counted_row(n, px, grays):
+        row = code_row(n, px, grays)
+        if px == 1:  # the synchronous plot's
+            return row
+        return lambda code: built.append(code) or row(code)
+
+    monkeypatch.setattr(render, "_swept_rows", counted_sweep)
+    monkeypatch.setattr(render, "_code_row", counted_row)
+    config = tmp_path / "ring256.json"
+    config.write_text(json.dumps(RING256), encoding="utf-8")
+    code = cli.main(["ca", "--schedule", "both", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    with open(tmp_path / "out" / "spacetime_async.pgm", "rb") as fh:
+        size = next(line for line in fh if not line.startswith((b"P2", b"#")))
+    assert size == b"2048 1200\n"
+    assert ranges == [(0, 84), (1184, 1200)] and sum(swept) == 84 + 16
+    # 550 of the 1100 code rows are built: where a hold interval starts
+    # and the row's code differs from the row above's.
+    assert len(built) == 550 and all(map(ne, built, built[1:]))
 
 
 # -- the synchronous states ----------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_iterate_fast_forward_equals_stepping(case):
     assert got == want
     assert [list(map(type, x)) for x in got] == [list(map(type, x)) for x in want]
     # The recurrence it records, (m, d): states[j + d] = c ⊗ states[j]
-    # for every j >= m and one scalar c.
+    # for every j >= m and one scalar c, and m is the earliest such cycle.
     if traj.recurrence is not None:
         m, d = traj.recurrence
         assert m >= 0 and d >= 1 and m + d <= k_max
@@ -154,11 +154,16 @@ def test_iterate_fast_forward_equals_stepping(case):
         c = got[m + d][finite[0]] - got[m][finite[0]] if finite else 0
         for j in range(m, k_max + 1 - d):
             assert got[j + d] == tuple(v + c for v in got[j])
+        if m:
+            assert got[m - 1 + d] != tuple(v + c for v in got[m - 1])
 
 
 def test_iterate_stops_stepping_once_the_run_recurs(monkeypatch):
     # A checkpoint past k* recurs rho steps later, so iterate steps P at
-    # most 2·max(k*, rho) + rho times however long the run.
+    # most 2·max(k*, rho) + rho times however long the run: it stops at
+    # the checkpoint m' (32, 128 and 4 here) plus d.  The recurrence it
+    # records is walked back from m' to where the run starts to recur,
+    # (k*, rho), with no step added.
     steps = []
     step = trajectory.step_arcs
 
@@ -170,13 +175,13 @@ def test_iterate_stops_stepping_once_the_run_recurs(monkeypatch):
     cases = [(*ring_system(n, seed), unit_vector(n)) for n, seed in ((10, 42), (24, 5))]
     three = mat((EPS, EPS, 2), (1, EPS, EPS), (EPS, 4, EPS))  # rho = 3, lambda 7/3
     cases.append((three, analyze(three), (0, 0, 0)))
-    for P, summary, x0 in cases:
+    for (P, summary, x0), taken in zip(cases, (33, 129, 7)):
         report = detect_regime(iterate(P, x0, 0), summary)
         bound = 2 * max(report.k_star, report.rho) + report.rho
         steps.clear()
         traj = iterate(P, x0, 3000)
-        assert 0 < len(steps) <= bound < 3000
-        assert sum(traj.recurrence) == len(steps)
+        assert len(steps) == taken <= bound < 3000
+        assert traj.recurrence == (report.k_star, report.rho)
         assert iterate(P, x0, len(steps) - 1).recurrence is None
         assert traj.states == tuple(iter_states(P, x0, 3000))
         assert report.rho == (3 if P is three else 1)
