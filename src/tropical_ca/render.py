@@ -406,7 +406,8 @@ class AsyncPlots:
         # turns background; with k_max = 0 it is background throughout.
         w = 3 * n
         ends = [-((t0 - t) * s // 1) for t in times[-1]]
-        plan = self._code_plan(trace, min(ends))
+        e = min(ends)
+        plan = self._code_plan(trace, e)
         if plan is None:
             changes = []
             for i, (column, bits, end) in enumerate(zip(self.time_columns, zip(*states), ends)):
@@ -415,7 +416,7 @@ class AsyncPlots:
                 changes.append(end * w + 3 * i + 2)
             changes.sort()
             return chain(header, _swept_rows(background, changes, slots, 0, height, size))
-        J, d, D, r0, e, joint, rows = plan
+        J, d, D, r0, joint, rows = plan
 
         def row_at(cell, k):  # the row of interval k >= J
             q, j = divmod(k - J, d)
@@ -484,11 +485,11 @@ class AsyncPlots:
         )
 
     def _code_plan(self, trace, e: int) -> tuple | None:
-        """(J, d, D, R0, E, joint, rows) for :meth:`raster_chunks` where
-        its rows R0 .. E - 1 are built from codes, E = e: J, R0 and the
-        joint recurrence (J, L, B) of the trace's orbit (None where it is
-        open), and per cell the rows of its intervals 0 .. J + d - 1.
-        None where the times do not recur, D is not whole or R0 + D > E."""
+        """(J, d, D, R0, joint, rows) for :meth:`raster_chunks` where its
+        rows R0 .. e - 1 are built from codes: J, R0 and the joint
+        recurrence (J, L, B) of the trace's orbit (None where it is open),
+        and per cell the rows of its intervals 0 .. J + d - 1.  None where
+        the times do not recur, D is not whole or R0 + D > e."""
         steady = self._steady
         s = self.ps.time_scale
         if steady is None or steady[2] * s % 1:
@@ -503,7 +504,7 @@ class AsyncPlots:
         r0 = max(cell[J] for cell in rows)
         if r0 + c * s > e:
             return None
-        return J, d, int(c * s), r0, e, joint, rows
+        return J, d, int(c * s), r0, joint, rows
 
 
 def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
