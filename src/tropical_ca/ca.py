@@ -28,16 +28,20 @@ of its rule's algebraic normal form (ANF) over GF(2) in the left, self
 and right words, and a parity step XORs the words of all arcs.
 sync_step, sync_states, trace_orbit, sync_orbit and build_stg all use
 it.  trace_orbit keeps the visited codes and decodes a state only on
-request; sync_orbit is a trace that must close within its cap.  Parity,
-and the eight ECA rules whose ANF has degree 1 and no constant term,
-give a linear map, F(a ^ b) = F(a) ^ F(b): build_stg then fills the
-successor table from the images of the N one-bit codes by XOR, not by
-stepping every code.  The table is an array('I'); one colour pass over a
-second array of tags finds the attractors, touching each state a fixed
-number of times.  A state label is the join of two half-width labels
+request; sync_orbit is a trace that must close within its cap.
+build_stg fills its successor table, an array('I'), a block of
+2^floor(N/2) codes at a time: one big-int expression over 32-bit fields
+of tables that step fills from O(2^ceil(N/2)) codes.  Parity, and the
+eight ECA rules whose ANF has degree 1 and no constant term, give a
+linear map, F(a ^ b) = F(a) ^ F(b), and split by superposition; any
+other ECA splits into the outputs of the two halves of the ring, each
+reading its own half and two cells of the other.  One colour pass over
+a second array of tags finds the attractors, touching each state a
+fixed number of times, and keeps them as one array('I') of codes and
+one of offsets.  A state label is the join of two half-width labels
 from tables of 2^(N/2) entries each, and attractor_census_chunks streams
-the census JSON one cycle at a time, so no list of all 2^N labels or
-whole census text is ever built.
+the census JSON a block of labels at a time, so no list of all 2^N
+labels, tuple per circuit or whole census text is ever built.
 The event simulation applies the rule cell by cell on purpose: it is
 the independent oracle of the bijection check, with no matrix, no
 _compile and no state codes.  It is two per-cycle generators.
@@ -56,10 +60,11 @@ run.  tests/oracles.py holds the message-by-message longhand.
 from __future__ import annotations
 
 import json
+import sys
 from array import array
 from bisect import bisect_right
 from functools import cache, reduce
-from itertools import islice, product
+from itertools import product
 from operator import lt, or_
 from typing import Iterator, NamedTuple, Sequence
 
@@ -372,8 +377,8 @@ def sync_orbit(
 # -- state transition graph --------------------------------------------------
 
 STG_CELL_CAP = 24
-# Fixed points per chunk of the census text.
-_CENSUS_BLOCK = 4096
+# Labels per chunk of the census and orbit texts.
+_CENSUS_BLOCK = 512
 
 
 def _is_linear(rule: CARule) -> bool:
@@ -386,19 +391,49 @@ def _is_linear(rule: CARule) -> bool:
     return not any(map(_anf(rule.number).__getitem__, (0, 3, 5, 6, 7)))
 
 
+class Attractors(Sequence):
+    """The circuits of a :class:`StateTransitionGraph`, read-only: item i
+    is the tuple codes[offsets[i]:offsets[i + 1]], made on request."""
+
+    __slots__ = ("codes", "offsets")
+
+    def __init__(self, codes: array, offsets: array):
+        self.codes, self.offsets = codes, offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> tuple:
+        i = range(len(self))[i]  # an index past either end raises IndexError
+        return tuple(self.codes[self.offsets[i] : self.offsets[i + 1]])
+
+
 class StateTransitionGraph(NamedTuple):
     """Functional digraph on all 2^N configurations.
 
     successors[c] is the code of the image of configuration c;
-    on_attractor[c] is 1 when c lies on a circuit.  attractors are the
-    circuits, each a tuple of codes rotated so its smallest code comes
-    first, sorted by (period, smallest code).
+    on_attractor[c] is 1 when c lies on a circuit.  attractor_codes lists
+    the circuits one after another, each rotated so its smallest code
+    comes first, sorted by (period, smallest code); circuit i starts at
+    attractor_offsets[i] and ends at attractor_offsets[i + 1].
     """
 
     size: int
     successors: array  # array('I'), one code per code
-    attractors: tuple  # tuple of tuples of codes
+    attractor_codes: array  # array('I'), one code per attractor state
+    attractor_offsets: array  # array('I'), one per circuit and the end
     on_attractor: bytearray  # 0/1 per code
+
+    @property
+    def attractors(self) -> Attractors:
+        """The circuits, each a tuple of codes, in the order above."""
+        return Attractors(self.attractor_codes, self.attractor_offsets)
+
+    def fixed_point_count(self) -> int:
+        """The circuits of period 1, which come first: offsets[i] - i is 0
+        up to the last of them and grows by period - 1 at each circuit."""
+        offsets = self.attractor_offsets
+        return bisect_right(range(len(offsets)), 0, key=lambda i: offsets[i] - i) - 1
 
     def decode(self, code: int) -> State:
         return _decode(code, self.size)
@@ -430,6 +465,57 @@ def _label_halves(size: int) -> tuple:
     return hi, lo, k
 
 
+def _fields(values) -> int:
+    """The int whose 32-bit fields, lowest first, are the values."""
+    return int.from_bytes(array("I", values), sys.byteorder)
+
+
+def _successor_table(rule: CARule, n: int, step) -> array:
+    """step mapped over every code, block h of the 2^k codes h * 2^k + l
+    at a time, k = floor(N/2): the block's images are one int of 2^k
+    32-bit fields, field l the image of h * 2^k + l, appended as bytes.
+
+    The image is lo[l] ^ hi(h, l).  A linear map splits by superposition:
+    F(l) ^ F(h * 2^k).  An ECA on its ring splits by output cells: the
+    low k cells read the low half and cells 0 and N-k-1 of the high half,
+    whose bits select one of four tables lo; the high cells read the high
+    half and cells N-k and N-1, whose bits pick, through 0/1 field masks,
+    one of four images of h per field.  So step runs 2^ceil(N/2) +
+    2^floor(N/2) times, or four times that, not 2^N times.
+    """
+    k = n // 2
+    full, low = (1 << n) - 1, (1 << k) - 1
+    if _is_linear(rule):
+        h_bits = l_bits = ()
+        keep_lo = keep_hi = full
+    else:
+        h_bits, l_bits = (n - k - 1, 0), (k - 1, 0)
+        keep_lo, keep_hi = low, full ^ low
+
+    def select(x: int, bits: tuple) -> int:
+        return sum((x >> b & 1) << i for i, b in enumerate(bits))
+
+    def setting(j: int, bits: tuple) -> int:  # a half whose select is j
+        return reduce(or_, [(j >> i & 1) << b for i, b in enumerate(bits)], 0)
+
+    fields = range(1 << k)
+    lo = [
+        _fields([step(setting(j, h_bits) << k | l) & keep_lo for l in fields])
+        for j in range(1 << len(h_bits))
+    ]
+    his = [
+        (setting(j, l_bits), _fields([select(l, l_bits) == j for l in fields]))
+        for j in range(1 << len(l_bits))
+    ]
+    succ = array("I")
+    for h in range(1 << (n - k)):
+        block = lo[select(h, h_bits)]
+        for l, mask in his:
+            block ^= (step(h << k | l) & keep_hi) * mask
+        succ.frombytes(block.to_bytes(4 << k, sys.byteorder))
+    return succ
+
+
 def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
     """Exhaustive state transition graph; refuses more than cell_cap cells
     (2^N states) to keep memory bounded.
@@ -437,7 +523,9 @@ def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
     One colour pass finds the attractors: tag[s] is 0 until a walk
     reaches s, then the walk's start + 1.  Each walk starts at the next
     untagged state (tag.index) and stops at the first tagged one; its
-    own tag there means a new circuit, which a second lap lists.
+    own tag there means a new circuit, which a second lap lists, rotated
+    to its smallest code.  The circuits are then gathered by period, in
+    the order of their smallest codes.
     """
     step = _compile(rule, spec)
     n = spec.size
@@ -447,64 +535,85 @@ def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
             f"cap is {cell_cap} cells (trace single orbits instead)"
         )
     total = 1 << n
-    if _is_linear(rule):
-        # Superposition: with F known on the codes c < 2^b, the code
-        # c | 1 << b maps to F(c) ^ F(1 << b).
-        succ = array("I", [0])
-        for b in range(n):
-            succ += array("I", map(step(1 << b).__xor__, succ))
-    else:
-        succ = array("I", map(step, range(total)))
-
+    succ = _successor_table(rule, n, step)
     tag = array("I", bytes(4 * total + 4))  # a last 0 ends the search below
     on_attr = bytearray(total)
-    attractors = []
+    found = array("I")  # the circuits in the order found
+    starts = array("I", [0])  # where each circuit of found starts, then the end
+    untagged = tag.index
     mark = 0  # the last walk's start + 1: no earlier state is untagged
-    while (s := tag.index(0, mark)) < total:
-        mark = s + 1
+    while (s := untagged(0, mark)) < total:
+        mark = tag[s] = s + 1
+        s = succ[s]
         while not tag[s]:
             tag[s] = mark
             s = succ[s]
         if tag[s] == mark:
-            cycle = []
+            a = len(found)
             while not on_attr[s]:
                 on_attr[s] = 1
-                cycle.append(s)
+                found.append(s)
                 s = succ[s]
-            low = cycle.index(min(cycle))
-            attractors.append(tuple(cycle[low:] + cycle[:low]))
-    attractors.sort(key=lambda cyc: (len(cyc), cyc[0]))
-    return StateTransitionGraph(n, succ, tuple(attractors), on_attr)
+            first = min(found[a:]) if len(found) > a + 1 else s
+            if (i := found.index(first, a)) > a:
+                found[a:] = found[i:] + found[a:i]
+            # The smallest code stands for its circuit: on_attr 2 marks it,
+            # and its tag, above every mark, is total + 1 + its number.
+            on_attr[first] = 2
+            tag[first] = total + len(starts)
+            starts.append(len(found))
+
+    # find meets the marked smallest codes in ascending order, so each
+    # period's circuits join their group in the order of the census.
+    groups = {}  # period -> its circuits, one after another
+    s = 0
+    while (s := on_attr.find(2, s)) >= 0:
+        on_attr[s] = 1
+        j = tag[s] - total - 1
+        a, b = starts[j], starts[j + 1]
+        if b - a in groups:
+            groups[b - a] += found[a:b]
+        else:
+            groups[b - a] = found[a:b]
+    del found, tag  # so that the joined codes take their place
+    codes, offsets = array("I"), array("I")
+    for p in sorted(groups):
+        offsets.extend(range(len(codes), len(codes) + len(groups[p]), p))
+        codes += groups.pop(p)
+    offsets.append(len(codes))
+    return StateTransitionGraph(n, succ, codes, offsets, on_attr)
 
 
 def attractor_census_chunks(stg: StateTransitionGraph) -> Iterator[str]:
     """The census JSON text, json.dumps(attractor_census(stg), indent=2,
-    sort_keys=True) + "\n", one cycle (or one block of fixed points) at a
-    time: "cycles" lists the longer circuits with period and states,
-    "fixed_points" the fixed points, both in the order of attractors."""
+    sort_keys=True) + "\n", in chunks of at most _CENSUS_BLOCK labels:
+    "cycles" lists the longer circuits with period and states, one or
+    more chunks each, "fixed_points" the fixed points, both in the order
+    of attractors."""
     hi, lo, k = stg.label_halves
     mask = (1 << k) - 1
-    attractors = stg.attractors
-    fixed = bisect_right(attractors, 1, key=len)  # sorted by period first
-    if fixed == len(attractors):
+    codes, offsets = stg.attractor_codes, stg.attractor_offsets
+    fixed = stg.fixed_point_count()
+    if fixed == len(offsets) - 1:
         yield '{\n  "cycles": [],'
     else:
         sep = '{\n  "cycles": [\n'
-        for cyc in islice(attractors, fixed, None):
-            states = '",\n        "'.join([hi[c >> k] + lo[c & mask] for c in cyc])
-            yield (
-                f'{sep}    {{\n      "period": {len(cyc)},\n'
-                f'      "states": [\n        "{states}"\n      ]\n    }}'
-            )
-            sep = ",\n"
-        yield "\n  ],"
+        for i in range(fixed, len(offsets) - 1):
+            a, b = offsets[i], offsets[i + 1]
+            sep += f'    {{\n      "period": {b - a},\n      "states": [\n        "'
+            for at in range(a, b, _CENSUS_BLOCK):
+                block = codes[at : min(at + _CENSUS_BLOCK, b)]
+                yield sep + '",\n        "'.join([hi[c >> k] + lo[c & mask] for c in block])
+                sep = '",\n        "'
+            sep = '"\n      ]\n    },\n'
+        yield '"\n      ]\n    }\n  ],'
     if not fixed:
         yield '\n  "fixed_points": []\n}\n'
         return
     sep = '\n  "fixed_points": [\n    "'
-    for b in range(0, fixed, _CENSUS_BLOCK):
-        block = attractors[b : min(b + _CENSUS_BLOCK, fixed)]
-        yield sep + '",\n    "'.join([hi[c >> k] + lo[c & mask] for (c,) in block])
+    for at in range(0, fixed, _CENSUS_BLOCK):
+        block = codes[at : min(at + _CENSUS_BLOCK, fixed)]
+        yield sep + '",\n    "'.join([hi[c >> k] + lo[c & mask] for c in block])
         sep = '",\n    "'
     yield '"\n  ]\n}\n'
 

@@ -167,7 +167,7 @@ def load_experiment(args) -> Experiment:
         blk = raw["rule"]
         if blk == "parity" or blk == {"parity": True}:
             rule = ca_mod.CARule.parity()
-        elif isinstance(blk, dict) and "eca" in blk:
+        elif isinstance(blk, dict) and blk.keys() == {"eca"}:
             if type(blk["eca"]) is not int:
                 raise ConfigError("rule.eca: must be an integer 0..255")
             try:
@@ -175,7 +175,9 @@ def load_experiment(args) -> Experiment:
             except TropicalError as exc:
                 raise ConfigError(f"rule: {exc}") from exc
         else:
-            raise ConfigError("rule: must be \"parity\" or {\"eca\": n}")
+            raise ConfigError(
+                "rule: must be \"parity\", {\"parity\": true} or {\"eca\": n}"
+            )
 
     s0 = None
     if "s0" in raw:
@@ -561,11 +563,11 @@ def cmd_ca(st: Stages, schedule: str) -> int:
 
 def cmd_stg(st: Stages) -> int:
     st.write("attractor_census.json", "stg.dot")
-    attractors = st.stg.attractors
-    fixed = sum(1 for cyc in attractors if len(cyc) == 1)
+    stg = st.stg
+    fixed = stg.fixed_point_count()
     print(
-        f"{fixed} fixed points, {len(attractors) - fixed} longer cycles, "
-        f"{st.stg.transient_count()} transient states"
+        f"{fixed} fixed points, {len(stg.attractors) - fixed} longer cycles, "
+        f"{stg.transient_count()} transient states"
     )
     return 0
 

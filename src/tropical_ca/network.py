@@ -269,6 +269,8 @@ def _spec_from_json_dict(
         )
     if not isinstance(topo, dict):
         raise NetworkError("topology must be an object")
+    if "regular" in topo and "arcs" in topo:
+        raise NetworkError("topology must contain 'regular' or 'arcs', not both")
     if "regular" in topo:
         regular = topo["regular"]
         n = regular.get("n") if isinstance(regular, dict) else None

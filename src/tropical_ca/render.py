@@ -107,12 +107,12 @@ def _comment_lines(ps: PlotSpec, prefix: str) -> list:
 
 # Lines per chunk of the streamed texts: 512 SVG lines (under 100 B
 # each; the synchronous plot's chunks hold whole rows, at least one) or
-# up to 8192 STG lines, so a chunk stays well under a megabyte.  A
+# up to 1024 STG lines (about 74 KiB at N = 14).  A
 # raster row's width varies, so its chunks hold as many rows as fit in
 # _PIXMAP_BYTES (at least one).
 _PIXMAP_BYTES = 1 << 18
 _SVG_BLOCK = 512
-_STG_BLOCK = 8192
+_STG_BLOCK = 1024
 
 
 def _line_blocks(lines, size: int) -> Iterator[str]:
@@ -799,7 +799,7 @@ def stg_dot(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> str:
 def stg_dot_chunks(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> Iterator[str]:
     """The text of :func:`stg_dot` in chunks of whole lines: the header,
     then the node lines and the arc lines, each chunk at most _STG_BLOCK
-    lines (while N <= 26).  Labels come from the graph's two half-width
+    lines (while N <= 20).  Labels come from the graph's two half-width
     tables, the codes in order as hi x lo, so no list of the 2^N labels is
     built: a chunk is the lines of whole high labels h, made by one
     comprehension over its h, lo and the matching slices of the graph."""

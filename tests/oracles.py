@@ -622,6 +622,45 @@ def census_by_iteration(step, n):
     }
 
 
+def gf2_rank(vectors):
+    """Rank over GF(2) of vectors given as int bit masks, by elimination
+    on their leading bits."""
+    pivots = {}  # leading bit -> a vector of the basis with that bit
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def linear_census_counts(step, n):
+    """(states on cycles, fixed points) of the GF(2)-linear map T on n-bit
+    codes, given as step(code) -> code; column b of T is step(1 << b).
+
+    The images of T, T^2, ... shrink until T^n at the latest, and T maps
+    that last image onto itself, so it permutes it: its 2^rank(T^n) states
+    are the states on cycles.  The fixed points are the kernel of T + I:
+    2^(n - rank(T + I)) of them.
+    """
+    columns = [step(1 << b) for b in range(n)]
+
+    def apply(v):
+        out = 0
+        for b in range(n):
+            if v >> b & 1:
+                out ^= columns[b]
+        return out
+
+    power = [1 << b for b in range(n)]  # the columns of T^0
+    for _ in range(n):
+        power = [apply(v) for v in power]
+    identity_plus = [c ^ (1 << b) for b, c in enumerate(columns)]
+    return 1 << gf2_rank(power), 1 << (n - gf2_rank(identity_plus))
+
+
 def ring_neighbourhoods(n):
     """(left, self, right) of every cell of an n-cell ring."""
     return [((i - 1) % n, i, (i + 1) % n) for i in range(n)]

@@ -4,6 +4,8 @@ sync/async state bijection."""
 import itertools
 import json
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -51,6 +53,7 @@ from oracles import (
     NEG_INF,
     census_by_iteration,
     event_simulation_longhand,
+    linear_census_counts,
     longhand_step,
     orbit_by_dict,
     orbit_entry_period,
@@ -275,11 +278,8 @@ def test_linear_rules_are_exactly_the_xor_tables():
     assert ca._is_linear(PARITY)
 
 
-def test_superposed_stg_equals_stepping_every_state(monkeypatch):
-    # build_stg fills a linear map's table from the N one-bit images; it
-    # must equal the compiled step mapped over every code, also on
-    # digraphs with cells that read nobody (in-degree 0).  A non-linear
-    # rule still steps every code.
+def counted_compile(monkeypatch) -> list:
+    """Make every step that _compile returns log its codes in the list."""
     compile_step = ca._compile
     calls = []
 
@@ -288,6 +288,18 @@ def test_superposed_stg_equals_stepping_every_state(monkeypatch):
         return lambda code: calls.append(code) or step(code)
 
     monkeypatch.setattr(ca, "_compile", compile_counted)
+    return calls
+
+
+def test_superposed_stg_equals_stepping_every_state(monkeypatch):
+    # build_stg fills a linear map's table a block of 2^k codes at a time,
+    # k = floor(N/2), from the images of the 2^k low codes and of the
+    # 2^(N-k) block starts; it must equal the compiled step mapped over
+    # every code, also on digraphs with cells that read nobody (in-degree
+    # 0).  A non-linear rule steps each low code and each block start
+    # under the four settings of the two cells the other half reads.
+    compile_step = ca._compile
+    calls = counted_compile(monkeypatch)
     rng = random.Random(1114)
     sources = 0
     for n in range(11, 15):
@@ -296,13 +308,110 @@ def test_superposed_stg_equals_stepping_every_state(monkeypatch):
         spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
         calls.clear()
         stg = build_stg(PARITY, spec)
-        assert calls == [1 << b for b in range(n)]
+        k = n // 2
+        assert calls == [*range(1 << k), *(h << k for h in range(1 << n - k))]
         want = list(map(compile_step(PARITY, spec), range(1 << n)))
         assert list(stg.successors) == want, n
     assert sources > 0
     calls.clear()
     build_stg(CARule.eca(110), regular_ring(11, 3))
-    assert calls == list(range(1 << 11))
+    # k = 5: the low cells 6..10 read cells 0 and 5 (bits 5 and 0 of the
+    # high half), the high cells 0..5 read cells 6 and 10 (bits 4 and 0
+    # of the low half).
+    high_settings = (0, 1 << 5, 1, 1 << 5 | 1)
+    low_settings = (0, 1 << 4, 1, 1 << 4 | 1)
+    assert calls == [
+        *(h << 5 | l for h in high_settings for l in range(1 << 5)),
+        *(h << 5 | l for h in range(1 << 6) for l in low_settings),
+    ]
+
+
+def test_build_stg_steps_a_few_codes_per_half(monkeypatch):
+    # At most four codes per low half and per high half, linear or not.
+    calls = counted_compile(monkeypatch)
+    for n in range(1, 15):
+        rules = [PARITY] + [CARule.eca(r) for r in (30, 110, 150, 255) if n >= 3]
+        for rule in rules:
+            calls.clear()
+            build_stg(rule, regular_ring(n, 3 if n >= 3 else 1))
+            assert len(calls) <= 4 * ((1 << (n + 1) // 2) + (1 << n // 2)), (n, rule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 255), st.integers(3, 13), st.booleans())
+def test_block_built_eca_table_equals_stepping_every_code(number, n, as_arcs):
+    rule, spec = CARule.eca(number), regular_ring(n, 3)
+    if as_arcs:
+        spec = explicit_network(n, spec.arcs)
+    want = list(map(ca._compile(rule, spec), range(1 << n)))
+    assert list(build_stg(rule, spec).successors) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 13).flatmap(
+        lambda n: st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)
+    )
+)
+def test_block_built_parity_table_equals_stepping_every_code(nbhd):
+    # Empty sets are cells of in-degree 0.
+    n = len(nbhd)
+    spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
+    want = list(map(ca._compile(PARITY, spec), range(1 << n)))
+    assert list(build_stg(PARITY, spec).successors) == want
+
+
+def longhand_code_step(rule, nbhd):
+    """step(code) -> code of the longhand step, cell 0 most significant."""
+    n = len(nbhd)
+
+    def step(code):
+        state = tuple(code >> (n - 1 - i) & 1 for i in range(n))
+        return int("".join(map(str, longhand_step(rule, nbhd, state))), 2)
+
+    return step
+
+
+def test_linear_stg_counts_match_gf2_ranks():
+    # The states on cycles and the fixed points of a linear map, counted
+    # by ranks over GF(2) with no walk, against the colour pass.
+    cases = [
+        (("eca", number), ring_neighbourhoods(n), CARule.eca(number), regular_ring(n, 3))
+        for number in (0, 60, 90, 102, 150, 170, 204, 240)
+        for n in range(3, 15)
+    ]
+    rng = random.Random(2718)
+    for trial in range(14):
+        n = trial + 1
+        nbhd = [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(n)]
+        spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
+        cases.append((("parity",), nbhd, PARITY, spec))
+    invertible, fixed_sets = set(), set()
+    for longhand, nbhd, rule, spec in cases:
+        on_cycles, fixed = linear_census_counts(longhand_code_step(longhand, nbhd), len(nbhd))
+        invertible.add(on_cycles == 1 << len(nbhd))
+        fixed_sets.add(fixed > 1)
+        stg = build_stg(rule, spec)
+        assert stg.on_attractor.count(1) == len(stg.attractor_codes) == on_cycles
+        assert stg.fixed_point_count() == fixed, (rule, nbhd)
+    assert invertible == fixed_sets == {False, True}
+
+
+def test_stg_memory_per_state():
+    # Rule 150 is invertible on a 16-cell ring, so every state is on a
+    # cycle and the attractors list all 2^16 codes.  The graph holds 4 B
+    # of successor, 1 of on_attractor and 4 of attractor code per state,
+    # and an offset per circuit; a tuple per circuit would hold 48.
+    build_stg(RULE150, regular_ring(4, 3))  # caches that outlive the call
+    tracemalloc.start()
+    try:
+        stg = build_stg(RULE150, regular_ring(16, 3))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stg.attractor_codes) == 1 << 16
+    assert held < 16 << 16, held / (1 << 16)
+    assert peak < 40 << 16, peak / (1 << 16)
 
 
 def test_rule150_orbit_89_cells_matches_longhand():
@@ -468,6 +577,10 @@ def test_stg_size4_attractors():
         {"period": 3, "states": ["0101", "1110", "1011"]},
     ]
     assert stg.transient_count() == 8
+    assert stg.fixed_point_count() == 2 and len(stg.attractors) == 4
+    assert stg.attractors[-1] == stg.attractors[3] == (5, 14, 11)
+    with pytest.raises(IndexError):
+        stg.attractors[4]
 
 
 def test_stg_size4_matches_oracle():
@@ -555,6 +668,20 @@ def test_census_text_with_an_empty_list():
     want = {"cycles": [], "fixed_points": [format(c, "013b") for c in range(1 << 13)]}
     text = "".join(attractor_census_chunks(stg))
     assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def test_census_text_splits_a_long_cycle_into_blocks():
+    # A 10-cell shift register whose last cell reads cells 1 and 4
+    # (x^10 + x^3 + 1 is primitive): one cycle through all 1023 non-zero
+    # states, written in blocks of labels like the fixed points.
+    n = 10
+    nbhd = [[i + 1] for i in range(n - 1)] + [[0, 3]]
+    spec = explicit_network(n, [(j, i) for i, nb in enumerate(nbhd) for j in nb])
+    stg = build_stg(PARITY, spec)
+    assert [len(cyc) for cyc in stg.attractors] == [1, 1023]
+    assert_stg_matches_oracle(stg, ("parity",), nbhd)
+    labels = [len(re.findall("[01]{10}", c)) for c in attractor_census_chunks(stg)]
+    assert max(labels) == ca._CENSUS_BLOCK and sum(labels) == 1 << n
 
 
 def test_stg_labels_from_half_width_tables():

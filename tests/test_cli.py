@@ -865,6 +865,26 @@ def test_booleans_are_not_integers_in_configs(base, path, value):
     assert "Traceback" not in err
 
 
+RING3 = {"N": 3, "topology": {"regular": {"n": 3}}}
+
+
+@pytest.mark.parametrize(
+    "network, rule",
+    [
+        ({"N": 3, "topology": {"regular": {"n": 3}, "arcs": [[1, 2], [2, 1]]}}, "parity"),
+        (RING3, {"parity": True, "eca": 30}),
+        (RING3, {"eca": 110, "x": 1}),
+    ],
+    ids=["regular-and-arcs", "parity-and-eca", "eca-and-another-key"],
+)
+def test_config_naming_two_alternatives_is_refused(network, rule):
+    # Each of these once ran one alternative and dropped the other.
+    assert quiet_main(json.dumps({"network": RING3, "rule": "parity"}), "stg")[0] == 0
+    code, _, err = quiet_main(json.dumps({"network": network, "rule": rule}), "stg")
+    assert code == 2, err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
 def test_huge_decimal_exponent_fails_fast():
     body = {"mode": "rational", "network": dict(TIMED_RING3, xi=["@", 1, 1])}
     start = time.perf_counter()

@@ -40,9 +40,9 @@ CASES = [
     (SyncOrbit, {"size": 3, "codes": (1, 2), "entry_time": 0, "period": 2},
      ("entry_time", 1)),
     (StateTransitionGraph,
-     {"size": 1, "successors": array("I", [0, 1]), "attractors": ((0,), (1,)),
-      "on_attractor": bytearray(b"\1\1")},
-     ("attractors", ((1,), (0,)))),
+     {"size": 1, "successors": array("I", [0, 1]), "attractor_codes": array("I", [0, 1]),
+      "attractor_offsets": array("I", [0, 1, 2]), "on_attractor": bytearray(b"\1\1")},
+     ("attractor_codes", array("I", [1, 0]))),
     (AsyncRun,
      {"rule": RUN.rule, "spec": RUN.spec, "params": RUN.params,
       "trajectory": RUN.trajectory, "states": RUN.states},

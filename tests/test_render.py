@@ -626,7 +626,7 @@ def test_stg_dot_two_state_system():
 
 def test_stg_dot_spanning_chunks_matches_longhand():
     # 2^13 states: 16 k node and arc lines in full chunks, from label
-    # halves of unequal widths (6 and 7 bits); 2^14 states fill two
+    # halves of unequal widths (6 and 7 bits); 2^14 states fill sixteen
     # chunks of each.  On 1 cell the high half is the empty label, and on
     # 2 cells each half is one bit.
     for n in (1, 2, 13, 14):
