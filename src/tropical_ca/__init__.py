@@ -51,6 +51,7 @@ from .network import (
     save_network,
 )
 from .trajectory import (
+    Lasso,
     NormalizedTrajectory,
     RegimeReport,
     Trajectory,

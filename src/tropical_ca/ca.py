@@ -65,7 +65,7 @@ from array import array
 from bisect import bisect_right
 from functools import cache, reduce
 from itertools import product
-from operator import lt, or_
+from operator import or_
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -77,7 +77,7 @@ from .errors import (
 )
 from .network import NetworkSpec, TimingParameters, build_p, validate_timing
 from .semiring import Scalar, format_scalar
-from .trajectory import Trajectory, iterate
+from .trajectory import Lasso, Trajectory, iterate
 
 State = tuple  # tuple of 0/1 ints, cell 0 first
 
@@ -276,7 +276,7 @@ class SyncOrbit(NamedTuple):
         return tuple(_decode(c, self.size) for c in self.codes)
 
     def _periodic_codes(self) -> tuple:
-        return self.codes[self.entry_time : self.entry_time + self.period]
+        return self.codes[self.entry_time : self.recurrence.end]
 
     def periodic_states(self) -> tuple:
         return tuple(_decode(c, self.size) for c in self._periodic_codes())
@@ -305,25 +305,19 @@ class SyncOrbit(NamedTuple):
     def states_through(self, k: int) -> tuple:
         """s(0..k): each code decoded once, at most, and the periodic
         states repeated."""
-        codes = self.codes[: k + 1]
-        states = tuple(_decode(c, self.size) for c in codes)
-        if len(codes) == k + 1:
-            return states
-        cycle = states[self.entry_time :]
-        q, r = divmod(k + 1 - len(codes), self.period)
-        return states + cycle * q + cycle[:r]
+        states = tuple(_decode(c, self.size) for c in self.codes[: k + 1])
+        return states if len(states) == k + 1 else tuple(self.recurrence.repeat(states, k + 1))
 
     def state(self, k: int) -> State:
         """s(k) for any k >= 0, folding into the periodic part."""
         if k >= len(self.codes):
-            k = self.entry_time + (k - self.entry_time) % self.period
+            k = self.recurrence.fold(k)[0]
         return _decode(self.codes[k], self.size)
 
     @property
-    def recurrence(self) -> tuple | None:
-        """(entry, period), so that s(j + period) = s(j) for j >= entry;
-        None for an open trace."""
-        return None if self.period is None else (self.entry_time, self.period)
+    def recurrence(self) -> Lasso | None:
+        """Lasso(entry, period) of the states; None for an open trace."""
+        return None if self.period is None else Lasso(self.entry_time, self.period)
 
 
 def trace_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncOrbit:
@@ -366,7 +360,7 @@ def sync_orbit(
     elif trace.period is None:
         seen = dict(zip(trace.codes, range(len(trace.codes))))
         trace = _traced(_compile(rule, spec), seen, spec.size, k_max)
-    if trace.period is None or trace.entry_time + trace.period > k_max + 1:
+    if trace.period is None or trace.recurrence.end > k_max + 1:
         raise CapExceededError(
             f"no repeated configuration within the step cap k_max = {k_max}",
             k_reached=k_max + 1,
@@ -643,10 +637,8 @@ class AsyncRun(_AsyncRunFields):
     configuration computed at that contour.  Cell i holds states[k][i] in
     memory over [x_i(k), x_i(k+1)), so construction checks that there
     are k_max + 1 states of N cells each, that every cell's update times
-    strictly increase, and that the rule fits the network.  Where the
-    trajectory recurs, states[j + d] = c ⊗ states[j] for j >= m, the
-    increase check reads states[:m + d + 1] only: a later step
-    x_i(j + 1) - x_i(j) equals the step d cycles before it.
+    strictly increase (:meth:`~tropical_ca.trajectory.Trajectory.first_stall`),
+    and that the rule fits the network.
     """
 
     __slots__ = ()
@@ -662,18 +654,12 @@ class AsyncRun(_AsyncRunFields):
                 f"an async run needs k_max + 1 = {k_max + 1} states of "
                 f"{n} cells each"
             )
-        states = self.trajectory.states
-        if self.trajectory.recurrence is not None:
-            m, d = self.trajectory.recurrence
-            states = states[: m + d + 1]
-        for i, times in enumerate(zip(*states)):
-            if not all(map(lt, times, times[1:])):
-                k = next(k for k, t in enumerate(times[1:]) if not times[k] < t)
-                raise NetworkError(
-                    f"update times of cell {i + 1} are not strictly increasing "
-                    f"at cycle {k}; memory semantics need a self-loop on every "
-                    "cell (tau_ii present) and positive xi"
-                )
+        if (stall := self.trajectory.first_stall()) is not None:
+            raise NetworkError(
+                f"update times of cell {stall[0] + 1} are not strictly increasing "
+                f"at cycle {stall[1]}; memory semantics need a self-loop on every "
+                "cell (tau_ii present) and positive xi"
+            )
         return self
 
     @property

@@ -165,7 +165,7 @@ def load_experiment(args) -> Experiment:
     rule = None
     if "rule" in raw:
         blk = raw["rule"]
-        if blk == "parity" or blk == {"parity": True}:
+        if blk == "parity" or blk == {"parity": True} and blk["parity"] is True:
             rule = ca_mod.CARule.parity()
         elif isinstance(blk, dict) and blk.keys() == {"eca"}:
             if type(blk["eca"]) is not int:
@@ -412,8 +412,7 @@ class Stages:
         mismatch after K would repeat one a period earlier."""
         exp = self.exp
         exp.require("rule", "s0", "k_max")
-        orbit = self.orbit
-        last = min(exp.k_max, orbit.entry_time + orbit.period)
+        last = min(exp.k_max, self.orbit.recurrence.end)
         states = ca_mod.event_states(exp.rule, exp.spec, exp.s0, last)
         return ca_mod.first_mismatches(
             {"bijection": (self.sync_states[: last + 1], states)}

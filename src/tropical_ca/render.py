@@ -20,8 +20,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import chain, cycle, groupby, islice, repeat, starmap
-from operator import getitem, lt, sub
+from itertools import chain, groupby, islice, repeat, starmap
+from operator import getitem, sub
 from typing import NamedTuple
 
 from ._version import __version__
@@ -29,7 +29,7 @@ from .ca import AsyncRun, StateTransitionGraph, _encode
 from .errors import DimensionError, StateUndefinedError
 from .semiring import MaxPlusMatrix, Scalar, format_scalar
 from .spectral import CriticalGraph, build_graph
-from .trajectory import Trajectory
+from .trajectory import Lasso, Trajectory
 
 
 class _PlotFields(NamedTuple):
@@ -189,21 +189,18 @@ class AsyncPlots:
     """
 
     def __init__(self, trajectory: Trajectory, ps: PlotSpec):
+        self.trajectory = trajectory
         self.times = trajectory.states
-        self.recurrence = trajectory.recurrence
         self.size = trajectory.size
         self.ps = ps
 
     @cached_property
     def extent(self) -> tuple:
-        """(t0, t1): the earliest and the latest update time.  Where the
-        run recurs, (m, d) = trajectory.recurrence, each cell's time moves
-        the same way every d cycles from m on, so both lie in the first
-        m + d states or in the last d."""
-        times = self.times
-        if self.recurrence is not None:
-            m, d = self.recurrence
-            times = times[: m + d] + times[-d:]
+        """(t0, t1): the earliest and the latest update time, which lie
+        before the recurrence's end or in the last period where it recurs."""
+        times, rec = self.times, self.trajectory.recurrence
+        if rec is not None:
+            times = times[: rec.end] + times[-rec.period :]
         return min(map(min, times)), max(map(max, times))
 
     @cached_property
@@ -224,21 +221,15 @@ class AsyncPlots:
 
     @cached_property
     def heights(self) -> list:
-        """Per cell, the height text of each hold interval.  Where the run
-        recurs, (m, d) = trajectory.recurrence, interval j + d is as long
-        as interval j for j >= m: only intervals 0..m + d - 1 are
-        formatted, and the rest repeat the last d of them."""
-        k_max = len(self.times) - 1
-        cut = k_max if self.recurrence is None else min(k_max, sum(self.recurrence))
+        """Per cell, the height text of each hold interval; where the run
+        recurs, those before its end are formatted and repeated."""
+        k_max, rec = len(self.times) - 1, self.trajectory.recurrence
+        cut = k_max if rec is None else min(k_max, rec.end)
         texts = _coordinate_texts(
             [list(map(sub, times[1 : cut + 1], times)) for times in self.time_columns],
             0, 0, self.ps.time_scale,
         )
-        if cut == k_max:
-            return texts
-        m, d = self.recurrence
-        q, r = divmod(k_max - cut, d)
-        return [head + head[m:] * q + head[m : m + r] for head in texts]
+        return texts if rec is None else [list(rec.repeat(head, k_max)) for head in texts]
 
     def _svg_height(self):
         t0, t1 = self.extent
@@ -330,35 +321,21 @@ class AsyncPlots:
         return max(1, height), self.size * ps.cell_px * (digits + 1)
 
     @cached_property
-    def _steady(self) -> tuple | None:
-        """(m, d, c): x(j + d) = c ⊗ x(j) for j >= m, from
-        trajectory.recurrence, where every cell's update times increase;
-        None where the run does not recur or a cell's times do not
-        increase.  They are checked up to cycle m + d only, as each cell's
-        steps repeat every d cycles from m on."""
-        if self.recurrence is None:
-            return None
-        m, d = self.recurrence
-        times = self.times[: m + d + 1]
-        if not all(all(map(lt, x, y)) for x, y in zip(times, times[1:])):
-            return None
-        return m, d, times[m + d][0] - times[m][0]
+    def _steady(self) -> Lasso | None:
+        """trajectory.recurrence, x(j + d) = c ⊗ x(j) for j >= m, where
+        every cell's update times increase; else None."""
+        rec = self.trajectory.recurrence
+        return None if rec is None or self.trajectory.first_stall() else rec
 
-    def _joint(self, orbit) -> tuple | None:
-        """(J, L, B): from cycle J on, the update times recur every L
-        cycles shifted by B raster rows, and so do the CA states of the
-        orbit (entry, period).  J = max(m, entry) and L = lcm(d, period)
-        for (m, d, c) = :attr:`_steady`.  None where the times or the
-        states do not recur, or B is not a whole number."""
+    def _joint(self, orbit: Lasso | None) -> Lasso | None:
+        """Lasso(J, L, B), :attr:`_steady` joined with the CA orbit's, its
+        shift B in raster rows; None where the times or the states do not
+        recur, or B is not a whole number."""
         if self._steady is None or orbit is None:
             return None
-        m, d, c = self._steady
-        entry, period = orbit
-        L = math.lcm(d, period)
-        shift = c * (L // d) * self.ps.time_scale
-        if shift % 1:
-            return None
-        return max(m, entry), L, int(shift)
+        joint = self._steady.join(orbit)
+        rows = joint.shift * self.ps.time_scale
+        return None if rows % 1 else joint._replace(shift=int(rows))
 
     def raster_chunks(self, states, trace=None) -> Iterator[bytes]:
         """The bytes of :func:`spacetime_async_pixmap` in chunks of whole
@@ -369,9 +346,9 @@ class AsyncPlots:
         ``trace`` is the :class:`~tropical_ca.ca.SyncOrbit` whose codes
         are the states' (folded into its period past its entry where it
         closes), or None: the states are then encoded.  Where the update
-        times recur, (m, d, c) = :attr:`_steady`, and D = c·time_scale is
-        whole, a cell's interval k + d starts D rows below its interval k
-        for k >= m.  From cycle J on (J of :meth:`_joint` where the orbit
+        times recur, Lasso(m, d, c) = :attr:`_steady`, and D = c·time_scale
+        is whole, a cell's interval k + d starts D rows below its interval
+        k for k >= m.  From cycle J on (J of :meth:`_joint` where the orbit
         closes, else m), the rows R0 = max_i row of x_i(J) .. E - 1, where
         E = min_i row of x_i(k_max) is the first window end, are built
         from the codes (:func:`_code_rows`).  Only the rows before R0 and
@@ -416,24 +393,24 @@ class AsyncPlots:
                 changes.append(end * w + 3 * i + 2)
             changes.sort()
             return chain(header, _swept_rows(background, changes, slots, 0, height, size))
-        J, d, D, r0, joint, rows = plan
+        steps, r0, joint, rows = plan
+        J, d, D = steps
 
-        def row_at(cell, k):  # the row of interval k >= J
-            q, j = divmod(k - J, d)
-            return cell[J + j] + q * D
+        def row_at(cell, k):  # the row of interval k
+            j, q = steps.fold(k)
+            return cell[j] + q * D
 
-        if joint is None:  # the codes of s(0..k_max)
-            codes = tuple(map(_encode, states)) if trace is None else trace.codes
-            base, mod = 0, len(codes)
-        else:  # the codes of the orbit's period, from its entry on
-            base, mod = trace.recurrence
-            codes = trace.codes[base:]
+        # The codes of the states, folded past the orbit's entry where it
+        # closes (else by a lasso that never folds).
+        codes = tuple(map(_encode, states)) if trace is None else trace.codes
+        orbit = Lasso(0, len(codes)) if joint is None else trace.recurrence
+        base = orbit.start
         head, tail, owners, starts = [], [], [], []
         for i, (cell, end) in enumerate(zip(rows, ends)):
             key = 3 * i
             # From J on, interval k + d starts D rows below interval k.
             while cell[-1] < r0 + D:
-                cell.append(cell[-d] + D)
+                cell.append(row_at(cell, len(cell)))
             # The intervals that start before R0, swept.
             h = bisect_left(cell, r0)
             head += _kept(cell[: h + 1], [x[i] for x in states[:h]], key, w)
@@ -470,11 +447,11 @@ class AsyncPlots:
             pairs = _cell_masks(at[rho], n)
             runs.append((count, full ^ sum(mask for _o, mask in pairs), pairs))
         code_rows = partial(
-            _code_rows, _code_row(n, ps.cell_px, (ps.gray0, ps.gray1)), codes, mod,
-            _cell_masks(enumerate(owners), n), runs, d, r0,
+            _code_rows, _code_row(n, ps.cell_px, (ps.gray0, ps.gray1)),
+            codes[base : orbit.end], orbit.period, _cell_masks(enumerate(owners), n), runs, d, r0,
         )
-        if joint is not None and joint[2] * row_bytes <= _PIXMAP_BYTES and r0 + joint[2] < e:
-            body = _held_rows(code_rows(r0 + joint[2]), joint[2], e - r0)
+        if joint is not None and joint.shift * row_bytes <= _PIXMAP_BYTES and r0 + joint.shift < e:
+            body = _held_rows(code_rows(r0 + joint.shift), joint.shift, e - r0)
         else:
             body = _row_chunks(code_rows(e), size)
         return chain(
@@ -485,26 +462,27 @@ class AsyncPlots:
         )
 
     def _code_plan(self, trace, e: int) -> tuple | None:
-        """(J, d, D, R0, joint, rows) for :meth:`raster_chunks` where its
-        rows R0 .. e - 1 are built from codes: J, R0 and the joint
-        recurrence (J, L, B) of the trace's orbit (None where it is open),
-        and per cell the rows of its intervals 0 .. J + d - 1.  None where
-        the times do not recur, D is not whole or R0 + D > e."""
+        """(Lasso(J, d, D), R0, joint, rows) for :meth:`raster_chunks`
+        where its rows R0 .. e - 1 are built from codes: from interval J
+        on, interval k + d starts D rows below interval k; the joint
+        recurrence Lasso(J, L, B) of the trace's orbit (None where it is
+        open), and per cell the rows of its intervals 0 .. J + d - 1.
+        None where the times do not recur, D is not whole or R0 + D > e."""
         steady = self._steady
         s = self.ps.time_scale
-        if steady is None or steady[2] * s % 1:
+        if steady is None or steady.shift * s % 1:
             return None
-        m, d, c = steady
         joint = self._joint(None if trace is None else trace.recurrence)
-        J = m if joint is None else joint[0]
+        steps = Lasso((joint or steady).start, steady.period, int(steady.shift * s))
         t0 = self.extent[0]
         rows = [
-            [-((t0 - t) * s // 1) for t in islice(column, J + d)] for column in self.time_columns
+            [-((t0 - t) * s // 1) for t in islice(column, steps.end)]
+            for column in self.time_columns
         ]
-        r0 = max(cell[J] for cell in rows)
-        if r0 + c * s > e:
+        r0 = max(cell[steps.start] for cell in rows)
+        if r0 + steps.shift > e:
             return None
-        return J, d, int(c * s), r0, joint, rows
+        return steps, r0, joint, rows
 
 
 def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
@@ -717,23 +695,20 @@ def spacetime_sync(states, ps: PlotSpec) -> str:
     return "".join(spacetime_sync_chunks(states, ps))
 
 
-def _orbit_rows(items, orbit, count: int, row) -> Iterator:
+def _orbit_rows(items, orbit: Lasso | None, count: int, row) -> Iterator:
     """row(x) of the first ``count`` states of a run, each given by its
-    item x.  Given the orbit (entry, period) of the run, the items need
-    run to entry + period only: each row is formed once per orbit state
-    and then repeated."""
-    if orbit is None or sum(orbit) >= count:
+    item x.  Given the orbit's Lasso, the items need run to its end only:
+    each row is formed once per orbit state and then repeated."""
+    if orbit is None or orbit.end >= count:
         return map(row, islice(items, count))
-    entry, period = orbit
-    rows = list(map(row, items[: entry + period]))
-    return chain(rows, islice(cycle(rows[entry:]), count - len(rows)))
+    return orbit.repeat(list(map(row, items[: orbit.end])), count)
 
 
 def spacetime_sync_chunks(states, ps: PlotSpec, orbit=None) -> Iterator[str]:
     """The text of :func:`spacetime_sync` in blocks of whole lines: the
     header, rows of about _SVG_BLOCK lines in all, and the closing tag.
-    ``orbit`` is (entry, period) of the states, or None: the pieces of a
-    row are then picked once per orbit state."""
+    ``orbit`` is the Lasso of the states, or None: the pieces of a row
+    are then picked once per orbit state."""
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
@@ -779,10 +754,8 @@ def spacetime_sync_pixmap_chunks(states, ps: PlotSpec, trace=None) -> Iterator[b
     row = _code_row(n, 1, (ps.gray0, ps.gray1))
     width = n * (max(len(str(ps.gray0)), len(str(ps.gray1))) + 1)
     rows = max(1, _PIXMAP_BYTES // width)  # per chunk
-    if trace is None:
-        texts = map(row, map(_encode, states))
-    else:
-        texts = _orbit_rows(trace.codes, trace.recurrence, len(states), row)
+    codes = map(_encode, states) if trace is None else trace.codes
+    texts = _orbit_rows(codes, None if trace is None else trace.recurrence, len(states), row)
     blocks = (b"".join(islice(texts, rows)) for _ in range(0, len(states), rows))
     return chain([_pgm_header(ps, n, len(states))], blocks)
 

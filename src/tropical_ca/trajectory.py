@@ -34,6 +34,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import chain, cycle, islice
+from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -55,17 +57,49 @@ from .semiring import (
 from .spectral import SpectralSummary
 
 
+class Lasso(NamedTuple):
+    """An eventually periodic run: item j + period is item j plus
+    ``shift`` for every j >= start (shift 0 where the items repeat
+    exactly), so that items 0..end - 1 give every item."""
+
+    start: int
+    period: int
+    shift: Scalar = 0
+
+    @property
+    def end(self) -> int:
+        return self.start + self.period
+
+    def fold(self, k: int) -> tuple:
+        """(j, q) with j < end: item k is item j plus q·shift."""
+        if k < self.start + self.period:
+            return k, 0
+        q, r = divmod(k - self.start, self.period)
+        return self.start + r, q
+
+    def repeat(self, items, count: int) -> Iterator:
+        """The first ``count`` items without the shift, from ``items``:
+        the run's items 0..end - 1, or its first count where count <= end."""
+        head = items[: min(count, self.end)]
+        return chain(head, islice(cycle(items[self.start : self.end]), count - len(head)))
+
+    def join(self, other: "Lasso") -> "Lasso":
+        """The run of the pairs (item of self, item of other): from the
+        later start, every lcm of the periods, with self's shift over it."""
+        period = math.lcm(self.period, other.period)
+        return Lasso(max(self.start, other.start), period, self.shift * (period // self.period))
+
+
 class Trajectory(NamedTuple):
     """States x(0..k_max) of one iteration, immutable after construction.
 
-    ``recurrence`` is (m, d) when states[j + d] = c ⊗ states[j] for every
-    j >= m and one scalar c, so that each cell's step x_i(j + 1) - x_i(j)
-    repeats with period d from j = m on; None when it is not known (a
-    hand-built trajectory, or a run that did not recur by k_max)."""
+    ``recurrence`` is the :class:`Lasso` of the states that :func:`iterate`
+    found; None when it is not known (a hand-built trajectory, or a run
+    that did not recur by k_max)."""
 
     matrix: MaxPlusMatrix
     states: tuple  # tuple of vectors
-    recurrence: tuple | None = None
+    recurrence: Lasso | None = None
 
     @property
     def k_max(self) -> int:
@@ -78,6 +112,17 @@ class Trajectory(NamedTuple):
     def state(self, k: int):
         return self.states[k]
 
+    def first_stall(self) -> tuple | None:
+        """(i, k): the first cell i, and its first cycle k, with x_i(k + 1)
+        <= x_i(k); None where none.  Steps past the recurrence's end repeat
+        earlier ones, so only x(0..end) are read."""
+        rec = self.recurrence
+        states = self.states if rec is None else self.states[: rec.end + 1]
+        for i, times in enumerate(zip(*states)):
+            if not all(map(lt, times, times[1:])):
+                return i, next(k for k, t in enumerate(times[1:]) if not times[k] < t)
+        return None
+
 
 def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
     """Iterate x(k+1) = P ⊗ x(k) from a finite start vector.
@@ -89,9 +134,9 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
     run is shifted out of the states already held, not stepped.  Past k*
     the regime x(k + rho) = mu ⊗ x(k) makes a checkpoint recur, so this
     happens by k = 2·max(k*, rho) + rho at the latest.  The trajectory
-    records the recurrence as (m, d), where m is the earliest cycle from
-    which x(j + d) = c ⊗ x(j) holds: the checkpoint, walked back over the
-    states already held, so no step is added."""
+    records the recurrence as Lasso(m, d, c), where m is the earliest
+    cycle from which x(j + d) = c ⊗ x(j) holds: the checkpoint, walked
+    back over the states already held, so no step is added."""
     states = []
     for k, x in enumerate(iter_states(P, x0, k_max)):
         states.append(x)
@@ -103,13 +148,9 @@ def iterate(P: MaxPlusMatrix, x0: Sequence[Scalar], k_max: int) -> Trajectory:
             while m and _shift(states[m - 1], states[m - 1 + d]) == c:
                 m -= 1
             for j in range(k + 1 - d, k_max + 1 - d):
-                y = states[j]
-                states.append(
-                    tuple([v + c for v in y])
-                    if type(c) is int
-                    else tuple([canonical(v + c) for v in y])
-                )
-            return Trajectory(P, tuple(states), (m, d))
+                y = [v + c for v in states[j]]
+                states.append(tuple(y if type(c) is int else map(canonical, y)))
+            return Trajectory(P, tuple(states), Lasso(m, d, c))
         if k & (k - 1) == 0:  # a checkpoint: k = 0 or a power of two
             mark, ref = k, x
     return Trajectory(P, tuple(states))

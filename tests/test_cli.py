@@ -885,6 +885,16 @@ def test_config_naming_two_alternatives_is_refused(network, rule):
     assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("value", [1, 1.0])
+def test_a_number_as_parity_true_is_refused(value):
+    # 1 == True and 1.0 == True, so {"parity": 1} once ran as parity.
+    assert quiet_main(json.dumps({"network": RING3, "rule": {"parity": True}}), "stg")[0] == 0
+    code, _, err = quiet_main(json.dumps({"network": RING3, "rule": {"parity": value}}), "stg")
+    assert code == 2, err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_huge_decimal_exponent_fails_fast():
     body = {"mode": "rational", "network": dict(TIMED_RING3, xi=["@", 1, 1])}
     start = time.perf_counter()

@@ -32,7 +32,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 class Unrolled(cli.Stages):
     """The same stages with both recurrences withheld: the trajectory
-    without (m, d), every synchronous state stepped, and an orbit
+    without its Lasso, every synchronous state stepped, and an orbit
     trace with neither entry nor period, so that every writer forms
     every row.  The orbit that ``ca`` reports is searched afresh, as
     this trace's codes may repeat."""
@@ -59,7 +59,7 @@ def tree(root: Path) -> dict:
 
 
 def joint_of(exp):
-    """(J, L, B) of the run as the writers see it, or None."""
+    """Lasso(J, L, B) of the run as the writers see it, or None."""
     stages = cli.Stages(exp)
     return stages.async_plots._joint(stages.sync_trace.recurrence)
 
@@ -258,7 +258,7 @@ def test_the_guard_covers_its_cases(tmp_path, monkeypatch):
 
 def test_rowless_intervals_past_the_recurrence(tmp_path, monkeypatch):
     # A directed 3-cycle with self-loops and eighth-unit timings.  Past
-    # its recurrence, (m, d) = (3, 3), each cell's row moves 3 rows every
+    # its recurrence, Lasso(3, 3, 3/2), each cell's row moves 3 rows every
     # 3 intervals, but an interval of a period may own no row, so a
     # change there is not kept on a bit switch alone.
     q = Fraction(1, 8)
@@ -398,7 +398,7 @@ def test_stage_sync_states_equal_the_stepped_states(rule, n, bits, k_max):
     if trace.recurrence is None:  # no repeat by k_max: every state traced
         assert len(trace.codes) == k_max + 1
     else:
-        assert sum(trace.recurrence) <= k_max + 1
+        assert trace.recurrence.end <= k_max + 1
 
 
 def test_an_orbit_open_at_k_max_is_decoded_not_stepped_again(monkeypatch):
@@ -447,7 +447,7 @@ def test_unrolled_stages_withhold_both_recurrences(tmp_path):
     exp = cli.load_experiment(args)._replace(k_max=200)
     stages, unrolled = cli.Stages(exp), Unrolled(exp)
     assert stages.trajectory.recurrence is not None
-    assert stages.sync_trace.recurrence == (0, 6)
+    assert stages.sync_trace.recurrence == (0, 6, 0)
     assert unrolled.trajectory.recurrence is None
     assert unrolled.sync_trace.recurrence is None
     assert unrolled.trajectory.states == stages.trajectory.states

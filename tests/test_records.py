@@ -25,7 +25,7 @@ from tropical_ca.network import NetworkSpec, TimingParameters, random_parameters
 from tropical_ca.render import PlotSpec
 from tropical_ca.semiring import MaxPlusMatrix, unit_vector
 from tropical_ca.spectral import CriticalGraph, SccDecomposition, SpectralSummary
-from tropical_ca.trajectory import NormalizedTrajectory, RegimeReport, Trajectory, iterate
+from tropical_ca.trajectory import Lasso, NormalizedTrajectory, RegimeReport, Trajectory, iterate
 
 RING = regular_ring(5, 3)
 PARAMS = random_parameters(RING, 3, (1, 9), (0, 4))
@@ -78,6 +78,7 @@ CASES = [
     (RegimeReport,
      {"k_star": 1, "rho": 1, "mu": 3, "eigenvalue": 3, "contours": ((-1, 0),)},
      ("k_star", 2)),
+    (Lasso, {"start": 2, "period": 3, "shift": Fraction(1, 2)}, ("shift", 0)),
 ]
 
 

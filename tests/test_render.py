@@ -399,10 +399,9 @@ def test_joined_svgs_and_recurrence_cut_heights_match_oracles(seed, kind, k_max,
         ps = ps._replace(time_scale=1)
     traj = run.trajectory
     if traj.recurrence is not None:
-        m, d = traj.recurrence
+        m, d, c = traj.recurrence
         assert 0 <= m and 1 <= d and m + d <= k_max
         for j in range(m, k_max + 1 - d):
-            c = traj.states[j + d][0] - traj.states[j][0]
             assert traj.states[j + d] == tuple(v + c for v in traj.states[j])
     hand = run._replace(trajectory=Trajectory(traj.matrix, traj.states))
     assert hand.trajectory.recurrence is None

@@ -145,13 +145,13 @@ def test_iterate_fast_forward_equals_stepping(case):
     want = tuple(iter_states(P, x0, k_max))
     assert got == want
     assert [list(map(type, x)) for x in got] == [list(map(type, x)) for x in want]
-    # The recurrence it records, (m, d): states[j + d] = c ⊗ states[j]
-    # for every j >= m and one scalar c, and m is the earliest such cycle.
+    # The recurrence it records, Lasso(m, d, c): states[j + d] = c ⊗
+    # states[j] for every j >= m, and m is the earliest such cycle.
     if traj.recurrence is not None:
-        m, d = traj.recurrence
+        m, d, c = traj.recurrence
         assert m >= 0 and d >= 1 and m + d <= k_max
         finite = [i for i, v in enumerate(got[m]) if v != EPS]
-        c = got[m + d][finite[0]] - got[m][finite[0]] if finite else 0
+        assert c == (got[m + d][finite[0]] - got[m][finite[0]] if finite else 0)
         for j in range(m, k_max + 1 - d):
             assert got[j + d] == tuple(v + c for v in got[j])
         if m:
@@ -163,7 +163,7 @@ def test_iterate_stops_stepping_once_the_run_recurs(monkeypatch):
     # most 2·max(k*, rho) + rho times however long the run: it stops at
     # the checkpoint m' (32, 128 and 4 here) plus d.  The recurrence it
     # records is walked back from m' to where the run starts to recur,
-    # (k*, rho), with no step added.
+    # (k*, rho, mu), with no step added.
     steps = []
     step = trajectory.step_arcs
 
@@ -181,7 +181,7 @@ def test_iterate_stops_stepping_once_the_run_recurs(monkeypatch):
         steps.clear()
         traj = iterate(P, x0, 3000)
         assert len(steps) == taken <= bound < 3000
-        assert traj.recurrence == (report.k_star, report.rho)
+        assert traj.recurrence == (report.k_star, report.rho, report.mu)
         assert iterate(P, x0, len(steps) - 1).recurrence is None
         assert traj.states == tuple(iter_states(P, x0, 3000))
         assert report.rho == (3 if P is three else 1)
