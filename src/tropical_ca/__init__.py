@@ -48,11 +48,9 @@ from .network import (
     load_network,
     random_parameters,
     regular_ring,
-    save_network,
 )
 from .trajectory import (
     Lasso,
-    NormalizedTrajectory,
     RegimeReport,
     Trajectory,
     csv_chunks,
@@ -60,8 +58,6 @@ from .trajectory import (
     detect_regime,
     iter_states,
     iterate,
-    normalize,
-    per_node_estimates,
     verify_regime,
     write_trajectory_csv,
 )
@@ -96,7 +92,6 @@ from .render import (
     contour_plot,
     critical_graph_dot,
     event_dag_dot,
-    pixmap_parse,
     spacetime_async,
     spacetime_async_pixmap,
     spacetime_sync,

@@ -306,13 +306,20 @@ class SyncOrbit(NamedTuple):
         """s(0..k): each code decoded once, at most, and the periodic
         states repeated."""
         states = tuple(_decode(c, self.size) for c in self.codes[: k + 1])
-        return states if len(states) == k + 1 else tuple(self.recurrence.repeat(states, k + 1))
+        return states if len(states) == k + 1 else tuple(self._past(k).repeat(states, k + 1))
 
     def state(self, k: int) -> State:
         """s(k) for any k >= 0, folding into the periodic part."""
         if k >= len(self.codes):
-            k = self.recurrence.fold(k)[0]
+            k = self._past(k).fold(k)[0]
         return _decode(self.codes[k], self.size)
+
+    def _past(self, k: int) -> Lasso:
+        """The recurrence that an s(k) past the traced codes folds through."""
+        if self.period is None:
+            last = len(self.codes) - 1
+            raise StateUndefinedError(f"s({k}) is past the open trace, whose last cycle is {last}")
+        return self.recurrence
 
     @property
     def recurrence(self) -> Lasso | None:
@@ -428,9 +435,6 @@ class StateTransitionGraph(NamedTuple):
         up to the last of them and grows by period - 1 at each circuit."""
         offsets = self.attractor_offsets
         return bisect_right(range(len(offsets)), 0, key=lambda i: offsets[i] - i) - 1
-
-    def decode(self, code: int) -> State:
-        return _decode(code, self.size)
 
     @property
     def label_halves(self) -> tuple:

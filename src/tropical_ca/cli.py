@@ -463,9 +463,9 @@ class Stages:
         return {
             **{name: m is None for name, m in self.mismatches.items()},
             "regime": traj_mod.verify_regime(self.regime, self.p, self.summary),
-            "eigen_equation": traj_mod.maps_cyclically(
+            "eigen_equation": traj_mod.cyclic_mismatch(
                 self.p, self.summary.eigenvalue, [(v,) for v in self.summary.eigenbasis]
-            ),
+            ) is None,
         }
 
     @cached_property

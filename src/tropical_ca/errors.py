@@ -49,8 +49,9 @@ class RuleError(TropicalError):
 
 
 class StateUndefinedError(TropicalError):
-    """An asynchronous state was queried outside the time window covered by
-    the computed contours."""
+    """A state was queried where the computed run does not define it: an
+    asynchronous state outside the time window covered by the contours, or
+    a synchronous state past an open orbit trace."""
 
 
 class ConfigError(TropicalError):

@@ -19,7 +19,6 @@ included), so (N, 3) is the classical nearest-neighbour ring.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Mapping, NamedTuple, Sequence
 
@@ -31,7 +30,6 @@ from .semiring import (
     is_eps,
     load_json,
     scalar_from_json,
-    scalar_to_json,
 )
 
 
@@ -73,9 +71,6 @@ class NetworkSpec(_NetworkFields):
             r = (self.regular_n - 1) // 2
             return tuple((i + d) % self.size for d in range(-r, r + 1))
         return tuple(sorted(j for (j, to) in self.arcs if to == i))
-
-    def in_degree(self, i: int) -> int:
-        return sum(1 for (_j, to) in self.arcs if to == i)
 
     def is_three_ring(self) -> bool:
         """True when every cell's neighbourhood is exactly
@@ -215,28 +210,6 @@ def build_p(spec: NetworkSpec, params: TimingParameters) -> MaxPlusMatrix:
 # "tau" may instead be given as "tau_matrix", a matrix literal with eps
 # marking absent arcs; with "tau_matrix" the topology block is optional
 # (arcs are then inferred from the finite entries).
-
-
-def network_to_json_dict(spec: NetworkSpec, params: TimingParameters) -> dict:
-    if spec.regular_n is not None:
-        topo = {"regular": {"n": spec.regular_n}}
-    else:
-        topo = {"arcs": [[j + 1, i + 1] for (j, i) in spec.arcs]}
-    tau = params.tau
-    return {
-        "N": spec.size,
-        "topology": topo,
-        "xi": [scalar_to_json(x) for x in params.xi],
-        "tau": [
-            [j + 1, i + 1, scalar_to_json(tau[(i, j)])] for (j, i) in spec.arcs
-        ],
-    }
-
-
-def save_network(path, spec: NetworkSpec, params: TimingParameters) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_json_dict(spec, params), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _is_list(value, length: int | None = None) -> bool:

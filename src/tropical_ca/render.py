@@ -665,27 +665,6 @@ def _held_rows(runs, b: int, count: int) -> Iterator[bytes]:
         yield b"".join(rows[:t])
 
 
-def pixmap_parse(text: str):
-    """Read back a P2 pixmap as (width, height, rows).  Text that is not
-    a P2 pixmap of its stated size raises DimensionError."""
-    tokens = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens += body.split()
-    if tokens[:1] != ["P2"] or len(tokens) < 4:
-        raise DimensionError("not a P2 pixmap")
-    try:
-        width, height, _maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        values = [int(t) for t in tokens[4:]]
-    except ValueError:
-        raise DimensionError("pixmap holds a token that is not an integer") from None
-    if len(values) != width * height:
-        raise DimensionError("pixmap size mismatch")
-    rows = [values[r * width : (r + 1) * width] for r in range(height)]
-    return width, height, rows
-
-
 # -- synchronous space-time ----------------------------------------------------
 
 

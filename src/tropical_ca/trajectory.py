@@ -109,9 +109,6 @@ class Trajectory(NamedTuple):
     def size(self) -> int:
         return self.matrix.rows
 
-    def state(self, k: int):
-        return self.states[k]
-
     def first_stall(self) -> tuple | None:
         """(i, k): the first cell i, and its first cycle k, with x_i(k + 1)
         <= x_i(k); None where none.  Steps past the recurrence's end repeat
@@ -201,21 +198,6 @@ def _iter_states(P: MaxPlusMatrix, x: tuple, k_max: int):
         yield frame.vector(y)
 
 
-class NormalizedTrajectory(NamedTuple):
-    """y(k) = x(k) - lambda·k: the trajectory seen from the moving frame."""
-
-    eigenvalue: Scalar
-    states: tuple
-
-
-def normalize(traj: Trajectory, eigenvalue: Scalar) -> NormalizedTrajectory:
-    frame = IntFrame(traj.matrix.finite_rows(), eigenvalue, traj.states[:1])
-    states = tuple(
-        frame.vector(frame.state(k, x)) for k, x in enumerate(traj.states)
-    )
-    return NormalizedTrajectory(eigenvalue, states)
-
-
 class RegimeReport(NamedTuple):
     """Periodic regime of one trajectory.
 
@@ -295,33 +277,18 @@ def cycletime(report: RegimeReport) -> Scalar:
     return canonical(Fraction(report.mu) / report.rho)
 
 
-def per_node_estimates(traj: Trajectory, k: int | None = None) -> tuple:
-    """Finite-horizon diagnostics x_i(k) / k, exact rationals."""
-    if k is None:
-        k = traj.k_max
-    if not (1 <= k <= traj.k_max):
-        raise DimensionError(f"k must be in 1..{traj.k_max}, got {k}")
-    xk = traj.states[k]
-    return tuple(canonical(Fraction(xk[i], k)) for i in range(traj.size))
-
-
-def maps_cyclically(P: MaxPlusMatrix, lam: Scalar, cycles) -> bool:
-    """True iff P ⊗ c[m] = lam ⊗ c[m + 1] around each cycle c of vectors
-    (indices mod len(c)); a cycle of one vector is an eigenvector.
+def cyclic_mismatch(P: MaxPlusMatrix, lam: Scalar, cycles) -> tuple | None:
+    """None iff P ⊗ c[m] = lam ⊗ c[m + 1] around each cycle c of vectors
+    (indices mod len(c)); a cycle of one vector is an eigenvector.  Else
+    the first counter-example: (j, i, (lam ⊗ c′)_i, (P ⊗ c)_i) for the
+    first vector c where P ⊗ c ≠ lam ⊗ c′, numbered j from 0 across the
+    cycles in order, and its first cell i (0-based) that differs.
 
     The test runs on the ints of the normalized frame of P and lam, scaled
     to cover every vector too: there P ⊗ c = lam ⊗ c′ reads
     step_arcs(arcs, Y(c)) = Y(c′).  A vector entry may be EPS; a finite
     float raises ScalarError.
     """
-    return cyclic_mismatch(P, lam, cycles) is None
-
-
-def cyclic_mismatch(P: MaxPlusMatrix, lam: Scalar, cycles) -> tuple | None:
-    """The first counter-example to :func:`maps_cyclically`, or None: (j,
-    i, (lam ⊗ c′)_i, (P ⊗ c)_i) for the first vector c where P ⊗ c ≠
-    lam ⊗ c′, numbered j from 0 across the cycles in order, and its first
-    cell i (0-based) that differs."""
     cycles = [[tuple(map(exact, c)) for c in cyc] for cyc in cycles]
     if any(len(c) != P.cols for cyc in cycles for c in cyc):
         raise DimensionError(f"a vector's length is not the matrix's {P.cols}")
@@ -347,9 +314,9 @@ def verify_regime(
     ``spectral`` is the summary of P, as for :func:`detect_regime`.  True
     iff rho >= 1, rho divides sigma(P), mu equals rho times the eigenvalue
     of P, and P maps each contour to the next one shifted by lambda
-    (wrapping round): :func:`maps_cyclically`.  Then every contour is also
-    an eigenvector of P^⊗rho with eigenvalue mu, as ⊗ by a scalar commutes
-    with P.
+    (wrapping round), which :func:`cyclic_mismatch` finds no exception to.
+    Then every contour is also an eigenvector of P^⊗rho with eigenvalue
+    mu, as ⊗ by a scalar commutes with P.
     """
     lam = spectral.eigenvalue
     rho = report.rho
@@ -361,7 +328,7 @@ def verify_regime(
         return False
     if len(report.contours) != rho or report.k_star < 0:
         return False
-    return maps_cyclically(P, lam, [report.contours])
+    return cyclic_mismatch(P, lam, [report.contours]) is None
 
 
 class _Texts(dict):

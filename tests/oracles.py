@@ -387,6 +387,20 @@ def trajectory_csv_longhand(states, lam):
 # -- plots -----------------------------------------------------------------------
 
 
+def pixmap_parse(text: str):
+    """Read back a P2 pixmap as (width, height, rows).  Text that is not
+    a P2 pixmap of its stated size raises ValueError."""
+    tokens = []
+    for line in text.splitlines():
+        tokens += line.split("#", 1)[0].split()
+    if tokens[:1] != ["P2"] or len(tokens) < 4:
+        raise ValueError("not a P2 pixmap")
+    width, height, _maxval, *values = map(int, tokens[1:])
+    if len(values) != width * height:
+        raise ValueError("pixmap size mismatch")
+    return width, height, [values[r * width : (r + 1) * width] for r in range(height)]
+
+
 def async_pixmap_grid(run, ps, version):
     """P2 text of an async run's memory blocks, from a full grid with one
     store and one str() per pixel.  ``version`` is the package version the

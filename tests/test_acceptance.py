@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import oracles
-from oracles import vec_scale
+from oracles import pixmap_parse, vec_scale
 
 from tropical_ca.ca import (
     CARule,
@@ -31,7 +31,6 @@ from tropical_ca.ca import (
 from tropical_ca.network import build_p, random_parameters, regular_ring
 from tropical_ca.render import (
     PlotSpec,
-    pixmap_parse,
     spacetime_async,
     spacetime_async_pixmap,
 )
@@ -177,8 +176,8 @@ def test_criterion_5_regime_structure():
             assert report.mu == report.rho * summary.eigenvalue
             ext = iterate(P, x0, report.k_star + report.rho + 10)
             for k in range(report.k_star, report.k_star + 10):
-                assert ext.state(k + report.rho) == vec_scale(
-                    report.mu, ext.state(k)
+                assert ext.states[k + report.rho] == vec_scale(
+                    report.mu, ext.states[k]
                 )
             P_rho = oracles.grid_power(oracles.dense(P), report.rho)
             for v in report.contours:
@@ -211,7 +210,7 @@ def test_criterion_6_cycletime_independence_and_finite_k_bound():
             bound = max(
                 abs(Fraction(e)) for v in report.contours for e in v
             ) / Fraction(500)
-            x500 = iterate(P, starts[0], 500).state(500)
+            x500 = iterate(P, starts[0], 500).states[500]
             for xi in x500:
                 assert abs(Fraction(xi) / 500 - lam) <= bound
 

@@ -501,6 +501,19 @@ def test_orbit_kmax_exhausted():
     assert info.value.k_reached == 3
 
 
+def test_open_trace_refuses_a_state_past_its_codes():
+    # Rule 150 on 11 cells does not close within 20 steps: the trace holds
+    # s(0..20) and no period, so s(25) is not known.
+    spec = regular_ring(11, 3)
+    trace = ca.trace_orbit(RULE150, spec, state_from_string("00000100000"), 20)
+    assert len(trace.codes) == 21 and trace.period is None
+    assert trace.state(20) == trace.states[20]
+    assert trace.states_through(20) == trace.states
+    for query in (trace.state, trace.states_through):
+        with pytest.raises(StateUndefinedError, match=r"s\(25\) .* last cycle is 20"):
+            query(25)
+
+
 def test_orbit_keeps_codes_and_decodes_on_request():
     spec = regular_ring(10, 3)
     s0 = state_from_string("0110000000")

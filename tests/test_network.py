@@ -1,5 +1,6 @@
 """Network topologies, timing parameters and the timing dependency matrix."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -14,10 +15,8 @@ from tropical_ca.network import (
     explicit_network,
     load_network,
     network_from_json_dict,
-    network_to_json_dict,
     random_parameters,
     regular_ring,
-    save_network,
     validate_timing,
 )
 from tropical_ca.semiring import EPS, MaxPlusMatrix, is_eps, unit_vector
@@ -34,7 +33,6 @@ def test_ring_20_3_neighbourhoods():
     spec = regular_ring(20, 3)
     for i in range(20):
         assert spec.predecessors(i) == ((i - 1) % 20, i, (i + 1) % 20)
-        assert spec.in_degree(i) == 3
     assert spec.is_three_ring()
 
 
@@ -192,27 +190,39 @@ def test_random_parameters_bad_ranges():
         random_parameters(spec, 1, (1.0, 4), (1, 2))
 
 
-# -- file round trips ------------------------------------------------------------------
+# -- network files ---------------------------------------------------------------
 
 
-def test_save_load_round_trip_regular(tmp_path):
-    spec = regular_ring(6, 3)
-    params = random_parameters(spec, 5, (1, 30), (1, 10))
+def test_load_network_regular_file(tmp_path):
+    # tau[j, i] = 10 j + i on arc j -> i, 1-based: the arcs read back as
+    # (j - 1, i - 1) and tau keyed (i - 1, j - 1).
     path = tmp_path / "net.json"
-    save_network(path, spec, params)
-    spec2, params2 = load_network(path)
-    assert spec2 == spec and params2 == params
+    path.write_text(json.dumps({
+        "N": 4,
+        "topology": {"regular": {"n": 3}},
+        "xi": [1, 2, 3, 4],
+        "tau": [[4, 1, 41], [1, 1, 11], [2, 1, 21], [1, 2, 12], [2, 2, 22], [3, 2, 32],
+                [2, 3, 23], [3, 3, 33], [4, 3, 43], [3, 4, 34], [4, 4, 44], [1, 4, 14]],
+    }))
+    spec, params = load_network(path)
+    assert spec == regular_ring(4, 3)
+    tau = {(i, j): 10 * (j + 1) + i + 1 for (j, i) in spec.arcs}
+    assert params == TimingParameters.create((1, 2, 3, 4), tau)
 
 
-def test_save_load_round_trip_explicit(tmp_path):
-    spec = explicit_network(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)])
-    tau = {(i, j): 3 for (j, i) in spec.arcs}
-    params = TimingParameters.create((2, 4, 6), tau)
+def test_load_network_explicit_file(tmp_path):
     path = tmp_path / "net.json"
-    save_network(path, spec, params)
-    spec2, params2 = load_network(path)
-    assert spec2.arcs == spec.arcs and spec2.regular_n is None
-    assert params2 == params
+    path.write_text(json.dumps({
+        "N": 3,
+        "topology": {"arcs": [[1, 1], [2, 2], [3, 3], [1, 2], [2, 3], [3, 1]]},
+        "xi": [2, 4, 6],
+        "tau": [[1, 1, 11], [2, 2, 22], [3, 3, 33], [1, 2, 12], [2, 3, 23], [3, 1, 31]],
+    }))
+    spec, params = load_network(path)
+    assert spec == explicit_network(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)])
+    assert spec.regular_n is None
+    tau = {(i, j): 10 * (j + 1) + i + 1 for (j, i) in spec.arcs}
+    assert params == TimingParameters.create((2, 4, 6), tau)
 
 
 def test_load_rejects_tau_on_non_arc():
@@ -251,14 +261,6 @@ def test_load_missing_fields():
         network_from_json_dict(
             {"N": 3, "topology": {"regular": {"n": 3}}, "xi": [1, 1, 1]}
         )
-
-
-def test_json_dict_is_one_based():
-    spec = explicit_network(2, [(0, 1), (1, 0)])
-    params = TimingParameters.create((1, 2), {(1, 0): 3, (0, 1): 4})
-    doc = network_to_json_dict(spec, params)
-    assert doc["topology"]["arcs"] == [[1, 2], [2, 1]]
-    assert sorted(doc["tau"]) == [[1, 2, 3], [2, 1, 4]]
 
 
 def test_load_network_bad_json(tmp_path):

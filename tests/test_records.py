@@ -25,7 +25,7 @@ from tropical_ca.network import NetworkSpec, TimingParameters, random_parameters
 from tropical_ca.render import PlotSpec
 from tropical_ca.semiring import MaxPlusMatrix, unit_vector
 from tropical_ca.spectral import CriticalGraph, SccDecomposition, SpectralSummary
-from tropical_ca.trajectory import Lasso, NormalizedTrajectory, RegimeReport, Trajectory, iterate
+from tropical_ca.trajectory import Lasso, RegimeReport, Trajectory, iterate
 
 RING = regular_ring(5, 3)
 PARAMS = random_parameters(RING, 3, (1, 9), (0, 4))
@@ -73,8 +73,6 @@ CASES = [
      ("sigma", 2)),
     (Trajectory, {"matrix": P, "states": iterate(P, (0, 0), 2).states},
      ("matrix", MaxPlusMatrix([[1, 2], [0, 4]]))),
-    (NormalizedTrajectory, {"eigenvalue": 3, "states": ((0, 0), (-1, 0))},
-     ("eigenvalue", 2)),
     (RegimeReport,
      {"k_star": 1, "rho": 1, "mu": 3, "eigenvalue": 3, "contours": ((-1, 0),)},
      ("k_star", 2)),

