@@ -38,6 +38,7 @@ from .errors import (
     TropicalError,
     VerificationError,
 )
+from .schema import Kind, Table, walk
 from .semiring import MaxPlusMatrix, load_json, scalar_from_json, unit_vector
 
 MODES = ("int", "rational")
@@ -87,50 +88,26 @@ class Experiment(NamedTuple):
         return md
 
 
-def _parse_network(block, mode, seed_override, base_dir: Path):
-    """(spec, params, seed) of the config's network block; params is None
-    when the block gives no timings."""
-    if not isinstance(block, dict):
-        raise ConfigError("network: must be an object")
-    if "file" in block:
-        if not isinstance(block["file"], str):
-            raise ConfigError("network.file: must be a path string")
-        path = Path(block["file"])
-        if not path.is_absolute():
-            path = base_dir / path
-        if seed_override is not None:
-            raise ConfigError("--seed only applies to generated networks")
-        try:
-            return (*net_mod.load_network(path, mode), None)
-        except FileNotFoundError:
-            raise ConfigError(f"network.file: {path} does not exist") from None
-        except OSError as exc:
-            raise ConfigError(
-                f"network.file: cannot read {path}: {exc.strerror}"
-            ) from None
-
-    has_explicit = "xi" in block or "tau" in block or "tau_matrix" in block
-    has_generator = "seed" in block or seed_override is not None
-    if has_explicit and has_generator:
-        raise ConfigError("network: give either explicit xi/tau or a seed, not both")
-    if has_explicit:
-        return (*net_mod.network_from_json_dict(block, mode), None)
-    spec = net_mod._spec_from_json_dict(block)
-    if not has_generator:
-        return spec, None, None
-    seed = seed_override if seed_override is not None else block.get("seed")
-    if type(seed) is not int:
-        raise ConfigError("network.seed: must be an integer")
-    ranges = []
-    for name in ("xi_range", "tau_range"):
-        rng = block.get(name)
-        if not isinstance(rng, list) or len(rng) != 2:
-            raise ConfigError(f"network.{name}: must be [lo, hi] integers")
-        ranges.append(tuple(rng))
-    return spec, net_mod.random_parameters(spec, seed, *ranges), seed
+RULE = Table({
+    "eca": Kind("an integer 0..255", lambda v: type(v) is int and 0 <= v <= 255),
+    "parity": Kind("true", lambda v: v is True),
+}, needs=("eca|parity",), excludes=(("eca", "parity"),), literal="parity")
+CONFIG = Table({
+    "mode": Kind("'int' or 'rational' (which reads decimals such as 0.1 exactly)",
+                 MODES.__contains__),
+    "network": net_mod.NETWORK,
+    "rule": RULE,
+    "s0": Kind("a string of 0s and 1s", lambda v: isinstance(v, str) and set(v) <= {"0", "1"}),
+    "x0": Kind('"unit" or a list of scalars', lambda v: v == "unit" or isinstance(v, list)),
+    "k_max": Kind("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "out": net_mod.PATH,
+}, needs=("network",))
 
 
 def load_experiment(args) -> Experiment:
+    """The experiment of the config file args.config.  --mode and --seed
+    stand in for the config's mode and network.seed before CONFIG's walk,
+    and --out for its out after it."""
     path = Path(args.config)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -143,86 +120,44 @@ def load_experiment(args) -> Experiment:
         ) from None
     except ValueError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-
-    mode = args.mode or raw.get("mode", "int")
-    if mode not in MODES:
-        raise ConfigError(
-            f"mode must be 'int' or 'rational' (which reads decimals such as "
-            f"0.1 exactly), got {mode!r}"
-        )
-
-    if "network" not in raw:
-        raise ConfigError("config needs a 'network' block")
+    if isinstance(raw, dict):
+        if args.mode:
+            raw["mode"] = args.mode
+        if args.seed is not None and isinstance(raw.get("network"), dict):
+            raw["network"] = {**raw["network"], "seed": args.seed}
+    walk(raw, CONFIG, "", ConfigError)
+    mode, block = raw.get("mode", "int"), raw["network"]
     try:
-        spec, params, seed = _parse_network(
-            raw["network"], mode, args.seed, path.parent
-        )
+        if "file" in block:
+            spec, params = net_mod.load_network(path.parent / block["file"], mode)
+        else:
+            spec, params = net_mod.read_network(block, mode)
+        if "seed" in block:
+            ranges = block["xi_range"], block["tau_range"]
+            params = net_mod.random_parameters(spec, block["seed"], *ranges)
     except NetworkError as exc:
         raise ConfigError(f"network: {exc}") from exc
 
-    rule = None
-    if "rule" in raw:
-        blk = raw["rule"]
-        if blk == "parity" or blk == {"parity": True} and blk["parity"] is True:
-            rule = ca_mod.CARule.parity()
-        elif isinstance(blk, dict) and blk.keys() == {"eca"}:
-            if type(blk["eca"]) is not int:
-                raise ConfigError("rule.eca: must be an integer 0..255")
-            try:
-                rule = ca_mod.CARule.eca(blk["eca"])
-            except TropicalError as exc:
-                raise ConfigError(f"rule: {exc}") from exc
-        else:
-            raise ConfigError(
-                "rule: must be \"parity\", {\"parity\": true} or {\"eca\": n}"
-            )
-
-    s0 = None
-    if "s0" in raw:
-        if not isinstance(raw["s0"], str):
-            raise ConfigError("s0: must be a 0/1 string")
+    rule = raw.get("rule")
+    if rule is not None:
+        parity = rule == "parity" or "parity" in rule
+        rule = ca_mod.CARule.parity() if parity else ca_mod.CARule.eca(rule["eca"])
+    for key in ("s0", "x0"):
+        if raw.get(key, "unit") != "unit" and len(raw[key]) != spec.size:
+            raise ConfigError(f"{key} has {len(raw[key])} entries for {spec.size} cells")
+    s0 = ca_mod.state_from_string(raw["s0"]) if "s0" in raw else None
+    x0 = raw.get("x0")
+    if x0 == "unit":
+        x0 = unit_vector(spec.size)
+    elif x0 is not None:
+        if "eps" in x0:
+            raise ConfigError(f"x0[{x0.index('eps') + 1}]: start times must be finite, got 'eps'")
         try:
-            s0 = ca_mod.state_from_string(raw["s0"])
-        except TropicalError as exc:
-            raise ConfigError(f"s0: {exc}") from exc
-        if len(s0) != spec.size:
-            raise ConfigError(
-                f"s0 has {len(s0)} cells but the network has {spec.size}"
-            )
-
-    x0 = None
-    if "x0" in raw:
-        blk = raw["x0"]
-        if blk == "unit":
-            x0 = unit_vector(spec.size)
-        elif isinstance(blk, list):
-            if len(blk) != spec.size:
-                raise ConfigError(
-                    f"x0 has {len(blk)} entries but the network has {spec.size}"
-                )
-            if "eps" in blk:
-                i = blk.index("eps") + 1
-                raise ConfigError(f"x0[{i}]: start times must be finite, got 'eps'")
-            try:
-                x0 = tuple(scalar_from_json(v, mode) for v in blk)
-            except ScalarError as exc:
-                raise ConfigError(f"x0: {exc}") from exc
-        else:
-            raise ConfigError("x0: must be \"unit\" or a list of scalars")
-
-    k_max = None
-    if "k_max" in raw:
-        if type(raw["k_max"]) is not int or raw["k_max"] < 0:
-            raise ConfigError("k_max: must be a non-negative integer")
-        k_max = raw["k_max"]
-
-    out = raw.get("out", "out")
-    if not isinstance(out, str):
-        raise ConfigError("out: must be a path string")
-    out = Path(args.out) if args.out else Path(out)
-    return Experiment(mode, spec, params, rule, s0, x0, k_max, out, seed)
+            x0 = tuple(scalar_from_json(v, mode) for v in x0)
+        except ScalarError as exc:
+            raise ConfigError(f"x0: {exc}") from exc
+    out = Path(args.out or raw.get("out", "out"))
+    return Experiment(mode, spec, params, rule, s0, x0, raw.get("k_max"), out, block.get("seed"))
 
 
 # Bytes buffered per output file.

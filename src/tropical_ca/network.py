@@ -23,6 +23,7 @@ import random
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, NetworkError, ScalarError
+from .schema import Kind, Table, walk
 from .semiring import (
     MaxPlusMatrix,
     Scalar,
@@ -200,16 +201,7 @@ def build_p(spec: NetworkSpec, params: TimingParameters) -> MaxPlusMatrix:
     return MaxPlusMatrix.from_arcs(rows)
 
 
-# -- file format -------------------------------------------------------------
-#
-# {"N": 10,
-#  "topology": {"regular": {"n": 3}} or {"arcs": [[j, i], ...]},   1-based
-#  "xi": [..],                                    one scalar per cell
-#  "tau": [[j, i, value], ...]                    one triple per arc
-#  }
-# "tau" may instead be given as "tau_matrix", a matrix literal with eps
-# marking absent arcs; with "tau_matrix" the topology block is optional
-# (arcs are then inferred from the finite entries).
+# -- file format: README's "Configuration" lists every key ---------------------
 
 
 def _is_list(value, length: int | None = None) -> bool:
@@ -218,107 +210,94 @@ def _is_list(value, length: int | None = None) -> bool:
     )
 
 
-def _spec_from_json_dict(
-    obj: dict, tau_matrix: MaxPlusMatrix | None = None
-) -> NetworkSpec:
-    """The cells and arcs of a network object: N plus its "topology"
-    block or, when the block is absent, the finite entries of tau_matrix.
-
-    This is the one reader of N and the topology, for network files and
-    for the network block of an experiment config alike.
-    """
-    size = obj.get("N")
-    if type(size) is not int or size < 1:
-        raise NetworkError(f"N must be a positive integer, got {size!r}")
-    if tau_matrix is not None and (tau_matrix.rows, tau_matrix.cols) != (size, size):
-        raise NetworkError("tau_matrix must be N x N")
-    topo = obj.get("topology")
-    if topo is None:
-        if tau_matrix is None:
-            raise NetworkError("needs a topology block or a tau_matrix")
-        rows = tau_matrix.finite_rows()
-        return explicit_network(
-            size, [(j, i) for i, row in enumerate(rows) for (j, _w) in row]
-        )
-    if not isinstance(topo, dict):
-        raise NetworkError("topology must be an object")
-    if "regular" in topo and "arcs" in topo:
-        raise NetworkError("topology must contain 'regular' or 'arcs', not both")
-    if "regular" in topo:
-        regular = topo["regular"]
-        n = regular.get("n") if isinstance(regular, dict) else None
-        if type(n) is not int:
-            raise NetworkError("topology.regular.n must be an integer")
-        return regular_ring(size, n)
-    if "arcs" in topo:
-        arcs = topo["arcs"]
-        if not _is_list(arcs) or not all(
-            _is_list(pair, 2) and all(type(v) is int for v in pair) for pair in arcs
-        ):
-            raise NetworkError("topology.arcs must be a list of [j, i] index pairs")
-        return explicit_network(size, [(j - 1, i - 1) for (j, i) in arcs])
-    raise NetworkError("topology must contain 'regular' or 'arcs'")
+def _ints(value, length: int) -> bool:
+    return _is_list(value, length) and all(type(v) is int for v in value)
 
 
-def network_from_json_dict(obj: dict, mode: str = "int"):
-    if not isinstance(obj, dict):
-        raise NetworkError("network must be a JSON object")
-    tau_matrix = None
+INT = Kind("an integer", lambda v: type(v) is int)
+PATH = Kind("a path string", lambda v: isinstance(v, str))
+RANGE = Kind("[lo, hi] integers", lambda v: _ints(v, 2))
+TOPOLOGY = Table({
+    "regular": Table({"n": INT}, needs=("n",)),
+    "arcs": Kind("a list of [j, i] index pairs",
+                 lambda v: _is_list(v) and all(_ints(a, 2) for a in v)),
+}, needs=("regular|arcs",), excludes=(("regular", "arcs"),))
+_TIMED = ("N>topology|tau_matrix", "xi>tau|tau_matrix", "tau>xi", "tau_matrix>xi")
+NETWORK_FILE = Table({
+    "N": Kind("a positive integer", lambda v: type(v) is int and v > 0),
+    "topology": TOPOLOGY,
+    "xi": Kind("a list of N scalars", _is_list),
+    "tau": Kind("a list of [j, i, value] triples",
+                lambda v: _is_list(v) and all(_is_list(t, 3) and _ints(t[:2], 2) for t in v)),
+    "tau_matrix": Table({"rows": INT, "cols": INT, "entries": Kind("a list of rows", _is_list)},
+                        needs=("rows", "cols", "entries")),
+}, needs=("N", "xi", *_TIMED), excludes=(("tau", "tau_matrix"),))
+# A config's network block: a file alone, or a network with explicit
+# timings, generated ones (seed and ranges) or none.
+GENERATED = ("seed", "xi_range", "tau_range")
+NETWORK = Table(
+    {**NETWORK_FILE.keys, "file": PATH, "seed": INT, "xi_range": RANGE, "tau_range": RANGE},
+    needs=("file|N", *_TIMED, "seed>xi_range", "seed>tau_range"),
+    excludes=(*NETWORK_FILE.excludes, *(("file", key) for key in [*NETWORK_FILE.keys, *GENERATED]),
+              *((key, other) for key in ("xi", "tau", "tau_matrix") for other in GENERATED)),
+)
+
+
+def read_network(obj: dict, mode: str = "int"):
+    """(spec, params) of a network object that passed its table's walk,
+    with params None where it gives no "xi".  These are the reads that
+    need N or the mode: the scalars, the lengths and the 1-based indices."""
+
+    def scalar(value, where):
+        try:
+            return scalar_from_json(value, mode)
+        except ScalarError as exc:
+            raise NetworkError(f"{where}: {exc}") from exc
+
+    size, topology = obj["N"], obj.get("topology", {})
     if "tau_matrix" in obj:
         try:
-            tau_matrix = MaxPlusMatrix.from_json_dict(obj["tau_matrix"], mode)
+            matrix = MaxPlusMatrix.from_json_dict(obj["tau_matrix"], mode)
         except (ScalarError, DimensionError) as exc:
             raise NetworkError(f"tau_matrix: {exc}") from exc
-    spec = _spec_from_json_dict(obj, tau_matrix)
-    size = spec.size
-
-    xi_raw = obj.get("xi")
-    if not _is_list(xi_raw):
-        raise NetworkError(f"xi must be a list of N = {size} scalars, got {xi_raw!r}")
-    if len(xi_raw) != size:
-        raise NetworkError(f"xi has {len(xi_raw)} entries for N = {size}")
-    try:
-        xi = [scalar_from_json(v, mode) for v in xi_raw]
-    except ScalarError as exc:
-        raise NetworkError(f"xi: {exc}") from exc
-
-    tau = {}
-    if tau_matrix is not None:
-        weights = [dict(row) for row in tau_matrix.finite_rows()]
-        for (j, i) in spec.arcs:
-            v = weights[i].get(j)
-            if v is None:
-                raise NetworkError(
-                    f"tau_matrix has eps on declared arc {j + 1} -> {i + 1}"
-                )
-            tau[(i, j)] = v
+        if (matrix.rows, matrix.cols) != (size, size):
+            raise NetworkError("tau_matrix must be N x N")
+        weights = [dict(row) for row in matrix.finite_rows()]
+    if "regular" in topology:
+        spec = regular_ring(size, topology["regular"]["n"])
+    elif "arcs" in topology:
+        spec = explicit_network(size, [(j - 1, i - 1) for j, i in topology["arcs"]])
     else:
-        triples = obj.get("tau")
-        if not _is_list(triples):
-            raise NetworkError(
-                f"tau must be a list of [j, i, value] triples, got {triples!r}"
-            )
-        for triple in triples:
-            if not _is_list(triple, 3) or not all(
-                type(v) is int for v in triple[:2]
-            ):
-                raise NetworkError(f"tau entry {triple!r} is not a [j, i, value] triple")
-            j, i, v = triple
-            try:
-                tau[(i - 1, j - 1)] = scalar_from_json(v, mode)
-            except ScalarError as exc:
-                raise NetworkError(f"tau[{j},{i}]: {exc}") from exc
-
+        spec = explicit_network(size, [(j, i) for i, row in enumerate(weights) for j in row])
+    if "xi" not in obj:
+        return spec, None
+    xi = [scalar(v, "xi") for v in obj["xi"]]
+    if "tau" in obj:
+        tau = {(i - 1, j - 1): scalar(v, f"tau[{j},{i}]") for j, i, v in obj["tau"]}
+    else:  # an arc that is eps here is missing for validate_timing
+        tau = {(i, j): weights[i][j] for j, i in spec.arcs if j in weights[i]}
     params = TimingParameters.create(xi, tau)
     validate_timing(spec, params)
     return spec, params
 
 
+def network_from_json_dict(obj, mode: str = "int"):
+    """(spec, params) of the object of a network file."""
+    walk(obj, NETWORK_FILE, "", NetworkError)
+    return read_network(obj, mode)
+
+
 def load_network(path, mode: str = "int"):
-    """Read a network file, returning (NetworkSpec, TimingParameters)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read a network file, returning (NetworkSpec, TimingParameters).
+    Every error is a NetworkError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = load_json(fh)
-        except ValueError as exc:
-            raise NetworkError(f"{path}: not valid JSON ({exc})") from exc
-    return network_from_json_dict(obj, mode)
+    except OSError as exc:
+        raise NetworkError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise NetworkError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return network_from_json_dict(obj, mode)
+    except NetworkError as exc:
+        raise NetworkError(f"{path}: {exc}") from exc

@@ -874,12 +874,23 @@ RING3 = {"N": 3, "topology": {"regular": {"n": 3}}}
         ({"N": 3, "topology": {"regular": {"n": 3}, "arcs": [[1, 2], [2, 1]]}}, "parity"),
         (RING3, {"parity": True, "eca": 30}),
         (RING3, {"eca": 110, "x": 1}),
+        (dict(TIMED_RING3, tau_matrix={"rows": 3, "cols": 3, "entries": [[1, 1, 1]] * 3}),
+         "parity"),
+        ({"file": "net.json", "seed": 1, "xi_range": [1, 5]}, "parity"),
     ],
-    ids=["regular-and-arcs", "parity-and-eca", "eca-and-another-key"],
+    ids=["regular-and-arcs", "parity-and-eca", "eca-and-another-key", "tau-and-tau-matrix",
+         "file-and-generated-timings"],
 )
-def test_config_naming_two_alternatives_is_refused(network, rule):
-    # Each of these once ran one alternative and dropped the other.
-    assert quiet_main(json.dumps({"network": RING3, "rule": "parity"}), "stg")[0] == 0
+def test_config_naming_two_alternatives_is_refused(tmp_path, network, rule):
+    # Each of these once ran one alternative and dropped the other.  A
+    # network file is named by its absolute path, as the config's own
+    # directory is temporary.
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(TIMED_RING3), encoding="utf-8")
+    if "file" in network:
+        network = dict(network, file=str(net_file))
+    for base in (RING3, {"file": str(net_file)}):
+        assert quiet_main(json.dumps({"network": base, "rule": "parity"}), "stg")[0] == 0
     code, _, err = quiet_main(json.dumps({"network": network, "rule": rule}), "stg")
     assert code == 2, err
     assert err.startswith("config error:") and err.count("\n") == 1, err

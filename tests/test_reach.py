@@ -1,8 +1,9 @@
 """The package is the code its commands run.
 
 Every command form runs in-process under ``sys.setprofile`` over the
-committed configs in both modes and over three configs that read the
-network the other ways (explicit xi/tau, a tau_matrix, a network file).
+committed configs in both modes, over three configs that read the
+network the other ways (explicit xi/tau, a tau_matrix, a network file),
+and over one with a misspelled key, which the config walk refuses.
 Then every ``def`` in the package is looked up: one that no command
 entered must be a benchmark tracer target (the names ``perfbench/`` wraps,
 read as ``test_benchmark_names`` reads them) or be listed in ``UNRUN``
@@ -57,6 +58,9 @@ UNRUN = {
     "errors.CapExceededError.__init__": FAILURE,
 }
 
+# The config whose commands exit 2: its "m" is no key of topology.regular.
+REFUSED = "unknown_key"
+
 # A network file with explicit arcs and rational timings.
 NET_FILE = {
     "N": 5,
@@ -81,6 +85,7 @@ EXTRA_CONFIGS = {
         "s0": "110", **RUN,
     },
     "file": {"mode": "rational", "network": {"file": "net.json"}, "s0": "10010", **RUN},
+    REFUSED: {"network": {"N": 3, "topology": {"regular": {"m": 3}}}, "rule": "parity"},
 }
 
 
@@ -144,7 +149,8 @@ def entered(tmp_path) -> set:
             finally:
                 sys.setprofile(None)
         # A fault the check misses (a uniform ring's) leaves verify at 0.
-        assert code == 0 or code == 1 and "--inject-early-update" in argv, argv
+        want = 2 if f"{REFUSED}.json" in argv[argv.index("--config") + 1] else 0
+        assert code == want or code == 1 and "--inject-early-update" in argv, argv
     return {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
 
 

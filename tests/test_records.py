@@ -127,10 +127,11 @@ def test_stg_label_tables_are_built_once():
 
 def test_cli_import_loads_no_dataclasses_inspect_logging_or_csv():
     # A fresh interpreter: the test process has imported all of them.
+    # difflib, too, which only a refused config key loads.
     src = Path(tropical_ca.__file__).resolve().parent.parent
     code = (
         "import sys, tropical_ca.cli; print(sorted({'dataclasses', 'inspect', "
-        "'logging', 'csv'} & sys.modules.keys()))"
+        "'logging', 'csv', 'difflib'} & sys.modules.keys()))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
