@@ -262,20 +262,24 @@ def read_network(obj: dict, mode: str = "int"):
             raise NetworkError(f"tau_matrix: {exc}") from exc
         if (matrix.rows, matrix.cols) != (size, size):
             raise NetworkError("tau_matrix must be N x N")
-        weights = [dict(row) for row in matrix.finite_rows()]
+        weights = {(i, j): w for i, row in enumerate(matrix.finite_rows()) for j, w in row}
     if "regular" in topology:
         spec = regular_ring(size, topology["regular"]["n"])
     elif "arcs" in topology:
         spec = explicit_network(size, [(j - 1, i - 1) for j, i in topology["arcs"]])
     else:
-        spec = explicit_network(size, [(j, i) for i, row in enumerate(weights) for j in row])
+        spec = explicit_network(size, [(j, i) for i, j in weights])
     if "xi" not in obj:
         return spec, None
     xi = [scalar(v, "xi") for v in obj["xi"]]
     if "tau" in obj:
-        tau = {(i - 1, j - 1): scalar(v, f"tau[{j},{i}]") for j, i, v in obj["tau"]}
-    else:  # an arc that is eps here is missing for validate_timing
-        tau = {(i, j): weights[i][j] for j, i in spec.arcs if j in weights[i]}
+        tau = {}
+        for j, i, v in obj["tau"]:
+            if (i - 1, j - 1) in tau:
+                raise NetworkError(f"tau names arc {j} -> {i} twice")
+            tau[(i - 1, j - 1)] = scalar(v, f"tau[{j},{i}]")
+    else:  # validate_timing refuses an eps on an arc and an entry off the arcs
+        tau = weights
     params = TimingParameters.create(xi, tau)
     validate_timing(spec, params)
     return spec, params

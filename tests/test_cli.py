@@ -896,6 +896,33 @@ def test_config_naming_two_alternatives_is_refused(tmp_path, network, rule):
     assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
+PAIR_ARCS = {"N": 2, "topology": {"arcs": [[1, 2], [2, 1]]}, "xi": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "network, fixed, message",
+    [
+        (dict(PAIR_ARCS, tau=[[1, 2, 1], [2, 1, 1], [1, 2, 9]]),
+         dict(PAIR_ARCS, tau=[[1, 2, 1], [2, 1, 1]]),
+         "tau names arc 1 -> 2 twice"),
+        (dict(PAIR_ARCS, tau_matrix={"rows": 2, "cols": 2, "entries": [[50, 1], [1, 50]]}),
+         dict(PAIR_ARCS, tau_matrix={"rows": 2, "cols": 2, "entries": [["eps", 1], [1, "eps"]]}),
+         "tau given for non-arc 1 -> 1"),
+    ],
+    ids=["tau-names-an-arc-twice", "tau-matrix-entry-off-the-topology"],
+)
+def test_timings_that_a_reader_would_drop_are_refused(tmp_path, network, fixed, message):
+    # Each once ran to lambda 6 or 2: the last tau of an arc won, or the
+    # entries off the declared arcs were left out.  A network file is read
+    # by the same reader.
+    assert quiet_main(json.dumps({"network": fixed}), "analyze")[0] == 0
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(network), encoding="utf-8")
+    for block, where in ((network, ""), ({"file": str(net_file)}, f"{net_file}: ")):
+        code, _, err = quiet_main(json.dumps({"network": block}), "analyze")
+        assert (code, err) == (2, f"config error: network: {where}{message}\n")
+
+
 @pytest.mark.parametrize("value", [1, 1.0])
 def test_a_number_as_parity_true_is_refused(value):
     # 1 == True and 1.0 == True, so {"parity": 1} once ran as parity.

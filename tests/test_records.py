@@ -125,17 +125,28 @@ def test_stg_label_tables_are_built_once():
     assert [stg.label(c) for c in (0, 5, 31)] == ["00000", "00101", "11111"]
 
 
-def test_cli_import_loads_no_dataclasses_inspect_logging_or_csv():
-    # A fresh interpreter: the test process has imported all of them.
-    # difflib, too, which only a refused config key loads.
+def fresh_import(module: str, watched: set) -> str:
+    """The watched modules that importing module loads in a fresh
+    interpreter, as printed: the test process has imported all of them."""
     src = Path(tropical_ca.__file__).resolve().parent.parent
-    code = (
-        "import sys, tropical_ca.cli; print(sorted({'dataclasses', 'inspect', "
-        "'logging', 'csv', 'difflib'} & sys.modules.keys()))"
-    )
+    code = f"import sys, {module}; print(sorted({watched!r} & sys.modules.keys()))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_loads_no_dataclasses_inspect_logging_or_csv():
+    # difflib, too, which only a refused config key loads.
+    watched = {"dataclasses", "inspect", "logging", "csv", "difflib"}
+    assert fresh_import("tropical_ca.cli", watched) == "[]\n"
+
+
+@pytest.mark.parametrize("layer", ["semiring", "spectral", "network", "trajectory"])
+def test_a_layer_loads_none_of_ca_render_or_cli(layer):
+    # The package exports no names of its own, so a layer loads only
+    # itself and the layers below it.
+    watched = {"tropical_ca.ca", "tropical_ca.render", "tropical_ca.cli"}
+    assert fresh_import(f"tropical_ca.{layer}", watched) == "[]\n"
