@@ -514,9 +514,9 @@ def _successor_table(rule: CARule, n: int, step) -> array:
     return succ
 
 
-def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
-    """Exhaustive state transition graph; refuses more than cell_cap cells
-    (2^N states) to keep memory bounded.
+def build_stg(rule: CARule, spec: NetworkSpec):
+    """Exhaustive state transition graph; refuses more than STG_CELL_CAP
+    cells (2^N states) to keep memory bounded.
 
     One colour pass finds the attractors: tag[s] is 0 until a walk
     reaches s, then the walk's start + 1.  Each walk starts at the next
@@ -527,10 +527,10 @@ def build_stg(rule: CARule, spec: NetworkSpec, cell_cap: int = STG_CELL_CAP):
     """
     step = _compile(rule, spec)
     n = spec.size
-    if n > cell_cap:
+    if n > STG_CELL_CAP:
         raise NetworkError(
             f"state transition graph over {n} cells needs 2^{n} states; "
-            f"cap is {cell_cap} cells (trace single orbits instead)"
+            f"cap is {STG_CELL_CAP} cells (trace single orbits instead)"
         )
     total = 1 << n
     succ = _successor_table(rule, n, step)

@@ -10,8 +10,8 @@ Every command is a selection of output files over one set of stages
 command, and requires only the config fields it reads; each output file
 has exactly one writer (:data:`WRITERS`).
 
-Exit codes: 0 success, 1 a verification found a violated invariant,
-2 usage or configuration error.
+Exit codes: 0 success, 1 a failed check (``verify``'s, or the bijection
+check of ``ca``), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     NetworkError,
     ScalarError,
     TropicalError,
-    VerificationError,
 )
 from .schema import Kind, Table, walk
 from .semiring import MaxPlusMatrix, load_json, scalar_from_json, unit_vector
@@ -51,6 +50,12 @@ ORBIT_STEP_CAP = 1 << 20
 # Most bytes the rows of spacetime_async.pgm may take: its height times
 # its widest row.  The 10-cell ring at k_max 20 000 writes 300 MB.
 RASTER_BYTE_CAP = 1 << 30
+
+# Most cell-states, (k_max + 1)·N, that simulate, ca and render may hold
+# for a run.  On the 10-cell ring their peak RSS grows by up to 175 B per
+# held cell-state (simulate 166 B, ca --schedule async 175 B; CPython
+# 3.11, 64-bit), so the cap is about 700 MiB.
+HELD_STATE_CAP = 1 << 22
 
 
 class Experiment(NamedTuple):
@@ -75,7 +80,8 @@ class Experiment(NamedTuple):
                     )
                 raise ConfigError(f"this command needs the config field '{f}'")
 
-    def metadata(self) -> dict:
+    def metadata(self) -> tuple:
+        """The sorted (key, value) text pairs that every plot embeds."""
         md = {
             "mode": self.mode,
             "N": self.spec.size,
@@ -85,7 +91,7 @@ class Experiment(NamedTuple):
             md["seed"] = self.seed
         if self.k_max is not None:
             md["k_max"] = self.k_max
-        return md
+        return tuple(sorted((k, str(v)) for k, v in md.items()))
 
 
 RULE = Table({
@@ -221,7 +227,7 @@ class Stages:
     def __init__(self, exp: Experiment, fault_cell: int | None = None):
         self.exp = exp
         self.fault_cell = fault_cell
-        self.plotspec = render_mod.PlotSpec().with_metadata(exp.metadata())
+        self.metadata = exp.metadata()
 
     def compute(self, *stages: str) -> None:
         """Run the named stages now, so that one that fails leaves no
@@ -260,10 +266,23 @@ class Stages:
     def summary(self) -> spectral_mod.SpectralSummary:
         return spectral_mod.analyze(self.p)
 
+    def held_k_max(self) -> int:
+        """k_max, for a stage that holds a run of k_max + 1 states: a run
+        of more than HELD_STATE_CAP cell-states is refused before any is
+        held.  ``verify`` holds one state of each run, and no run."""
+        exp = self.exp
+        held = (exp.k_max + 1) * exp.spec.size
+        if held > HELD_STATE_CAP:
+            raise CapExceededError(
+                f"a run of {exp.k_max + 1} states of {exp.spec.size} cells would hold "
+                f"{held} cell-states, over the cap of {HELD_STATE_CAP}; lower k_max"
+            )
+        return exp.k_max
+
     @cached_property
     def trajectory(self) -> traj_mod.Trajectory:
         self.exp.require("x0", "k_max")
-        return traj_mod.iterate(self.p, self.exp.x0, self.exp.k_max)
+        return traj_mod.iterate(self.p, self.exp.x0, self.held_k_max())
 
     @cached_property
     def regime(self) -> traj_mod.RegimeReport:
@@ -283,7 +302,7 @@ class Stages:
         does not close by then."""
         exp = self.exp
         exp.require("rule", "s0", "k_max")
-        return ca_mod.trace_orbit(exp.rule, exp.spec, exp.s0, exp.k_max)
+        return ca_mod.trace_orbit(exp.rule, exp.spec, exp.s0, self.held_k_max())
 
     @cached_property
     def orbit(self) -> ca_mod.SyncOrbit:
@@ -317,7 +336,7 @@ class Stages:
     def async_plots(self) -> render_mod.AsyncPlots:
         """The layout of the trajectory, shared by the contour plot and the
         four plots of the async run."""
-        return render_mod.AsyncPlots(self.trajectory, self.plotspec)
+        return render_mod.AsyncPlots(self.trajectory, self.metadata)
 
     @cached_property
     def raster_size(self) -> tuple:
@@ -423,7 +442,7 @@ SPACETIME_SVGS = ("spacetime_async.svg", "spacetime_async_contours.svg")
 WRITERS = {
     "spectral.json": lambda st: _json(st.summary.to_json_dict()),
     "critical_graph.dot": lambda st: render_mod.critical_graph_dot(
-        st.p, st.summary.critical, st.plotspec
+        st.p, st.summary.critical, st.metadata
     ),
     "trajectory.csv": lambda st: traj_mod.csv_chunks(
         st.trajectory, st.summary.eigenvalue
@@ -432,21 +451,19 @@ WRITERS = {
     "contour_plot.svg": lambda st: st.async_plots.contour_chunks(),
     "sync_orbit.json": lambda st: st.orbit.json_chunks(),
     "spacetime_sync.svg": lambda st: render_mod.spacetime_sync_chunks(
-        st.sync_states, st.plotspec, st.sync_trace.recurrence
+        st.sync_states, st.metadata, st.sync_trace.recurrence
     ),
     "spacetime_sync.pgm": lambda st: render_mod.spacetime_sync_pixmap_chunks(
-        st.sync_states, st.plotspec, st.sync_trace
+        st.sync_states, st.metadata, st.sync_trace
     ),
     "async_contours.svg": lambda st: st.async_plots.contour_chunks(st.run.states),
     SPACETIME_SVGS: lambda st: st.async_plots.spacetime_pair_chunks(st.run.states),
     "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(
         st.run.states, st.sync_trace
     ),
-    "event_dag.dot": lambda st: render_mod.event_dag_dot(
-        st.run, 0, min(3, st.exp.k_max), st.plotspec
-    ),
+    "event_dag.dot": lambda st: render_mod.event_dag_dot(st.run, st.metadata),
     "attractor_census.json": lambda st: ca_mod.attractor_census_chunks(st.stg),
-    "stg.dot": lambda st: render_mod.stg_dot_chunks(st.stg, st.plotspec),
+    "stg.dot": lambda st: render_mod.stg_dot_chunks(st.stg, st.metadata),
     "verification.json": lambda st: _json(
         {"checks": st.checks, "all_passed": all(st.checks.values())}
     ),
@@ -478,8 +495,8 @@ def cmd_simulate(st: Stages) -> int:
 
 
 def cmd_ca(st: Stages, schedule: str) -> int:
-    if schedule in ("async", "both"):
-        st.compute("raster_size")
+    # The stages that may refuse the run, before any file is opened.
+    st.compute(*(["sync_trace"] if schedule == "sync" else ["run", "raster_size"]))
     if schedule in ("sync", "both"):
         st.write("sync_orbit.json", *SYNC_PLOTS)
         print(f"sync orbit: entry {st.orbit.entry_time}, period {st.orbit.period}")
@@ -592,9 +609,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
     except TropicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

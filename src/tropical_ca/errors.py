@@ -56,7 +56,3 @@ class StateUndefinedError(TropicalError):
 
 class ConfigError(TropicalError):
     """An experiment configuration file is malformed.  CLI exit code 2."""
-
-
-class VerificationError(TropicalError):
-    """A verification command found a violated invariant.  CLI exit code 1."""

@@ -6,7 +6,7 @@ Time runs downward in all space-time views.  State 0 renders dark and
 state 1 light.
 
 The pixmap renderers use exact arithmetic for their geometry: with
-time_scale s pixels per time unit, pixel row r samples the instant
+s = TIME_SCALE pixels per time unit, pixel row r samples the instant
 t0 + r/s, and a memory interval [a, b) owns exactly the rows with
 a <= t0 + r/s < b.  That makes the plots point-samplable: reading a pixel
 back answers "which state was cell i holding at this instant", which the
@@ -22,54 +22,32 @@ from functools import cached_property, partial
 from fractions import Fraction
 from itertools import chain, groupby, islice, repeat, starmap
 from operator import getitem, sub
-from typing import NamedTuple
 
 from ._version import __version__
 from .ca import AsyncRun, StateTransitionGraph, _encode
-from .errors import DimensionError, StateUndefinedError
+from .errors import DimensionError
 from .semiring import MaxPlusMatrix, Scalar, format_scalar
 from .spectral import CriticalGraph, build_graph
 from .trajectory import Lasso, Trajectory
 
 
-class _PlotFields(NamedTuple):
-    time_scale: int = 2
-    cell_px: int = 8
-    margin: int = 12
-    color0: str = "#20242c"
-    color1: str = "#f2ead7"
-    background: str = "#ffffff"
-    contour_color: str = "#c03a2b"
-    gray0: int = 0
-    gray1: int = 255
-    gray_bg: int = 127
-    metadata: tuple = ()  # sorted (key, value) pairs baked into the output
-
-
-class PlotSpec(_PlotFields):
-    """Geometry and palette shared by the renderers.
-
-    time_scale: pixels per time unit (vertical), default 2.
-    cell_px: pixels per cell (horizontal).
-    Both must be positive integers (DimensionError otherwise).
-    """
-
-    __slots__ = ()
-    # _replace builds through _make: check its records too.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("time_scale", "cell_px"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise DimensionError(f"{name} must be a positive integer, got {value!r}")
-        return self
-
-    def with_metadata(self, mapping) -> "PlotSpec":
-        return self._replace(
-            metadata=tuple(sorted((str(k), str(v)) for k, v in dict(mapping).items())),
-        )
+# The plots' geometry and palette: pixels per time unit (vertical) and
+# per cell (horizontal), the SVGs' margin, the colours of states 0 and 1,
+# of the background and of the contours, and the PGM grays of states 0
+# and 1 and of the background.  Every file also embeds its metadata: the
+# sorted (key, value) pairs that the command builds from its config.
+TIME_SCALE = 2
+CELL_PX = 8
+MARGIN = 12
+COLOR0 = "#20242c"
+COLOR1 = "#f2ead7"
+BACKGROUND = "#ffffff"
+CONTOUR_COLOR = "#c03a2b"
+GRAY0 = 0
+GRAY1 = 255
+GRAY_BG = 127
+# Bytes a raster pixel takes: its widest gray and a separator.
+_PIXEL_BYTES = max(len(str(gray)) for gray in (GRAY0, GRAY1, GRAY_BG)) + 1
 
 
 def _fmt(v: Scalar) -> str:
@@ -82,26 +60,26 @@ def _fmt(v: Scalar) -> str:
     return repr(float(v))
 
 
-def _svg_header(width, height, ps: PlotSpec) -> list:
+def _svg_header(width, height, metadata) -> list:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        _comment_svg(ps),
+        _comment_svg(metadata),
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'fill="{ps.background}"/>',
+        f'fill="{BACKGROUND}"/>',
     ]
     return lines
 
 
-def _comment_svg(ps: PlotSpec) -> str:
+def _comment_svg(metadata) -> str:
     parts = [f"tropical-ca {__version__}"]
-    parts += [f"{k}={v}" for k, v in ps.metadata]
+    parts += [f"{k}={v}" for k, v in metadata]
     return "<!-- " + " | ".join(parts) + " -->"
 
 
-def _comment_lines(ps: PlotSpec, prefix: str) -> list:
+def _comment_lines(metadata, prefix: str) -> list:
     lines = [f"{prefix} tropical-ca {__version__}"]
-    lines += [f"{prefix} {k}: {v}" for k, v in ps.metadata]
+    lines += [f"{prefix} {k}: {v}" for k, v in metadata]
     return lines
 
 
@@ -136,7 +114,7 @@ def _coordinate_texts(rows, offset, origin, scale) -> list:
     return [list(map(memo.__getitem__, row)) for row in rows]
 
 
-def _polylines(xs: list, y_rows, ps: PlotSpec) -> Iterator[str]:
+def _polylines(xs: list, y_rows) -> Iterator[str]:
     """Per row of y texts, the contour polyline through the points
     (xs[i], ys[i]).  Each row is slice-assigned into one reused list of
     parts, which is joined once."""
@@ -144,14 +122,14 @@ def _polylines(xs: list, y_rows, ps: PlotSpec) -> Iterator[str]:
     parts[::2] = [
         f'<polyline points="{xs[0]},',
         *[f" {x}," for x in xs[1:]],
-        f'" fill="none" stroke="{ps.contour_color}" stroke-width="1"/>',
+        f'" fill="none" stroke="{CONTOUR_COLOR}" stroke-width="1"/>',
     ]
     for ys in y_rows:
         parts[1::2] = ys
         yield "".join(parts)
 
 
-def _marker_rows(xs: list, y_rows, states, ps: PlotSpec) -> Iterator[str]:
+def _marker_rows(xs: list, y_rows, states) -> Iterator[str]:
     """Per row of y texts and CA state, the state markers at the points
     (xs[i], ys[i]): its lines joined by newlines, without the last one.
     Cell i's piece ends its marker in the colour of its bit and starts
@@ -160,7 +138,7 @@ def _marker_rows(xs: list, y_rows, states, ps: PlotSpec) -> Iterator[str]:
     marker = [f'<circle cx="{x}" cy="' for x in xs]
     tail = [
         f'" r="3" fill="{color}" stroke="#555555" stroke-width="0.5"/>'
-        for color in (ps.color0, ps.color1)
+        for color in (COLOR0, COLOR1)
     ]
     pieces = [(f"{tail[0]}\n{m}", f"{tail[1]}\n{m}") for m in marker[1:]]
     pieces.append(tuple(tail))
@@ -176,7 +154,7 @@ def _marker_rows(xs: list, y_rows, states, ps: PlotSpec) -> Iterator[str]:
 
 
 class AsyncPlots:
-    """The layout of one timed run's plots under one PlotSpec.
+    """The layout of one timed run's plots, with their metadata pairs.
 
     ``trajectory.states`` are the update times x(0..k_max), one row per
     cycle.  The layout depends on the times only: each plot takes the CA
@@ -188,11 +166,11 @@ class AsyncPlots:
     ever held whole.
     """
 
-    def __init__(self, trajectory: Trajectory, ps: PlotSpec):
+    def __init__(self, trajectory: Trajectory, metadata: tuple = ()):
         self.trajectory = trajectory
         self.times = trajectory.states
         self.size = trajectory.size
-        self.ps = ps
+        self.metadata = metadata
 
     @cached_property
     def extent(self) -> tuple:
@@ -212,8 +190,7 @@ class AsyncPlots:
     def y_rows(self) -> list:
         """Per cycle, the y text of each cell's update time; time runs
         downward from t0."""
-        ps = self.ps
-        return _coordinate_texts(self.times, ps.margin, self.extent[0], ps.time_scale)
+        return _coordinate_texts(self.times, MARGIN, self.extent[0], TIME_SCALE)
 
     @cached_property
     def y_columns(self) -> list:
@@ -227,13 +204,13 @@ class AsyncPlots:
         cut = k_max if rec is None else min(k_max, rec.end)
         texts = _coordinate_texts(
             [list(map(sub, times[1 : cut + 1], times)) for times in self.time_columns],
-            0, 0, self.ps.time_scale,
+            0, 0, TIME_SCALE,
         )
         return texts if rec is None else [list(rec.repeat(head, k_max)) for head in texts]
 
     def _svg_height(self):
         t0, t1 = self.extent
-        return 2 * self.ps.margin + (t1 - t0) * self.ps.time_scale
+        return 2 * MARGIN + (t1 - t0) * TIME_SCALE
 
     def _checked(self, states):
         """The CA states, one per cycle of the layout."""
@@ -246,18 +223,18 @@ class AsyncPlots:
         these CA states as markers (None for none): the header, the lines
         of about _SVG_BLOCK // (lines per cycle) cycles per block, and the
         closing tag."""
-        ps, n = self.ps, self.size
+        n = self.size
         if states is not None:
             self._checked(states)
-        width = 2 * ps.margin + (n - 1) * ps.cell_px
-        header = _svg_header(width, self._svg_height(), ps)
-        xs = [_fmt(ps.margin + i * ps.cell_px) for i in range(n)]
+        width = 2 * MARGIN + (n - 1) * CELL_PX
+        header = _svg_header(width, self._svg_height(), self.metadata)
+        xs = [_fmt(MARGIN + i * CELL_PX) for i in range(n)]
         # Per cycle, its polyline and its markers (or a single cell's dot).
-        rows = [_polylines(xs, self.y_rows, ps)] if n > 1 else []
+        rows = [_polylines(xs, self.y_rows)] if n > 1 else []
         if states is not None:
-            rows.append(_marker_rows(xs, self.y_rows, states, ps))
+            rows.append(_marker_rows(xs, self.y_rows, states))
         elif n == 1:
-            dot = (f'<circle cx="{xs[0]}" cy="', f'" r="2" fill="{ps.contour_color}"/>')
+            dot = (f'<circle cx="{xs[0]}" cy="', f'" r="2" fill="{CONTOUR_COLOR}"/>')
             rows.append(y.join(dot) for (y,) in self.y_rows)
         lines = (n > 1) + (n if states is not None else n == 1)  # per cycle
         body = _line_blocks(
@@ -271,13 +248,12 @@ class AsyncPlots:
         open with the shared header and hold-interval rects, so a writer
         of the two formats those once; the plain file then only closes,
         the contours file adds a polyline per cycle first."""
-        ps = self.ps
-        width = 2 * ps.margin + self.size * ps.cell_px
-        header = _svg_header(width, self._svg_height(), ps)
+        width = 2 * MARGIN + self.size * CELL_PX
+        header = _svg_header(width, self._svg_height(), self.metadata)
         rects = self._rect_blocks(zip(*self._checked(states)))
-        half = Fraction(ps.cell_px, 2)
-        xs = [_fmt(ps.margin + i * ps.cell_px + half) for i in range(self.size)]
-        contours = chain(_polylines(xs, self.y_rows, ps), ["</svg>"])
+        half = Fraction(CELL_PX, 2)
+        xs = [_fmt(MARGIN + i * CELL_PX + half) for i in range(self.size)]
+        contours = chain(_polylines(xs, self.y_rows), ["</svg>"])
         return (
             chain(_line_blocks(header, len(header)), rects),
             (["</svg>\n"], _line_blocks(contours, _SVG_BLOCK)),
@@ -290,14 +266,13 @@ class AsyncPlots:
         parts: per line its top, the fixed width text, its height and a
         piece that ends the rect in the colour of its bit and starts the
         cell's next rect."""
-        ps = self.ps
-        width = f'" width="{ps.cell_px}" height="'
-        fill = (f'" fill="{ps.color0}"/>\n', f'" fill="{ps.color1}"/>\n')
+        width = f'" width="{CELL_PX}" height="'
+        fill = (f'" fill="{COLOR0}"/>\n', f'" fill="{COLOR1}"/>\n')
         k_max = len(self.times) - 1
         parts = []
         columns = zip(self.y_columns, self.heights, bit_columns)
         for i, (tops, heights, bits) in enumerate(columns):
-            rect = f'<rect x="{_fmt(ps.margin + i * ps.cell_px)}" y="'
+            rect = f'<rect x="{_fmt(MARGIN + i * CELL_PX)}" y="'
             pieces = (fill[0] + rect, fill[1] + rect)
             for k in range(0, k_max, _SVG_BLOCK):
                 end = min(k + _SVG_BLOCK, k_max)
@@ -312,13 +287,11 @@ class AsyncPlots:
 
     def raster_size(self) -> tuple:
         """(height, width in bytes of its widest row) of the raster's
-        rows, without building any: a row per 1/time_scale from t0 to
-        the latest x_i(k_max), and per cell cell_px pixels, each with its
+        rows, without building any: a row per 1/TIME_SCALE from t0 to
+        the latest x_i(k_max), and per cell CELL_PX pixels, each with its
         separator."""
-        ps = self.ps
-        height = math.ceil((max(self.times[-1]) - self.extent[0]) * ps.time_scale)
-        digits = max(len(str(gray)) for gray in (ps.gray0, ps.gray1, ps.gray_bg))
-        return max(1, height), self.size * ps.cell_px * (digits + 1)
+        height = math.ceil((max(self.times[-1]) - self.extent[0]) * TIME_SCALE)
+        return max(1, height), self.size * CELL_PX * _PIXEL_BYTES
 
     @cached_property
     def _steady(self) -> Lasso | None:
@@ -334,7 +307,7 @@ class AsyncPlots:
         if self._steady is None or orbit is None:
             return None
         joint = self._steady.join(orbit)
-        rows = joint.shift * self.ps.time_scale
+        rows = joint.shift * TIME_SCALE
         return None if rows % 1 else joint._replace(shift=int(rows))
 
     def raster_chunks(self, states, trace=None) -> Iterator[bytes]:
@@ -346,7 +319,7 @@ class AsyncPlots:
         ``trace`` is the :class:`~tropical_ca.ca.SyncOrbit` whose codes
         are the states' (folded into its period past its entry where it
         closes), or None: the states are then encoded.  Where the update
-        times recur, Lasso(m, d, c) = :attr:`_steady`, and D = c·time_scale
+        times recur, Lasso(m, d, c) = :attr:`_steady`, and D = c·TIME_SCALE
         is whole, a cell's interval k + d starts D rows below its interval
         k for k >= m.  From cycle J on (J of :meth:`_joint` where the orbit
         closes, else m), the rows R0 = max_i row of x_i(J) .. E - 1, where
@@ -357,23 +330,23 @@ class AsyncPlots:
         _PIXMAP_BYTES and R0 + B < E, rows R0 + B .. E - 1 are copies of
         the block (:func:`_held_rows`).  A run with no whole D, or with
         R0 + D > E, is swept whole."""
-        n, ps = self.size, self.ps
+        n = self.size
         t0 = self.extent[0]
-        s = ps.time_scale
+        s = TIME_SCALE
         height, row_bytes = self.raster_size()
         states = self._checked(states)
-        # Per cell, the bytes of its cell_px equal pixels and the separator
+        # Per cell, the bytes of its CELL_PX equal pixels and the separator
         # after them (the newline after the last cell), per gray code
         # (dark, light, background); a swept row is its cells' fragments
         # joined.
-        grays = [" ".join([str(gray)] * ps.cell_px) for gray in (ps.gray0, ps.gray1, ps.gray_bg)]
+        grays = [" ".join([str(gray)] * CELL_PX) for gray in (GRAY0, GRAY1, GRAY_BG)]
         fragments = [
             [(gray + sep).encode() for gray in grays] for sep in [" "] * (n - 1) + ["\n"]
         ]
         slots = [(i, f) for i, cell in enumerate(fragments) for f in cell]
         background = [cell[2] for cell in fragments]
         size = max(1, _PIXMAP_BYTES // row_bytes)
-        header = [_pgm_header(ps, n * ps.cell_px, height)]
+        header = [_pgm_header(self.metadata, n * CELL_PX, height)]
         times, k_max = self.times, len(self.times) - 1
         # Each change of a cell's gray is one int, row·3n + 3·cell + gray code
         # (dark, light, background), so that sorting orders them by row.
@@ -447,7 +420,7 @@ class AsyncPlots:
             pairs = _cell_masks(at[rho], n)
             runs.append((count, full ^ sum(mask for _o, mask in pairs), pairs))
         code_rows = partial(
-            _code_rows, _code_row(n, ps.cell_px, (ps.gray0, ps.gray1)),
+            _code_rows, _code_row(n, CELL_PX),
             codes[base : orbit.end], orbit.period, _cell_masks(enumerate(owners), n), runs, d, r0,
         )
         if joint is not None and joint.shift * row_bytes <= _PIXMAP_BYTES and r0 + joint.shift < e:
@@ -469,7 +442,7 @@ class AsyncPlots:
         open), and per cell the rows of its intervals 0 .. J + d - 1.
         None where the times do not recur, D is not whole or R0 + D > e."""
         steady = self._steady
-        s = self.ps.time_scale
+        s = TIME_SCALE
         if steady is None or steady.shift * s % 1:
             return None
         joint = self._joint(None if trace is None else trace.recurrence)
@@ -485,15 +458,15 @@ class AsyncPlots:
         return steps, r0, joint, rows
 
 
-def contour_plot(traj: Trajectory, ps: PlotSpec, states=None) -> str:
+def contour_plot(traj: Trajectory, metadata: tuple = (), states=None) -> str:
     """Polyline per cycle k through the points (cell i, x_i(k)), time
     downward.  With CA states given (0/1 per cell), each vertex carries a
     state marker.  A single-cell system degenerates to a column of
     markers."""
-    return "".join(AsyncPlots(traj, ps).contour_chunks(states))
+    return "".join(AsyncPlots(traj, metadata).contour_chunks(states))
 
 
-def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
+def spacetime_async(run: AsyncRun, metadata: tuple = (), stage: str = "plain") -> str:
     """Memory blocks of an asynchronous run as SVG.
 
     stage "plain": filled hold intervals only (the finished picture).
@@ -502,23 +475,24 @@ def spacetime_async(run: AsyncRun, ps: PlotSpec, stage: str = "plain") -> str:
     """
     if stage not in ("plain", "contours"):
         raise DimensionError(f"unknown stage {stage!r}")
-    shared, tails = AsyncPlots(run.trajectory, ps).spacetime_pair_chunks(run.states)
+    shared, tails = AsyncPlots(run.trajectory, metadata).spacetime_pair_chunks(run.states)
     return "".join(chain(shared, tails[stage == "contours"]))
 
 
-def spacetime_async_pixmap(run: AsyncRun, ps: PlotSpec) -> str:
+def spacetime_async_pixmap(run: AsyncRun, metadata: tuple = ()) -> str:
     """PGM (P2) raster of the memory blocks, exactly point-samplable.
 
-    Pixel row r of cell column c answers: what did cell (c // cell_px)
-    hold at time t0 + r / time_scale?  Rows outside a cell's computed
+    Pixel row r of cell column c answers: what did cell (c // CELL_PX)
+    hold at time t0 + r / TIME_SCALE?  Rows outside a cell's computed
     window stay at the background gray.
     """
-    return b"".join(AsyncPlots(run.trajectory, ps).raster_chunks(run.states)).decode()
+    return b"".join(AsyncPlots(run.trajectory, metadata).raster_chunks(run.states)).decode()
 
 
-def _pgm_header(ps: PlotSpec, width: int, height: int) -> bytes:
+def _pgm_header(metadata, width: int, height: int) -> bytes:
     """The P2 header of a width × height pixmap, comment lines included."""
-    return "\n".join(["P2", *_comment_lines(ps, "#"), f"{width} {height}", "255", ""]).encode()
+    lines = ["P2", *_comment_lines(metadata, "#"), f"{width} {height}", "255", ""]
+    return "\n".join(lines).encode()
 
 
 def _kept(rows: list, bits, key: int, w: int, first: int = -1) -> list:
@@ -547,17 +521,17 @@ def _cell_masks(cells, n: int) -> list:
     return list(masks.items())
 
 
-def _code_row(n: int, px: int, grays: tuple):
+def _code_row(n: int, px: int):
     """The function from the code of a state of n cells (cell 0 the top
     bit, as ca._encode gives it) to the bytes of its pixmap row: per cell
-    px pixels of grays[bit], each followed by a space, the last by the
-    newline.  The code is cut into bytes of 8 cells, the last holding
+    px pixels of GRAY0 or GRAY1 by its bit, each followed by a space,
+    the last by the newline.  The code is cut into bytes of 8 cells, the last holding
     the n mod 8 cells left (or 8) in its top bits, and a byte's text is
     read from a table of 256: one table for the full bytes and one,
     ending in the newline, for the last.  A row is one join."""
     count = (n + 7) // 8
     pad = 8 * count - n
-    one = [(" ".join([str(gray)] * px) + " ").encode() for gray in grays]
+    one = [(" ".join([str(gray)] * px) + " ").encode() for gray in (GRAY0, GRAY1)]
     two = [a + b for a in one for b in one]
     four = [a + b for a in two for b in two]
     full = [a + b for a in four for b in four]
@@ -668,10 +642,10 @@ def _held_rows(runs, b: int, count: int) -> Iterator[bytes]:
 # -- synchronous space-time ----------------------------------------------------
 
 
-def spacetime_sync(states, ps: PlotSpec) -> str:
+def spacetime_sync(states, metadata: tuple = ()) -> str:
     """Classical CA diagram: one row of square cells (0/1 each) per step,
     downward."""
-    return "".join(spacetime_sync_chunks(states, ps))
+    return "".join(spacetime_sync_chunks(states, metadata))
 
 
 def _orbit_rows(items, orbit: Lasso | None, count: int, row) -> Iterator:
@@ -683,7 +657,7 @@ def _orbit_rows(items, orbit: Lasso | None, count: int, row) -> Iterator:
     return orbit.repeat(list(map(row, items[: orbit.end])), count)
 
 
-def spacetime_sync_chunks(states, ps: PlotSpec, orbit=None) -> Iterator[str]:
+def spacetime_sync_chunks(states, metadata: tuple = (), orbit=None) -> Iterator[str]:
     """The text of :func:`spacetime_sync` in blocks of whole lines: the
     header, rows of about _SVG_BLOCK lines in all, and the closing tag.
     ``orbit`` is the Lasso of the states, or None: the pieces of a row
@@ -691,35 +665,35 @@ def spacetime_sync_chunks(states, ps: PlotSpec, orbit=None) -> Iterator[str]:
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
-    width = 2 * ps.margin + n * ps.cell_px
-    height = 2 * ps.margin + len(states) * ps.cell_px
-    rect = [f'<rect x="{ps.margin + i * ps.cell_px}" y="' for i in range(n)]
-    square = f'" width="{ps.cell_px}" height="{ps.cell_px}" fill="'
+    width = 2 * MARGIN + n * CELL_PX
+    height = 2 * MARGIN + len(states) * CELL_PX
+    rect = [f'<rect x="{MARGIN + i * CELL_PX}" y="' for i in range(n)]
+    square = f'" width="{CELL_PX}" height="{CELL_PX}" fill="'
     # Row s at height y is y.join([rect[0], piece of cell 0, ..., piece of
     # cell n - 1]): cell i's piece ends its rect in the colour of its bit
     # and starts the rect of cell i + 1.
     pieces = [
-        (f'{square}{ps.color0}"/>\n{after}', f'{square}{ps.color1}"/>\n{after}')
+        (f'{square}{COLOR0}"/>\n{after}', f'{square}{COLOR1}"/>\n{after}')
         for after in rect[1:] + [""]
     ]
     first = rect[0]
     parts = _orbit_rows(states, orbit, len(states), lambda s: [first, *map(getitem, pieces, s)])
-    ys = range(ps.margin, ps.margin + len(states) * ps.cell_px, ps.cell_px)
+    ys = range(MARGIN, MARGIN + len(states) * CELL_PX, CELL_PX)
     rows = max(1, _SVG_BLOCK // n)  # per chunk
     blocks = (
         "".join([str(y).join(p) for y, p in zip(ys[k : k + rows], islice(parts, rows))])
         for k in range(0, len(states), rows)
     )
-    header = _svg_header(width, height, ps)
+    header = _svg_header(width, height, metadata)
     return chain(_line_blocks(header, len(header)), blocks, ["</svg>\n"])
 
 
-def spacetime_sync_pixmap(states, ps: PlotSpec) -> str:
+def spacetime_sync_pixmap(states, metadata: tuple = ()) -> str:
     """One pixel per cell per step (row k = state s(k))."""
-    return b"".join(spacetime_sync_pixmap_chunks(states, ps)).decode()
+    return b"".join(spacetime_sync_pixmap_chunks(states, metadata)).decode()
 
 
-def spacetime_sync_pixmap_chunks(states, ps: PlotSpec, trace=None) -> Iterator[bytes]:
+def spacetime_sync_pixmap_chunks(states, metadata: tuple = (), trace=None) -> Iterator[bytes]:
     """The bytes of :func:`spacetime_sync_pixmap` in chunks of whole
     lines: the header, then as many rows as fit in _PIXMAP_BYTES (at
     least one) per chunk.  A row is built from its state's code
@@ -730,32 +704,31 @@ def spacetime_sync_pixmap_chunks(states, ps: PlotSpec, trace=None) -> Iterator[b
     if not states:
         raise DimensionError("need at least one state")
     n = len(states[0])
-    row = _code_row(n, 1, (ps.gray0, ps.gray1))
-    width = n * (max(len(str(ps.gray0)), len(str(ps.gray1))) + 1)
-    rows = max(1, _PIXMAP_BYTES // width)  # per chunk
+    row = _code_row(n, 1)
+    rows = max(1, _PIXMAP_BYTES // (n * _PIXEL_BYTES))  # per chunk
     codes = map(_encode, states) if trace is None else trace.codes
     texts = _orbit_rows(codes, None if trace is None else trace.recurrence, len(states), row)
     blocks = (b"".join(islice(texts, rows)) for _ in range(0, len(states), rows))
-    return chain([_pgm_header(ps, n, len(states))], blocks)
+    return chain([_pgm_header(metadata, n, len(states))], blocks)
 
 
 # -- graph exports ---------------------------------------------------------------
 
 
-def stg_dot(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> str:
+def stg_dot(stg: StateTransitionGraph, metadata: tuple = ()) -> str:
     """State transition graph in DOT; attractor states and the arcs along
     each attractor cycle are drawn bold."""
-    return "".join(stg_dot_chunks(stg, ps))
+    return "".join(stg_dot_chunks(stg, metadata))
 
 
-def stg_dot_chunks(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> Iterator[str]:
+def stg_dot_chunks(stg: StateTransitionGraph, metadata: tuple = ()) -> Iterator[str]:
     """The text of :func:`stg_dot` in chunks of whole lines: the header,
     then the node lines and the arc lines, each chunk at most _STG_BLOCK
     lines (while N <= 20).  Labels come from the graph's two half-width
     tables, the codes in order as hi x lo, so no list of the 2^N labels is
     built: a chunk is the lines of whole high labels h, made by one
     comprehension over its h, lo and the matching slices of the graph."""
-    yield "\n".join(["digraph stg {", *_comment_lines(ps, "  //"), "  rankdir=TB;",
+    yield "\n".join(["digraph stg {", *_comment_lines(metadata, "  //"), "  rankdir=TB;",
                      '  node [shape=box, fontname="monospace"];', ""])
     hi, lo, k = stg.label_halves
     mask = (1 << k) - 1
@@ -786,12 +759,13 @@ def stg_dot_chunks(stg: StateTransitionGraph, ps: PlotSpec = PlotSpec()) -> Iter
     yield "}\n"
 
 
-def build_event_dag(run: AsyncRun, k_lo: int, k_hi: int):
-    """Events and covering pairs of the happened-before order.
+def build_event_dag(run: AsyncRun):
+    """Events and covering pairs of the happened-before order over the
+    cycles 0..K, K = min(3, k_max).
 
-    Events: one send per cell per cycle in [k_lo, k_hi] (the instant
+    Events: one send per cell per cycle in [0, K] (the instant
     processing completes and the new state is published) and one receive
-    per cell per cycle in (k_lo, k_hi] (the instant the last awaited
+    per cell per cycle in (0, K] (the instant the last awaited
     message arrives).  Receive times are recomputed from the message
     arrivals, not read off the trajectory.
 
@@ -800,22 +774,18 @@ def build_event_dag(run: AsyncRun, k_lo: int, k_hi: int):
     labelled with xi_i).
 
     Returns (events, arcs): events maps id -> (kind, cell, cycle, time);
-    arcs is a list of (from_id, to_id, label).  A range outside
-    0..k_max raises StateUndefinedError.
+    arcs is a list of (from_id, to_id, label).
     """
-    if not (0 <= k_lo <= k_hi <= run.k_max):
-        raise StateUndefinedError(
-            f"cycle range [{k_lo}, {k_hi}] outside run 0..{run.k_max}"
-        )
+    last = min(3, run.k_max)
     n = run.spec.size
     tau = run.params.tau
     times = run.trajectory.states
     events = {}
     arcs = []
-    for k in range(k_lo, k_hi + 1):
+    for k in range(last + 1):
         for i in range(n):
             events[f"s{i + 1}_{k}"] = ("send", i, k, times[k][i])
-    for k in range(max(k_lo + 1, 1), k_hi + 1):
+    for k in range(1, last + 1):
         for i in range(n):
             preds = run.spec.predecessors(i)
             receive = max(times[k - 1][j] + tau[(i, j)] for j in preds)
@@ -838,11 +808,11 @@ def build_event_dag(run: AsyncRun, k_lo: int, k_hi: int):
     return events, arcs
 
 
-def event_dag_dot(run: AsyncRun, k_lo: int, k_hi: int, ps: PlotSpec = PlotSpec()) -> str:
+def event_dag_dot(run: AsyncRun, metadata: tuple = ()) -> str:
     """DOT rendering of the event DAG with timestamps in the labels."""
-    events, arcs = build_event_dag(run, k_lo, k_hi)
+    events, arcs = build_event_dag(run)
     lines = ["digraph events {"]
-    lines += _comment_lines(ps, "  //")
+    lines += _comment_lines(metadata, "  //")
     lines.append("  rankdir=TB;")
     for eid in sorted(events):
         kind, cell, cycle, t = events[eid]
@@ -855,9 +825,7 @@ def event_dag_dot(run: AsyncRun, k_lo: int, k_hi: int, ps: PlotSpec = PlotSpec()
     return "\n".join(lines) + "\n"
 
 
-def critical_graph_dot(
-    P: MaxPlusMatrix, crit: CriticalGraph, ps: PlotSpec = PlotSpec()
-) -> str:
+def critical_graph_dot(P: MaxPlusMatrix, crit: CriticalGraph, metadata: tuple = ()) -> str:
     """Precedence graph of P with the critical subgraph highlighted, the
     arcs j -> i in (j, i) order."""
     succ = build_graph(P)
@@ -866,7 +834,7 @@ def critical_graph_dot(
     critical_nodes = set(crit.nodes)
     critical_arcs = set(crit.arcs)
     lines = ["digraph precedence {"]
-    lines += _comment_lines(ps, "  //")
+    lines += _comment_lines(metadata, "  //")
     for v in range(len(succ)):
         style = ', penwidth=2, color="#c03a2b"' if v in critical_nodes else ""
         lines.append(f'  "{v + 1}" [shape=circle{style}];')

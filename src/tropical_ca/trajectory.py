@@ -38,11 +38,7 @@ from itertools import chain, cycle, islice
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import (
-    CapExceededError,
-    DimensionError,
-    VerificationError,
-)
+from .errors import CapExceededError, DimensionError
 from .semiring import (
     IntFrame,
     MaxPlusMatrix,
@@ -222,25 +218,22 @@ class RegimeReport(NamedTuple):
         }
 
 
-def default_cap(size: int, sigma: int) -> int:
-    return 10 * size * size + 10 * sigma
-
-
-def detect_regime(
-    traj: Trajectory,
-    spectral: SpectralSummary,
-    k_cap: int | None = None,
-) -> RegimeReport:
+def detect_regime(traj: Trajectory, spectral: SpectralSummary) -> RegimeReport:
     """Find (k*, rho, mu) from a window of the last sigma + 1 normalized
     states (module docstring).
 
     Reads the given trajectory and, when it is shorter than needed,
     steps the normalized frame on from its last state, until the regime
-    shows at step k* + sigma or the cap (default 10·N² + 10·sigma) is
+    shows at step k* + sigma or the cap of 10·N² + 10·sigma steps is
     passed.  ``spectral`` is the summary of the trajectory's matrix.
+
+    rho is the least divisor d of sigma with y(k* + d) = y(k*).  The
+    normalized map is deterministic, so y(k* + m + rho) = y(k* + m) for
+    every m >= 0: the window is periodic with period rho by construction,
+    and its contours y(k*), ..., y(k* + rho - 1) need no re-check.
     """
     lam, sigma = spectral.eigenvalue, spectral.sigma
-    cap = default_cap(traj.size, sigma) if k_cap is None else k_cap
+    cap = 10 * traj.size**2 + 10 * sigma
     states = traj.states
     frame = IntFrame(traj.matrix.finite_rows(), lam, states[:1])
     window = deque(maxlen=sigma + 1)
@@ -254,15 +247,11 @@ def detect_regime(
             break
     else:
         raise CapExceededError(
-            f"no periodic regime within {cap} steps; "
-            "raise the cap or check that the matrix is irreducible",
+            f"no periodic regime within {cap} steps; check that the matrix is irreducible",
             k_reached=cap,
         )
 
     rho = next(d for d in range(1, sigma + 1) if sigma % d == 0 and window[d] == y)
-    # x(k + rho) = mu ⊗ x(k) must hold across the whole window.
-    if any(window[m] != window[m + rho] for m in range(sigma + 1 - rho)):
-        raise VerificationError("observed shift disagrees with rho * lambda")
     return RegimeReport(
         k_star=k - sigma,
         rho=rho,
@@ -352,23 +341,20 @@ class _Texts(dict):
 _CSV_BLOCK = 1024
 
 
-def csv_chunks(traj: Trajectory, eigenvalue: Scalar | None = None) -> Iterator[str]:
+def csv_chunks(traj: Trajectory, eigenvalue: Scalar) -> Iterator[str]:
     """The text of trajectory.csv, a block of rows at a time: header k,
-    x_1..x_N and, when lambda is known, the companion normalized columns
-    y_1..y_N.  No field (a name, an int, eps or p/q) needs quoting, so a
+    x_1..x_N and the normalized columns y_1..y_N of the eigenvalue
+    lambda.  No field (a name, an int, eps or p/q) needs quoting, so a
     row is its fields joined by "," and ended by CRLF, byte for byte what
     csv.writer's default dialect writes."""
     n = traj.size
-    header = ["k"] + [f"x_{i + 1}" for i in range(n)]
-    if eigenvalue is not None:
-        header += [f"y_{i + 1}" for i in range(n)]
-        frame = IntFrame(traj.matrix.finite_rows(), eigenvalue, traj.states[:1])
-        texts = _Texts(frame.s).__getitem__
+    header = ["k"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
+    frame = IntFrame(traj.matrix.finite_rows(), eigenvalue, traj.states[:1])
+    texts = _Texts(frame.s).__getitem__
 
     def row(k, x):
         cells = [str(k), *[str(v) if type(v) is int else format_scalar(v) for v in x]]
-        if eigenvalue is not None:
-            cells += map(texts, frame.state(k, x))
+        cells += map(texts, frame.state(k, x))
         return ",".join(cells)
 
     states = traj.states
@@ -380,7 +366,7 @@ def csv_chunks(traj: Trajectory, eigenvalue: Scalar | None = None) -> Iterator[s
         lines = []
 
 
-def write_trajectory_csv(traj: Trajectory, path, eigenvalue: Scalar | None = None):
+def write_trajectory_csv(traj: Trajectory, path, eigenvalue: Scalar):
     """Write :func:`csv_chunks` to path as they come."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(csv_chunks(traj, eigenvalue))

@@ -386,6 +386,14 @@ def trajectory_csv_longhand(states, lam):
 
 # -- plots -----------------------------------------------------------------------
 
+# The renderers' geometry and palette, stated again: pixels per time unit
+# and per cell, the SVG margin, the state, background and contour
+# colours, and the PGM grays.  ``metadata`` below is the sorted (key,
+# value) pairs that a file's header comment lists.
+TIME_SCALE, CELL_PX, MARGIN = 2, 8, 12
+COLOR0, COLOR1, BACKGROUND, CONTOUR_COLOR = "#20242c", "#f2ead7", "#ffffff", "#c03a2b"
+GRAY0, GRAY1, GRAY_BG = 0, 255, 127
+
 
 def pixmap_parse(text: str):
     """Read back a P2 pixmap as (width, height, rows).  Text that is not
@@ -401,7 +409,7 @@ def pixmap_parse(text: str):
     return width, height, [values[r * width : (r + 1) * width] for r in range(height)]
 
 
-def async_pixmap_grid(run, ps, version):
+def async_pixmap_grid(run, metadata, version):
     """P2 text of an async run's memory blocks, from a full grid with one
     store and one str() per pixel.  ``version`` is the package version the
     header comment names."""
@@ -409,21 +417,21 @@ def async_pixmap_grid(run, ps, version):
     traj = run.trajectory
     t0 = min(min(x) for x in traj.states)
     t1 = max(run.update_times(i)[run.k_max] for i in range(n))
-    s = ps.time_scale
+    s = TIME_SCALE
     height = max(1, math.ceil((t1 - t0) * s))
-    width = n * ps.cell_px
-    grid = [[ps.gray_bg] * width for _ in range(height)]
+    width = n * CELL_PX
+    grid = [[GRAY_BG] * width for _ in range(height)]
     for i in range(n):
         for (a, b, bit) in run.hold_intervals(i):
             r_lo = math.ceil((a - t0) * s)
             r_hi = math.ceil((b - t0) * s)  # exclusive
-            gray = ps.gray1 if bit else ps.gray0
+            gray = GRAY1 if bit else GRAY0
             for r in range(r_lo, min(r_hi, height)):
                 row = grid[r]
-                for c in range(i * ps.cell_px, (i + 1) * ps.cell_px):
+                for c in range(i * CELL_PX, (i + 1) * CELL_PX):
                     row[c] = gray
     lines = ["P2", f"# tropical-ca {version}"]
-    lines += [f"# {k}: {v}" for k, v in ps.metadata]
+    lines += [f"# {k}: {v}" for k, v in metadata]
     lines.append(f"{width} {height}")
     lines.append("255")
     lines += [" ".join(str(v) for v in row) for row in grid]
@@ -440,45 +448,45 @@ def fmt_coordinate(v):
     return repr(float(v))
 
 
-def svg_header(width, height, ps, version):
+def svg_header(width, height, metadata, version):
     f = fmt_coordinate
-    parts = [f"tropical-ca {version}"] + [f"{k}={v}" for k, v in ps.metadata]
+    parts = [f"tropical-ca {version}"] + [f"{k}={v}" for k, v in metadata]
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{f(width)}" '
         f'height="{f(height)}" viewBox="0 0 {f(width)} {f(height)}">',
         "<!-- " + " | ".join(parts) + " -->",
         f'<rect x="0" y="0" width="{f(width)}" height="{f(height)}" '
-        f'fill="{ps.background}"/>',
+        f'fill="{BACKGROUND}"/>',
     ]
 
 
-def contour_plot_vertices(traj, ps, version, states=None):
+def contour_plot_vertices(traj, metadata, version, states=None):
     """SVG contour plot with both coordinates of every vertex computed and
     formatted on the spot."""
     f = fmt_coordinate
     n = traj.size
     t0 = min(min(x) for x in traj.states)
     t1 = max(max(x) for x in traj.states)
-    width = 2 * ps.margin + (n - 1) * ps.cell_px
-    height = 2 * ps.margin + (t1 - t0) * ps.time_scale
+    width = 2 * MARGIN + (n - 1) * CELL_PX
+    height = 2 * MARGIN + (t1 - t0) * TIME_SCALE
 
     def xpix(i):
-        return ps.margin + i * ps.cell_px
+        return MARGIN + i * CELL_PX
 
     def ypix(t):
-        return ps.margin + (t - t0) * ps.time_scale
+        return MARGIN + (t - t0) * TIME_SCALE
 
-    lines = svg_header(width, height, ps, version)
+    lines = svg_header(width, height, metadata, version)
     for k, x in enumerate(traj.states):
         pts = " ".join(f"{f(xpix(i))},{f(ypix(x[i]))}" for i in range(n))
         if n > 1:
             lines.append(
                 f'<polyline points="{pts}" fill="none" '
-                f'stroke="{ps.contour_color}" stroke-width="1"/>'
+                f'stroke="{CONTOUR_COLOR}" stroke-width="1"/>'
             )
         if states is not None:
             for i in range(n):
-                fill = ps.color1 if states[k][i] else ps.color0
+                fill = COLOR1 if states[k][i] else COLOR0
                 lines.append(
                     f'<circle cx="{f(xpix(i))}" cy="{f(ypix(x[i]))}" '
                     f'r="3" fill="{fill}" stroke="#555555" stroke-width="0.5"/>'
@@ -486,13 +494,13 @@ def contour_plot_vertices(traj, ps, version, states=None):
         elif n == 1:
             lines.append(
                 f'<circle cx="{f(xpix(0))}" cy="{f(ypix(x[0]))}" '
-                f'r="2" fill="{ps.contour_color}"/>'
+                f'r="2" fill="{CONTOUR_COLOR}"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def spacetime_async_vertices(run, ps, version, stage="plain"):
+def spacetime_async_vertices(run, metadata, version, stage="plain"):
     """SVG memory blocks (and, for stage "contours", the update contours)
     with every coordinate computed and formatted on the spot."""
     f = fmt_coordinate
@@ -500,63 +508,63 @@ def spacetime_async_vertices(run, ps, version, stage="plain"):
     traj = run.trajectory
     t0 = min(min(x) for x in traj.states)
     t1 = max(max(x) for x in traj.states)
-    width = 2 * ps.margin + n * ps.cell_px
-    height = 2 * ps.margin + (t1 - t0) * ps.time_scale
+    width = 2 * MARGIN + n * CELL_PX
+    height = 2 * MARGIN + (t1 - t0) * TIME_SCALE
 
     def ypix(t):
-        return ps.margin + (t - t0) * ps.time_scale
+        return MARGIN + (t - t0) * TIME_SCALE
 
-    lines = svg_header(width, height, ps, version)
+    lines = svg_header(width, height, metadata, version)
     for i in range(n):
-        x = ps.margin + i * ps.cell_px
+        x = MARGIN + i * CELL_PX
         for (a, b, bit) in run.hold_intervals(i):
-            fill = ps.color1 if bit else ps.color0
+            fill = COLOR1 if bit else COLOR0
             lines.append(
                 f'<rect x="{f(x)}" y="{f(ypix(a))}" '
-                f'width="{ps.cell_px}" height="{f((b - a) * ps.time_scale)}" '
+                f'width="{CELL_PX}" height="{f((b - a) * TIME_SCALE)}" '
                 f'fill="{fill}"/>'
             )
     if stage == "contours":
-        half = Fraction(ps.cell_px, 2)
+        half = Fraction(CELL_PX, 2)
         for x_vec in traj.states:
             pts = " ".join(
-                f"{f(ps.margin + i * ps.cell_px + half)},{f(ypix(x_vec[i]))}"
+                f"{f(MARGIN + i * CELL_PX + half)},{f(ypix(x_vec[i]))}"
                 for i in range(n)
             )
             lines.append(
                 f'<polyline points="{pts}" fill="none" '
-                f'stroke="{ps.contour_color}" stroke-width="1"/>'
+                f'stroke="{CONTOUR_COLOR}" stroke-width="1"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def spacetime_sync_cells(states, ps, version):
+def spacetime_sync_cells(states, metadata, version):
     """SVG synchronous space-time diagram, one formatted rect per cell and
     step."""
     n = len(states[0])
-    width = 2 * ps.margin + n * ps.cell_px
-    height = 2 * ps.margin + len(states) * ps.cell_px
-    lines = svg_header(width, height, ps, version)
+    width = 2 * MARGIN + n * CELL_PX
+    height = 2 * MARGIN + len(states) * CELL_PX
+    lines = svg_header(width, height, metadata, version)
     for k, s in enumerate(states):
-        y = ps.margin + k * ps.cell_px
+        y = MARGIN + k * CELL_PX
         for i, bit in enumerate(s):
-            fill = ps.color1 if bit else ps.color0
-            x = ps.margin + i * ps.cell_px
+            fill = COLOR1 if bit else COLOR0
+            x = MARGIN + i * CELL_PX
             lines.append(
-                f'<rect x="{x}" y="{y}" width="{ps.cell_px}" '
-                f'height="{ps.cell_px}" fill="{fill}"/>'
+                f'<rect x="{x}" y="{y}" width="{CELL_PX}" '
+                f'height="{CELL_PX}" fill="{fill}"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def stg_dot_longhand(n, successors, on_attractor, ps, version):
+def stg_dot_longhand(n, successors, on_attractor, metadata, version):
     """DOT text of a state transition graph over n cells, one line per
     state and per arc, built as one list and joined once."""
     bold = ', penwidth=2, color="#c03a2b"'
     lines = ["digraph stg {", f"  // tropical-ca {version}"]
-    lines += [f"  // {k}: {v}" for k, v in ps.metadata]
+    lines += [f"  // {k}: {v}" for k, v in metadata]
     lines.append("  rankdir=TB;")
     lines.append('  node [shape=box, fontname="monospace"];')
     for code in range(2 ** n):

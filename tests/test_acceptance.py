@@ -30,7 +30,10 @@ from tropical_ca.ca import (
 )
 from tropical_ca.network import build_p, random_parameters, regular_ring
 from tropical_ca.render import (
-    PlotSpec,
+    CELL_PX,
+    GRAY0,
+    GRAY1,
+    TIME_SCALE,
     spacetime_async,
     spacetime_async_pixmap,
 )
@@ -232,11 +235,10 @@ def test_criterion_7_memory_geometry_consistency():
                 CARule.eca(150), spec, params, s0, unit_vector(size), 12
             )
 
-            ps = PlotSpec(time_scale=3, cell_px=2)
-            pgm = spacetime_async_pixmap(run, ps)
-            assert pgm == spacetime_async_pixmap(run, ps)
-            svg = spacetime_async(run, ps)
-            assert svg == spacetime_async(run, ps)
+            pgm = spacetime_async_pixmap(run)
+            assert pgm == spacetime_async_pixmap(run)
+            svg = spacetime_async(run)
+            assert svg == spacetime_async(run)
 
             _w, height, rows = pixmap_parse(pgm)
             t0 = min(min(x) for x in run.trajectory.states)
@@ -245,12 +247,12 @@ def test_criterion_7_memory_geometry_consistency():
             while probes < 1000:
                 r = rng.randrange(height)
                 cell = rng.randrange(size)
-                t = t0 + Fraction(r, 3)
+                t = t0 + Fraction(r, TIME_SCALE)
                 if not first <= t < last:
                     continue
                 want = state_at(run, t)[cell]
-                got = rows[r][cell * 2]
-                assert got == (ps.gray1 if want else ps.gray0)
+                got = rows[r][cell * CELL_PX]
+                assert got == (GRAY1 if want else GRAY0)
                 probes += 1
 
             for cell in range(size):

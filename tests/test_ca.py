@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tropical_ca import ca
 from tropical_ca.ca import (
+    STG_CELL_CAP,
     CARule,
     async_run,
     attractor_census,
@@ -718,8 +719,10 @@ def test_stg_functional_and_complete():
 
 
 def test_stg_cell_cap():
-    with pytest.raises(NetworkError):
-        build_stg(RULE150, regular_ring(6, 3), cell_cap=5)
+    # One cell past STG_CELL_CAP is refused before any table is built.
+    assert STG_CELL_CAP == 24
+    with pytest.raises(NetworkError, match="cap is 24 cells"):
+        build_stg(RULE150, regular_ring(25, 3))
 
 
 # -- asynchronous runs -------------------------------------------------------------------

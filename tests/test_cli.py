@@ -279,6 +279,68 @@ def test_raster_past_the_byte_cap_opens_no_file(tmp_path, capsys, monkeypatch):
     assert len(text) - len(header) - 5 <= bound
 
 
+# The commands that hold a whole run, and RING10's (k_max + 1)·N.
+HOLDING = (["simulate"], ["ca", "--schedule", "sync"], ["ca", "--schedule", "async"],
+           ["ca", "--schedule", "both"], ["render"])
+RING10_HELD = (30 + 1) * 10
+
+
+@pytest.mark.parametrize("argv", HOLDING, ids=lambda argv: "-".join(argv))
+def test_held_states_past_the_cap_open_no_file(tmp_path, capsys, monkeypatch, argv):
+    # A cap one below the run's cell-states refuses it, with one error
+    # line and exit 2, before any file is opened; at the bound the
+    # command writes.
+    assert cli.HELD_STATE_CAP == 1 << 22
+    monkeypatch.setattr(cli, "HELD_STATE_CAP", RING10_HELD - 1)
+    out = tmp_path / "refused"
+    code, stdout, err = run(capsys, *argv, "--config", RING10, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"would hold {RING10_HELD} cell-states, over the cap of {RING10_HELD - 1}" in err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "HELD_STATE_CAP", RING10_HELD)
+    out = tmp_path / "at-the-cap"
+    assert run(capsys, *argv, "--config", RING10, "--out", str(out))[0] == 0
+    assert any(out.iterdir())
+
+
+def test_verify_holds_no_run(tmp_path, capsys, monkeypatch):
+    # verify holds one state of each run, so the cap does not bound it.
+    monkeypatch.setattr(cli, "HELD_STATE_CAP", RING10_HELD - 1)
+    assert run(capsys, "verify", "--config", RING10, "--out", str(tmp_path))[0] == 0
+
+
+# A 3-cell cycle with no self-loops, whose cell 1 starts 10 time units
+# ahead: its update times stall at once.
+STALLED = {
+    "mode": "int",
+    "network": {"N": 3, "topology": {"arcs": [[1, 2], [2, 3], [3, 1]]}, "xi": [1, 1, 1],
+                "tau": [[1, 2, 1], [2, 3, 1], [3, 1, 1]]},
+    "rule": "parity", "s0": "100", "x0": [10, 0, 0], "k_max": 5,
+}
+
+
+def test_huge_k_max_is_refused_without_a_traceback(tmp_path):
+    # k_max 10^11 would hold 3·10^11 cell-states: refused at once.
+    cfg = write_config(tmp_path, {**STALLED, "k_max": 10**11})
+    done = run_module("simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: a run of 100000000001 states of 3 cells")
+    assert done.stderr.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", HOLDING[2:], ids=lambda argv: "-".join(argv))
+def test_stalled_update_times_open_no_file(tmp_path, capsys, argv):
+    # The timed run is refused before any file is opened, the sync
+    # plots of ca --schedule both included.
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--config", write_config(tmp_path, STALLED),
+                            "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: update times of cell 1 are not strictly increasing")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def flip_event_state(monkeypatch, target, cell):
     """Make the event run's local rule flip ``cell`` of the next state
     wherever the state before it is ``target``."""
@@ -1176,7 +1238,7 @@ def test_async_raster_is_never_held_whole(tmp_path, capsys):
     assert len(data) >= 8 << 20
     assert peak < len(data) / 2, (peak, len(data))
     st = cli.Stages(cli.load_experiment(cli.build_parser().parse_args(argv)))
-    assert data == render.spacetime_async_pixmap(st.run, st.plotspec).encode()
+    assert data == render.spacetime_async_pixmap(st.run, st.metadata).encode()
 
 
 def test_async_svgs_are_never_held_whole(tmp_path, capsys, monkeypatch):

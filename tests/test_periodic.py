@@ -64,10 +64,9 @@ def joint_of(exp):
     return stages.async_plots._joint(stages.sync_trace.recurrence)
 
 
-def written(stages_class, exp, out: Path, plotspec=None) -> tuple:
+def written(stages_class, exp, out: Path) -> tuple:
     """The files and the lines printed by ca --schedule both and by
-    render (under ``plotspec``'s geometry and grays, if given), and the
-    number of calls that built raster rows from codes and that held a
+    render, and the number of calls that built raster rows from codes and that held a
     block of them.  A held block never passes _PIXMAP_BYTES, and so no
     chunk of its copies does."""
     calls = {"_code_rows": 0, "_held_rows": 0}
@@ -90,20 +89,17 @@ def written(stages_class, exp, out: Path, plotspec=None) -> tuple:
             monkeypatch.setattr(render, name, counted(name, getattr(render, name)))
         for name, command in (("ca", lambda st: cli.cmd_ca(st, "both")),
                               ("render", cli.cmd_render)):
-            stages = stages_class(exp._replace(out=out / name))
-            if plotspec is not None:
-                stages.plotspec = plotspec._replace(metadata=stages.plotspec.metadata)
-            assert command(stages) == 0
+            assert command(stages_class(exp._replace(out=out / name))) == 0
             files[name] = tree(out / name)
     return files, printed.getvalue().replace(str(out), ""), calls
 
 
-def check_files(exp, tmp: Path, monkeypatch, budget: int, plotspec=None) -> dict:
+def check_files(exp, tmp: Path, monkeypatch, budget: int) -> dict:
     """Assert that the files of ``exp`` equal those of its unrolled run
     with rows of ``budget`` bytes per chunk; the facts of the case."""
     monkeypatch.setattr(render, "_PIXMAP_BYTES", budget)
-    files, printed, calls = written(cli.Stages, exp, tmp / "periodic", plotspec)
-    want, want_printed, unrolled = written(Unrolled, exp, tmp / "unrolled", plotspec)
+    files, printed, calls = written(cli.Stages, exp, tmp / "periodic")
+    want, want_printed, unrolled = written(Unrolled, exp, tmp / "unrolled")
     assert unrolled == {"_code_rows": 0, "_held_rows": 0}
     assert printed == want_printed
     for command, names in want.items():
@@ -120,8 +116,8 @@ def check_files(exp, tmp: Path, monkeypatch, budget: int, plotspec=None) -> dict
         "open": trace.recurrence is None,
         "coded": calls["_code_rows"],
         "held": calls["_held_rows"],
-        "fractional D": steady is not None and steady[2] * stages.plotspec.time_scale % 1 != 0,
-        "whole D": steady is not None and steady[2] * stages.plotspec.time_scale % 1 == 0,
+        "fractional D": steady is not None and steady[2] * render.TIME_SCALE % 1 != 0,
+        "whole D": steady is not None and steady[2] * render.TIME_SCALE % 1 == 0,
     }
 
 
@@ -189,10 +185,6 @@ def test_files_equal_those_of_the_unrolled_run(tmp_path_factory, seed, fraction,
         check_files(exp, tmp_path_factory.mktemp("case"), monkeypatch, budget)
 
 
-GRAYS = st.tuples(st.sampled_from([0, 7, 40, 200]), st.sampled_from([1, 99, 255]),
-                  st.sampled_from([5, 127]))
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -200,28 +192,24 @@ GRAYS = st.tuples(st.sampled_from([0, 7, 40, 200]), st.sampled_from([1, 99, 255]
     fraction=st.booleans(),
     budget=st.sampled_from([64, 1 << 18]),
     pick=st.integers(0, 7),
-    grays=GRAYS,
-    cell_px=st.integers(1, 3),
 )
 # Rings of 8, 9, 16 and 17 cells, whose state codes fill their last byte
 # or put one cell in it, at k_max 200: the 17-cell ring's orbit is still
 # open there while its times recur, and the 9-cell ring's enters its
 # period at cycle 2.
-@example(seed=4, n=8, fraction=False, budget=1 << 18, pick=7, grays=(0, 255, 127), cell_px=1)
-@example(seed=4, n=9, fraction=False, budget=64, pick=7, grays=(7, 99, 5), cell_px=3)
-@example(seed=3, n=16, fraction=False, budget=1 << 18, pick=7, grays=(200, 1, 127), cell_px=2)
-@example(seed=0, n=17, fraction=False, budget=1 << 18, pick=7, grays=(40, 255, 5), cell_px=1)
+@example(seed=4, n=8, fraction=False, budget=1 << 18, pick=7)
+@example(seed=4, n=9, fraction=False, budget=64, pick=7)
+@example(seed=3, n=16, fraction=False, budget=1 << 18, pick=7)
+@example(seed=0, n=17, fraction=False, budget=1 << 18, pick=7)
 def test_files_of_rings_up_to_20_cells_equal_those_of_the_unrolled_run(
-    tmp_path_factory, seed, n, fraction, budget, pick, grays, cell_px
+    tmp_path_factory, seed, n, fraction, budget, pick
 ):
-    # State codes that cross a byte, a last byte of n mod 8 cells, gray
-    # texts of 1 to 3 digits and cells of 1 to 3 pixels.
+    # State codes that cross a byte, and a last byte of n mod 8 cells.
     case = random_case(random.Random(seed), fraction, n)
     choices = k_max_choices(case)
     exp = experiment(*case, choices[min(pick, len(choices) - 1)])
-    plotspec = render.PlotSpec(cell_px=cell_px, gray0=grays[0], gray1=grays[1], gray_bg=grays[2])
     with pytest.MonkeyPatch.context() as monkeypatch:
-        check_files(exp, tmp_path_factory.mktemp("case"), monkeypatch, budget, plotspec)
+        check_files(exp, tmp_path_factory.mktemp("case"), monkeypatch, budget)
 
 
 def test_the_guard_covers_its_cases(tmp_path, monkeypatch):
@@ -357,8 +345,8 @@ def test_timed_ring_sweeps_only_the_rows_outside_the_code_rows(tmp_path, monkeyp
             swept.append(chunk.count(b"\n"))
             yield chunk
 
-    def counted_row(n, px, grays):
-        row = code_row(n, px, grays)
+    def counted_row(n, px):
+        row = code_row(n, px)
         if px == 1:  # the synchronous plot's
             return row
         return lambda code: built.append(code) or row(code)

@@ -20,9 +20,8 @@ from tropical_ca.ca import (
     build_stg,
 )
 from tropical_ca.cli import Experiment
-from tropical_ca.errors import DimensionError, NetworkError, RuleError
+from tropical_ca.errors import NetworkError, RuleError
 from tropical_ca.network import NetworkSpec, TimingParameters, random_parameters, regular_ring
-from tropical_ca.render import PlotSpec
 from tropical_ca.semiring import MaxPlusMatrix, unit_vector
 from tropical_ca.spectral import CriticalGraph, SccDecomposition, SpectralSummary
 from tropical_ca.trajectory import Lasso, RegimeReport, Trajectory, iterate
@@ -57,11 +56,6 @@ CASES = [
     (NetworkSpec, {"size": 2, "arcs": ((0, 1), (1, 0)), "regular_n": None},
      ("regular_n", 1)),
     (TimingParameters, {"xi": (1, 2), "tau_items": (((0, 1), 3),)}, ("xi", (2, 1))),
-    (PlotSpec,
-     {"time_scale": 3, "cell_px": 4, "margin": 5, "color0": "#000000",
-      "color1": "#ffffff", "background": "#eeeeee", "contour_color": "#ff0000",
-      "gray0": 1, "gray1": 254, "gray_bg": 100, "metadata": (("mode", "int"),)},
-     ("cell_px", 5)),
     (SccDecomposition, {"components": ((0,), (1,)), "component_of": (0, 1)},
      ("component_of", (1, 0))),
     (CriticalGraph,
@@ -109,10 +103,9 @@ def test_record_value_semantics(cls, fields, change):
     "record, change, error",
     [
         (RING, {"size": 0}, NetworkError),
-        (PlotSpec(), {"cell_px": 0}, DimensionError),
         (RUN, {"rule": CARule.eca(90), "spec": regular_ring(5, 5)}, RuleError),
     ],
-    ids=["NetworkSpec", "PlotSpec", "AsyncRun"],
+    ids=["NetworkSpec", "AsyncRun"],
 )
 def test_replace_runs_the_construction_checks(record, change, error):
     with pytest.raises(error):

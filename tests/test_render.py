@@ -31,7 +31,7 @@ from tropical_ca.ca import (
     sync_orbit,
     sync_states,
 )
-from tropical_ca.errors import DimensionError, StateUndefinedError
+from tropical_ca.errors import DimensionError
 from tropical_ca.network import (
     TimingParameters,
     build_p,
@@ -40,7 +40,6 @@ from tropical_ca.network import (
 )
 from tropical_ca.render import (
     AsyncPlots,
-    PlotSpec,
     build_event_dag,
     contour_plot,
     critical_graph_dot,
@@ -91,22 +90,22 @@ def polyline_ys(svg):
 
 def test_renderers_are_pure_functions():
     run = seeded_run()
-    ps = PlotSpec().with_metadata({"seed": 42})
-    assert contour_plot(run.trajectory, ps) == contour_plot(run.trajectory, ps)
-    assert spacetime_async(run, ps) == spacetime_async(run, ps)
-    assert spacetime_async_pixmap(run, ps) == spacetime_async_pixmap(run, ps)
+    md = (("seed", "42"),)
+    assert contour_plot(run.trajectory, md) == contour_plot(run.trajectory, md)
+    assert spacetime_async(run, md) == spacetime_async(run, md)
+    assert spacetime_async_pixmap(run, md) == spacetime_async_pixmap(run, md)
     stg = build_stg(PARITY, regular_ring(4, 3))
-    assert stg_dot(stg, ps) == stg_dot(stg, ps)
+    assert stg_dot(stg, md) == stg_dot(stg, md)
 
 
 def test_metadata_comment_embedded():
     run = uniform_run()
-    ps = PlotSpec().with_metadata({"seed": 0, "mode": "int"})
-    svg = contour_plot(run.trajectory, ps)
+    md = (("mode", "int"), ("seed", "0"))
+    svg = contour_plot(run.trajectory, md)
     assert "<!-- tropical-ca" in svg and "seed=0" in svg and "mode=int" in svg
-    pgm = spacetime_async_pixmap(run, ps)
+    pgm = spacetime_async_pixmap(run, md)
     assert "# tropical-ca" in pgm and "# seed: 0" in pgm
-    dot = stg_dot(build_stg(PARITY, regular_ring(4, 3)), ps)
+    dot = stg_dot(build_stg(PARITY, regular_ring(4, 3)), md)
     assert "// tropical-ca" in dot
 
 
@@ -115,7 +114,7 @@ def test_metadata_comment_embedded():
 
 def test_contour_plot_uniform_is_evenly_spaced():
     run = uniform_run()
-    svg = contour_plot(run.trajectory, PlotSpec())
+    svg = contour_plot(run.trajectory)
     lines = polyline_ys(svg)
     assert len(lines) == 11
     for k, ys in enumerate(lines):
@@ -129,28 +128,28 @@ def test_contour_plot_single_node_is_marker_column():
         regular_ring(1, 1),
         random_parameters(regular_ring(1, 1), 0, (4, 4), (2, 2)),
     ), (0,), 5)
-    svg = contour_plot(traj, PlotSpec())
+    svg = contour_plot(traj)
     assert "<polyline" not in svg
     assert svg.count("<circle") == 6
 
 
 def test_contour_plot_monotone_in_k():
     run = seeded_run(seed=9)
-    lines = polyline_ys(contour_plot(run.trajectory, PlotSpec()))
+    lines = polyline_ys(contour_plot(run.trajectory))
     for k in range(len(lines) - 1):
         assert all(a <= b for a, b in zip(lines[k], lines[k + 1]))
 
 
 def test_contour_plot_state_markers():
     run = uniform_run(size=6, k_max=4)
-    svg = contour_plot(run.trajectory, PlotSpec(), run.states)
+    svg = contour_plot(run.trajectory, states=run.states)
     assert svg.count("<circle") == 6 * 5
 
 
 def test_contour_plot_state_count_mismatch():
     run = uniform_run(size=6, k_max=4)
     with pytest.raises(DimensionError):
-        contour_plot(run.trajectory, PlotSpec(), run.states[:-1])
+        contour_plot(run.trajectory, states=run.states[:-1])
 
 
 # -- asynchronous space-time -----------------------------------------------------------
@@ -158,30 +157,32 @@ def test_contour_plot_state_count_mismatch():
 
 def test_async_svg_stages():
     run = seeded_run(k_max=8)
-    plain = spacetime_async(run, PlotSpec())
-    overlay = spacetime_async(run, PlotSpec(), stage="contours")
+    plain = spacetime_async(run)
+    overlay = spacetime_async(run, stage="contours")
     assert "<polyline" not in plain
     assert overlay.count("<polyline") == 9
     with pytest.raises(DimensionError):
-        spacetime_async(run, PlotSpec(), stage="fancy")
+        spacetime_async(run, stage="fancy")
 
 
 def test_uniform_async_pixmap_is_stretched_sync():
+    # Each hold interval is 7 time units of TIME_SCALE rows, and each
+    # cell CELL_PX pixels wide, where the sync pixmap has one per cell.
     run = uniform_run(size=12, k_max=9)
-    ps = PlotSpec(time_scale=1, cell_px=1)
-    aw, ah, arows = pixmap_parse(spacetime_async_pixmap(run, ps))
-    sw, sh, srows = pixmap_parse(spacetime_sync_pixmap(run.states, ps))
-    assert (aw, sw) == (12, 12)
-    assert ah == 7 * 9
+    s, px = render.TIME_SCALE, render.CELL_PX
+    aw, ah, arows = pixmap_parse(spacetime_async_pixmap(run))
+    sw, sh, srows = pixmap_parse(spacetime_sync_pixmap(run.states))
+    assert (aw, sw) == (12 * px, 12)
+    assert ah == 7 * s * 9
     for r in range(ah):
-        assert arows[r] == srows[r // 7]
+        assert arows[r] == [gray for gray in srows[r // (7 * s)] for _ in range(px)]
 
 
 def test_async_pixmap_probes_match_state_at():
     run = seeded_run(size=9, seed=5, k_max=15)
-    ps = PlotSpec(time_scale=3, cell_px=4)
-    width, height, rows = pixmap_parse(spacetime_async_pixmap(run, ps))
-    assert width == 9 * 4
+    s, px = render.TIME_SCALE, render.CELL_PX
+    width, height, rows = pixmap_parse(spacetime_async_pixmap(run))
+    assert width == 9 * px
     t0 = min(min(x) for x in run.trajectory.states)
     first, last = run.time_window()
     rng = random.Random(1)
@@ -189,41 +190,31 @@ def test_async_pixmap_probes_match_state_at():
     while probes < 200:
         r = rng.randrange(height)
         i = rng.randrange(9)
-        t = t0 + Fraction(r, 3)
+        t = t0 + Fraction(r, s)
         if not (first <= t < last):
             continue
         want = state_at(run, t)[i]
-        assert rows[r][i * 4] == (ps.gray1 if want else ps.gray0)
+        assert rows[r][i * px] == (render.GRAY1 if want else render.GRAY0)
         probes += 1
 
 
 def test_async_pixmap_background_outside_window():
     run = seeded_run(size=6, seed=13, k_max=6)
-    ps = PlotSpec(time_scale=2, cell_px=1)
-    _w, height, rows = pixmap_parse(spacetime_async_pixmap(run, ps))
+    _w, height, rows = pixmap_parse(spacetime_async_pixmap(run))
     t0 = min(min(x) for x in run.trajectory.states)
     for i in range(6):
         start = run.update_times(i)[0]
         end = run.update_times(i)[6]
         for r in range(height):
-            t = t0 + Fraction(r, 2)
+            t = t0 + Fraction(r, render.TIME_SCALE)
             if t < start or t >= end:
-                assert rows[r][i] == ps.gray_bg
+                assert rows[r][i * render.CELL_PX] == render.GRAY_BG
 
 
 def test_pixmap_parse_round_trip_errors():
     for text in ("P5\n1 1\n255\n0\n", "P2\n2 1\n255\n0\n", "", "P2\n1 1\n255\nx\n"):
         with pytest.raises(ValueError):
             pixmap_parse(text)
-
-
-@pytest.mark.parametrize(
-    "field, value", [("time_scale", 0), ("time_scale", -1), ("cell_px", -2),
-                     ("cell_px", 0), ("cell_px", 1.5), ("time_scale", True)]
-)
-def test_plotspec_needs_positive_integer_geometry(field, value):
-    with pytest.raises(DimensionError):
-        PlotSpec(**{field: value})
 
 
 def assert_same_text(got, want, label):
@@ -269,63 +260,54 @@ def test_async_pixmap_matches_per_pixel_oracle_random():
     with_background = 0
     for case in range(60):
         run = random_timed_run(rng, ("int", "rational")[case % 2])
-        gray0, gray1, gray_bg = rng.sample(range(256), 3)
-        ps = PlotSpec(
-            time_scale=rng.randint(1, 4),
-            cell_px=rng.randint(1, 5),
-            gray0=gray0,
-            gray1=gray1,
-            gray_bg=gray_bg,
-        )
-        if rng.random() < 0.5:
-            ps = ps.with_metadata({"case": case, "mode": "random"})
-        want = async_pixmap_grid(run, ps, __version__)
-        assert_same_text(spacetime_async_pixmap(run, ps), want, f"case {case}")
+        md = random_metadata(rng, case)
+        want = async_pixmap_grid(run, md, __version__)
+        assert_same_text(spacetime_async_pixmap(run, md), want, f"case {case}")
         _w, _h, rows = pixmap_parse(want)
-        with_background += any(gray_bg in row for row in rows)
+        with_background += any(render.GRAY_BG in row for row in rows)
     assert with_background >= 40
 
 
 def test_async_pixmap_keeps_switches_behind_rowless_intervals():
     # The raster keeps one change per switch of a cell's gray.  Short
-    # timings cut to a fifth, at one row per time unit, give hold
+    # timings cut to a tenth, at two rows per time unit, give hold
     # intervals that own no row, and a switch may hide behind one:
     # interval k's gray equals interval k-1's, yet differs from the gray
     # on the rows above.  One run in four keeps its integer timings,
     # where every interval owns a row.
     spec = regular_ring(4, 3)
     rules = [CARule.eca(r) for r in (30, 90, 110, 150, 204)]
-    ps = PlotSpec(time_scale=1, cell_px=1)
+    s = render.TIME_SCALE
     rowless = 0
     for seed in range(300):
         params = random_parameters(spec, seed, (1, 2), (0, 1))
         if seed % 4:
             params = TimingParameters.create(
-                [Fraction(x, 5) for x in params.xi],
-                {arc: Fraction(t, 5) for arc, t in params.tau.items()},
+                [Fraction(x, 10) for x in params.xi],
+                {arc: Fraction(t, 10) for arc, t in params.tau.items()},
             )
         rng = random.Random(seed)
         s0 = tuple(rng.randint(0, 1) for _ in range(4))
         run = async_run(rules[seed % len(rules)], spec, params, s0, unit_vector(4), 24)
         t0 = min(run.trajectory.states[0])
         rowless += any(
-            math.ceil(a - t0) == math.ceil(b - t0)
+            math.ceil((a - t0) * s) == math.ceil((b - t0) * s)
             for i in range(4)
             for a, b, _bit in run.hold_intervals(i)
         )
-        want = async_pixmap_grid(run, ps, __version__)
-        assert_same_text(spacetime_async_pixmap(run, ps), want, f"seed {seed}")
+        want = async_pixmap_grid(run, (), __version__)
+        assert_same_text(spacetime_async_pixmap(run), want, f"seed {seed}")
     assert rowless >= 200, rowless
 
 
 def test_async_pixmap_chunks_are_blocks_of_whole_lines():
     run = seeded_run(k_max=30)
-    ps = PlotSpec().with_metadata({"seed": 42})
-    chunks = list(AsyncPlots(run.trajectory, ps).raster_chunks(run.states))
+    md = (("seed", "42"),)
+    chunks = list(AsyncPlots(run.trajectory, md).raster_chunks(run.states))
     assert len(chunks) > 2 and all(c.endswith(b"\n") for c in chunks)
     assert chunks[0].startswith(b"P2\n# tropical-ca")
     text = b"".join(chunks).decode()
-    assert_same_text(text, async_pixmap_grid(run, ps, __version__), "chunks")
+    assert_same_text(text, async_pixmap_grid(run, md, __version__), "chunks")
 
 
 def spacetime_stage_chunks(plots, stage, states):
@@ -335,18 +317,9 @@ def spacetime_stage_chunks(plots, stage, states):
     return chain(shared, tails[stage == "contours"])
 
 
-def random_plotspec(rng, case):
-    ps = PlotSpec(
-        time_scale=rng.randint(1, 4),
-        cell_px=rng.randint(1, 9),
-        margin=rng.randint(0, 15),
-        color0=f"#{rng.randrange(1 << 24):06x}",
-        color1=f"#{rng.randrange(1 << 24):06x}",
-        contour_color=f"#{rng.randrange(1 << 24):06x}",
-    )
-    if rng.random() < 0.5:
-        ps = ps.with_metadata({"case": case, "mode": "random"})
-    return ps
+def random_metadata(rng, case):
+    """The metadata pairs of a command, or none, at random."""
+    return (("case", str(case)), ("mode", "random")) if rng.random() < 0.5 else ()
 
 
 def test_svg_emitters_match_per_vertex_oracles_random():
@@ -354,27 +327,27 @@ def test_svg_emitters_match_per_vertex_oracles_random():
     for case in range(60):
         kind = ("int", "rational")[case % 2]
         run = random_timed_run(rng, kind)
-        ps = random_plotspec(rng, case)
+        md = random_metadata(rng, case)
         label = f"case {case} ({kind})"
         for stage in ("plain", "contours"):
             assert_same_text(
-                spacetime_async(run, ps, stage),
-                spacetime_async_vertices(run, ps, __version__, stage),
+                spacetime_async(run, md, stage),
+                spacetime_async_vertices(run, md, __version__, stage),
                 f"{label} spacetime_async {stage}",
             )
         assert_same_text(
-            contour_plot(run.trajectory, ps),
-            contour_plot_vertices(run.trajectory, ps, __version__),
+            contour_plot(run.trajectory, md),
+            contour_plot_vertices(run.trajectory, md, __version__),
             f"{label} contour_plot",
         )
         assert_same_text(
-            contour_plot(run.trajectory, ps, run.states),
-            contour_plot_vertices(run.trajectory, ps, __version__, run.states),
+            contour_plot(run.trajectory, md, states=run.states),
+            contour_plot_vertices(run.trajectory, md, __version__, run.states),
             f"{label} contour_plot with states",
         )
         assert_same_text(
-            spacetime_sync(run.states, ps),
-            spacetime_sync_cells(run.states, ps, __version__),
+            spacetime_sync(run.states, md),
+            spacetime_sync_cells(run.states, md, __version__),
             f"{label} spacetime_sync",
         )
 
@@ -384,19 +357,17 @@ def test_svg_emitters_match_per_vertex_oracles_random():
     seed=st.integers(0, 1 << 32),
     kind=st.sampled_from(["int", "rational"]),
     k_max=st.integers(0, 48),
-    shrink=st.sampled_from([1, 5]),
+    shrink=st.sampled_from([1, 10]),
 )
 def test_joined_svgs_and_recurrence_cut_heights_match_oracles(seed, kind, k_max, shrink):
     # The SVG lines are joined from reused parts, and the heights of a run
     # that recurs are formatted up to the recurrence and repeated.  Both
     # equal the per-vertex oracles, for the trajectory of iterate and for
-    # the same states hand-built with no recurrence.  Shrunk timings at
-    # one row per time unit give the raster rowless hold intervals.
+    # the same states hand-built with no recurrence.  Timings shrunk to a
+    # tenth give the raster rowless hold intervals.
     rng = random.Random(seed)
     run = random_timed_run(rng, kind, k_max, shrink)
-    ps = random_plotspec(rng, seed)
-    if shrink != 1:
-        ps = ps._replace(time_scale=1)
+    md = random_metadata(rng, seed)
     traj = run.trajectory
     if traj.recurrence is not None:
         m, d, c = traj.recurrence
@@ -407,24 +378,24 @@ def test_joined_svgs_and_recurrence_cut_heights_match_oracles(seed, kind, k_max,
     assert hand.trajectory.recurrence is None
     n = traj.size
     for r in (run, hand):
-        plots = AsyncPlots(r.trajectory, ps)
+        plots = AsyncPlots(r.trajectory, md)
         assert plots.heights == [
-            [fmt_coordinate((b - a) * ps.time_scale) for a, b, _bit in r.hold_intervals(i)]
+            [fmt_coordinate((b - a) * render.TIME_SCALE) for a, b, _bit in r.hold_intervals(i)]
             for i in range(n)
         ]
         files = [
             ("contours", plots.contour_chunks(r.states),
-             contour_plot_vertices(r.trajectory, ps, __version__, r.states)),
+             contour_plot_vertices(r.trajectory, md, __version__, r.states)),
             *(
                 (stage, spacetime_stage_chunks(plots, stage, r.states),
-                 spacetime_async_vertices(r, ps, __version__, stage))
+                 spacetime_async_vertices(r, md, __version__, stage))
                 for stage in ("plain", "contours")
             ),
         ]
         for label, chunks, oracle in files:
             assert_same_text("".join(chunks), oracle, label)
         raster = b"".join(plots.raster_chunks(r.states)).decode()
-        assert_same_text(raster, async_pixmap_grid(r, ps, __version__), "raster")
+        assert_same_text(raster, async_pixmap_grid(r, md, __version__), "raster")
 
 
 def test_shared_layout_chunks_equal_the_public_renderers():
@@ -441,19 +412,19 @@ def test_shared_layout_chunks_equal_the_public_renderers():
     ]
     runs.append(("24 cells", seeded_run(size=24, k_max=40)))
     for label, run in runs:
-        ps = random_plotspec(rng, label)
-        plots = AsyncPlots(run.trajectory, ps)
+        md = random_metadata(rng, label)
+        plots = AsyncPlots(run.trajectory, md)
         files = [
             ("contours", plots.contour_chunks(run.states),
-             contour_plot(run.trajectory, ps, run.states),
-             contour_plot_vertices(run.trajectory, ps, __version__, run.states)),
+             contour_plot(run.trajectory, md, states=run.states),
+             contour_plot_vertices(run.trajectory, md, __version__, run.states)),
             *(
-                (stage, spacetime_stage_chunks(plots, stage, run.states), spacetime_async(run, ps, stage),
-                 spacetime_async_vertices(run, ps, __version__, stage))
+                (stage, spacetime_stage_chunks(plots, stage, run.states), spacetime_async(run, md, stage),
+                 spacetime_async_vertices(run, md, __version__, stage))
                 for stage in ("contours", "plain")
             ),
-            ("raster", plots.raster_chunks(run.states), spacetime_async_pixmap(run, ps),
-             async_pixmap_grid(run, ps, __version__)),
+            ("raster", plots.raster_chunks(run.states), spacetime_async_pixmap(run, md),
+             async_pixmap_grid(run, md, __version__)),
         ]
         for name, chunks, public, oracle in files:
             chunks = list(chunks)
@@ -467,16 +438,17 @@ def test_shared_layout_chunks_equal_the_public_renderers():
             assert_same_text(public, oracle, f"{label} {name}")
 
 
-def test_raster_chunks_are_sized_in_bytes():
+def test_raster_chunks_are_sized_in_bytes(monkeypatch):
     # A chunk holds as many rows as fit in the byte target, so a wide
     # raster is not joined 256 rows (megabytes) at a time; a raster whose
-    # rows are wider than the target gets one row per chunk.
+    # rows (4096 bytes here) are wider than the target gets one row per
+    # chunk.
     run = seeded_run(size=128, k_max=5)
-    for ps in (PlotSpec(), PlotSpec(cell_px=300)):
-        plots = AsyncPlots(run.trajectory, ps)
-        chunks = list(plots.raster_chunks(run.states))
+    for target in (render._PIXMAP_BYTES, 1024):
+        monkeypatch.setattr(render, "_PIXMAP_BYTES", target)
+        chunks = list(AsyncPlots(run.trajectory).raster_chunks(run.states))
         text = b"".join(chunks)
-        assert text == spacetime_async_pixmap(run, ps).encode()
+        assert text == spacetime_async_pixmap(run).encode()
         row = max(map(len, text.splitlines())) + 1
         assert len(chunks) > 3
         assert all(len(c) <= render._PIXMAP_BYTES + row for c in chunks)
@@ -495,7 +467,7 @@ def raster_change_rise(rule):
     run = async_run(rule, spec, params, s0, unit_vector(10), k_max)
     cells_cycles = 10 * (k_max + 1)
     assert len(set(chain.from_iterable(run.trajectory.states))) > 0.9 * cells_cycles
-    plots = AsyncPlots(run.trajectory._replace(recurrence=None), PlotSpec())
+    plots = AsyncPlots(run.trajectory._replace(recurrence=None))
     plots.time_columns  # the layout is not part of the cost
     tracemalloc.start()
     try:
@@ -534,12 +506,12 @@ def test_sync_svg_chunks_are_blocks_of_lines_never_the_whole_text():
     # rows.  Taking the chunks one at a time may hold one of them, but
     # not the file's rows or its text (3 MB).
     states = sync_states(CARule.eca(110), regular_ring(256, 3), (0, 1) * 128, 200)
-    ps = PlotSpec().with_metadata({"N": 256})
+    md = (("N", "256"),)
     size = 0
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        for chunk in spacetime_sync_chunks(states, ps):
+        for chunk in spacetime_sync_chunks(states, md):
             assert chunk.endswith("\n") and chunk.count("\n") <= render._SVG_BLOCK
             size += len(chunk)
         _, peak = tracemalloc.get_traced_memory()
@@ -547,8 +519,8 @@ def test_sync_svg_chunks_are_blocks_of_lines_never_the_whole_text():
         tracemalloc.stop()
     assert size >= 3_000_000
     assert peak - before < size / 16, (peak - before, size)
-    text = "".join(spacetime_sync_chunks(states, ps))
-    assert_same_text(text, spacetime_sync_cells(states, ps, __version__), "sync")
+    text = "".join(spacetime_sync_chunks(states, md))
+    assert_same_text(text, spacetime_sync_cells(states, md, __version__), "sync")
 
 
 def test_sync_pixmap_chunks_are_blocks_of_rows_never_the_whole_text():
@@ -556,13 +528,13 @@ def test_sync_pixmap_chunks_are_blocks_of_rows_never_the_whole_text():
     # in _PIXMAP_BYTES.  Taking the chunks one at a time may hold a few
     # chunks' worth of rows, but not the file's rows or its text (4 MB).
     states = sync_states(CARule.eca(110), regular_ring(256, 3), (0, 1) * 128, 8000)
-    ps = PlotSpec().with_metadata({"N": 256})
+    md = (("N", "256"),)
     chunks = 0
     size = 0
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        for chunk in spacetime_sync_pixmap_chunks(states, ps):
+        for chunk in spacetime_sync_pixmap_chunks(states, md):
             assert chunk.endswith(b"\n") and len(chunk) <= render._PIXMAP_BYTES
             chunks += 1
             size += len(chunk)
@@ -571,21 +543,21 @@ def test_sync_pixmap_chunks_are_blocks_of_rows_never_the_whole_text():
         tracemalloc.stop()
     assert size >= 4_000_000 and chunks > 16
     assert peak - before < 3 * render._PIXMAP_BYTES < size / 4, (peak - before, size)
-    text = spacetime_sync_pixmap(states, ps)
+    text = spacetime_sync_pixmap(states, md)
     assert text.startswith(f"P2\n# tropical-ca {__version__}\n# N: 256\n256 8001\n255\n")
-    gray = (str(ps.gray0), str(ps.gray1))
+    gray = (str(render.GRAY0), str(render.GRAY1))
     assert text.split("\n")[-len(states) - 1 :] == [
         *[" ".join(gray[b] for b in s) for s in states], ""
     ]
     with pytest.raises(DimensionError):
-        spacetime_sync_pixmap_chunks([], ps)
+        spacetime_sync_pixmap_chunks([], md)
 
 
 def test_sync_plot_all_zero_single_color():
     states = [(0, 0, 0)] * 4
-    svg = spacetime_sync(states, PlotSpec())
-    assert svg.count(f'fill="{PlotSpec().color0}"') == 12
-    assert f'fill="{PlotSpec().color1}"' not in svg
+    svg = spacetime_sync(states)
+    assert svg.count(f'fill="{render.COLOR0}"') == 12
+    assert f'fill="{render.COLOR1}"' not in svg
 
 
 def test_sync_pattern_symmetric_about_seed():
@@ -593,7 +565,7 @@ def test_sync_pattern_symmetric_about_seed():
     s0 = state_from_string("00000000001000000000")
     orbit = sync_orbit(RULE150, spec, s0, 1 << 20)
     states = [orbit.state(k) for k in range(31)]
-    _w, _h, rows = pixmap_parse(spacetime_sync_pixmap(states, PlotSpec()))
+    _w, _h, rows = pixmap_parse(spacetime_sync_pixmap(states))
     for row in rows:
         for d in range(1, 10):
             assert row[(10 + d) % 20] == row[(10 - d) % 20]
@@ -603,14 +575,14 @@ def test_sync_rows_repeat_with_period():
     spec = regular_ring(10, 3)
     orbit = sync_orbit(RULE150, spec, state_from_string("0000100000"), 1 << 10)
     states = [orbit.state(k) for k in range(20)]
-    _w, _h, rows = pixmap_parse(spacetime_sync_pixmap(states, PlotSpec()))
+    _w, _h, rows = pixmap_parse(spacetime_sync_pixmap(states))
     for k in range(20 - orbit.period):
         assert rows[k] == rows[k + orbit.period]
 
 
 def test_sync_plot_needs_states():
     with pytest.raises(DimensionError):
-        spacetime_sync([], PlotSpec())
+        spacetime_sync([])
 
 
 # -- graph exports ------------------------------------------------------------------------
@@ -631,11 +603,11 @@ def test_stg_dot_spanning_chunks_matches_longhand():
     for n in (1, 2, 13, 14):
         stg = build_stg(PARITY, regular_ring(n, 3 if n > 2 else 1))
         assert (stg.label_halves[0] == [""]) == (n == 1)
-        ps = PlotSpec().with_metadata({"N": n})
-        chunks = list(stg_dot_chunks(stg, ps))
+        md = (("N", str(n)),)
+        chunks = list(stg_dot_chunks(stg, md))
         assert len(chunks) > 2 and all(c.endswith("\n") for c in chunks)
         assert max(c.count("\n") for c in chunks) <= render._STG_BLOCK
-        want = stg_dot_longhand(n, stg.successors, stg.on_attractor, ps, __version__)
+        want = stg_dot_longhand(n, stg.successors, stg.on_attractor, md, __version__)
         assert_same_text("".join(chunks), want, f"stg on {n} cells")
     assert max(c.count("\n") for c in chunks) == render._STG_BLOCK
 
@@ -663,7 +635,7 @@ def test_event_dag_single_cell_chain():
     spec = regular_ring(1, 1)
     params = random_parameters(spec, 0, (4, 4), (2, 2))
     run = async_run(PARITY, spec, params, (1,), (0,), 4)
-    events, arcs = build_event_dag(run, 0, 4)
+    events, arcs = build_event_dag(run)
     # One processor: events are totally ordered by time.
     stamps = sorted(t for (_kind, _cell, _k, t) in events.values())
     assert len(set(stamps)) == len(stamps)
@@ -677,7 +649,7 @@ def test_event_dag_single_cell_chain():
 
 def test_event_dag_ring_receive_in_degree_three():
     run = seeded_run(size=6, seed=2, k_max=5)
-    events, arcs = build_event_dag(run, 0, 3)
+    events, arcs = build_event_dag(run)
     message_arcs = {}
     for (a, b, label) in arcs:
         if label.startswith("tau"):
@@ -688,17 +660,21 @@ def test_event_dag_ring_receive_in_degree_three():
 
 def test_event_dag_arcs_never_go_back_in_time():
     run = seeded_run(size=7, seed=31, k_max=6)
-    events, arcs = build_event_dag(run, 0, 6)
+    events, arcs = build_event_dag(run)
     for (a, b, _label) in arcs:
         assert events[a][3] <= events[b][3]
 
 
 def test_event_dag_range_check():
-    run = seeded_run(size=5, seed=1, k_max=4)
-    with pytest.raises(StateUndefinedError):
-        build_event_dag(run, 3, 9)
-    dot = event_dag_dot(run, 0, 2)
-    assert dot.startswith("digraph events {")
+    # The DAG covers the cycles 0..min(3, k_max): a send per cell and
+    # cycle, and a receive per cell and cycle from 1 on.
+    for k_max, cycles in ((4, 4), (1, 2), (0, 1)):
+        run = seeded_run(size=5, seed=1, k_max=k_max)
+        events, _arcs = build_event_dag(run)
+        sends = sorted({k for kind, _i, k, _t in events.values() if kind == "send"})
+        assert sends == list(range(cycles))
+        assert len(events) == 5 * (2 * cycles - 1)
+    assert event_dag_dot(run).startswith("digraph events {")
 
 
 def test_critical_graph_dot_highlights():
