@@ -11,12 +11,13 @@ command, and requires only the config fields it reads; each output file
 has exactly one writer (:data:`WRITERS`).
 
 Exit codes: 0 success, 1 a failed check (``verify``'s, or the bijection
-check of ``ca``), 2 usage or configuration error.
+check of ``ca``), 2 usage or configuration error, 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import cache, cached_property
@@ -593,6 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's per-cycle tables form no reference cycles, so the cyclic
+    # collector would walk them and free nothing: it is paused for the
+    # command, and the caller's setting comes back after it.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         exp = load_experiment(args)
         fault_cell = getattr(args, "inject_early_update", None)
@@ -612,6 +618,12 @@ def main(argv=None) -> int:
     except TropicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

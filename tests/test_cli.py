@@ -1,6 +1,7 @@
 """End-to-end command line runs against the bundled example configs."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -1463,3 +1464,118 @@ def test_render_files_equal_the_other_commands(tmp_path, capsys):
     for name, data in rendered.items():
         if name != "event_dag.dot":
             assert data == others[name], name
+
+
+# -- the cyclic collector, paused for each command -----------------------------
+
+
+@pytest.fixture
+def gc_setting():
+    """Give the collector its setting back after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def interrupted_writer(path):
+    """A writer whose chunks stop with a KeyboardInterrupt, as Ctrl-C
+    does, once its file is open and holds the first chunk."""
+    def writer(st):
+        yield "P2\n"
+        assert path.exists()
+        raise KeyboardInterrupt
+
+    return writer
+
+
+def exit_0(tmp_path, monkeypatch):
+    return ["analyze", "--config", RING10], 0
+
+
+def exit_1(tmp_path, monkeypatch):
+    return ["verify", "--inject-early-update", "2", "--config", RING10], 1
+
+
+def exit_2(tmp_path, monkeypatch):
+    cfg = json.loads(Path(RING10).read_text())
+    cfg["k_mx"] = cfg.pop("k_max")
+    return ["analyze", "--config", write_config(tmp_path, cfg)], 2
+
+
+def exit_130(tmp_path, monkeypatch):
+    pgm = tmp_path / "out" / "spacetime_async.pgm"
+    monkeypatch.setitem(cli.WRITERS, "spacetime_async.pgm", interrupted_writer(pgm))
+    return ["ca", "--schedule", "async", "--config", RING10], 130
+
+
+def escaping(tmp_path, monkeypatch):
+    def failing(p):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(spectral, "analyze", failing)
+    return ["analyze", "--config", RING10], RuntimeError
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", [exit_0, exit_1, exit_2, exit_130, escaping],
+                         ids=lambda case: case.__name__.replace("_", "-"))
+def test_main_gives_back_the_callers_collector_setting(
+        tmp_path, capsys, monkeypatch, gc_setting, case, enabled):
+    # The command runs with the collector off, and the caller's setting
+    # comes back on every way out of main, an escaping exception included.
+    argv, want = case(tmp_path, monkeypatch)
+    argv += ["--out", str(tmp_path / "out")]
+    during = []
+    load_experiment = cli.load_experiment
+
+    def load(args):
+        during.append(gc.isenabled())
+        return load_experiment(args)
+
+    monkeypatch.setattr(cli, "load_experiment", load)
+    (gc.enable if enabled else gc.disable)()
+    if isinstance(want, int):
+        assert main(argv) == want
+    else:
+        with pytest.raises(want):
+            main(argv)
+    assert gc.isenabled() is enabled
+    assert during == [False]
+    capsys.readouterr()
+
+
+def test_interrupt_is_one_line_and_leaves_no_partial_file(
+        tmp_path, capsys, monkeypatch, gc_setting):
+    gc.enable()
+    pgm = tmp_path / "spacetime_async.pgm"
+    monkeypatch.setitem(cli.WRITERS, "spacetime_async.pgm", interrupted_writer(pgm))
+    code, _, err = run(
+        capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(tmp_path),
+    )
+    assert code == 130 and err == "interrupted\n"
+    assert not pgm.exists()
+    assert (tmp_path / "spacetime_async.svg").is_file()  # written before it
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["ca", "--schedule", "both"], ["render"], ["verify"]],
+    ids=lambda argv: "-".join(argv),
+)
+def test_paused_commands_leave_no_cycles_per_cycle(tmp_path, capsys, gc_setting, argv):
+    # What gc.collect() finds after a command run with the collector off
+    # is the command's cyclic garbage: a few closures of json's encoder,
+    # as many at k_max 400 as at 100.  The first run warms the caches of
+    # argparse and the package.
+    cfg = json.loads(Path(RING10).read_text())
+    found = []
+    for run_no, k_max in enumerate((100, 100, 400)):
+        cfg["k_max"] = k_max
+        path = write_config(tmp_path, cfg)
+        gc.disable()
+        gc.collect()
+        code = main([*argv, "--config", path, "--out", str(tmp_path / f"out{run_no}")])
+        found.append(gc.collect())
+        assert code == 0
+    capsys.readouterr()
+    assert found[1] == found[2], found
