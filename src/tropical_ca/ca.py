@@ -51,10 +51,10 @@ ECA table, or the parity sum) once and reads no time, as without a
 fault no state depends on when its messages arrived.  Only an injected
 fault cell keeps a map of the last value it heard from each neighbour,
 and only then are the times read.  event_simulation lists the two;
-verify_bijection runs the states alone unless a fault cell needs the
-times.  first_mismatches steps any number of such runs in lockstep and
-keeps each check's first counter-example, in memory of one state per
-run.  tests/oracles.py holds the message-by-message longhand.
+bijection_mismatch runs the states alone unless a fault cell needs the
+times.  first_mismatch scans one such run against its reference and
+stops at the first counter-example, in memory of one state of each.
+tests/oracles.py holds the message-by-message longhand.
 """
 
 from __future__ import annotations
@@ -334,40 +334,28 @@ def trace_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncO
     step = _compile(rule, spec)
     if len(s0) != spec.size:
         raise RuleError(f"s0 has {len(s0)} cells, network has {spec.size}")
-    return _traced(step, {_encode(s0): 0}, spec.size, k_max)
-
-
-def _traced(step, seen: dict, size: int, k_max: int) -> SyncOrbit:
-    """Carry the trace ``seen`` (code -> k, in the order s(0), s(1), ...)
-    on to the first repeat or past s(k_max)."""
-    code = next(reversed(seen))
-    for k in range(len(seen), k_max + 2):
+    code = _encode(s0)
+    seen = {code: 0}  # code -> k, in the order s(0), s(1), ...
+    for k in range(1, k_max + 2):
         code = step(code)
         if code in seen:
             entry = seen[code]
-            return SyncOrbit(size, tuple(seen), entry, k - entry)
+            return SyncOrbit(spec.size, tuple(seen), entry, k - entry)
         if k > k_max:
             break
         seen[code] = k
-    return SyncOrbit(size, tuple(seen), None, None)
+    return SyncOrbit(spec.size, tuple(seen), None, None)
 
 
-def sync_orbit(
-    rule: CARule, spec: NetworkSpec, s0: State, k_max: int, trace: SyncOrbit | None = None
-) -> SyncOrbit:
+def sync_orbit(rule: CARule, spec: NetworkSpec, s0: State, k_max: int) -> SyncOrbit:
     """Iterate until the first repeated configuration.
 
     The first repeat of a deterministic map happens at (entry, entry +
     period) exactly, so it pins both numbers.  k_max caps the number of
-    steps; 2^N always suffices.  ``trace``, a :func:`trace_orbit` of the
-    same start, is carried on rather than stepped again.
+    steps; 2^N always suffices.
     """
-    if trace is None:
-        trace = trace_orbit(rule, spec, s0, k_max)
-    elif trace.period is None:
-        seen = dict(zip(trace.codes, range(len(trace.codes))))
-        trace = _traced(_compile(rule, spec), seen, spec.size, k_max)
-    if trace.period is None or trace.recurrence.end > k_max + 1:
+    trace = trace_orbit(rule, spec, s0, k_max)
+    if trace.period is None:
         raise CapExceededError(
             f"no repeated configuration within the step cap k_max = {k_max}",
             k_reached=k_max + 1,
@@ -910,28 +898,15 @@ class Mismatch(NamedTuple):
         )
 
 
-def first_mismatches(checks: dict) -> dict:
-    """Name -> the first :class:`Mismatch` of each check, or None.
-
-    ``checks`` maps a name to a pair (expected, got) of iterables of
-    per-cycle vectors, cycle 0 first.  All of them advance together, one
-    cycle at a time, and the pass ends once every check has failed, so it
-    holds one vector of each.
-    """
-    found = dict.fromkeys(checks)
-    left = len(checks)
-    # One row per cycle: expected, got, expected, got, ... of each check.
-    for k, row in enumerate(zip(*(it for pair in checks.values() for it in pair))):
-        if row[::2] == row[1::2]:
-            continue
-        for name, want, got in zip(found, row[::2], row[1::2]):
-            if want != got and found[name] is None:
-                i = next(i for i, (a, b) in enumerate(zip(want, got)) if a != b)
-                found[name] = Mismatch(name, k, i, want[i], got[i])
-                left -= 1
-        if not left:
-            break
-    return found
+def first_mismatch(check: str, expected, got) -> Mismatch | None:
+    """The first cycle k and cell where ``got`` differs from ``expected``,
+    two iterables of per-cycle vectors from cycle 0, or None.  The scan
+    holds one vector of each and stops at the first mismatch."""
+    for k, (want, have) in enumerate(zip(expected, got)):
+        if want != have:
+            i = next(i for i, (a, b) in enumerate(zip(want, have)) if a != b)
+            return Mismatch(check, k, i, want[i], have[i])
+    return None
 
 
 def bijection_mismatch(
@@ -945,11 +920,17 @@ def bijection_mismatch(
 ) -> Mismatch | None:
     """The first cycle and cell where the event-level states differ from
     the synchronous map, or None.  Without a fault only the states are
-    run; the times are computed only for a fault cell to read."""
-    times = event_times(spec, params, x0, k_max, early_update_cell)
+    run, after the timings and x0 are checked as :func:`event_times`
+    checks them; the times are built only for a fault cell to read."""
+    if early_update_cell is None:
+        validate_timing(spec, params)
+        if len(x0) != spec.size:
+            raise RuleError("x0 must have one entry per cell")
+        times = None
+    else:
+        times = event_times(spec, params, x0, k_max, early_update_cell)
     states = event_states(rule, spec, s0, k_max, early_update_cell, params, times)
-    sync = iter_sync_states(rule, spec, s0, k_max)
-    return first_mismatches({"bijection": (sync, states)})["bijection"]
+    return first_mismatch("bijection", iter_sync_states(rule, spec, s0, k_max), states)
 
 
 def verify_bijection(

@@ -21,7 +21,6 @@ import gc
 import json
 import sys
 from functools import cache, cached_property
-from itertools import tee
 from pathlib import Path
 from typing import NamedTuple
 
@@ -308,14 +307,15 @@ class Stages:
     @cached_property
     def orbit(self) -> ca_mod.SyncOrbit:
         """The orbit that ``ca`` reports, searched for at most
-        min(2^N, ORBIT_STEP_CAP) steps.  Where k_max is within that cap,
-        the search carries the trace on; else it runs alone, so that an
-        orbit longer than the cap fails at the cap."""
+        min(2^N, ORBIT_STEP_CAP) steps: the trace, where it closed within
+        that cap, else a search of its own from s0, so that an orbit
+        longer than the cap fails at the cap."""
         exp = self.exp
-        exp.require("rule", "s0", "k_max")
         cap = min(1 << exp.spec.size, ORBIT_STEP_CAP)
-        trace = self.sync_trace if exp.k_max <= cap else None
-        return ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, cap, trace)
+        trace = self.sync_trace
+        if trace.recurrence and trace.recurrence.end <= cap + 1:
+            return trace
+        return ca_mod.sync_orbit(exp.rule, exp.spec, exp.s0, cap)
 
     @cached_property
     def sync_states(self) -> tuple:
@@ -369,36 +369,27 @@ class Stages:
         exp.require("rule", "s0", "k_max")
         last = min(exp.k_max, self.orbit.recurrence.end)
         states = ca_mod.event_states(exp.rule, exp.spec, exp.s0, last)
-        return ca_mod.first_mismatches(
-            {"bijection": (self.sync_states[: last + 1], states)}
-        )["bijection"]
+        return ca_mod.first_mismatch("bijection", self.sync_states[: last + 1], states)
 
     @cached_property
     def mismatches(self) -> dict:
         """``verify``'s per-cycle checks, name -> first Mismatch or None,
-        from one lockstep pass over cycles 0..k_max that holds one state
-        of each run: the event-level states against the compiled
-        synchronous step, and the event-level times against P's arcs
-        stepped from x(0)."""
+        over cycles 0..k_max, each a scan that holds one state of each
+        run: the event-level states against the compiled synchronous step,
+        and the event-level times against P's arcs stepped from x(0)."""
         exp = self.exp
         exp.require("rule", "s0", "x0", "k_max", "params")
         cell = self.fault_cell
-        times = ca_mod.event_times(exp.spec, exp.params, exp.x0, exp.k_max, cell)
-        heard = None
-        if cell is not None:  # the fault cell's states read the times too
-            times, heard = tee(times)
-        states = ca_mod.event_states(
-            exp.rule, exp.spec, exp.s0, exp.k_max, cell, exp.params, heard
-        )
-        return ca_mod.first_mismatches({
-            "bijection": (
-                ca_mod.iter_sync_states(exp.rule, exp.spec, exp.s0, exp.k_max),
-                states,
+        return {
+            "bijection": ca_mod.bijection_mismatch(
+                exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max, cell
             ),
-            "event_times_match_matrix": (
-                traj_mod.iter_states(self.p, exp.x0, exp.k_max), times
+            "event_times_match_matrix": ca_mod.first_mismatch(
+                "event_times_match_matrix",
+                traj_mod.iter_states(self.p, exp.x0, exp.k_max),
+                ca_mod.event_times(exp.spec, exp.params, exp.x0, exp.k_max, cell),
             ),
-        })
+        }
 
     def contour_mismatch(self, name: str) -> ca_mod.Mismatch | None:
         """The first contour of the check ``regime`` (the regime's

@@ -247,7 +247,8 @@ def detect_regime(traj: Trajectory, spectral: SpectralSummary) -> RegimeReport:
             break
     else:
         raise CapExceededError(
-            f"no periodic regime within {cap} steps; check that the matrix is irreducible",
+            f"no periodic regime within {cap} steps: the heuristic step cap "
+            "10*N^2 + 10*sigma ran out",
             k_reached=cap,
         )
 

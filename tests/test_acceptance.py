@@ -21,7 +21,7 @@ from tropical_ca.ca import (
     bijection_mismatch,
     build_stg,
     event_times,
-    first_mismatches,
+    first_mismatch,
     state_at,
     state_from_string,
     state_to_string,
@@ -118,10 +118,11 @@ def test_criterion_2_bijection_suite():
                 caught += 1
                 # The cell that fires early differs first in its own state.
                 assert found.cell == 0, (i, found)
-            times = first_mismatches({"times": (
+            times = first_mismatch(
+                "times",
                 iter_states(build_p(spec, params), x0, 100),
                 event_times(spec, params, x0, 100, early_update_cell=0),
-            )})["times"]
+            )
             assert times is None or times.cell == 0, (i, times)
         assert mismatches == 0
         # The fault changes the states in 16 of these 100 runs.

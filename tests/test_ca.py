@@ -24,7 +24,7 @@ from tropical_ca.ca import (
     event_simulation,
     event_states,
     event_times,
-    first_mismatches,
+    first_mismatch,
     state_at,
     state_from_string,
     state_to_string,
@@ -983,17 +983,15 @@ def test_event_generators_equal_list_form_and_longhand(instance):
         assert list(event_states(rule, spec, s0, k_max)) == want[1]
     # The first counter-example of either check is at the fault cell: a
     # cell that fires early differs first in its own time or state.
-    found = first_mismatches({
-        "bijection": (sync_states(rule, spec, s0, k_max), want[1]),
-        "times": (iter_states(build_p(spec, params), x0, k_max), want[0]),
-    })
-    assert found["bijection"] == bijection_mismatch(
-        rule, spec, params, s0, x0, k_max, fault
-    )
-    for mismatch in found.values():
+    found = [
+        first_mismatch("bijection", sync_states(rule, spec, s0, k_max), want[1]),
+        first_mismatch("times", iter_states(build_p(spec, params), x0, k_max), want[0]),
+    ]
+    assert found[0] == bijection_mismatch(rule, spec, params, s0, x0, k_max, fault)
+    for mismatch in found:
         assert mismatch is None or mismatch.cell == fault, mismatch
     if fault is None:
-        assert found == {"bijection": None, "times": None}
+        assert found == [None, None]
 
 
 def test_bijection_holds():

@@ -362,10 +362,11 @@ def flip_event_state(monkeypatch, target, cell):
 
 
 def full_bijection_pass(exp):
-    return ca.first_mismatches({"bijection": (
+    return ca.first_mismatch(
+        "bijection",
         ca.iter_sync_states(exp.rule, exp.spec, exp.s0, exp.k_max),
         ca.event_states(exp.rule, exp.spec, exp.s0, exp.k_max),
-    )})["bijection"]
+    )
 
 
 def orbit_experiment(rule, spec, s0, k_max):
@@ -1426,7 +1427,10 @@ def count_steps(monkeypatch) -> list:
     [
         (["render"], lambda mp: count_calls(mp, network, "build_p"), 1),
         (["render"], lambda mp: count_calls(mp, ca, "sync_orbit"), 0),
-        # verify steps the event times and states once, in lockstep
+        # verify checks the bijection with the library's own function,
+        # which needs no event time without a fault: the times and the
+        # states are each stepped once
+        (["verify"], lambda mp: count_calls(mp, ca, "bijection_mismatch"), 1),
         (["verify"], lambda mp: count_calls(mp, ca, "event_times"), 1),
         (["verify"], lambda mp: count_calls(mp, ca, "event_states"), 1),
         # the census is streamed to its file, once
@@ -1439,9 +1443,9 @@ def count_steps(monkeypatch) -> list:
         # the orbit of the ring10 config has entry 0 and period 6
         (["ca", "--schedule", "sync"], count_steps, 6),
     ],
-    ids=["render-build_p", "render-sync_orbit", "verify-event_times",
-         "verify-event_states", "stg-attractor_census", "ca-both-event_states",
-         "ca-both-no-event_times", "ca-sync-sync_step"],
+    ids=["render-build_p", "render-sync_orbit", "verify-bijection_mismatch",
+         "verify-event_times", "verify-event_states", "stg-attractor_census",
+         "ca-both-event_states", "ca-both-no-event_times", "ca-sync-sync_step"],
 )
 def test_each_stage_runs_once(tmp_path, capsys, monkeypatch, argv, counter, calls):
     recorded = counter(monkeypatch)

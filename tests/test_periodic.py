@@ -407,11 +407,14 @@ def test_an_orbit_open_at_k_max_is_decoded_not_stepped_again(monkeypatch):
     assert stages.sync_trace.recurrence is None and len(steps) == 21
     monkeypatch.setattr(ca, "_compile", compile_step)
     assert states == ca.sync_states(rule, spec, s0, 20)
-    # ca's own search carries the trace on to the orbit's first repeat.
+    # The open trace is not the orbit: ca's own search starts afresh from
+    # s0 and steps to the orbit's first repeat, s(31) = s(0).
+    monkeypatch.setattr(ca, "_compile", counted)
     orbit = stages.orbit
+    assert len(steps) == 21 + 31
+    monkeypatch.setattr(ca, "_compile", compile_step)
     assert (orbit.entry_time, orbit.period) == (0, 31)
     assert orbit == ca.sync_orbit(rule, spec, s0, 1 << 11)
-    assert len(steps) == 21
 
 
 @pytest.mark.parametrize("k_max", [3, 5, 6, 40])

@@ -49,7 +49,6 @@ UNRUN = {
     "ca.Attractors.__getitem__": DOCUMENTED,
     "ca.state_to_string": DOCUMENTED,
     "ca.sync_states": TRACER_ONLY,
-    "ca.bijection_mismatch": TRACER_ONLY,
     "semiring.MaxPlusMatrix.__eq__": VALUE,
     "semiring.MaxPlusMatrix.__hash__": VALUE,
     "semiring.MaxPlusMatrix.__repr__": VALUE,

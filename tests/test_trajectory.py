@@ -240,7 +240,8 @@ def test_regime_cap_exceeded():
     summary = analyze(P)
     assert (summary.eigenvalue, summary.sigma) == (2, 1)
     assert iterate(P, (0, 100), 200).recurrence.start == 102
-    with pytest.raises(CapExceededError, match="within 50 steps") as err:
+    message = r"within 50 steps: the heuristic step cap 10\*N\^2 \+ 10\*sigma ran out$"
+    with pytest.raises(CapExceededError, match=message) as err:
         detect_regime(iterate(P, (0, 100), 0), summary)
     assert err.value.k_reached == 50
 
@@ -547,6 +548,8 @@ def test_window_detector_equals_hashing_oracle(instance):
     )
     assert report == want
     assert report.to_json_dict() == want.to_json_dict()
+    # A run that recurs within k_max recurs as its regime.
+    assert traj.recurrence in (None, (report.k_star, report.rho, report.mu))
     assert "".join(csv_chunks(traj, lam)) == oracles.trajectory_csv_longhand(traj.states, lam)
 
     def checks(contours):
