@@ -163,11 +163,11 @@ def _check_rule_fits(rule: CARule, spec: NetworkSpec) -> None:
 def _neighbourhoods(rule: CARule, spec: NetworkSpec) -> list:
     """Per cell, the neighbours in the order the rule reads them.  An ECA
     rule reads (left, self, right) on any 3-ring, built by regular_ring or
-    given as arcs; parity reads spec.predecessors (order is immaterial)."""
+    given as arcs; parity reads spec.neighbourhoods() (order is immaterial)."""
     n = spec.size
     if rule.kind == "eca":
         return [((i - 1) % n, i, (i + 1) % n) for i in range(n)]
-    return [spec.predecessors(i) for i in range(n)]
+    return spec.neighbourhoods()
 
 
 def _rotations(n: int, pairs) -> tuple:
@@ -769,7 +769,7 @@ def event_times(
     if len(x0) != spec.size:
         raise RuleError("x0 must have one entry per cell")
     _check_fault(spec, early_update_cell)
-    nbhd = [spec.predecessors(i) for i in range(spec.size)]
+    nbhd = spec.neighbourhoods()
     _check_senders(nbhd)
     tau = params.tau
     # Per cell, the (sender, delay) of each message, with its processing time.
@@ -824,8 +824,8 @@ def event_states(
         if params is None or times is None:
             raise RuleError("an early-update cell needs the run's timings and times")
         validate_timing(spec, params)
-        nb = nbhd[early_update_cell]
-        delays = [params.tau[(early_update_cell, j)] for j in nb]
+        nb, tau = nbhd[early_update_cell], params.tau
+        delays = [tau[(early_update_cell, j)] for j in nb]
         fault = (early_update_cell, nb, delays, times)
     return _event_states(rule, local, tuple(s0), k_max, fault)
 

@@ -409,9 +409,7 @@ class Stages:
         return {
             **{name: m is None for name, m in self.mismatches.items()},
             "regime": traj_mod.verify_regime(self.regime, self.p, self.summary),
-            "eigen_equation": traj_mod.cyclic_mismatch(
-                self.p, self.summary.eigenvalue, [(v,) for v in self.summary.eigenbasis]
-            ) is None,
+            "eigen_equation": self.contour_mismatch("eigen_equation") is None,
         }
 
     @cached_property

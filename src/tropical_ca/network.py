@@ -61,17 +61,18 @@ class NetworkSpec(_NetworkFields):
             seen.add(arc)
         return self
 
-    def predecessors(self, i: int) -> tuple:
-        """Neighbourhood of cell i in rule-application order.
-
-        Regular rings use ring order (offsets -r..+r around i, wrapping),
-        which for n = 3 is (left, self, right).  Explicit topologies use
-        ascending cell index.
-        """
-        if self.regular_n is not None:
-            r = (self.regular_n - 1) // 2
-            return tuple((i + d) % self.size for d in range(-r, r + 1))
-        return tuple(sorted(j for (j, to) in self.arcs if to == i))
+    def neighbourhoods(self) -> list:
+        """Per cell, its senders in rule-application order, from one pass
+        over the arcs: ascending cell index, or on a regular ring the ring
+        order (offsets -r..+r around i), which for n = 3 is (left, self,
+        right)."""
+        senders = [[] for _ in range(self.size)]
+        for j, i in self.arcs:
+            senders[i].append(j)
+        if self.regular_n is None:
+            return [tuple(sorted(nb)) for nb in senders]
+        n, r = self.size, (self.regular_n - 1) // 2
+        return [tuple(sorted(nb, key=lambda j: (j - i + r) % n)) for i, nb in enumerate(senders)]
 
     def is_three_ring(self) -> bool:
         """True when every cell's neighbourhood is exactly

@@ -780,6 +780,7 @@ def build_event_dag(run: AsyncRun):
     n = run.spec.size
     tau = run.params.tau
     times = run.trajectory.states
+    nbhd = run.spec.neighbourhoods()
     events = {}
     arcs = []
     for k in range(last + 1):
@@ -787,10 +788,9 @@ def build_event_dag(run: AsyncRun):
             events[f"s{i + 1}_{k}"] = ("send", i, k, times[k][i])
     for k in range(1, last + 1):
         for i in range(n):
-            preds = run.spec.predecessors(i)
-            receive = max(times[k - 1][j] + tau[(i, j)] for j in preds)
+            receive = max(times[k - 1][j] + tau[(i, j)] for j in nbhd[i])
             events[f"r{i + 1}_{k}"] = ("receive", i, k, receive)
-            for j in preds:
+            for j in nbhd[i]:
                 arcs.append(
                     (
                         f"s{j + 1}_{k - 1}",

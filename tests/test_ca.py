@@ -41,12 +41,14 @@ from tropical_ca.errors import (
     StateUndefinedError,
 )
 from tropical_ca.network import (
+    NetworkSpec,
     TimingParameters,
     build_p,
     explicit_network,
     random_parameters,
     regular_ring,
 )
+from tropical_ca.render import build_event_dag
 from tropical_ca.semiring import unit_vector
 from tropical_ca.trajectory import iter_states, iterate
 
@@ -190,7 +192,8 @@ def longhand_successors(rule, nbhd):
 def test_compiled_eca_step_matches_longhand_every_rule_and_state():
     # The STG applies the compiled step to every state.  A ring reads
     # (i-1, i, i+1) both when regular_ring builds it and when it is given
-    # as explicit arcs, whose predecessors are in ascending index order.
+    # as explicit arcs, whose neighbourhoods() lists senders in ascending
+    # index order.
     for n in range(3, 10):
         ring = ring_neighbourhoods(n)
         arcs = [(j, i) for i, nb in enumerate(ring) for j in nb]
@@ -1039,6 +1042,64 @@ def test_event_simulation_input_checks():
     loner_params = TimingParameters.create((1, 1), {(0, 0): 1, (0, 1): 1})
     with pytest.raises(NetworkError):
         event_simulation(PARITY, loner, loner_params, (0, 1), (0, 0), 2)
+
+
+def test_neighbourhoods_list_only_the_senders_of_arcs():
+    # A 3-ring's arcs with a regular_n of 5: regular_n orders each
+    # neighbourhood and adds no cell, so the event run reads a tau for
+    # every sender and replays the synchronous map.
+    spec = NetworkSpec(5, regular_ring(5, 3).arcs, regular_n=5)
+    assert spec.neighbourhoods() == [((i - 1) % 5, i, (i + 1) % 5) for i in range(5)]
+    params = random_parameters(spec, 5, (1, 30), (1, 10))
+    s0 = (1, 0, 0, 1, 0)
+    assert len(list(event_times(spec, params, unit_vector(5), 8))) == 9
+    assert bijection_mismatch(PARITY, spec, params, s0, unit_vector(5), 8) is None
+
+
+class CountedArcs(tuple):
+    """An arc tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_neighbourhoods_take_a_fixed_number_of_passes_over_the_arcs():
+    # Each reader builds the table in one pass over the arcs, so the passes
+    # a call makes do not grow with N (one per cell would be N * m work).
+    # The explicit and regular forms of one ring give the same runs.
+    def runs(n, regular_n):
+        arcs = CountedArcs(regular_ring(n, 3).arcs)
+        spec = NetworkSpec(n, arcs, regular_n=regular_n)
+        params = random_parameters(spec, n, (1, 30), (1, 10))
+        rng = random.Random(n)
+        s0 = tuple(rng.randint(0, 1) for _ in range(n))
+        x0 = unit_vector(n)
+        calls = {
+            "event_times": lambda: list(event_times(spec, params, x0, 6)),
+            "event_states": lambda: list(event_states(PARITY, spec, s0, 6)),
+            "event_dag": lambda: build_event_dag(async_run(PARITY, spec, params, s0, x0, 6)),
+            "fault": lambda: list(event_states(
+                PARITY, spec, s0, 6, 0, params, event_times(spec, params, x0, 6, 0)
+            )),
+        }
+        passes, results = {}, {}
+        for name, call in calls.items():
+            arcs.passes = 0
+            results[name] = call()
+            passes[name] = arcs.passes
+        return passes, results
+
+    for regular_n in (None, 3):
+        small, _ = runs(16, regular_n)
+        assert runs(64, regular_n)[0] == small, regular_n
+    for n in (16, 64):
+        explicit = runs(n, None)[1]
+        regular = runs(n, 3)[1]
+        for name in ("event_times", "event_states", "fault"):
+            assert explicit[name] == regular[name], (n, name)
 
 
 def test_ca_period_independent_of_timing_period():

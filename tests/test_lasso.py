@@ -107,7 +107,7 @@ def ring_case(seed: int):
 
     params = TimingParameters.create(
         [draw(1, 3) for _ in range(n)],
-        {(i, j): draw(0, 2) for i in range(n) for j in spec.predecessors(i)},
+        {(i, j): draw(0, 2) for i, nb in enumerate(spec.neighbourhoods()) for j in nb},
     )
     x0 = tuple(draw(0, 6) for _ in range(n))
     s0 = tuple(rng.randint(0, 1) for _ in range(n))

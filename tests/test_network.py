@@ -31,8 +31,7 @@ from oracles import NEG_INF, dense, grid_mul, is_irreducible, transmission_grid
 
 def test_ring_20_3_neighbourhoods():
     spec = regular_ring(20, 3)
-    for i in range(20):
-        assert spec.predecessors(i) == ((i - 1) % 20, i, (i + 1) % 20)
+    assert spec.neighbourhoods() == [((i - 1) % 20, i, (i + 1) % 20) for i in range(20)]
     assert spec.is_three_ring()
 
 
@@ -58,7 +57,7 @@ def test_ring_rejects_bad_n():
 
 def test_explicit_network_validation():
     spec = explicit_network(3, [(0, 1), (1, 2), (2, 0)])
-    assert spec.predecessors(1) == (0,)
+    assert spec.neighbourhoods() == [(2,), (0,), (1,)]
     with pytest.raises(NetworkError):
         explicit_network(2, [(0, 5)])
     with pytest.raises(NetworkError):
@@ -323,5 +322,5 @@ def test_p_holds_its_arcs_not_a_grid(monkeypatch):
     row = dict(P.finite_rows()[0])
     assert row[n - 1] == params.xi[0] + params.tau[(0, n - 1)]
     assert traj.states[3][0] == max(
-        traj.states[2][j] + row[j] for j in spec.predecessors(0)
+        traj.states[2][j] + row[j] for j in spec.neighbourhoods()[0]
     )

@@ -228,6 +228,22 @@ def test_ca_both_on_a_recurring_run_pins_every_file(tmp_path, case):
         assert regime["rho"] == 2 and regime["lambda"] == {"num": 27, "den": 8}
 
 
+# The bundled configs' event DAGs are all on regular rings; this 6-cell
+# digraph lists each cell's messages in ascending sender order (the same
+# digest is pinned in CI).
+QUARTER_RHO2_EVENT_DAG = "558397930caf667f9fd52fbbbc1d78e0eb9894d88d080cd5af05f263ebcfe060"
+
+
+def test_render_pins_the_event_dag_of_an_explicit_topology(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(QUARTER_RHO2), encoding="utf-8")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["render", "--config", str(config), "--out", str(out)])
+    assert code == 0
+    assert tree_digests(out)["event_dag.dot"] == QUARTER_RHO2_EVENT_DAG
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {case: run_case(case, Path(tmp) / str(n)) for n, case in enumerate(CASES)}

@@ -146,7 +146,7 @@ def random_case(rng: random.Random, fraction: bool, n: int | None = None):
 
     params = TimingParameters.create(
         [draw(1, 3) for _ in range(n)],
-        {(i, j): draw(0, 2) for i in range(n) for j in spec.predecessors(i)},
+        {(i, j): draw(0, 2) for i, nb in enumerate(spec.neighbourhoods()) for j in nb},
     )
     s0 = tuple(rng.randint(0, 1) for _ in range(n))
     x0 = tuple(draw(0, 6) for _ in range(n))

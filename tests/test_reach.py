@@ -53,7 +53,6 @@ UNRUN = {
     "semiring.MaxPlusMatrix.__hash__": VALUE,
     "semiring.MaxPlusMatrix.__repr__": VALUE,
     "semiring.MaxPlusMatrix.__setattr__": VALUE,
-    "cli.Stages.contour_mismatch": FAILURE,
     "errors.CapExceededError.__init__": FAILURE,
 }
 

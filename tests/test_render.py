@@ -240,7 +240,7 @@ def random_timed_run(rng, kind, k_max=None, shrink=1):
             return Fraction(rng.randint(lo * 6, hi * 6), rng.randint(1, 6))
     params = TimingParameters.create(
         [draw(1, 8) for _ in range(size)],
-        {(i, j): draw(0, 4) for i in range(size) for j in spec.predecessors(i)},
+        {(i, j): draw(0, 4) for i, nb in enumerate(spec.neighbourhoods()) for j in nb},
     )
     if shrink != 1:
         params = TimingParameters.create(
