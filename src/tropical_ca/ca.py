@@ -52,8 +52,9 @@ fault no state depends on when its messages arrived.  Only an injected
 fault cell keeps a map of the last value it heard from each neighbour,
 and only then are the times read.  event_simulation lists the two;
 bijection_mismatch runs the states alone unless a fault cell needs the
-times.  first_mismatch scans one such run against its reference and
-stops at the first counter-example, in memory of one state of each.
+times, and without one stops at the sync run's first recurrence.
+first_mismatch scans one such run against its reference and stops at
+the first counter-example, in memory of one state of each.
 tests/oracles.py holds the message-by-message longhand.
 """
 
@@ -921,7 +922,12 @@ def bijection_mismatch(
     """The first cycle and cell where the event-level states differ from
     the synchronous map, or None.  Without a fault only the states are
     run, after the timings and x0 are checked as :func:`event_times`
-    checks them; the times are built only for a fault cell to read."""
+    checks them; the times are built only for a fault cell to read.
+    Without a fault the scan stops where s(k) repeats the state of its
+    latest checkpoint, as :func:`~tropical_ca.trajectory.iterate` does: a
+    fault-free event state is a function of the one before it, so runs
+    that agree up to a repeat agree for good.  A fault cell's last-heard
+    map is hidden state, so its scan runs to k_max."""
     if early_update_cell is None:
         validate_timing(spec, params)
         if len(x0) != spec.size:
@@ -930,7 +936,18 @@ def bijection_mismatch(
     else:
         times = event_times(spec, params, x0, k_max, early_update_cell)
     states = event_states(rule, spec, s0, k_max, early_update_cell, params, times)
-    return first_mismatch("bijection", iter_sync_states(rule, spec, s0, k_max), states)
+    sync = iter_sync_states(rule, spec, s0, k_max)
+    return first_mismatch("bijection", _to_repeat(sync) if times is None else sync, states)
+
+
+def _to_repeat(states):
+    """``states`` through the first that equals its latest checkpoint."""
+    for k, s in enumerate(states):
+        yield s
+        if k and s == ref:
+            return
+        if k & (k - 1) == 0:  # a checkpoint: k = 0 or a power of two
+            ref = s
 
 
 def verify_bijection(

@@ -8,7 +8,8 @@ a command with the same config produces an identical tree.
 Every command is a selection of output files over one set of stages
 (:class:`Stages`).  A stage is computed on first use, at most once per
 command, and requires only the config fields it reads; each output file
-has exactly one writer (:data:`WRITERS`).
+has exactly one writer (:data:`WRITERS`).  A command's one
+:meth:`Stages.write` call forms all its files before it opens one.
 
 Exit codes: 0 success, 1 a failed check (``verify``'s, or the bijection
 check of ``ca``), 2 usage or configuration error, 130 interrupted.
@@ -21,6 +22,7 @@ import gc
 import json
 import sys
 from functools import cache, cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -229,17 +231,15 @@ class Stages:
         self.fault_cell = fault_cell
         self.metadata = exp.metadata()
 
-    def compute(self, *stages: str) -> None:
-        """Run the named stages now, so that one that fails leaves no
-        file behind."""
-        for name in stages:
-            getattr(self, name)
-
     def write(self, *names) -> None:
-        """Write the named files; a tuple of names is one writer's files."""
-        for name in names:
-            try:
-                content = WRITERS[name](self)
+        """Write the named files, a tuple of names being one writer's, one
+        writer at a time.  Every file's content is formed, and so every
+        stage it reads has run, before the first file is opened."""
+        contents = {}
+        try:
+            for name in names:
+                contents[name] = WRITERS[name](self)
+            for name, content in contents.items():
                 if isinstance(content, str):
                     _write(self.exp.out, name, content)
                 elif isinstance(name, tuple):
@@ -247,15 +247,15 @@ class Stages:
                     _write_chunks(self.exp.out, dict(zip(name, tails)), shared)
                 else:
                     _write_chunks(self.exp.out, {name: content})
-            except ValueError as exc:
-                # Python refuses to print an int past its digit limit.
-                if "integer string conversion" not in str(exc):
-                    raise
-                first = name[0] if isinstance(name, tuple) else name
-                raise TropicalError(
-                    f"cannot write {self.exp.out / first}: an exact value in it "
-                    f"has more than {sys.get_int_max_str_digits()} digits"
-                ) from None
+        except ValueError as exc:
+            # Python refuses to print an int past its digit limit.
+            if "integer string conversion" not in str(exc):
+                raise
+            first = name[0] if isinstance(name, tuple) else name
+            raise TropicalError(
+                f"cannot write {self.exp.out / first}: an exact value in it "
+                f"has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
 
     @cached_property
     def p(self) -> MaxPlusMatrix:
@@ -341,10 +341,8 @@ class Stages:
 
     @cached_property
     def raster_size(self) -> tuple:
-        """(height, widest row in bytes) of spacetime_async.pgm.  A raster
-        that may pass RASTER_BYTE_CAP is refused here, so a command that
-        computes this first opens no file."""
-        self.exp.require("rule", "s0", "k_max", "x0", "params")  # as the run does
+        """(height, widest row in bytes) of spacetime_async.pgm; a raster
+        that may pass RASTER_BYTE_CAP is refused."""
         height, row = self.async_plots.raster_size()
         if height * row > RASTER_BYTE_CAP:
             raise CapExceededError(
@@ -374,20 +372,25 @@ class Stages:
     @cached_property
     def mismatches(self) -> dict:
         """``verify``'s per-cycle checks, name -> first Mismatch or None,
-        over cycles 0..k_max, each a scan that holds one state of each
-        run: the event-level states against the compiled synchronous step,
-        and the event-level times against P's arcs stepped from x(0)."""
+        each a scan that holds one state of each run: the event-level
+        states against the compiled synchronous step, and the event-level
+        times against P's arcs stepped from x(0) to cycle min(k_max, k* +
+        rho).  Both time maps commute with adding one constant to every
+        entry (the fault cell's min too), and x(k + rho) = mu ⊗ x(k) for
+        k >= k*, so times equal through k* + rho are equal for good."""
         exp = self.exp
         exp.require("rule", "s0", "x0", "k_max", "params")
         cell = self.fault_cell
+        bijection = ca_mod.bijection_mismatch(
+            exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max, cell
+        )
+        last = min(exp.k_max, self.regime.k_star + self.regime.rho)
         return {
-            "bijection": ca_mod.bijection_mismatch(
-                exp.rule, exp.spec, exp.params, exp.s0, exp.x0, exp.k_max, cell
-            ),
+            "bijection": bijection,
             "event_times_match_matrix": ca_mod.first_mismatch(
                 "event_times_match_matrix",
-                traj_mod.iter_states(self.p, exp.x0, exp.k_max),
-                ca_mod.event_times(exp.spec, exp.params, exp.x0, exp.k_max, cell),
+                traj_mod.iter_states(self.p, exp.x0, last),
+                ca_mod.event_times(exp.spec, exp.params, exp.x0, last, cell),
             ),
         }
 
@@ -426,9 +429,9 @@ def _json(obj) -> str:
 SPACETIME_SVGS = ("spacetime_async.svg", "spacetime_async_contours.svg")
 
 # File name -> text of that file, from the stages: a str, or an iterator
-# of text or bytes chunks that is streamed to the file.  A tuple of names
-# maps to (shared chunks, one tail of chunks per name): each file is the
-# shared text followed by its tail.
+# of text or bytes chunks streamed to the file; an entry reads its stages
+# when called.  A tuple of names maps to (shared chunks, one tail of
+# chunks per name): each file is the shared text followed by its tail.
 WRITERS = {
     "spectral.json": lambda st: _json(st.summary.to_json_dict()),
     "critical_graph.dot": lambda st: render_mod.critical_graph_dot(
@@ -448,8 +451,9 @@ WRITERS = {
     ),
     "async_contours.svg": lambda st: st.async_plots.contour_chunks(st.run.states),
     SPACETIME_SVGS: lambda st: st.async_plots.spacetime_pair_chunks(st.run.states),
-    "spacetime_async.pgm": lambda st: st.async_plots.raster_chunks(
-        st.run.states, st.sync_trace
+    # The raster's row changes are collected only as its chunks are taken.
+    "spacetime_async.pgm": lambda st: st.raster_size and chain.from_iterable(
+        map(st.async_plots.raster_chunks, [st.run.states], [st.sync_trace])
     ),
     "event_dag.dot": lambda st: render_mod.event_dag_dot(st.run, st.metadata),
     "attractor_census.json": lambda st: ca_mod.attractor_census_chunks(st.stg),
@@ -474,9 +478,8 @@ def cmd_analyze(st: Stages) -> int:
 
 
 def cmd_simulate(st: Stages) -> int:
-    st.compute("trajectory")  # the regime reads it
-    report = st.regime  # first, so that a failed regime search writes no file
     st.write("trajectory.csv", "regime.json", "contour_plot.svg")
+    report = st.regime
     print(
         f"k_star = {report.k_star}, rho = {report.rho}, mu = {report.mu}, "
         f"cycletime = {traj_mod.cycletime(report)}"
@@ -485,15 +488,13 @@ def cmd_simulate(st: Stages) -> int:
 
 
 def cmd_ca(st: Stages, schedule: str) -> int:
-    # The stages that may refuse the run, before any file is opened.
-    st.compute(*(["sync_trace"] if schedule == "sync" else ["run", "raster_size"]))
-    if schedule in ("sync", "both"):
-        st.write("sync_orbit.json", *SYNC_PLOTS)
+    sync, timed = schedule != "async", schedule != "sync"
+    st.write(*(("sync_orbit.json", *SYNC_PLOTS) if sync else ()), *(ASYNC_PLOTS if timed else ()))
+    if sync:
         print(f"sync orbit: entry {st.orbit.entry_time}, period {st.orbit.period}")
-    if schedule in ("async", "both"):
-        st.write(*ASYNC_PLOTS)
+    if timed:
         print(f"async run: {st.exp.k_max} cycles")
-    if schedule == "both":
+    if sync and timed:
         mismatch = st.bijection_mismatch
         print(f"bijection sync/async: {'FAIL' if mismatch else 'PASS'}")
         if mismatch:
@@ -525,16 +526,8 @@ def cmd_verify(st: Stages) -> int:
 
 
 def cmd_render(st: Stages) -> int:
-    st.compute("run", "summary", "raster_size")
-    st.write(
-        "contour_plot.svg",
-        *ASYNC_PLOTS,
-        *SYNC_PLOTS,
-        "event_dag.dot",
-        "critical_graph.dot",
-    )
-    if st.exp.spec.size <= 12:
-        st.write("stg.dot")
+    st.write("contour_plot.svg", *ASYNC_PLOTS, *SYNC_PLOTS, "event_dag.dot",
+             "critical_graph.dot", *(("stg.dot",) if st.exp.spec.size <= 12 else ()))
     print(f"rendered into {st.exp.out}")
     return 0
 

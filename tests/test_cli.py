@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 import tropical_ca
 from tropical_ca import ca, cli, network, render, spectral
 from tropical_ca.cli import main
-from tropical_ca.errors import ConfigError, TropicalError
-from tropical_ca.semiring import MaxPlusMatrix
+from tropical_ca.errors import CapExceededError, ConfigError, TropicalError
+from tropical_ca.semiring import MaxPlusMatrix, unit_vector
+
+from test_ca import event_instances
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RING10 = str(CONFIGS / "rule150_ring10.json")
@@ -311,6 +313,33 @@ def test_verify_holds_no_run(tmp_path, capsys, monkeypatch):
     assert run(capsys, "verify", "--config", RING10, "--out", str(tmp_path))[0] == 0
 
 
+def test_a_refusal_at_the_last_file_opens_no_file(tmp_path, capsys, monkeypatch):
+    # render forms the content of all its files before it opens one, so a
+    # graph for stg.dot, its last file, that cannot be built leaves no
+    # --out directory, not the nine files before it.
+    def refuse(rule, spec):
+        raise CapExceededError("no state transition graph")
+
+    monkeypatch.setattr(ca, "build_stg", refuse)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "render", "--config", RING10, "--out", str(out))
+    assert (code, stdout, err) == (2, "", "error: no state transition graph\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+@pytest.mark.parametrize("argv", [["ca", "--schedule", "async"], ["render"]],
+                         ids=lambda argv: "-".join(argv))
+def test_a_config_short_of_two_fields_is_refused_at_its_first_file(tmp_path, capsys, argv, mode):
+    # size4_stg has no s0, x0 or timings.  The first file of both commands
+    # is a plot laid out from the update times, so the refusal names x0.
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--config", SIZE4, "--mode", mode, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "config error: this command needs the config field 'x0'\n"
+    assert not out.exists()
+
+
 # A 3-cell cycle with no self-loops, whose cell 1 starts 10 time units
 # ahead: its update times stall at once.
 STALLED = {
@@ -387,6 +416,9 @@ def test_bounded_bijection_pass_finds_a_late_fault(monkeypatch):
     bounded = cli.Stages(exp).bijection_mismatch
     assert bounded == full_bijection_pass(exp)
     assert (bounded.k, bounded.cell) == (last, 4)
+    # The library's fault-free pass stops only at s(47) = s(32), past it.
+    params = network.random_parameters(spec, 1, (1, 3), (0, 3))
+    assert ca.bijection_mismatch(rule, spec, params, s0, unit_vector(10), 200) == bounded
     # Past k_max the fault is not reached by either pass.
     exp = exp._replace(k_max=last - 1)
     assert cli.Stages(exp).bijection_mismatch is None is full_bijection_pass(exp)
@@ -402,16 +434,62 @@ def test_bounded_bijection_pass_finds_a_late_fault(monkeypatch):
 )
 def test_bounded_and_full_bijection_passes_agree(rule, size, bits, k_max, flip):
     # With the event rule faithful or flipping one cell on one orbit
-    # state, the pass that stops at entry + period reports the same first
-    # mismatch as the pass over every cycle.
+    # state, ca's pass that stops at entry + period, and the library's
+    # fault-free pass that stops where the sync run repeats a checkpoint
+    # state, report the same first mismatch as the pass over every cycle.
     spec = network.regular_ring(size, 3)
+    params = network.random_parameters(spec, bits, (1, 3), (0, 3))
     s0 = tuple((bits >> i) & 1 for i in range(size))
     exp = orbit_experiment(rule, spec, s0, k_max)
     with pytest.MonkeyPatch.context() as monkeypatch:
         if flip is not None:
             states = cli.Stages(exp).orbit.states
             flip_event_state(monkeypatch, states[flip[0] % len(states)], flip[1] % size)
-        assert cli.Stages(exp).bijection_mismatch == full_bijection_pass(exp)
+        full = full_bijection_pass(exp)
+        assert cli.Stages(exp).bijection_mismatch == full
+        assert ca.bijection_mismatch(rule, spec, params, s0, unit_vector(size), k_max) == full
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=event_instances(), k_max=st.integers(0, 200))
+def test_time_scan_to_the_regime_agrees_with_the_full_pass(instance, k_max):
+    # verify stops its event-time scan at cycle min(k_max, k* + rho).  On
+    # strongly connected digraphs with int or Fraction timings, and each
+    # fault cell or none, it reports the same first mismatch as the scan
+    # over every cycle.
+    rule, _, spec, _, params, s0, x0, _, fault = instance
+    exp = cli.Experiment("rational", spec, params, rule, s0, tuple(x0), k_max, Path("out"), None)
+    bounded = cli.Stages(exp, fault).mismatches["event_times_match_matrix"]
+    assert bounded == ca.first_mismatch(
+        "event_times_match_matrix",
+        cli.traj_mod.iter_states(network.build_p(spec, params), x0, k_max),
+        ca.event_times(spec, params, x0, k_max, fault),
+    )
+
+
+def cap_items(monkeypatch, name, cap):
+    """Make each iterator that ca.<name> returns fail at its item cap + 1."""
+    original = getattr(ca, name)
+
+    def capped(*args, **kwargs):
+        for k, item in enumerate(original(*args, **kwargs)):
+            assert k < cap, f"ca.{name} stepped past cycle {cap - 1}"
+            yield item
+
+    monkeypatch.setattr(ca, name, capped)
+
+
+def test_verify_steps_each_run_to_its_recurrence_only(tmp_path, capsys, monkeypatch):
+    # A work gate that needs no clock: at k_max 10^12 on the 10-cell ring
+    # (sync orbit entry 0 and period 6, k* = 19 and rho = 1), verify
+    # decides both per-cycle checks within 64 cycles of each event run.
+    cfg = json.loads(Path(RING10).read_text())
+    cfg["k_max"] = 10**12
+    for name in ("event_states", "event_times"):
+        cap_items(monkeypatch, name, 64)
+    code, out, _ = run(capsys, "verify", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out"))
+    assert code == 0 and out.count("PASS") == 4
 
 
 # -- stg ----------------------------------------------------------------------
@@ -1258,7 +1336,7 @@ def test_async_svgs_are_never_held_whole(tmp_path, capsys, monkeypatch):
     write = cli.Stages.write
 
     def traced_write(st, *names):
-        st.compute("run")  # the run itself is not part of any file's cost
+        st.run  # the run itself is not part of any file's cost
         for name in names:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
@@ -1298,7 +1376,7 @@ def test_stg_files_are_never_held_whole(tmp_path, capsys, monkeypatch):
     write = cli.Stages.write
 
     def traced_write(st, *names):
-        st.compute("stg")  # the graph itself is not part of any file's cost
+        st.stg  # the graph itself is not part of any file's cost
         for name in names:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
@@ -1328,7 +1406,7 @@ def test_trajectory_csv_is_never_held_whole(tmp_path):
     argv = ["simulate", "--config", write_config(tmp_path, cfg),
             "--out", str(tmp_path / "out")]
     st = cli.Stages(cli.load_experiment(cli.build_parser().parse_args(argv)))
-    st.compute("trajectory", "summary")  # not part of the file's cost
+    st.trajectory, st.summary  # not part of the file's cost
     tracemalloc.start()
     try:
         st.write("trajectory.csv")
