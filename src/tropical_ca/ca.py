@@ -65,7 +65,6 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import cache, reduce
-from itertools import product
 from operator import or_
 from typing import Iterator, NamedTuple, Sequence
 
@@ -722,13 +721,14 @@ def state_at(run: AsyncRun, t: Scalar) -> State:
 
 
 def _local_rule(rule: CARule, nbhd: list):
-    """The local rule applied cell by cell: next(prev) -> list of the new
-    states, cell i reading prev at nbhd[i].  ECA looks up the 8-entry table
-    that rule.apply gives over (left, self, right); parity sums the
-    neighbour bits mod 2."""
+    """The local rule applied cell by cell: next(prev) -> a list of the new
+    states, which the fault path edits in place, cell i reading prev at
+    nbhd[i].  ECA indexes the nested 2x2x2 table t[left][self][right] that
+    rule.apply gives; parity sums the neighbour bits mod 2."""
     if rule.kind == "eca":
-        table = [rule.apply(bits) for bits in product((0, 1), repeat=3)]
-        return lambda s: [table[4 * s[l] + 2 * s[c] + s[r]] for l, c, r in nbhd]
+        t = tuple(tuple(tuple(rule.apply((l, c, r)) for r in (0, 1)) for c in (0, 1))
+                  for l in (0, 1))
+        return lambda s: [t[s[l]][s[c]][s[r]] for l, c, r in nbhd]
     if rule.kind == "parity":
         return lambda s: [sum([s[j] for j in nb]) & 1 for nb in nbhd]
     raise RuleError(f"unknown rule kind {rule.kind!r}")

@@ -9,7 +9,8 @@ Every command is a selection of output files over one set of stages
 (:class:`Stages`).  A stage is computed on first use, at most once per
 command, and requires only the config fields it reads; each output file
 has exactly one writer (:data:`WRITERS`).  A command's one
-:meth:`Stages.write` call forms all its files before it opens one.
+:meth:`Stages.write` call forms all its files before it opens one, and
+leaves none of them if one cannot be written.
 
 Exit codes: 0 success, 1 a failed check (``verify``'s, or the bijection
 check of ``ca``), 2 usage or configuration error, 130 interrupted.
@@ -234,8 +235,10 @@ class Stages:
     def write(self, *names) -> None:
         """Write the named files, a tuple of names being one writer's, one
         writer at a time.  Every file's content is formed, and so every
-        stage it reads has run, before the first file is opened."""
-        contents = {}
+        stage it reads has run, before the first file is opened.  A writer
+        that fails, or is interrupted, leaves no file of the call: its own
+        files go in _write_chunks, and the earlier writers' files here."""
+        contents, written = {}, []
         try:
             for name in names:
                 contents[name] = WRITERS[name](self)
@@ -247,9 +250,12 @@ class Stages:
                     _write_chunks(self.exp.out, dict(zip(name, tails)), shared)
                 else:
                     _write_chunks(self.exp.out, {name: content})
-        except ValueError as exc:
+                written += name if isinstance(name, tuple) else [name]
+        except BaseException as exc:
+            for done in written:
+                (self.exp.out / done).unlink(missing_ok=True)
             # Python refuses to print an int past its digit limit.
-            if "integer string conversion" not in str(exc):
+            if not (isinstance(exc, ValueError) and "integer string conversion" in str(exc)):
                 raise
             first = name[0] if isinstance(name, tuple) else name
             raise TropicalError(
@@ -434,7 +440,7 @@ SPACETIME_SVGS = ("spacetime_async.svg", "spacetime_async_contours.svg")
 # chunks per name): each file is the shared text followed by its tail.
 WRITERS = {
     "spectral.json": lambda st: _json(st.summary.to_json_dict()),
-    "critical_graph.dot": lambda st: render_mod.critical_graph_dot(
+    "critical_graph.dot": lambda st: render_mod.critical_graph_dot_chunks(
         st.p, st.summary.critical, st.metadata
     ),
     "trajectory.csv": lambda st: traj_mod.csv_chunks(
@@ -455,7 +461,7 @@ WRITERS = {
     "spacetime_async.pgm": lambda st: st.raster_size and chain.from_iterable(
         map(st.async_plots.raster_chunks, [st.run.states], [st.sync_trace])
     ),
-    "event_dag.dot": lambda st: render_mod.event_dag_dot(st.run, st.metadata),
+    "event_dag.dot": lambda st: render_mod.event_dag_dot_chunks(st.run, st.metadata),
     "attractor_census.json": lambda st: ca_mod.attractor_census_chunks(st.stg),
     "stg.dot": lambda st: render_mod.stg_dot_chunks(st.stg, st.metadata),
     "verification.json": lambda st: _json(

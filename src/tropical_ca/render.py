@@ -26,7 +26,7 @@ from operator import getitem, sub
 from ._version import __version__
 from .ca import AsyncRun, StateTransitionGraph, _encode
 from .errors import DimensionError
-from .semiring import MaxPlusMatrix, Scalar, format_scalar
+from .semiring import MaxPlusMatrix, Scalar, canonical, format_scalar
 from .spectral import CriticalGraph, build_graph
 from .trajectory import Lasso, Trajectory
 
@@ -85,8 +85,8 @@ def _comment_lines(metadata, prefix: str) -> list:
 
 # Lines per chunk of the streamed texts: 512 SVG lines (under 100 B
 # each; the synchronous plot's chunks hold whole rows, at least one) or
-# up to 1024 STG lines (about 74 KiB at N = 14).  A
-# raster row's width varies, so its chunks hold as many rows as fit in
+# up to 1024 DOT lines (an STG's are about 74 KiB at N = 14).  A raster
+# row's width varies, so its chunks hold as many rows as fit in
 # _PIXMAP_BYTES (at least one).
 _PIXMAP_BYTES = 1 << 18
 _SVG_BLOCK = 512
@@ -251,7 +251,7 @@ class AsyncPlots:
         width = 2 * MARGIN + self.size * CELL_PX
         header = _svg_header(width, self._svg_height(), self.metadata)
         rects = self._rect_blocks(zip(*self._checked(states)))
-        half = Fraction(CELL_PX, 2)
+        half = canonical(Fraction(CELL_PX, 2))
         xs = [_fmt(MARGIN + i * CELL_PX + half) for i in range(self.size)]
         contours = chain(_polylines(xs, self.y_rows), ["</svg>"])
         return (
@@ -263,9 +263,9 @@ class AsyncPlots:
         """The hold-interval rects, cell by cell, in blocks of at most
         _SVG_BLOCK lines.  Cell i's k-th rect spans [x_i(k), x_i(k+1))
         and shows states[k][i].  A block is one join of a reused list of
-        parts: per line its top, the fixed width text, its height and a
-        piece that ends the rect in the colour of its bit and starts the
-        cell's next rect."""
+        parts: per line its top, the fixed width text, its height and the
+        piece that its bit indexes, which ends the rect in that bit's
+        colour and starts the cell's next rect."""
         width = f'" width="{CELL_PX}" height="'
         fill = (f'" fill="{COLOR0}"/>\n', f'" fill="{COLOR1}"/>\n')
         k_max = len(self.times) - 1
@@ -281,7 +281,7 @@ class AsyncPlots:
                 parts[0] = rect
                 parts[1::4] = tops[k:end]
                 parts[3::4] = heights[k:end]
-                parts[4::4] = map(pieces.__getitem__, bits[k:end])
+                parts[4::4] = [pieces[b] for b in bits[k:end]]
                 parts[-1] = fill[bits[end - 1]]
                 yield "".join(parts)
 
@@ -810,41 +810,59 @@ def build_event_dag(run: AsyncRun):
 
 def event_dag_dot(run: AsyncRun, metadata: tuple = ()) -> str:
     """DOT rendering of the event DAG with timestamps in the labels."""
+    return "".join(event_dag_dot_chunks(run, metadata))
+
+
+def event_dag_dot_chunks(run: AsyncRun, metadata: tuple = ()) -> Iterator[str]:
+    """The text of :func:`event_dag_dot` in chunks of _STG_BLOCK lines;
+    the DAG is built, and its lines formed, as the chunks are taken."""
+    return _line_blocks(_event_dag_lines(run, metadata), _STG_BLOCK)
+
+
+def _event_dag_lines(run: AsyncRun, metadata: tuple) -> Iterator[str]:
     events, arcs = build_event_dag(run)
-    lines = ["digraph events {"]
-    lines += _comment_lines(metadata, "  //")
-    lines.append("  rankdir=TB;")
+    yield "digraph events {"
+    yield from _comment_lines(metadata, "  //")
+    yield "  rankdir=TB;"
     for eid in sorted(events):
         kind, cell, cycle, t = events[eid]
         shape = "ellipse" if kind == "send" else "box"
         label = f"{kind} cell {cell + 1} cycle {cycle}\\nt={format_scalar(t)}"
-        lines.append(f'  "{eid}" [shape={shape}, label="{label}"];')
+        yield f'  "{eid}" [shape={shape}, label="{label}"];'
     for (a, b, label) in arcs:
-        lines.append(f'  "{a}" -> "{b}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{a}" -> "{b}" [label="{label}"];'
+    yield "}"
 
 
 def critical_graph_dot(P: MaxPlusMatrix, crit: CriticalGraph, metadata: tuple = ()) -> str:
     """Precedence graph of P with the critical subgraph highlighted, the
     arcs j -> i in (j, i) order."""
+    return "".join(critical_graph_dot_chunks(P, crit, metadata))
+
+
+def critical_graph_dot_chunks(
+    P: MaxPlusMatrix, crit: CriticalGraph, metadata: tuple = ()
+) -> Iterator[str]:
+    """The text of :func:`critical_graph_dot` in chunks of _STG_BLOCK
+    lines, formed as they are taken.  The sizes are checked on the call."""
     succ = build_graph(P)
     if len(succ) != crit.node_count:
         raise DimensionError("graph and critical graph sizes differ")
+    return _line_blocks(_critical_graph_lines(succ, crit, metadata), _STG_BLOCK)
+
+
+def _critical_graph_lines(succ: list, crit: CriticalGraph, metadata: tuple) -> Iterator[str]:
     critical_nodes = set(crit.nodes)
     critical_arcs = set(crit.arcs)
-    lines = ["digraph precedence {"]
-    lines += _comment_lines(metadata, "  //")
+    yield "digraph precedence {"
+    yield from _comment_lines(metadata, "  //")
     for v in range(len(succ)):
         style = ', penwidth=2, color="#c03a2b"' if v in critical_nodes else ""
-        lines.append(f'  "{v + 1}" [shape=circle{style}];')
+        yield f'  "{v + 1}" [shape=circle{style}];'
     for j, row in enumerate(succ):
         for i, w in row:
             style = (
                 ', penwidth=2, color="#c03a2b"' if (j, i) in critical_arcs else ""
             )
-            lines.append(
-                f'  "{j + 1}" -> "{i + 1}" [label="{format_scalar(w)}"{style}];'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  "{j + 1}" -> "{i + 1}" [label="{format_scalar(w)}"{style}];'
+    yield "}"

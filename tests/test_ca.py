@@ -939,6 +939,25 @@ def test_event_simulation_matches_longhand_oracle():
     assert set(range(1, 5)) <= degrees
 
 
+def test_event_rule_reads_left_self_right_for_every_eca_rule():
+    # Every ECA rule on a 7-cell ring, built by regular_ring and given as
+    # arcs, from a state that no rotation maps to its mirror image: a
+    # table read in another order than (left, self, right) gives another
+    # run for each rule that order can tell apart.
+    n, k_max = 7, 12
+    s0 = (1, 1, 0, 1, 0, 0, 0)
+    assert all(s0[::-1] != s0[i:] + s0[:i] for i in range(n))
+    regular, params = seeded_ring(n, 5)
+    specs = (regular, explicit_network(n, regular.arcs))
+    for number in range(256):
+        _, want = event_simulation_longhand(
+            ("eca", number), ring_neighbourhoods(n), params.xi, params.tau,
+            s0, unit_vector(n), k_max, None,
+        )
+        for spec in specs:
+            assert list(event_states(CARule.eca(number), spec, s0, k_max)) == want, number
+
+
 @st.composite
 def event_instances(draw):
     """(rule, oracle rule, spec, nbhd, params, s0, x0, k_max, fault): an

@@ -327,6 +327,30 @@ def test_a_refusal_at_the_last_file_opens_no_file(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+def test_a_failed_write_removes_the_files_written_before_it(tmp_path, capsys, monkeypatch):
+    # --out holds a directory named stg.dot, render's last file: it cannot
+    # be opened once the nine files before it are written, and those go,
+    # so only the directory is left.  An interrupt mid-stream is the same.
+    out = tmp_path / "out"
+    (out / "stg.dot").mkdir(parents=True)
+    code, stdout, err = run(capsys, "render", "--config", RING10, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"config error: out: cannot write {out / 'stg.dot'}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["stg.dot"]
+    assert not any((out / "stg.dot").iterdir())
+
+    def interrupted(st):
+        assert len(list(out.iterdir())) == 10  # the nine files and stg.dot
+        yield "digraph stg {\n"
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.WRITERS, "stg.dot", interrupted)
+    out = tmp_path / "interrupted"
+    code, stdout, err = run(capsys, "render", "--config", RING10, "--out", str(out))
+    assert (code, stdout, err) == (130, "", "interrupted\n")
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("mode", cli.MODES)
 @pytest.mark.parametrize("argv", [["ca", "--schedule", "async"], ["render"]],
                          ids=lambda argv: "-".join(argv))
@@ -1133,6 +1157,7 @@ def test_failed_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     def failing_raster(st):
         yield "P2\n"
         assert pgm.exists()  # the file is open and holds the first chunk
+        assert (tmp_path / "spacetime_async.svg").is_file()  # written before it
         raise TropicalError("raster failed mid-stream")
 
     monkeypatch.setitem(cli.WRITERS, "spacetime_async.pgm", failing_raster)
@@ -1141,8 +1166,7 @@ def test_failed_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
         "--out", str(tmp_path),
     )
     assert code == 2 and "raster failed mid-stream" in err
-    assert not pgm.exists()
-    assert (tmp_path / "spacetime_async.svg").is_file()  # written before it
+    assert not any(tmp_path.iterdir())  # the earlier writers' files go too
 
     # Files written from shared chunks go together: a failure in the last
     # file's own chunks removes the finished first file too.
@@ -1151,6 +1175,7 @@ def test_failed_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
 
     def failing_tail():
         assert all(p.exists() for p in svgs)
+        assert (out / "async_contours.svg").is_file()
         yield "<polyline/>\n"
         raise TropicalError("contours failed mid-stream")
 
@@ -1162,8 +1187,7 @@ def test_failed_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
         capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
     )
     assert code == 2 and "contours failed mid-stream" in err
-    assert not any(p.exists() for p in svgs)
-    assert (out / "async_contours.svg").is_file()
+    assert not any(out.iterdir())
 
 
 def test_write_chunks_writes_text_and_bytes_alike(tmp_path):
@@ -1217,10 +1241,11 @@ def test_failed_write_is_a_config_error_and_leaves_no_file(tmp_path):
 def test_failed_raster_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
     # The raster's own bytes chunks, cut by an error after the header and
     # the first block of rows: the file being written goes, alone or with
-    # the file that shares its chunks.
+    # the file that shares its chunks, and so do the earlier writers' files.
     def cut(st, path):
         yield from islice(st.async_plots.raster_chunks(st.run.states), 2)
         assert path.exists()  # the file is open and holds those chunks
+        assert (path.parent / "async_contours.svg").is_file()  # the first writer's
         raise TropicalError("raster failed mid-stream")
 
     out = tmp_path / "single"
@@ -1230,8 +1255,7 @@ def test_failed_raster_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
         capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
     )
     assert code == 2 and "raster failed mid-stream" in err
-    assert not pgm.exists()
-    assert (out / "spacetime_async.svg").is_file()  # written before it
+    assert not any(out.iterdir())
 
     out = tmp_path / "pair"
     svgs = [out / name for name in cli.SPACETIME_SVGS]
@@ -1246,15 +1270,15 @@ def test_failed_raster_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
         capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
     )
     assert code == 2 and "raster failed mid-stream" in err
-    assert not any(p.exists() for p in svgs)
-    assert (out / "async_contours.svg").is_file()
+    assert not any(out.iterdir())
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 def test_write_error_at_close_is_one_line_and_leaves_no_file(tmp_path):
     # critical_graph.dot links to /dev/full: its few hundred bytes stay in
     # the file's buffer until it is closed, and the flush there fails.
-    # The command exits 2 with one line naming it, and no file is left.
+    # The command exits 2 with one line naming it, and no file is left,
+    # not even spectral.json, which was written before it.
     out = tmp_path / "out"
     out.mkdir()
     (out / "critical_graph.dot").symlink_to("/dev/full")
@@ -1264,12 +1288,13 @@ def test_write_error_at_close_is_one_line_and_leaves_no_file(tmp_path):
         f"config error: out: cannot write {out / 'critical_graph.dot'}: "
         "No space left on device\n"
     )
-    assert [p.name for p in out.iterdir()] == ["spectral.json"]
+    assert not any(out.iterdir())
 
 
 def test_streamed_files_bypass_write(tmp_path, capsys, monkeypatch):
     # _write gets whole texts only: a profiler that wraps it may take the
-    # len() of its text argument.
+    # len() of its text argument.  Of analyze's and render's files, only
+    # spectral.json is formed whole; the DOT graphs stream too.
     texts, streams = [], []
     write, write_chunks = cli._write, cli._write_chunks
 
@@ -1283,15 +1308,16 @@ def test_streamed_files_bypass_write(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_write", recorded_write)
     monkeypatch.setattr(cli, "_write_chunks", recorded_write_chunks)
-    code, _, _ = run(capsys, "render", "--config", RING10, "--out", str(tmp_path))
-    assert code == 0
-    assert {t for _, t in texts} == {str}
-    assert set(streams) - {name for name, _ in texts} == {
-        "contour_plot.svg", "async_contours.svg", "spacetime_async_contours.svg",
-        "spacetime_async.svg", "spacetime_async.pgm", "spacetime_sync.svg",
-        "spacetime_sync.pgm", "stg.dot",
+    for command in ("analyze", "render"):
+        code, _, _ = run(capsys, command, "--config", RING10, "--out", str(tmp_path / command))
+        assert code == 0
+    assert texts == [("spectral.json", str)]
+    assert set(streams) - {"spectral.json"} == {
+        "critical_graph.dot", "contour_plot.svg", "async_contours.svg",
+        "spacetime_async_contours.svg", "spacetime_async.svg", "spacetime_async.pgm",
+        "spacetime_sync.svg", "spacetime_sync.pgm", "event_dag.dot", "stg.dot",
     }
-    assert sorted(streams) == sorted(p.name for p in tmp_path.iterdir())
+    assert sorted(streams) == sorted(p.name for d in tmp_path.iterdir() for p in d.iterdir())
 
 
 def test_async_raster_is_never_held_whole(tmp_path, capsys):
