@@ -278,9 +278,6 @@ class SyncOrbit(NamedTuple):
     def _periodic_codes(self) -> tuple:
         return self.codes[self.entry_time : self.recurrence.end]
 
-    def periodic_states(self) -> tuple:
-        return tuple(_decode(c, self.size) for c in self._periodic_codes())
-
     def periodic_labels(self) -> list:
         """state_to_string of each periodic state."""
         fmt = f"0{self.size}b"
@@ -306,20 +303,10 @@ class SyncOrbit(NamedTuple):
         """s(0..k): each code decoded once, at most, and the periodic
         states repeated."""
         states = tuple(_decode(c, self.size) for c in self.codes[: k + 1])
-        return states if len(states) == k + 1 else tuple(self._past(k).repeat(states, k + 1))
-
-    def state(self, k: int) -> State:
-        """s(k) for any k >= 0, folding into the periodic part."""
-        if k >= len(self.codes):
-            k = self._past(k).fold(k)[0]
-        return _decode(self.codes[k], self.size)
-
-    def _past(self, k: int) -> Lasso:
-        """The recurrence that an s(k) past the traced codes folds through."""
-        if self.period is None:
+        if len(states) <= k and self.period is None:
             last = len(self.codes) - 1
             raise StateUndefinedError(f"s({k}) is past the open trace, whose last cycle is {last}")
-        return self.recurrence
+        return states if len(states) == k + 1 else tuple(self.recurrence.repeat(states, k + 1))
 
     @property
     def recurrence(self) -> Lasso | None:
@@ -380,23 +367,6 @@ def _is_linear(rule: CARule) -> bool:
     return not any(map(_anf(rule.number).__getitem__, (0, 3, 5, 6, 7)))
 
 
-class Attractors(Sequence):
-    """The circuits of a :class:`StateTransitionGraph`, read-only: item i
-    is the tuple codes[offsets[i]:offsets[i + 1]], made on request."""
-
-    __slots__ = ("codes", "offsets")
-
-    def __init__(self, codes: array, offsets: array):
-        self.codes, self.offsets = codes, offsets
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, i: int) -> tuple:
-        i = range(len(self))[i]  # an index past either end raises IndexError
-        return tuple(self.codes[self.offsets[i] : self.offsets[i + 1]])
-
-
 class StateTransitionGraph(NamedTuple):
     """Functional digraph on all 2^N configurations.
 
@@ -413,11 +383,6 @@ class StateTransitionGraph(NamedTuple):
     attractor_offsets: array  # array('I'), one per circuit and the end
     on_attractor: bytearray  # 0/1 per code
 
-    @property
-    def attractors(self) -> Attractors:
-        """The circuits, each a tuple of codes, in the order above."""
-        return Attractors(self.attractor_codes, self.attractor_offsets)
-
     def fixed_point_count(self) -> int:
         """The circuits of period 1, which come first: offsets[i] - i is 0
         up to the last of them and grows by period - 1 at each circuit."""
@@ -432,11 +397,6 @@ class StateTransitionGraph(NamedTuple):
         of hi x lo.  Built once per cell count and shared by every graph of
         that count, so read them only."""
         return _label_halves(self.size)
-
-    def label(self, code: int) -> str:
-        """state_to_string of the configuration with this code."""
-        hi, lo, k = self.label_halves
-        return hi[code >> k] + lo[code & ((1 << k) - 1)]
 
     def transient_count(self) -> int:
         return len(self.on_attractor) - self.on_attractor.count(1)
@@ -575,7 +535,7 @@ def attractor_census_chunks(stg: StateTransitionGraph) -> Iterator[str]:
     sort_keys=True) + "\n", in chunks of at most _CENSUS_BLOCK labels:
     "cycles" lists the longer circuits with period and states, one or
     more chunks each, "fixed_points" the fixed points, both in the order
-    of attractors."""
+    of attractor_codes."""
     hi, lo, k = stg.label_halves
     mask = (1 << k) - 1
     codes, offsets = stg.attractor_codes, stg.attractor_offsets
@@ -660,15 +620,6 @@ class AsyncRun(_AsyncRunFields):
 
     def update_times(self, i: int) -> tuple:
         return tuple(x[i] for x in self.trajectory.states)
-
-    def hold_intervals(self, i: int) -> tuple:
-        """(start, end, bit) triples for cell i, k = 0..k_max-1.  They tile
-        [x_i(0), x_i(k_max)) with no gap or overlap."""
-        times = self.update_times(i)
-        return tuple(
-            (times[k], times[k + 1], self.states[k][i])
-            for k in range(self.k_max)
-        )
 
     def time_window(self) -> tuple:
         """(first, last): full-state queries are defined on [first, last]."""

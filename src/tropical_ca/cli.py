@@ -23,7 +23,7 @@ import gc
 import json
 import sys
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -236,30 +236,37 @@ class Stages:
         """Write the named files, a tuple of names being one writer's, one
         writer at a time.  Every file's content is formed, and so every
         stage it reads has run, before the first file is opened.  A writer
-        that fails, or is interrupted, leaves no file of the call: its own
-        files go in _write_chunks, and the earlier writers' files here."""
+        that fails, or is interrupted, leaves no file of the call and no
+        directory that it made: its own files go in _write_chunks, the
+        earlier writers' files here, and then each level of --out that was
+        missing before the call, deepest first, while it is empty."""
+        out = self.exp.out
+        made = list(takewhile(lambda d: not d.exists(), (out, *out.parents)))
         contents, written = {}, []
         try:
             for name in names:
                 contents[name] = WRITERS[name](self)
             for name, content in contents.items():
                 if isinstance(content, str):
-                    _write(self.exp.out, name, content)
+                    _write(out, name, content)
                 elif isinstance(name, tuple):
                     shared, tails = content
-                    _write_chunks(self.exp.out, dict(zip(name, tails)), shared)
+                    _write_chunks(out, dict(zip(name, tails)), shared)
                 else:
-                    _write_chunks(self.exp.out, {name: content})
+                    _write_chunks(out, {name: content})
                 written += name if isinstance(name, tuple) else [name]
         except BaseException as exc:
             for done in written:
-                (self.exp.out / done).unlink(missing_ok=True)
+                (out / done).unlink(missing_ok=True)
+            for level in made:
+                if level.is_dir() and not any(level.iterdir()):
+                    level.rmdir()
             # Python refuses to print an int past its digit limit.
             if not (isinstance(exc, ValueError) and "integer string conversion" in str(exc)):
                 raise
             first = name[0] if isinstance(name, tuple) else name
             raise TropicalError(
-                f"cannot write {self.exp.out / first}: an exact value in it "
+                f"cannot write {out / first}: an exact value in it "
                 f"has more than {sys.get_int_max_str_digits()} digits"
             ) from None
 
@@ -514,7 +521,7 @@ def cmd_stg(st: Stages) -> int:
     stg = st.stg
     fixed = stg.fixed_point_count()
     print(
-        f"{fixed} fixed points, {len(stg.attractors) - fixed} longer cycles, "
+        f"{fixed} fixed points, {len(stg.attractor_offsets) - 1 - fixed} longer cycles, "
         f"{stg.transient_count()} transient states"
     )
     return 0

@@ -409,6 +409,13 @@ def pixmap_parse(text: str):
     return width, height, [values[r * width : (r + 1) * width] for r in range(height)]
 
 
+def hold_intervals(run, i):
+    """(start, end, bit) of cell i for k = 0..k_max - 1: it holds s_i(k)
+    over [x_i(k), x_i(k + 1)), read from the run's two records."""
+    times = [x[i] for x in run.trajectory.states]
+    return tuple(zip(times, times[1:], [s[i] for s in run.states]))
+
+
 def async_pixmap_grid(run, metadata, version):
     """P2 text of an async run's memory blocks, from a full grid with one
     store and one str() per pixel.  ``version`` is the package version the
@@ -416,13 +423,13 @@ def async_pixmap_grid(run, metadata, version):
     n = run.spec.size
     traj = run.trajectory
     t0 = min(min(x) for x in traj.states)
-    t1 = max(run.update_times(i)[run.k_max] for i in range(n))
+    t1 = max(traj.states[-1])
     s = TIME_SCALE
     height = max(1, math.ceil((t1 - t0) * s))
     width = n * CELL_PX
     grid = [[GRAY_BG] * width for _ in range(height)]
     for i in range(n):
-        for (a, b, bit) in run.hold_intervals(i):
+        for (a, b, bit) in hold_intervals(run, i):
             r_lo = math.ceil((a - t0) * s)
             r_hi = math.ceil((b - t0) * s)  # exclusive
             gray = GRAY1 if bit else GRAY0
@@ -517,7 +524,7 @@ def spacetime_async_vertices(run, metadata, version, stage="plain"):
     lines = svg_header(width, height, metadata, version)
     for i in range(n):
         x = MARGIN + i * CELL_PX
-        for (a, b, bit) in run.hold_intervals(i):
+        for (a, b, bit) in hold_intervals(run, i):
             fill = COLOR1 if bit else COLOR0
             lines.append(
                 f'<rect x="{f(x)}" y="{f(ypix(a))}" '

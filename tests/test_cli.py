@@ -330,7 +330,8 @@ def test_a_refusal_at_the_last_file_opens_no_file(tmp_path, capsys, monkeypatch)
 def test_a_failed_write_removes_the_files_written_before_it(tmp_path, capsys, monkeypatch):
     # --out holds a directory named stg.dot, render's last file: it cannot
     # be opened once the nine files before it are written, and those go,
-    # so only the directory is left.  An interrupt mid-stream is the same.
+    # so only the directory is left.  An interrupt mid-stream is the same,
+    # and the levels of --out that the call made go too.
     out = tmp_path / "out"
     (out / "stg.dot").mkdir(parents=True)
     code, stdout, err = run(capsys, "render", "--config", RING10, "--out", str(out))
@@ -345,10 +346,11 @@ def test_a_failed_write_removes_the_files_written_before_it(tmp_path, capsys, mo
         raise KeyboardInterrupt
 
     monkeypatch.setitem(cli.WRITERS, "stg.dot", interrupted)
-    out = tmp_path / "interrupted"
-    code, stdout, err = run(capsys, "render", "--config", RING10, "--out", str(out))
-    assert (code, stdout, err) == (130, "", "interrupted\n")
-    assert not any(out.iterdir())
+    for out in (tmp_path / "interrupted", tmp_path / "a" / "b"):
+        code, stdout, err = run(capsys, "render", "--config", RING10, "--out", str(out))
+        assert (code, stdout, err) == (130, "", "interrupted\n")
+        assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 @pytest.mark.parametrize("mode", cli.MODES)
@@ -1187,7 +1189,7 @@ def test_failed_stream_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
         capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
     )
     assert code == 2 and "contours failed mid-stream" in err
-    assert not any(out.iterdir())
+    assert not out.exists()  # and the --out that the command made
 
 
 def test_write_chunks_writes_text_and_bytes_alike(tmp_path):
@@ -1255,7 +1257,7 @@ def test_failed_raster_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
         capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
     )
     assert code == 2 and "raster failed mid-stream" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
     out = tmp_path / "pair"
     svgs = [out / name for name in cli.SPACETIME_SVGS]
@@ -1270,7 +1272,7 @@ def test_failed_raster_stream_leaves_no_file(tmp_path, capsys, monkeypatch):
         capsys, "ca", "--schedule", "async", "--config", RING10, "--out", str(out),
     )
     assert code == 2 and "raster failed mid-stream" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")

@@ -1,14 +1,17 @@
-"""The package is the code its commands run.
+"""The package is the code its commands and README's examples run.
 
 Every command form runs in-process under ``sys.setprofile`` over the
 committed configs in both modes, over three configs that read the
 network the other ways (explicit xi/tau, a tau_matrix, a network file),
-and over one with a misspelled key, which the config walk refuses.
-Then every ``def`` in the package is looked up: one that no command
-entered must be a benchmark tracer target (the names ``perfbench/`` wraps,
-read as ``test_benchmark_names`` reads them) or be listed in ``UNRUN``
-with its reason.  New library code is either run by a command or listed
-here; a name that nothing needs is deleted, not kept."""
+over one with a misspelled key, which the config walk refuses, and over
+one run that the held-state cap refuses.  Then README's Python blocks
+run under the same hook.  Every ``def`` in the package is looked up: one
+that no command entered must be a benchmark tracer target (the names
+``perfbench/`` wraps, read as ``test_benchmark_names`` reads them) or be
+listed in ``UNRUN`` with its reason, and a ``DOCUMENTED`` one must be
+entered by a README example.  New library code is either run by a
+command or shown in README; a name that nothing needs is deleted, not
+kept."""
 
 import argparse
 import ast
@@ -23,6 +26,7 @@ import tropical_ca
 from tropical_ca.cli import build_parser, main
 
 from test_benchmark_names import load_tracer
+from test_readme import BLOCKS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PACKAGE = Path(tropical_ca.__file__).resolve().parent
@@ -31,33 +35,29 @@ PACKAGE = Path(tropical_ca.__file__).resolve().parent
 # on the smaller configs enters the same code.
 STG_CELLS = 12
 
-# Functions no command enters, with the reason each stays.
-DOCUMENTED = "test reference or documented query"
-TRACER_ONLY = "called only by a tracer target"
+# Functions no command enters, with the reason each stays: a query that
+# a README example enters, or a method of Python's value protocol.
+DOCUMENTED = "entered by a README example"
 VALUE = "value protocol"
-FAILURE = "entered only on a failure"
 UNRUN = {
     "ca.state_at": DOCUMENTED,
     "ca.AsyncRun.update_times": DOCUMENTED,
-    "ca.AsyncRun.hold_intervals": DOCUMENTED,
     "ca.AsyncRun.time_window": DOCUMENTED,
     "ca.SyncOrbit.states": DOCUMENTED,
-    "ca.SyncOrbit.periodic_states": DOCUMENTED,
     "ca.SyncOrbit.periodic_labels": DOCUMENTED,
-    "ca.SyncOrbit.state": DOCUMENTED,
-    "ca.StateTransitionGraph.label": DOCUMENTED,
-    "ca.Attractors.__getitem__": DOCUMENTED,
     "ca.state_to_string": DOCUMENTED,
-    "ca.sync_states": TRACER_ONLY,
+    "ca.sync_states": DOCUMENTED,
     "semiring.MaxPlusMatrix.__eq__": VALUE,
     "semiring.MaxPlusMatrix.__hash__": VALUE,
     "semiring.MaxPlusMatrix.__repr__": VALUE,
     "semiring.MaxPlusMatrix.__setattr__": VALUE,
-    "errors.CapExceededError.__init__": FAILURE,
 }
 
 # The config whose commands exit 2: its "m" is no key of topology.regular.
 REFUSED = "unknown_key"
+# The 10-cell ring at k_max 10^11, which the gate runs simulate on alone:
+# a run of 10^12 cell-states is over cli.HELD_STATE_CAP, so it exits 2.
+CAPPED = "capped"
 
 # A network file with explicit arcs and rational timings.
 NET_FILE = {
@@ -120,13 +120,17 @@ def runs(tmp_path) -> list:
         for form in command_forms(config):
             argv = [*form, "--config", str(path)]
             out.append(argv if mode is None else [*argv, "--mode", mode])
-    return out
+    ring = json.loads((CONFIGS / "rule150_ring10.json").read_text(encoding="utf-8"))
+    capped = tmp_path / f"{CAPPED}.json"
+    capped.write_text(json.dumps({**ring, "k_max": 10**11}), encoding="utf-8")
+    return [*out, ["simulate", "--config", str(capped)]]
 
 
-def entered(tmp_path) -> set:
-    """(file, first line) of every function that the commands enter.  The
-    package's memo caches are emptied first, so that a function whose
-    result an earlier test left there is entered again."""
+def profiled(calls) -> set:
+    """(file, first line) of every function that the calls enter, run one
+    after another with stdout swallowed.  The package's memo caches are
+    emptied first, so that a function whose result an earlier run left
+    there is entered again."""
     for name, module in list(sys.modules.items()):
         if name.startswith("tropical_ca."):
             for value in vars(module).values():
@@ -138,18 +142,33 @@ def entered(tmp_path) -> set:
         if event == "call":
             codes.add(frame.f_code)
 
-    for n, argv in enumerate(runs(tmp_path)):
-        argv = [*argv, "--out", str(tmp_path / f"out{n}")]
+    for call in calls:
         with contextlib.redirect_stdout(io.StringIO()):
             sys.setprofile(profile)
             try:
-                code = main(argv)
+                call()
             finally:
                 sys.setprofile(None)
-        # A fault the check misses (a uniform ring's) leaves verify at 0.
-        want = 2 if f"{REFUSED}.json" in argv[argv.index("--config") + 1] else 0
-        assert code == want or code == 1 and "--inject-early-update" in argv, argv
     return {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
+
+
+def entered(tmp_path) -> tuple:
+    """The functions that the commands enter, then those that README's
+    Python blocks enter, each block run in-process in a fresh namespace."""
+
+    def command(n, argv):
+        argv = [*argv, "--out", str(tmp_path / f"out{n}")]
+        code = main(argv)
+        # A fault the check misses (a uniform ring's) leaves verify at 0.
+        config = Path(argv[argv.index("--config") + 1]).stem
+        want = 2 if config in (REFUSED, CAPPED) else 0
+        assert code == want or code == 1 and "--inject-early-update" in argv, argv
+
+    commands = profiled([lambda n=n, argv=argv: command(n, argv)
+                         for n, argv in enumerate(runs(tmp_path))])
+    examples = profiled([lambda block=block: exec(block, {"__name__": "readme"})
+                         for block in BLOCKS])
+    return commands, examples
 
 
 def package_defs() -> dict:
@@ -182,13 +201,17 @@ def tracer_targets() -> set:
 
 def test_every_unrun_def_is_a_tracer_target_or_listed(tmp_path):
     defs = package_defs()
-    reached = entered(tmp_path)
+    reached, shown = entered(tmp_path)
     targets = tracer_targets()
     unrun = {name for name, key in defs.items() if key not in reached}
     unlisted = sorted(n for n in unrun if defs[n] not in targets and n not in UNRUN)
     assert not unlisted, f"no command runs {unlisted}: delete them, or list them with a reason"
     assert UNRUN.keys() <= defs.keys(), sorted(UNRUN.keys() - defs.keys())
     assert UNRUN.keys() <= unrun, f"a command runs {sorted(UNRUN.keys() - unrun)}"
+    unshown = sorted(n for n, why in UNRUN.items() if why == DOCUMENTED and defs[n] not in shown)
+    assert not unshown, f"no README example runs {unshown}: delete them, or show them in one"
+    unvalued = sorted(n for n, why in UNRUN.items() if why == VALUE and not n.endswith("__"))
+    assert not unvalued, f"{unvalued} are no methods of the value protocol"
 
 
 def test_the_gate_runs_every_command(tmp_path):

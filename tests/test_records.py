@@ -115,7 +115,8 @@ def test_replace_runs_the_construction_checks(record, change, error):
 def test_stg_label_tables_are_built_once():
     stg = build_stg(CARule.parity(), RING)
     assert stg.label_halves is build_stg(CARule.eca(90), RING).label_halves
-    assert [stg.label(c) for c in (0, 5, 31)] == ["00000", "00101", "11111"]
+    hi, lo, k = stg.label_halves
+    assert [hi[c >> k] + lo[c % (1 << k)] for c in (0, 5, 31)] == ["00000", "00101", "11111"]
 
 
 def fresh_import(module: str, watched: set) -> str:

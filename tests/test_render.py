@@ -15,6 +15,7 @@ from oracles import (
     async_pixmap_grid,
     contour_plot_vertices,
     fmt_coordinate,
+    hold_intervals,
     pixmap_parse,
     spacetime_async_vertices,
     spacetime_sync_cells,
@@ -293,7 +294,7 @@ def test_async_pixmap_keeps_switches_behind_rowless_intervals():
         rowless += any(
             math.ceil((a - t0) * s) == math.ceil((b - t0) * s)
             for i in range(4)
-            for a, b, _bit in run.hold_intervals(i)
+            for a, b, _bit in hold_intervals(run, i)
         )
         want = async_pixmap_grid(run, (), __version__)
         assert_same_text(spacetime_async_pixmap(run), want, f"seed {seed}")
@@ -380,7 +381,7 @@ def test_joined_svgs_and_recurrence_cut_heights_match_oracles(seed, kind, k_max,
     for r in (run, hand):
         plots = AsyncPlots(r.trajectory, md)
         assert plots.heights == [
-            [fmt_coordinate((b - a) * render.TIME_SCALE) for a, b, _bit in r.hold_intervals(i)]
+            [fmt_coordinate((b - a) * render.TIME_SCALE) for a, b, _bit in hold_intervals(r, i)]
             for i in range(n)
         ]
         files = [
@@ -564,7 +565,7 @@ def test_sync_pattern_symmetric_about_seed():
     spec = regular_ring(20, 3)
     s0 = state_from_string("00000000001000000000")
     orbit = sync_orbit(RULE150, spec, s0, 1 << 20)
-    states = [orbit.state(k) for k in range(31)]
+    states = orbit.states_through(30)
     _w, _h, rows = pixmap_parse(spacetime_sync_pixmap(states))
     for row in rows:
         for d in range(1, 10):
@@ -574,7 +575,7 @@ def test_sync_pattern_symmetric_about_seed():
 def test_sync_rows_repeat_with_period():
     spec = regular_ring(10, 3)
     orbit = sync_orbit(RULE150, spec, state_from_string("0000100000"), 1 << 10)
-    states = [orbit.state(k) for k in range(20)]
+    states = orbit.states_through(19)
     _w, _h, rows = pixmap_parse(spacetime_sync_pixmap(states))
     for k in range(20 - orbit.period):
         assert rows[k] == rows[k + orbit.period]
@@ -621,7 +622,7 @@ def test_stg_dot_out_degree_one_and_styling():
     assert sorted(sources) == sorted(
         format(c, "04b") for c in range(16)
     )
-    on_attractor = sum(len(a) for a in stg.attractors)
+    on_attractor = len(stg.attractor_codes)
     bold_arcs = sum(1 for ln in arc_lines if "penwidth=2" in ln)
     assert bold_arcs == on_attractor
     census = attractor_census(stg)

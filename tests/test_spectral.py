@@ -263,6 +263,18 @@ def test_mcm_policy_iteration_cap(monkeypatch):
         with pytest.raises(CapExceededError) as exc:
             fn(A)
         assert exc.value.k_reached == 1
+        assert str(exc.value) == "Howard's policy iteration did not settle within 1 evaluations"
+
+
+def test_howard_cap_is_twice_the_arcs_plus_the_nodes_plus_100(monkeypatch):
+    # One component of 3 nodes and 6 arcs: a cap of 2·6 + 3 + 100.
+    stated = spectral._howard_cap
+    caps = []
+    monkeypatch.setattr(spectral, "_howard_cap",
+                        lambda nodes, arcs: caps.append((nodes, arcs, stated(nodes, arcs))) or 1000)
+    assert max_cycle_mean(mat((4, 5, EPS), (-10, EPS, 1), (EPS, 2, 3))) == 4
+    assert caps == [(3, 6, 115)]
+    assert [stated(n, m) for n, m in ((1, 0), (1, 1), (5, 10))] == [101, 103, 125]
 
 
 # -- critical graph -----------------------------------------------------------------

@@ -373,6 +373,38 @@ def test_maps_cyclically_input_checks():
         maps_cyclically(SWAP_ONE, 1, [[(0, 0, 0)]])
 
 
+# The circuit 1 -> 2 -> 3 -> 1 with weights 1, 1 and 2: lambda = 4/3 and
+# its regime cycles through three contours, c2 = (2/3, -1/3, -1/3) and
+# c3 = (1/3, 1/3, -2/3) after c1 = (0, 0, 0).
+THIRDS_CIRCUIT = mat((EPS, EPS, 2), (1, EPS, EPS), (EPS, 1, EPS))
+THIRDS = [(0, 0, 0), (Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)),
+          (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))]
+
+
+def test_cyclic_mismatch_counts_across_cycles():
+    # The second cycle is the regime 5 later, with the second cell of its
+    # third contour raised by 1: the first vector that maps wrong is its
+    # second, number 3 + 1 across both cycles, where P ⊗ c = 20/3 at the
+    # second cell, and lambda ⊗ c' = 4/3 + 19/3.
+    lam = Fraction(4, 3)
+    assert cyclic_mismatch(THIRDS_CIRCUIT, lam, [THIRDS]) is None
+    later = [tuple(v + 5 for v in c) for c in THIRDS]
+    later[2] = (later[2][0], later[2][1] + 1, later[2][2])
+    assert cyclic_mismatch(THIRDS_CIRCUIT, lam, [THIRDS, later]) == (
+        4, 1, Fraction(23, 3), Fraction(20, 3))
+
+
+def test_cyclic_mismatch_reports_a_vector_with_an_eps_entry():
+    # lambda = 3/2, the mean of the circuit 1 -> 2 -> 1; (0, 1/2) is an
+    # eigenvector.  (0, eps) is not: P ⊗ (0, eps) = (1/3, 2), and its first
+    # cell differs from lambda ⊗ (0, eps) = (3/2, eps).
+    P = mat((Fraction(1, 3), 1), (2, Fraction(1, 3)))
+    lam = Fraction(3, 2)
+    cycles = [[(0, Fraction(1, 2))], [(0, EPS)]]
+    assert cyclic_mismatch(P, lam, cycles[:1]) is None
+    assert cyclic_mismatch(P, lam, cycles) == (1, 0, Fraction(3, 2), Fraction(1, 3))
+
+
 def test_verify_regime_accepts_detected():
     P, summary = ring_system(10, 42)
     report = detect_regime(iterate(P, unit_vector(10), 0), summary)
