@@ -25,7 +25,8 @@ codes).  _compile turns (rule, spec) once into step(code) -> code that
 works on the whole state at once.  Each neighbour word is a few
 rotations of the code: an ECA step XORs the AND-words of the monomials
 of its rule's algebraic normal form (ANF) over GF(2) in the left, self
-and right words, and a parity step XORs the words of all arcs.
+and right words, and a parity step XORs the words of all arcs; the step
+is straight-line code, one statement per word it reads.
 sync_step, sync_states, trace_orbit, sync_orbit and build_stg all use
 it.  trace_orbit keeps the visited codes and decodes a state only on
 request; sync_orbit is a trace that must close within its cap.
@@ -35,13 +36,15 @@ of tables that step fills from O(2^ceil(N/2)) codes.  Parity, and the
 eight ECA rules whose ANF has degree 1 and no constant term, give a
 linear map, F(a ^ b) = F(a) ^ F(b), and split by superposition; any
 other ECA splits into the outputs of the two halves of the ring, each
-reading its own half and two cells of the other.  One colour pass over
-a second array of tags finds the attractors, touching each state a
-fixed number of times, and keeps them as one array('I') of codes and
-one of offsets.  A state label is the join of two half-width labels
-from tables of 2^(N/2) entries each, and attractor_census_chunks streams
-the census JSON a block of labels at a time, so no list of all 2^N
-labels, tuple per circuit or whole census text is ever built.
+reading its own half and two cells of the other.  A linear map of full
+GF(2) rank is a bijection, listed by one walk per circuit; any other
+map takes one colour pass over a second array of tags.  Either touches
+each state a fixed number of times and keeps the attractors as one
+array('I') of codes and one of offsets.  A state label is the join of
+two half-width labels from tables of 2^(N/2) entries each, and
+attractor_census_chunks streams the census JSON a block of labels at a
+time, so no list of all 2^N labels, tuple per circuit or whole census
+text is ever built.
 The event simulation applies the rule cell by cell on purpose: it is
 the independent oracle of the bijection check, with no matrix, no
 _compile and no state codes.  It is two per-cycle generators.
@@ -182,11 +185,9 @@ def _rotations(n: int, pairs) -> tuple:
     return tuple(sorted(masks.items()))
 
 
-def _gather(code: int, n: int, rotations: tuple) -> int:
-    word = 0
-    for d, mask in rotations:
-        word ^= (code << d | code >> (n - d)) & mask
-    return word
+def _rotated(d: int, n: int) -> str:
+    """The expression of the code rotated left by d cells."""
+    return f"(code << {d} | code >> {n - d})" if d else "code"
 
 
 @cache
@@ -205,30 +206,32 @@ def _compile(rule: CARule, spec: NetworkSpec):
     ECA: the XOR of the AND-words of the rule's ANF monomials (all ones
     for the constant).  On every 3-ring the left and right words are one
     rotation of the code each and the self word is the code; a word no
-    monomial reads is not computed.  Parity: the XOR of the arcs' words.
+    monomial reads is not computed.  Parity: one masked rotation per arc
+    offset.  The step is straight-line code, one flat statement per word
+    (w ^= ...), which compiles for any number of offsets; no word gives 0.
     """
     _check_rule_fits(rule, spec)
     n = spec.size
+    names = {"full": (1 << n) - 1}  # the masks the code reads, by name
     if rule.kind == "parity":
-        arcs = _rotations(n, spec.arcs)
-        return lambda code: _gather(code, n, arcs)
-    if rule.kind != "eca":
+        lines, words = [], []
+        for d, mask in _rotations(n, spec.arcs):
+            names[f"m{d}"] = mask
+            words.append(f"{_rotated(d, n)} & m{d}")
+    elif rule.kind == "eca":
+        monomials = [m for m, a in enumerate(_anf(rule.number)) if a]
+        reads = reduce(or_, monomials, 0)  # the inputs any monomial ANDs
+        # l and r: the offsets j - i mod n of j = i - 1 and i + 1.
+        lines = [f"{x} = {_rotated(d % n, n)} & full"
+                 for x, bit, d in (("l", 4, n - 1), ("r", 1, 1)) if reads & bit]
+        words = [" & ".join(x for x, bit in (("l", 4), ("code", 2), ("r", 1)) if m & bit)
+                 or "full" for m in monomials]
+    else:
         raise RuleError(f"unknown rule kind {rule.kind!r}")
-    monomials = [m for m, a in enumerate(_anf(rule.number)) if a]
-    reads = reduce(or_, monomials, 0)  # the inputs any monomial ANDs
-    full = (1 << n) - 1
-    dl, dr = (n - 1) % n, 1 % n  # the offsets j - i mod n of j = i - 1 and i + 1
-
-    def step(code: int) -> int:
-        l = (code << dl | code >> (n - dl)) & full if reads & 4 else 0
-        r = (code << dr | code >> (n - dr)) & full if reads & 1 else 0
-        words = (full, r, code, code & r, l, l & r, l & code, l & code & r)  # by m
-        out = 0
-        for m in monomials:
-            out ^= words[m]
-        return out
-
-    return step
+    lines += [f"w {'^=' if k else '='} {word}" for k, word in enumerate(words)]
+    lines.append("return w" if words else "return 0")
+    exec("def step(code):\n" + "".join(f" {line}\n" for line in lines), names)
+    return names.pop("step")  # no cycle through its own globals
 
 
 def sync_step(rule: CARule, spec: NetworkSpec, state: State) -> State:
@@ -367,6 +370,19 @@ def _is_linear(rule: CARule) -> bool:
     return not any(map(_anf(rule.number).__getitem__, (0, 3, 5, 6, 7)))
 
 
+def _gf2_rank(vectors) -> int:
+    """Rank over GF(2) of int bit masks.  Each vector is reduced by a
+    basis with distinct leading bits, highest first: min(v, v ^ b)
+    clears b's leading bit from v and changes only lower bits."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted([*basis, v], reverse=True)
+    return len(basis)
+
+
 class StateTransitionGraph(NamedTuple):
     """Functional digraph on all 2^N configurations.
 
@@ -466,12 +482,13 @@ def build_stg(rule: CARule, spec: NetworkSpec):
     """Exhaustive state transition graph; refuses more than STG_CELL_CAP
     cells (2^N states) to keep memory bounded.
 
-    One colour pass finds the attractors: tag[s] is 0 until a walk
-    reaches s, then the walk's start + 1.  Each walk starts at the next
-    untagged state (tag.index) and stops at the first tagged one; its
-    own tag there means a new circuit, which a second lap lists, rotated
-    to its smallest code.  The circuits are then gathered by period, in
-    the order of their smallest codes.
+    A linear map whose matrix has rank N over GF(2) (its columns are the
+    images of the codes 1 << b) is a bijection, so every state lies on a
+    circuit.  Then a walk from the least unmarked state comes back to it
+    and meets its circuit smallest code first, so one walk per circuit,
+    marking on_attractor, lists the circuits in the order of their
+    smallest codes.  Any other map takes _colour_pass.  The circuits are
+    then gathered by period.
     """
     step = _compile(rule, spec)
     n = spec.size
@@ -480,10 +497,40 @@ def build_stg(rule: CARule, spec: NetworkSpec):
             f"state transition graph over {n} cells needs 2^{n} states; "
             f"cap is {STG_CELL_CAP} cells (trace single orbits instead)"
         )
-    total = 1 << n
     succ = _successor_table(rule, n, step)
+    on_attr = bytearray(1 << n)
+    groups = {}  # period -> its circuits, one after another, in census order
+    if _is_linear(rule) and _gf2_rank(succ[1 << b] for b in range(n)) == n:
+        s = 0
+        while (s := on_attr.find(0, s)) >= 0:
+            cycle = array("I")
+            while not on_attr[s]:
+                on_attr[s] = 1
+                cycle.append(s)
+                s = succ[s]
+            if len(cycle) in groups:
+                groups[len(cycle)] += cycle
+            else:
+                groups[len(cycle)] = cycle
+    else:
+        _colour_pass(succ, on_attr, groups)
+    codes, offsets = array("I"), array("I")
+    for p in sorted(groups):
+        offsets.extend(range(len(codes), len(codes) + len(groups[p]), p))
+        codes += groups.pop(p)
+    offsets.append(len(codes))
+    return StateTransitionGraph(n, succ, codes, offsets, on_attr)
+
+
+def _colour_pass(succ: array, on_attr: bytearray, groups: dict) -> None:
+    """The circuits of any map, by one colour pass: tag[s] is 0 until a
+    walk reaches s, then the walk's start + 1.  Each walk starts at the
+    next untagged state (tag.index) and stops at the first tagged one;
+    its own tag there means a new circuit, which a second lap lists,
+    rotated to its smallest code, and marks in on_attr.  groups gets
+    each period's circuits in the order of their smallest codes."""
+    total = len(on_attr)
     tag = array("I", bytes(4 * total + 4))  # a last 0 ends the search below
-    on_attr = bytearray(total)
     found = array("I")  # the circuits in the order found
     starts = array("I", [0])  # where each circuit of found starts, then the end
     untagged = tag.index
@@ -511,7 +558,6 @@ def build_stg(rule: CARule, spec: NetworkSpec):
 
     # find meets the marked smallest codes in ascending order, so each
     # period's circuits join their group in the order of the census.
-    groups = {}  # period -> its circuits, one after another
     s = 0
     while (s := on_attr.find(2, s)) >= 0:
         on_attr[s] = 1
@@ -521,13 +567,6 @@ def build_stg(rule: CARule, spec: NetworkSpec):
             groups[b - a] += found[a:b]
         else:
             groups[b - a] = found[a:b]
-    del found, tag  # so that the joined codes take their place
-    codes, offsets = array("I"), array("I")
-    for p in sorted(groups):
-        offsets.extend(range(len(codes), len(codes) + len(groups[p]), p))
-        codes += groups.pop(p)
-    offsets.append(len(codes))
-    return StateTransitionGraph(n, succ, codes, offsets, on_attr)
 
 
 def attractor_census_chunks(stg: StateTransitionGraph) -> Iterator[str]:
@@ -735,7 +774,14 @@ def event_times(
 def _event_times(cells: tuple, x: tuple, k_max: int, fault: int | None):
     yield x
     for _ in range(k_max):
-        new = [max([x[j] + d for j, d in link]) + xi for link, xi in cells]
+        new = []
+        for link, xi in cells:  # max() without a list; keeps the first maximum
+            best = None
+            for j, d in link:
+                t = x[j] + d
+                if best is None or t > best:
+                    best = t
+            new.append(best + xi)
         if fault is not None:
             link, xi = cells[fault]
             new[fault] = min([x[j] + d for j, d in link]) + xi
